@@ -13,9 +13,13 @@ import random
 from typing import Iterator
 
 from .rings import FiniteRing, make_gf, make_product, make_zn
-from .semigroups import SemigroupMap, SemigroupTable
+from .semigroups import SemigroupMap, SemigroupTable, SizeGuardExceeded
 from .spectra import FinitePoset
 from .topology import FiniteSpace, SubsetLattice, make_lattice, make_space
+
+# 5 points are 2^20 candidate relations, seconds of work; 6 points are
+# 2^30, a thousand times more
+DEFAULT_MAX_TOPOLOGY_POINTS = 5
 
 _LETTERS = "abcdefgh"
 
@@ -31,8 +35,24 @@ def _space_from_preorder(leq: list[list[bool]]) -> FiniteSpace:
     return make_space(tuple(_LETTERS[i] for i in range(n)), closed)
 
 
-def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:
-    """All topologies on n labelled points, via transitive reflexive relations."""
+def enumerate_topologies(
+    n: int, max_points: int = DEFAULT_MAX_TOPOLOGY_POINTS
+) -> Iterator[FiniteSpace]:
+    """All topologies on n labelled points, via transitive reflexive relations.
+
+    The 2^(n(n-1)) candidate relations are guarded when this is called, not
+    when the iterator is first advanced, so a caller can check every size it
+    will need before doing any work.
+    """
+    if n > max_points:
+        raise SizeGuardExceeded(
+            f"topologies on {n} points: 2^{n * (n - 1)} candidate relations, "
+            f"over guard {max_points} points (2^{max_points * (max_points - 1)})"
+        )
+    return _topologies(n)
+
+
+def _topologies(n: int) -> Iterator[FiniteSpace]:
     off = [(i, j) for i in range(n) for j in range(n) if i != j]
     for bits in range(1 << len(off)):
         leq = [[i == j for j in range(n)] for i in range(n)]
@@ -240,7 +260,8 @@ def armendariz_map_corpus(
     out: list[tuple[str, SemigroupMap]] = []
 
     for R in reduced_rings_up_to(ring_order):
-        assert is_reduced(R)
+        if not is_reduced(R):
+            raise AssertionError(f"{R.tag} from reduced_rings_up_to is not reduced")
         q = eq_quotient(multiplicative_semigroup(R))
         out.append((f"eq-quotient {R.tag}", q.projection))
 

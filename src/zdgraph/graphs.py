@@ -301,7 +301,10 @@ class InvariantBundle:
 
     def __post_init__(self):
         if isinstance(self.clique, int) and isinstance(self.chromatic, int):
-            assert self.chromatic >= self.clique
+            if self.chromatic < self.clique:
+                raise AssertionError(
+                    f"chromatic number {self.chromatic} below clique number {self.clique}"
+                )
 
     def as_tuple(self):
         return (self.diameter, self.girth, self.clique, self.chromatic)

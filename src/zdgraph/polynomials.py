@@ -16,10 +16,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .graphs import SimpleGraph, clique_number, chromatic_number
 from .rings import (
     FiniteRing,
     Ideal,
+    enumerate_ideals,
     gamma_graph,
     ideal_product,
     ideal_sum,
@@ -137,38 +140,118 @@ class PairCheckReport:
     witness_note: str = ""
 
 
-def _zero_product(f: TruncPoly, g: TruncPoly) -> bool:
-    """fg = 0, by convolution with early exit on a nonzero coefficient."""
-    R = f.ring
-    if f.is_zero or g.is_zero:
-        return True
-    add, mul, zero = R.add, R.mul, R.zero
-    fc, gc = f.coeffs, g.coeffs
-    for k in range(len(fc) + len(gc) - 1):
-        acc = zero
-        lo = max(0, k - len(gc) + 1)
-        hi = min(k, len(fc) - 1)
-        for i in range(lo, hi + 1):
-            acc = add[acc][mul[fc[i]][gc[k - i]]]
-        if acc != zero:
-            return False
-    return True
+# ---------------------------------------------------------------------------
+# The pair-check engine
+#
+# Polynomials are rows of an (N, d+1) array of coefficient indices, in
+# ``polys_up_to_degree`` order (row 0 is the zero polynomial), padded with
+# the ring's zero.  A block of f-rows is multiplied against every g-row at
+# once by table lookup; a law is a vectorised predicate on the block of
+# products, and the first failing pair in row-major order is the same
+# canonical witness an f-then-g double loop would report.
+
+# Cap on the product coefficients held per block (rows x N x (2d+1));
+# larger blocks run no faster and raise peak memory.
+_BLOCK_CELLS = 1 << 15
 
 
-def _all_coeff_products_zero(f: TruncPoly, g: TruncPoly) -> bool:
-    """Every product of a coefficient of f with one of g vanishes.
+def _coefficient_rows(R: FiniteRing, polys: list[TruncPoly], d: int) -> np.ndarray:
+    F = np.full((len(polys), d + 1), R.zero, dtype=np.int64)
+    for r, f in enumerate(polys):
+        F[r, : len(f.coeffs)] = f.coeffs
+    return F
 
-    Equivalent to content(f) * content(g) = (0), since the product ideal is
-    generated by the pairwise coefficient products.
-    """
-    R = f.ring
-    mul, zero = R.mul, R.zero
-    for a in f.coeffs:
-        row = mul[a]
-        for b in g.coeffs:
-            if row[b] != zero:
-                return False
-    return True
+
+def _product_blocks(R: FiniteRing, F: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(r0, C)`` with ``C[b, g, k]`` the X^k coefficient of F[r0+b] * F[g]."""
+    N, w = F.shape
+    A, M = R._add_np, R._mul_np
+    rows = max(1, _BLOCK_CELLS // (N * (2 * w - 1)))
+    for r0 in range(0, N, rows):
+        Ff = F[r0 : r0 + rows]
+        C = np.full((len(Ff), N, 2 * w - 1), R.zero, dtype=np.int64)
+        for i in range(w):
+            for j in range(w):
+                C[:, :, i + j] = A[C[:, :, i + j], M[Ff[:, i, None], F[None, :, j]]]
+        yield r0, C
+
+
+def _armendariz_failures(R: FiniteRing, F: np.ndarray):
+    """fg = 0 and "every coefficient product vanishes" disagree."""
+    M, zero = R._mul_np, R.zero
+
+    def fails(r0: int, C: np.ndarray) -> np.ndarray:
+        # ann[b, x]: x kills every coefficient of f = F[r0+b]
+        ann = (M[F[r0 : r0 + len(C)]] == zero).all(axis=1)
+        return (C == zero).all(-1) != ann[:, F].all(-1)
+
+    return fails
+
+
+class _IdealTables:
+    """Every ideal of R by index, with its principal, join and product tables."""
+
+    def __init__(self, R: FiniteRing):
+        ideals = enumerate_ideals(R)
+        pos = {I: k for k, I in enumerate(ideals)}
+        self.principal = np.array([pos[principal_ideal(R, a)] for a in range(R.size)])
+        self.join = np.array([[pos[ideal_sum(R, I, J)] for J in ideals] for I in ideals])
+        self.prod = np.array([[pos[ideal_product(R, I, J)] for J in ideals] for I in ideals])
+        self.member = np.zeros((len(ideals), R.size), dtype=bool)
+        for k, I in enumerate(ideals):
+            self.member[k, list(I)] = True
+
+    def content(self, coeffs: np.ndarray) -> np.ndarray:
+        """Ideal index of the content of each coefficient row (last axis)."""
+        c = self.principal[coeffs[..., 0]]
+        for k in range(1, coeffs.shape[-1]):
+            c = self.join[c, self.principal[coeffs[..., k]]]
+        return c
+
+
+def _gaussian_failures(R: FiniteRing, F: np.ndarray):
+    """content(fg) != content(f)content(g)."""
+    T = _IdealTables(R)
+    cf = T.content(F)
+
+    def fails(r0: int, C: np.ndarray) -> np.ndarray:
+        return T.content(C) != T.prod[cf[r0 : r0 + len(C), None], cf[None, :]]
+
+    return fails
+
+
+def _containment_failures(R: FiniteRing, F: np.ndarray):
+    """Some coefficient of fg lies outside content(f)content(g)."""
+    T = _IdealTables(R)
+    cf = T.content(F)
+
+    def fails(r0: int, C: np.ndarray) -> np.ndarray:
+        P = T.prod[cf[r0 : r0 + len(C), None], cf[None, :]]
+        return ~T.member[P[..., None], C].all(-1)
+
+    return fails
+
+
+def _pair_check(kind, law, note, R, degree_bound, max_polys) -> PairCheckReport:
+    """Run ``law`` over all ordered pairs; report the first failure, if any."""
+    if _poly_count(R, degree_bound) > max_polys:
+        raise SizeGuardExceeded(
+            f"{_poly_count(R, degree_bound)} polynomials exceed guard {max_polys}"
+        )
+    polys = list(polys_up_to_degree(R, degree_bound))
+    F = _coefficient_rows(R, polys, degree_bound)
+    N = len(polys)
+    fails = law(R, F)
+    for r0, C in _product_blocks(R, F):
+        bad = fails(r0, C)
+        if bad.any():
+            flat = int(bad.argmax())
+            f, g = polys[r0 + flat // N], polys[flat % N]
+            return PairCheckReport(
+                kind, R.tag, degree_bound, False, r0 * N + flat + 1,
+                (f.label(), g.label()), note,
+            )
+    return PairCheckReport(kind, R.tag, degree_bound, True, N * N)
 
 
 def check_armendariz_ring(
@@ -178,84 +261,36 @@ def check_armendariz_ring(
 
     Reduced rings must pass; non-reduced inputs are permitted and simply
     reported (Z_4, for instance, passes although it is not reduced).
+    content(f)content(g) = (0) is tested as "every product of a coefficient
+    of f with one of g vanishes": the product ideal is generated by them.
     """
-    if _poly_count(R, degree_bound) > max_polys:
-        raise SizeGuardExceeded(
-            f"{_poly_count(R, degree_bound)} polynomials exceed guard {max_polys}"
-        )
-    polys = list(polys_up_to_degree(R, degree_bound))
-    pairs = 0
-    for f in polys:
-        for g in polys:
-            pairs += 1
-            if _zero_product(f, g) != _all_coeff_products_zero(f, g):
-                return PairCheckReport(
-                    "armendariz", R.tag, degree_bound, False, pairs,
-                    (f.label(), g.label()),
-                    "fg = 0 and content(f)content(g) = (0) disagree",
-                )
-    return PairCheckReport("armendariz", R.tag, degree_bound, True, pairs)
+    return _pair_check(
+        "armendariz", _armendariz_failures,
+        "fg = 0 and content(f)content(g) = (0) disagree",
+        R, degree_bound, max_polys,
+    )
 
 
 def check_gaussian(
     R: FiniteRing, degree_bound: int, max_polys: int = DEFAULT_MAX_POLYS
 ) -> PairCheckReport:
     """All pairs of degree <= d: content(fg) = content(f)*content(g)."""
-    if _poly_count(R, degree_bound) > max_polys:
-        raise SizeGuardExceeded(
-            f"{_poly_count(R, degree_bound)} polynomials exceed guard {max_polys}"
-        )
-    polys = list(polys_up_to_degree(R, degree_bound))
-    content_of = {f: content(f) for f in polys}
-    prod_cache: dict[tuple[Ideal, Ideal], Ideal] = {}
-    pairs = 0
-    for f in polys:
-        cf = content_of[f]
-        for g in polys:
-            pairs += 1
-            key = (cf, content_of[g])
-            prod = prod_cache.get(key)
-            if prod is None:
-                prod = ideal_product(R, *key)
-                prod_cache[key] = prod
-            if content(poly_mul(f, g)) != prod:
-                return PairCheckReport(
-                    "gaussian", R.tag, degree_bound, False, pairs,
-                    (f.label(), g.label()),
-                    "content(fg) != content(f)content(g)",
-                )
-    return PairCheckReport("gaussian", R.tag, degree_bound, True, pairs)
+    return _pair_check(
+        "gaussian", _gaussian_failures,
+        "content(fg) != content(f)content(g)",
+        R, degree_bound, max_polys,
+    )
 
 
 def check_content_containment(
     R: FiniteRing, degree_bound: int, max_polys: int = DEFAULT_MAX_POLYS
 ) -> PairCheckReport:
     """All pairs of degree <= d: content(fg) is contained in content(f)content(g)."""
-    if _poly_count(R, degree_bound) > max_polys:
-        raise SizeGuardExceeded(
-            f"{_poly_count(R, degree_bound)} polynomials exceed guard {max_polys}"
-        )
-    polys = list(polys_up_to_degree(R, degree_bound))
-    content_of = {f: content(f) for f in polys}
-    prod_cache: dict[tuple[Ideal, Ideal], Ideal] = {}
-    pairs = 0
-    for f in polys:
-        cf = content_of[f]
-        for g in polys:
-            pairs += 1
-            key = (cf, content_of[g])
-            prod = prod_cache.get(key)
-            if prod is None:
-                prod = ideal_product(R, *key)
-                prod_cache[key] = prod
-            fg = poly_mul(f, g)
-            if any(c not in prod for c in fg.coeffs):
-                return PairCheckReport(
-                    "content-containment", R.tag, degree_bound, False, pairs,
-                    (f.label(), g.label()),
-                    "a coefficient of fg escapes content(f)content(g)",
-                )
-    return PairCheckReport("content-containment", R.tag, degree_bound, True, pairs)
+    return _pair_check(
+        "content-containment", _containment_failures,
+        "a coefficient of fg escapes content(f)content(g)",
+        R, degree_bound, max_polys,
+    )
 
 
 def contents_hit(R: FiniteRing, degree_bound: int) -> set[Ideal]:
@@ -274,16 +309,14 @@ def truncated_zero_divisor_graph(R: FiniteRing, degree_bound: int) -> SimpleGrap
     degree <= d; edges join distinct pairs whose product is the zero
     polynomial.  At degree 0 this is exactly the ring's zero-divisor graph.
     """
-    polys = [f for f in polys_up_to_degree(R, degree_bound) if not f.is_zero]
-    kill = [[_zero_product(f, g) for g in polys] for f in polys]
-    verts = [i for i in range(len(polys)) if any(kill[i])]
-    labels = tuple(polys[i].label() for i in verts)
-    edges = set()
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            if kill[verts[a]][verts[b]]:
-                edges.add((a, b))
-    return SimpleGraph(labels, frozenset(edges))
+    polys = list(polys_up_to_degree(R, degree_bound))
+    F = _coefficient_rows(R, polys, degree_bound)
+    kill = np.concatenate([(C == R.zero).all(-1) for _, C in _product_blocks(R, F)])
+    kill = kill[1:, 1:]  # drop the zero polynomial
+    verts = np.flatnonzero(kill.any(axis=1))
+    labels = tuple(polys[i + 1].label() for i in verts)
+    a, b = np.nonzero(np.triu(kill[np.ix_(verts, verts)], 1))
+    return SimpleGraph(labels, frozenset(zip(a.tolist(), b.tolist())))
 
 
 @dataclass(frozen=True)
@@ -314,7 +347,9 @@ def clique_stabilization(
     for d in range(degree_bound + 1):
         G = truncated_zero_divisor_graph(R, d)
         clq = clique_number(G)
-        chi = chromatic_number(G, max_vertices=max(G.n, 64))
+        # G.n < |R|^(d+1) <= max_polys, so the polynomial guard above
+        # already bounds the colouring search
+        chi = chromatic_number(G, max_vertices=max_polys)
         rows.append((d, clq, chi))
         ok = ok and clq == base_clq and chi == base_chi
     return StabilizationReport(R.tag, base_clq, base_chi, tuple(rows), ok)

@@ -249,9 +249,13 @@ class ArmendarizReport:
     product_witness: Optional[tuple[int, int]] = None
 
     def __post_init__(self):
-        assert self.surjective == (self.surjective_witness is None)
-        assert self.zero_preserving_reflecting == (self.zero_witness is None)
-        assert self.product_zero_equiv == (self.product_witness is None)
+        for name, ok, witness in (
+            ("surjective", self.surjective, self.surjective_witness),
+            ("zero_preserving_reflecting", self.zero_preserving_reflecting, self.zero_witness),
+            ("product_zero_equiv", self.product_zero_equiv, self.product_witness),
+        ):
+            if ok != (witness is None):
+                raise AssertionError(f"{name}={ok} needs a witness exactly when False")
 
     @property
     def is_armendariz(self) -> bool:

@@ -590,8 +590,8 @@ def random_fan_descriptor(
             k = rng.randint(0, min(4, max_index))
             parts.append((FIN, frozenset(rng.sample(range(max_index), k))))
     d = FanClosedSet(fan, tuple(parts), gens)
-    if spec_mode:
-        assert is_spec_form(d)
+    if spec_mode and not is_spec_form(d):
+        raise AssertionError(f"generated closed set {d} is not in spec form")
     return d
 
 

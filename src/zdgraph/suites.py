@@ -419,6 +419,9 @@ def verify_comaximal() -> SuiteReport:
 def verify_pearled(max_points: int = 4) -> SuiteReport:
     """The separation-axiom counterexamples and the implication arrows."""
     rep = SuiteReport("pearled")
+    # enumerate_topologies checks its guard when called, so an over-large
+    # max_points fails here, before any work
+    enumerations = [enumerate_topologies(n) for n in range(1, max_points + 1)]
 
     sierpinski = make_space(["a", "b"], [frozenset(), frozenset({1}), frozenset({0, 1})])
     ax = axiom_suite(sierpinski)
@@ -445,8 +448,8 @@ def verify_pearled(max_points: int = 4) -> SuiteReport:
 
     violations = []
     count = 0
-    for n in range(1, max_points + 1):
-        for X in enumerate_topologies(n):
+    for spaces in enumerations:
+        for X in spaces:
             count += 1
             ax = axiom_suite(X)
             if (

@@ -25,7 +25,11 @@ from .graphs import (
     invariant_bundle,
     zero_divisor_graph,
 )
-from .semigroups import SemigroupMap, SemigroupTable
+from .semigroups import SemigroupMap, SemigroupTable, SizeGuardExceeded
+
+# 2^10 members are built and validated in under a second; each further
+# point quadruples the work
+DEFAULT_MAX_POWERSET_GROUND = 10
 
 
 class InvalidSpace(ValueError):
@@ -259,7 +263,8 @@ def n0_space_window(n_max: int) -> N0WindowReport:
     chain = tuple((n, n + 1) for n in range(n_max + 1))
     for n, m in chain:
         # [m, oo) is a proper nonempty subset of [n, oo)
-        assert n < m
+        if not n < m:
+            raise AssertionError(f"chain step ({n}, {m}) is not proper")
     return N0WindowReport(
         n_max=n_max,
         t0_on_window=t0,
@@ -308,10 +313,18 @@ def make_lattice(ground, members) -> SubsetLattice:
     return L
 
 
-def powerset_lattice(ground) -> SubsetLattice:
-    if isinstance(ground, int):
-        ground = [f"y{i}" for i in range(ground)]
-    g = tuple(ground)
+def powerset_lattice(ground, max_ground: int = DEFAULT_MAX_POWERSET_GROUND) -> SubsetLattice:
+    """All 2^n subsets of an n-point ground set (an int n names the points y0..).
+
+    Building and validating the family costs O(4^n) set operations, so n is
+    guarded before any work.
+    """
+    n = ground if isinstance(ground, int) else len(ground)
+    if n > max_ground:
+        raise SizeGuardExceeded(
+            f"powerset lattice on {n} points has 2^{n} members, over guard {max_ground} points"
+        )
+    g = tuple(f"y{i}" for i in range(n)) if isinstance(ground, int) else tuple(ground)
     members = [
         frozenset(c)
         for k in range(len(g) + 1)
@@ -377,21 +390,25 @@ class CofiniteT1Lattice:
     def triangle_witness(self) -> tuple[frozenset, frozenset, frozenset]:
         """Three pairwise-disjoint singletons: a 3-cycle, so girth 3."""
         a, b, c = frozenset({0}), frozenset({1}), frozenset({2})
-        assert not (a & b) and not (a & c) and not (b & c)
+        if a & b or a & c or b & c:
+            raise AssertionError("triangle witness members intersect")
         return a, b, c
 
     def distance2_witness(self) -> tuple[frozenset, frozenset, frozenset]:
         """A non-adjacent vertex pair with a common neighbour: distance 2."""
         a, b, mid = frozenset({0}), frozenset({0, 1}), frozenset({2})
-        assert a & b, "the pair must not be an edge"
-        assert not (a & mid) and not (b & mid)
+        if not a & b:
+            raise AssertionError("the pair must not be an edge")
+        if a & mid or b & mid:
+            raise AssertionError("the middle vertex must be adjacent to both ends")
         return a, b, mid
 
     def clique_witness(self, n: int) -> tuple[frozenset, ...]:
         """n pairwise-disjoint singletons: a clique of any requested size."""
         sets = tuple(frozenset({i}) for i in range(n))
         for A, B in itertools.combinations(sets, 2):
-            assert not (A & B)
+            if A & B:
+                raise AssertionError("clique witness members intersect")
         return sets
 
     def choice_colour(self, member: frozenset) -> int:

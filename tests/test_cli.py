@@ -1,4 +1,7 @@
 import json
+import time
+
+import pytest
 
 from zdgraph.cli import main
 from zdgraph.rings import make_zn, multiplicative_semigroup
@@ -163,6 +166,17 @@ def test_guard_exceeded_is_input_error(capsys, monkeypatch):
     assert main(["analyze", "--ring", "Zn:6", "--check", "armendariz",
                  "--degree", "1"]) == 1
     assert "guard exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["analyze", "--lattice", "powerset:14", "--tasks", "t1"], "over guard 10 points"),
+    (["verify", "pearled", "--max-points", "6"], "over guard 5 points"),
+])
+def test_unbounded_requests_fail_fast(argv, message, capsys):
+    t0 = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - t0 < 5.0
+    assert message in capsys.readouterr().err
 
 
 def test_reports_deterministic_for_fixed_seed(capsys):

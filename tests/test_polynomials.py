@@ -105,6 +105,18 @@ def test_gaussian_checks():
     assert check_gaussian(make_product([make_zn(2), make_zn(2)]), 2).passed
 
 
+def test_reduced_rings_pass_all_pair_checks_at_degree_2():
+    # a finite reduced ring is a product of fields, hence Armendariz and
+    # Gaussian; containment holds in every commutative ring
+    from zdgraph.corpus import small_reduced_rings_for_content
+
+    for R in small_reduced_rings_for_content(9):
+        for check in (check_armendariz_ring, check_gaussian, check_content_containment):
+            rep = check(R, 2)
+            assert rep.passed, (R.tag, rep)
+            assert rep.pairs_checked == R.size ** 6
+
+
 def test_content_containment():
     assert check_content_containment(make_zn(6), 2).passed
     assert check_content_containment(make_zn(4), 2).passed
@@ -147,6 +159,18 @@ def test_clique_stabilization_values():
     assert st.passed and st.base_clique == 2 and st.base_chromatic == 2
     st2 = clique_stabilization(make_product([make_zn(2), make_zn(2)]), 1)
     assert st2.passed and st2.per_degree == ((0, 2, 2), (1, 2, 2))
+
+
+def test_clique_stabilization_guard_precedes_graphs(monkeypatch):
+    import zdgraph.polynomials as polys
+
+    def no_graph(*args):
+        raise AssertionError("a graph was built before the guard")
+
+    monkeypatch.setattr(polys, "gamma_graph", no_graph)
+    monkeypatch.setattr(polys, "truncated_zero_divisor_graph", no_graph)
+    with pytest.raises(SizeGuardExceeded):
+        clique_stabilization(make_zn(6), 2, max_polys=6 ** 3 - 1)
 
 
 def test_clique_stabilization_requires_reduced():
