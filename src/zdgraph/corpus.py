@@ -35,24 +35,17 @@ def _space_from_preorder(leq: list[list[bool]]) -> FiniteSpace:
     return make_space(tuple(_LETTERS[i] for i in range(n)), closed)
 
 
-def enumerate_topologies(
-    n: int, max_points: int = DEFAULT_MAX_TOPOLOGY_POINTS
-) -> Iterator[FiniteSpace]:
+def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:
     """All topologies on n labelled points, via transitive reflexive relations.
 
-    The 2^(n(n-1)) candidate relations are guarded when this is called, not
-    when the iterator is first advanced, so a caller can check every size it
-    will need before doing any work.
+    The 2^(n(n-1)) candidate relations are guarded before the first is tried.
     """
-    if n > max_points:
+    if n > DEFAULT_MAX_TOPOLOGY_POINTS:
         raise SizeGuardExceeded(
             f"topologies on {n} points: 2^{n * (n - 1)} candidate relations, "
-            f"over guard {max_points} points (2^{max_points * (max_points - 1)})"
+            f"over guard {DEFAULT_MAX_TOPOLOGY_POINTS} points "
+            f"(2^{DEFAULT_MAX_TOPOLOGY_POINTS * (DEFAULT_MAX_TOPOLOGY_POINTS - 1)})"
         )
-    return _topologies(n)
-
-
-def _topologies(n: int) -> Iterator[FiniteSpace]:
     off = [(i, j) for i in range(n) for j in range(n) if i != j]
     for bits in range(1 << len(off)):
         leq = [[i == j for j in range(n)] for i in range(n)]

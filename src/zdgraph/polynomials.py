@@ -22,7 +22,6 @@ from .graphs import SimpleGraph, clique_number, chromatic_number
 from .rings import (
     FiniteRing,
     Ideal,
-    enumerate_ideals,
     gamma_graph,
     ideal_product,
     ideal_sum,
@@ -188,46 +187,93 @@ def _armendariz_failures(R: FiniteRing, F: np.ndarray):
     return fails
 
 
-class _IdealTables:
-    """Every ideal of R by index, with its principal, join and product tables."""
+class _ContentTables:
+    """The ideals a check meets, indexed on demand from the principal ideals.
+
+    A content is a fold of ``join[I, Ra]`` = I + Ra over the coefficients;
+    a row of that table is filled the first time its ideal is met, and
+    products are taken only between contents that occur.  So the cost
+    follows the contents the polynomials reach, not the number of ideals
+    of R.
+    """
 
     def __init__(self, R: FiniteRing):
-        ideals = enumerate_ideals(R)
-        pos = {I: k for k, I in enumerate(ideals)}
-        self.principal = np.array([pos[principal_ideal(R, a)] for a in range(R.size)])
-        self.join = np.array([[pos[ideal_sum(R, I, J)] for J in ideals] for I in ideals])
-        self.prod = np.array([[pos[ideal_product(R, I, J)] for J in ideals] for I in ideals])
-        self.member = np.zeros((len(ideals), R.size), dtype=bool)
-        for k, I in enumerate(ideals):
-            self.member[k, list(I)] = True
+        self.R = R
+        self.ideals: list[Ideal] = []
+        self._pos: dict[Ideal, int] = {}
+        self.principal = np.array([self._index(principal_ideal(R, a)) for a in range(R.size)])
+        # the principal ideals hold the first indices, so they also index
+        # the columns of the join table
+        self._columns = list(self.ideals)
+        self._rows: dict[int, list[int]] = {}
+        self._join = np.zeros((0, len(self._columns)), dtype=np.int64)
+        self._has_row = np.zeros(0, dtype=bool)
+
+    def _index(self, I: Ideal) -> int:
+        k = self._pos.get(I)
+        if k is None:
+            k = self._pos[I] = len(self.ideals)
+            self.ideals.append(I)
+        return k
+
+    def _join_for(self, c: np.ndarray) -> np.ndarray:
+        """The join table, with a row for every ideal index in ``c``."""
+        J = self._join
+        if c.size and (c.max() >= len(J) or not self._has_row[c].all()):
+            for k in np.unique(c).tolist():
+                if k not in self._rows:
+                    I = self.ideals[k]
+                    self._rows[k] = [self._index(ideal_sum(self.R, I, P)) for P in self._columns]
+            J = np.full((len(self.ideals), len(self._columns)), -1, dtype=np.int64)
+            self._has_row = np.zeros(len(J), dtype=bool)
+            for k, row in self._rows.items():
+                J[k] = row
+                self._has_row[k] = True
+            self._join = J
+        return J
 
     def content(self, coeffs: np.ndarray) -> np.ndarray:
         """Ideal index of the content of each coefficient row (last axis)."""
         c = self.principal[coeffs[..., 0]]
         for k in range(1, coeffs.shape[-1]):
-            c = self.join[c, self.principal[coeffs[..., k]]]
+            c = self._join_for(c)[c, self.principal[coeffs[..., k]]]
         return c
+
+    def products(self, cf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(prod, key)`` with ``prod[key[f], key[g]]`` the index of cf[f]*cf[g]."""
+        seen, key = np.unique(cf, return_inverse=True)
+        Is = [self.ideals[k] for k in seen.tolist()]
+        prod = np.array([[self._index(ideal_product(self.R, I, J)) for J in Is] for I in Is])
+        return prod, key.reshape(cf.shape)
+
+    def membership(self) -> np.ndarray:
+        """``member[k, a]``: a lies in ideal k, for every ideal indexed so far."""
+        member = np.zeros((len(self.ideals), self.R.size), dtype=bool)
+        for k, I in enumerate(self.ideals):
+            member[k, list(I)] = True
+        return member
 
 
 def _gaussian_failures(R: FiniteRing, F: np.ndarray):
     """content(fg) != content(f)content(g)."""
-    T = _IdealTables(R)
-    cf = T.content(F)
+    T = _ContentTables(R)
+    prod, key = T.products(T.content(F))
 
     def fails(r0: int, C: np.ndarray) -> np.ndarray:
-        return T.content(C) != T.prod[cf[r0 : r0 + len(C), None], cf[None, :]]
+        return T.content(C) != prod[key[r0 : r0 + len(C), None], key[None, :]]
 
     return fails
 
 
 def _containment_failures(R: FiniteRing, F: np.ndarray):
     """Some coefficient of fg lies outside content(f)content(g)."""
-    T = _IdealTables(R)
-    cf = T.content(F)
+    T = _ContentTables(R)
+    prod, key = T.products(T.content(F))
+    member = T.membership()
 
     def fails(r0: int, C: np.ndarray) -> np.ndarray:
-        P = T.prod[cf[r0 : r0 + len(C), None], cf[None, :]]
-        return ~T.member[P[..., None], C].all(-1)
+        P = prod[key[r0 : r0 + len(C), None], key[None, :]]
+        return ~member[P[..., None], C].all(-1)
 
     return fails
 

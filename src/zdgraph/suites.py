@@ -16,6 +16,7 @@ from typing import Callable, Optional
 
 from . import __version__
 from .corpus import (
+    DEFAULT_MAX_TOPOLOGY_POINTS,
     armendariz_map_corpus,
     enumerate_posets,
     enumerate_t1_sublattices,
@@ -50,7 +51,7 @@ from .rings import (
     ring_from_spec,
     spec_poset,
 )
-from .semigroups import eq_quotient
+from .semigroups import SizeGuardExceeded, eq_quotient
 from .spectra import (
     fan_disjoint,
     fan_shared,
@@ -419,9 +420,10 @@ def verify_comaximal() -> SuiteReport:
 def verify_pearled(max_points: int = 4) -> SuiteReport:
     """The separation-axiom counterexamples and the implication arrows."""
     rep = SuiteReport("pearled")
-    # enumerate_topologies checks its guard when called, so an over-large
-    # max_points fails here, before any work
-    enumerations = [enumerate_topologies(n) for n in range(1, max_points + 1)]
+    if max_points > DEFAULT_MAX_TOPOLOGY_POINTS:
+        raise SizeGuardExceeded(
+            f"pearled: {max_points} points, over guard {DEFAULT_MAX_TOPOLOGY_POINTS} points"
+        )
 
     sierpinski = make_space(["a", "b"], [frozenset(), frozenset({1}), frozenset({0, 1})])
     ax = axiom_suite(sierpinski)
@@ -448,8 +450,8 @@ def verify_pearled(max_points: int = 4) -> SuiteReport:
 
     violations = []
     count = 0
-    for spaces in enumerations:
-        for X in spaces:
+    for n in range(1, max_points + 1):
+        for X in enumerate_topologies(n):
             count += 1
             ax = axiom_suite(X)
             if (

@@ -313,16 +313,17 @@ def make_lattice(ground, members) -> SubsetLattice:
     return L
 
 
-def powerset_lattice(ground, max_ground: int = DEFAULT_MAX_POWERSET_GROUND) -> SubsetLattice:
+def powerset_lattice(ground) -> SubsetLattice:
     """All 2^n subsets of an n-point ground set (an int n names the points y0..).
 
     Building and validating the family costs O(4^n) set operations, so n is
     guarded before any work.
     """
     n = ground if isinstance(ground, int) else len(ground)
-    if n > max_ground:
+    if n > DEFAULT_MAX_POWERSET_GROUND:
         raise SizeGuardExceeded(
-            f"powerset lattice on {n} points has 2^{n} members, over guard {max_ground} points"
+            f"powerset lattice on {n} points has 2^{n} members, "
+            f"over guard {DEFAULT_MAX_POWERSET_GROUND} points"
         )
     g = tuple(f"y{i}" for i in range(n)) if isinstance(ground, int) else tuple(ground)
     members = [

@@ -8,6 +8,8 @@ are all pinned.
 """
 
 import functools
+import itertools
+import time
 
 import pytest
 
@@ -152,3 +154,34 @@ def test_truncated_graph_matches_oracle(spec, d):
     G, want = truncated_zero_divisor_graph(R, d), oracle_truncated_graph(R, d)
     assert G.vertices == want.vertices
     assert G.edges == want.edges
+
+
+def _square_zero_spec(n):
+    """F_2[a, b, ...] (n variables) modulo every quadratic monomial.
+
+    Its maximal ideal m is F_2^n with m^2 = 0.
+
+    Every subspace of m is an ideal, so the ring has far more ideals than
+    there are polynomials of degree 0.
+    """
+    vs = "abcdefg"[:n]
+    rel = [a + b if a != b else a + "2" for a, b in itertools.combinations_with_replacement(vs, 2)]
+    return f"mvq:p=2;vars={','.join(vs)};rel={','.join(rel)}"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_many_ideals_cost_follows_contents(kind):
+    # 5 variables: 64 elements, hundreds of ideals, 4096 pairs at d = 0
+    R = _ring(_square_zero_spec(5))
+    t0 = time.perf_counter()
+    rep = ENGINE[kind](R, 0)
+    assert time.perf_counter() - t0 < 5.0
+    assert rep == _oracle_check(kind, R, 0)
+
+
+def test_ideal_count_is_not_guarded():
+    # 7 variables: 256 elements and over 10000 ideals (the enumerate_ideals
+    # guard), yet only the principal ideals are contents at d = 0
+    R = ring_from_spec(_square_zero_spec(7))
+    assert check_gaussian(R, 0).passed
+    assert check_content_containment(R, 0).passed
