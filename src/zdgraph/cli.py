@@ -7,6 +7,7 @@ check assertion failed (the failure is reported with its witness).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -328,8 +329,7 @@ def cmd_verify(args) -> int:
     reports = []
     for name in names:
         fn = SUITES[name]
-        code = fn.__wrapped__.__code__
-        accepted = code.co_varnames[: code.co_argcount]
+        accepted = inspect.signature(fn).parameters
         passed_kwargs = {k: v for k, v in kwargs.items() if k in accepted}
         report = fn(**passed_kwargs)
         overall = overall and report.passed

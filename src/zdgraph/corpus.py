@@ -1,21 +1,29 @@
 """Deterministic corpora: enumerations and seeded random generators.
 
 Finite topologies are in bijection with preorders (closed sets are the
-down-sets of the specialization order), so spaces are enumerated and
-sampled through preorder matrices.  Posets are enumerated by choosing one
-of three states per unordered pair and keeping the transitive outcomes.
+down-sets of the specialization order, the up-sets of its transpose), so
+spaces are enumerated and sampled through preorder matrices.  Posets are
+enumerated by choosing one of three states per unordered pair and keeping
+the transitive outcomes.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from typing import Iterator
 
-from .rings import FiniteRing, make_gf, make_product, make_zn
+from .rings import FiniteRing, make_gf, make_product, make_zn, prime_power
 from .semigroups import SemigroupMap, SemigroupTable, SizeGuardExceeded
-from .spectra import FinitePoset
-from .topology import FiniteSpace, SubsetLattice, make_lattice, make_space
+from .spectra import FinitePoset, is_transitive, transitive_closure, upset_masks
+from .topology import (
+    FiniteSpace,
+    SubsetLattice,
+    closed_family_defect,
+    make_lattice,
+    make_space,
+)
 
 # 5 points are 2^20 candidate relations, seconds of work; 6 points are
 # 2^30, a thousand times more
@@ -24,14 +32,13 @@ DEFAULT_MAX_TOPOLOGY_POINTS = 5
 _LETTERS = "abcdefgh"
 
 
-def _space_from_preorder(leq: list[list[bool]]) -> FiniteSpace:
+def _space_from_preorder(leq) -> FiniteSpace:
     """Closed sets are the down-sets of x <= y (x in the closure of y)."""
     n = len(leq)
-    closed = []
-    for bits in range(1 << n):
-        A = {p for p in range(n) if bits >> p & 1}
-        if all(leq[x][y] <= (x in A) for y in A for x in range(n)):
-            closed.append(frozenset(A))
+    closed = [
+        frozenset(p for p in range(n) if mask >> p & 1)
+        for mask in upset_masks(list(zip(*leq)))
+    ]
     return make_space(tuple(_LETTERS[i] for i in range(n)), closed)
 
 
@@ -52,12 +59,7 @@ def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:
         for k, (i, j) in enumerate(off):
             if bits >> k & 1:
                 leq[i][j] = True
-        if all(
-            not (leq[a][b] and leq[b][c]) or leq[a][c]
-            for a in range(n)
-            for b in range(n)
-            for c in range(n)
-        ):
+        if is_transitive(leq):
             yield _space_from_preorder(leq)
 
 
@@ -67,17 +69,7 @@ def random_space(rng: random.Random, n: int, density: float = 0.35) -> FiniteSpa
         for j in range(n):
             if i != j and rng.random() < density:
                 leq[i][j] = True
-    changed = True
-    while changed:
-        changed = False
-        for a in range(n):
-            for b in range(n):
-                if leq[a][b]:
-                    for c in range(n):
-                        if leq[b][c] and not leq[a][c]:
-                            leq[a][c] = True
-                            changed = True
-    return _space_from_preorder(leq)
+    return _space_from_preorder(transitive_closure(leq))
 
 
 def enumerate_posets(n: int) -> Iterator[FinitePoset]:
@@ -94,12 +86,7 @@ def enumerate_posets(n: int) -> Iterator[FinitePoset]:
                 leq[i][j] = True
             elif s == 2:
                 leq[j][i] = True
-        if all(
-            not (leq[a][b] and leq[b][c]) or leq[a][c]
-            for a in range(n)
-            for b in range(n)
-            for c in range(n)
-        ):
+        if is_transitive(leq):
             yield FinitePoset(labels, tuple(tuple(r) for r in leq))
 
 
@@ -111,21 +98,14 @@ def random_poset(rng: random.Random, n: int, density: float = 0.4) -> FinitePose
         for b in range(a + 1, n):
             if rng.random() < density:
                 leq[order[a]][order[b]] = True
-    for k in range(n):
-        for i in range(n):
-            if leq[i][k]:
-                for j in range(n):
-                    if leq[k][j]:
-                        leq[i][j] = True
-    return FinitePoset(tuple(f"p{i}" for i in range(n)), tuple(tuple(r) for r in leq))
+    return FinitePoset(tuple(f"p{i}" for i in range(n)), transitive_closure(leq))
 
 
 def enumerate_t1_sublattices(n: int) -> Iterator[SubsetLattice]:
     """All union/intersection-closed families on n points that contain the
     empty set, the ground set, and every singleton."""
     ground = tuple(_LETTERS[i] for i in range(n))
-    full = frozenset(range(n))
-    required = {frozenset(), full} | {frozenset({i}) for i in range(n)}
+    required = {frozenset(), frozenset(range(n))} | {frozenset({i}) for i in range(n)}
     optional = [
         frozenset(c)
         for k in range(2, n)
@@ -136,7 +116,7 @@ def enumerate_t1_sublattices(n: int) -> Iterator[SubsetLattice]:
         for k, m in enumerate(optional):
             if bits >> k & 1:
                 fam.add(m)
-        if all(A | B in fam and A & B in fam for A in fam for B in fam):
+        if closed_family_defect(fam, n) is None:
             yield make_lattice(ground, fam)
 
 
@@ -145,17 +125,7 @@ def enumerate_t1_sublattices(n: int) -> Iterator[SubsetLattice]:
 
 
 def field_orders_up_to(n: int) -> list[int]:
-    out = []
-    for q in range(2, n + 1):
-        m = q
-        for p in range(2, q + 1):
-            if m % p == 0:
-                while m % p == 0:
-                    m //= p
-                break
-        if m == 1:
-            out.append(q)
-    return out
+    return [q for q in range(2, n + 1) if prime_power(q)]
 
 
 def _squarefree(n: int) -> bool:
@@ -165,49 +135,32 @@ def _squarefree(n: int) -> bool:
     return True
 
 
+def _field_products(max_order: int, factor_counts) -> list[FiniteRing]:
+    """The fields of order <= max_order, then their products within the bound."""
+    fields = {q: make_gf(q) for q in field_orders_up_to(max_order)}
+    rings: list[FiniteRing] = list(fields.values())
+    for k in factor_counts:
+        for combo in itertools.combinations_with_replacement(sorted(fields), k):
+            if math.prod(combo) <= max_order:
+                rings.append(make_product([fields[q] for q in combo]))
+    return rings
+
+
 def reduced_rings_up_to(max_order: int, max_factors: int = 4) -> list[FiniteRing]:
     """Reduced rings up to the order bound: squarefree Z_n, finite fields,
     and products of fields (every finite reduced commutative ring is such a
     product; the different constructions exercise different code paths)."""
-    rings: list[FiniteRing] = []
-    for n in range(2, max_order + 1):
-        if _squarefree(n) and not _is_prime_power(n):
-            rings.append(make_zn(n))
-    fields = {q: make_gf(q) for q in field_orders_up_to(max_order)}
-    rings.extend(fields.values())
-    orders = sorted(fields)
-    for k in range(2, max_factors + 1):
-        for combo in itertools.combinations_with_replacement(orders, k):
-            size = 1
-            for q in combo:
-                size *= q
-            if size <= max_order:
-                rings.append(make_product([fields[q] for q in combo]))
-    return rings
-
-
-def _is_prime_power(n: int) -> bool:
-    for p in range(2, n + 1):
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-    return False
+    rings = [
+        make_zn(n)
+        for n in range(2, max_order + 1)
+        if _squarefree(n) and not prime_power(n)
+    ]
+    return rings + _field_products(max_order, range(2, max_factors + 1))
 
 
 def small_reduced_rings_for_content(max_order: int = 9) -> list[FiniteRing]:
     """All reduced commutative rings of order <= the bound, up to isomorphism."""
-    fields = {q: make_gf(q) for q in field_orders_up_to(max_order)}
-    rings: list[FiniteRing] = list(fields.values())
-    orders = sorted(fields)
-    for k in (2, 3):
-        for combo in itertools.combinations_with_replacement(orders, k):
-            size = 1
-            for q in combo:
-                size *= q
-            if size <= max_order:
-                rings.append(make_product([fields[q] for q in combo]))
-    return rings
+    return _field_products(max_order, (2, 3))
 
 
 # ---------------------------------------------------------------------------

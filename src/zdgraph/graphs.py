@@ -315,12 +315,10 @@ def invariant_bundle(
     max_clique_vertices: int = DEFAULT_MAX_CLIQUE_VERTICES,
     max_chromatic_vertices: int = DEFAULT_MAX_CHROMATIC_VERTICES,
 ) -> InvariantBundle:
-    return InvariantBundle(
-        diameter=diameter(G),
-        girth=girth(G),
-        clique=clique_number(G, max_clique_vertices),
-        chromatic=chromatic_number(G, max_chromatic_vertices),
-    )
+    # the guarded solvers run first, so an over-guard graph fails before BFS
+    clique = clique_number(G, max_clique_vertices)
+    chromatic = chromatic_number(G, max_chromatic_vertices)
+    return InvariantBundle(diameter(G), girth(G), clique, chromatic)
 
 
 # ---------------------------------------------------------------------------
@@ -505,13 +503,18 @@ def armendariz_invariant_suite(
 # Export
 
 
+def _dot_id(label: str) -> str:
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(G: SimpleGraph, name: str = "zd") -> str:
-    """Undirected DOT with labels quoted verbatim; bit-stable ordering."""
+    """Undirected DOT with labels as quoted IDs; bit-stable ordering."""
+    ids = [_dot_id(v) for v in G.vertices]
     lines = [f"graph {name} {{"]
-    for v in G.vertices:
-        lines.append(f'  "{v}";')
+    for v in ids:
+        lines.append(f"  {v};")
     for i, j in sorted(G.edges):
-        lines.append(f'  "{G.vertices[i]}" -- "{G.vertices[j]}";')
+        lines.append(f"  {ids[i]} -- {ids[j]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -14,6 +14,7 @@ under pairwise sums is sound and complete.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -152,10 +153,16 @@ def make_product(rings: Sequence[FiniteRing]) -> FiniteRing:
     return FiniteRing(labels, add, mul, zero, one, tag=tag)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    return all(p % d for d in range(2, int(p**0.5) + 1))
+def prime_power(q: int) -> Optional[tuple[int, int]]:
+    """(p, k) with p prime, k >= 1 and q = p^k, or None if q is no prime power."""
+    if q < 2:
+        return None
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    return (p, k) if q == 1 else None
 
 
 def _fp_poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
@@ -199,7 +206,7 @@ def make_polyquot(p: int, modulus: Sequence[int], var: str = "x") -> FiniteRing:
     ``modulus`` lists coefficients in ascending degree; the quotient is a
     field exactly when the modulus is irreducible (not required).
     """
-    if not _is_prime(p):
+    if prime_power(p) != (p, 1):
         raise RingConstructionError(f"{p} is not prime")
     modulus = [c % p for c in modulus]
     while modulus and modulus[-1] == 0:
@@ -255,23 +262,13 @@ def _monic_irreducible(p: int, k: int) -> list[int]:
 
 def make_gf(q: int) -> FiniteRing:
     """The field with q elements, q a prime power."""
-    for p in range(2, q + 1):
-        if _is_prime(p) and q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise RingConstructionError(f"{q} is not a prime power")
-            if k == 1:
-                ring = make_zn(p)
-                ring.tag = f"gf:{q}"
-                return ring
-            ring = make_polyquot(p, _monic_irreducible(p, k))
-            ring.tag = f"gf:{q}"
-            return ring
-    raise RingConstructionError(f"{q} is not a prime power")
+    pk = prime_power(q)
+    if pk is None:
+        raise RingConstructionError(f"{q} is not a prime power")
+    p, k = pk
+    ring = make_zn(p) if k == 1 else make_polyquot(p, _monic_irreducible(p, k))
+    ring.tag = f"gf:{q}"
+    return ring
 
 
 def _monomial_label(expo: Sequence[int], variables: Sequence[str]) -> str:
@@ -296,7 +293,7 @@ def make_multivariate_quot(
     this is checked before the monomial basis is closed, and the basis is
     exactly the set of monomials not divisible by any relation.
     """
-    if not _is_prime(p):
+    if prime_power(p) != (p, 1):
         raise RingConstructionError(f"{p} is not prime")
     nv = len(variables)
     rels = [tuple(r) for r in relations]
@@ -522,18 +519,22 @@ def enumerate_ideals(R: FiniteRing, max_ideals: int = DEFAULT_MAX_IDEALS) -> lis
 def ideal_label(R: FiniteRing, I: Ideal) -> str:
     """A short generator-style label: "(g)", "(g,h)", ... if one exists."""
     members = sorted(I)
+    first: dict[Ideal, int] = {}  # principal ideal -> its least generator in I
     for a in members:
-        if principal_ideal(R, a) == I:
+        Ia = principal_ideal(R, a)
+        if Ia == I:
             return f"({R.labels[a]})"
-    for a, b in itertools.combinations(members, 2):
-        if ideal_sum(R, principal_ideal(R, a), principal_ideal(R, b)) == I:
+        first.setdefault(Ia, a)
+    # swapping a member for the least one with the same principal ideal keeps
+    # the sum and moves the sorted tuple earlier, so the first hit over least
+    # generators is the first hit over all members
+    gen = {a: Ia for Ia, a in first.items()}
+    for a, b in itertools.combinations(gen, 2):
+        if ideal_sum(R, gen[a], gen[b]) == I:
             return f"({R.labels[a]},{R.labels[b]})"
-    for gens in itertools.combinations(members, 3):
-        acc: Ideal = frozenset({R.zero})
-        for g in gens:
-            acc = ideal_sum(R, acc, principal_ideal(R, g))
-        if acc == I:
-            return "(" + ",".join(R.labels[g] for g in gens) + ")"
+    for a, b, c in itertools.combinations(gen, 3):
+        if ideal_sum(R, ideal_sum(R, gen[a], gen[b]), gen[c]) == I:
+            return f"({R.labels[a]},{R.labels[b]},{R.labels[c]})"
     return "{" + ",".join(R.labels[a] for a in members) + "}"
 
 

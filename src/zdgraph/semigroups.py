@@ -13,9 +13,11 @@ s*s' = 0 <=> g(s)*g(s') = 0.
 
 from __future__ import annotations
 
+import functools
 import json
+import operator
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -66,10 +68,33 @@ class SemigroupTable:
     def from_json(text: str) -> "SemigroupTable":
         data = json.loads(text)
         return SemigroupTable(
-            elements=tuple(str(e) for e in data["elements"]),
+            elements=distinct_labels(str(e) for e in data["elements"]),
             zero=int(data["zero"]),
             product=tuple(tuple(int(x) for x in row) for row in data["product"]),
         )
+
+
+def distinct_labels(labels) -> tuple[str, ...]:
+    """The labels as a tuple; a repeated label is a ValueError."""
+    out = tuple(labels)
+    seen = set()
+    for x in out:
+        if x in seen:
+            raise ValueError(f"duplicate label {x!r}")
+        seen.add(x)
+    return out
+
+
+def meet_table(members: Sequence, labels: Sequence[str]) -> SemigroupTable:
+    """An intersection-closed family (frozensets or int bitmasks, in order)
+    under ``&``: ``product[i][j]`` is the position of ``members[i] &
+    members[j]`` and the zero is the meet of all members."""
+    pos = {m: i for i, m in enumerate(members)}
+    return SemigroupTable(
+        elements=tuple(labels),
+        zero=pos[functools.reduce(operator.and_, members)],
+        product=tuple(tuple(pos[a & b] for b in members) for a in members),
+    )
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,8 @@ from .semigroups import (
     SizeGuardExceeded,
     check_armendariz,
     check_homomorphism,
+    distinct_labels,
+    meet_table,
 )
 
 INF = float("inf")
@@ -88,23 +90,71 @@ class FinitePoset:
     @staticmethod
     def from_json(text: str) -> "FinitePoset":
         data = json.loads(text)
-        points = tuple(str(p) for p in data["points"])
+        points = distinct_labels(str(p) for p in data["points"])
         n = len(points)
         leq = [[i == j for j in range(n)] for i in range(n)]
         for i, j in data["leq"]:
             leq[int(i)][int(j)] = True
-        # reflexive-transitive closure; antisymmetry is then validated
-        changed = True
-        while changed:
-            changed = False
-            for a in range(n):
-                for b in range(n):
-                    if leq[a][b]:
-                        for c in range(n):
-                            if leq[b][c] and not leq[a][c]:
-                                leq[a][c] = True
-                                changed = True
-        return FinitePoset(points, tuple(tuple(r) for r in leq))
+        # antisymmetry of the closure is validated on construction
+        return FinitePoset(points, transitive_closure(leq))
+
+
+# ---------------------------------------------------------------------------
+# Relations on n points, as n x n bool matrices (rel[i][j]: i relates to j)
+
+# upset_masks tabulates every one of the 2^n subsets
+MAX_UPSET_POINTS = 16
+
+
+def _row_masks(rel) -> list[int]:
+    return [sum(1 << j for j, x in enumerate(row) if x) for row in rel]
+
+
+def transitive_closure(rel) -> tuple[tuple[bool, ...], ...]:
+    """The transitive closure of a relation (Warshall's algorithm)."""
+    rows = _row_masks(rel)
+    for k, row_k in enumerate(rows):
+        for i, row_i in enumerate(rows):
+            if row_i >> k & 1:
+                rows[i] = row_i | row_k
+    return tuple(tuple(bool(r >> j & 1) for j in range(len(rows))) for r in rows)
+
+
+def is_transitive(rel) -> bool:
+    """Whether rel[a][b] and rel[b][c] imply rel[a][c] for all a, b, c."""
+    return all(
+        row_a[c]
+        for row_a in rel
+        for b, row_b in enumerate(rel)
+        if row_a[b]
+        for c, x in enumerate(row_b)
+        if x
+    )
+
+
+def upset_masks(rel) -> list[int]:
+    """The up-sets of a reflexive relation, as bitmasks sorted by (size, mask).
+
+    A set A is an up-set when p in A and rel[p][q] put q in A, that is,
+    when the union of the rows of its points is A itself.
+    """
+    n = len(rel)
+    if n > MAX_UPSET_POINTS:
+        raise SizeGuardExceeded(f"poset has {n} > {MAX_UPSET_POINTS} points")
+    ups = _row_masks(rel)
+    reach = [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        reach[mask] = reach[mask ^ low] | ups[low.bit_length() - 1]
+    return sorted((m for m, r in enumerate(reach) if m == r), key=_by_size)
+
+
+def _by_size(mask: int) -> tuple[int, int]:
+    return mask.bit_count(), mask
+
+
+# ---------------------------------------------------------------------------
+# Closed-set lattices of finite posets
 
 
 def max_points(P: FinitePoset) -> list[int]:
@@ -115,59 +165,28 @@ def max_points(P: FinitePoset) -> list[int]:
     ]
 
 
-def _up_mask(P: FinitePoset, p: int) -> int:
-    mask = 0
-    for q in range(P.n):
-        if P.leq[p][q]:
-            mask |= 1 << q
-    return mask
+def _max_mask(P: FinitePoset) -> int:
+    return sum(1 << p for p in max_points(P))
 
 
-def _upset_masks(P: FinitePoset, max_points_guard: int = 16) -> list[int]:
-    """All up-closed subsets, sorted by (size, mask)."""
-    if P.n > max_points_guard:
-        raise SizeGuardExceeded(f"poset has {P.n} > {max_points_guard} points")
-    ups = [_up_mask(P, p) for p in range(P.n)]
-    out = []
-    for mask in range(1 << P.n):
-        ok = True
-        m = mask
-        while m:
-            p = (m & -m).bit_length() - 1
-            if ups[p] & ~mask:
-                ok = False
-                break
-            m &= m - 1
-        if ok:
-            out.append(mask)
-    out.sort(key=lambda m: (bin(m).count("1"), m))
-    return out
-
-
-def _mask_label(P: FinitePoset, mask: int) -> str:
-    return "{" + ",".join(P.points[p] for p in range(P.n) if mask >> p & 1) + "}"
-
-
-def _table_from_masks(P: FinitePoset, masks: list[int]) -> SemigroupTable:
-    pos = {m: i for i, m in enumerate(masks)}
-    return SemigroupTable(
-        elements=tuple(_mask_label(P, m) for m in masks),
-        zero=pos[0],
-        product=tuple(tuple(pos[a & b] for b in masks) for a in masks),
-    )
+def _mask_labels(P: FinitePoset, masks: list[int]) -> list[str]:
+    return [
+        "{" + ",".join(P.points[p] for p in range(P.n) if mask >> p & 1) + "}"
+        for mask in masks
+    ]
 
 
 def sigma_spec(P: FinitePoset) -> SemigroupTable:
     """Closed-set lattice under intersection: all up-sets, absorbing empty."""
-    return _table_from_masks(P, _upset_masks(P))
+    masks = upset_masks(P.leq)
+    return meet_table(masks, _mask_labels(P, masks))
 
 
 def uspec_sigma(P: FinitePoset) -> SemigroupTable:
     """Same lattice built along the Alexandroff route: union closure of the
     principal up-sets.  On finite posets the two constructions coincide;
     both paths are kept so the coincidence is checked, not assumed."""
-    ups = {_up_mask(P, p) for p in range(P.n)}
-    closed = {0} | ups
+    closed = {0} | set(_row_masks(P.leq))
     work = list(closed)
     while work:
         a = work.pop()
@@ -176,25 +195,20 @@ def uspec_sigma(P: FinitePoset) -> SemigroupTable:
             if u not in closed:
                 closed.add(u)
                 work.append(u)
-    masks = sorted(closed, key=lambda m: (bin(m).count("1"), m))
-    return _table_from_masks(P, masks)
+    masks = sorted(closed, key=_by_size)
+    return meet_table(masks, _mask_labels(P, masks))
 
 
 def restrict_to_max(P: FinitePoset) -> SemigroupMap:
     """The map C -> C intersect Max on closed-set lattices."""
-    masks = _upset_masks(P)
-    maxmask = 0
-    for p in max_points(P):
-        maxmask |= 1 << p
-    targets = sorted({m & maxmask for m in masks}, key=lambda m: (bin(m).count("1"), m))
+    masks = upset_masks(P.leq)
+    maxmask = _max_mask(P)
+    targets = sorted({m & maxmask for m in masks}, key=_by_size)
     tpos = {m: i for i, m in enumerate(targets)}
-    target_table = SemigroupTable(
-        elements=tuple(_mask_label(P, m) for m in targets),
-        zero=tpos[0],
-        product=tuple(tuple(tpos[a & b] for b in targets) for a in targets),
-    )
     return SemigroupMap(
-        sigma_spec(P), target_table, tuple(tpos[m & maxmask] for m in masks)
+        meet_table(masks, _mask_labels(P, masks)),
+        meet_table(targets, _mask_labels(P, targets)),
+        tuple(tpos[m & maxmask] for m in masks),
     )
 
 
@@ -204,11 +218,8 @@ def is_max_irreducible(P: FinitePoset) -> bool:
     This is the poset-level surrogate for primality of the Jacobson
     radical (the maximal spectrum is irreducible iff the radical is prime).
     """
-    masks = _upset_masks(P)
-    maxmask = 0
-    for p in max_points(P):
-        maxmask |= 1 << p
-    family = {m & maxmask for m in masks}
+    maxmask = _max_mask(P)
+    family = {m & maxmask for m in upset_masks(P.leq)}
     proper = [m for m in family if m != maxmask]
     return all(a | b != maxmask for a in proper for b in proper)
 

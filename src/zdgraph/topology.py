@@ -17,7 +17,7 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 from .graphs import (
     COUNTABLY_INFINITE,
@@ -25,7 +25,13 @@ from .graphs import (
     invariant_bundle,
     zero_divisor_graph,
 )
-from .semigroups import SemigroupMap, SemigroupTable, SizeGuardExceeded
+from .semigroups import (
+    SemigroupMap,
+    SemigroupTable,
+    SizeGuardExceeded,
+    distinct_labels,
+    meet_table,
+)
 
 # 2^10 members are built and validated in under a second; each further
 # point quadruples the work
@@ -75,7 +81,7 @@ class FiniteSpace:
     def from_json(text: str) -> "FiniteSpace":
         data = json.loads(text)
         return make_space(
-            [str(p) for p in data["points"]],
+            distinct_labels(str(p) for p in data["points"]),
             [frozenset(int(i) for i in c) for c in data["closed"]],
         )
 
@@ -84,9 +90,13 @@ def make_space(points, closed_sets) -> FiniteSpace:
     """Build and validate a finite space from its closed sets."""
     pts = tuple(points)
     family = {frozenset(c) for c in closed_sets}
-    X = FiniteSpace(pts, tuple(sorted(family, key=lambda c: (len(c), sorted(c)))))
+    X = FiniteSpace(pts, _sorted_family(family))
     validate_space(X)
     return X
+
+
+def _sorted_family(family) -> tuple[frozenset[int], ...]:
+    return tuple(sorted(family, key=lambda c: (len(c), sorted(c))))
 
 
 def from_open_sets(points, open_sets) -> FiniteSpace:
@@ -95,21 +105,30 @@ def from_open_sets(points, open_sets) -> FiniteSpace:
     return make_space(points, [full - frozenset(u) for u in open_sets])
 
 
-def validate_space(X: FiniteSpace) -> None:
-    family = set(X.closed_sets)
-    full = frozenset(range(X.n))
-    if frozenset() not in family:
-        raise InvalidSpace("the empty set must be closed")
-    if full not in family:
-        raise InvalidSpace("the full point set must be closed")
-    for A, B in itertools.combinations(family, 2):
-        if A | B not in family:
-            raise InvalidSpace(f"union {sorted(A)} | {sorted(B)} not closed")
-        if A & B not in family:
-            raise InvalidSpace(f"intersection {sorted(A)} & {sorted(B)} not closed")
+def closed_family_defect(family: set[frozenset[int]], n: int) -> Optional[str]:
+    """Why ``family`` is not a closed family on the points 0..n-1, or None.
+
+    A closed family holds the empty set and the ground set, lies inside the
+    ground set, and is closed under union and intersection.
+    """
+    full = frozenset(range(n))
+    if frozenset() not in family or full not in family:
+        return "the family must contain the empty set and the ground set"
     for C in family:
         if not C <= full:
-            raise InvalidSpace("closed set contains unknown points")
+            return f"member {sorted(C)} is not a subset of the ground set"
+    for A, B in itertools.combinations(family, 2):
+        if A | B not in family:
+            return f"union {sorted(A)} | {sorted(B)} is not a member"
+        if A & B not in family:
+            return f"intersection {sorted(A)} & {sorted(B)} is not a member"
+    return None
+
+
+def validate_space(X: FiniteSpace) -> None:
+    defect = closed_family_defect(set(X.closed_sets), X.n)
+    if defect:
+        raise InvalidSpace(defect)
 
 
 def closure(X: FiniteSpace, A: frozenset[int]) -> frozenset[int]:
@@ -204,14 +223,7 @@ def closure_lattice(X: FiniteSpace) -> SemigroupTable:
     The empty set absorbs; idempotence of intersection makes the table
     nilpotent-free.
     """
-    sets = list(X.closed_sets)
-    pos = {C: i for i, C in enumerate(sets)}
-    table = tuple(tuple(pos[A & B] for B in sets) for A in sets)
-    return SemigroupTable(
-        elements=tuple(_set_label(X.points, C) for C in sets),
-        zero=pos[frozenset()],
-        product=table,
-    )
+    return meet_table(X.closed_sets, [_set_label(X.points, C) for C in X.closed_sets])
 
 
 def alpha_map(X: FiniteSpace) -> SemigroupMap:
@@ -300,17 +312,10 @@ class SubsetLattice:
 def make_lattice(ground, members) -> SubsetLattice:
     g = tuple(ground)
     fam = {frozenset(m) for m in members}
-    L = SubsetLattice(g, tuple(sorted(fam, key=lambda c: (len(c), sorted(c)))))
-    full = L.whole
-    if frozenset() not in fam or full not in fam:
-        raise InvalidLattice("lattice must contain the empty set and the ground set")
-    for A, B in itertools.combinations(fam, 2):
-        if A | B not in fam or A & B not in fam:
-            raise InvalidLattice("family not closed under union/intersection")
-    for A in fam:
-        if not A <= full:
-            raise InvalidLattice("member not a subset of the ground set")
-    return L
+    defect = closed_family_defect(fam, len(g))
+    if defect:
+        raise InvalidLattice(defect)
+    return SubsetLattice(g, _sorted_family(fam))
 
 
 def powerset_lattice(ground) -> SubsetLattice:
@@ -340,13 +345,7 @@ def is_t1_lattice(L: SubsetLattice) -> bool:
 
 
 def lattice_semigroup(L: SubsetLattice) -> SemigroupTable:
-    pos = {m: i for i, m in enumerate(L.members)}
-    table = tuple(tuple(pos[A & B] for B in L.members) for A in L.members)
-    return SemigroupTable(
-        elements=tuple(_set_label(L.ground, m) for m in L.members),
-        zero=pos[frozenset()],
-        product=table,
-    )
+    return meet_table(L.members, [_set_label(L.ground, m) for m in L.members])
 
 
 class _Whole:

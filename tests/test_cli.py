@@ -1,10 +1,12 @@
 import json
+import re
 import time
 
 import pytest
 
 from zdgraph.cli import main
 from zdgraph.rings import make_zn, multiplicative_semigroup
+from zdgraph.semigroups import SemigroupTable
 from zdgraph.topology import make_space
 
 
@@ -171,6 +173,8 @@ def test_guard_exceeded_is_input_error(capsys, monkeypatch):
 @pytest.mark.parametrize("argv,message", [
     (["analyze", "--lattice", "powerset:14", "--tasks", "t1"], "over guard 10 points"),
     (["verify", "pearled", "--max-points", "6"], "over guard 5 points"),
+    # the clique guard trips before any BFS for diameter or girth runs
+    (["analyze", "--lattice", "powerset:9", "--tasks", "t1"], "clique guard: 510 > 200"),
 ])
 def test_unbounded_requests_fail_fast(argv, message, capsys):
     t0 = time.perf_counter()
@@ -186,3 +190,45 @@ def test_reports_deterministic_for_fixed_seed(capsys):
     b = verify_symbolic_lattice(seed=5).to_dict()
     a.pop("elapsed_s"), b.pop("elapsed_s")
     assert a == b
+
+
+_DOT_ID = r'"((?:[^"\\]|\\.)*)"'  # a quoted DOT ID; backslash escapes one char
+
+
+def _dot_label(token: str) -> str:
+    return re.sub(r"\\(.)", r"\1", token)
+
+
+def test_export_dot_escapes_labels(tmp_path, capsys):
+    table = multiplicative_semigroup(make_zn(6))
+    labels = ("0", "1", 'say "2"', "back\\slash 3", '4"', "5")
+    path = tmp_path / "z6.json"
+    path.write_text(SemigroupTable(labels, table.zero, table.product).to_json())
+    assert main(["export", "--semigroup", str(path), "--format", "dot"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "graph zd {" and lines[-1] == "}"
+    nodes, edges = [], []
+    for line in lines[1:-1]:
+        node = re.fullmatch(f"  {_DOT_ID};", line)
+        edge = re.fullmatch(f"  {_DOT_ID} -- {_DOT_ID};", line)
+        assert node or edge, line
+        if node:
+            nodes.append(_dot_label(node.group(1)))
+        else:
+            edges.append((_dot_label(edge.group(1)), _dot_label(edge.group(2))))
+    # Z6 zero-divisors 2, 3, 4 with edges 2-3 and 3-4, under the new labels
+    assert nodes == ['say "2"', "back\\slash 3", '4"']
+    assert edges == [('say "2"', "back\\slash 3"), ("back\\slash 3", '4"')]
+
+
+@pytest.mark.parametrize("flag,payload", [
+    ("--semigroup", {"elements": ["a", "a"], "zero": 0, "product": [[0, 0], [0, 1]]}),
+    ("--space", {"points": ["a", "a"], "closed": [[], [0, 1]]}),
+    ("--poset", {"points": ["p", "p"], "leq": []}),
+])
+def test_duplicate_labels_are_input_errors(flag, payload, tmp_path, capsys):
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(payload))
+    assert main(["analyze", flag, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "duplicate label" in err and "Traceback" not in err

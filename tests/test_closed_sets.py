@@ -1,0 +1,236 @@
+"""The shared core of closed-set families: relations, up-sets, closure checks
+and meet tables, checked against the per-module code they replaced."""
+
+import hashlib
+import itertools
+import random
+
+import pytest
+
+from zdgraph.corpus import (
+    armendariz_map_corpus,
+    enumerate_posets,
+    enumerate_t1_sublattices,
+    enumerate_topologies,
+    random_poset,
+    random_space,
+)
+from zdgraph.semigroups import SemigroupTable, SizeGuardExceeded
+from zdgraph.spectra import (
+    is_transitive,
+    max_points,
+    restrict_to_max,
+    sigma_spec,
+    transitive_closure,
+    upset_masks,
+    uspec_sigma,
+)
+from zdgraph.topology import (
+    FiniteSpace,
+    InvalidLattice,
+    InvalidSpace,
+    closed_family_defect,
+    closure_lattice,
+    lattice_semigroup,
+    make_lattice,
+    powerset_lattice,
+    validate_space,
+)
+
+# ---------------------------------------------------------------------------
+# Oracles: the code the shared helpers replaced
+
+
+def oracle_closure(rel):
+    """The fixed-point transitive-closure loop of FinitePoset.from_json."""
+    n = len(rel)
+    leq = [list(row) for row in rel]
+    changed = True
+    while changed:
+        changed = False
+        for a in range(n):
+            for b in range(n):
+                if leq[a][b]:
+                    for c in range(n):
+                        if leq[b][c] and not leq[a][c]:
+                            leq[a][c] = True
+                            changed = True
+    return tuple(tuple(row) for row in leq)
+
+
+def oracle_is_transitive(rel):
+    n = len(rel)
+    return all(
+        not (rel[a][b] and rel[b][c]) or rel[a][c]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+
+
+def oracle_meet_table(sets, labels):
+    """The frozenset builder of closure_lattice and lattice_semigroup."""
+    pos = {C: i for i, C in enumerate(sets)}
+    return SemigroupTable(
+        elements=tuple(labels),
+        zero=pos[frozenset()],
+        product=tuple(tuple(pos[A & B] for B in sets) for A in sets),
+    )
+
+
+def _label(points, C):
+    return "{" + ",".join(points[p] for p in sorted(C)) + "}"
+
+
+def _mask(C):
+    return sum(1 << p for p in C)
+
+
+def oracle_sigma(P, keep=None):
+    """All up-sets of P as frozensets (optionally cut down to ``keep``),
+    in (size, mask) order, with their frozenset meet table."""
+    ups = []
+    for bits in itertools.product((False, True), repeat=P.n):
+        A = frozenset(p for p in range(P.n) if bits[p])
+        if all(q in A for p in A for q in range(P.n) if P.leq[p][q]):
+            ups.append(A)
+    sets = sorted({A & keep if keep is not None else A for A in ups},
+                  key=lambda C: (len(C), _mask(C)))
+    return sets, oracle_meet_table(sets, [_label(P.points, C) for C in sets])
+
+
+def _random_relation(rng, n, density):
+    return [[rng.random() < density for _ in range(n)] for _ in range(n)]
+
+
+def _digest(items):
+    return hashlib.sha256("\n".join(items).encode()).hexdigest()[:16]
+
+
+# ---------------------------------------------------------------------------
+# Enumerations
+
+
+def test_enumerate_posets_counts_oeis_a001035():
+    assert [sum(1 for _ in enumerate_posets(n)) for n in range(6)] == [1, 1, 3, 19, 219, 4231]
+
+
+def test_enumerate_topologies_counts_oeis_a000798():
+    assert [sum(1 for _ in enumerate_topologies(n)) for n in range(5)] == [1, 1, 4, 29, 355]
+
+
+def test_enumeration_order_is_pinned():
+    # digests of the enumerations made before the shared core
+    assert _digest(repr(P.leq) for P in enumerate_posets(4)) == "19733cb0a01f0150"
+    assert _digest(
+        repr((X.points, [sorted(c) for c in X.closed_sets])) for X in enumerate_topologies(4)
+    ) == "cc76054a9b09ea34"
+    assert _digest(
+        repr(L.members) for n in range(1, 5) for L in enumerate_t1_sublattices(n)
+    ) == "7da94b0a66301b84"
+
+
+# ---------------------------------------------------------------------------
+# Relations
+
+
+def test_transitive_closure_matches_oracle():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        rel = _random_relation(rng, n, rng.choice((0.1, 0.25, 0.5)))
+        closed = transitive_closure(rel)
+        assert closed == oracle_closure(rel)
+        assert is_transitive(closed)
+
+
+def test_is_transitive_matches_oracle_on_every_three_point_relation():
+    for bits in itertools.product((False, True), repeat=9):
+        rel = [list(bits[3 * i:3 * i + 3]) for i in range(3)]
+        assert is_transitive(rel) == oracle_is_transitive(rel)
+
+
+def test_upset_masks_guard():
+    eye = [[i == j for j in range(17)] for i in range(17)]
+    with pytest.raises(SizeGuardExceeded, match="poset has 17 > 16 points"):
+        upset_masks(eye)
+    assert upset_masks([]) == [0]
+    # the chain 0 <= 1: up-sets {}, {1}, {0,1}
+    assert upset_masks([[True, True], [False, True]]) == [0, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# Closed-family check
+
+
+def test_closed_family_defect_names_each_defect():
+    e, a, ab = frozenset(), frozenset({0}), frozenset({0, 1})
+    assert closed_family_defect({e, a, ab}, 2) is None
+    assert "empty set" in closed_family_defect({a, ab}, 2)
+    assert "ground set" in closed_family_defect({e, a}, 2)
+    assert "not a subset" in closed_family_defect({e, ab, frozenset({0, 2})}, 2)
+    meets = {e, frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 1, 2})}
+    assert "intersection" in closed_family_defect(meets, 3)
+    joins = {e, frozenset({0}), frozenset({1}), frozenset({0, 1, 2})}
+    assert "union" in closed_family_defect(joins, 3)
+    with pytest.raises(InvalidSpace, match="union"):
+        validate_space(FiniteSpace(("a", "b", "c"), tuple(joins)))
+    with pytest.raises(InvalidLattice, match="union"):
+        make_lattice(("a", "b", "c"), joins)
+
+
+# ---------------------------------------------------------------------------
+# Meet tables
+
+
+def test_space_tables_match_frozenset_oracle():
+    rng = random.Random(17)
+    for _ in range(60):
+        X = random_space(rng, rng.randint(0, 6))
+        labels = [_label(X.points, C) for C in X.closed_sets]
+        assert closure_lattice(X) == oracle_meet_table(X.closed_sets, labels)
+
+
+def test_lattice_tables_match_frozenset_oracle():
+    lattices = [powerset_lattice(k) for k in range(5)]
+    lattices += [L for n in range(1, 5) for L in enumerate_t1_sublattices(n)]
+    for L in lattices:
+        labels = [_label(L.ground, m) for m in L.members]
+        assert lattice_semigroup(L) == oracle_meet_table(L.members, labels)
+
+
+def _small_and_random_posets():
+    rng = random.Random(29)
+    yield from (P for n in range(5) for P in enumerate_posets(n))
+    for _ in range(60):
+        yield random_poset(rng, rng.randint(0, 6))
+
+
+def test_poset_tables_match_frozenset_oracle():
+    for P in _small_and_random_posets():
+        sets, table = oracle_sigma(P)
+        assert sigma_spec(P) == table
+        assert uspec_sigma(P) == table
+        maxes = frozenset(max_points(P))
+        targets, target_table = oracle_sigma(P, keep=maxes)
+        tpos = {C: i for i, C in enumerate(targets)}
+        g = restrict_to_max(P)
+        assert g.source == table
+        assert g.target == target_table
+        assert g.assignment == tuple(tpos[C & maxes] for C in sets)
+
+
+def test_random_corpora_are_pinned():
+    # digests of the corpora made before the shared core, for the same seeds
+    rng = random.Random(2024)
+    spaces = [random_space(rng, rng.randint(0, 6)) for _ in range(60)]
+    assert _digest(
+        repr((X.points, [sorted(c) for c in X.closed_sets])) for X in spaces
+    ) == "16d5f59d164605cd"
+    rng = random.Random(2024)
+    posets = [random_poset(rng, rng.randint(0, 6)) for _ in range(60)]
+    assert _digest(repr((P.points, P.leq)) for P in posets) == "e57e49a0af609d29"
+    maps = armendariz_map_corpus()
+    assert _digest(
+        repr((d, g.source, g.target, g.assignment)) for d, g in maps
+    ) == "7db9af8f85259382"

@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import pytest
 
@@ -27,6 +29,7 @@ from zdgraph.rings import (
     maximal_ideals,
     minimal_primes,
     multiplicative_semigroup,
+    prime_power,
     principal_ideal,
     ring_from_spec,
     spec_poset,
@@ -201,3 +204,54 @@ def test_ring_from_spec_round_trips():
         ring_from_spec("nonsense:1")
     with pytest.raises(RingConstructionError):
         ring_from_spec("polyquot:p=4;mod=1,1,1")  # p not prime
+
+
+def test_prime_power_matches_trial_division():
+    def oracle(q):
+        for p in range(2, q + 1):
+            for k in range(1, q.bit_length() + 1):
+                if p**k == q and all(p % d for d in range(2, p)):
+                    return p, k
+        return None
+
+    for q in range(-2, 300):
+        assert prime_power(q) == oracle(q), q
+    assert prime_power(2**13) == (2, 13) and prime_power(7919) == (7919, 1)
+
+
+def oracle_ideal_label(R, I):
+    """The label search before least generators: every member pair and triple."""
+    members = sorted(I)
+    for a in members:
+        if principal_ideal(R, a) == I:
+            return f"({R.labels[a]})"
+    for a, b in itertools.combinations(members, 2):
+        if ideal_sum(R, principal_ideal(R, a), principal_ideal(R, b)) == I:
+            return f"({R.labels[a]},{R.labels[b]})"
+    for gens in itertools.combinations(members, 3):
+        acc = frozenset({R.zero})
+        for g in gens:
+            acc = ideal_sum(R, acc, principal_ideal(R, g))
+        if acc == I:
+            return "(" + ",".join(R.labels[g] for g in gens) + ")"
+    return "{" + ",".join(R.labels[a] for a in members) + "}"
+
+
+# mvq:p=2;vars=x,y,z;rel=x2,y2,z2 is left out: the oracle takes about 10 s there
+@pytest.mark.parametrize("spec", [
+    "Zn:12", "Zn:30", "prod:Zn:4,Zn:2,Zn:3", "mvq:p=2;vars=x,y;rel=x2,xy,y2",
+    "mvq:p=3;vars=x,y;rel=x2,y2", "mvq:p=2;vars=x,y,z;rel=x2,y2,z2,xyz",
+])
+def test_ideal_label_matches_oracle(spec):
+    R = ring_from_spec(spec)
+    for I in enumerate_ideals(R):
+        assert ideal_label(R, I) == oracle_ideal_label(R, I)
+
+
+def test_ideal_labels_of_order_128_ring_are_fast():
+    R = ring_from_spec("mvq:p=2;vars=x,y,z;rel=x2,y2,z2")
+    ideals = enumerate_ideals(R)
+    t0 = time.perf_counter()
+    labels = [ideal_label(R, I) for I in ideals]
+    assert time.perf_counter() - t0 < 5.0  # the pair-and-triple search took 10 s
+    assert len(set(labels)) == len(ideals) == 47
