@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from .semigroups import (
@@ -57,18 +57,24 @@ Cardinal = Union[int, CountablyInfinite]
 
 @dataclass(frozen=True)
 class SimpleGraph:
-    """Undirected simple graph: labelled vertices, set of index pairs."""
+    """Undirected simple graph: labelled vertices, set of index pairs, and
+    ``adj[v]``, the bitmask of v's neighbours, which every invariant reads."""
 
     vertices: tuple[str, ...]
     edges: frozenset[tuple[int, int]]
+    adj: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.vertices)
+        adj = [0] * n
         for i, j in self.edges:
             if i == j:
                 raise ValueError(f"self-loop at {i}")
             if not (0 <= i < j < n):
                 raise ValueError(f"bad edge ({i}, {j})")
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        object.__setattr__(self, "adj", tuple(adj))
 
     @property
     def n(self) -> int:
@@ -80,95 +86,91 @@ class SimpleGraph:
         return SimpleGraph(tuple(vertices), pairs)
 
 
-def adjacency_sets(G: SimpleGraph) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(G.n)]
-    for i, j in G.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    return adj
+def _neighbourhood(adj: tuple[int, ...], mask: int) -> int:
+    """The union of the neighbour masks of the vertices in mask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= adj[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
-def _bfs_distances(adj: list[set[int]], start: int) -> list[Value]:
-    dist: list[Value] = [INFINITY] * len(adj)
-    dist[start] = 0
-    q = deque([start])
-    while q:
-        v = q.popleft()
-        for w in adj[v]:
-            if dist[w] == INFINITY:
-                dist[w] = dist[v] + 1
-                q.append(w)
-    return dist
+def _eccentricity(G: SimpleGraph, v: int) -> Value:
+    """The largest distance from v, or infinity if some vertex is unreachable."""
+    seen = front = 1 << v
+    depth = 0
+    while True:
+        front = _neighbourhood(G.adj, front) & ~seen
+        if not front:
+            return depth if seen == (1 << G.n) - 1 else INFINITY
+        seen |= front
+        depth += 1
 
 
 def is_connected(G: SimpleGraph) -> bool:
     """Standard reachability; the empty graph counts as connected."""
-    if G.n == 0:
-        return True
-    adj = adjacency_sets(G)
-    dist = _bfs_distances(adj, 0)
-    return all(d != INFINITY for d in dist)
+    return G.n == 0 or _eccentricity(G, 0) != INFINITY
 
 
 def diameter(G: SimpleGraph) -> Value:
     """Supremum of pairwise distances; 0 for the empty graph."""
-    if G.n == 0:
-        return 0
-    adj = adjacency_sets(G)
-    best: Value = 0
-    for v in range(G.n):
-        dist = _bfs_distances(adj, v)
-        m = max(dist)
-        if m == INFINITY:
-            return INFINITY
-        best = max(best, m)
-    return int(best)
+    if not is_connected(G):
+        return INFINITY
+    return max((_eccentricity(G, v) for v in range(G.n)), default=0)
 
 
 def shortest_cycle(G: SimpleGraph) -> tuple[Value, Optional[tuple[int, ...]]]:
     """Length and vertices of a shortest cycle, or (inf, None) if acyclic.
 
     For each edge {u, v}, a shortest u-v path avoiding that edge closes a
-    shortest cycle through it; the minimum over edges is the girth.
+    shortest cycle through it; the minimum over edges is the girth.  Edges
+    go in sorted order; u's frontier grows a level at a time only while the
+    cycle it could close beats the best so far.  The witness path comes from
+    a queue BFS, neighbours ascending, on the first edge reaching the minimum.
     """
-    adj = adjacency_sets(G)
+    adj = G.adj
     best: Value = INFINITY
-    best_cycle = None
+    best_edge = None
     for u, v in sorted(G.edges):
-        dist: list[Value] = [INFINITY] * G.n
-        parent = [-1] * G.n
-        dist[u] = 0
-        q = deque([u])
-        while q:
-            x = q.popleft()
-            if x == v:
+        if best == 3:
+            break
+        target = 1 << v
+        seen = 1 << u
+        front = adj[u] & ~target
+        length = 3  # of the cycle closed if v is in the next level
+        while front and length < best:
+            seen |= front
+            front = _neighbourhood(adj, front) & ~seen
+            if front & target:
+                best, best_edge = length, (u, v)
                 break
-            for y in adj[x]:
-                if {x, y} == {u, v}:
-                    continue
-                if dist[y] == INFINITY:
-                    dist[y] = dist[x] + 1
-                    parent[y] = x
-                    q.append(y)
-        if dist[v] != INFINITY and dist[v] + 1 < best:
-            best = dist[v] + 1
-            path = [v]
-            while path[-1] != u:
-                path.append(parent[path[-1]])
-            best_cycle = tuple(reversed(path))
-    return best, best_cycle
+            length += 1
+    return best, _path_avoiding_edge(adj, *best_edge) if best_edge else None
+
+
+def _path_avoiding_edge(adj: tuple[int, ...], u: int, v: int) -> tuple[int, ...]:
+    """A shortest u-v path in G - uv, by queue BFS with neighbours ascending."""
+    parent = {u: u}
+    q = deque([u])
+    while v not in parent:
+        x = q.popleft()
+        rest = adj[x] & ~(1 << v) if x == u else adj[x]
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            y = low.bit_length() - 1
+            if y not in parent:
+                parent[y] = x
+                q.append(y)
+    path = [v]
+    while path[-1] != u:
+        path.append(parent[path[-1]])
+    return tuple(reversed(path))
 
 
 def girth(G: SimpleGraph) -> Value:
     return shortest_cycle(G)[0]
-
-
-def _adjacency_masks(G: SimpleGraph) -> list[int]:
-    masks = [0] * G.n
-    for i, j in G.edges:
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
-    return masks
 
 
 def max_clique(G: SimpleGraph, max_vertices: int = DEFAULT_MAX_CLIQUE_VERTICES) -> tuple[int, ...]:
@@ -182,7 +184,7 @@ def max_clique(G: SimpleGraph, max_vertices: int = DEFAULT_MAX_CLIQUE_VERTICES) 
         raise SizeGuardExceeded(f"clique guard: {n} > {max_vertices} vertices")
     if n == 0:
         return ()
-    adj = _adjacency_masks(G)
+    adj = G.adj
     best_mask = 1  # single vertex is always a clique
     best_size = 1
 
@@ -222,26 +224,30 @@ def clique_number(G: SimpleGraph, max_vertices: int = DEFAULT_MAX_CLIQUE_VERTICE
     return len(max_clique(G, max_vertices))
 
 
-def _k_colouring(adj: list[set[int]], n: int, k: int, seed_clique: tuple[int, ...]) -> Optional[list[int]]:
+def _k_colouring(adj: tuple[int, ...], k: int, seed_clique: tuple[int, ...]) -> Optional[list[int]]:
     """Backtracking search for a proper k-colouring, or None.
 
     A maximum clique is pre-coloured with distinct colours (sound symmetry
     breaking), vertices are picked by saturation degree, and a fresh colour
-    may only be introduced as the next unused one.
+    may only be introduced as the next unused one.  ``classes[c]`` is the
+    mask of the vertices coloured c.
     """
+    n = len(adj)
     colours = [-1] * n
+    classes = [0] * k
     for c, v in enumerate(seed_clique):
         colours[v] = c
+        classes[c] |= 1 << v
     uncoloured = [v for v in range(n) if colours[v] == -1]
-    max_used = len(seed_clique) - 1
+    degree = [a.bit_count() for a in adj]
 
     def pick() -> int:
         best_v, best_key = -1, (-1, -1)
         for v in uncoloured:
             if colours[v] != -1:
                 continue
-            sat = len({colours[u] for u in adj[v] if colours[u] != -1})
-            key = (sat, len(adj[v]))
+            sat = sum(1 for members in classes if members & adj[v])
+            key = (sat, degree[v])
             if key > best_key:
                 best_key, best_v = key, v
         return best_v
@@ -250,40 +256,49 @@ def _k_colouring(adj: list[set[int]], n: int, k: int, seed_clique: tuple[int, ..
         if remaining == 0:
             return True
         v = pick()
-        used = {colours[u] for u in adj[v] if colours[u] != -1}
-        limit = min(k - 1, max_used + 1)
-        for c in range(limit + 1):
-            if c in used:
+        bit = 1 << v
+        for c in range(min(k - 1, max_used + 1) + 1):
+            if classes[c] & adj[v]:
                 continue
             colours[v] = c
+            classes[c] |= bit
             if rec(remaining - 1, max(max_used, c)):
                 return True
+            classes[c] ^= bit
             colours[v] = -1
         return False
 
-    if rec(len(uncoloured), max_used):
+    if rec(len(uncoloured), len(seed_clique) - 1):
         return colours
     return None
+
+
+def _check_chromatic_guard(n: int, max_vertices: int) -> None:
+    if n > max_vertices:
+        raise SizeGuardExceeded(f"chromatic guard: {n} > {max_vertices} vertices")
+
+
+def _colouring_from_clique(G: SimpleGraph, clique: tuple[int, ...]) -> tuple[int, list[int]]:
+    """Exact chromatic number with a witness colouring, given a maximum clique."""
+    n = G.n
+    if n == 0:
+        return 0, []
+    if not G.edges:
+        return 1, [0] * n
+    for k in range(len(clique), n + 1):
+        colours = _k_colouring(G.adj, k, clique)
+        if colours is not None:
+            return k, colours
+    raise AssertionError("unreachable: n colours always suffice")
 
 
 def optimal_colouring(
     G: SimpleGraph, max_vertices: int = DEFAULT_MAX_CHROMATIC_VERTICES
 ) -> tuple[int, list[int]]:
     """Exact chromatic number with a witness colouring."""
-    n = G.n
-    if n > max_vertices:
-        raise SizeGuardExceeded(f"chromatic guard: {n} > {max_vertices} vertices")
-    if n == 0:
-        return 0, []
-    if not G.edges:
-        return 1, [0] * n
-    clique = max_clique(G, max_vertices=max(n, DEFAULT_MAX_CLIQUE_VERTICES))
-    adj = adjacency_sets(G)
-    for k in range(len(clique), n + 1):
-        colours = _k_colouring(adj, n, k, clique)
-        if colours is not None:
-            return k, colours
-    raise AssertionError("unreachable: n colours always suffice")
+    _check_chromatic_guard(G.n, max_vertices)
+    clique = max_clique(G, max_vertices=G.n) if G.edges else ()
+    return _colouring_from_clique(G, clique)
 
 
 def chromatic_number(G: SimpleGraph, max_vertices: int = DEFAULT_MAX_CHROMATIC_VERTICES) -> int:
@@ -315,10 +330,12 @@ def invariant_bundle(
     max_clique_vertices: int = DEFAULT_MAX_CLIQUE_VERTICES,
     max_chromatic_vertices: int = DEFAULT_MAX_CHROMATIC_VERTICES,
 ) -> InvariantBundle:
-    # the guarded solvers run first, so an over-guard graph fails before BFS
-    clique = clique_number(G, max_clique_vertices)
-    chromatic = chromatic_number(G, max_chromatic_vertices)
-    return InvariantBundle(diameter(G), girth(G), clique, chromatic)
+    # the guarded solvers run first, so an over-guard graph fails before BFS;
+    # the one clique search also seeds the colouring
+    clique = max_clique(G, max_clique_vertices)
+    _check_chromatic_guard(G.n, max_chromatic_vertices)
+    chromatic = _colouring_from_clique(G, clique)[0]
+    return InvariantBundle(diameter(G), girth(G), len(clique), chromatic)
 
 
 # ---------------------------------------------------------------------------
@@ -330,18 +347,21 @@ def zero_divisor_vertices(S: SemigroupTable) -> tuple[int, ...]:
     return tuple(sorted(zero_divisors(S)))
 
 
-def zero_divisor_graph(S: SemigroupTable) -> SimpleGraph:
-    """Vertices are nonzero zero-divisors; {s, t} is an edge iff s*t = 0."""
-    verts = zero_divisor_vertices(S)
-    labels = tuple(S.elements[v] for v in verts)
+def _zero_product_graph(S: SemigroupTable, verts) -> SimpleGraph:
+    """The graph on the listed elements with {s, t} an edge iff s*t = 0."""
     zero = S.zero
     edges = set()
-    for a in range(len(verts)):
-        row = S.product[verts[a]]
+    for a, s in enumerate(verts):
+        row = S.product[s]
         for b in range(a + 1, len(verts)):
             if row[verts[b]] == zero:
                 edges.add((a, b))
-    return SimpleGraph(labels, frozenset(edges))
+    return SimpleGraph(tuple(S.elements[v] for v in verts), frozenset(edges))
+
+
+def zero_divisor_graph(S: SemigroupTable) -> SimpleGraph:
+    """Vertices are nonzero zero-divisors; {s, t} is an edge iff s*t = 0."""
+    return _zero_product_graph(S, zero_divisor_vertices(S))
 
 
 def beck_graph(S: SemigroupTable) -> SimpleGraph:
@@ -351,14 +371,7 @@ def beck_graph(S: SemigroupTable) -> SimpleGraph:
     all-elements graph: 0 is connected to everything and non-zero-divisors
     connect only to 0.
     """
-    zero = S.zero
-    edges = set()
-    for a in range(S.size):
-        row = S.product[a]
-        for b in range(a + 1, S.size):
-            if row[b] == zero:
-                edges.add((a, b))
-    return SimpleGraph(tuple(S.elements), frozenset(edges))
+    return _zero_product_graph(S, range(S.size))
 
 
 # ---------------------------------------------------------------------------
@@ -426,71 +439,27 @@ def armendariz_invariant_suite(
     fibre: dict[int, int] = {t: 0 for t in vt}
     for s in vs:
         fibre[g.assignment[s]] += 1
-    vt_pos = {t: i for i, t in enumerate(vt)}
-    adj_t = adjacency_sets(GT)
-    pattern_edge = any(
-        fibre[vt[i]] > 1 and fibre[vt[j]] > 1 for i, j in GT.edges
-    )
-    pattern_vertex = any(
-        fibre[t] > 1 and len(adj_t[vt_pos[t]]) >= 2 for t in vt
-    )
+    pattern_edge = any(fibre[vt[i]] > 1 and fibre[vt[j]] > 1 for i, j in GT.edges)
+    pattern_vertex = any(fibre[t] > 1 and GT.adj[i].bit_count() >= 2 for i, t in enumerate(vt))
 
-    parts = []
-    applies = bt.diameter != 1
-    parts.append(
-        SuitePart(
-            "diameter-transfer",
-            applies,
-            (not applies) or bs.diameter == bt.diameter,
-            f"diam source={bs.diameter} target={bt.diameter}",
-        )
-    )
-    applies = bt.diameter == 1
+    d1, acyclic = bt.diameter == 1, bt.girth == INFINITY
     expected = 1 if bijective else 2
-    parts.append(
-        SuitePart(
-            "diameter-one-case",
-            applies,
-            (not applies) or bs.diameter == expected,
-            f"diam source={bs.diameter} expected={expected} bijective={bijective}",
-        )
-    )
-    applies = bt.girth != INFINITY
-    parts.append(
-        SuitePart(
-            "girth-transfer",
-            applies,
-            (not applies) or bs.girth == bt.girth,
-            f"girth source={bs.girth} target={bt.girth}",
-        )
-    )
-    applies = bt.girth == INFINITY
-    parts.append(
-        SuitePart(
-            "girth-acyclic-case",
-            applies,
-            (not applies) or bs.girth in (4, INFINITY),
-            f"girth source={bs.girth}, patterns edge={pattern_edge} vertex={pattern_vertex}",
-        )
-    )
-    parts.append(
-        SuitePart(
-            "clique-equal",
-            True,
-            bs.clique == bt.clique,
-            f"clique source={bs.clique} target={bt.clique}",
-        )
-    )
-    parts.append(
-        SuitePart(
-            "chromatic-equal",
-            True,
-            bs.chromatic == bt.chromatic,
-            f"chromatic source={bs.chromatic} target={bt.chromatic}",
-        )
+    parts = (
+        SuitePart("diameter-transfer", not d1, d1 or bs.diameter == bt.diameter,
+                  f"diam source={bs.diameter} target={bt.diameter}"),
+        SuitePart("diameter-one-case", d1, (not d1) or bs.diameter == expected,
+                  f"diam source={bs.diameter} expected={expected} bijective={bijective}"),
+        SuitePart("girth-transfer", not acyclic, acyclic or bs.girth == bt.girth,
+                  f"girth source={bs.girth} target={bt.girth}"),
+        SuitePart("girth-acyclic-case", acyclic, (not acyclic) or bs.girth in (4, INFINITY),
+                  f"girth source={bs.girth}, patterns edge={pattern_edge} vertex={pattern_vertex}"),
+        SuitePart("clique-equal", True, bs.clique == bt.clique,
+                  f"clique source={bs.clique} target={bt.clique}"),
+        SuitePart("chromatic-equal", True, bs.chromatic == bt.chromatic,
+                  f"chromatic source={bs.chromatic} target={bt.chromatic}"),
     )
     return InvariantSuiteReport(
-        parts=tuple(parts),
+        parts=parts,
         source_invariants=bs,
         target_invariants=bt,
         induced_map_bijective=bijective,

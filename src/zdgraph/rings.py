@@ -501,12 +501,14 @@ def ideal_product(R: FiniteRing, I: Ideal, J: Ideal) -> Ideal:
 
 
 def enumerate_ideals(R: FiniteRing, max_ideals: int = DEFAULT_MAX_IDEALS) -> list[Ideal]:
-    """All ideals, as closure of the principal ideals under pairwise sums."""
-    ideals = {principal_ideal(R, a) for a in range(R.size)}
-    work = list(ideals)
+    """All ideals: every ideal is a finite sum of principal ideals, so closing
+    the principal ideals under adding one principal ideal reaches them all."""
+    principals = list({principal_ideal(R, a) for a in range(R.size)})
+    ideals = set(principals)
+    work = list(principals)
     while work:
         I = work.pop()
-        for J in list(ideals):
+        for J in principals:
             K = ideal_sum(R, I, J)
             if K not in ideals:
                 ideals.add(K)

@@ -94,7 +94,10 @@ class FinitePoset:
         n = len(points)
         leq = [[i == j for j in range(n)] for i in range(n)]
         for i, j in data["leq"]:
-            leq[int(i)][int(j)] = True
+            i, j = int(i), int(j)
+            if not (0 <= i < n and 0 <= j < n):
+                raise InvalidPoset(f"relation pair ({i}, {j}) outside points 0..{n - 1}")
+            leq[i][j] = True
         # antisymmetry of the closure is validated on construction
         return FinitePoset(points, transitive_closure(leq))
 
@@ -201,7 +204,10 @@ def uspec_sigma(P: FinitePoset) -> SemigroupTable:
 
 def restrict_to_max(P: FinitePoset) -> SemigroupMap:
     """The map C -> C intersect Max on closed-set lattices."""
-    masks = upset_masks(P.leq)
+    return _restrict_to_max(P, upset_masks(P.leq))
+
+
+def _restrict_to_max(P: FinitePoset, masks: list[int]) -> SemigroupMap:
     maxmask = _max_mask(P)
     targets = sorted({m & maxmask for m in masks}, key=_by_size)
     tpos = {m: i for i, m in enumerate(targets)}
@@ -218,9 +224,12 @@ def is_max_irreducible(P: FinitePoset) -> bool:
     This is the poset-level surrogate for primality of the Jacobson
     radical (the maximal spectrum is irreducible iff the radical is prime).
     """
+    return _is_max_irreducible(P, upset_masks(P.leq))
+
+
+def _is_max_irreducible(P: FinitePoset, masks: list[int]) -> bool:
     maxmask = _max_mask(P)
-    family = {m & maxmask for m in upset_masks(P.leq)}
-    proper = [m for m in family if m != maxmask]
+    proper = {m & maxmask for m in masks} - {maxmask}
     return all(a | b != maxmask for a in proper for b in proper)
 
 
@@ -625,7 +634,11 @@ class SpecsSuiteReport:
 
 
 def _finite_specs_suite(P: FinitePoset) -> SpecsSuiteReport:
-    tG = sigma_spec(P)
+    # one up-set enumeration serves the sigma table, the restriction to Max
+    # and the irreducibility test; the union-closure route stays separate
+    masks = upset_masks(P.leq)
+    rmap = _restrict_to_max(P, masks)
+    tG = rmap.source
     tH = uspec_sigma(P)
     G = zero_divisor_graph(tG)
     H = zero_divisor_graph(tH)
@@ -634,7 +647,7 @@ def _finite_specs_suite(P: FinitePoset) -> SpecsSuiteReport:
     maxes = max_points(P)
     nmax = len(maxes)
     nonmax = [p for p in range(P.n) if p not in maxes]
-    irred = is_max_irreducible(P)
+    irred = _is_max_irreducible(P, masks)
 
     parts = []
     parts.append(
@@ -645,7 +658,6 @@ def _finite_specs_suite(P: FinitePoset) -> SpecsSuiteReport:
             f"{len(tG.elements)} closed sets on both routes",
         )
     )
-    rmap = restrict_to_max(P)
     rep = check_armendariz(rmap)
     hom = check_homomorphism(rmap)
     parts.append(
@@ -870,11 +882,13 @@ def _fan_specs_suite(
     note = []
     for w in windows:
         wp = fan_window_poset(fan, w)
-        lattice = sigma_spec(wp)
-        if lattice.size > 2000:
-            note.append(f"w={w} skipped ({lattice.size} closed sets)")
+        masks = upset_masks(wp.leq)
+        if len(masks) > 2000:
+            note.append(f"w={w} skipped ({len(masks)} closed sets)")
             continue
-        rep = check_armendariz(restrict_to_max(wp))
+        rmap = _restrict_to_max(wp, masks)
+        lattice = rmap.source
+        rep = check_armendariz(rmap)
         window_ok = window_ok and rep.is_armendariz
         wG = zero_divisor_graph(lattice)
         from .graphs import diameter as graph_diameter

@@ -506,16 +506,9 @@ def char_check_irr_conn(L: SubsetLattice) -> CharEquivalenceReport:
     }
     vertex_set_matches = set(G.vertices) == expected_vertices
 
-    adj = [set() for _ in range(G.n)]
-    for i, j in G.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    pairs_2path = all(
-        any(k in adj[a] and k in adj[b] for k in range(G.n))
-        for a in range(G.n)
-        for b in range(a + 1, G.n)
-    )
-    edges_3cycle = all(bool(adj[i] & adj[j]) for i, j in G.edges)
+    adj = G.adj
+    pairs_2path = all(adj[a] & adj[b] for a in range(G.n) for b in range(a + 1, G.n))
+    edges_3cycle = all(adj[i] & adj[j] for i, j in G.edges)
 
     irr = lattice_is_irreducible(L)
     conn = lattice_is_connected(L)

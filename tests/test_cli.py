@@ -232,3 +232,12 @@ def test_duplicate_labels_are_input_errors(flag, payload, tmp_path, capsys):
     assert main(["analyze", flag, str(path)]) == 1
     err = capsys.readouterr().err
     assert "duplicate label" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("pair", [[0, 5], [0, -1], [-3, 1]])
+def test_poset_relation_out_of_range_is_input_error(pair, tmp_path, capsys):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps({"points": ["a", "b"], "leq": [pair]}))
+    assert main(["analyze", "--poset", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "outside points 0..1" in err and "Traceback" not in err

@@ -204,3 +204,39 @@ def test_girth4_pattern_flags():
     assert rep.passed
     assert rep.girth4_pattern_edge
     assert rep.source_invariants.girth == 4
+
+
+def test_adjacency_rows_are_neighbour_masks():
+    assert SQUARE.adj == (0b1010, 0b0101, 0b1010, 0b0101)
+    assert EMPTY.adj == () and graph(2, []).adj == (0, 0)
+
+
+def test_equality_and_hash_ignore_adjacency():
+    G = graph(3, [(0, 1), (1, 2)])
+    H = SimpleGraph(("0", "1", "2"), frozenset({(1, 2), (0, 1)}))
+    object.__setattr__(H, "adj", ())
+    assert G == H and hash(G) == hash(H)
+    assert "adj" not in repr(G)
+
+
+def test_invariant_bundle_searches_for_a_clique_once(monkeypatch):
+    import zdgraph.graphs as graphs
+
+    calls = []
+
+    def counting(G, max_vertices=graphs.DEFAULT_MAX_CLIQUE_VERTICES):
+        calls.append(G)
+        return max_clique(G, max_vertices)
+
+    monkeypatch.setattr(graphs, "max_clique", counting)
+    G = zero_divisor_graph(zn_mul(30))
+    assert invariant_bundle(G).as_tuple() == (3, 3, 3, 3)
+    assert len(calls) == 1
+
+
+def test_invariant_bundle_guards_keep_their_order():
+    big = graph(70, [(0, 1)])
+    with pytest.raises(SizeGuardExceeded, match="clique guard: 70 > 60 vertices"):
+        invariant_bundle(big, max_clique_vertices=60, max_chromatic_vertices=50)
+    with pytest.raises(SizeGuardExceeded, match="chromatic guard: 70 > 64 vertices"):
+        invariant_bundle(big)

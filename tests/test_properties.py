@@ -7,7 +7,9 @@ the structure theorems promise, over seeded random corpora.
 
 import math
 import random
+from collections import deque
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from zdgraph.corpus import (
@@ -22,15 +24,22 @@ from zdgraph.graphs import (
     clique_number,
     diameter,
     girth,
+    invariant_bundle,
     is_connected,
+    max_clique,
+    optimal_colouring,
+    shortest_cycle,
     zero_divisor_graph,
 )
 from zdgraph.rings import (
+    annihilating_ideal_graph,
+    gamma_graph,
     is_reduced,
     make_gf,
     make_product,
     make_zn,
     multiplicative_semigroup,
+    ring_from_spec,
 )
 from zdgraph.semigroups import (
     annihilator,
@@ -342,3 +351,134 @@ def test_symbolic_meets_agree_with_windows(a, b):
     u, v = frozenset(a), frozenset(b)
     w = max(u | v) + 1
     assert C.meet(u, v) == C.restrict(u, w) & C.restrict(v, w)
+
+
+# ---------------------------------------------------------------------------
+# Mask-based solvers against the set-based loops they replaced
+
+
+def _adjacency_sets(G):
+    adj = [set() for _ in range(G.n)]
+    for i, j in G.edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    return adj
+
+
+def oracle_shortest_cycle(G, ascending=True):
+    """One full BFS per sorted edge.  With ascending=False neighbours come in
+    set iteration order, as in the set-based function this replaced."""
+    adj = _adjacency_sets(G)
+    best, best_cycle = INF, None
+    for u, v in sorted(G.edges):
+        dist = [INF] * G.n
+        parent = [-1] * G.n
+        dist[u] = 0
+        q = deque([u])
+        while q:
+            x = q.popleft()
+            if x == v:
+                break
+            for y in sorted(adj[x]) if ascending else adj[x]:
+                if {x, y} == {u, v}:
+                    continue
+                if dist[y] == INF:
+                    dist[y] = dist[x] + 1
+                    parent[y] = x
+                    q.append(y)
+        if dist[v] != INF and dist[v] + 1 < best:
+            best = dist[v] + 1
+            path = [v]
+            while path[-1] != u:
+                path.append(parent[path[-1]])
+            best_cycle = tuple(reversed(path))
+    return best, best_cycle
+
+
+def oracle_k_colouring(adj, n, k, seed_clique):
+    """The set-based saturation search the mask version replaced."""
+    colours = [-1] * n
+    for c, v in enumerate(seed_clique):
+        colours[v] = c
+    uncoloured = [v for v in range(n) if colours[v] == -1]
+
+    def pick():
+        best_v, best_key = -1, (-1, -1)
+        for v in uncoloured:
+            if colours[v] != -1:
+                continue
+            sat = len({colours[u] for u in adj[v] if colours[u] != -1})
+            key = (sat, len(adj[v]))
+            if key > best_key:
+                best_key, best_v = key, v
+        return best_v
+
+    def rec(remaining, max_used):
+        if remaining == 0:
+            return True
+        v = pick()
+        used = {colours[u] for u in adj[v] if colours[u] != -1}
+        for c in range(min(k - 1, max_used + 1) + 1):
+            if c in used:
+                continue
+            colours[v] = c
+            if rec(remaining - 1, max(max_used, c)):
+                return True
+            colours[v] = -1
+        return False
+
+    return colours if rec(len(uncoloured), len(seed_clique) - 1) else None
+
+
+def oracle_optimal_colouring(G):
+    n = G.n
+    if n == 0:
+        return 0, []
+    if not G.edges:
+        return 1, [0] * n
+    clique = max_clique(G, max_vertices=n)
+    adj = _adjacency_sets(G)
+    for k in range(len(clique), n + 1):
+        colours = oracle_k_colouring(adj, n, k, clique)
+        if colours is not None:
+            return k, colours
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=14))
+def test_shortest_cycle_matches_ascending_oracle(G):
+    assert shortest_cycle(G) == oracle_shortest_cycle(G)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_n=10))
+def test_colouring_matches_set_based_search(G):
+    assert optimal_colouring(G) == oracle_optimal_colouring(G)
+
+
+def test_corpus_graphs_match_set_based_solvers():
+    for S in _corpus_semigroups():
+        G = zero_divisor_graph(S)
+        assert shortest_cycle(G) == oracle_shortest_cycle(G)
+        assert optimal_colouring(G, max_vertices=G.n) == oracle_optimal_colouring(G)
+        bundle = invariant_bundle(G, max_chromatic_vertices=G.n)
+        assert bundle.chromatic == oracle_optimal_colouring(G)[0]
+
+
+# one presentation per ring-analyze benchmark slot, and the AG-girth rings
+RING_GRAPH_SPECS = [
+    "Zn:256", "mvq:p=2;vars=x,y,z;rel=x2,y2,z2,xyz", "Zn:210", "prod:gf:4,gf:5,gf:7",
+    "mvq:p=3;vars=x,y;rel=x2,y2", "prod:gf:8,gf:9", "prod:Zn:2,gf:27", "gf:25",
+    "prod:Zn:4,Zn:2,Zn:3", "Zn:12", "polyquot:p=2;mod=0,0,0,1", "mvq:p=2;vars=x,y;rel=x2,xy,y2",
+    "prod:gf:2,gf:2,gf:2", "prod:gf:3,gf:4,gf:5", "prod:gf:2,gf:3,gf:4,gf:5",
+]
+
+
+@pytest.mark.parametrize("spec", RING_GRAPH_SPECS)
+def test_ring_graph_cycles_match_set_based_function(spec):
+    # on these graphs set iteration order happens to be ascending, so the
+    # set-based function and the canonical order give the same witness
+    R = ring_from_spec(spec)
+    for G in (gamma_graph(R), annihilating_ideal_graph(R)):
+        assert shortest_cycle(G) == oracle_shortest_cycle(G, ascending=False)
+        assert shortest_cycle(G) == oracle_shortest_cycle(G)

@@ -255,3 +255,28 @@ def test_ideal_labels_of_order_128_ring_are_fast():
     labels = [ideal_label(R, I) for I in ideals]
     assert time.perf_counter() - t0 < 5.0  # the pair-and-triple search took 10 s
     assert len(set(labels)) == len(ideals) == 47
+
+
+def oracle_enumerate_ideals(R):
+    """The closure before principal-only sums: every pair of ideals found."""
+    ideals = {principal_ideal(R, a) for a in range(R.size)}
+    work = list(ideals)
+    while work:
+        I = work.pop()
+        for J in list(ideals):
+            K = ideal_sum(R, I, J)
+            if K not in ideals:
+                ideals.add(K)
+                work.append(K)
+    return sorted(ideals, key=lambda I: (len(I), sorted(I)))
+
+
+# the last ring is F_2[a..e] modulo every quadratic monomial: 375 ideals
+@pytest.mark.parametrize("spec", [
+    "Zn:256", "mvq:p=2;vars=x,y,z;rel=x2,y2,z2,xyz", "mvq:p=2;vars=x,y,z;rel=x2,y2,z2",
+    "mvq:p=3;vars=x,y;rel=x2,y2", "prod:gf:4,gf:5,gf:7",
+    "mvq:p=2;vars=a,b,c,d,e;rel=a2,ab,ac,ad,ae,b2,bc,bd,be,c2,cd,ce,d2,de,e2",
+])
+def test_enumerate_ideals_matches_oracle(spec):
+    R = ring_from_spec(spec)
+    assert enumerate_ideals(R) == oracle_enumerate_ideals(R)

@@ -34,6 +34,7 @@ from zdgraph.spectra import (
     restrict_to_max,
     sigma_spec,
     specs_theorem_suite,
+    upset_masks,
     uspec_sigma,
 )
 
@@ -233,3 +234,22 @@ def test_fan_suite_reports_expected_parts():
     names2 = {p.name: p for p in rep2.parts}
     assert names2["jacobson-nonprime-diam3"].applies
     assert not names2["jacobson-prime-diam2"].applies
+
+
+def test_specs_suite_enumerates_upsets_once_per_poset(monkeypatch):
+    import zdgraph.spectra as spectra
+    from zdgraph.corpus import enumerate_posets
+
+    calls = []
+
+    def counting(rel):
+        calls.append(len(rel))
+        return upset_masks(rel)
+
+    monkeypatch.setattr(spectra, "upset_masks", counting)
+    posets = [P for n in range(5) for P in enumerate_posets(n)]
+    assert all(specs_theorem_suite(P).passed for P in posets)
+    assert len(calls) == len(posets) == 1 + 1 + 3 + 19 + 219
+    calls.clear()
+    assert specs_theorem_suite(fan_disjoint(2), samples=20, windows=(2, 3)).passed
+    assert len(calls) == 2  # one per window
