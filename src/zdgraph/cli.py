@@ -92,6 +92,10 @@ def _guard_kwargs(args):
     }
 
 
+def _ideal_guard(args):
+    return _pick_guard(getattr(args, "max_ideals", None), "ZDGRAPH_MAX_IDEALS", 10000)
+
+
 def _load_object(args):
     """Resolve the single object a request addresses."""
     chosen = [
@@ -128,7 +132,7 @@ def _load_object(args):
     raise ValueError(f"unknown lattice selector {value!r}")
 
 
-def _object_gamma(kind, obj, graph_name="gamma") -> SimpleGraph:
+def _object_gamma(kind, obj, graph_name="gamma", max_ideals=10000) -> SimpleGraph:
     if kind == "ring":
         if graph_name == "gamma":
             return gamma_graph(obj)
@@ -140,9 +144,9 @@ def _object_gamma(kind, obj, graph_name="gamma") -> SimpleGraph:
         if graph_name == "beck":
             return beck_gamma0(obj)
         if graph_name == "ag":
-            return annihilating_ideal_graph(obj)
+            return annihilating_ideal_graph(obj, max_ideals)
         if graph_name == "comaximal":
-            return comaximal_ideal_graph(obj)
+            return comaximal_ideal_graph(obj, max_ideals)
         raise ValueError(f"unknown graph {graph_name!r} for a ring")
     if graph_name != "gamma":
         raise ValueError(f"graph {graph_name!r} only applies to rings")
@@ -222,10 +226,7 @@ def cmd_analyze(args) -> int:
         elif task == "ideals":
             if kind != "ring":
                 raise ValueError("ideals task applies to rings")
-            results["ideals"] = json.loads(
-                ideals_to_json(obj, max_ideals=_pick_guard(
-                    args.max_ideals, "ZDGRAPH_MAX_IDEALS", 10000))
-            )
+            results["ideals"] = json.loads(ideals_to_json(obj, _ideal_guard(args)))
         elif task == "axioms":
             if kind != "space":
                 raise ValueError("axioms task applies to spaces")
@@ -251,7 +252,7 @@ def cmd_analyze(args) -> int:
         elif task == "ag-check":
             if kind != "ring":
                 raise ValueError("ag-check applies to rings")
-            rep = ag_conjecture_check(obj)
+            rep = ag_conjecture_check(obj, _ideal_guard(args))
             failed = failed or rep.passed is False
             results["ag-check"] = {
                 "reduced": rep.reduced,
@@ -348,7 +349,7 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     kind, obj = _load_object(args)
-    G = _object_gamma(kind, obj, args.graph)
+    G = _object_gamma(kind, obj, args.graph, _ideal_guard(args))
     text = to_dot(G) if args.format == "dot" else graph_to_json(G) + "\n"
     if args.output:
         with open(args.output, "w") as fh:

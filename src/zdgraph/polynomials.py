@@ -19,15 +19,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .graphs import SimpleGraph, clique_number, chromatic_number
-from .rings import (
-    FiniteRing,
-    Ideal,
-    gamma_graph,
-    ideal_product,
-    ideal_sum,
-    is_reduced,
-    principal_ideal,
-)
+from .rings import FiniteRing, Ideal, IdealIndex, gamma_graph, ideal_index, is_reduced
 from .semigroups import SizeGuardExceeded
 
 DEFAULT_MAX_POLYS = 4096
@@ -101,11 +93,8 @@ def poly_mul(f: TruncPoly, g: TruncPoly) -> TruncPoly:
 
 def content(f: TruncPoly) -> Ideal:
     """The ideal generated by the coefficients; content(0) = (0)."""
-    R = f.ring
-    acc: Ideal = frozenset({R.zero})
-    for c in set(f.coeffs):
-        acc = ideal_sum(R, acc, principal_ideal(R, c))
-    return acc
+    T = ideal_index(f.ring)
+    return T.ideals[int(T.content(np.array(f.coeffs or (f.ring.zero,))))]
 
 
 def polys_up_to_degree(R: FiniteRing, d: int) -> Iterator[TruncPoly]:
@@ -187,77 +176,21 @@ def _armendariz_failures(R: FiniteRing, F: np.ndarray):
     return fails
 
 
-class _ContentTables:
-    """The ideals a check meets, indexed on demand from the principal ideals.
+def _content_products(T: IdealIndex, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(prod, key)``: ``prod[key[f], key[g]]`` indexes content(F[f])·content(F[g]).
 
-    A content is a fold of ``join[I, Ra]`` = I + Ra over the coefficients;
-    a row of that table is filled the first time its ideal is met, and
-    products are taken only between contents that occur.  So the cost
-    follows the contents the polynomials reach, not the number of ideals
-    of R.
+    Products are taken only between the contents that occur, and the index
+    fills join rows only for the ideals met, so the cost follows the
+    contents the polynomials reach, not the number of ideals of R.
     """
-
-    def __init__(self, R: FiniteRing):
-        self.R = R
-        self.ideals: list[Ideal] = []
-        self._pos: dict[Ideal, int] = {}
-        self.principal = np.array([self._index(principal_ideal(R, a)) for a in range(R.size)])
-        # the principal ideals hold the first indices, so they also index
-        # the columns of the join table
-        self._columns = list(self.ideals)
-        self._rows: dict[int, list[int]] = {}
-        self._join = np.zeros((0, len(self._columns)), dtype=np.int64)
-        self._has_row = np.zeros(0, dtype=bool)
-
-    def _index(self, I: Ideal) -> int:
-        k = self._pos.get(I)
-        if k is None:
-            k = self._pos[I] = len(self.ideals)
-            self.ideals.append(I)
-        return k
-
-    def _join_for(self, c: np.ndarray) -> np.ndarray:
-        """The join table, with a row for every ideal index in ``c``."""
-        J = self._join
-        if c.size and (c.max() >= len(J) or not self._has_row[c].all()):
-            for k in np.unique(c).tolist():
-                if k not in self._rows:
-                    I = self.ideals[k]
-                    self._rows[k] = [self._index(ideal_sum(self.R, I, P)) for P in self._columns]
-            J = np.full((len(self.ideals), len(self._columns)), -1, dtype=np.int64)
-            self._has_row = np.zeros(len(J), dtype=bool)
-            for k, row in self._rows.items():
-                J[k] = row
-                self._has_row[k] = True
-            self._join = J
-        return J
-
-    def content(self, coeffs: np.ndarray) -> np.ndarray:
-        """Ideal index of the content of each coefficient row (last axis)."""
-        c = self.principal[coeffs[..., 0]]
-        for k in range(1, coeffs.shape[-1]):
-            c = self._join_for(c)[c, self.principal[coeffs[..., k]]]
-        return c
-
-    def products(self, cf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(prod, key)`` with ``prod[key[f], key[g]]`` the index of cf[f]*cf[g]."""
-        seen, key = np.unique(cf, return_inverse=True)
-        Is = [self.ideals[k] for k in seen.tolist()]
-        prod = np.array([[self._index(ideal_product(self.R, I, J)) for J in Is] for I in Is])
-        return prod, key.reshape(cf.shape)
-
-    def membership(self) -> np.ndarray:
-        """``member[k, a]``: a lies in ideal k, for every ideal indexed so far."""
-        member = np.zeros((len(self.ideals), self.R.size), dtype=bool)
-        for k, I in enumerate(self.ideals):
-            member[k, list(I)] = True
-        return member
+    seen, key = np.unique(T.content(F), return_inverse=True)
+    return T.table(seen, "mult"), key.reshape(-1)
 
 
 def _gaussian_failures(R: FiniteRing, F: np.ndarray):
     """content(fg) != content(f)content(g)."""
-    T = _ContentTables(R)
-    prod, key = T.products(T.content(F))
+    T = ideal_index(R)
+    prod, key = _content_products(T, F)
 
     def fails(r0: int, C: np.ndarray) -> np.ndarray:
         return T.content(C) != prod[key[r0 : r0 + len(C), None], key[None, :]]
@@ -267,9 +200,9 @@ def _gaussian_failures(R: FiniteRing, F: np.ndarray):
 
 def _containment_failures(R: FiniteRing, F: np.ndarray):
     """Some coefficient of fg lies outside content(f)content(g)."""
-    T = _ContentTables(R)
-    prod, key = T.products(T.content(F))
-    member = T.membership()
+    T = ideal_index(R)
+    prod, key = _content_products(T, F)
+    member = np.array(T.rows)
 
     def fails(r0: int, C: np.ndarray) -> np.ndarray:
         P = prod[key[r0 : r0 + len(C), None], key[None, :]]
@@ -341,7 +274,9 @@ def check_content_containment(
 
 def contents_hit(R: FiniteRing, degree_bound: int) -> set[Ideal]:
     """The set of ideals realized as contents of polynomials of degree <= d."""
-    return {content(f) for f in polys_up_to_degree(R, degree_bound)}
+    T = ideal_index(R)
+    F = _coefficient_rows(R, list(polys_up_to_degree(R, degree_bound)), degree_bound)
+    return {T.ideals[k] for k in np.unique(T.content(F)).tolist()}
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@ multivariate quotients over F_p, raw tables).  All ring axioms are checked
 exhaustively at construction; the structured tag is kept for display and
 for the CLI spec-string round trip.
 
-Ideal enumeration is by generator closure: every ideal of a finite ring is
-a finite sum of principal ideals, so closing the set of principal ideals
-under pairwise sums is sound and complete.
+Every ideal of a finite ring is a finite sum of principal ideals.  Each
+ring has one ``IdealIndex``: it stores every ideal once, fills a row of
+sums with the principal ideals the first time an ideal is met, and reads
+every ideal sum, product, label and content from those rows.  Enumerating
+the ideals means filling every row, which closes the principal ideals
+under adding one principal ideal at a time.
 """
 
 from __future__ import annotations
@@ -44,14 +47,16 @@ class FiniteRing:
 
     def __init__(self, labels, add, mul, zero, one, tag="raw", validate=True):
         self.labels: tuple[str, ...] = tuple(labels)
-        self.add: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in add)
-        self.mul: tuple[tuple[int, ...], ...] = tuple(tuple(r) for r in mul)
+        self._add_np = np.asarray(add, dtype=np.int64)
+        self._mul_np = np.asarray(mul, dtype=np.int64)
+        # row by row, so no full list of the table is ever held
+        self.add: tuple[tuple[int, ...], ...] = tuple(tuple(r.tolist()) for r in self._add_np)
+        self.mul: tuple[tuple[int, ...], ...] = tuple(tuple(r.tolist()) for r in self._mul_np)
         self.zero: int = zero
         self.one: int = one
         self.tag: str = tag
         self.size: int = len(self.labels)
-        self._add_np = np.asarray(self.add, dtype=np.int64)
-        self._mul_np = np.asarray(self.mul, dtype=np.int64)
+        self._ideal_index: Optional[IdealIndex] = None  # made by ideal_index(R)
         if validate:
             _validate_ring(self)
 
@@ -120,37 +125,36 @@ def make_zn(n: int) -> FiniteRing:
     """The ring of integers modulo n (n = 1 gives the zero ring)."""
     if n < 1:
         raise RingConstructionError("n must be >= 1")
-    labels = tuple(str(i) for i in range(n))
-    add = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    mul = tuple(tuple((a * b) % n for b in range(n)) for a in range(n))
-    return FiniteRing(labels, add, mul, 0, 1 % n, tag=f"Zn:{n}")
+    r = np.arange(n)
+    return FiniteRing(tuple(str(i) for i in range(n)), np.add.outer(r, r) % n,
+                      np.multiply.outer(r, r) % n, 0, 1 % n, tag=f"Zn:{n}")
 
 
 def make_product(rings: Sequence[FiniteRing]) -> FiniteRing:
-    """Direct product with componentwise operations."""
+    """Direct product with componentwise operations.
+
+    Elements are ordered as ``itertools.product`` orders the factors'
+    elements (the last factor fastest), so element e has digit
+    ``e // stride_k % n_k`` in factor k, and each table is the mixed-radix
+    sum of the factor tables, ``sum_k T_k[x_k, y_k] * stride_k``.
+    """
     if not rings:
         raise RingConstructionError("empty product")
-    elems = list(itertools.product(*(range(r.size) for r in rings)))
-    pos = {e: i for i, e in enumerate(elems)}
+    sizes = tuple(r.size for r in rings)
+    strides = np.cumprod((1,) + sizes[:0:-1])[::-1]
+    digits = np.unravel_index(np.arange(math.prod(sizes)), sizes)
+
+    def table(name: str) -> np.ndarray:
+        parts = (getattr(r, name)[np.ix_(x, x)] * s for r, x, s in zip(rings, digits, strides))
+        return sum(parts)
+
     labels = tuple(
-        "(" + ",".join(r.labels[c] for r, c in zip(rings, e)) + ")" for e in elems
+        "(" + ",".join(e) + ")" for e in itertools.product(*(r.labels for r in rings))
     )
-    add = tuple(
-        tuple(
-            pos[tuple(r.add[x][y] for r, x, y in zip(rings, e, f))] for f in elems
-        )
-        for e in elems
-    )
-    mul = tuple(
-        tuple(
-            pos[tuple(r.mul[x][y] for r, x, y in zip(rings, e, f))] for f in elems
-        )
-        for e in elems
-    )
-    zero = pos[tuple(r.zero for r in rings)]
-    one = pos[tuple(r.one for r in rings)]
+    zero = int(np.ravel_multi_index([r.zero for r in rings], sizes))
+    one = int(np.ravel_multi_index([r.one for r in rings], sizes))
     tag = "prod:" + ",".join(r.tag for r in rings)
-    return FiniteRing(labels, add, mul, zero, one, tag=tag)
+    return FiniteRing(labels, table("_add_np"), table("_mul_np"), zero, one, tag=tag)
 
 
 def prime_power(q: int) -> Optional[tuple[int, int]]:
@@ -165,38 +169,23 @@ def prime_power(q: int) -> Optional[tuple[int, int]]:
     return (p, k) if q == 1 else None
 
 
-def _fp_poly_divmod(num: list[int], den: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of coefficient lists (ascending) over F_p."""
-    num = num[:]
-    dd = len(den) - 1
-    inv_lead = pow(den[-1], p - 2, p) if p > 2 else den[-1]
-    quot = [0] * max(0, len(num) - dd)
-    while len(num) - 1 >= dd and any(num):
+def _fp_poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
+    """Remainder of coefficient lists (ascending) over F_p, trailing zeros stripped."""
+    num, inv_lead = num[:], pow(den[-1], p - 2, p)
+    while True:
         while num and num[-1] == 0:
             num.pop()
-        if len(num) - 1 < dd:
-            break
-        shift = len(num) - 1 - dd
-        factor = (num[-1] * inv_lead) % p
-        quot[shift] = factor
+        if len(num) < len(den):
+            return num
+        shift, factor = len(num) - len(den), num[-1] * inv_lead % p
         for i, c in enumerate(den):
             num[shift + i] = (num[shift + i] - factor * c) % p
-    while num and num[-1] == 0:
-        num.pop()
-    return quot, num
 
 
-def _poly_label(coeffs: Sequence[int], var: str) -> str:
-    terms = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        else:
-            head = "" if c == 1 else str(c)
-            terms.append(head + (var if i == 1 else f"{var}^{i}"))
+def _vector_label(coeffs: Sequence[int], names: Sequence[str]) -> str:
+    """"c1m1+c2m2+...": basis names with their nonzero coefficients (1 left out)."""
+    terms = [str(c) if m == "1" else ("" if c == 1 else str(c)) + m
+             for c, m in zip(coeffs, names) if c]
     return "+".join(terms) if terms else "0"
 
 
@@ -214,48 +203,40 @@ def make_polyquot(p: int, modulus: Sequence[int], var: str = "x") -> FiniteRing:
     if len(modulus) < 2:
         raise RingConstructionError("modulus must have degree >= 1")
     d = len(modulus) - 1
-    elems = list(itertools.product(range(p), repeat=d))
-    pos = {e: i for i, e in enumerate(elems)}
-    labels = tuple(_poly_label(e, var) for e in elems)
-
-    def reduce_mul(a, b):
-        conv = [0] * (2 * d - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    conv[i + j] = (conv[i + j] + ca * cb) % p
-        _, rem = _fp_poly_divmod(conv, modulus, p)
-        rem += [0] * (d - len(rem))
-        return tuple(rem[:d])
-
-    add = tuple(
-        tuple(pos[tuple((x + y) % p for x, y in zip(a, b))] for b in elems)
-        for a in elems
-    )
-    mul = tuple(tuple(pos[reduce_mul(a, b)] for b in elems) for a in elems)
-    zero = pos[(0,) * d]
-    one = pos[(1,) + (0,) * (d - 1)]
+    structure = np.zeros((d, d, d), dtype=np.int64)  # x^i * x^j = x^(i+j) mod modulus
+    for i, j in itertools.product(range(d), repeat=2):
+        rem = _fp_poly_mod([0] * (i + j) + [1], modulus, p)
+        structure[i, j, : len(rem)] = rem
+    names = [_monomial_label((i,), (var,)) for i in range(d)]
+    labels = tuple(_vector_label(e[::-1], names[::-1])
+                   for e in itertools.product(range(p), repeat=d))
     tag = f"polyquot:p={p};mod=" + ",".join(str(c) for c in modulus)
-    return FiniteRing(labels, add, mul, zero, one, tag=tag)
+    return _fp_algebra(p, structure, labels, tag)
+
+
+def _fp_algebra(p: int, structure: np.ndarray, labels, tag: str) -> FiniteRing:
+    """F_p^d with componentwise addition and the bilinear product that takes
+    basis vectors i and j to ``structure[i, j]``; basis vector 0 is the one.
+
+    Elements are coefficient vectors in ``itertools.product`` order, so
+    vector u has index sum_k u_k p^(d-1-k).
+    """
+    d = len(structure)
+    U = np.array(list(itertools.product(range(p), repeat=d))).reshape(-1, d)
+    weights = p ** np.arange(d - 1, -1, -1)
+    B = np.tensordot(U, structure, axes=1)  # v @ B[a] is the vector of u_a * v
+    add = np.array([(U[a] + U) % p @ weights for a in range(len(U))])
+    mul = np.array([U @ B[a] % p @ weights for a in range(len(U))])
+    return FiniteRing(labels, add, mul, 0, int(weights[0]), tag=tag)
 
 
 def _monic_irreducible(p: int, k: int) -> list[int]:
     """First monic irreducible of degree k over F_p, by lexicographic search."""
     for lower in itertools.product(range(p), repeat=k):
         cand = list(lower) + [1]
-        if cand[0] == 0:
-            continue  # divisible by x
-        ok = True
-        for deg in range(1, k // 2 + 1):
-            for dlower in itertools.product(range(p), repeat=deg):
-                den = list(dlower) + [1]
-                _, rem = _fp_poly_divmod(cand[:], den, p)
-                if not rem:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        divisors = (list(dl) + [1] for deg in range(1, k // 2 + 1)
+                    for dl in itertools.product(range(p), repeat=deg))
+        if cand[0] and all(_fp_poly_mod(cand, den, p) for den in divisors):
             return cand
     raise AssertionError("no irreducible found")  # cannot happen
 
@@ -325,58 +306,21 @@ def make_multivariate_quot(
             f"quotient has {p}^{len(basis)} elements, over guard {max_size}"
         )
     bpos = {m: i for i, m in enumerate(basis)}
+    # the product of two basis monomials is another one, or zero
+    structure = np.zeros((len(basis), len(basis), len(basis)), dtype=np.int64)
+    for (i, a), (j, b) in itertools.product(enumerate(basis), repeat=2):
+        s = tuple(x + y for x, y in zip(a, b))
+        if s in bpos:
+            structure[i, j, bpos[s]] = 1
 
-    # product of two basis monomials: another basis monomial, or zero
-    mono_prod: list[list[Optional[int]]] = []
-    for a in basis:
-        row = []
-        for b in basis:
-            s = tuple(x + y for x, y in zip(a, b))
-            row.append(None if any(divisible(s, r) for r in rels) else bpos[s])
-        mono_prod.append(row)
-
-    elems = list(itertools.product(range(p), repeat=len(basis)))
-    pos = {e: i for i, e in enumerate(elems)}
-
-    def label(vec):
-        terms = []
-        for m, c in zip(basis, vec):
-            if c == 0:
-                continue
-            ml = _monomial_label(m, variables)
-            if ml == "1":
-                terms.append(str(c))
-            else:
-                terms.append(("" if c == 1 else str(c)) + ml)
-        return "+".join(terms) if terms else "0"
-
-    def multiply(u, v):
-        out = [0] * len(basis)
-        for i, cu in enumerate(u):
-            if not cu:
-                continue
-            for j, cv in enumerate(v):
-                if not cv:
-                    continue
-                t = mono_prod[i][j]
-                if t is not None:
-                    out[t] = (out[t] + cu * cv) % p
-        return tuple(out)
-
-    labels = tuple(label(e) for e in elems)
-    add = tuple(
-        tuple(pos[tuple((x + y) % p for x, y in zip(a, b))] for b in elems)
-        for a in elems
-    )
-    mul = tuple(tuple(pos[multiply(a, b)] for b in elems) for a in elems)
-    zero = pos[(0,) * len(basis)]
-    one_vec = [0] * len(basis)
-    one_vec[bpos[(0,) * nv]] = 1
+    names = [_monomial_label(m, variables) for m in basis]
+    labels = tuple(_vector_label(e, names)
+                   for e in itertools.product(range(p), repeat=len(basis)))
     tag = (
         f"mvq:p={p};vars=" + ",".join(variables) + ";rel="
         + ",".join(_mono_spec(r, variables) for r in rels)
     )
-    return FiniteRing(labels, add, mul, zero, pos[tuple(one_vec)], tag=tag)
+    return _fp_algebra(p, structure, labels, tag)
 
 
 def _mono_spec(expo: Sequence[int], variables: Sequence[str]) -> str:
@@ -467,77 +411,202 @@ def beck_gamma0(R: FiniteRing) -> SimpleGraph:
 # Ideals
 
 
+class IdealIndex:
+    """The ideals of one ring met so far, each stored once.
+
+    Ideal k is a member row ``rows[k]`` (a bool mask over the elements),
+    its frozenset ``ideals[k]`` and a tuple ``gens[k]`` of elements whose
+    principal ideals sum to it: its parent's tuple plus one generator.  The
+    distinct principal ideals come first, in the order of their least
+    generators, so ``principal[a]`` (the index of Ra) also numbers the
+    columns of the join table, whose entry [k, principal[a]] indexes ideal
+    k + Ra.  A row of it is filled the first time a sum with its ideal is
+    asked for; ``close`` fills every row, which enumerates all ideals.
+    """
+
+    def __init__(self, R: FiniteRing):
+        # the ring holds its index, so the index keeps the ring's tables and
+        # not the ring: a reference cycle would outlive the ring until the
+        # cyclic collector ran
+        self.labels, self.zero, self._add_np, self._mul_np = R.labels, R.zero, R._add_np, R._mul_np
+        self.lower_bound = _ideal_count_lower_bound(R)
+        self.ideals: list[Ideal] = []
+        self.gens: list[tuple[int, ...]] = []
+        self.rows: list[np.ndarray] = []
+        self._key: dict[bytes, int] = {}
+        P = np.zeros((R.size, R.size), dtype=bool)
+        P[np.arange(R.size)[:, None], R._mul_np] = True  # row a: the members of Ra
+        self.principal = np.array([self._add(P[a], (a,)) for a in range(R.size)])
+        self._pr, self._pc = np.nonzero(np.array(self.rows))
+        self._join = np.full((2 * len(self.rows), len(self.rows)), -1)
+
+    def _add(self, row: np.ndarray, gens: tuple[int, ...]) -> int:
+        key = np.packbits(row).tobytes()
+        if key not in self._key:
+            self._key[key] = len(self.ideals)
+            self.ideals.append(frozenset(np.flatnonzero(row).tolist()))
+            self.gens.append(gens)
+            self.rows.append(row.copy())
+        return self._key[key]
+
+    def _fill(self, k: int) -> None:
+        # the least member of x + I names the coset of x, and I + Ra is the
+        # union of the cosets of Ra's members
+        coset = self._add_np[:, self.rows[k]].min(axis=1)
+        hit = np.zeros((self._join.shape[1], len(self.labels)), dtype=bool)
+        hit[self._pr, coset[self._pc]] = True
+        row = [self._add(s, self.gens[k] + self.gens[c]) for c, s in enumerate(hit[:, coset])]
+        if len(self.ideals) > len(self._join):  # a fill adds at most a row's worth of ideals
+            self._join = np.vstack([self._join, np.full_like(self._join, -1)])
+        self._join[k] = row
+
+    def join(self, ks, cols) -> np.ndarray:
+        """The index of ideal ks + principal ideal cols, elementwise."""
+        ks = np.asarray(ks)
+        for k in np.unique(ks[self._join[ks, 0] < 0]).tolist():
+            self._fill(k)
+        return self._join[ks, cols]
+
+    def index_of(self, I: Ideal) -> int:
+        """The index of ideal I; one not met yet is found by adding in its members."""
+        row = np.zeros(len(self.labels), dtype=bool)
+        row[list(I)] = True
+        k = self._key.get(np.packbits(row).tobytes())
+        if k is None:
+            k = self.principal[self.zero]
+            for a in sorted(I):
+                k = self.join(k, self.principal[a])
+            if self.ideals[k] != I:
+                raise ValueError(f"not an ideal: {sorted(I)}")
+        return int(k)
+
+    def table(self, ks: np.ndarray, operation: str) -> np.ndarray:
+        """``T[x, y]`` indexes ks[x] + ks[y] ("add") or ks[x]·ks[y] ("mult").
+
+        A sum folds the principal ideals of ks[y]'s generators into ks[x]; a
+        product folds those of the pairwise generator products into (0).
+        Generator lists are padded with 0, whose ideal adds nothing.
+        """
+        G = np.full((len(ks), max(len(self.gens[k]) for k in ks)), self.zero)
+        for r, k in enumerate(ks.tolist()):
+            G[r, : len(self.gens[k])] = self.gens[k]
+        if operation == "add":
+            T = np.repeat(ks[:, None], len(ks), axis=1)
+            for g in G.T:
+                T = self.join(T, self.principal[g][None, :])
+            return T
+        T = np.full((len(ks), len(ks)), self.principal[self.zero])
+        for g, h in itertools.product(G.T, repeat=2):
+            T = self.join(T, self.principal[self._mul_np[g[:, None], h[None, :]]])
+        return T
+
+    def content(self, coeffs: np.ndarray) -> np.ndarray:
+        """The index of the ideal generated by each coefficient row (last axis)."""
+        c = self.principal[coeffs[..., 0]]
+        for k in range(1, coeffs.shape[-1]):
+            c = self.join(c, self.principal[coeffs[..., k]])
+        return c
+
+    def close(self, max_ideals: int = DEFAULT_MAX_IDEALS) -> list[int]:
+        """Every ideal index in ``(len, sorted)`` order, once every row is filled.
+
+        The guard is checked first against a lower bound on the number of
+        ideals, then against each ideal the index holds.
+        """
+        if self.lower_bound > max_ideals:
+            raise SizeGuardExceeded(f"more than {max_ideals} ideals")
+        k = 0
+        while k < len(self.ideals) <= max_ideals:
+            if self._join[k, 0] < 0:
+                self._fill(k)
+            k += 1
+        if len(self.ideals) > max_ideals:
+            raise SizeGuardExceeded(f"more than {max_ideals} ideals")
+        return sorted(range(k), key=lambda k: (len(self.ideals[k]), sorted(self.ideals[k])))
+
+    def label(self, k: int) -> str:
+        """A short generator-style label: "(g)", "(g,h)", ... if one exists.
+
+        Only least generators are tried: swapping a member for the least one
+        with the same principal ideal keeps the sum and moves the sorted
+        tuple earlier, so the first hit over least generators, in
+        lexicographic order, is the first hit over all members.
+        """
+        names, members = self.labels, np.flatnonzero(self.rows[k])
+        least = members[np.sort(np.unique(self.principal[members], return_index=True)[1])]
+        c = self.principal[least]
+        # sums[i, j, ...] indexes Rc_i + Rc_j + ...; a tuple with a repeat
+        # sums fewer generators, which missed already, and a hit's sorted
+        # tuple hits too, so the first hit in row-major order is ascending
+        sums, hits = c, np.argwhere(c == k)
+        while not len(hits) and sums.ndim < 3:
+            sums = self.join(sums[..., None], c)
+            hits = np.argwhere(sums == k)
+        if len(hits):
+            return "(" + ",".join(names[least[i]] for i in hits[0]) + ")"
+        return "{" + ",".join(names[a] for a in members) + "}"
+
+
+def ideal_index(R: FiniteRing) -> IdealIndex:
+    """The ring's ideal index, made on first use."""
+    if R._ideal_index is None:
+        R._ideal_index = IdealIndex(R)
+    return R._ideal_index
+
+
+def _ideal_count_lower_bound(R: FiniteRing) -> int:
+    """An exact lower bound on the number of ideals: G_k(q) for a local ring, else 0.
+
+    In a local ring the non-units are the nilpotents and form the maximal
+    ideal m.  The socle ann(m) is a vector space over R/m (q elements) of
+    some dimension k, and each of its subspaces is an ideal.
+    """
+    M, n = R._mul_np, R.size
+    power = np.arange(n)
+    for _ in range(n.bit_length()):
+        power = M[power, power]
+    nilpotent = power == R.zero
+    if (nilpotent == (M == R.one).any(axis=1)).any():
+        return 0  # an element is both or neither: not local, or the zero ring
+    q, socle = n // int(nilpotent.sum()), int((M[:, nilpotent] == R.zero).all(axis=1).sum())
+    # the Galois number G_k(q), the number of subspaces of F_q^k, by
+    # G_(i+1) = 2 G_i + (q^i - 1) G_(i-1) from G_0 = 1
+    prev, count, i = 0, 1, 0
+    while q**i < socle:
+        prev, count, i = count, 2 * count + (q**i - 1) * prev, i + 1
+    return count
+
+
 def principal_ideal(R: FiniteRing, a: int) -> Ideal:
-    return frozenset(np.unique(R._mul_np[:, a]).tolist())
+    index = ideal_index(R)
+    return index.ideals[index.principal[a]]
+
+
+def _combine(R: FiniteRing, I: Ideal, J: Ideal, operation: str) -> Ideal:
+    index = ideal_index(R)
+    ks = np.array([index.index_of(I), index.index_of(J)])
+    return index.ideals[index.table(ks, operation)[0, 1]]
 
 
 def ideal_sum(R: FiniteRing, I: Ideal, J: Ideal) -> Ideal:
-    if J <= I:
-        return I
-    if I <= J:
-        return J
-    ai = np.fromiter(I, dtype=np.int64)
-    aj = np.fromiter(J, dtype=np.int64)
-    return frozenset(np.unique(R._add_np[np.ix_(ai, aj)]).tolist())
-
-
-def _additive_closure(R: FiniteRing, gens: np.ndarray) -> Ideal:
-    cur = np.unique(np.append(gens, R.zero))
-    while True:
-        nxt = np.unique(R._add_np[np.ix_(cur, cur)])
-        if len(nxt) == len(cur):
-            return frozenset(nxt.tolist())
-        cur = nxt
+    return _combine(R, I, J, "add")
 
 
 def ideal_product(R: FiniteRing, I: Ideal, J: Ideal) -> Ideal:
     """The ideal generated by pairwise products of members."""
-    ai = np.fromiter(I, dtype=np.int64)
-    aj = np.fromiter(J, dtype=np.int64)
-    gens = np.unique(R._mul_np[np.ix_(ai, aj)])
-    # the product set is closed under ring multiplication, so only the
-    # additive closure is needed
-    return _additive_closure(R, gens)
+    return _combine(R, I, J, "mult")
 
 
 def enumerate_ideals(R: FiniteRing, max_ideals: int = DEFAULT_MAX_IDEALS) -> list[Ideal]:
-    """All ideals: every ideal is a finite sum of principal ideals, so closing
-    the principal ideals under adding one principal ideal reaches them all."""
-    principals = list({principal_ideal(R, a) for a in range(R.size)})
-    ideals = set(principals)
-    work = list(principals)
-    while work:
-        I = work.pop()
-        for J in principals:
-            K = ideal_sum(R, I, J)
-            if K not in ideals:
-                ideals.add(K)
-                work.append(K)
-                if len(ideals) > max_ideals:
-                    raise SizeGuardExceeded(f"more than {max_ideals} ideals")
-    return sorted(ideals, key=lambda I: (len(I), sorted(I)))
+    """All ideals, ordered by size and then by sorted members."""
+    index = ideal_index(R)
+    return [index.ideals[k] for k in index.close(max_ideals)]
 
 
 def ideal_label(R: FiniteRing, I: Ideal) -> str:
     """A short generator-style label: "(g)", "(g,h)", ... if one exists."""
-    members = sorted(I)
-    first: dict[Ideal, int] = {}  # principal ideal -> its least generator in I
-    for a in members:
-        Ia = principal_ideal(R, a)
-        if Ia == I:
-            return f"({R.labels[a]})"
-        first.setdefault(Ia, a)
-    # swapping a member for the least one with the same principal ideal keeps
-    # the sum and moves the sorted tuple earlier, so the first hit over least
-    # generators is the first hit over all members
-    gen = {a: Ia for Ia, a in first.items()}
-    for a, b in itertools.combinations(gen, 2):
-        if ideal_sum(R, gen[a], gen[b]) == I:
-            return f"({R.labels[a]},{R.labels[b]})"
-    for a, b, c in itertools.combinations(gen, 3):
-        if ideal_sum(R, ideal_sum(R, gen[a], gen[b]), gen[c]) == I:
-            return f"({R.labels[a]},{R.labels[b]},{R.labels[c]})"
-    return "{" + ",".join(R.labels[a] for a in members) + "}"
+    index = ideal_index(R)
+    return index.label(index.index_of(I))
 
 
 def is_ideal_prime(R: FiniteRing, I: Ideal) -> bool:
@@ -556,9 +625,7 @@ def maximal_ideals(R: FiniteRing, ideals: Optional[list[Ideal]] = None) -> list[
     if ideals is None:
         ideals = enumerate_ideals(R)
     proper = [I for I in ideals if len(I) < R.size]
-    return [
-        I for I in proper if not any(I < J for J in proper)
-    ]
+    return [I for I in proper if not any(I < J for J in proper)]
 
 
 def prime_ideals(R: FiniteRing, ideals: Optional[list[Ideal]] = None) -> list[Ideal]:
@@ -574,13 +641,7 @@ def minimal_primes(R: FiniteRing, ideals: Optional[list[Ideal]] = None) -> list[
 
 def jacobson_radical(R: FiniteRing, ideals: Optional[list[Ideal]] = None) -> Ideal:
     """Intersection of the maximal ideals (the whole ring if there are none)."""
-    maxes = maximal_ideals(R, ideals)
-    if not maxes:
-        return frozenset(range(R.size))
-    acc = maxes[0]
-    for M in maxes[1:]:
-        acc = acc & M
-    return acc
+    return frozenset(range(R.size)).intersection(*maximal_ideals(R, ideals))
 
 
 @dataclass(frozen=True)
@@ -615,17 +676,16 @@ def ideal_semigroup(
 ) -> IdealSemigroup:
     if operation not in ("mult", "add"):
         raise ValueError("operation must be 'mult' or 'add'")
-    ideals = enumerate_ideals(R, max_ideals)
-    pos = {I: i for i, I in enumerate(ideals)}
-    combine = ideal_product if operation == "mult" else ideal_sum
-    table = tuple(
-        tuple(pos[combine(R, I, J)] for J in ideals) for I in ideals
-    )
-    zero_elt = frozenset({R.zero}) if operation == "mult" else frozenset(range(R.size))
-    labels = tuple(ideal_label(R, I) for I in ideals)
-    sg = SemigroupTable(elements=labels, zero=pos[zero_elt], product=table)
+    index = ideal_index(R)
+    ks = np.array(index.close(max_ideals))
+    pos = np.empty(len(index.ideals), dtype=np.int64)
+    pos[ks] = np.arange(len(ks))
+    table = tuple(map(tuple, pos[index.table(ks, operation)].tolist()))
+    zero_elt = index.principal[R.zero if operation == "mult" else R.one]
+    labels = tuple(index.label(k) for k in ks.tolist())
+    sg = SemigroupTable(elements=labels, zero=int(pos[zero_elt]), product=table)
     validate_semigroup(sg).raise_if_invalid()
-    return IdealSemigroup(tuple(ideals), operation, sg)
+    return IdealSemigroup(tuple(index.ideals[k] for k in ks), operation, sg)
 
 
 def annihilating_ideal_graph(R: FiniteRing, max_ideals: int = DEFAULT_MAX_IDEALS) -> SimpleGraph:
@@ -650,16 +710,16 @@ class AGGirthReport:
     passed: Optional[bool]  # None when the hypothesis is not met
 
 
-def ag_conjecture_check(R: FiniteRing) -> AGGirthReport:
+def ag_conjecture_check(R: FiniteRing, max_ideals: int = DEFAULT_MAX_IDEALS) -> AGGirthReport:
     """For reduced R with more than two minimal primes, assert girth 3.
 
     Returns a 3-cycle of ideals as the witness; for other rings the girth
     is still computed and reported with passed = None.
     """
-    ideals = enumerate_ideals(R)
+    ideals = enumerate_ideals(R, max_ideals)
     reduced = is_reduced(R)
     nmin = len(minimal_primes(R, ideals))
-    graph = annihilating_ideal_graph(R)
+    graph = annihilating_ideal_graph(R, max_ideals)
     g, cycle = shortest_cycle(graph)
     witness = tuple(graph.vertices[v] for v in cycle) if cycle else None
     applies = reduced and nmin > 2
@@ -683,7 +743,5 @@ def spec_poset(R: FiniteRing):
 
     primes = prime_ideals(R)
     labels = tuple(ideal_label(R, P) for P in primes)
-    leq = tuple(
-        tuple(P <= Q for Q in primes) for P in primes
-    )
+    leq = tuple(tuple(P <= Q for Q in primes) for P in primes)
     return FinitePoset(points=labels, leq=leq)

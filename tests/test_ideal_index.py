@@ -1,0 +1,266 @@
+"""The ideal index against the frozenset routines it replaced.
+
+``ideal_oracles`` holds those routines.  Enumeration order, labels and both
+ideal semigroup tables must be equal on every ring-analyze benchmark
+presentation, on Z_720, on Z_4 x Z_9 x Z_5 x Z_7 and on F_2[a..e] modulo
+every quadratic monomial (375 ideals).
+"""
+
+import ast
+import functools
+import itertools
+import pathlib
+import time
+
+import pytest
+
+import ideal_oracles as oracle
+from zdgraph import rings
+from zdgraph.cli import main
+from zdgraph.corpus import reduced_rings_up_to, small_reduced_rings_for_content
+from zdgraph.polynomials import check_content_containment, check_gaussian
+from zdgraph.rings import (
+    FiniteRing,
+    IdealIndex,
+    ag_conjecture_check,
+    enumerate_ideals,
+    ideal_index,
+    ideal_label,
+    ideal_product,
+    ideal_semigroup,
+    ideal_sum,
+    make_zn,
+    principal_ideal,
+    ring_from_spec,
+)
+from zdgraph.semigroups import SizeGuardExceeded
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _ring_analyze_specs():
+    """The ring presentations of the ring-analyze benchmark workload."""
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    (slots,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "RING_SLOTS"]
+    return [s for specs, _, _ in ast.literal_eval(slots) for s in specs]
+
+
+def square_zero_spec(n):
+    """F_2 in n variables modulo every quadratic monomial: m^2 = 0, dim m = n."""
+    vs = "abcdefg"[:n]
+    rel = [a + b if a != b else a + "2" for a, b in itertools.combinations_with_replacement(vs, 2)]
+    return f"mvq:p=2;vars={','.join(vs)};rel={','.join(rel)}"
+
+
+BIG = oracle.BIG
+SQ5 = square_zero_spec(5)
+SPECS = _ring_analyze_specs() + ["Zn:720", BIG, SQ5]
+X2Y2Z2 = "mvq:p=2;vars=x,y,z;rel=x2,y2,z2"  # 47 ideals
+
+
+ring = oracle.cached_ring
+
+
+@functools.cache
+def oracle_ideals(spec):
+    return oracle.enumerate_ideals(ring(spec))
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_enumeration_and_labels_match_oracle(spec):
+    R = ring(spec)
+    ideals = enumerate_ideals(R)
+    assert ideals == oracle_ideals(spec)
+    assert [ideal_label(R, I) for I in ideals] == [oracle.ideal_label(R, I) for I in ideals]
+
+
+@pytest.mark.parametrize("operation", ["add", "mult"])
+@pytest.mark.parametrize("spec", SPECS)
+def test_semigroup_tables_match_oracle(spec, operation):
+    R = ring(spec)
+    sg = ideal_semigroup(R, operation)
+    ideals = oracle_ideals(spec)
+    assert sg.ideals == tuple(ideals)
+    # both tables are commutative (validated in ideal_semigroup), so the
+    # 375-ideal ring is compared above the diagonal only, to save time
+    upper = spec == SQ5
+    want = oracle.semigroup_table(R, ideals, operation, upper_only=upper)
+    got = [[x if j >= i or not upper else -1 for j, x in enumerate(row)]
+           for i, row in enumerate(sg.table.product)]
+    assert got == want
+    assert sg.table.elements == tuple(oracle.ideal_label(R, I) for I in ideals)
+    absorbing = frozenset({R.zero}) if operation == "mult" else frozenset(range(R.size))
+    assert ideals[sg.table.zero] == absorbing
+
+
+def _factors(spec):
+    parts = []
+    for chunk in spec[len("prod:"):].split(","):
+        if parts and ":" not in chunk:
+            parts[-1] += "," + chunk
+        else:
+            parts.append(chunk)
+    return [ring_from_spec(p) for p in parts]
+
+
+@pytest.mark.parametrize("spec", [s for s in SPECS if s.startswith("prod:")])
+def test_make_product_matches_cell_builder(spec):
+    R = ring(spec)
+    assert (R.labels, R.add, R.mul, R.zero, R.one) == oracle.product_tables(_factors(spec))
+    assert all(type(x) is int for x in R.add[-1] + R.mul[-1] + (R.zero, R.one))
+
+
+def test_sums_and_products_of_any_ideals():
+    R = ring("mvq:p=2;vars=x,y,z;rel=x2,y2,z2,xyz")
+    ideals = oracle_ideals("mvq:p=2;vars=x,y,z;rel=x2,y2,z2,xyz")
+    for I, J in itertools.product(ideals[::3], ideals[::4]):
+        assert ideal_sum(R, I, J) == oracle.ideal_sum(R, I, J)
+        assert ideal_product(R, I, J) == oracle.ideal_product(R, I, J)
+    assert all(principal_ideal(R, a) == oracle.principal_ideal(R, a) for a in range(R.size))
+
+
+def test_non_ideal_is_rejected():
+    R = make_zn(6)
+    with pytest.raises(ValueError, match="not an ideal"):
+        ideal_label(R, frozenset({0, 1}))
+
+
+def test_index_is_shared_and_principal_ideals_come_first():
+    R = make_zn(12)
+    T = ideal_index(R)
+    assert ideal_index(R) is T
+    p = len({oracle.principal_ideal(R, a) for a in range(R.size)})
+    assert len(T.ideals) == p  # no sum has been asked for yet
+    for a in range(R.size):
+        assert T.ideals[T.principal[a]] == oracle.principal_ideal(R, a)
+    for k in range(p):  # a principal ideal's generator is its least one
+        assert T.gens[k] == (min(a for a in range(R.size) if T.principal[a] == k),)
+
+
+def test_one_analyze_closes_the_lattice_once(monkeypatch, capsys):
+    fills = []
+    fill = IdealIndex._fill
+    monkeypatch.setattr(IdealIndex, "_fill", lambda self, k: fills.append(k) or fill(self, k))
+    assert main(["analyze", "--ring", X2Y2Z2, "--tasks", "ideals,ag-check", "--json"]) == 0
+    assert sorted(fills) == list(range(47))  # one join row per ideal, each filled once
+
+
+def test_ideal_semigroups_of_375_ideal_ring_are_fast():
+    R = ring_from_spec(SQ5)
+    t0 = time.perf_counter()
+    add, mult = ideal_semigroup(R, "add"), ideal_semigroup(R, "mult")
+    assert time.perf_counter() - t0 < 5.0  # 9.9 s with one sum or product per pair
+    assert len(add.ideals) == len(mult.ideals) == 375
+
+
+# ---------------------------------------------------------------------------
+# The ideal guard
+
+
+def _fresh(R):
+    """The same ring as a new object, so with no ideal index yet."""
+    return FiniteRing(R.labels, R.add, R.mul, R.zero, R.one, R.tag, validate=False)
+
+
+def test_guard_counts_principal_ideals():
+    Z720 = ring("Zn:720")
+    with pytest.raises(SizeGuardExceeded, match="more than 29 ideals"):
+        enumerate_ideals(_fresh(Z720), max_ideals=29)  # all 30 are principal
+    assert len(enumerate_ideals(_fresh(Z720), max_ideals=30)) == 30
+    R = _fresh(Z720)
+    assert len(enumerate_ideals(R)) == 30
+    with pytest.raises(SizeGuardExceeded, match="more than 29 ideals"):
+        enumerate_ideals(R, max_ideals=29)  # also once the index is closed
+
+
+def _no_traceback(capsys, message):
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_cli_ideals_guard_counts_principal_ideals(capsys):
+    assert main(["analyze", "--ring", "Zn:12", "--tasks", "ideals", "--max-ideals", "5",
+                 "--json"]) == 1
+    _no_traceback(capsys, "more than 5 ideals")
+    assert main(["analyze", "--ring", "Zn:12", "--tasks", "ideals", "--max-ideals", "6",
+                 "--json"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--ring", X2Y2Z2, "--tasks", "ag-check", "--max-ideals", "20"],
+    ["analyze", "--ring", X2Y2Z2, "--tasks", "ideals", "--max-ideals", "20"],
+])
+def test_cli_ag_check_honours_ideal_guard(argv, capsys):
+    assert main(argv) == 1
+    _no_traceback(capsys, "more than 20 ideals")
+
+
+@pytest.mark.parametrize("graph", ["ag", "comaximal"])
+def test_cli_export_honours_ideal_guard_env(graph, capsys, monkeypatch):
+    monkeypatch.setenv("ZDGRAPH_MAX_IDEALS", "20")
+    assert main(["export", "--ring", X2Y2Z2, "--graph", graph, "--format", "json"]) == 1
+    _no_traceback(capsys, "more than 20 ideals")
+    monkeypatch.setenv("ZDGRAPH_MAX_IDEALS", "47")
+    assert main(["export", "--ring", X2Y2Z2, "--graph", graph, "--format", "json"]) == 0
+
+
+def test_ag_conjecture_check_takes_the_guard():
+    R = ring_from_spec(X2Y2Z2)
+    with pytest.raises(SizeGuardExceeded):
+        ag_conjecture_check(R, max_ideals=46)
+    assert ag_conjecture_check(R, max_ideals=47).girth == 3
+
+
+SQ7 = square_zero_spec(7)  # 256 elements, 29,213 ideals
+
+
+def test_seven_variable_guard_trips_before_the_work(capsys):
+    R = ring_from_spec(SQ7)
+    t0 = time.perf_counter()
+    with pytest.raises(SizeGuardExceeded, match="more than 10000 ideals"):
+        enumerate_ideals(R)
+    assert time.perf_counter() - t0 < 1.0  # 20.9 s when it tripped after closing
+    assert len(ideal_index(R).ideals) == 129  # only the principal ideals were made
+    assert main(["analyze", "--ring", SQ7, "--tasks", "ideals", "--json"]) == 1
+    _no_traceback(capsys, "more than 10000 ideals")
+
+
+@pytest.mark.parametrize("n,count", [(1, 3), (2, 6), (3, 17), (4, 68), (5, 375)])
+def test_lower_bound_is_exact_on_square_zero_rings(n, count):
+    # every ideal but R lies in the socle m, and every subspace of m is an ideal
+    R = ring_from_spec(square_zero_spec(n))
+    assert rings._ideal_count_lower_bound(R) == count - 1
+    assert len(enumerate_ideals(R)) == count
+
+
+def test_lower_bound_never_exceeds_ideal_count():
+    corpus = ([ring(s) for s in SPECS] + reduced_rings_up_to(60)
+              + small_reduced_rings_for_content(9)
+              + [make_zn(n) for n in range(1, 65)]
+              + [ring_from_spec(s) for s in ("mvq:p=3;vars=x;rel=x3", "mvq:p=2;vars=x,y;rel=x3,y2",
+                                             "prod:Zn:4,mvq:p=2;vars=x,y;rel=x2,xy,y2",
+                                             "polyquot:p=3;mod=0,0,1", "gf:16")])
+    for R in corpus:
+        assert rings._ideal_count_lower_bound(R) <= len(enumerate_ideals(R)), R.tag
+    assert rings._ideal_count_lower_bound(ring_from_spec("gf:16")) == 2
+    assert rings._ideal_count_lower_bound(make_zn(8)) == 2  # socle (4) is one line
+    assert rings._ideal_count_lower_bound(make_zn(6)) == 0  # not local
+
+
+@pytest.mark.parametrize("check", [check_gaussian, check_content_containment])
+def test_pair_checks_never_close_the_index(check):
+    R = ring_from_spec(SQ7)
+    assert check(R, 0).passed
+    assert len(ideal_index(R).ideals) < 10000
+    with pytest.raises(SizeGuardExceeded):
+        enumerate_ideals(R)
+
+
+def test_fresh_and_lazily_filled_indexes_agree():
+    # an index first filled by the content checks closes to the same ideals
+    R = ring_from_spec(square_zero_spec(4))
+    check_gaussian(R, 1)
+    fresh = IdealIndex(R)
+    want = oracle.enumerate_ideals(R)
+    assert enumerate_ideals(R) == [fresh.ideals[k] for k in fresh.close()] == want

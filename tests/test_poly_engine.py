@@ -13,6 +13,7 @@ import time
 
 import pytest
 
+import ideal_oracles as oracle
 from zdgraph import polynomials
 from zdgraph.corpus import small_reduced_rings_for_content
 from zdgraph.graphs import SimpleGraph
@@ -21,12 +22,11 @@ from zdgraph.polynomials import (
     check_armendariz_ring,
     check_content_containment,
     check_gaussian,
-    content,
     poly_mul,
     polys_up_to_degree,
     truncated_zero_divisor_graph,
 )
-from zdgraph.rings import ideal_product, ring_from_spec
+from zdgraph.rings import ring_from_spec
 
 # ---------------------------------------------------------------------------
 # Scalar oracles
@@ -65,10 +65,10 @@ NOTES = {
 
 def _oracle_check(kind, R, d):
     polys = list(polys_up_to_degree(R, d))
-    content_of = {f: content(f) for f in polys}
+    content_of = {f: oracle.content(f) for f in polys}
     # memoised only to keep the loop fast: each is a pure function
-    prod = functools.cache(functools.partial(ideal_product, R))
-    content_cached = functools.cache(content)
+    prod = functools.cache(functools.partial(oracle.ideal_product, R))
+    content_cached = functools.cache(oracle.content)
 
     def holds(f, g):
         if kind == "armendariz":
@@ -185,3 +185,31 @@ def test_ideal_count_is_not_guarded():
     R = ring_from_spec(_square_zero_spec(7))
     assert check_gaussian(R, 0).passed
     assert check_content_containment(R, 0).passed
+
+
+# ---------------------------------------------------------------------------
+# Contents from the ideal index == contents from the old private tables
+
+OLD_LAWS = {
+    "gaussian": oracle.gaussian_failures,
+    "content-containment": oracle.containment_failures,
+}
+# every ring-analyze slot (one presentation each), Z_720 and the 375-ideal
+# ring at degree 0; the rings of order at most 32 also at degree 1, where
+# contents are sums of principal ideals
+INDEX_CASES = (
+    [(spec, 0) for spec in ["Zn:256", "mvq:p=2;vars=x,y,z;rel=x2,y2,z2,xyz", "Zn:210",
+                            "prod:gf:4,gf:5,gf:7", "mvq:p=3;vars=x,y;rel=x2,y2",
+                            "prod:gf:8,gf:9", "prod:Zn:2,gf:27", "Zn:720", _square_zero_spec(5)]]
+    + [(spec, d) for spec in ["gf:25", "prod:Zn:4,Zn:2,Zn:3", "Zn:12", "mvq:p=2;vars=x;rel=x3",
+                              "mvq:p=2;vars=x,y;rel=x2,xy,y2", _square_zero_spec(4)]
+       for d in (0, 1)]
+)
+
+
+@pytest.mark.parametrize("kind", list(OLD_LAWS))
+@pytest.mark.parametrize("spec,d", INDEX_CASES)
+def test_index_contents_match_old_tables(spec, d, kind):
+    R = oracle.cached_ring(spec)
+    want = polynomials._pair_check(kind, OLD_LAWS[kind], NOTES[kind], R, d, 1 << 12)
+    assert ENGINE[kind](R, d) == want

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+import ideal_oracles as oracle
 from zdgraph.graphs import invariant_bundle
 from zdgraph.rings import (
     FiniteRing,
@@ -69,6 +70,78 @@ def test_polyquot_gf4():
     assert F4.size == 4
     assert is_reduced(F4)
     assert enumerate_ideals(F4) == [frozenset({F4.zero}), frozenset(range(4))]
+
+
+def oracle_fp_algebra(p, d, multiply):
+    """The cell-by-cell table builder the F_p-algebra constructors replaced."""
+    elems = list(itertools.product(range(p), repeat=d))
+    pos = {e: i for i, e in enumerate(elems)}
+    add = tuple(tuple(pos[tuple((x + y) % p for x, y in zip(a, b))] for b in elems)
+                for a in elems)
+    mul = tuple(tuple(pos[multiply(a, b)] for b in elems) for a in elems)
+    return add, mul, pos[(1,) + (0,) * (d - 1)]
+
+
+def poly_times(p, modulus):
+    """Convolution, then reduction from the top coefficient down."""
+    d = len(modulus) - 1
+    inv = pow(modulus[-1], p - 2, p)
+
+    def times(a, b):
+        conv = [0] * (2 * d - 1)
+        for (i, x), (j, y) in itertools.product(enumerate(a), enumerate(b)):
+            conv[i + j] = (conv[i + j] + x * y) % p
+        for top in range(2 * d - 2, d - 1, -1):
+            f = conv[top] * inv % p
+            for i, c in enumerate(modulus):
+                conv[top - d + i] = (conv[top - d + i] - f * c) % p
+        return tuple(conv[:d])
+
+    return times
+
+
+def monomial_times(p, bounds, rels):
+    """Basis monomials ordered by (degree, exponents); products of basis vectors."""
+    basis = sorted((m for m in itertools.product(*map(range, bounds))
+                    if not any(all(x >= y for x, y in zip(m, r)) for r in rels)),
+                   key=lambda m: (sum(m), m))
+    bpos = {m: i for i, m in enumerate(basis)}
+
+    def times(u, v):
+        out = [0] * len(basis)
+        for (i, x), (j, y) in itertools.product(enumerate(u), enumerate(v)):
+            s = tuple(a + b for a, b in zip(basis[i], basis[j]))
+            if s in bpos:
+                out[bpos[s]] = (out[bpos[s]] + x * y) % p
+        return tuple(out)
+
+    return len(basis), times
+
+
+@pytest.mark.parametrize("p,modulus", [
+    (2, [1, 1, 1]), (5, [2, 0, 1]), (3, [2, 1, 1]), (2, [0, 0, 0, 1]), (2, [1, 1, 1, 1]),
+    (3, [1, 2, 0, 1]), (5, [3, 0, 2]), (7, [1, 3]), (3, [1, 1, 0, 2]), (2, [1, 0, 0, 1, 0, 1]),
+])
+def test_polyquot_tables_match_cell_builder(p, modulus):
+    R = make_polyquot(p, modulus)
+    assert (R.add, R.mul, R.one) == oracle_fp_algebra(p, len(modulus) - 1, poly_times(p, modulus))
+    assert R.zero == 0
+
+
+@pytest.mark.parametrize("p,bounds,rels", [
+    (2, (2, 2, 2), [(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)]),
+    (3, (2, 2), [(2, 0), (0, 2)]),
+    (2, (3,), [(3,)]),
+    (2, (2, 2), [(2, 0), (1, 1), (0, 2)]),
+    (5, (2, 2), [(2, 0), (0, 2), (1, 1)]),
+    (2, (4, 2), [(4, 0), (0, 2), (2, 1)]),
+])
+def test_multivariate_tables_match_cell_builder(p, bounds, rels):
+    variables = "xyz"[: len(bounds)]
+    R = make_multivariate_quot(p, variables, rels)
+    d, times = monomial_times(p, bounds, rels)
+    assert (R.add, R.mul, R.one) == oracle_fp_algebra(p, d, times)
+    assert R.zero == 0
 
 
 def test_make_gf_prime_powers():
@@ -223,15 +296,15 @@ def oracle_ideal_label(R, I):
     """The label search before least generators: every member pair and triple."""
     members = sorted(I)
     for a in members:
-        if principal_ideal(R, a) == I:
+        if oracle.principal_ideal(R, a) == I:
             return f"({R.labels[a]})"
     for a, b in itertools.combinations(members, 2):
-        if ideal_sum(R, principal_ideal(R, a), principal_ideal(R, b)) == I:
+        if oracle.ideal_sum(R, oracle.principal_ideal(R, a), oracle.principal_ideal(R, b)) == I:
             return f"({R.labels[a]},{R.labels[b]})"
     for gens in itertools.combinations(members, 3):
         acc = frozenset({R.zero})
         for g in gens:
-            acc = ideal_sum(R, acc, principal_ideal(R, g))
+            acc = oracle.ideal_sum(R, acc, oracle.principal_ideal(R, g))
         if acc == I:
             return "(" + ",".join(R.labels[g] for g in gens) + ")"
     return "{" + ",".join(R.labels[a] for a in members) + "}"
@@ -259,12 +332,12 @@ def test_ideal_labels_of_order_128_ring_are_fast():
 
 def oracle_enumerate_ideals(R):
     """The closure before principal-only sums: every pair of ideals found."""
-    ideals = {principal_ideal(R, a) for a in range(R.size)}
+    ideals = {oracle.principal_ideal(R, a) for a in range(R.size)}
     work = list(ideals)
     while work:
         I = work.pop()
         for J in list(ideals):
-            K = ideal_sum(R, I, J)
+            K = oracle.ideal_sum(R, I, J)
             if K not in ideals:
                 ideals.add(K)
                 work.append(K)
