@@ -14,6 +14,8 @@ import math
 import random
 from typing import Iterator
 
+import numpy as np
+
 from .rings import FiniteRing, make_gf, make_product, make_zn, prime_power
 from .semigroups import SemigroupMap, SemigroupTable, SizeGuardExceeded
 from .spectra import FinitePoset, is_transitive, transitive_closure, upset_masks
@@ -169,17 +171,13 @@ def small_reduced_rings_for_content(max_order: int = 9) -> list[FiniteRing]:
 
 def permuted_copy(S: SemigroupTable, rng: random.Random) -> SemigroupMap:
     """A random isomorphism from S onto a relabelled copy of itself."""
-    n = S.size
-    perm = list(range(n))
+    perm = list(range(S.size))
     rng.shuffle(perm)
-    prod = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            prod[perm[a]][perm[b]] = perm[S.product[a][b]]
-    labels = [""] * n
-    for a in range(n):
-        labels[perm[a]] = S.elements[a]
-    target = SemigroupTable(tuple(labels), perm[S.zero], tuple(tuple(r) for r in prod))
+    p = np.array(perm, dtype=np.int64)
+    prod = np.empty_like(S.product)
+    prod[np.ix_(p, p)] = p[S.product]
+    labels = [S.elements[a] for a in np.argsort(p).tolist()]
+    target = SemigroupTable(tuple(labels), perm[S.zero], prod)
     return SemigroupMap(S, target, tuple(perm))
 
 

@@ -19,6 +19,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
+import numpy as np
+
 from .semigroups import (
     SemigroupMap,
     SemigroupTable,
@@ -349,14 +351,11 @@ def zero_divisor_vertices(S: SemigroupTable) -> tuple[int, ...]:
 
 def _zero_product_graph(S: SemigroupTable, verts) -> SimpleGraph:
     """The graph on the listed elements with {s, t} an edge iff s*t = 0."""
-    zero = S.zero
-    edges = set()
-    for a, s in enumerate(verts):
-        row = S.product[s]
-        for b in range(a + 1, len(verts)):
-            if row[verts[b]] == zero:
-                edges.add((a, b))
-    return SimpleGraph(tuple(S.elements[v] for v in verts), frozenset(edges))
+    verts = np.asarray(verts, dtype=np.int64)
+    a, b = np.nonzero(S.product[verts[:, None], verts] == S.zero)
+    edge = a < b
+    return SimpleGraph(tuple(S.elements[v] for v in verts.tolist()),
+                       frozenset(zip(a[edge].tolist(), b[edge].tolist())))
 
 
 def zero_divisor_graph(S: SemigroupTable) -> SimpleGraph:

@@ -80,15 +80,11 @@ def poly_mul(f: TruncPoly, g: TruncPoly) -> TruncPoly:
     R = f.ring
     if f.is_zero or g.is_zero:
         return make_poly(R, ())
-    add, mul = R.add, R.mul
-    out = [R.zero] * (len(f.coeffs) + len(g.coeffs) - 1)
-    for i, a in enumerate(f.coeffs):
-        if a == R.zero:
-            continue
-        row = mul[a]
-        for j, b in enumerate(g.coeffs):
-            out[i + j] = add[out[i + j]][row[b]]
-    return make_poly(R, out)
+    terms = R.mul[np.ix_(f.coeffs, g.coeffs)]  # terms[i, j] is a term of X^(i+j)
+    out = np.full(len(f.coeffs) + len(g.coeffs) - 1, R.zero)
+    for i, row in enumerate(terms):
+        out[i : i + len(row)] = R.add[out[i : i + len(row)], row]
+    return make_poly(R, out.tolist())
 
 
 def content(f: TruncPoly) -> Ideal:
@@ -153,7 +149,7 @@ def _coefficient_rows(R: FiniteRing, polys: list[TruncPoly], d: int) -> np.ndarr
 def _product_blocks(R: FiniteRing, F: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(r0, C)`` with ``C[b, g, k]`` the X^k coefficient of F[r0+b] * F[g]."""
     N, w = F.shape
-    A, M = R._add_np, R._mul_np
+    A, M = R.add, R.mul
     rows = max(1, _BLOCK_CELLS // (N * (2 * w - 1)))
     for r0 in range(0, N, rows):
         Ff = F[r0 : r0 + rows]
@@ -166,7 +162,7 @@ def _product_blocks(R: FiniteRing, F: np.ndarray) -> Iterator[tuple[int, np.ndar
 
 def _armendariz_failures(R: FiniteRing, F: np.ndarray):
     """fg = 0 and "every coefficient product vanishes" disagree."""
-    M, zero = R._mul_np, R.zero
+    M, zero = R.mul, R.zero
 
     def fails(r0: int, C: np.ndarray) -> np.ndarray:
         # ann[b, x]: x kills every coefficient of f = F[r0+b]

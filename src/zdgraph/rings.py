@@ -28,7 +28,11 @@ from .graphs import SimpleGraph, beck_graph, shortest_cycle, zero_divisor_graph
 from .semigroups import (
     SemigroupTable,
     SizeGuardExceeded,
+    first_witness,
     is_nilpotent_free,
+    nilpotent_mask,
+    read_only_table,
+    table_law_failure,
     validate_semigroup,
 )
 
@@ -43,15 +47,16 @@ class RingConstructionError(ValueError):
 
 
 class FiniteRing:
-    """A finite commutative ring with unity, stored as explicit tables."""
+    """A finite commutative ring with unity, stored as explicit tables.
+
+    ``add`` and ``mul`` are read-only int64 arrays: ``mul[a, b]`` is the
+    index of the product of elements a and b.
+    """
 
     def __init__(self, labels, add, mul, zero, one, tag="raw", validate=True):
         self.labels: tuple[str, ...] = tuple(labels)
-        self._add_np = np.asarray(add, dtype=np.int64)
-        self._mul_np = np.asarray(mul, dtype=np.int64)
-        # row by row, so no full list of the table is ever held
-        self.add: tuple[tuple[int, ...], ...] = tuple(tuple(r.tolist()) for r in self._add_np)
-        self.mul: tuple[tuple[int, ...], ...] = tuple(tuple(r.tolist()) for r in self._mul_np)
+        self.add: np.ndarray = read_only_table(add)
+        self.mul: np.ndarray = read_only_table(mul)
         self.zero: int = zero
         self.one: int = one
         self.tag: str = tag
@@ -64,8 +69,13 @@ class FiniteRing:
         return f"FiniteRing({self.tag}, order={self.size})"
 
 
-def _first_bad(mask: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(x) for x in np.argwhere(mask)[0])
+# the ring's message for each law of table_law_failure, by table name and witness
+_LAW_MESSAGES = {
+    "table-shape": "{} table has wrong shape",
+    "index-bounds": "{} table entry out of range",
+    "commutative": "{} not commutative at {}",
+    "associative": "{} not associative at {}",
+}
 
 
 def _validate_ring(R: FiniteRing, max_size: int = DEFAULT_MAX_RING) -> None:
@@ -74,44 +84,32 @@ def _validate_ring(R: FiniteRing, max_size: int = DEFAULT_MAX_RING) -> None:
         raise RingConstructionError("empty carrier")
     if n > max_size:
         raise SizeGuardExceeded(f"ring size {n} exceeds guard {max_size}")
-    A, M = R._add_np, R._mul_np
+    A, M = R.add, R.mul
     for name, T in (("add", A), ("mul", M)):
-        if T.shape != (n, n):
-            raise RingConstructionError(f"{name} table has wrong shape")
-        if ((T < 0) | (T >= n)).any():
-            raise RingConstructionError(f"{name} table entry out of range")
-        if (T != T.T).any():
-            raise RingConstructionError(
-                f"{name} not commutative at {_first_bad(T != T.T)}"
-            )
-        for a in range(n):
-            left = T[T[a]]            # (a op b) op c
-            right = T[a][T]           # a op (b op c)
-            if not np.array_equal(left, right):
-                b, c = _first_bad(left != right)
-                raise RingConstructionError(
-                    f"{name} not associative at ({a}, {b}, {c})"
-                )
+        failure = table_law_failure(T, n)
+        if failure is not None:
+            law, w = failure
+            raise RingConstructionError(_LAW_MESSAGES[law].format(name, w))
     ident = np.arange(n)
     if not np.array_equal(A[R.zero], ident):
         raise RingConstructionError(
-            f"zero is not an additive identity at {_first_bad(A[R.zero] != ident)}"
+            f"zero is not an additive identity at {first_witness(A[R.zero] != ident)}"
         )
     has_inverse = (A == R.zero).any(axis=1)
     if not has_inverse.all():
         raise RingConstructionError(
-            f"element {int(np.argwhere(~has_inverse)[0][0])} has no additive inverse"
+            f"element {first_witness(~has_inverse)[0]} has no additive inverse"
         )
     if not np.array_equal(M[R.one], ident):
         raise RingConstructionError(
-            f"one is not a multiplicative identity at {_first_bad(M[R.one] != ident)}"
+            f"one is not a multiplicative identity at {first_witness(M[R.one] != ident)}"
         )
     for a in range(n):
         row = M[a]
         left = row[A]                       # a * (b + c)
         right = A[row[:, None], row[None, :]]  # a*b + a*c
         if not np.array_equal(left, right):
-            b, c = _first_bad(left != right)
+            b, c = first_witness(left != right)
             raise RingConstructionError(
                 f"distributivity fails at ({a}, {b}, {c})"
             )
@@ -154,7 +152,7 @@ def make_product(rings: Sequence[FiniteRing]) -> FiniteRing:
     zero = int(np.ravel_multi_index([r.zero for r in rings], sizes))
     one = int(np.ravel_multi_index([r.one for r in rings], sizes))
     tag = "prod:" + ",".join(r.tag for r in rings)
-    return FiniteRing(labels, table("_add_np"), table("_mul_np"), zero, one, tag=tag)
+    return FiniteRing(labels, table("add"), table("mul"), zero, one, tag=tag)
 
 
 def prime_power(q: int) -> Optional[tuple[int, int]]:
@@ -428,14 +426,14 @@ class IdealIndex:
         # the ring holds its index, so the index keeps the ring's tables and
         # not the ring: a reference cycle would outlive the ring until the
         # cyclic collector ran
-        self.labels, self.zero, self._add_np, self._mul_np = R.labels, R.zero, R._add_np, R._mul_np
+        self.labels, self.zero, self._add_table, self._mul_table = R.labels, R.zero, R.add, R.mul
         self.lower_bound = _ideal_count_lower_bound(R)
         self.ideals: list[Ideal] = []
         self.gens: list[tuple[int, ...]] = []
         self.rows: list[np.ndarray] = []
         self._key: dict[bytes, int] = {}
         P = np.zeros((R.size, R.size), dtype=bool)
-        P[np.arange(R.size)[:, None], R._mul_np] = True  # row a: the members of Ra
+        P[np.arange(R.size)[:, None], R.mul] = True  # row a: the members of Ra
         self.principal = np.array([self._add(P[a], (a,)) for a in range(R.size)])
         self._pr, self._pc = np.nonzero(np.array(self.rows))
         self._join = np.full((2 * len(self.rows), len(self.rows)), -1)
@@ -452,7 +450,7 @@ class IdealIndex:
     def _fill(self, k: int) -> None:
         # the least member of x + I names the coset of x, and I + Ra is the
         # union of the cosets of Ra's members
-        coset = self._add_np[:, self.rows[k]].min(axis=1)
+        coset = self._add_table[:, self.rows[k]].min(axis=1)
         hit = np.zeros((self._join.shape[1], len(self.labels)), dtype=bool)
         hit[self._pr, coset[self._pc]] = True
         row = [self._add(s, self.gens[k] + self.gens[c]) for c, s in enumerate(hit[:, coset])]
@@ -497,7 +495,7 @@ class IdealIndex:
             return T
         T = np.full((len(ks), len(ks)), self.principal[self.zero])
         for g, h in itertools.product(G.T, repeat=2):
-            T = self.join(T, self.principal[self._mul_np[g[:, None], h[None, :]]])
+            T = self.join(T, self.principal[self._mul_table[g[:, None], h[None, :]]])
         return T
 
     def content(self, coeffs: np.ndarray) -> np.ndarray:
@@ -555,26 +553,33 @@ def ideal_index(R: FiniteRing) -> IdealIndex:
 
 
 def _ideal_count_lower_bound(R: FiniteRing) -> int:
-    """An exact lower bound on the number of ideals: G_k(q) for a local ring, else 0.
+    """An exact lower bound on the number of ideals: the product of G_k(q)
+    over the local factors of R.
 
-    In a local ring the non-units are the nilpotents and form the maximal
-    ideal m.  The socle ann(m) is a vector space over R/m (q elements) of
-    some dimension k, and each of its subspaces is an ideal.
+    R is the product of its local factors eR, e running over the primitive
+    (minimal nonzero) idempotents, and the ideals of R are the products of
+    ideals of the factors.  In a local factor the non-units are the
+    nilpotents and form the maximal ideal m.  The socle ann(m) is a vector
+    space over eR/m (q elements) of some dimension k, and each of its
+    subspaces is an ideal.
     """
-    M, n = R._mul_np, R.size
-    power = np.arange(n)
-    for _ in range(n.bit_length()):
-        power = M[power, power]
-    nilpotent = power == R.zero
-    if (nilpotent == (M == R.one).any(axis=1)).any():
-        return 0  # an element is both or neither: not local, or the zero ring
-    q, socle = n // int(nilpotent.sum()), int((M[:, nilpotent] == R.zero).all(axis=1).sum())
-    # the Galois number G_k(q), the number of subspaces of F_q^k, by
-    # G_(i+1) = 2 G_i + (q^i - 1) G_(i-1) from G_0 = 1
-    prev, count, i = 0, 1, 0
-    while q**i < socle:
-        prev, count, i = count, 2 * count + (q**i - 1) * prev, i + 1
-    return count
+    M, zero = R.mul, R.zero
+    nilpotent = nilpotent_mask(M, zero)
+    idem = np.flatnonzero(M.diagonal() == np.arange(R.size))
+    idem = idem[idem != zero]
+    primitive = idem[(M[np.ix_(idem, idem)] == idem).sum(axis=1) == 1]  # ef = f: f below e
+    bound = 1
+    for e in primitive.tolist():
+        factor = np.unique(M[e])
+        m = factor[nilpotent[factor]]
+        q, socle = len(factor) // len(m), int((M[np.ix_(factor, m)] == zero).all(axis=1).sum())
+        # the Galois number G_k(q), the number of subspaces of F_q^k, by
+        # G_(i+1) = 2 G_i + (q^i - 1) G_(i-1) from G_0 = 1
+        prev, count, i = 0, 1, 0
+        while q**i < socle:
+            prev, count, i = count, 2 * count + (q**i - 1) * prev, i + 1
+        bound *= count
+    return bound
 
 
 def principal_ideal(R: FiniteRing, a: int) -> Ideal:
@@ -617,7 +622,7 @@ def is_ideal_prime(R: FiniteRing, I: Ideal) -> bool:
     member = np.zeros(n, dtype=bool)
     member[list(I)] = True
     outside = np.nonzero(~member)[0]
-    prods = R._mul_np[np.ix_(outside, outside)]
+    prods = R.mul[np.ix_(outside, outside)]
     return not member[prods].any()
 
 
@@ -680,10 +685,10 @@ def ideal_semigroup(
     ks = np.array(index.close(max_ideals))
     pos = np.empty(len(index.ideals), dtype=np.int64)
     pos[ks] = np.arange(len(ks))
-    table = tuple(map(tuple, pos[index.table(ks, operation)].tolist()))
     zero_elt = index.principal[R.zero if operation == "mult" else R.one]
     labels = tuple(index.label(k) for k in ks.tolist())
-    sg = SemigroupTable(elements=labels, zero=int(pos[zero_elt]), product=table)
+    sg = SemigroupTable(elements=labels, zero=int(pos[zero_elt]),
+                        product=pos[index.table(ks, operation)])
     validate_semigroup(sg).raise_if_invalid()
     return IdealSemigroup(tuple(index.ideals[k] for k in ks), operation, sg)
 

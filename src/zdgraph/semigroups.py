@@ -2,10 +2,12 @@
 
 A semigroup lives entirely in its table: elements are indices into a label
 list, the absorbing element is a designated index, and the product is a
-total binary table.  Labels are display-only; all semantics are by index.
+total binary table, held as one read-only int64 array and read by array
+code only.  Labels are display-only; all semantics are by index.
 
 The module provides validation (commutativity, associativity, absorbing law,
-each with a witness on failure), annihilators and zero-divisors, the
+each with a witness on failure; ``table_law_failure`` also checks ring
+tables), annihilators and zero-divisors, the
 annihilator-equality quotient E(S) with its projection map, and verification
 of Armendariz maps: surjective set maps g with s = 0 <=> g(s) = 0 and
 s*s' = 0 <=> g(s)*g(s') = 0.
@@ -13,9 +15,7 @@ s*s' = 0 <=> g(s)*g(s') = 0.
 
 from __future__ import annotations
 
-import functools
 import json
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -36,31 +36,55 @@ class InvalidSemigroup(ValueError):
     """Raised when a table fails the semigroup laws."""
 
 
-@dataclass(frozen=True)
+def read_only_table(table) -> np.ndarray:
+    """The operation table as an int64 array that cannot be written to."""
+    P = np.asarray(table, dtype=np.int64)
+    P.flags.writeable = False
+    return P
+
+
+@dataclass(frozen=True, eq=False)
 class SemigroupTable:
     """A finite commutative semigroup with an absorbing element.
 
-    ``product[a][b]`` is the index of the product of elements ``a`` and
-    ``b``; ``zero`` is the index of the absorbing element.
+    ``product[a, b]`` is the index of the product of elements ``a`` and
+    ``b``; ``zero`` is the index of the absorbing element.  ``product`` is
+    held as a read-only int64 array; a ragged table has no array form and
+    fails the table-shape law here.
     """
 
     elements: tuple[str, ...]
     zero: int
-    product: tuple[tuple[int, ...], ...]
+    product: np.ndarray
+
+    def __post_init__(self):
+        try:
+            P = read_only_table(self.product)
+        except ValueError:
+            ValidationResult(False, "table-shape", ()).raise_if_invalid()
+        object.__setattr__(self, "product", P)
+
+    def _key(self):
+        return self.elements, self.zero, self.product.shape, self.product.tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, SemigroupTable):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.product[a][b]
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "elements": list(self.elements),
                 "zero": self.zero,
-                "product": [list(row) for row in self.product],
+                "product": self.product.tolist(),
             }
         )
 
@@ -70,7 +94,7 @@ class SemigroupTable:
         return SemigroupTable(
             elements=distinct_labels(str(e) for e in data["elements"]),
             zero=int(data["zero"]),
-            product=tuple(tuple(int(x) for x in row) for row in data["product"]),
+            product=[[int(x) for x in row] for row in data["product"]],
         )
 
 
@@ -87,14 +111,19 @@ def distinct_labels(labels) -> tuple[str, ...]:
 
 def meet_table(members: Sequence, labels: Sequence[str]) -> SemigroupTable:
     """An intersection-closed family (frozensets or int bitmasks, in order)
-    under ``&``: ``product[i][j]`` is the position of ``members[i] &
+    under ``&``: ``product[i, j]`` is the position of ``members[i] &
     members[j]`` and the zero is the meet of all members."""
-    pos = {m: i for i, m in enumerate(members)}
-    return SemigroupTable(
-        elements=tuple(labels),
-        zero=pos[functools.reduce(operator.and_, members)],
-        product=tuple(tuple(pos[a & b] for b in members) for a in members),
-    )
+    masks = [m if isinstance(m, int) else sum(1 << p for p in m) for m in members]
+    # masks over more than 62 points stay Python ints, in an object array
+    M = np.array(masks, dtype=np.int64 if max(masks).bit_length() < 63 else object)
+    # the sorted masks are the lookup array: a meet is found by bisection
+    order = np.argsort(M)
+    meets = M[:, None] & M
+    at = order[np.searchsorted(M[order], meets)]
+    if (M[at] != meets).any():
+        raise ValueError("family is not closed under intersection")
+    # the meet of all members is a subset of each, so the least mask
+    return SemigroupTable(tuple(labels), int(order[0]), at)
 
 
 @dataclass(frozen=True)
@@ -110,42 +139,30 @@ class ValidationResult:
             raise InvalidSemigroup(f"{self.law} law fails at {self.witness}")
 
 
-def _table_array(product) -> np.ndarray:
-    return np.asarray(product, dtype=np.int64)
+def first_witness(mask: np.ndarray) -> Optional[tuple[int, ...]]:
+    """The index of the first True entry of ``mask`` in row-major order, or None."""
+    if not mask.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(mask.argmax(), mask.shape))
 
 
-def _bounds_witness(P: np.ndarray, n: int) -> Optional[tuple[int, int]]:
-    bad = np.argwhere((P < 0) | (P >= n))
-    if len(bad):
-        a, b = bad[0]
-        return int(a), int(b)
-    return None
+def table_law_failure(P: np.ndarray, n: int) -> Optional[tuple[str, tuple[int, ...]]]:
+    """The first law an operation table on n elements breaks, with its witness.
 
-
-def _noncommutative_witness(P: np.ndarray) -> Optional[tuple[int, int]]:
-    bad = np.argwhere(P != P.T)
-    if len(bad):
-        a, b = bad[0]
-        return int(a), int(b)
-    return None
-
-
-def _nonassociative_witness(P: np.ndarray) -> Optional[tuple[int, int, int]]:
-    # Chunked over the first argument so memory stays O(n^2).
-    n = P.shape[0]
+    The laws, in the order checked: "table-shape" (witness ``()``),
+    "index-bounds" ``(a, b)``, "commutative" ``(a, b)`` and "associative"
+    ``(a, b, c)``.  None if ``P`` is a commutative semigroup operation.
+    """
+    if P.shape != (n, n):
+        return "table-shape", ()
+    if (w := first_witness((P < 0) | (P >= n))) is not None:
+        return "index-bounds", w
+    if (w := first_witness(P != P.T)) is not None:
+        return "commutative", w
+    # chunked over the first argument so memory stays O(n^2)
     for a in range(n):
-        left = P[P[a]]          # left[b][c] = (a*b)*c
-        right = P[a][P]         # right[b][c] = a*(b*c)
-        if not np.array_equal(left, right):
-            b, c = np.argwhere(left != right)[0]
-            return a, int(b), int(c)
-    return None
-
-
-def _nonabsorbing_witness(P: np.ndarray, zero: int) -> Optional[int]:
-    bad = np.argwhere(P[zero] != zero)
-    if len(bad):
-        return int(bad[0][0])
+        if (w := first_witness(P[P[a]] != P[a][P])) is not None:  # (ab)c != a(bc)
+            return "associative", (a,) + w
     return None
 
 
@@ -165,39 +182,33 @@ def validate_semigroup(
         raise SizeGuardExceeded(f"table size {n} exceeds guard {max_size}")
     if not (0 <= table.zero < n):
         return ValidationResult(False, "zero-index", (table.zero,))
-    if len(table.product) != n or any(len(row) != n for row in table.product):
-        return ValidationResult(False, "table-shape", ())
-    P = _table_array(table.product)
-    w = _bounds_witness(P, n)
+    failure = table_law_failure(table.product, n)
+    if failure is not None:
+        return ValidationResult(False, *failure)
+    w = first_witness(table.product[table.zero] != table.zero)
     if w is not None:
-        return ValidationResult(False, "index-bounds", w)
-    w = _noncommutative_witness(P)
-    if w is not None:
-        return ValidationResult(False, "commutative", w)
-    w = _nonassociative_witness(P)
-    if w is not None:
-        return ValidationResult(False, "associative", w)
-    w = _nonabsorbing_witness(P, table.zero)
-    if w is not None:
-        return ValidationResult(False, "absorbing", (w,))
+        return ValidationResult(False, "absorbing", w)
     return ValidationResult(True)
 
 
+def nilpotent_mask(P: np.ndarray, zero: int) -> np.ndarray:
+    """``mask[s]``: some power of s is ``zero`` (true at ``zero`` itself).
+
+    A power of s that is zero is reached within n steps, so s^(2^k) with
+    2^k > n is zero exactly when s is nilpotent; it takes k squarings.
+    """
+    power = np.arange(len(P))
+    for _ in range(len(P).bit_length()):
+        power = P[power, power]
+    return power == zero
+
+
 def nilpotent_witness(table: SemigroupTable) -> Optional[int]:
-    """A nonzero element with some power equal to zero, or None."""
-    zero = table.zero
-    product = table.product
-    for s in range(table.size):
-        if s == zero:
-            continue
-        seen = set()
-        x = s
-        while x not in seen:
-            seen.add(x)
-            x = product[x][s]
-            if x == zero:
-                return s
-    return None
+    """The least nonzero element with some power equal to zero, or None."""
+    nilpotent = nilpotent_mask(table.product, table.zero)
+    nilpotent[table.zero] = False
+    w = first_witness(nilpotent)
+    return None if w is None else w[0]
 
 
 def is_nilpotent_free(table: SemigroupTable) -> bool:
@@ -208,22 +219,15 @@ def annihilator(table: SemigroupTable, s: int) -> frozenset[int]:
     """The set of t with s*t = 0; always contains the zero element."""
     if not (0 <= s < table.size):
         raise IndexError(f"element index {s} out of range")
-    row = table.product[s]
-    zero = table.zero
-    return frozenset(t for t in range(table.size) if row[t] == zero)
+    return frozenset(np.flatnonzero(table.product[s] == table.zero).tolist())
 
 
 def zero_divisors(table: SemigroupTable) -> frozenset[int]:
     """Nonzero s such that s*t = 0 for some nonzero t (t = s allowed)."""
-    zero = table.zero
-    out = []
-    for s in range(table.size):
-        if s == zero:
-            continue
-        row = table.product[s]
-        if any(row[t] == zero for t in range(table.size) if t != zero):
-            out.append(s)
-    return frozenset(out)
+    kill = table.product == table.zero
+    kill[:, table.zero] = False
+    kill[table.zero] = False
+    return frozenset(np.flatnonzero(kill.any(axis=1)).tolist())
 
 
 @dataclass(frozen=True)
@@ -291,38 +295,34 @@ class ArmendarizReport:
         )
 
 
+def _upper(n: int) -> np.ndarray:
+    """``mask[a, b]``: a <= b, the pairs the map checks visit."""
+    r = np.arange(n)
+    return r[:, None] <= r
+
+
 def check_armendariz(g: SemigroupMap) -> ArmendarizReport:
-    """Evaluate the three Armendariz conditions by exhaustive enumeration."""
+    """Evaluate the three Armendariz conditions by exhaustive enumeration.
+
+    Each witness is the first failure: the least target element missed, the
+    least source element, and the first pair ``(a, b)`` with ``a <= b`` in
+    row-major order.
+    """
     S, T = g.source, g.target
-    assign = g.assignment
-    hit = set(assign)
-    surj_witness = next((t for t in range(T.size) if t not in hit), None)
-
-    zero_witness = None
-    for s in range(S.size):
-        if (s == S.zero) != (assign[s] == T.zero):
-            zero_witness = s
-            break
-
-    prod_witness = None
-    ps, pt, zs, zt = S.product, T.product, S.zero, T.zero
-    for a in range(S.size):
-        row_s = ps[a]
-        ga = assign[a]
-        row_t = pt[ga]
-        for b in range(a, S.size):
-            if (row_s[b] == zs) != (row_t[assign[b]] == zt):
-                prod_witness = (a, b)
-                break
-        if prod_witness:
-            break
-
+    assign = np.asarray(g.assignment, dtype=np.int64)
+    hit = np.zeros(T.size, dtype=bool)
+    hit[assign] = True
+    surj_witness = first_witness(~hit)
+    zero_witness = first_witness((np.arange(S.size) == S.zero) != (assign == T.zero))
+    kill_t = T.product == T.zero
+    bad = (S.product == S.zero) != kill_t[assign[:, None], assign]
+    prod_witness = first_witness(bad & _upper(S.size))
     return ArmendarizReport(
         surjective=surj_witness is None,
         zero_preserving_reflecting=zero_witness is None,
         product_zero_equiv=prod_witness is None,
-        surjective_witness=surj_witness,
-        zero_witness=zero_witness,
+        surjective_witness=None if surj_witness is None else surj_witness[0],
+        zero_witness=None if zero_witness is None else zero_witness[0],
         product_witness=prod_witness,
     )
 
@@ -334,14 +334,12 @@ class HomomorphismReport:
 
 
 def check_homomorphism(g: SemigroupMap) -> HomomorphismReport:
-    """True iff g(s*t) = g(s)*g(t) for all s, t."""
+    """True iff g(s*t) = g(s)*g(t) for all s, t; the witness is the first
+    failing pair ``(a, b)`` with ``a <= b`` in row-major order."""
     S, T = g.source, g.target
-    assign = g.assignment
-    for a in range(S.size):
-        for b in range(a, S.size):
-            if assign[S.product[a][b]] != T.product[assign[a]][assign[b]]:
-                return HomomorphismReport(False, (a, b))
-    return HomomorphismReport(True)
+    assign = np.asarray(g.assignment, dtype=np.int64)
+    w = first_witness((assign[S.product] != T.product[assign[:, None], assign]) & _upper(S.size))
+    return HomomorphismReport(w is None, w)
 
 
 @dataclass(frozen=True)
@@ -375,37 +373,33 @@ def eq_quotient(table: SemigroupTable, permissive: bool = False) -> EqQuotient:
                 "to build the quotient anyway"
             )
 
-    n = table.size
-    ann_of = [annihilator(table, s) for s in range(n)]
-    groups: dict[frozenset[int], list[int]] = {}
-    for s in range(n):
-        groups.setdefault(ann_of[s], []).append(s)
-    classes = tuple(sorted((tuple(sorted(g)) for g in groups.values()), key=lambda c: c[0]))
-    class_of = [0] * n
-    for k, cls in enumerate(classes):
-        for s in cls:
-            class_of[s] = k
+    # a class is a distinct kill row (an annihilator); classes are ordered
+    # by their least element, and each lists its elements ascending
+    _, first, inverse = np.unique(
+        table.product == table.zero, axis=0, return_index=True, return_inverse=True
+    )
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    class_of = rank[inverse.reshape(-1)]
+    members = np.split(np.argsort(class_of, kind="stable"), np.cumsum(np.bincount(class_of))[:-1])
+    classes = tuple(tuple(c.tolist()) for c in members)
 
     # Well-definedness of [s][t] = [st]: the class of a product may not
     # depend on the chosen representatives.
-    m = len(classes)
-    qprod = [[0] * m for _ in range(m)]
-    for i, ci in enumerate(classes):
-        for j, cj in enumerate(classes):
-            results = {class_of[table.product[a][b]] for a in ci for b in cj}
-            if len(results) != 1:
-                raise InvalidSemigroup(
-                    f"quotient product ill-defined on classes {ci} x {cj}"
-                )
-            qprod[i][j] = results.pop()
+    reps = np.sort(first)
+    qprod = class_of[table.product[np.ix_(reps, reps)]]
+    a, b = np.nonzero(class_of[table.product] != qprod[np.ix_(class_of, class_of)])
+    ill = np.zeros((len(reps), len(reps)), dtype=bool)
+    ill[class_of[a], class_of[b]] = True
+    w = first_witness(ill)
+    if w is not None:
+        raise InvalidSemigroup(
+            f"quotient product ill-defined on classes {classes[w[0]]} x {classes[w[1]]}"
+        )
 
     labels = tuple(f"[{table.elements[cls[0]]}]" for cls in classes)
-    quotient = SemigroupTable(
-        elements=labels,
-        zero=class_of[table.zero],
-        product=tuple(tuple(row) for row in qprod),
-    )
-    projection = SemigroupMap(table, quotient, tuple(class_of))
+    quotient = SemigroupTable(elements=labels, zero=int(class_of[table.zero]), product=qprod)
+    projection = SemigroupMap(table, quotient, tuple(class_of.tolist()))
     return EqQuotient(table, classes, quotient, projection)
 
 

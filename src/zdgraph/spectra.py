@@ -642,8 +642,10 @@ def _finite_specs_suite(P: FinitePoset) -> SpecsSuiteReport:
     tH = uspec_sigma(P)
     G = zero_divisor_graph(tG)
     H = zero_divisor_graph(tH)
-    bg = invariant_bundle(G, max_chromatic_vertices=max(64, G.n))
-    bh = invariant_bundle(H, max_chromatic_vertices=max(64, H.n))
+    # invariant_bundle runs the clique guard first, which bounds G.n, and
+    # seeds the colouring with that clique
+    bg = invariant_bundle(G, max_chromatic_vertices=G.n)
+    bh = invariant_bundle(H, max_chromatic_vertices=H.n)
     maxes = max_points(P)
     nmax = len(maxes)
     nonmax = [p for p in range(P.n) if p not in maxes]

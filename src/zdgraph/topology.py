@@ -523,10 +523,7 @@ def char_check_irr_conn(L: SubsetLattice) -> CharEquivalenceReport:
     )
 
 
-def t1_invariants(
-    L: Union[SubsetLattice, CofiniteT1Lattice],
-    max_chromatic_vertices: int = 64,
-) -> InvariantBundle:
+def t1_invariants(L: Union[SubsetLattice, CofiniteT1Lattice]) -> InvariantBundle:
     """Invariants of the zero-divisor graph of a T1 lattice.
 
     Finite mode computes exactly and asserts the full case split: a finite
@@ -547,9 +544,9 @@ def t1_invariants(
             f"finite T1 lattice on {k} points has {len(L.members)} != 2^{k} members"
         )
     G = zero_divisor_graph(lattice_semigroup(L))
-    bundle = invariant_bundle(
-        G, max_chromatic_vertices=max(max_chromatic_vertices, G.n)
-    )
+    # invariant_bundle runs the clique guard first, which bounds G.n, and
+    # seeds the colouring with that clique
+    bundle = invariant_bundle(G, max_chromatic_vertices=G.n)
     if k <= 1:
         expected = InvariantBundle(0, float("inf"), 0, 0)
     elif k == 2:

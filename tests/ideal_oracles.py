@@ -31,7 +31,7 @@ def cached_ring(spec):
 
 
 def principal_ideal(R, a):
-    return frozenset(np.unique(R._mul_np[:, a]).tolist())
+    return frozenset(np.unique(R.mul[:, a]).tolist())
 
 
 def ideal_sum(R, I, J):
@@ -41,13 +41,13 @@ def ideal_sum(R, I, J):
         return J
     ai = np.fromiter(I, dtype=np.int64)
     aj = np.fromiter(J, dtype=np.int64)
-    return frozenset(np.unique(R._add_np[np.ix_(ai, aj)]).tolist())
+    return frozenset(np.unique(R.add[np.ix_(ai, aj)]).tolist())
 
 
 def _additive_closure(R, gens):
     cur = np.unique(np.append(gens, R.zero))
     while True:
-        nxt = np.unique(R._add_np[np.ix_(cur, cur)])
+        nxt = np.unique(R.add[np.ix_(cur, cur)])
         if len(nxt) == len(cur):
             return frozenset(nxt.tolist())
         cur = nxt
@@ -57,7 +57,7 @@ def ideal_product(R, I, J):
     """The additive closure of the pairwise products of members."""
     ai = np.fromiter(I, dtype=np.int64)
     aj = np.fromiter(J, dtype=np.int64)
-    return _additive_closure(R, np.unique(R._mul_np[np.ix_(ai, aj)]))
+    return _additive_closure(R, np.unique(R.mul[np.ix_(ai, aj)]))
 
 
 def content(f):
@@ -125,8 +125,9 @@ def product_tables(factors):
     labels = tuple("(" + ",".join(r.labels[c] for r, c in zip(factors, e)) + ")" for e in elems)
 
     def table(name):
+        tables = [getattr(r, name).tolist() for r in factors]
         return tuple(
-            tuple(pos[tuple(getattr(r, name)[x][y] for r, x, y in zip(factors, e, f))]
+            tuple(pos[tuple(t[x][y] for t, x, y in zip(tables, e, f))]
                   for f in elems)
             for e in elems
         )

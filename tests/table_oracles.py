@@ -1,0 +1,206 @@
+"""Reference table routines: the cell-by-cell loops the array code replaced.
+
+Each routine reads its tables as lists of rows (``.tolist()``) and shares no
+code with the program, so tests can compare verdicts, first witnesses and
+messages of ``zdgraph.semigroups``, ``zdgraph.graphs``, ``zdgraph.corpus``,
+``zdgraph.polynomials`` and ``zdgraph.rings._validate_ring`` against them.
+"""
+
+import numpy as np
+
+from zdgraph.semigroups import InvalidSemigroup
+
+
+def rows(S):
+    return S.product.tolist()
+
+
+def validate_semigroup(elements, zero, product):
+    """(law, witness) of the first failed law, or (None, None); ``product``
+    is a list of rows, which may be ragged."""
+    n = len(elements)
+    if n == 0:
+        return "nonempty", ()
+    if not 0 <= zero < n:
+        return "zero-index", (zero,)
+    if len(product) != n or any(len(row) != n for row in product):
+        return "table-shape", ()
+    for a in range(n):
+        for b in range(n):
+            if not 0 <= product[a][b] < n:
+                return "index-bounds", (a, b)
+    for a in range(n):
+        for b in range(n):
+            if product[a][b] != product[b][a]:
+                return "commutative", (a, b)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if product[product[a][b]][c] != product[a][product[b][c]]:
+                    return "associative", (a, b, c)
+    for a in range(n):
+        if product[zero][a] != zero:
+            return "absorbing", (a,)
+    return None, None
+
+
+def nilpotent_witness(S):
+    product, zero = rows(S), S.zero
+    for s in range(S.size):
+        if s == zero:
+            continue
+        seen = set()
+        x = s
+        while x not in seen:
+            seen.add(x)
+            x = product[x][s]
+            if x == zero:
+                return s
+    return None
+
+
+def annihilator(S, s):
+    row = rows(S)[s]
+    return frozenset(t for t in range(S.size) if row[t] == S.zero)
+
+
+def zero_divisors(S):
+    product, zero = rows(S), S.zero
+    return frozenset(
+        s for s in range(S.size)
+        if s != zero and any(product[s][t] == zero for t in range(S.size) if t != zero)
+    )
+
+
+def check_armendariz(g):
+    """(surjective witness, zero witness, product witness), each None on success."""
+    S, T, assign = g.source, g.target, g.assignment
+    ps, pt = rows(S), rows(T)
+    hit = set(assign)
+    surj = next((t for t in range(T.size) if t not in hit), None)
+    zero = next((s for s in range(S.size) if (s == S.zero) != (assign[s] == T.zero)), None)
+    prod = next(((a, b) for a in range(S.size) for b in range(a, S.size)
+                 if (ps[a][b] == S.zero) != (pt[assign[a]][assign[b]] == T.zero)), None)
+    return surj, zero, prod
+
+
+def check_homomorphism(g):
+    """The first failing pair (a, b) with a <= b, or None."""
+    S, T, assign = g.source, g.target, g.assignment
+    ps, pt = rows(S), rows(T)
+    return next(((a, b) for a in range(S.size) for b in range(a, S.size)
+                 if assign[ps[a][b]] != pt[assign[a]][assign[b]]), None)
+
+
+def eq_quotient(S):
+    """(classes, labels, zero, product rows, assignment), or the message of
+    the InvalidSemigroup raised for an ill-defined class product."""
+    product, n = rows(S), S.size
+    ann_of = [annihilator(S, s) for s in range(n)]
+    groups = {}
+    for s in range(n):
+        groups.setdefault(ann_of[s], []).append(s)
+    classes = tuple(sorted((tuple(sorted(g)) for g in groups.values()), key=lambda c: c[0]))
+    class_of = [0] * n
+    for k, cls in enumerate(classes):
+        for s in cls:
+            class_of[s] = k
+    m = len(classes)
+    qprod = [[0] * m for _ in range(m)]
+    for i, ci in enumerate(classes):
+        for j, cj in enumerate(classes):
+            results = {class_of[product[a][b]] for a in ci for b in cj}
+            if len(results) != 1:
+                return f"quotient product ill-defined on classes {ci} x {cj}"
+            qprod[i][j] = results.pop()
+    labels = tuple(f"[{S.elements[cls[0]]}]" for cls in classes)
+    return classes, labels, class_of[S.zero], qprod, tuple(class_of)
+
+
+def zero_product_graph(S, verts):
+    """(vertex labels, edges) of the graph on ``verts`` with s*t = 0 edges."""
+    product, zero = rows(S), S.zero
+    edges = set()
+    for a, s in enumerate(verts):
+        for b in range(a + 1, len(verts)):
+            if product[s][verts[b]] == zero:
+                edges.add((a, b))
+    return tuple(S.elements[v] for v in verts), frozenset(edges)
+
+
+def permuted_copy(S, rng):
+    """(labels, zero, product rows, assignment) of the relabelled copy."""
+    n = S.size
+    perm = list(range(n))
+    rng.shuffle(perm)
+    product = rows(S)
+    prod = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            prod[perm[a]][perm[b]] = perm[product[a][b]]
+    labels = [""] * n
+    for a in range(n):
+        labels[perm[a]] = S.elements[a]
+    return tuple(labels), perm[S.zero], prod, tuple(perm)
+
+
+def poly_mul_coeffs(R, f, g):
+    """The coefficient list of f*g, trailing zeros stripped."""
+    if not f or not g:
+        return ()
+    add, mul = R.add.tolist(), R.mul.tolist()
+    out = [R.zero] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a == R.zero:
+            continue
+        for j, b in enumerate(g):
+            out[i + j] = add[out[i + j]][mul[a][b]]
+    while out and out[-1] == R.zero:
+        out.pop()
+    return tuple(out)
+
+
+def _first_bad(mask):
+    return tuple(int(x) for x in np.argwhere(mask)[0])
+
+
+def validate_ring(n, add, mul, zero, one):
+    """The message the ring validator raised for these tables, or None."""
+    A, M = np.asarray(add, dtype=np.int64), np.asarray(mul, dtype=np.int64)
+    for name, T in (("add", A), ("mul", M)):
+        if T.shape != (n, n):
+            return f"{name} table has wrong shape"
+        if ((T < 0) | (T >= n)).any():
+            return f"{name} table entry out of range"
+        if (T != T.T).any():
+            return f"{name} not commutative at {_first_bad(T != T.T)}"
+        for a in range(n):
+            left = T[T[a]]
+            right = T[a][T]
+            if not np.array_equal(left, right):
+                b, c = _first_bad(left != right)
+                return f"{name} not associative at ({a}, {b}, {c})"
+    ident = np.arange(n)
+    if not np.array_equal(A[zero], ident):
+        return f"zero is not an additive identity at {_first_bad(A[zero] != ident)}"
+    has_inverse = (A == zero).any(axis=1)
+    if not has_inverse.all():
+        return f"element {int(np.argwhere(~has_inverse)[0][0])} has no additive inverse"
+    if not np.array_equal(M[one], ident):
+        return f"one is not a multiplicative identity at {_first_bad(M[one] != ident)}"
+    for a in range(n):
+        row = M[a]
+        left = row[A]
+        right = A[row[:, None], row[None, :]]
+        if not np.array_equal(left, right):
+            b, c = _first_bad(left != right)
+            return f"distributivity fails at ({a}, {b}, {c})"
+    return None
+
+
+def raises_invalid(fn, *args):
+    """The message of the InvalidSemigroup ``fn`` raises, or its result."""
+    try:
+        return fn(*args)
+    except InvalidSemigroup as exc:
+        return str(exc)

@@ -12,6 +12,7 @@ import itertools
 import pathlib
 import time
 
+import numpy as np
 import pytest
 
 import ideal_oracles as oracle
@@ -29,6 +30,7 @@ from zdgraph.rings import (
     ideal_product,
     ideal_semigroup,
     ideal_sum,
+    is_reduced,
     make_zn,
     principal_ideal,
     ring_from_spec,
@@ -107,8 +109,11 @@ def _factors(spec):
 @pytest.mark.parametrize("spec", [s for s in SPECS if s.startswith("prod:")])
 def test_make_product_matches_cell_builder(spec):
     R = ring(spec)
-    assert (R.labels, R.add, R.mul, R.zero, R.one) == oracle.product_tables(_factors(spec))
-    assert all(type(x) is int for x in R.add[-1] + R.mul[-1] + (R.zero, R.one))
+    labels, add, mul, zero, one = oracle.product_tables(_factors(spec))
+    assert (R.labels, R.zero, R.one) == (labels, zero, one)
+    assert np.array_equal(R.add, add) and np.array_equal(R.mul, mul)
+    assert R.add.dtype == R.mul.dtype == np.int64
+    assert all(type(x) is int for x in (R.zero, R.one))
 
 
 def test_sums_and_products_of_any_ideals():
@@ -242,10 +247,27 @@ def test_lower_bound_never_exceeds_ideal_count():
                                              "prod:Zn:4,mvq:p=2;vars=x,y;rel=x2,xy,y2",
                                              "polyquot:p=3;mod=0,0,1", "gf:16")])
     for R in corpus:
-        assert rings._ideal_count_lower_bound(R) <= len(enumerate_ideals(R)), R.tag
+        bound, count = rings._ideal_count_lower_bound(R), len(enumerate_ideals(R))
+        assert 0 < bound <= count, R.tag
+        if is_reduced(R):  # a product of k fields: 2^k ideals, 2 per factor
+            assert bound == count, R.tag
     assert rings._ideal_count_lower_bound(ring_from_spec("gf:16")) == 2
     assert rings._ideal_count_lower_bound(make_zn(8)) == 2  # socle (4) is one line
-    assert rings._ideal_count_lower_bound(make_zn(6)) == 0  # not local
+    assert rings._ideal_count_lower_bound(make_zn(6)) == 4  # F_2 x F_3
+    assert rings._ideal_count_lower_bound(make_zn(1)) == 1  # the zero ring has no factor
+    assert rings._ideal_count_lower_bound(make_zn(72)) == 2 * 2  # Z_8 x Z_9: one line each
+
+
+def test_non_local_guard_trips_before_any_join_row(monkeypatch):
+    R = ring_from_spec("prod:Zn:2," + SQ5)  # 2 * 375 ideals, bound 2 * G_5(2) = 748
+    assert rings._ideal_count_lower_bound(R) == 748
+    fills = []
+    fill = IdealIndex._fill
+    monkeypatch.setattr(IdealIndex, "_fill", lambda self, k: fills.append(k) or fill(self, k))
+    with pytest.raises(SizeGuardExceeded, match="more than 700 ideals"):
+        enumerate_ideals(R, max_ideals=700)
+    assert fills == []
+    assert len(enumerate_ideals(R, max_ideals=750)) == 750
 
 
 @pytest.mark.parametrize("check", [check_gaussian, check_content_containment])

@@ -1,0 +1,91 @@
+"""Operation tables are read as arrays: no cell-by-cell loops over them.
+
+A cell read like ``S.product[a][b]`` is a scalar read of an ndarray, slower
+than the tuple reads it replaced, and a tuple-of-tuples copy of a table is
+the second table form that was deleted.  This parses ``src/zdgraph`` and
+fails on either.
+"""
+
+import ast
+from pathlib import Path
+
+import zdgraph
+
+SRC = Path(zdgraph.__file__).parent
+
+TABLES = {"product", "add", "mul", "table"}  # names and attributes that hold a table
+BUILDERS = {"SemigroupTable", "FiniteRing"}
+
+
+def _name(node):
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def _is_tuple_call(node):
+    return isinstance(node, ast.Call) and _name(node.func) == "tuple" and len(node.args) == 1
+
+
+def _nested_tuple(node):
+    """``tuple(tuple(...) for ...)``, ``tuple([tuple(...) ...])`` or ``tuple(map(tuple, ...))``."""
+    if not _is_tuple_call(node):
+        return False
+    arg = node.args[0]
+    if isinstance(arg, (ast.GeneratorExp, ast.ListComp)):
+        return _is_tuple_call(arg.elt)
+    return (isinstance(arg, ast.Call) and _name(arg.func) == "map" and len(arg.args) == 2
+            and _name(arg.args[0]) == "tuple")
+
+
+def _mentions_table(node):
+    return any(isinstance(n, ast.Attribute) and n.attr in TABLES for n in ast.walk(node))
+
+
+def scalar_table_reads(tree):
+    """Line numbers of ``X.table[i][j]`` reads and of tuple copies of tables."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Subscript)
+                and _name(node.value.value) in TABLES):
+            found.append(node.lineno)
+        # a nested tuple that reads a table, or that becomes one
+        if _nested_tuple(node) and _mentions_table(node):
+            found.append(node.lineno)
+        if isinstance(node, ast.Call) and _name(node.func) in BUILDERS:
+            args = node.args + [k.value for k in node.keywords]
+            found += [a.lineno for a in args if _nested_tuple(a)]
+        if isinstance(node, ast.keyword) and node.arg in TABLES and _nested_tuple(node.value):
+            found.append(node.value.lineno)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if _nested_tuple(node.value) and any(_name(t) in TABLES for t in targets):
+                found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_no_scalar_table_reads_in_library():
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line in scalar_table_reads(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, f"cell-by-cell table reads or tuple table copies: {found}"
+
+
+def test_the_lint_sees_each_pattern():
+    snippets = [
+        "x = S.product[a][b]",
+        "x = add[out[i]][row[b]]",
+        "T = SemigroupTable(e, 0, tuple(tuple(r) for r in rows))",
+        "T = SemigroupTable(elements=e, zero=0, product=tuple(tuple(r) for r in rows))",
+        "t = tuple(map(tuple, pos[index.table(ks, op)].tolist()))",
+        "self.add = tuple(tuple(r.tolist()) for r in A)",
+    ]
+    for snippet in snippets:
+        assert scalar_table_reads(ast.parse(snippet)) == [1], snippet
+    allowed = ["x = S.product[a, b]", "leq = tuple(tuple(r) for r in rel)", "x = rows[a][b]"]
+    for snippet in allowed:
+        assert scalar_table_reads(ast.parse(snippet)) == [], snippet

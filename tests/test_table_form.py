@@ -1,0 +1,359 @@
+"""One table form: read-only int64 arrays, and array code equal to the loops.
+
+``table_oracles`` keeps the cell-by-cell routines the array code replaced.
+Verdicts, first witnesses and messages must be equal on the corpus
+semigroups, on hypothesis tables, on seeded random maps and on seeded
+single-cell corruptions of ring and semigroup tables.
+"""
+
+import json
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import table_oracles as oracle
+from zdgraph.cli import main
+from zdgraph.corpus import armendariz_map_corpus, permuted_copy, random_poset, random_space
+from zdgraph.graphs import beck_graph, zero_divisor_graph
+from zdgraph.polynomials import make_poly, poly_mul, polys_up_to_degree
+from zdgraph.rings import (
+    FiniteRing,
+    RingConstructionError,
+    ideal_semigroup,
+    make_zn,
+    multiplicative_semigroup,
+    ring_from_spec,
+)
+from zdgraph.semigroups import (
+    InvalidSemigroup,
+    SemigroupMap,
+    SemigroupTable,
+    annihilator,
+    check_armendariz,
+    check_homomorphism,
+    eq_quotient,
+    meet_table,
+    nilpotent_witness,
+    validate_semigroup,
+    zero_divisors,
+)
+from zdgraph.spectra import sigma_spec
+from zdgraph.topology import closure_lattice, powerset_lattice, lattice_semigroup
+
+RING_SPECS = ["Zn:1", "Zn:2", "Zn:4", "Zn:6", "Zn:8", "Zn:9", "Zn:12", "Zn:16", "Zn:30",
+              "gf:4", "gf:8", "gf:9", "prod:Zn:2,Zn:2", "prod:Zn:2,Zn:4,Zn:3",
+              "prod:gf:4,Zn:3", "mvq:p=2;vars=x,y;rel=x2,xy,y2", "polyquot:p=3;mod=0,0,1"]
+
+
+def _corpus():
+    rng = random.Random(11)
+    out = [multiplicative_semigroup(ring_from_spec(s)) for s in RING_SPECS]
+    out += [closure_lattice(random_space(rng, rng.randint(1, 5))) for _ in range(20)]
+    out += [sigma_spec(random_poset(rng, rng.randint(1, 5))) for _ in range(20)]
+    for spec in ("Zn:12", "prod:Zn:2,Zn:4", "mvq:p=2;vars=x,y;rel=x2,y2"):
+        out += [ideal_semigroup(ring_from_spec(spec), op).table for op in ("add", "mult")]
+    out.append(lattice_semigroup(powerset_lattice(3)))
+    return out
+
+
+CORPUS = _corpus()
+
+
+def _from_rows(rows, zero, labels=None):
+    return SemigroupTable(tuple(labels or map(str, range(len(rows)))), zero, rows)
+
+
+def _same_semigroup_answers(S):
+    for s in range(S.size):
+        assert annihilator(S, s) == oracle.annihilator(S, s)
+    assert zero_divisors(S) == oracle.zero_divisors(S)
+    for G, verts in ((zero_divisor_graph(S), sorted(oracle.zero_divisors(S))),
+                     (beck_graph(S), list(range(S.size)))):
+        assert (G.vertices, G.edges) == oracle.zero_product_graph(S, verts)
+    q = oracle.raises_invalid(eq_quotient, S, True)
+    want = oracle.eq_quotient(S)
+    if isinstance(want, str):
+        assert q == want
+    else:
+        got = (q.classes, q.quotient.elements, q.quotient.zero, q.quotient.product.tolist(),
+               q.projection.assignment)
+        assert got == want
+        assert all(type(x) is int for c in q.classes for x in c + q.projection.assignment)
+
+
+def test_corpus_semigroups_match_oracles():
+    for S in CORPUS:
+        assert validate_semigroup(S).ok
+        assert nilpotent_witness(S) == oracle.nilpotent_witness(S)
+        _same_semigroup_answers(S)
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis tables: products of Z_n, truncated x-powers and meet semilattices
+
+
+def _zn_rows(n):
+    return [[a * b % n for b in range(n)] for a in range(n)], 0
+
+
+def _powers_rows(k):
+    # element 0 is zero, element e >= 1 is x^(e-1), and x^k = 0
+    return [[e + f - 1 if e and f and e + f - 1 <= k else 0 for f in range(k + 1)]
+            for e in range(k + 1)], 0
+
+
+def _meet_rows(masks):
+    family = set(masks)
+    while (more := family | {a & b for a in family for b in family}) != family:
+        family = more
+    family = sorted(family)  # the bottom, a subset of every member, comes first
+    pos = {m: i for i, m in enumerate(family)}
+    return [[pos[a & b] for b in family] for a in family], 0
+
+
+def _product_rows(factors):
+    rows, zero = [[0]], 0
+    for f_rows, f_zero in factors:
+        m = len(f_rows)
+        rows = [[rows[a // m][b // m] * m + f_rows[a % m][b % m]
+                 for b in range(len(rows) * m)] for a in range(len(rows) * m)]
+        zero = zero * m + f_zero
+    return rows, zero
+
+
+FACTORS = st.one_of(
+    st.integers(1, 9).map(_zn_rows),
+    st.integers(1, 5).map(_powers_rows),
+    st.lists(st.integers(0, 15), min_size=1, max_size=5).map(_meet_rows),
+)
+
+
+@st.composite
+def semigroups(draw):
+    rows, zero = _product_rows(draw(st.lists(FACTORS, min_size=1, max_size=2)))
+    labels, zero, rows, _ = oracle.permuted_copy(_from_rows(rows, zero),
+                                                 random.Random(draw(st.integers(0, 99))))
+    return _from_rows(rows, zero, labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(semigroups())
+def test_hypothesis_semigroups_match_oracles(S):
+    assert validate_semigroup(S).ok
+    assert nilpotent_witness(S) == oracle.nilpotent_witness(S)
+    _same_semigroup_answers(S)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, n - 1),
+                        st.lists(st.lists(st.integers(-1, n), min_size=n, max_size=n),
+                                 min_size=n, max_size=n))))
+def test_random_tables_validate_like_the_loops(args):
+    n, zero, rows = args
+    S = _from_rows(rows, zero)
+    res = validate_semigroup(S)
+    assert (res.law, res.witness) == oracle.validate_semigroup(S.elements, zero, rows)
+    if not any(x < 0 or x >= n for row in rows for x in row):
+        _same_semigroup_answers(S)  # also the ill-defined quotient message
+        # a map between tables that need not commute: only pairs a <= b count
+        _same_map_answers(SemigroupMap(S, S, tuple(rows[0])))
+
+
+# ---------------------------------------------------------------------------
+# Maps
+
+
+def _same_map_answers(g):
+    rep = check_armendariz(g)
+    assert (rep.surjective_witness, rep.zero_witness, rep.product_witness) == \
+        oracle.check_armendariz(g)
+    assert check_homomorphism(g).witness == oracle.check_homomorphism(g)
+
+
+def test_map_corpus_matches_oracles():
+    for _, g in armendariz_map_corpus(iso_count=20, space_count=60, poset_count=60):
+        _same_map_answers(g)
+
+
+def test_seeded_random_maps_match_oracles():
+    rng = random.Random(5)
+    small = [S for S in CORPUS if S.size <= 16]
+    for _ in range(300):
+        S, T = rng.choice(small), rng.choice(small)
+        assign = [rng.randrange(T.size) for _ in range(S.size)]
+        if rng.random() < 0.5:  # keep zero on zero, so the product check is reached
+            assign[S.zero] = T.zero
+        _same_map_answers(SemigroupMap(S, T, tuple(assign)))
+
+
+def test_permuted_copies_match_oracle():
+    for seed, S in enumerate(CORPUS):
+        g = permuted_copy(S, random.Random(seed))
+        want = oracle.permuted_copy(S, random.Random(seed))
+        assert (g.target.elements, g.target.zero, g.target.product.tolist(), g.assignment) == want
+        assert check_armendariz(g).is_armendariz and check_homomorphism(g).ok
+
+
+def test_poly_mul_matches_convolution():
+    for spec in ("Zn:6", "Zn:8", "gf:4", "prod:Zn:2,Zn:3"):
+        R = ring_from_spec(spec)
+        polys = list(polys_up_to_degree(R, 2))[:: 7]
+        for f in polys:
+            for g in polys:
+                assert poly_mul(f, g).coeffs == oracle.poly_mul_coeffs(R, f.coeffs, g.coeffs)
+    R = make_zn(4)
+    assert poly_mul(make_poly(R, (2, 1)), make_poly(R, (2,))).coeffs == (0, 2)
+
+
+# ---------------------------------------------------------------------------
+# Seeded single-cell corruptions
+
+
+def _corruptions(rows, seed, count):
+    rng = random.Random(seed)
+    n = len(rows)
+    for _ in range(count):
+        bad = [list(r) for r in rows]
+        a, b = rng.randrange(n), rng.randrange(n)
+        bad[a][b] = rng.choice([v for v in range(-1, n + 1) if v != rows[a][b]])
+        if rng.random() < 0.6:  # keep the table commutative, to reach the later laws
+            bad[b][a] = bad[a][b]
+        yield bad
+
+
+def test_semigroup_corruptions_match_oracle():
+    laws = set()
+    for k, S in enumerate(S for S in CORPUS if 1 < S.size <= 24):
+        for bad in _corruptions(S.product.tolist(), k, 12):
+            T = _from_rows(bad, S.zero, S.elements)
+            res = validate_semigroup(T)
+            assert (res.law, res.witness) == oracle.validate_semigroup(S.elements, S.zero, bad)
+            laws.add(res.law)
+            if res.law != "index-bounds":
+                _same_semigroup_answers(T)
+    assert {"index-bounds", "commutative", "associative", "absorbing"} <= laws
+
+
+def _ring_message(n, add, mul, zero, one):
+    try:
+        FiniteRing([str(i) for i in range(n)], add, mul, zero, one)
+    except RingConstructionError as exc:
+        return str(exc)
+    return None
+
+
+def test_ring_corruptions_match_oracle():
+    messages = set()
+    for k, spec in enumerate(RING_SPECS):
+        R = ring_from_spec(spec)
+        if R.size < 2:
+            continue
+        add, mul = R.add.tolist(), R.mul.tolist()
+        for j, bad in enumerate(_corruptions(add, k, 10)):
+            got = _ring_message(R.size, bad, mul, R.zero, R.one)
+            assert got == oracle.validate_ring(R.size, bad, mul, R.zero, R.one)
+            messages.add(got and got.split(" at ")[0])
+        for bad in _corruptions(mul, 100 + k, 10):
+            got = _ring_message(R.size, add, bad, R.zero, R.one)
+            assert got == oracle.validate_ring(R.size, add, bad, R.zero, R.one)
+            messages.add(got and got.split(" at ")[0])
+    assert {"add table entry out of range", "add not commutative", "add not associative",
+            "mul table entry out of range", "mul not commutative", "mul not associative",
+            "distributivity fails"} <= messages
+
+
+def test_ring_shape_and_identity_messages_match_oracle():
+    R = make_zn(6)
+    add, mul = R.add.tolist(), R.mul.tolist()
+    lattice = [[max(a, b) for b in range(6)] for a in range(6)]  # 0 is its identity
+    cases = [(add[:5], mul, 0, 1), (add, [r[:5] for r in mul], 0, 1),
+             (add, mul, 1, 1), (lattice, mul, 0, 1), (add, mul, 0, 5), (add, mul, 0, 0)]
+    for a, m, zero, one in cases:
+        got = _ring_message(6, a, m, zero, one)
+        assert got is not None and got == oracle.validate_ring(6, a, m, zero, one)
+
+
+# ---------------------------------------------------------------------------
+# The table type
+
+
+def test_tables_are_read_only_int64_arrays():
+    R = ring_from_spec("prod:Zn:2,Zn:3")
+    q = eq_quotient(multiplicative_semigroup(R))
+    tables = [R.add, R.mul, q.quotient.product, q.source.product,
+              ideal_semigroup(R, "mult").table.product, CORPUS[-1].product,
+              permuted_copy(q.source, random.Random(1)).target.product]
+    for T in tables:
+        assert isinstance(T, np.ndarray) and T.dtype == np.int64
+        with pytest.raises(ValueError):
+            T[0, 0] = 0
+
+
+def test_multiplicative_semigroup_shares_the_ring_table():
+    R = make_zn(12)
+    assert multiplicative_semigroup(R).product is R.mul
+    assert not hasattr(SemigroupTable, "mul")
+
+
+def test_equality_and_hashing():
+    rows = [[0, 0], [0, 1]]
+    a = SemigroupTable(("0", "1"), 0, rows)
+    b = SemigroupTable(("0", "1"), 0, np.array(rows))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != SemigroupTable(("0", "e"), 0, rows)
+    assert a != SemigroupTable(("0", "1"), 1, rows)
+    assert a != SemigroupTable(("0", "1"), 0, [[0, 0], [0, 0]])
+    assert a != rows
+
+
+def test_json_format_is_unchanged():
+    S = multiplicative_semigroup(make_zn(3))
+    text = S.to_json()
+    assert text == '{"elements": ["0", "1", "2"], "zero": 0, "product": [[0, 0, 0], [0, 1, 2], [0, 2, 1]]}'
+    assert SemigroupTable.from_json(text) == S
+    T = meet_table([0b01, 0b11, 0b00], ["a", "ab", "-"])
+    assert SemigroupTable.from_json(T.to_json()) == T
+    assert json.loads(T.to_json())["product"] == [[0, 0, 2], [0, 1, 2], [2, 2, 2]]
+
+
+def test_meet_table_over_wide_masks():
+    # masks past 63 bits: a chain of closed sets on 100 points
+    members = [frozenset(range(k)) for k in range(0, 101, 10)]
+    T = meet_table(members, [str(len(m)) for m in members])
+    assert T.product.tolist() == [[min(i, j) for j in range(11)] for i in range(11)]
+    assert T.zero == 0
+    with pytest.raises(ValueError, match="not closed under intersection"):
+        meet_table([0b11, 0b101, 0b111], ["a", "b", "c"])
+
+
+@pytest.mark.parametrize("product", [
+    [[0, 0], [0]],          # ragged
+    [[0, 0, 0], [0, 1, 0]],  # not square
+    [[0, 0]],               # too few rows
+])
+def test_bad_table_shape_in_a_file_is_an_input_error(product, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"elements": ["0", "1"], "zero": 0, "product": product}))
+    assert main(["analyze", "--semigroup", str(path), "--tasks", "validate"]) == 1
+    err = capsys.readouterr().err
+    assert "table-shape" in err and "Traceback" not in err
+    with pytest.raises(InvalidSemigroup, match="table-shape"):
+        validate_semigroup(SemigroupTable.from_json(path.read_text())).raise_if_invalid()
+
+
+def test_validate_task_validates_once(tmp_path, monkeypatch, capsys):
+    import zdgraph.cli as cli
+
+    calls = []
+    real = cli.validate_semigroup
+    monkeypatch.setattr(cli, "validate_semigroup", lambda *a, **k: calls.append(1) or real(*a, **k))
+    path = tmp_path / "z6.json"
+    path.write_text(multiplicative_semigroup(make_zn(6)).to_json())
+    assert main(["analyze", "--semigroup", str(path), "--tasks", "validate", "--json"]) == 0
+    assert len(calls) == 1
+    out = json.loads(capsys.readouterr().out)["results"]["validate"]
+    assert out == {"ok": True, "law": None, "witness": None, "nilpotent_free": True}
+
