@@ -214,14 +214,15 @@ def cmd_analyze(args) -> int:
         elif task == "eq-quotient":
             results["eq-quotient"] = _task_eq_quotient(kind, obj, guards)
         elif task == "validate":
-            if kind != "semigroup":
-                raise ValueError("validate task applies to semigroup files")
-            # _load_object has already validated the table
+            if kind not in ("semigroup", "ring"):
+                raise ValueError("validate task applies to semigroup files and rings")
+            # _load_object has already validated the table or the ring
+            table = obj if kind == "semigroup" else multiplicative_semigroup(obj)
             results["validate"] = {
                 "ok": True,
                 "law": None,
                 "witness": None,
-                "nilpotent_free": is_nilpotent_free(obj),
+                "nilpotent_free": is_nilpotent_free(table),
             }
         elif task == "ideals":
             if kind != "ring":

@@ -2,9 +2,14 @@
 
 Rings are explicit addition/multiplication tables over element indices,
 whatever constructor produced them (Z_n, direct products, univariate or
-multivariate quotients over F_p, raw tables).  All ring axioms are checked
-exhaustively at construction; the structured tag is kept for display and
-for the CLI spec-string round trip.
+multivariate quotients over F_p, raw tables).  Every ring axiom is checked
+exactly at construction, in O(n^2) per generator of (R, +): Light's test
+for associativity, and distributivity and multiplicative associativity on
+the generators, imply each law for all elements.  Only tables that fail are
+scanned exhaustively, so each error names the first witness in a fixed
+order.  Each constructor checks the ring guard before it builds a table.
+The structured tag is kept for display and for the CLI spec-string round
+trip.
 
 Every ideal of a finite ring is a finite sum of principal ideals.  Each
 ring has one ``IdealIndex``: it stores every ideal once, fills a row of
@@ -32,6 +37,7 @@ from .semigroups import (
     is_nilpotent_free,
     nilpotent_mask,
     read_only_table,
+    table_form_failure,
     table_law_failure,
     validate_semigroup,
 )
@@ -78,12 +84,87 @@ _LAW_MESSAGES = {
 }
 
 
-def _validate_ring(R: FiniteRing, max_size: int = DEFAULT_MAX_RING) -> None:
-    n = R.size
-    if n == 0:
+def _check_ring_order(n: int) -> None:
+    """Refuse a ring of order n above the ring guard, before any table is built."""
+    if n > DEFAULT_MAX_RING:
+        raise SizeGuardExceeded(f"ring size {n} exceeds guard {DEFAULT_MAX_RING}")
+
+
+def _validate_ring(R: FiniteRing) -> None:
+    """Raise unless R is a commutative ring with unity: the exact check on
+    generators first, and the exhaustive scans only to name a failure."""
+    if R.size == 0:
         raise RingConstructionError("empty carrier")
-    if n > max_size:
-        raise SizeGuardExceeded(f"ring size {n} exceeds guard {max_size}")
+    _check_ring_order(R.size)
+    if not _ring_laws_hold(R):
+        _scan_ring_laws(R)
+
+
+def _additive_generators(A: np.ndarray) -> list[int]:
+    """Greedy generators of (R, +) in index order: an element joins when it
+    is not in the closure of the earlier ones under ``A``.
+
+    The closure grows by X -> X ∪ (X + X) until nothing new appears, which
+    is the closure under any table, and takes k steps to reach every sum
+    of up to 2^k members of X when + is associative.  In a group each
+    generator after the first at least doubles the subgroup reached, so
+    there are at most floor(log2 n) + 1 of them.
+    """
+    n = len(A)
+    reached = np.zeros(n, dtype=bool)
+    gens, size = [], 0
+    while size < n:
+        g = int(reached.argmin())  # the first element not reached yet
+        gens.append(g)
+        reached[g] = True
+        r = np.flatnonzero(reached)
+        while len(r) < n:
+            reached[A[r[:, None], r]] = True
+            grown = np.flatnonzero(reached)
+            if len(grown) == len(r):
+                break
+            r = grown
+        size = len(r)
+    return gens
+
+
+def _ring_laws_hold(R: FiniteRing) -> bool:
+    """Whether the tables satisfy every ring law, in O(n^2 |G|) for the
+    additive generators G.
+
+    Light's test (Clifford & Preston, The Algebraic Theory of Semigroups I,
+    §1.2): the elements g with (g + x) + y = x + (g + y) for all x, y are
+    closed under +, so + is associative if every generator passes.  Then
+    the g with (g + b)a = ba + ga for all a, b are closed under + too, so
+    distributivity on the generators gives it everywhere.  Both (ab)c and
+    a(bc) are then additive in each argument, so they agree everywhere if
+    they agree on generator triples.
+    """
+    n, A, M = R.size, R.add, R.mul
+    if table_form_failure(A, n) or table_form_failure(M, n):
+        return False
+    G = np.array(_additive_generators(A))
+    k = max(1, 2**16 // (n * n))  # generators per batch: about 2^16 cells
+    batches = [G[i : i + k] for i in range(0, len(G), k)]
+    # with + commutative, B[g, x, y] = (g + x) + y and B[g, y, x] = x + (g + y)
+    if not all(np.array_equal(B, B.swapaxes(1, 2)) for B in (A[A[g]] for g in batches)):
+        return False
+    ident = np.arange(n)
+    if not (np.array_equal(A[R.zero], ident) and (A == R.zero).any(axis=1).all()
+            and np.array_equal(M[R.one], ident)):
+        return False
+    # [g, b, a]: (g + b)a = ba + ga
+    if not all(np.array_equal(M[A[g]], A[M, M[g][:, None]]) for g in batches):
+        return False
+    MG = M[G[:, None], G]
+    return np.array_equal(M[MG[:, :, None], G], M[G[:, None, None], MG])  # (ab)c = a(bc)
+
+
+def _scan_ring_laws(R: FiniteRing) -> None:
+    """Raise the first ring law the tables break, found by exhaustive scans
+    in a fixed order, so the message and witness do not depend on how the
+    failure was detected."""
+    n = R.size
     A, M = R.add, R.mul
     for name, T in (("add", A), ("mul", M)):
         failure = table_law_failure(T, n)
@@ -123,6 +204,7 @@ def make_zn(n: int) -> FiniteRing:
     """The ring of integers modulo n (n = 1 gives the zero ring)."""
     if n < 1:
         raise RingConstructionError("n must be >= 1")
+    _check_ring_order(n)
     r = np.arange(n)
     return FiniteRing(tuple(str(i) for i in range(n)), np.add.outer(r, r) % n,
                       np.multiply.outer(r, r) % n, 0, 1 % n, tag=f"Zn:{n}")
@@ -139,6 +221,7 @@ def make_product(rings: Sequence[FiniteRing]) -> FiniteRing:
     if not rings:
         raise RingConstructionError("empty product")
     sizes = tuple(r.size for r in rings)
+    _check_ring_order(math.prod(sizes))
     strides = np.cumprod((1,) + sizes[:0:-1])[::-1]
     digits = np.unravel_index(np.arange(math.prod(sizes)), sizes)
 
@@ -201,6 +284,7 @@ def make_polyquot(p: int, modulus: Sequence[int], var: str = "x") -> FiniteRing:
     if len(modulus) < 2:
         raise RingConstructionError("modulus must have degree >= 1")
     d = len(modulus) - 1
+    _check_ring_order(p**d)
     structure = np.zeros((d, d, d), dtype=np.int64)  # x^i * x^j = x^(i+j) mod modulus
     for i, j in itertools.product(range(d), repeat=2):
         rem = _fp_poly_mod([0] * (i + j) + [1], modulus, p)
@@ -241,6 +325,7 @@ def _monic_irreducible(p: int, k: int) -> list[int]:
 
 def make_gf(q: int) -> FiniteRing:
     """The field with q elements, q a prime power."""
+    _check_ring_order(q)
     pk = prime_power(q)
     if pk is None:
         raise RingConstructionError(f"{q} is not a prime power")

@@ -90,12 +90,27 @@ class SemigroupTable:
 
     @staticmethod
     def from_json(text: str) -> "SemigroupTable":
+        """The table in a JSON object; any other content is a ValueError."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("a semigroup file holds a JSON object")
+        elements, rows = data["elements"], data["product"]
+        if not isinstance(elements, list):
+            raise ValueError("the elements of a semigroup file are a JSON list")
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            ValidationResult(False, "table-shape", ()).raise_if_invalid()
         return SemigroupTable(
-            elements=distinct_labels(str(e) for e in data["elements"]),
-            zero=int(data["zero"]),
-            product=[[int(x) for x in row] for row in data["product"]],
+            elements=distinct_labels(str(e) for e in elements),
+            zero=_int64(data["zero"]),
+            product=[[_int64(x) for x in row] for row in rows],
         )
+
+
+def _int64(x) -> int:
+    """``x`` if it is an integer that fits int64, else a ValueError."""
+    if isinstance(x, bool) or not isinstance(x, int) or not -(2**63) <= x < 2**63:
+        raise ValueError(f"{x!r} in a semigroup file is not a 64-bit integer")
+    return x
 
 
 def distinct_labels(labels) -> tuple[str, ...]:
@@ -146,6 +161,18 @@ def first_witness(mask: np.ndarray) -> Optional[tuple[int, ...]]:
     return tuple(int(i) for i in np.unravel_index(mask.argmax(), mask.shape))
 
 
+def table_form_failure(P: np.ndarray, n: int) -> Optional[tuple[str, tuple[int, ...]]]:
+    """The first of the O(n^2) laws of ``table_law_failure`` that ``P`` breaks,
+    with its witness: "table-shape", "index-bounds" or "commutative"."""
+    if P.shape != (n, n):
+        return "table-shape", ()
+    if (w := first_witness((P < 0) | (P >= n))) is not None:
+        return "index-bounds", w
+    if (w := first_witness(P != P.T)) is not None:
+        return "commutative", w
+    return None
+
+
 def table_law_failure(P: np.ndarray, n: int) -> Optional[tuple[str, tuple[int, ...]]]:
     """The first law an operation table on n elements breaks, with its witness.
 
@@ -153,12 +180,8 @@ def table_law_failure(P: np.ndarray, n: int) -> Optional[tuple[str, tuple[int, .
     "index-bounds" ``(a, b)``, "commutative" ``(a, b)`` and "associative"
     ``(a, b, c)``.  None if ``P`` is a commutative semigroup operation.
     """
-    if P.shape != (n, n):
-        return "table-shape", ()
-    if (w := first_witness((P < 0) | (P >= n))) is not None:
-        return "index-bounds", w
-    if (w := first_witness(P != P.T)) is not None:
-        return "commutative", w
+    if (failure := table_form_failure(P, n)) is not None:
+        return failure
     # chunked over the first argument so memory stays O(n^2)
     for a in range(n):
         if (w := first_witness(P[P[a]] != P[a][P])) is not None:  # (ab)c != a(bc)

@@ -2,14 +2,17 @@
 
 Each routine recomputes its answer from the ring tables alone, sharing no
 state with the program, so tests can compare ``zdgraph.rings.IdealIndex``,
-the polynomial content checks and ``make_product`` against them.
+the polynomial content checks and ``make_product`` against them.  The
+module also lists the ring-analyze benchmark presentations and keeps one
+ring object per spec for the test modules.
 """
 
+import ast
 import functools
 import itertools
+import pathlib
 
 import numpy as np
-import pytest
 
 from zdgraph import rings
 from zdgraph.semigroups import SizeGuardExceeded
@@ -17,17 +20,19 @@ from zdgraph.semigroups import SizeGuardExceeded
 BIG = "prod:Zn:4,Zn:9,Zn:5,Zn:7"
 
 
+def ring_analyze_specs():
+    """The ring presentations of the ring-analyze benchmark workload."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    (slots,) = [node.value for node in ast.parse(path.read_text()).body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "RING_SLOTS"]
+    return [s for specs, _, _ in ast.literal_eval(slots) for s in specs]
+
+
 @functools.cache
 def cached_ring(spec):
     """One ring object per spec, shared by the test modules."""
-    if spec != BIG:
-        return rings.ring_from_spec(spec)
-    # 1260 elements: the O(n^3) ring-axiom scan would take about 40 s, and a
-    # product of rings is a ring; its tables are compared with the cell-by-
-    # cell builder in test_ideal_index
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(rings, "_validate_ring", lambda R: None)
-        return rings.ring_from_spec(spec)
+    return rings.ring_from_spec(spec)
 
 
 def principal_ideal(R, a):

@@ -3,7 +3,8 @@
 Each routine reads its tables as lists of rows (``.tolist()``) and shares no
 code with the program, so tests can compare verdicts, first witnesses and
 messages of ``zdgraph.semigroups``, ``zdgraph.graphs``, ``zdgraph.corpus``,
-``zdgraph.polynomials`` and ``zdgraph.rings._validate_ring`` against them.
+``zdgraph.polynomials`` and ``zdgraph.rings._validate_ring`` (with its greedy
+additive generators) against them.
 """
 
 import numpy as np
@@ -196,6 +197,29 @@ def validate_ring(n, add, mul, zero, one):
             b, c = _first_bad(left != right)
             return f"distributivity fails at ({a}, {b}, {c})"
     return None
+
+
+def additive_closure(add, gens):
+    """The closure of ``gens`` under ``add``, adding one sum at a time."""
+    closed, work = set(gens), list(gens)
+    while work:
+        a = work.pop()
+        for b in list(closed):
+            if add[a][b] not in closed:
+                closed.add(add[a][b])
+                work.append(add[a][b])
+    return closed
+
+
+def additive_generators(add):
+    """Greedy generators in index order: each element not in the closure of
+    the earlier generators joins them."""
+    gens, closed = [], set()
+    for e in range(len(add)):
+        if e not in closed:
+            gens.append(e)
+            closed = additive_closure(add, gens)
+    return gens
 
 
 def raises_invalid(fn, *args):

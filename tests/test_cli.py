@@ -241,3 +241,41 @@ def test_poset_relation_out_of_range_is_input_error(pair, tmp_path, capsys):
     assert main(["analyze", "--poset", str(path)]) == 1
     err = capsys.readouterr().err
     assert "outside points 0..1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec,size", [
+    ("Zn:5000", 5000),
+    ("gf:5041", 5041),
+    ("prod:Zn:1000,Zn:1000", 1000000),
+])
+def test_ring_guard_trips_before_any_table_is_built(spec, size, capsys):
+    t0 = time.perf_counter()
+    assert main(["analyze", "--ring", spec, "--tasks", "validate"]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert f"ring size {size} exceeds guard 4096" in err and "Traceback" not in err
+
+
+def test_validate_task_on_a_ring_of_order_2048(capsys):
+    t0 = time.perf_counter()
+    assert main(["analyze", "--ring", "Zn:2048", "--tasks", "validate", "--json"]) == 0
+    assert time.perf_counter() - t0 < 10.0
+    out = json.loads(capsys.readouterr().out)["results"]["validate"]
+    assert out == {"ok": True, "law": None, "witness": None, "nilpotent_free": False}
+
+
+@pytest.mark.parametrize("text,message", [
+    ('{"elements": ["0", "1"], "zero": 0, "product": [1, 2]}', "table-shape law fails"),
+    ('{"elements": ["0"], "zero": 0, "product": [[1e30]]}', "1e+30 in a semigroup file"),
+    ("[1, 2]", "a semigroup file holds a JSON object"),
+    ('{"elements": ["0"], "zero": 0, "product": [[100000000000000000000000]]}',
+     "100000000000000000000000 in a semigroup file"),
+    ('{"elements": 5, "zero": 0, "product": [[0]]}', "elements of a semigroup file"),
+    ('{"elements": ["0"], "zero": null, "product": [[0]]}', "None in a semigroup file"),
+])
+def test_semigroup_file_that_is_no_table_is_an_input_error(text, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["analyze", "--semigroup", str(path), "--tasks", "validate"]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err

@@ -6,10 +6,8 @@ presentation, on Z_720, on Z_4 x Z_9 x Z_5 x Z_7 and on F_2[a..e] modulo
 every quadratic monomial (375 ideals).
 """
 
-import ast
 import functools
 import itertools
-import pathlib
 import time
 
 import numpy as np
@@ -37,16 +35,6 @@ from zdgraph.rings import (
 )
 from zdgraph.semigroups import SizeGuardExceeded
 
-ROOT = pathlib.Path(__file__).resolve().parents[1]
-
-
-def _ring_analyze_specs():
-    """The ring presentations of the ring-analyze benchmark workload."""
-    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
-    (slots,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
-                and getattr(node.targets[0], "id", None) == "RING_SLOTS"]
-    return [s for specs, _, _ in ast.literal_eval(slots) for s in specs]
-
 
 def square_zero_spec(n):
     """F_2 in n variables modulo every quadratic monomial: m^2 = 0, dim m = n."""
@@ -57,7 +45,7 @@ def square_zero_spec(n):
 
 BIG = oracle.BIG
 SQ5 = square_zero_spec(5)
-SPECS = _ring_analyze_specs() + ["Zn:720", BIG, SQ5]
+SPECS = oracle.ring_analyze_specs() + ["Zn:720", BIG, SQ5]
 X2Y2Z2 = "mvq:p=2;vars=x,y,z;rel=x2,y2,z2"  # 47 ideals
 
 

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ideal_oracles
 import table_oracles as oracle
+from zdgraph import rings
 from zdgraph.cli import main
 from zdgraph.corpus import armendariz_map_corpus, permuted_copy, random_poset, random_space
 from zdgraph.graphs import beck_graph, zero_divisor_graph
@@ -238,6 +240,11 @@ def test_semigroup_corruptions_match_oracle():
 
 
 def _ring_message(n, add, mul, zero, one):
+    """The construction error message, after checking that the generator
+    check alone agrees with the oracle's verdict."""
+    want = oracle.validate_ring(n, add, mul, zero, one)
+    tables = FiniteRing([str(i) for i in range(n)], add, mul, zero, one, validate=False)
+    assert rings._ring_laws_hold(tables) == (want is None)
     try:
         FiniteRing([str(i) for i in range(n)], add, mul, zero, one)
     except RingConstructionError as exc:
@@ -274,6 +281,117 @@ def test_ring_shape_and_identity_messages_match_oracle():
     for a, m, zero, one in cases:
         got = _ring_message(6, a, m, zero, one)
         assert got is not None and got == oracle.validate_ring(6, a, m, zero, one)
+
+
+# ---------------------------------------------------------------------------
+# The ring check on additive generators
+
+
+ANALYZE_SPECS = ideal_oracles.ring_analyze_specs()
+
+
+def test_corpus_rings_pass_the_generator_check():
+    for spec in RING_SPECS + ANALYZE_SPECS:
+        R = ring_from_spec(spec)
+        assert oracle.validate_ring(R.size, R.add, R.mul, R.zero, R.one) is None
+        assert rings._ring_laws_hold(R)
+
+
+def test_additive_generators_are_greedy_and_few():
+    for spec in RING_SPECS + ANALYZE_SPECS:
+        add = ring_from_spec(spec).add.tolist()
+        n = len(add)
+        G = rings._additive_generators(np.array(add))
+        assert G == oracle.additive_generators(add)
+        assert oracle.additive_closure(add, G) == set(range(n))
+        assert len(G) <= n.bit_length()  # floor(log2 n) + 1
+
+
+def test_generators_of_a_semilattice_are_every_element():
+    # x + y = max(x, y): every element is closed under +, so each one joins
+    n = 6
+    add = [[max(a, b) for b in range(n)] for a in range(n)]
+    assert rings._additive_generators(np.array(add)) == list(range(n))
+    mul = make_zn(n).mul.tolist()
+    assert _ring_message(n, add, mul, 0, 1) == "element 1 has no additive inverse"
+
+
+@st.composite
+def commutative_tables(draw, n):
+    """A random commutative table on n elements, or max, or Z_n's sum."""
+    kind = draw(st.sampled_from(["random", "max", "zn"]))
+    if kind == "max":
+        return [[max(a, b) for b in range(n)] for a in range(n)]
+    if kind == "zn":
+        return [[(a + b) % n for b in range(n)] for a in range(n)]
+    T = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            T[a][b] = T[b][a] = draw(st.integers(0, n - 1))
+    return T
+
+
+@st.composite
+def ring_tables(draw):
+    n = draw(st.integers(1, 6))
+    add = draw(commutative_tables(n))
+    if draw(st.booleans()):
+        mul = [[a * b % n for b in range(n)] for a in range(n)]
+    else:
+        mul = draw(commutative_tables(n))
+        for a in range(n):  # element 1 % n is the one, to reach the later laws
+            mul[1 % n][a] = mul[a][1 % n] = a
+    return n, add, mul
+
+
+@settings(max_examples=200, deadline=None)
+@given(ring_tables())
+def test_commutative_tables_check_like_the_scan(args):
+    # most of these are no additive group, so the greedy generators may be
+    # every element; the verdict and the message must still be the scan's
+    n, add, mul = args
+    assert rings._additive_generators(np.array(add)) == oracle.additive_generators(add)
+    got = _ring_message(n, add, mul, 0, 1 % n)
+    assert got == oracle.validate_ring(n, add, mul, 0, 1 % n)
+
+
+def _f2_algebra(products):
+    """F_2 with basis b_0 = 1, b_1, ..., b_4 (element e is the sum of the b_k
+    with bit k set) and b_i b_j = b_k for each (i, j, k) in ``products``;
+    every other product of two basis elements other than 1 is zero."""
+    basis = [[0] * 5 for _ in range(5)]
+    for k in range(5):
+        basis[0][k] = basis[k][0] = 1 << k
+    for i, j, k in products:
+        basis[i][j] = basis[j][i] = 1 << k
+    n = 32
+
+    def mul(e, f):
+        out = 0
+        for i in range(5):
+            for j in range(5):
+                if e >> i & 1 and f >> j & 1:
+                    out ^= basis[i][j]
+        return out
+
+    return [[e ^ f for f in range(n)] for e in range(n)], \
+        [[mul(e, f) for f in range(n)] for e in range(n)]
+
+
+def test_non_associative_algebra_fails_on_generator_triples():
+    # b_1 b_2 = b_4 and b_4 b_3 = b_1: commutative, distributive and unital,
+    # and (b_1 b_2) b_3 = b_1 while b_1 (b_2 b_3) = 0.  Every triple of basis
+    # elements with a repeat associates, so only distinct generators show it.
+    add, mul = _f2_algebra([(1, 2, 4), (4, 3, 1)])
+    basis = [1 << k for k in range(5)]
+    assert rings._additive_generators(np.array(add)) == [0] + basis
+    for a in basis:
+        for b in basis:
+            assert mul[mul[a][a]][b] == mul[a][mul[a][b]]
+    got = _ring_message(32, add, mul, 0, 1)
+    assert got.startswith("mul not associative at")
+    assert got == oracle.validate_ring(32, add, mul, 0, 1)
+    assert _ring_message(32, *_f2_algebra([(1, 2, 4)]), 0, 1) is None
 
 
 # ---------------------------------------------------------------------------
