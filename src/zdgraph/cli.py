@@ -16,14 +16,22 @@ import time
 from . import __version__
 from .graphs import (
     COUNTABLY_INFINITE,
+    DEFAULT_MAX_CHROMATIC_VERTICES,
+    DEFAULT_MAX_CLIQUE_VERTICES,
     SimpleGraph,
     graph_to_json,
     invariant_bundle,
     to_dot,
     zero_divisor_graph,
 )
-from .polynomials import check_armendariz_ring, check_gaussian, clique_stabilization
+from .polynomials import (
+    DEFAULT_MAX_POLYS,
+    check_armendariz_ring,
+    check_gaussian,
+    clique_stabilization,
+)
 from .rings import (
+    DEFAULT_MAX_IDEALS,
     ag_conjecture_check,
     annihilating_ideal_graph,
     beck_gamma0,
@@ -34,6 +42,7 @@ from .rings import (
     ring_from_spec,
 )
 from .semigroups import (
+    DEFAULT_MAX_TABLE,
     SemigroupTable,
     SizeGuardExceeded,
     eq_quotient,
@@ -85,15 +94,17 @@ def _pick_guard(flag, env, default):
 
 def _guard_kwargs(args):
     return {
-        "max_clique_vertices": _pick_guard(args.max_clique, "ZDGRAPH_MAX_CLIQUE", 200),
+        "max_clique_vertices": _pick_guard(
+            args.max_clique, "ZDGRAPH_MAX_CLIQUE", DEFAULT_MAX_CLIQUE_VERTICES
+        ),
         "max_chromatic_vertices": _pick_guard(
-            args.max_chromatic, "ZDGRAPH_MAX_CHROMATIC", 64
+            args.max_chromatic, "ZDGRAPH_MAX_CHROMATIC", DEFAULT_MAX_CHROMATIC_VERTICES
         ),
     }
 
 
 def _ideal_guard(args):
-    return _pick_guard(getattr(args, "max_ideals", None), "ZDGRAPH_MAX_IDEALS", 10000)
+    return _pick_guard(getattr(args, "max_ideals", None), "ZDGRAPH_MAX_IDEALS", DEFAULT_MAX_IDEALS)
 
 
 def _load_object(args):
@@ -113,7 +124,7 @@ def _load_object(args):
         with open(value) as fh:
             table = SemigroupTable.from_json(fh.read())
         max_table = _pick_guard(
-            getattr(args, "max_table", None), "ZDGRAPH_MAX_TABLE", 4096
+            getattr(args, "max_table", None), "ZDGRAPH_MAX_TABLE", DEFAULT_MAX_TABLE
         )
         validate_semigroup(table, max_size=max_table).raise_if_invalid()
         return kind, table
@@ -132,7 +143,7 @@ def _load_object(args):
     raise ValueError(f"unknown lattice selector {value!r}")
 
 
-def _object_gamma(kind, obj, graph_name="gamma", max_ideals=10000) -> SimpleGraph:
+def _object_gamma(kind, obj, graph_name="gamma", max_ideals=DEFAULT_MAX_IDEALS) -> SimpleGraph:
     if kind == "ring":
         if graph_name == "gamma":
             return gamma_graph(obj)
@@ -275,7 +286,7 @@ def cmd_analyze(args) -> int:
         if kind != "ring":
             raise ValueError("--check applies to rings")
         d = args.degree
-        max_polys = _pick_guard(args.max_polys, "ZDGRAPH_MAX_POLYS", 4096)
+        max_polys = _pick_guard(args.max_polys, "ZDGRAPH_MAX_POLYS", DEFAULT_MAX_POLYS)
         if args.check == "armendariz":
             rep = check_armendariz_ring(obj, d, max_polys)
         elif args.check == "gaussian":

@@ -1,10 +1,11 @@
 """Deterministic corpora: enumerations and seeded random generators.
 
-Finite topologies are in bijection with preorders (closed sets are the
-down-sets of the specialization order, the up-sets of its transpose), so
-spaces are enumerated and sampled through preorder matrices.  Posets are
-enumerated by choosing one of three states per unordered pair and keeping
-the transitive outcomes.
+Relations are bitmask rows, as in ``spectra``: bit j of ``rows[i]`` means
+i relates to j.  Finite topologies are in bijection with preorders (closed
+sets are the down-sets of the specialization order, the complements of its
+up-sets), so spaces are enumerated and sampled through preorder rows.
+Posets are enumerated by choosing one of three states per unordered pair
+and keeping the transitive outcomes.
 """
 
 from __future__ import annotations
@@ -34,12 +35,13 @@ DEFAULT_MAX_TOPOLOGY_POINTS = 5
 _LETTERS = "abcdefgh"
 
 
-def _space_from_preorder(leq) -> FiniteSpace:
-    """Closed sets are the down-sets of x <= y (x in the closure of y)."""
-    n = len(leq)
+def _space_from_preorder(rows) -> FiniteSpace:
+    """Closed sets are the down-sets of x <= y (x in the closure of y), the
+    complements of the up-sets."""
+    n = len(rows)
     closed = [
-        frozenset(p for p in range(n) if mask >> p & 1)
-        for mask in upset_masks(list(zip(*leq)))
+        frozenset(p for p in range(n) if not mask >> p & 1)
+        for mask in upset_masks(rows)
     ]
     return make_space(tuple(_LETTERS[i] for i in range(n)), closed)
 
@@ -57,50 +59,47 @@ def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:
         )
     off = [(i, j) for i in range(n) for j in range(n) if i != j]
     for bits in range(1 << len(off)):
-        leq = [[i == j for j in range(n)] for i in range(n)]
+        rows = [1 << i for i in range(n)]
         for k, (i, j) in enumerate(off):
             if bits >> k & 1:
-                leq[i][j] = True
-        if is_transitive(leq):
-            yield _space_from_preorder(leq)
+                rows[i] |= 1 << j
+        if is_transitive(rows):
+            yield _space_from_preorder(rows)
 
 
 def random_space(rng: random.Random, n: int, density: float = 0.35) -> FiniteSpace:
-    leq = [[i == j for j in range(n)] for i in range(n)]
+    rows = [1 << i for i in range(n)]
     for i in range(n):
         for j in range(n):
             if i != j and rng.random() < density:
-                leq[i][j] = True
-    return _space_from_preorder(transitive_closure(leq))
+                rows[i] |= 1 << j
+    return _space_from_preorder(transitive_closure(rows))
 
 
 def enumerate_posets(n: int) -> Iterator[FinitePoset]:
     """All partial orders on n labelled points."""
-    if n == 0:
-        yield FinitePoset((), ())
-        return
     pairs = list(itertools.combinations(range(n), 2))
     labels = tuple(f"p{i}" for i in range(n))
     for states in itertools.product((0, 1, 2), repeat=len(pairs)):
-        leq = [[i == j for j in range(n)] for i in range(n)]
+        rows = [1 << i for i in range(n)]
         for (i, j), s in zip(pairs, states):
             if s == 1:
-                leq[i][j] = True
+                rows[i] |= 1 << j
             elif s == 2:
-                leq[j][i] = True
-        if is_transitive(leq):
-            yield FinitePoset(labels, tuple(tuple(r) for r in leq))
+                rows[j] |= 1 << i
+        if is_transitive(rows):
+            yield FinitePoset(labels, tuple(rows))
 
 
 def random_poset(rng: random.Random, n: int, density: float = 0.4) -> FinitePoset:
     order = list(range(n))
     rng.shuffle(order)
-    leq = [[i == j for j in range(n)] for i in range(n)]
+    rows = [1 << i for i in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
             if rng.random() < density:
-                leq[order[a]][order[b]] = True
-    return FinitePoset(tuple(f"p{i}" for i in range(n)), transitive_closure(leq))
+                rows[order[a]] |= 1 << order[b]
+    return FinitePoset(tuple(f"p{i}" for i in range(n)), transitive_closure(rows))
 
 
 def enumerate_t1_sublattices(n: int) -> Iterator[SubsetLattice]:

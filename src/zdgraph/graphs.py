@@ -88,12 +88,13 @@ class SimpleGraph:
         return SimpleGraph(tuple(vertices), pairs)
 
 
-def _neighbourhood(adj: tuple[int, ...], mask: int) -> int:
-    """The union of the neighbour masks of the vertices in mask."""
+def row_union(rows, mask: int) -> int:
+    """The union of the rows of the members of mask: for adjacency rows the
+    neighbourhood of a vertex set, for a relation the image of a set."""
     out = 0
     while mask:
         low = mask & -mask
-        out |= adj[low.bit_length() - 1]
+        out |= rows[low.bit_length() - 1]
         mask ^= low
     return out
 
@@ -103,7 +104,7 @@ def _eccentricity(G: SimpleGraph, v: int) -> Value:
     seen = front = 1 << v
     depth = 0
     while True:
-        front = _neighbourhood(G.adj, front) & ~seen
+        front = row_union(G.adj, front) & ~seen
         if not front:
             return depth if seen == (1 << G.n) - 1 else INFINITY
         seen |= front
@@ -143,7 +144,7 @@ def shortest_cycle(G: SimpleGraph) -> tuple[Value, Optional[tuple[int, ...]]]:
         length = 3  # of the cycle closed if v is in the next level
         while front and length < best:
             seen |= front
-            front = _neighbourhood(adj, front) & ~seen
+            front = row_union(adj, front) & ~seen
             if front & target:
                 best, best_edge = length, (u, v)
                 break
@@ -327,17 +328,26 @@ class InvariantBundle:
         return (self.diameter, self.girth, self.clique, self.chromatic)
 
 
+def clique_and_chromatic(
+    G: SimpleGraph,
+    max_clique_vertices: int = DEFAULT_MAX_CLIQUE_VERTICES,
+    max_chromatic_vertices: int = DEFAULT_MAX_CHROMATIC_VERTICES,
+) -> tuple[int, int]:
+    """Clique and chromatic numbers from one clique search, which also seeds
+    the colouring; both guards are checked before the colouring starts."""
+    clique = max_clique(G, max_clique_vertices)
+    _check_chromatic_guard(G.n, max_chromatic_vertices)
+    return len(clique), _colouring_from_clique(G, clique)[0]
+
+
 def invariant_bundle(
     G: SimpleGraph,
     max_clique_vertices: int = DEFAULT_MAX_CLIQUE_VERTICES,
     max_chromatic_vertices: int = DEFAULT_MAX_CHROMATIC_VERTICES,
 ) -> InvariantBundle:
-    # the guarded solvers run first, so an over-guard graph fails before BFS;
-    # the one clique search also seeds the colouring
-    clique = max_clique(G, max_clique_vertices)
-    _check_chromatic_guard(G.n, max_chromatic_vertices)
-    chromatic = _colouring_from_clique(G, clique)[0]
-    return InvariantBundle(diameter(G), girth(G), len(clique), chromatic)
+    # the guarded solvers run first, so an over-guard graph fails before BFS
+    clique, chromatic = clique_and_chromatic(G, max_clique_vertices, max_chromatic_vertices)
+    return InvariantBundle(diameter(G), girth(G), clique, chromatic)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .graphs import SimpleGraph, clique_number, chromatic_number
+from .graphs import SimpleGraph, clique_and_chromatic
 from .rings import FiniteRing, Ideal, IdealIndex, gamma_graph, ideal_index, is_reduced
 from .semigroups import SizeGuardExceeded
 
@@ -316,17 +316,14 @@ def clique_stabilization(
         raise ValueError("clique stabilization requires a reduced ring")
     if _poly_count(R, degree_bound) > max_polys:
         raise SizeGuardExceeded("polynomial enumeration over guard")
-    base = gamma_graph(R)
-    base_clq = clique_number(base)
-    base_chi = chromatic_number(base)
+    base_clq, base_chi = clique_and_chromatic(gamma_graph(R))
     rows = []
     ok = True
     for d in range(degree_bound + 1):
         G = truncated_zero_divisor_graph(R, d)
-        clq = clique_number(G)
         # G.n < |R|^(d+1) <= max_polys, so the polynomial guard above
         # already bounds the colouring search
-        chi = chromatic_number(G, max_vertices=max_polys)
+        clq, chi = clique_and_chromatic(G, max_chromatic_vertices=max_polys)
         rows.append((d, clq, chi))
         ok = ok and clq == base_clq and chi == base_chi
     return StabilizationReport(R.tag, base_clq, base_chi, tuple(rows), ok)

@@ -276,6 +276,7 @@ def make_polyquot(p: int, modulus: Sequence[int], var: str = "x") -> FiniteRing:
     ``modulus`` lists coefficients in ascending degree; the quotient is a
     field exactly when the modulus is irreducible (not required).
     """
+    _check_ring_order(p)  # before the primality test, which divides up to sqrt(p)
     if prime_power(p) != (p, 1):
         raise RingConstructionError(f"{p} is not prime")
     modulus = [c % p for c in modulus]
@@ -349,14 +350,15 @@ def make_multivariate_quot(
     p: int,
     variables: Sequence[str],
     relations: Sequence[Sequence[int]],
-    max_size: int = DEFAULT_MAX_RING,
 ) -> FiniteRing:
     """F_p[variables] modulo monomial relations (given as exponent tuples).
 
     The quotient is finite iff every variable has a pure-power relation;
     this is checked before the monomial basis is closed, and the basis is
-    exactly the set of monomials not divisible by any relation.
+    exactly the set of monomials not divisible by any relation.  The ring
+    guard is checked as each basis monomial joins.
     """
+    _check_ring_order(p)  # before the primality test, which divides up to sqrt(p)
     if prime_power(p) != (p, 1):
         raise RingConstructionError(f"{p} is not prime")
     nv = len(variables)
@@ -381,13 +383,10 @@ def make_multivariate_quot(
             continue
         seen.add(m)
         basis.append(m)
+        _check_ring_order(p ** len(basis))
         for i in range(nv):
             queue.append(tuple(e + (1 if j == i else 0) for j, e in enumerate(m)))
     basis.sort(key=lambda m: (sum(m), m))
-    if p ** len(basis) > max_size:
-        raise SizeGuardExceeded(
-            f"quotient has {p}^{len(basis)} elements, over guard {max_size}"
-        )
     bpos = {m: i for i, m in enumerate(basis)}
     # the product of two basis monomials is another one, or zero
     structure = np.zeros((len(basis), len(basis), len(basis)), dtype=np.int64)
@@ -833,5 +832,5 @@ def spec_poset(R: FiniteRing):
 
     primes = prime_ideals(R)
     labels = tuple(ideal_label(R, P) for P in primes)
-    leq = tuple(tuple(P <= Q for Q in primes) for P in primes)
+    leq = tuple(sum(1 << j for j, Q in enumerate(primes) if P <= Q) for P in primes)
     return FinitePoset(points=labels, leq=leq)

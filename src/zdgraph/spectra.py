@@ -1,9 +1,12 @@
 """Abstract prime spectra as posets, and their closed-set lattices.
 
-Finite mode: a poset of primes under inclusion.  Closed sets are the
-up-closed subsets (every up-set is a finite union of principal up-sets
-V(p), so the Zariski lattice and its Alexandroff refinement coincide on
-finite posets; both construction paths are still provided and compared).
+Finite mode: a poset of primes under inclusion, held as bitmask rows
+(bit j of ``leq[i]`` means point i <= point j), the one form of a relation
+here: validation, transitive closure and up-set enumeration all work on
+rows.  Closed sets are the up-closed subsets (every up-set is a finite
+union of principal up-sets V(p), so the Zariski lattice and its Alexandroff
+refinement coincide on finite posets; both construction paths are still
+provided and compared).
 
 Fan mode: symbolic posets with countably many maximal points, needed for
 the cases a finite poset cannot realize (three or more maximal points
@@ -30,6 +33,7 @@ from .graphs import (
     InvariantBundle,
     SuitePart,
     invariant_bundle,
+    row_union,
     zero_divisor_graph,
 )
 from .semigroups import (
@@ -55,24 +59,30 @@ class InvalidPoset(ValueError):
 
 @dataclass(frozen=True)
 class FinitePoset:
-    """A finite partial order; ``leq[i][j]`` means point i <= point j."""
+    """A finite partial order as bitmask rows: bit j of ``leq[i]`` means
+    point i <= point j."""
 
     points: tuple[str, ...]
-    leq: tuple[tuple[bool, ...], ...]
+    leq: tuple[int, ...]
 
     def __post_init__(self):
         n = len(self.points)
-        if len(self.leq) != n or any(len(r) != n for r in self.leq):
+        if len(self.leq) != n or any(row < 0 or row >> n for row in self.leq):
             raise InvalidPoset("relation has wrong shape")
-        for i in range(n):
-            if not self.leq[i][i]:
+        # the first witness in (i, j, k) order: per i, reflexivity, then each
+        # j above i ascending, antisymmetry before transitivity
+        for i, row in enumerate(self.leq):
+            if not row >> i & 1:
                 raise InvalidPoset(f"not reflexive at {i}")
             for j in range(n):
-                if i != j and self.leq[i][j] and self.leq[j][i]:
+                if not row >> j & 1:
+                    continue
+                if j != i and self.leq[j] >> i & 1:
                     raise InvalidPoset(f"not antisymmetric at ({i}, {j})")
-                for k in range(n):
-                    if self.leq[i][j] and self.leq[j][k] and not self.leq[i][k]:
-                        raise InvalidPoset(f"not transitive at ({i}, {j}, {k})")
+                missing = self.leq[j] & ~row
+                if missing:
+                    k = (missing & -missing).bit_length() - 1
+                    raise InvalidPoset(f"not transitive at ({i}, {j}, {k})")
 
     @property
     def n(self) -> int:
@@ -81,9 +91,9 @@ class FinitePoset:
     def to_json(self) -> str:
         pairs = [
             [i, j]
-            for i in range(self.n)
+            for i, row in enumerate(self.leq)
             for j in range(self.n)
-            if i != j and self.leq[i][j]
+            if i != j and row >> j & 1
         ]
         return json.dumps({"points": list(self.points), "leq": pairs})
 
@@ -92,63 +102,51 @@ class FinitePoset:
         data = json.loads(text)
         points = distinct_labels(str(p) for p in data["points"])
         n = len(points)
-        leq = [[i == j for j in range(n)] for i in range(n)]
+        rows = [1 << i for i in range(n)]
         for i, j in data["leq"]:
             i, j = int(i), int(j)
             if not (0 <= i < n and 0 <= j < n):
                 raise InvalidPoset(f"relation pair ({i}, {j}) outside points 0..{n - 1}")
-            leq[i][j] = True
+            rows[i] |= 1 << j
         # antisymmetry of the closure is validated on construction
-        return FinitePoset(points, transitive_closure(leq))
+        return FinitePoset(points, transitive_closure(rows))
 
 
 # ---------------------------------------------------------------------------
-# Relations on n points, as n x n bool matrices (rel[i][j]: i relates to j)
+# Relations on n points, as bitmask rows (bit j of rows[i]: i relates to j)
 
 # upset_masks tabulates every one of the 2^n subsets
 MAX_UPSET_POINTS = 16
 
 
-def _row_masks(rel) -> list[int]:
-    return [sum(1 << j for j, x in enumerate(row) if x) for row in rel]
-
-
-def transitive_closure(rel) -> tuple[tuple[bool, ...], ...]:
+def transitive_closure(rows) -> tuple[int, ...]:
     """The transitive closure of a relation (Warshall's algorithm)."""
-    rows = _row_masks(rel)
+    rows = list(rows)
     for k, row_k in enumerate(rows):
         for i, row_i in enumerate(rows):
             if row_i >> k & 1:
                 rows[i] = row_i | row_k
-    return tuple(tuple(bool(r >> j & 1) for j in range(len(rows))) for r in rows)
+    return tuple(rows)
 
 
-def is_transitive(rel) -> bool:
-    """Whether rel[a][b] and rel[b][c] imply rel[a][c] for all a, b, c."""
-    return all(
-        row_a[c]
-        for row_a in rel
-        for b, row_b in enumerate(rel)
-        if row_a[b]
-        for c, x in enumerate(row_b)
-        if x
-    )
+def is_transitive(rows) -> bool:
+    """Whether a rel b and b rel c imply a rel c: every row holds the rows
+    of its members."""
+    return all(row_union(rows, row) & ~row == 0 for row in rows)
 
 
-def upset_masks(rel) -> list[int]:
+def upset_masks(rows) -> list[int]:
     """The up-sets of a reflexive relation, as bitmasks sorted by (size, mask).
 
-    A set A is an up-set when p in A and rel[p][q] put q in A, that is,
-    when the union of the rows of its points is A itself.
+    A set A is an up-set when the union of the rows of its points is A itself.
     """
-    n = len(rel)
+    n = len(rows)
     if n > MAX_UPSET_POINTS:
         raise SizeGuardExceeded(f"poset has {n} > {MAX_UPSET_POINTS} points")
-    ups = _row_masks(rel)
     reach = [0] * (1 << n)
     for mask in range(1, 1 << n):
         low = mask & -mask
-        reach[mask] = reach[mask ^ low] | ups[low.bit_length() - 1]
+        reach[mask] = reach[mask ^ low] | rows[low.bit_length() - 1]
     return sorted((m for m, r in enumerate(reach) if m == r), key=_by_size)
 
 
@@ -161,11 +159,7 @@ def _by_size(mask: int) -> tuple[int, int]:
 
 
 def max_points(P: FinitePoset) -> list[int]:
-    return [
-        i
-        for i in range(P.n)
-        if not any(P.leq[i][j] for j in range(P.n) if j != i)
-    ]
+    return [i for i, row in enumerate(P.leq) if row == 1 << i]
 
 
 def _max_mask(P: FinitePoset) -> int:
@@ -189,7 +183,7 @@ def uspec_sigma(P: FinitePoset) -> SemigroupTable:
     """Same lattice built along the Alexandroff route: union closure of the
     principal up-sets.  On finite posets the two constructions coincide;
     both paths are kept so the coincidence is checked, not assumed."""
-    closed = {0} | set(_row_masks(P.leq))
+    closed = {0} | set(P.leq)
     work = list(closed)
     while work:
         a = work.pop()
@@ -429,14 +423,6 @@ def fan_disjoint_q(a: FanClosedSet, b: FanClosedSet) -> bool:
     return fan_is_empty(fan_intersect(a, b))
 
 
-def fan_contains_point(d: FanClosedSet, point) -> bool:
-    if point[0] == "g":
-        return point[1] in d.generics
-    _, fam, idx = point
-    tag, data = d.parts[fam]
-    return (idx in data) if tag == FIN else (idx not in data)
-
-
 def fan_least_maximal(d: FanClosedSet) -> Optional[tuple[int, int]]:
     """Canonical (family, index) of the least maximal point of the set."""
     for j, (tag, data) in enumerate(d.parts):
@@ -563,14 +549,13 @@ def fan_window_poset(fan: FanPoset, per_family: int) -> FinitePoset:
     labels = [f"g{i}" for i in range(len(fan.generics))]
     maxpts = [(j, i) for j in range(fan.families) for i in range(per_family)]
     labels += [f"m{j}.{i}" for j, i in maxpts]
-    n = len(labels)
     ng = len(fan.generics)
-    leq = [[i == j for j in range(n)] for i in range(n)]
-    for g in range(ng):
-        for k, (j, _) in enumerate(maxpts):
-            if j in fan.generics[g]:
-                leq[g][ng + k] = True
-    return FinitePoset(tuple(labels), tuple(tuple(r) for r in leq))
+    leq = [
+        1 << g | sum(1 << (ng + k) for k, (j, _) in enumerate(maxpts) if j in fams)
+        for g, fams in enumerate(fan.generics)
+    ]
+    leq += [1 << (ng + k) for k in range(len(maxpts))]
+    return FinitePoset(tuple(labels), tuple(leq))
 
 
 def fan_restrict_to_window(d: FanClosedSet, per_family: int) -> frozenset:
@@ -696,18 +681,11 @@ def _finite_specs_suite(P: FinitePoset) -> SpecsSuiteReport:
     )
     applies = nmax == 2
     if applies:
-        m1, m2 = maxes
-        below_both = all(P.leq[p][m1] and P.leq[p][m2] for p in nonmax)
-        expected_diam = 1 if below_both else 2
-        sep_pair = any(
-            P.leq[p1][m1]
-            and not P.leq[p1][m2]
-            and P.leq[p2][m2]
-            and not P.leq[p2][m1]
-            for p1 in nonmax
-            for p2 in nonmax
-        )
-        expected_gir = 4 if sep_pair else INF
+        m1, m2 = (1 << m for m in maxes)
+        # which of the two maximals each nonmaximal point lies below
+        tops = {P.leq[p] & (m1 | m2) for p in nonmax}
+        expected_diam = 1 if tops <= {m1 | m2} else 2
+        expected_gir = 4 if {m1, m2} <= tops else INF
         passed = (
             bg.diameter == expected_diam == bh.diameter
             and bg.girth == expected_gir == bh.girth

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 import time
@@ -163,6 +164,21 @@ def test_validate_task(tmp_path, capsys):
     assert data["results"]["validate"]["nilpotent_free"] is False
 
 
+def test_cli_guard_defaults_are_the_library_defaults(monkeypatch):
+    from zdgraph import cli
+    from zdgraph.graphs import DEFAULT_MAX_CHROMATIC_VERTICES, DEFAULT_MAX_CLIQUE_VERTICES
+    from zdgraph.rings import DEFAULT_MAX_IDEALS
+
+    for env in ("ZDGRAPH_MAX_CLIQUE", "ZDGRAPH_MAX_CHROMATIC", "ZDGRAPH_MAX_IDEALS"):
+        monkeypatch.delenv(env, raising=False)
+    args = argparse.Namespace(max_clique=None, max_chromatic=None, max_ideals=None)
+    assert cli._guard_kwargs(args) == {
+        "max_clique_vertices": DEFAULT_MAX_CLIQUE_VERTICES,
+        "max_chromatic_vertices": DEFAULT_MAX_CHROMATIC_VERTICES,
+    }
+    assert cli._ideal_guard(args) == DEFAULT_MAX_IDEALS
+
+
 def test_guard_exceeded_is_input_error(capsys, monkeypatch):
     monkeypatch.setenv("ZDGRAPH_MAX_POLYS", "10")
     assert main(["analyze", "--ring", "Zn:6", "--check", "armendariz",
@@ -247,6 +263,12 @@ def test_poset_relation_out_of_range_is_input_error(pair, tmp_path, capsys):
     ("Zn:5000", 5000),
     ("gf:5041", 5041),
     ("prod:Zn:1000,Zn:1000", 1000000),
+    # the guard comes before the primality test, which divides up to sqrt(p)
+    ("polyquot:p=1000000000000000003;mod=1,1", 1000000000000000003),
+    ("mvq:p=1000000000000000003;vars=x;rel=x2", 1000000000000000003),
+    # 3^14 basis monomials: the guard trips as the 13th joins
+    ("mvq:p=2;vars=a,b,c,d,e,f,g,h,i,j,k,l,m,n;rel=a3,b3,c3,d3,e3,f3,g3,h3,i3,j3,k3,l3,m3,n3",
+     8192),
 ])
 def test_ring_guard_trips_before_any_table_is_built(spec, size, capsys):
     t0 = time.perf_counter()

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from relation_oracles import to_bools, to_rows
 from zdgraph.corpus import (
     armendariz_map_corpus,
     enumerate_posets,
@@ -92,7 +93,7 @@ def oracle_sigma(P, keep=None):
     ups = []
     for bits in itertools.product((False, True), repeat=P.n):
         A = frozenset(p for p in range(P.n) if bits[p])
-        if all(q in A for p in A for q in range(P.n) if P.leq[p][q]):
+        if all(q in A for p in A for q in range(P.n) if P.leq[p] >> q & 1):
             ups.append(A)
     sets = sorted({A & keep if keep is not None else A for A in ups},
                   key=lambda C: (len(C), _mask(C)))
@@ -120,8 +121,11 @@ def test_enumerate_topologies_counts_oeis_a000798():
 
 
 def test_enumeration_order_is_pinned():
-    # digests of the enumerations made before the shared core
-    assert _digest(repr(P.leq) for P in enumerate_posets(4)) == "19733cb0a01f0150"
+    # digests of the enumerations made before the shared core, with the
+    # relation rows in the bool-matrix repr the digest was taken over
+    assert _digest(
+        repr(to_bools(P.leq, P.n)) for P in enumerate_posets(4)
+    ) == "19733cb0a01f0150"
     assert _digest(
         repr((X.points, [sorted(c) for c in X.closed_sets])) for X in enumerate_topologies(4)
     ) == "cc76054a9b09ea34"
@@ -139,24 +143,24 @@ def test_transitive_closure_matches_oracle():
     for _ in range(300):
         n = rng.randint(0, 7)
         rel = _random_relation(rng, n, rng.choice((0.1, 0.25, 0.5)))
-        closed = transitive_closure(rel)
-        assert closed == oracle_closure(rel)
+        closed = transitive_closure(to_rows(rel))
+        assert to_bools(closed, n) == oracle_closure(rel)
         assert is_transitive(closed)
 
 
 def test_is_transitive_matches_oracle_on_every_three_point_relation():
     for bits in itertools.product((False, True), repeat=9):
         rel = [list(bits[3 * i:3 * i + 3]) for i in range(3)]
-        assert is_transitive(rel) == oracle_is_transitive(rel)
+        assert is_transitive(to_rows(rel)) == oracle_is_transitive(rel)
 
 
 def test_upset_masks_guard():
-    eye = [[i == j for j in range(17)] for i in range(17)]
+    eye = [1 << i for i in range(17)]
     with pytest.raises(SizeGuardExceeded, match="poset has 17 > 16 points"):
         upset_masks(eye)
     assert upset_masks([]) == [0]
     # the chain 0 <= 1: up-sets {}, {1}, {0,1}
-    assert upset_masks([[True, True], [False, True]]) == [0, 2, 3]
+    assert upset_masks([0b11, 0b10]) == [0, 2, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +233,9 @@ def test_random_corpora_are_pinned():
     ) == "16d5f59d164605cd"
     rng = random.Random(2024)
     posets = [random_poset(rng, rng.randint(0, 6)) for _ in range(60)]
-    assert _digest(repr((P.points, P.leq)) for P in posets) == "e57e49a0af609d29"
+    assert _digest(
+        repr((P.points, to_bools(P.leq, P.n))) for P in posets
+    ) == "e57e49a0af609d29"
     maps = armendariz_map_corpus()
     assert _digest(
         f"({d!r}, {_table_repr(g.source)}, {_table_repr(g.target)}, {g.assignment!r})"

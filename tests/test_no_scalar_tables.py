@@ -4,6 +4,9 @@ A cell read like ``S.product[a][b]`` is a scalar read of an ndarray, slower
 than the tuple reads it replaced, and a tuple-of-tuples copy of a table is
 the second table form that was deleted.  This parses ``src/zdgraph`` and
 fails on either.
+
+Relations are bitmask rows in the same way: a read like ``P.leq[i][j]`` or a
+nested tuple passed as ``leq`` is the bool-matrix form that was deleted.
 """
 
 import ast
@@ -15,6 +18,7 @@ SRC = Path(zdgraph.__file__).parent
 
 TABLES = {"product", "add", "mul", "table"}  # names and attributes that hold a table
 BUILDERS = {"SemigroupTable", "FiniteRing"}
+RELATIONS = {"leq"}  # names and attributes that hold a relation
 
 
 def _name(node):
@@ -66,13 +70,39 @@ def scalar_table_reads(tree):
     return sorted(set(found))
 
 
-def test_no_scalar_table_reads_in_library():
-    found = [
+def relation_bool_reads(tree):
+    """Line numbers of ``X.leq[i][j]`` reads and of nested tuples passed as ``leq``."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Subscript)
+                and _name(node.value.value) in RELATIONS):
+            found.append(node.lineno)
+        if isinstance(node, ast.Call) and _name(node.func) == "FinitePoset":
+            args = node.args + [k.value for k in node.keywords]
+            found += [a.lineno for a in args if _nested_tuple(a)]
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if _nested_tuple(node.value) and any(_name(t) in RELATIONS for t in targets):
+                found.append(node.lineno)
+    return sorted(set(found))
+
+
+def _library_hits(lint):
+    return [
         f"{path.name}:{line}"
         for path in sorted(SRC.rglob("*.py"))
-        for line in scalar_table_reads(ast.parse(path.read_text(), filename=str(path)))
+        for line in lint(ast.parse(path.read_text(), filename=str(path)))
     ]
+
+
+def test_no_scalar_table_reads_in_library():
+    found = _library_hits(scalar_table_reads)
     assert not found, f"cell-by-cell table reads or tuple table copies: {found}"
+
+
+def test_no_bool_matrix_relations_in_library():
+    found = _library_hits(relation_bool_reads)
+    assert not found, f"bool-matrix relation reads or nested tuples as leq: {found}"
 
 
 def test_the_lint_sees_each_pattern():
@@ -89,3 +119,18 @@ def test_the_lint_sees_each_pattern():
     allowed = ["x = S.product[a, b]", "leq = tuple(tuple(r) for r in rel)", "x = rows[a][b]"]
     for snippet in allowed:
         assert scalar_table_reads(ast.parse(snippet)) == [], snippet
+
+
+def test_the_relation_lint_sees_each_pattern():
+    snippets = [
+        "x = P.leq[i][j]",
+        "x = leq[order[a]][order[b]]",
+        "P = FinitePoset(pts, tuple(tuple(r) for r in rel))",
+        "P = FinitePoset(points=pts, leq=tuple(tuple(P <= Q for Q in ps) for P in ps))",
+        "leq = tuple(tuple(P <= Q for Q in ps) for P in ps)",
+    ]
+    for snippet in snippets:
+        assert relation_bool_reads(ast.parse(snippet)) == [1], snippet
+    allowed = ["x = P.leq[i] >> j & 1", "P = FinitePoset(pts, tuple(rows))", "x = rows[a][b]"]
+    for snippet in allowed:
+        assert relation_bool_reads(ast.parse(snippet)) == [], snippet

@@ -173,6 +173,34 @@ def test_clique_stabilization_guard_precedes_graphs(monkeypatch):
         clique_stabilization(make_zn(6), 2, max_polys=6 ** 3 - 1)
 
 
+@pytest.mark.parametrize("degree_bound", [0, 1, 2])
+def test_clique_stabilization_searches_one_clique_per_graph(monkeypatch, degree_bound):
+    import zdgraph.graphs as graphs
+
+    calls = []
+    real = graphs.max_clique
+
+    def counting(G, *args):
+        calls.append(G.n)
+        return real(G, *args)
+
+    monkeypatch.setattr(graphs, "max_clique", counting)
+    st = clique_stabilization(make_zn(6), degree_bound)
+    assert st.passed and st.per_degree[-1] == (degree_bound, 2, 2)
+    # the base graph, then one truncated graph per degree
+    assert len(calls) == degree_bound + 2
+
+
+@pytest.mark.parametrize("p,message", [
+    (67, "chromatic guard: 67 > 64 vertices"),
+    (211, "clique guard: 211 > 200 vertices"),
+])
+def test_clique_stabilization_guards_the_base_graph(p, message):
+    # Gamma(Z_2 x Z_p) has p vertices
+    with pytest.raises(SizeGuardExceeded, match=message):
+        clique_stabilization(make_product([make_zn(2), make_zn(p)]), 0)
+
+
 def test_clique_stabilization_requires_reduced():
     with pytest.raises(ValueError):
         clique_stabilization(make_zn(4), 1)

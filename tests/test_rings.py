@@ -261,7 +261,7 @@ def test_ag_conjecture_examples():
 def test_spec_poset_shapes():
     P = spec_poset(make_zn(30))
     assert P.n == 3
-    assert all(not P.leq[i][j] for i in range(3) for j in range(3) if i != j)
+    assert P.leq == (0b001, 0b010, 0b100)  # an antichain
     assert spec_poset(make_zn(4)).n == 1
     assert spec_poset(ring_from_spec("mvq:p=2;vars=x,y;rel=x2,xy,y2")).n == 1
 

@@ -42,26 +42,24 @@ INF = math.inf
 
 
 def antichain(n):
-    return FinitePoset(
-        tuple(f"m{i}" for i in range(n)),
-        tuple(tuple(i == j for j in range(n)) for i in range(n)),
-    )
+    return FinitePoset(tuple(f"m{i}" for i in range(n)), tuple(1 << i for i in range(n)))
 
 
 def chain2():
-    return FinitePoset(("p", "m"), ((True, True), (False, True)))
+    return FinitePoset(("p", "m"), (0b11, 0b10))
 
 
 def test_poset_validation():
     with pytest.raises(InvalidPoset):
-        FinitePoset(("a", "b"), ((True, True), (True, True)))  # not antisymmetric
+        FinitePoset(("a", "b"), (0b11, 0b11))  # not antisymmetric
     with pytest.raises(InvalidPoset):
-        FinitePoset(("a",), ((False,),))  # not reflexive
+        FinitePoset(("a",), (0,))  # not reflexive
 
 
 def test_poset_json_round_trip():
     P = chain2()
     assert FinitePoset.from_json(P.to_json()) == P
+    assert P.to_json() == '{"points": ["p", "m"], "leq": [[0, 1]]}'
 
 
 def test_sigma_spec_antichain():
@@ -93,7 +91,7 @@ def test_max_irreducibility():
 
 def test_specs_suite_two_maximal_below_both():
     # one nonmaximal point under both maximals: diameter 1, girth inf
-    leq = ((True, True, True), (False, True, False), (False, False, True))
+    leq = (0b111, 0b010, 0b100)
     P = FinitePoset(("p", "m1", "m2"), leq)
     rep = specs_theorem_suite(P)
     assert rep.passed
@@ -102,12 +100,7 @@ def test_specs_suite_two_maximal_below_both():
 
 def test_specs_suite_two_maximal_separated():
     # p1 under m1 only, p2 under m2 only: diameter 2, girth 4
-    leq = (
-        (True, False, True, False),
-        (False, True, False, True),
-        (False, False, True, False),
-        (False, False, False, True),
-    )
+    leq = (0b0101, 0b1010, 0b0100, 0b1000)  # bit j of row i: i <= j
     P = FinitePoset(("p1", "p2", "m1", "m2"), leq)
     rep = specs_theorem_suite(P)
     assert rep.passed
@@ -212,12 +205,7 @@ def test_max_restriction_through_invariant_suite():
     # all six invariant-preservation laws
     from zdgraph.graphs import armendariz_invariant_suite
 
-    leq = (
-        (True, False, True, False),
-        (False, True, False, True),
-        (False, False, True, False),
-        (False, False, False, True),
-    )
+    leq = (0b0101, 0b1010, 0b0100, 0b1000)  # bit j of row i: i <= j
     P = FinitePoset(("p1", "p2", "m1", "m2"), leq)
     rep = armendariz_invariant_suite(restrict_to_max(P))
     assert rep.passed
