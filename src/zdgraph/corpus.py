@@ -4,8 +4,17 @@ Relations are bitmask rows, as in ``spectra``: bit j of ``rows[i]`` means
 i relates to j.  Finite topologies are in bijection with preorders (closed
 sets are the down-sets of the specialization order, the complements of its
 up-sets), so spaces are enumerated and sampled through preorder rows.
-Posets are enumerated by choosing one of three states per unordered pair
-and keeping the transitive outcomes.
+
+Posets and preorders are enumerated one per isomorphism class, each with
+its orbit n!/|Aut|, the number of labelled relations isomorphic to it
+(McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+Level n + 1 extends each class on n points by a new maximal point over each
+of its down-sets and, for preorders, by a new point in each of its classes;
+the extensions are deduplicated by a canonical form.  The orbits sum to the
+labelled counts (OEIS A001035 for posets, A000798 for topologies), and the
+classes number A000112 and A001930.  T1 sublattices are found by a search
+that branches only on the members the union/intersection closure of the
+members taken so far does not already hold.
 """
 
 from __future__ import annotations
@@ -13,26 +22,34 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import string
 from typing import Iterator
 
 import numpy as np
 
 from .rings import FiniteRing, make_gf, make_product, make_zn, prime_power
 from .semigroups import SemigroupMap, SemigroupTable, SizeGuardExceeded
-from .spectra import FinitePoset, is_transitive, transitive_closure, upset_masks
+from .spectra import FinitePoset, transitive_closure, upset_masks
 from .topology import (
+    DEFAULT_MAX_POWERSET_GROUND,
     FiniteSpace,
     SubsetLattice,
-    closed_family_defect,
     make_lattice,
     make_space,
 )
 
-# 5 points are 2^20 candidate relations, seconds of work; 6 points are
-# 2^30, a thousand times more
-DEFAULT_MAX_TOPOLOGY_POINTS = 5
+# 7 points are 2,045 poset classes, generated in under a second and checked
+# by the specs suite in seconds; 8 points are 16,999
+DEFAULT_MAX_POSET_POINTS = 7
+# 6 points are 718 preorder classes; 7 points are 4,535
+DEFAULT_MAX_TOPOLOGY_POINTS = 6
 
-_LETTERS = "abcdefgh"
+_LETTERS = string.ascii_lowercase
+
+
+def _check_points(what: str, n: int, limit: int) -> None:
+    if n > limit:
+        raise SizeGuardExceeded(f"{what} on {n} points, over guard {limit} points")
 
 
 def _space_from_preorder(rows) -> FiniteSpace:
@@ -46,25 +63,71 @@ def _space_from_preorder(rows) -> FiniteSpace:
     return make_space(tuple(_LETTERS[i] for i in range(n)), closed)
 
 
-def enumerate_topologies(n: int) -> Iterator[FiniteSpace]:
-    """All topologies on n labelled points, via transitive reflexive relations.
+def _canonical_form(rows) -> tuple[tuple[int, ...], int]:
+    """The least relabelled row tuple of a relation, and the number of
+    relabellings that reach it, which is |Aut|.
 
-    The 2^(n(n-1)) candidate relations are guarded before the first is tried.
+    Points are placed by ascending (|down|, |up|), so only permutations
+    within each such class are tried.  Every automorphism keeps the classes,
+    so the relabellings that reach the least form are one coset of Aut.
     """
-    if n > DEFAULT_MAX_TOPOLOGY_POINTS:
-        raise SizeGuardExceeded(
-            f"topologies on {n} points: 2^{n * (n - 1)} candidate relations, "
-            f"over guard {DEFAULT_MAX_TOPOLOGY_POINTS} points "
-            f"(2^{DEFAULT_MAX_TOPOLOGY_POINTS * (DEFAULT_MAX_TOPOLOGY_POINTS - 1)})"
-        )
-    off = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for bits in range(1 << len(off)):
-        rows = [1 << i for i in range(n)]
-        for k, (i, j) in enumerate(off):
-            if bits >> k & 1:
-                rows[i] |= 1 << j
-        if is_transitive(rows):
-            yield _space_from_preorder(rows)
+    n = len(rows)
+    keys = [(sum(r >> i & 1 for r in rows), r.bit_count()) for i, r in enumerate(rows)]
+    order = sorted(range(n), key=keys.__getitem__)
+    classes = [tuple(c) for _, c in itertools.groupby(order, key=keys.__getitem__)]
+    members = [[j for j in range(n) if r >> j & 1] for r in rows]
+    best, ties = None, 0
+    pos = [0] * n
+    for blocks in itertools.product(*(itertools.permutations(c) for c in classes)):
+        old = [p for block in blocks for p in block]
+        for k, p in enumerate(old):
+            pos[p] = k
+        form = tuple(sum(1 << pos[j] for j in members[p]) for p in old)
+        if best is None or form < best:
+            best, ties = form, 1
+        elif form == best:
+            ties += 1
+    return best, ties
+
+
+def _extensions(rows, preorders: bool) -> Iterator[tuple[int, ...]]:
+    """The relations on n + 1 points that restrict to ``rows`` on the first
+    n: a new maximal point n over each down-set (the complement of an
+    up-set), and for preorders also point n joining each class, with the
+    row and column of a member copied (a class is the points of one row)."""
+    n = len(rows)
+    new = 1 << n
+    full = new - 1
+    for up in upset_masks(rows):
+        down = full & ~up
+        yield tuple(r | new if down >> i & 1 else r for i, r in enumerate(rows)) + (new,)
+    if preorders:
+        for m, row in enumerate(rows):
+            if row not in rows[:m]:
+                yield tuple(r | new if r >> m & 1 else r for r in rows) + (row | new,)
+
+
+def _relation_classes(n: int, preorders: bool) -> list[tuple[tuple[int, ...], int]]:
+    """One (canonical rows, n!/|Aut|) pair per isomorphism class of posets,
+    or of preorders, on n points, in ascending order of the rows."""
+    level = {(): 1}
+    for _ in range(n):
+        grown: dict[tuple[int, ...], int] = {}
+        for rows in level:
+            for ext in _extensions(rows, preorders):
+                form, aut = _canonical_form(ext)
+                grown.setdefault(form, aut)
+        level = grown
+    return [(rows, math.factorial(n) // aut) for rows, aut in sorted(level.items())]
+
+
+def enumerate_topologies(n: int) -> Iterator[tuple[FiniteSpace, int]]:
+    """One topology per isomorphism class on n points, via preorders, each
+    with its orbit: the number n!/|Aut| of labelled topologies isomorphic
+    to it."""
+    _check_points("topologies", n, DEFAULT_MAX_TOPOLOGY_POINTS)
+    for rows, orbit in _relation_classes(n, preorders=True):
+        yield _space_from_preorder(rows), orbit
 
 
 def random_space(rng: random.Random, n: int, density: float = 0.35) -> FiniteSpace:
@@ -76,19 +139,13 @@ def random_space(rng: random.Random, n: int, density: float = 0.35) -> FiniteSpa
     return _space_from_preorder(transitive_closure(rows))
 
 
-def enumerate_posets(n: int) -> Iterator[FinitePoset]:
-    """All partial orders on n labelled points."""
-    pairs = list(itertools.combinations(range(n), 2))
+def enumerate_posets(n: int) -> Iterator[tuple[FinitePoset, int]]:
+    """One partial order per isomorphism class on n points, each with its
+    orbit: the number n!/|Aut| of labelled posets isomorphic to it."""
+    _check_points("posets", n, DEFAULT_MAX_POSET_POINTS)
     labels = tuple(f"p{i}" for i in range(n))
-    for states in itertools.product((0, 1, 2), repeat=len(pairs)):
-        rows = [1 << i for i in range(n)]
-        for (i, j), s in zip(pairs, states):
-            if s == 1:
-                rows[i] |= 1 << j
-            elif s == 2:
-                rows[j] |= 1 << i
-        if is_transitive(rows):
-            yield FinitePoset(labels, tuple(rows))
+    for rows, orbit in _relation_classes(n, preorders=False):
+        yield FinitePoset(labels, rows), orbit
 
 
 def random_poset(rng: random.Random, n: int, density: float = 0.4) -> FinitePoset:
@@ -102,23 +159,66 @@ def random_poset(rng: random.Random, n: int, density: float = 0.4) -> FinitePose
     return FinitePoset(tuple(f"p{i}" for i in range(n)), transitive_closure(rows))
 
 
-def enumerate_t1_sublattices(n: int) -> Iterator[SubsetLattice]:
-    """All union/intersection-closed families on n points that contain the
-    empty set, the ground set, and every singleton."""
-    ground = tuple(_LETTERS[i] for i in range(n))
-    required = {frozenset(), frozenset(range(n))} | {frozenset({i}) for i in range(n)}
-    optional = [
-        frozenset(c)
-        for k in range(2, n)
+def _lattice_closure(closed, extra) -> set[int]:
+    """The union/intersection closure of a closed family of bitmasks with
+    the members of ``extra`` added."""
+    closed = set(closed)
+    work = [m for m in extra if m not in closed]
+    closed.update(work)
+    while work:
+        a = work.pop()
+        for b in list(closed):
+            for c in (a | b, a & b):
+                if c not in closed:
+                    closed.add(c)
+                    work.append(c)
+    return closed
+
+
+def _closed_families(n: int, required) -> Iterator[set[int]]:
+    """Every union/intersection-closed family of subsets of n points (as
+    bitmasks) that holds the ``required`` members.
+
+    The other members are decided from the largest (size, combination)
+    position to the smallest, leaving a member out before taking it in, so
+    the families come in ascending order of the bits that pick them.  A
+    branch starts from the closure of what it holds and is cut when taking
+    a member in forces one that was left out.
+    """
+    subsets = [
+        sum(1 << p for p in c)
+        for k in range(n + 1)
         for c in itertools.combinations(range(n), k)
     ]
-    for bits in range(1 << len(optional)):
-        fam = set(required)
-        for k, m in enumerate(optional):
-            if bits >> k & 1:
-                fam.add(m)
-        if closed_family_defect(fam, n) is None:
-            yield make_lattice(ground, fam)
+    stack = [(_lattice_closure((), required), len(subsets), frozenset())]
+    while stack:
+        family, k, excluded = stack.pop()
+        k -= 1
+        while k >= 0 and subsets[k] in family:
+            k -= 1
+        if k < 0:
+            yield family
+            continue
+        grown = _lattice_closure(family, (subsets[k],))
+        if not grown & excluded:
+            stack.append((grown, k, excluded))
+        stack.append((family, k, excluded | {subsets[k]}))
+
+
+def enumerate_t1_sublattices(n: int) -> Iterator[SubsetLattice]:
+    """All union/intersection-closed families on n points that contain the
+    empty set, the ground set, and every singleton.
+
+    The union closure of the singletons is the powerset, so the powerset
+    guard applies and the search has nothing left to branch on.
+    """
+    _check_points("T1 sublattices", n, DEFAULT_MAX_POWERSET_GROUND)
+    ground = tuple(_LETTERS[i] for i in range(n))
+    required = {0, (1 << n) - 1} | {1 << i for i in range(n)}
+    for family in _closed_families(n, required):
+        yield make_lattice(
+            ground, (frozenset(p for p in range(n) if m >> p & 1) for m in family)
+        )
 
 
 # ---------------------------------------------------------------------------

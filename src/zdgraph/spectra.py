@@ -37,6 +37,7 @@ from .graphs import (
     zero_divisor_graph,
 )
 from .semigroups import (
+    DEFAULT_MAX_TABLE,
     SemigroupMap,
     SemigroupTable,
     SizeGuardExceeded,
@@ -173,9 +174,18 @@ def _mask_labels(P: FinitePoset, masks: list[int]) -> list[str]:
     ]
 
 
+def _check_table_size(count: int) -> None:
+    """Refuse a closed-set lattice too large for a meet table, before it is built."""
+    if count > DEFAULT_MAX_TABLE:
+        raise SizeGuardExceeded(
+            f"{count} closed sets, over table guard {DEFAULT_MAX_TABLE}"
+        )
+
+
 def sigma_spec(P: FinitePoset) -> SemigroupTable:
     """Closed-set lattice under intersection: all up-sets, absorbing empty."""
     masks = upset_masks(P.leq)
+    _check_table_size(len(masks))
     return meet_table(masks, _mask_labels(P, masks))
 
 
@@ -191,6 +201,7 @@ def uspec_sigma(P: FinitePoset) -> SemigroupTable:
             u = a | b
             if u not in closed:
                 closed.add(u)
+                _check_table_size(len(closed))
                 work.append(u)
     masks = sorted(closed, key=_by_size)
     return meet_table(masks, _mask_labels(P, masks))
@@ -202,6 +213,7 @@ def restrict_to_max(P: FinitePoset) -> SemigroupMap:
 
 
 def _restrict_to_max(P: FinitePoset, masks: list[int]) -> SemigroupMap:
+    _check_table_size(len(masks))
     maxmask = _max_mask(P)
     targets = sorted({m & maxmask for m in masks}, key=_by_size)
     tpos = {m: i for i, m in enumerate(targets)}

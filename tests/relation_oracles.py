@@ -1,10 +1,27 @@
-"""Reference relation routines: the bool-matrix code the bitmask rows replaced.
+"""Reference relation routines: the bool-matrix code the bitmask rows replaced,
+and the labelled enumerators the isomorph-free ones replaced.
 
 A relation here is an n x n matrix of bools (``rel[i][j]``: i relates to j),
-the form ``FinitePoset.leq`` had before it became bitmask rows.  The routines
-share no code with the program, so tests can compare verdicts, closures and
-``InvalidPoset`` messages of ``zdgraph.spectra`` against them.
+the form ``FinitePoset.leq`` had before it became bitmask rows.  The bool
+routines share no code with the program, so tests can compare verdicts,
+closures and ``InvalidPoset`` messages of ``zdgraph.spectra`` against them.
+
+The labelled enumerators filter every candidate relation (3^C(n,2) for
+posets, 2^(n(n-1)) for preorders) and every candidate family of T1
+sublattice members, in the order the program once used, and build the
+program's objects from what passes.
 """
+
+import itertools
+
+from zdgraph.corpus import _LETTERS, _space_from_preorder
+from zdgraph.semigroups import SizeGuardExceeded
+from zdgraph.spectra import FinitePoset, is_transitive as rows_transitive
+from zdgraph.topology import closed_family_defect, make_lattice
+
+# 5 points are 2^20 candidate relations, seconds of work; 6 points are
+# 2^30, a thousand times more
+DEFAULT_MAX_TOPOLOGY_POINTS = 5
 
 
 def to_rows(rel):
@@ -54,3 +71,58 @@ def transitive_closure(rel):
                 for j in range(n):
                     leq[i][j] = leq[i][j] or leq[k][j]
     return tuple(tuple(row) for row in leq)
+
+
+def enumerate_topologies(n):
+    """All topologies on n labelled points, via transitive reflexive relations.
+
+    The 2^(n(n-1)) candidate relations are guarded before the first is tried.
+    """
+    if n > DEFAULT_MAX_TOPOLOGY_POINTS:
+        raise SizeGuardExceeded(
+            f"topologies on {n} points: 2^{n * (n - 1)} candidate relations, "
+            f"over guard {DEFAULT_MAX_TOPOLOGY_POINTS} points "
+            f"(2^{DEFAULT_MAX_TOPOLOGY_POINTS * (DEFAULT_MAX_TOPOLOGY_POINTS - 1)})"
+        )
+    off = [(i, j) for i in range(n) for j in range(n) if i != j]
+    for bits in range(1 << len(off)):
+        rows = [1 << i for i in range(n)]
+        for k, (i, j) in enumerate(off):
+            if bits >> k & 1:
+                rows[i] |= 1 << j
+        if rows_transitive(rows):
+            yield _space_from_preorder(rows)
+
+
+def enumerate_posets(n):
+    """All partial orders on n labelled points."""
+    pairs = list(itertools.combinations(range(n), 2))
+    labels = tuple(f"p{i}" for i in range(n))
+    for states in itertools.product((0, 1, 2), repeat=len(pairs)):
+        rows = [1 << i for i in range(n)]
+        for (i, j), s in zip(pairs, states):
+            if s == 1:
+                rows[i] |= 1 << j
+            elif s == 2:
+                rows[j] |= 1 << i
+        if rows_transitive(rows):
+            yield FinitePoset(labels, tuple(rows))
+
+
+def enumerate_t1_sublattices(n):
+    """All union/intersection-closed families on n points that contain the
+    empty set, the ground set, and every singleton."""
+    ground = tuple(_LETTERS[i] for i in range(n))
+    required = {frozenset(), frozenset(range(n))} | {frozenset({i}) for i in range(n)}
+    optional = [
+        frozenset(c)
+        for k in range(2, n)
+        for c in itertools.combinations(range(n), k)
+    ]
+    for bits in range(1 << len(optional)):
+        fam = set(required)
+        for k, m in enumerate(optional):
+            if bits >> k & 1:
+                fam.add(m)
+        if closed_family_defect(fam, n) is None:
+            yield make_lattice(ground, fam)

@@ -89,3 +89,15 @@ def test_criterion_09_comaximal():
 
 def test_criterion_10_pearled_diagram():
     _run(10, "pearled-axiom-diagram", verify_pearled, 60.0, max_points=4)
+
+
+def test_criterion_07_specs_suite_on_seven_points():
+    # every poset on up to 7 points, one check per isomorphism class
+    report = _run(7, "spectral-poset-suite-7", verify_specs, 60.0, max_points=7,
+                  window_total_max=8)
+    assert report.items[7].details == "6129859 posets checked"
+
+
+def test_criterion_10_pearled_diagram_on_six_points():
+    report = _run(10, "pearled-axiom-diagram-6", verify_pearled, 60.0, max_points=6)
+    assert report.items[-1].details.startswith("216858 topologies on <= 6 points")

@@ -188,9 +188,10 @@ def test_guard_exceeded_is_input_error(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv,message", [
     (["analyze", "--lattice", "powerset:14", "--tasks", "t1"], "over guard 10 points"),
-    (["verify", "pearled", "--max-points", "6"], "over guard 5 points"),
+    (["verify", "pearled", "--max-points", "7"], "over guard 6 points"),
     # the clique guard trips before any BFS for diameter or girth runs
     (["analyze", "--lattice", "powerset:9", "--tasks", "t1"], "clique guard: 510 > 200"),
+    (["verify", "specs", "--max-points", "8"], "over guard 7 points"),
 ])
 def test_unbounded_requests_fail_fast(argv, message, capsys):
     t0 = time.perf_counter()
@@ -301,3 +302,23 @@ def test_semigroup_file_that_is_no_table_is_an_input_error(text, message, tmp_pa
     assert main(["analyze", "--semigroup", str(path), "--tasks", "validate"]) == 1
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_specs_suite_on_a_large_antichain_fails_before_any_table(tmp_path, capsys):
+    # 13 incomparable points have 2^13 up-sets, over the 4096 table guard;
+    # the sigma table would have 2^26 cells
+    path = tmp_path / "antichain.json"
+    path.write_text(json.dumps({"points": [f"q{i}" for i in range(13)], "leq": []}))
+    t0 = time.perf_counter()
+    assert main(["analyze", "--poset", str(path), "--tasks", "specs-suite"]) == 1
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert "8192 closed sets, over table guard 4096" in err and "Traceback" not in err
+
+
+def test_charirrconn_on_five_points_finishes(capsys):
+    t0 = time.perf_counter()
+    assert main(["verify", "charirrconn", "--max-ground", "5", "--json"]) == 0
+    assert time.perf_counter() - t0 < 5.0
+    data = json.loads(capsys.readouterr().out)
+    assert data["passed"] and len(data["items"]) == 5

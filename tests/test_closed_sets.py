@@ -7,12 +7,11 @@ import random
 
 import pytest
 
+import relation_oracles
 from relation_oracles import to_bools, to_rows
 from zdgraph.corpus import (
     armendariz_map_corpus,
-    enumerate_posets,
     enumerate_t1_sublattices,
-    enumerate_topologies,
     random_poset,
     random_space,
 )
@@ -113,21 +112,27 @@ def _digest(items):
 
 
 def test_enumerate_posets_counts_oeis_a001035():
-    assert [sum(1 for _ in enumerate_posets(n)) for n in range(6)] == [1, 1, 3, 19, 219, 4231]
+    assert [
+        sum(1 for _ in relation_oracles.enumerate_posets(n)) for n in range(6)
+    ] == [1, 1, 3, 19, 219, 4231]
 
 
 def test_enumerate_topologies_counts_oeis_a000798():
-    assert [sum(1 for _ in enumerate_topologies(n)) for n in range(5)] == [1, 1, 4, 29, 355]
+    assert [
+        sum(1 for _ in relation_oracles.enumerate_topologies(n)) for n in range(5)
+    ] == [1, 1, 4, 29, 355]
 
 
 def test_enumeration_order_is_pinned():
     # digests of the enumerations made before the shared core, with the
-    # relation rows in the bool-matrix repr the digest was taken over
+    # relation rows in the bool-matrix repr the digest was taken over; the
+    # labelled poset and topology enumerators are oracles now
     assert _digest(
-        repr(to_bools(P.leq, P.n)) for P in enumerate_posets(4)
+        repr(to_bools(P.leq, P.n)) for P in relation_oracles.enumerate_posets(4)
     ) == "19733cb0a01f0150"
     assert _digest(
-        repr((X.points, [sorted(c) for c in X.closed_sets])) for X in enumerate_topologies(4)
+        repr((X.points, [sorted(c) for c in X.closed_sets]))
+        for X in relation_oracles.enumerate_topologies(4)
     ) == "cc76054a9b09ea34"
     assert _digest(
         repr(L.members) for n in range(1, 5) for L in enumerate_t1_sublattices(n)
@@ -205,7 +210,7 @@ def test_lattice_tables_match_frozenset_oracle():
 
 def _small_and_random_posets():
     rng = random.Random(29)
-    yield from (P for n in range(5) for P in enumerate_posets(n))
+    yield from (P for n in range(5) for P in relation_oracles.enumerate_posets(n))
     for _ in range(60):
         yield random_poset(rng, rng.randint(0, 6))
 

@@ -226,7 +226,7 @@ def test_fan_suite_reports_expected_parts():
 
 def test_specs_suite_enumerates_upsets_once_per_poset(monkeypatch):
     import zdgraph.spectra as spectra
-    from zdgraph.corpus import enumerate_posets
+    from relation_oracles import enumerate_posets
 
     calls = []
 
