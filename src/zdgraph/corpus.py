@@ -56,10 +56,8 @@ def _space_from_preorder(rows) -> FiniteSpace:
     """Closed sets are the down-sets of x <= y (x in the closure of y), the
     complements of the up-sets."""
     n = len(rows)
-    closed = [
-        frozenset(p for p in range(n) if not mask >> p & 1)
-        for mask in upset_masks(rows)
-    ]
+    full = (1 << n) - 1
+    closed = [full & ~up for up in upset_masks(rows)]
     return make_space(tuple(_LETTERS[i] for i in range(n)), closed)
 
 
@@ -216,9 +214,7 @@ def enumerate_t1_sublattices(n: int) -> Iterator[SubsetLattice]:
     ground = tuple(_LETTERS[i] for i in range(n))
     required = {0, (1 << n) - 1} | {1 << i for i in range(n)}
     for family in _closed_families(n, required):
-        yield make_lattice(
-            ground, (frozenset(p for p in range(n) if m >> p & 1) for m in family)
-        )
+        yield make_lattice(ground, family)
 
 
 # ---------------------------------------------------------------------------

@@ -124,11 +124,33 @@ def distinct_labels(labels) -> tuple[str, ...]:
     return out
 
 
-def meet_table(members: Sequence, labels: Sequence[str]) -> SemigroupTable:
-    """An intersection-closed family (frozensets or int bitmasks, in order)
-    under ``&``: ``product[i, j]`` is the position of ``members[i] &
-    members[j]`` and the zero is the meet of all members."""
-    masks = [m if isinstance(m, int) else sum(1 << p for p in m) for m in members]
+def check_table_size(count: int) -> None:
+    """Refuse a closed-set family too large for a meet table, before any work on it."""
+    if count > DEFAULT_MAX_TABLE:
+        raise SizeGuardExceeded(f"{count} closed sets, over table guard {DEFAULT_MAX_TABLE}")
+
+
+def mask_points(mask: int) -> list[int]:
+    """The points of a bitmask, ascending: bit p set means point p."""
+    return [p for p in range(mask.bit_length()) if mask >> p & 1]
+
+
+def mask_labels(points: Sequence[str], masks: Sequence[int]) -> list[str]:
+    """Set labels ``{a,b}``, listing each mask's points in index order."""
+    return ["{" + ",".join(points[p] for p in mask_points(m)) + "}" for m in masks]
+
+
+def is_irreducible_family(masks, whole: int) -> bool:
+    """No two members other than ``whole`` have union ``whole``."""
+    proper = set(masks) - {whole}
+    return all(a | b != whole for a in proper for b in proper)
+
+
+def meet_table(points: Sequence[str], masks: Sequence[int]) -> SemigroupTable:
+    """An intersection-closed family of bitmasks over ``points``, in order,
+    under ``&``: ``product[i, j]`` is the position of ``masks[i] &
+    masks[j]``, the zero is the meet of all members, and the elements are
+    labelled by ``mask_labels``."""
     # masks over more than 62 points stay Python ints, in an object array
     M = np.array(masks, dtype=np.int64 if max(masks).bit_length() < 63 else object)
     # the sorted masks are the lookup array: a meet is found by bisection
@@ -138,7 +160,7 @@ def meet_table(members: Sequence, labels: Sequence[str]) -> SemigroupTable:
     if (M[at] != meets).any():
         raise ValueError("family is not closed under intersection")
     # the meet of all members is a subset of each, so the least mask
-    return SemigroupTable(tuple(labels), int(order[0]), at)
+    return SemigroupTable(tuple(mask_labels(points, masks)), int(order[0]), at)
 
 
 @dataclass(frozen=True)

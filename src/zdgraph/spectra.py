@@ -37,13 +37,14 @@ from .graphs import (
     zero_divisor_graph,
 )
 from .semigroups import (
-    DEFAULT_MAX_TABLE,
     SemigroupMap,
     SemigroupTable,
     SizeGuardExceeded,
     check_armendariz,
     check_homomorphism,
+    check_table_size,
     distinct_labels,
+    is_irreducible_family,
     meet_table,
 )
 
@@ -167,44 +168,23 @@ def _max_mask(P: FinitePoset) -> int:
     return sum(1 << p for p in max_points(P))
 
 
-def _mask_labels(P: FinitePoset, masks: list[int]) -> list[str]:
-    return [
-        "{" + ",".join(P.points[p] for p in range(P.n) if mask >> p & 1) + "}"
-        for mask in masks
-    ]
-
-
-def _check_table_size(count: int) -> None:
-    """Refuse a closed-set lattice too large for a meet table, before it is built."""
-    if count > DEFAULT_MAX_TABLE:
-        raise SizeGuardExceeded(
-            f"{count} closed sets, over table guard {DEFAULT_MAX_TABLE}"
-        )
-
-
 def sigma_spec(P: FinitePoset) -> SemigroupTable:
     """Closed-set lattice under intersection: all up-sets, absorbing empty."""
     masks = upset_masks(P.leq)
-    _check_table_size(len(masks))
-    return meet_table(masks, _mask_labels(P, masks))
+    check_table_size(len(masks))
+    return meet_table(P.points, masks)
 
 
 def uspec_sigma(P: FinitePoset) -> SemigroupTable:
     """Same lattice built along the Alexandroff route: union closure of the
-    principal up-sets.  On finite posets the two constructions coincide;
-    both paths are kept so the coincidence is checked, not assumed."""
-    closed = {0} | set(P.leq)
-    work = list(closed)
-    while work:
-        a = work.pop()
-        for b in list(closed):
-            u = a | b
-            if u not in closed:
-                closed.add(u)
-                _check_table_size(len(closed))
-                work.append(u)
-    masks = sorted(closed, key=_by_size)
-    return meet_table(masks, _mask_labels(P, masks))
+    principal up-sets, added one at a time (O(|closed| * n) unions, guarded
+    after each).  On finite posets the two constructions coincide; both
+    paths are kept so the coincidence is checked, not assumed."""
+    closed = {0}
+    for row in P.leq:
+        closed |= {c | row for c in closed}
+        check_table_size(len(closed))
+    return meet_table(P.points, sorted(closed, key=_by_size))
 
 
 def restrict_to_max(P: FinitePoset) -> SemigroupMap:
@@ -213,13 +193,13 @@ def restrict_to_max(P: FinitePoset) -> SemigroupMap:
 
 
 def _restrict_to_max(P: FinitePoset, masks: list[int]) -> SemigroupMap:
-    _check_table_size(len(masks))
+    check_table_size(len(masks))
     maxmask = _max_mask(P)
     targets = sorted({m & maxmask for m in masks}, key=_by_size)
     tpos = {m: i for i, m in enumerate(targets)}
     return SemigroupMap(
-        meet_table(masks, _mask_labels(P, masks)),
-        meet_table(targets, _mask_labels(P, targets)),
+        meet_table(P.points, masks),
+        meet_table(P.points, targets),
         tuple(tpos[m & maxmask] for m in masks),
     )
 
@@ -235,8 +215,7 @@ def is_max_irreducible(P: FinitePoset) -> bool:
 
 def _is_max_irreducible(P: FinitePoset, masks: list[int]) -> bool:
     maxmask = _max_mask(P)
-    proper = {m & maxmask for m in masks} - {maxmask}
-    return all(a | b != maxmask for a in proper for b in proper)
+    return is_irreducible_family({m & maxmask for m in masks}, maxmask)
 
 
 # ---------------------------------------------------------------------------

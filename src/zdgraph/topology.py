@@ -1,14 +1,17 @@
 """Finite topological spaces and subset lattices.
 
 Spaces are given by their closed-set families (the natural side for
-everything here); a converter from open sets is provided.  The module
-covers the separation-axiom suite (T0, T1, T 1/2, pearled, Noetherian),
-the subspace of closed points with its intersection map on closed-set
-lattices, the lazy nonnegative-integer counterexample space, and the two
-kinds of T1 subset lattices: explicit finite families, and the symbolic
-lattice of all finite subsets of a countable ground set plus the whole
-set (the closed sets of the cofinite topology) for the irreducible case,
-which has no finite instance on three or more points.
+everything here); a converter from open sets is provided.  A closed set or
+lattice member is an int bitmask (bit p set when point p is a member), as in
+``spectra``; families are kept in (size, sorted point list) order, and a
+space over the table guard is refused before it is validated.  The module
+covers the separation-axiom suite (T0, T1, T 1/2, pearled, Noetherian), the
+subspace of closed points with its intersection map on closed-set lattices,
+the lazy nonnegative-integer counterexample space, and the two kinds of T1
+subset lattices: explicit finite families, and the symbolic lattice of all
+finite subsets of a countable ground set plus the whole set (the closed
+sets of the cofinite topology) for the irreducible case, which has no
+finite instance on three or more points.
 """
 
 from __future__ import annotations
@@ -29,7 +32,10 @@ from .semigroups import (
     SemigroupMap,
     SemigroupTable,
     SizeGuardExceeded,
+    check_table_size,
     distinct_labels,
+    is_irreducible_family,
+    mask_points,
     meet_table,
 )
 
@@ -60,10 +66,11 @@ class LatticeTheoremError(AssertionError):
 
 @dataclass(frozen=True)
 class FiniteSpace:
-    """A finite space as its family of closed sets (point-index subsets)."""
+    """A finite space as its family of closed sets, each a bitmask over the
+    point indices, in (size, sorted point list) order."""
 
     points: tuple[str, ...]
-    closed_sets: tuple[frozenset[int], ...]
+    closed_sets: tuple[int, ...]
 
     @property
     def n(self) -> int:
@@ -73,80 +80,89 @@ class FiniteSpace:
         return json.dumps(
             {
                 "points": list(self.points),
-                "closed": sorted(sorted(c) for c in self.closed_sets),
+                "closed": sorted(mask_points(c) for c in self.closed_sets),
             }
         )
 
     @staticmethod
     def from_json(text: str) -> "FiniteSpace":
         data = json.loads(text)
-        return make_space(
-            distinct_labels(str(p) for p in data["points"]),
-            [frozenset(int(i) for i in c) for c in data["closed"]],
-        )
+        points = distinct_labels(str(p) for p in data["points"])
+        closed = [{int(i) for i in c} for c in data["closed"]]
+        for c in closed:  # checked before a negative index reaches a shift
+            if not c <= set(range(len(points))):
+                raise InvalidSpace(f"member {sorted(c)} is not a subset of the ground set")
+        return make_space(points, [sum(1 << i for i in c) for c in closed])
 
 
 def make_space(points, closed_sets) -> FiniteSpace:
-    """Build and validate a finite space from its closed sets."""
+    """Build and validate a finite space from its closed sets (bitmasks)."""
     pts = tuple(points)
-    family = {frozenset(c) for c in closed_sets}
+    family = set(closed_sets)
+    check_table_size(len(family))
     X = FiniteSpace(pts, _sorted_family(family))
     validate_space(X)
     return X
 
 
-def _sorted_family(family) -> tuple[frozenset[int], ...]:
-    return tuple(sorted(family, key=lambda c: (len(c), sorted(c))))
+def _sorted_family(family) -> tuple[int, ...]:
+    return tuple(sorted(family, key=lambda c: (c.bit_count(), mask_points(c))))
 
 
 def from_open_sets(points, open_sets) -> FiniteSpace:
-    """Convert an open-set description to the closed-set form used here."""
-    full = frozenset(range(len(points)))
-    return make_space(points, [full - frozenset(u) for u in open_sets])
+    """Convert an open-set description (bitmasks) to the closed-set form."""
+    full = (1 << len(points)) - 1
+    return make_space(points, [full & ~u for u in open_sets])
 
 
-def closed_family_defect(family: set[frozenset[int]], n: int) -> Optional[str]:
-    """Why ``family`` is not a closed family on the points 0..n-1, or None.
+def closed_family_defect(family, n: int) -> Optional[str]:
+    """Why ``family`` (bitmasks) is not a closed family on the points
+    0..n-1, or None.
 
     A closed family holds the empty set and the ground set, lies inside the
-    ground set, and is closed under union and intersection.
+    ground set, and is closed under union and intersection.  Members and
+    pairs are scanned in (size, sorted point list) order, so the first
+    witness does not depend on how the family was given.
     """
-    full = frozenset(range(n))
-    if frozenset() not in family or full not in family:
+    members = _sorted_family(set(family))
+    fam = set(members)
+    full = (1 << n) - 1
+    if 0 not in fam or full not in fam:
         return "the family must contain the empty set and the ground set"
-    for C in family:
-        if not C <= full:
-            return f"member {sorted(C)} is not a subset of the ground set"
-    for A, B in itertools.combinations(family, 2):
-        if A | B not in family:
-            return f"union {sorted(A)} | {sorted(B)} is not a member"
-        if A & B not in family:
-            return f"intersection {sorted(A)} & {sorted(B)} is not a member"
+    for C in members:
+        if C & ~full:
+            return f"member {mask_points(C)} is not a subset of the ground set"
+    for A, B in itertools.combinations(members, 2):
+        if A | B not in fam:
+            return f"union {mask_points(A)} | {mask_points(B)} is not a member"
+        if A & B not in fam:
+            return f"intersection {mask_points(A)} & {mask_points(B)} is not a member"
     return None
 
 
 def validate_space(X: FiniteSpace) -> None:
-    defect = closed_family_defect(set(X.closed_sets), X.n)
+    defect = closed_family_defect(X.closed_sets, X.n)
     if defect:
         raise InvalidSpace(defect)
 
 
-def closure(X: FiniteSpace, A: frozenset[int]) -> frozenset[int]:
-    """Smallest closed superset (the family is intersection-closed)."""
-    out = frozenset(range(X.n))
+def closure(X: FiniteSpace, A: int) -> int:
+    """Smallest closed superset: the meet of the closed supersets (the
+    family is intersection-closed)."""
+    out = (1 << X.n) - 1
     for C in X.closed_sets:
-        if A <= C and C < out:
-            out = C
+        if A & ~C == 0:
+            out &= C
     return out
 
 
-def is_open(X: FiniteSpace, A: frozenset[int]) -> bool:
-    return (frozenset(range(X.n)) - A) in set(X.closed_sets)
+def is_open(X: FiniteSpace, A: int) -> bool:
+    return (((1 << X.n) - 1) & ~A) in set(X.closed_sets)
 
 
 def closed_points(X: FiniteSpace) -> list[int]:
     family = set(X.closed_sets)
-    return [p for p in range(X.n) if frozenset({p}) in family]
+    return [p for p in range(X.n) if 1 << p in family]
 
 
 @dataclass(frozen=True)
@@ -164,33 +180,18 @@ def axiom_suite(X: FiniteSpace) -> AxiomReport:
     T0: distinct points have distinct singleton closures.  T1: every
     singleton is closed.  T 1/2: every singleton is open or closed.
     Pearled: every nonempty closed set contains a closed point.  The
-    Noetherian chain condition is checked by computing the longest strictly
-    descending chain of closed sets (finite spaces always pass).  The
     implication arrows T1 => T1/2 => T0 and T1/2 => pearled are asserted
     on the result.
     """
     family = set(X.closed_sets)
-    closures = [closure(X, frozenset({p})) for p in range(X.n)]
-    t0 = all(
-        closures[p] != closures[q]
-        for p in range(X.n)
-        for q in range(p + 1, X.n)
-    )
-    t1 = all(frozenset({p}) in family for p in range(X.n))
-    t_half = all(
-        frozenset({p}) in family or is_open(X, frozenset({p})) for p in range(X.n)
-    )
-    cpts = set(closed_points(X))
-    pearled = all(not C or (C & cpts) for C in family)
-
-    # longest strictly descending chain; finiteness of the family makes
-    # this terminate, which is the chain condition itself
-    depth: dict[frozenset[int], int] = {}
-    for C in sorted(family, key=len):
-        depth[C] = 1 + max((depth[D] for D in family if D < C), default=0)
-    noetherian = max(depth.values(), default=0) < float("inf")
-
-    report = AxiomReport(t0, t1, t_half, pearled, noetherian)
+    t0 = len({closure(X, 1 << p) for p in range(X.n)}) == X.n
+    t1 = all(1 << p in family for p in range(X.n))
+    t_half = all(1 << p in family or is_open(X, 1 << p) for p in range(X.n))
+    cpts = sum(1 << p for p in closed_points(X))
+    pearled = all(not C or C & cpts for C in family)
+    # a finite family has no infinite strictly descending chain of closed
+    # sets, so every finite space is Noetherian
+    report = AxiomReport(t0, t1, t_half, pearled, noetherian=True)
     if report.t1 and not report.t_half:
         raise LatticeTheoremError("T1 space failed T1/2")
     if report.t_half and not report.t0:
@@ -202,19 +203,22 @@ def axiom_suite(X: FiniteSpace) -> AxiomReport:
 
 def prl(X: FiniteSpace) -> FiniteSpace:
     """Subspace of closed points; defined for pearled spaces, always T1."""
+    return _prl(X)[0]
+
+
+def _prl(X: FiniteSpace) -> tuple[FiniteSpace, list[int]]:
+    """Prl X, and the trace of each closed set of X on the closed points,
+    as a bitmask over the points of Prl X."""
     if not axiom_suite(X).pearled:
         raise NotPearled("space has a nonempty closed set without closed points")
     ys = closed_points(X)
-    pos = {p: i for i, p in enumerate(ys)}
-    members = {frozenset(pos[p] for p in C if p in pos) for C in X.closed_sets}
-    Y = make_space(tuple(X.points[p] for p in ys), members)
+    traces = [
+        sum(1 << i for i, p in enumerate(ys) if C >> p & 1) for C in X.closed_sets
+    ]
+    Y = make_space(tuple(X.points[p] for p in ys), traces)
     if not axiom_suite(Y).t1:
         raise LatticeTheoremError("closed-point subspace is not T1")
-    return Y
-
-
-def _set_label(points: tuple[str, ...], C: frozenset[int]) -> str:
-    return "{" + ",".join(points[p] for p in sorted(C)) + "}"
+    return Y, traces
 
 
 def closure_lattice(X: FiniteSpace) -> SemigroupTable:
@@ -223,18 +227,14 @@ def closure_lattice(X: FiniteSpace) -> SemigroupTable:
     The empty set absorbs; idempotence of intersection makes the table
     nilpotent-free.
     """
-    return meet_table(X.closed_sets, [_set_label(X.points, C) for C in X.closed_sets])
+    return meet_table(X.points, X.closed_sets)
 
 
 def alpha_map(X: FiniteSpace) -> SemigroupMap:
     """Intersection with the closed points: closed sets of X to those of Prl X."""
-    Y = prl(X)
-    ys = closed_points(X)
-    pos = {p: i for i, p in enumerate(ys)}
+    Y, traces = _prl(X)
     target_pos = {C: i for i, C in enumerate(Y.closed_sets)}
-    assignment = tuple(
-        target_pos[frozenset(pos[p] for p in C if p in pos)] for C in X.closed_sets
-    )
+    assignment = tuple(target_pos[t] for t in traces)
     return SemigroupMap(closure_lattice(X), closure_lattice(Y), assignment)
 
 
@@ -295,23 +295,25 @@ def n0_space_window(n_max: int) -> N0WindowReport:
 
 @dataclass(frozen=True)
 class SubsetLattice:
-    """A union/intersection-closed family of subsets of a finite ground set."""
+    """A union/intersection-closed family of subsets of a finite ground set,
+    each a bitmask over the ground indices, in (size, sorted point list)
+    order."""
 
     ground: tuple[str, ...]
-    members: tuple[frozenset[int], ...]
+    members: tuple[int, ...]
 
     @property
     def ground_size(self) -> int:
         return len(self.ground)
 
     @property
-    def whole(self) -> frozenset[int]:
-        return frozenset(range(self.ground_size))
+    def whole(self) -> int:
+        return (1 << self.ground_size) - 1
 
 
 def make_lattice(ground, members) -> SubsetLattice:
     g = tuple(ground)
-    fam = {frozenset(m) for m in members}
+    fam = set(members)
     defect = closed_family_defect(fam, len(g))
     if defect:
         raise InvalidLattice(defect)
@@ -331,21 +333,16 @@ def powerset_lattice(ground) -> SubsetLattice:
             f"over guard {DEFAULT_MAX_POWERSET_GROUND} points"
         )
     g = tuple(f"y{i}" for i in range(n)) if isinstance(ground, int) else tuple(ground)
-    members = [
-        frozenset(c)
-        for k in range(len(g) + 1)
-        for c in itertools.combinations(range(len(g)), k)
-    ]
-    return make_lattice(g, members)
+    return make_lattice(g, range(1 << n))
 
 
 def is_t1_lattice(L: SubsetLattice) -> bool:
     fam = set(L.members)
-    return all(frozenset({i}) in fam for i in range(L.ground_size))
+    return all(1 << i in fam for i in range(L.ground_size))
 
 
 def lattice_semigroup(L: SubsetLattice) -> SemigroupTable:
-    return meet_table(L.members, [_set_label(L.ground, m) for m in L.members])
+    return meet_table(L.ground, L.members)
 
 
 class _Whole:
@@ -448,9 +445,7 @@ def lattice_is_irreducible(
             if L.join(a, b) is WHOLE:
                 raise LatticeTheoremError("finite join reported as the ground set")
         return True
-    whole = L.whole
-    proper = [m for m in L.members if m != whole]
-    return all(A | B != whole for A in proper for B in proper)
+    return is_irreducible_family(L.members, L.whole)
 
 
 def lattice_is_connected(
@@ -502,7 +497,7 @@ def char_check_irr_conn(L: SubsetLattice) -> CharEquivalenceReport:
     G = zero_divisor_graph(sg)
     whole = L.whole
     expected_vertices = {
-        _set_label(L.ground, m) for m in L.members if m and m != whole
+        label for m, label in zip(L.members, sg.elements) if m and m != whole
     }
     vertex_set_matches = set(G.vertices) == expected_vertices
 

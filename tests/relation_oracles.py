@@ -124,5 +124,6 @@ def enumerate_t1_sublattices(n):
         for k, m in enumerate(optional):
             if bits >> k & 1:
                 fam.add(m)
-        if closed_family_defect(fam, n) is None:
-            yield make_lattice(ground, fam)
+        masks = {sum(1 << p for p in C) for C in fam}
+        if closed_family_defect(masks, n) is None:
+            yield make_lattice(ground, masks)

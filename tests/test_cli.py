@@ -61,7 +61,7 @@ def test_analyze_semigroup_file(tmp_path, capsys):
 
 
 def test_analyze_space_axioms(tmp_path, capsys):
-    X = make_space(["a", "b"], [frozenset(), frozenset({1}), frozenset({0, 1})])
+    X = make_space(["a", "b"], [0b00, 0b10, 0b11])
     path = tmp_path / "sierpinski.json"
     path.write_text(X.to_json())
     assert main(["analyze", "--space", str(path), "--tasks", "axioms"]) == 0
@@ -200,6 +200,19 @@ def test_unbounded_requests_fail_fast(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+def test_space_file_over_the_table_guard_fails_fast(tmp_path, capsys):
+    # the 13-point powerset has 8192 closed sets; checking them pairwise for
+    # closure would take about a minute before any task runs
+    path = tmp_path / "powerset13.json"
+    closed = [[p for p in range(13) if m >> p & 1] for m in range(1 << 13)]
+    path.write_text(json.dumps({"points": [f"q{i}" for i in range(13)], "closed": closed}))
+    t0 = time.perf_counter()
+    assert main(["analyze", "--space", str(path), "--tasks", "axioms"]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    err = capsys.readouterr().err
+    assert "8192 closed sets, over table guard 4096" in err and "Traceback" not in err
+
+
 def test_reports_deterministic_for_fixed_seed(capsys):
     from zdgraph.suites import verify_symbolic_lattice
 
@@ -258,6 +271,16 @@ def test_poset_relation_out_of_range_is_input_error(pair, tmp_path, capsys):
     assert main(["analyze", "--poset", str(path)]) == 1
     err = capsys.readouterr().err
     assert "outside points 0..1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("member", [[0, -1], [0, 2], [5]])
+def test_space_member_out_of_range_is_input_error(member, tmp_path, capsys):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({"points": ["a", "b"], "closed": [[], member, [0, 1]]}))
+    assert main(["analyze", "--space", str(path), "--tasks", "axioms"]) == 1
+    err = capsys.readouterr().err
+    assert f"member {sorted(member)} is not a subset of the ground set" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("spec,size", [

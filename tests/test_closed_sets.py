@@ -4,6 +4,7 @@ and meet tables, checked against the per-module code they replaced."""
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 
@@ -16,7 +17,9 @@ from zdgraph.corpus import (
     random_space,
 )
 from zdgraph.semigroups import SemigroupTable, SizeGuardExceeded
+from zdgraph import topology
 from zdgraph.spectra import (
+    FinitePoset,
     is_transitive,
     max_points,
     restrict_to_max,
@@ -33,6 +36,7 @@ from zdgraph.topology import (
     closure_lattice,
     lattice_semigroup,
     make_lattice,
+    make_space,
     powerset_lattice,
     validate_space,
 )
@@ -86,6 +90,16 @@ def _mask(C):
     return sum(1 << p for p in C)
 
 
+def _points(mask):
+    return [p for p in range(mask.bit_length()) if mask >> p & 1]
+
+
+def _frozensets(masks):
+    """Bitmask members in the frozenset form they had when the digests were
+    taken."""
+    return tuple(frozenset(_points(m)) for m in masks)
+
+
 def oracle_sigma(P, keep=None):
     """All up-sets of P as frozensets (optionally cut down to ``keep``),
     in (size, mask) order, with their frozenset meet table."""
@@ -131,11 +145,11 @@ def test_enumeration_order_is_pinned():
         repr(to_bools(P.leq, P.n)) for P in relation_oracles.enumerate_posets(4)
     ) == "19733cb0a01f0150"
     assert _digest(
-        repr((X.points, [sorted(c) for c in X.closed_sets]))
+        repr((X.points, [_points(c) for c in X.closed_sets]))
         for X in relation_oracles.enumerate_topologies(4)
     ) == "cc76054a9b09ea34"
     assert _digest(
-        repr(L.members) for n in range(1, 5) for L in enumerate_t1_sublattices(n)
+        repr(_frozensets(L.members)) for n in range(1, 5) for L in enumerate_t1_sublattices(n)
     ) == "7da94b0a66301b84"
 
 
@@ -173,19 +187,33 @@ def test_upset_masks_guard():
 
 
 def test_closed_family_defect_names_each_defect():
-    e, a, ab = frozenset(), frozenset({0}), frozenset({0, 1})
+    e, a, ab = 0b00, 0b01, 0b11
     assert closed_family_defect({e, a, ab}, 2) is None
     assert "empty set" in closed_family_defect({a, ab}, 2)
     assert "ground set" in closed_family_defect({e, a}, 2)
-    assert "not a subset" in closed_family_defect({e, ab, frozenset({0, 2})}, 2)
-    meets = {e, frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 1, 2})}
+    assert "not a subset" in closed_family_defect({e, ab, 0b101}, 2)
+    meets = {e, 0b011, 0b110, 0b111}
     assert "intersection" in closed_family_defect(meets, 3)
-    joins = {e, frozenset({0}), frozenset({1}), frozenset({0, 1, 2})}
-    assert "union" in closed_family_defect(joins, 3)
+    joins = {e, 0b001, 0b010, 0b100, 0b111}
+    # pairs are scanned in (size, sorted point list) order, whatever the
+    # order the family is given in
+    assert closed_family_defect(joins, 3) == "union [0] | [1] is not a member"
+    assert closed_family_defect(sorted(joins, reverse=True), 3) == (
+        "union [0] | [1] is not a member"
+    )
     with pytest.raises(InvalidSpace, match="union"):
         validate_space(FiniteSpace(("a", "b", "c"), tuple(joins)))
     with pytest.raises(InvalidLattice, match="union"):
         make_lattice(("a", "b", "c"), joins)
+
+
+def test_space_guard_trips_before_validation(monkeypatch):
+    def no_work(family, n):
+        raise AssertionError("validation started above the table guard")
+
+    monkeypatch.setattr(topology, "closed_family_defect", no_work)
+    with pytest.raises(SizeGuardExceeded, match="4097 closed sets, over table guard 4096"):
+        make_space([f"q{i}" for i in range(13)], range(4097))
 
 
 # ---------------------------------------------------------------------------
@@ -196,16 +224,18 @@ def test_space_tables_match_frozenset_oracle():
     rng = random.Random(17)
     for _ in range(60):
         X = random_space(rng, rng.randint(0, 6))
-        labels = [_label(X.points, C) for C in X.closed_sets]
-        assert closure_lattice(X) == oracle_meet_table(X.closed_sets, labels)
+        sets = _frozensets(X.closed_sets)
+        labels = [_label(X.points, C) for C in sets]
+        assert closure_lattice(X) == oracle_meet_table(sets, labels)
 
 
 def test_lattice_tables_match_frozenset_oracle():
     lattices = [powerset_lattice(k) for k in range(5)]
     lattices += [L for n in range(1, 5) for L in enumerate_t1_sublattices(n)]
     for L in lattices:
-        labels = [_label(L.ground, m) for m in L.members]
-        assert lattice_semigroup(L) == oracle_meet_table(L.members, labels)
+        sets = _frozensets(L.members)
+        labels = [_label(L.ground, m) for m in sets]
+        assert lattice_semigroup(L) == oracle_meet_table(sets, labels)
 
 
 def _small_and_random_posets():
@@ -229,12 +259,22 @@ def test_poset_tables_match_frozenset_oracle():
         assert g.assignment == tuple(tpos[C & maxes] for C in sets)
 
 
+def test_uspec_sigma_guard_trips_as_the_closure_grows():
+    # 13 incomparable points: the closure doubles with each principal up-set
+    # and passes the guard at the 13th; a pairwise closure ran 0.8 s first
+    P = FinitePoset(tuple(f"q{i}" for i in range(13)), tuple(1 << i for i in range(13)))
+    t0 = time.perf_counter()
+    with pytest.raises(SizeGuardExceeded, match="8192 closed sets, over table guard 4096"):
+        uspec_sigma(P)
+    assert time.perf_counter() - t0 < 0.1
+
+
 def test_random_corpora_are_pinned():
     # digests of the corpora made before the shared core, for the same seeds
     rng = random.Random(2024)
     spaces = [random_space(rng, rng.randint(0, 6)) for _ in range(60)]
     assert _digest(
-        repr((X.points, [sorted(c) for c in X.closed_sets])) for X in spaces
+        repr((X.points, [_points(c) for c in X.closed_sets])) for X in spaces
     ) == "16d5f59d164605cd"
     rng = random.Random(2024)
     posets = [random_poset(rng, rng.randint(0, 6)) for _ in range(60)]

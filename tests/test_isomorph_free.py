@@ -48,8 +48,9 @@ def _relabel(rows, perm):
 def _rows_of_space(X):
     """The specialization preorder of a space: bit j of row i when i lies in
     the closure of j, the least closed set holding j."""
-    closure = [min((C for C in X.closed_sets if j in C), key=len) for j in range(X.n)]
-    return tuple(sum(1 << j for j in range(X.n) if i in closure[j]) for i in range(X.n))
+    closure = [min((C for C in X.closed_sets if C >> j & 1), key=int.bit_count)
+               for j in range(X.n)]
+    return tuple(sum(1 << j for j in range(X.n) if closure[j] >> i & 1) for i in range(X.n))
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +108,8 @@ def test_topology_orbits_are_the_labelled_topologies(n):
     expanded = set()
     for X, orbit in enumerate_topologies(n):
         family = {
-            frozenset(frozenset(p[i] for i in C) for C in X.closed_sets) for p in perms
+            frozenset(sum(1 << p[i] for i in range(n) if C >> i & 1) for C in X.closed_sets)
+            for p in perms
         }
         assert len(family) == orbit
         assert not family & expanded
@@ -238,4 +240,4 @@ def test_t1_sublattices_match_the_filter():
         got = [L.members for L in enumerate_t1_sublattices(n)]
         assert got == [L.members for L in relation_oracles.enumerate_t1_sublattices(n)]
     (L,) = enumerate_t1_sublattices(7)
-    assert len(L.members) == 2 ** 7 and math.comb(7, 3) == sum(len(m) == 3 for m in L.members)
+    assert len(L.members) == 2 ** 7 and math.comb(7, 3) == sum(m.bit_count() == 3 for m in L.members)

@@ -7,6 +7,11 @@ fails on either.
 
 Relations are bitmask rows in the same way: a read like ``P.leq[i][j]`` or a
 nested tuple passed as ``leq`` is the bool-matrix form that was deleted.
+
+Point sets of finite spaces and subset lattices are int bitmasks too: a
+``frozenset(...)`` call in ``suites.py``, or in ``topology.py`` outside the
+symbolic ``CofiniteT1Lattice`` (whose ground set is infinite), is the
+frozenset form that was deleted.
 """
 
 import ast
@@ -87,6 +92,24 @@ def relation_bool_reads(tree):
     return sorted(set(found))
 
 
+# library files and the one class in each that may still build frozensets
+POINT_SET_FILES = {"suites.py": None, "topology.py": "CofiniteT1Lattice"}
+
+
+def frozenset_calls(tree, allowed_class=None):
+    """Line numbers of ``frozenset(...)`` calls outside ``class allowed_class``."""
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == allowed_class:
+            allowed |= {id(n) for n in ast.walk(node)}
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _name(node.func) == "frozenset"
+        and id(node) not in allowed
+    })
+
+
 def _library_hits(lint):
     return [
         f"{path.name}:{line}"
@@ -103,6 +126,28 @@ def test_no_scalar_table_reads_in_library():
 def test_no_bool_matrix_relations_in_library():
     found = _library_hits(relation_bool_reads)
     assert not found, f"bool-matrix relation reads or nested tuples as leq: {found}"
+
+
+def test_no_frozenset_point_sets_in_library():
+    found = [
+        f"{name}:{line}"
+        for name, allowed_class in POINT_SET_FILES.items()
+        for line in frozenset_calls(ast.parse((SRC / name).read_text()), allowed_class)
+    ]
+    assert not found, f"frozenset point sets: {found}"
+
+
+def test_the_point_set_lint_sees_each_pattern():
+    tree = ast.parse(
+        "a = frozenset({0})\n"
+        "class CofiniteT1Lattice:\n"
+        "    b = frozenset()\n"
+        "class Other:\n"
+        "    c = frozenset(range(3))\n"
+        "d = isinstance(a, frozenset)\n"
+    )
+    assert frozenset_calls(tree, "CofiniteT1Lattice") == [1, 5]
+    assert frozenset_calls(tree) == [1, 3, 5]
 
 
 def test_the_lint_sees_each_pattern():

@@ -432,19 +432,22 @@ def test_json_format_is_unchanged():
     text = S.to_json()
     assert text == '{"elements": ["0", "1", "2"], "zero": 0, "product": [[0, 0, 0], [0, 1, 2], [0, 2, 1]]}'
     assert SemigroupTable.from_json(text) == S
-    T = meet_table([0b01, 0b11, 0b00], ["a", "ab", "-"])
+    T = meet_table(["a", "b"], [0b01, 0b11, 0b00])
     assert SemigroupTable.from_json(T.to_json()) == T
+    assert json.loads(T.to_json())["elements"] == ["{a}", "{a,b}", "{}"]
     assert json.loads(T.to_json())["product"] == [[0, 0, 2], [0, 1, 2], [2, 2, 2]]
 
 
 def test_meet_table_over_wide_masks():
     # masks past 63 bits: a chain of closed sets on 100 points
-    members = [frozenset(range(k)) for k in range(0, 101, 10)]
-    T = meet_table(members, [str(len(m)) for m in members])
+    points = [str(p) for p in range(100)]
+    members = [(1 << k) - 1 for k in range(0, 101, 10)]
+    T = meet_table(points, members)
     assert T.product.tolist() == [[min(i, j) for j in range(11)] for i in range(11)]
     assert T.zero == 0
+    assert T.elements[1] == "{0,1,2,3,4,5,6,7,8,9}"
     with pytest.raises(ValueError, match="not closed under intersection"):
-        meet_table([0b11, 0b101, 0b111], ["a", "b", "c"])
+        meet_table(["a", "b", "c"], [0b11, 0b101, 0b111])
 
 
 @pytest.mark.parametrize("product", [

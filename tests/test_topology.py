@@ -32,34 +32,30 @@ from zdgraph.topology import (
 INF = math.inf
 
 
+# closed sets and lattice members are bitmasks: bit p set when point p is in
+
+
 def sierpinski():
-    return make_space(["a", "b"], [frozenset(), frozenset({1}), frozenset({0, 1})])
+    return make_space(["a", "b"], [0b00, 0b10, 0b11])
 
 
 def three_point_pearled():
-    return make_space(["a", "b", "c"], [frozenset(), frozenset({2}), frozenset({0, 1, 2})])
+    return make_space(["a", "b", "c"], [0b000, 0b100, 0b111])
 
 
 def discrete(n):
-    import itertools
-
     pts = [chr(ord("a") + i) for i in range(n)]
-    family = [
-        frozenset(c)
-        for k in range(n + 1)
-        for c in itertools.combinations(range(n), k)
-    ]
-    return make_space(pts, family)
+    return make_space(pts, range(1 << n))
 
 
 def test_validation_rejects_unclosed_family():
     with pytest.raises(InvalidSpace):
-        make_space(["a", "b"], [frozenset(), frozenset({0}), frozenset({1})])
+        make_space(["a", "b"], [0b00, 0b01, 0b10])
 
 
 def test_from_open_sets():
     # Sierpinski given by opens: {}, {a}, X
-    X = from_open_sets(["a", "b"], [frozenset(), frozenset({0}), frozenset({0, 1})])
+    X = from_open_sets(["a", "b"], [0b00, 0b01, 0b11])
     assert set(X.closed_sets) == set(sierpinski().closed_sets)
 
 
@@ -80,8 +76,8 @@ def test_axioms_discrete():
 
 def test_closure():
     X = sierpinski()
-    assert closure(X, frozenset({0})) == frozenset({0, 1})
-    assert closure(X, frozenset({1})) == frozenset({1})
+    assert closure(X, 0b01) == 0b11
+    assert closure(X, 0b10) == 0b10
 
 
 def test_prl():
@@ -92,10 +88,7 @@ def test_prl():
 
 def test_prl_rejects_nonpearled():
     # closed sets {}, {a,b}, X on three points: {a,b} has no closed point
-    X = make_space(
-        ["a", "b", "c"],
-        [frozenset(), frozenset({0, 1}), frozenset({0, 1, 2})],
-    )
+    X = make_space(["a", "b", "c"], [0b000, 0b011, 0b111])
     with pytest.raises(NotPearled):
         prl(X)
 
@@ -117,7 +110,7 @@ def test_closure_lattice_examples():
     G = zero_divisor_graph(t)
     assert G.n == 2 and len(G.edges) == 1
 
-    indiscrete = make_space(["a", "b"], [frozenset(), frozenset({0, 1})])
+    indiscrete = make_space(["a", "b"], [0b00, 0b11])
     assert zero_divisor_graph(closure_lattice(indiscrete)).n == 0
 
     G3 = zero_divisor_graph(closure_lattice(discrete(3)))
@@ -146,7 +139,7 @@ def test_alpha_map_sierpinski_shape():
 
 def test_lattice_validation():
     with pytest.raises(InvalidLattice):
-        make_lattice(["a", "b"], [frozenset(), frozenset({0})])  # missing ground
+        make_lattice(["a", "b"], [0b00, 0b01])  # missing ground
 
 
 def test_irreducible_and_connected():
@@ -155,13 +148,10 @@ def test_irreducible_and_connected():
     assert not lattice_is_connected(L)
 
     # {0, A, B, Y} with A | B = Y a disconnection
-    L2 = make_lattice(
-        ["a", "b"],
-        [frozenset(), frozenset({0}), frozenset({1}), frozenset({0, 1})],
-    )
+    L2 = make_lattice(["a", "b"], [0b00, 0b01, 0b10, 0b11])
     assert not lattice_is_connected(L2)
 
-    chain = make_lattice(["a", "b"], [frozenset(), frozenset({0}), frozenset({0, 1})])
+    chain = make_lattice(["a", "b"], [0b00, 0b01, 0b11])
     assert lattice_is_irreducible(chain) and lattice_is_connected(chain)
 
     C = CofiniteT1Lattice()
@@ -178,7 +168,7 @@ def test_char_check_powerset():
 
 
 def test_char_check_requires_t1():
-    L = make_lattice(["a", "b"], [frozenset(), frozenset({0, 1})])
+    L = make_lattice(["a", "b"], [0b00, 0b11])
     with pytest.raises(InvalidLattice):
         char_check_irr_conn(L)
 
@@ -191,7 +181,7 @@ def test_t1_invariants_table():
 
 
 def test_t1_invariants_rejects_non_t1():
-    L = make_lattice(["a", "b"], [frozenset(), frozenset({0, 1})])
+    L = make_lattice(["a", "b"], [0b00, 0b11])
     with pytest.raises(InvalidLattice):
         t1_invariants(L)
 
