@@ -19,6 +19,7 @@ members taken so far does not already hold.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -105,18 +106,18 @@ def _extensions(rows, preorders: bool) -> Iterator[tuple[int, ...]]:
                 yield tuple(r | new if r >> m & 1 else r for r in rows) + (row | new,)
 
 
-def _relation_classes(n: int, preorders: bool) -> list[tuple[tuple[int, ...], int]]:
+@functools.cache
+def _relation_classes(n: int, *, preorders: bool) -> tuple[tuple[tuple[int, ...], int], ...]:
     """One (canonical rows, n!/|Aut|) pair per isomorphism class of posets,
-    or of preorders, on n points, in ascending order of the rows."""
-    level = {(): 1}
-    for _ in range(n):
-        grown: dict[tuple[int, ...], int] = {}
-        for rows in level:
-            for ext in _extensions(rows, preorders):
-                form, aut = _canonical_form(ext)
-                grown.setdefault(form, aut)
-        level = grown
-    return [(rows, math.factorial(n) // aut) for rows, aut in sorted(level.items())]
+    or of preorders, on n points, ascending; each level is built once."""
+    if n == 0:
+        return (((), 1),)
+    grown: dict[tuple[int, ...], int] = {}
+    for rows, _ in _relation_classes(n - 1, preorders=preorders):
+        for ext in _extensions(rows, preorders):
+            form, aut = _canonical_form(ext)
+            grown.setdefault(form, math.factorial(n) // aut)
+    return tuple(sorted(grown.items()))
 
 
 def enumerate_topologies(n: int) -> Iterator[tuple[FiniteSpace, int]]:

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from collections import Counter, deque
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -59,33 +59,50 @@ Cardinal = Union[int, CountablyInfinite]
 
 @dataclass(frozen=True)
 class SimpleGraph:
-    """Undirected simple graph: labelled vertices, set of index pairs, and
-    ``adj[v]``, the bitmask of v's neighbours, which every invariant reads."""
+    """Undirected simple graph: labelled vertices and ``adj[v]``, the bitmask
+    of v's neighbours, which every invariant reads."""
 
     vertices: tuple[str, ...]
-    edges: frozenset[tuple[int, int]]
-    adj: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    adj: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.vertices)
-        adj = [0] * n
-        for i, j in self.edges:
-            if i == j:
-                raise ValueError(f"self-loop at {i}")
-            if not (0 <= i < j < n):
-                raise ValueError(f"bad edge ({i}, {j})")
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-        object.__setattr__(self, "adj", tuple(adj))
+        n, adj = len(self.vertices), self.adj
+        if len(adj) != n or min(adj, default=0) < 0:
+            raise ValueError(f"{n} vertices need {n} nonnegative adjacency rows")
+        for i, row in enumerate(adj):
+            for j in members(row):
+                if i == j:
+                    raise ValueError(f"self-loop at {i}")
+                if j >= n or not adj[j] >> i & 1:
+                    raise ValueError(f"bad edge ({min(i, j)}, {max(i, j)})")
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as index pairs (i, j) with i < j."""
+        return frozenset((i, j) for i, row in enumerate(self.adj) for j in members(row >> i << i))
+
     @staticmethod
     def from_edges(vertices: Iterable[str], edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
-        pairs = frozenset((min(i, j), max(i, j)) for i, j in edges)
-        return SimpleGraph(tuple(vertices), pairs)
+        vertices = tuple(vertices)
+        adj = [0] * len(vertices)
+        for i, j in edges:
+            if not (0 <= i < len(adj) and 0 <= j < len(adj)):
+                raise ValueError(f"bad edge ({min(i, j)}, {max(i, j)})")
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        return SimpleGraph(vertices, tuple(adj))
+
+
+def members(mask: int) -> Iterator[int]:
+    """The positions of the set bits of a nonnegative mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def row_union(rows, mask: int) -> int:
@@ -118,8 +135,6 @@ def is_connected(G: SimpleGraph) -> bool:
 
 def diameter(G: SimpleGraph) -> Value:
     """Supremum of pairwise distances; 0 for the empty graph."""
-    if not is_connected(G):
-        return INFINITY
     return max((_eccentricity(G, v) for v in range(G.n)), default=0)
 
 
@@ -135,7 +150,7 @@ def shortest_cycle(G: SimpleGraph) -> tuple[Value, Optional[tuple[int, ...]]]:
     adj = G.adj
     best: Value = INFINITY
     best_edge = None
-    for u, v in sorted(G.edges):
+    for u, v in ((u, v) for u, row in enumerate(adj) for v in members(row >> u << u)):
         if best == 3:
             break
         target = 1 << v
@@ -158,11 +173,7 @@ def _path_avoiding_edge(adj: tuple[int, ...], u: int, v: int) -> tuple[int, ...]
     q = deque([u])
     while v not in parent:
         x = q.popleft()
-        rest = adj[x] & ~(1 << v) if x == u else adj[x]
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            y = low.bit_length() - 1
+        for y in members(adj[x] & ~(1 << v) if x == u else adj[x]):
             if y not in parent:
                 parent[y] = x
                 q.append(y)
@@ -220,7 +231,7 @@ def max_clique(G: SimpleGraph, max_vertices: int = DEFAULT_MAX_CLIQUE_VERTICES) 
             cand &= ~(1 << v)
 
     expand(0, 0, (1 << n) - 1)
-    return tuple(v for v in range(n) if best_mask >> v & 1)
+    return tuple(members(best_mask))
 
 
 def clique_number(G: SimpleGraph, max_vertices: int = DEFAULT_MAX_CLIQUE_VERTICES) -> int:
@@ -249,7 +260,7 @@ def _k_colouring(adj: tuple[int, ...], k: int, seed_clique: tuple[int, ...]) -> 
         for v in uncoloured:
             if colours[v] != -1:
                 continue
-            sat = sum(1 for members in classes if members & adj[v])
+            sat = sum(1 for cls in classes if cls & adj[v])
             key = (sat, degree[v])
             if key > best_key:
                 best_key, best_v = key, v
@@ -283,12 +294,9 @@ def _check_chromatic_guard(n: int, max_vertices: int) -> None:
 
 def _colouring_from_clique(G: SimpleGraph, clique: tuple[int, ...]) -> tuple[int, list[int]]:
     """Exact chromatic number with a witness colouring, given a maximum clique."""
-    n = G.n
-    if n == 0:
-        return 0, []
-    if not G.edges:
-        return 1, [0] * n
-    for k in range(len(clique), n + 1):
+    if not any(G.adj):  # edgeless: one colour, or none for the empty graph
+        return min(G.n, 1), [0] * G.n
+    for k in range(len(clique), G.n + 1):
         colours = _k_colouring(G.adj, k, clique)
         if colours is not None:
             return k, colours
@@ -300,8 +308,7 @@ def optimal_colouring(
 ) -> tuple[int, list[int]]:
     """Exact chromatic number with a witness colouring."""
     _check_chromatic_guard(G.n, max_vertices)
-    clique = max_clique(G, max_vertices=G.n) if G.edges else ()
-    return _colouring_from_clique(G, clique)
+    return _colouring_from_clique(G, max_clique(G, max_vertices=G.n))
 
 
 def chromatic_number(G: SimpleGraph, max_vertices: int = DEFAULT_MAX_CHROMATIC_VERTICES) -> int:
@@ -354,23 +361,19 @@ def invariant_bundle(
 # Graphs from semigroups
 
 
-def zero_divisor_vertices(S: SemigroupTable) -> tuple[int, ...]:
-    """Element indices of the nonzero zero-divisors, ascending."""
-    return tuple(sorted(zero_divisors(S)))
-
-
-def _zero_product_graph(S: SemigroupTable, verts) -> SimpleGraph:
-    """The graph on the listed elements with {s, t} an edge iff s*t = 0."""
-    verts = np.asarray(verts, dtype=np.int64)
-    a, b = np.nonzero(S.product[verts[:, None], verts] == S.zero)
-    edge = a < b
-    return SimpleGraph(tuple(S.elements[v] for v in verts.tolist()),
-                       frozenset(zip(a[edge].tolist(), b[edge].tolist())))
+def _zero_product_graph(labels: tuple[str, ...], zero: np.ndarray) -> SimpleGraph:
+    """The graph on ``labels`` with {i, j} an edge iff ``zero[i, j]``, read
+    from the upper triangle of the boolean zero-product matrix."""
+    a, b = np.nonzero(zero)
+    upper = a < b
+    return SimpleGraph.from_edges(labels, zip(a[upper].tolist(), b[upper].tolist()))
 
 
 def zero_divisor_graph(S: SemigroupTable) -> SimpleGraph:
     """Vertices are nonzero zero-divisors; {s, t} is an edge iff s*t = 0."""
-    return _zero_product_graph(S, zero_divisor_vertices(S))
+    v = np.array(sorted(zero_divisors(S)), dtype=np.int64)
+    labels = tuple(S.elements[i] for i in v.tolist())
+    return _zero_product_graph(labels, S.product[v[:, None], v] == S.zero)
 
 
 def beck_graph(S: SemigroupTable) -> SimpleGraph:
@@ -380,7 +383,7 @@ def beck_graph(S: SemigroupTable) -> SimpleGraph:
     all-elements graph: 0 is connected to everything and non-zero-divisors
     connect only to 0.
     """
-    return _zero_product_graph(S, range(S.size))
+    return _zero_product_graph(tuple(S.elements), S.product == S.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -438,18 +441,16 @@ def armendariz_invariant_suite(
     bs = invariant_bundle(GS, max_clique_vertices, max_chromatic_vertices)
     bt = invariant_bundle(GT, max_clique_vertices, max_chromatic_vertices)
 
-    vs = zero_divisor_vertices(g.source)
-    vt = zero_divisor_vertices(g.target)
-    bijective = len(vs) == len(vt)
+    bijective = GS.n == GT.n
 
     # Fibre data over target vertices, for the two girth-4 witness patterns:
     # an edge whose endpoints both have non-singleton fibres, or a vertex
     # with a non-singleton fibre and at least two neighbours.
-    fibre: dict[int, int] = {t: 0 for t in vt}
-    for s in vs:
-        fibre[g.assignment[s]] += 1
-    pattern_edge = any(fibre[vt[i]] > 1 and fibre[vt[j]] > 1 for i, j in GT.edges)
-    pattern_vertex = any(fibre[t] > 1 and GT.adj[i].bit_count() >= 2 for i, t in enumerate(vt))
+    fibre = Counter(g.assignment[s] for s in zero_divisors(g.source))
+    vt = sorted(zero_divisors(g.target))
+    multi = sum(1 << i for i, t in enumerate(vt) if fibre[t] > 1)
+    pattern_edge = any(GT.adj[i] & multi for i in members(multi))
+    pattern_vertex = any(GT.adj[i].bit_count() >= 2 for i in members(multi))
 
     d1, acyclic = bt.diameter == 1, bt.girth == INFINITY
     expected = 1 if bijective else 2

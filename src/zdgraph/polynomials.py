@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .graphs import SimpleGraph, clique_and_chromatic
+from .graphs import SimpleGraph, _zero_product_graph, clique_and_chromatic
 from .rings import FiniteRing, Ideal, IdealIndex, gamma_graph, ideal_index, is_reduced
 from .semigroups import SizeGuardExceeded
 
@@ -105,10 +105,6 @@ def polys_up_to_degree(R: FiniteRing, d: int) -> Iterator[TruncPoly]:
         for lower in itertools.product(range(R.size), repeat=deg):
             for lead in nonzero:
                 yield TruncPoly(R, lower + (lead,))
-
-
-def _poly_count(R: FiniteRing, d: int) -> int:
-    return R.size ** (d + 1)
 
 
 @dataclass(frozen=True)
@@ -207,12 +203,16 @@ def _containment_failures(R: FiniteRing, F: np.ndarray):
     return fails
 
 
+def _check_poly_guard(R: FiniteRing, degree_bound: int, max_polys: int) -> None:
+    """Refuse more than max_polys polynomials of degree <= d, before any work."""
+    count = R.size ** (degree_bound + 1)
+    if count > max_polys:
+        raise SizeGuardExceeded(f"{count} polynomials exceed guard {max_polys}")
+
+
 def _pair_check(kind, law, note, R, degree_bound, max_polys) -> PairCheckReport:
     """Run ``law`` over all ordered pairs; report the first failure, if any."""
-    if _poly_count(R, degree_bound) > max_polys:
-        raise SizeGuardExceeded(
-            f"{_poly_count(R, degree_bound)} polynomials exceed guard {max_polys}"
-        )
+    _check_poly_guard(R, degree_bound, max_polys)
     polys = list(polys_up_to_degree(R, degree_bound))
     F = _coefficient_rows(R, polys, degree_bound)
     N = len(polys)
@@ -292,8 +292,7 @@ def truncated_zero_divisor_graph(R: FiniteRing, degree_bound: int) -> SimpleGrap
     kill = kill[1:, 1:]  # drop the zero polynomial
     verts = np.flatnonzero(kill.any(axis=1))
     labels = tuple(polys[i + 1].label() for i in verts)
-    a, b = np.nonzero(np.triu(kill[np.ix_(verts, verts)], 1))
-    return SimpleGraph(labels, frozenset(zip(a.tolist(), b.tolist())))
+    return _zero_product_graph(labels, kill[np.ix_(verts, verts)])
 
 
 @dataclass(frozen=True)
@@ -314,8 +313,7 @@ def clique_stabilization(
     """
     if not is_reduced(R):
         raise ValueError("clique stabilization requires a reduced ring")
-    if _poly_count(R, degree_bound) > max_polys:
-        raise SizeGuardExceeded("polynomial enumeration over guard")
+    _check_poly_guard(R, degree_bound, max_polys)
     base_clq, base_chi = clique_and_chromatic(gamma_graph(R))
     rows = []
     ok = True

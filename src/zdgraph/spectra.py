@@ -32,7 +32,9 @@ from .graphs import (
     COUNTABLY_INFINITE,
     InvariantBundle,
     SuitePart,
+    diameter,
     invariant_bundle,
+    members,
     row_union,
     zero_divisor_graph,
 )
@@ -76,9 +78,7 @@ class FinitePoset:
         for i, row in enumerate(self.leq):
             if not row >> i & 1:
                 raise InvalidPoset(f"not reflexive at {i}")
-            for j in range(n):
-                if not row >> j & 1:
-                    continue
+            for j in members(row):
                 if j != i and self.leq[j] >> i & 1:
                     raise InvalidPoset(f"not antisymmetric at ({i}, {j})")
                 missing = self.leq[j] & ~row
@@ -94,8 +94,8 @@ class FinitePoset:
         pairs = [
             [i, j]
             for i, row in enumerate(self.leq)
-            for j in range(self.n)
-            if i != j and row >> j & 1
+            for j in members(row)
+            if i != j
         ]
         return json.dumps({"points": list(self.points), "leq": pairs})
 
@@ -616,12 +616,14 @@ def _finite_specs_suite(P: FinitePoset) -> SpecsSuiteReport:
     rmap = _restrict_to_max(P, masks)
     tG = rmap.source
     tH = uspec_sigma(P)
+    coincide = tG == tH
     G = zero_divisor_graph(tG)
-    H = zero_divisor_graph(tH)
     # invariant_bundle runs the clique guard first, which bounds G.n, and
     # seeds the colouring with that clique
     bg = invariant_bundle(G, max_chromatic_vertices=G.n)
-    bh = invariant_bundle(H, max_chromatic_vertices=H.n)
+    # equal tables give equal graphs, so H is built only when they differ
+    H = G if coincide else zero_divisor_graph(tH)
+    bh = bg if coincide else invariant_bundle(H, max_chromatic_vertices=H.n)
     maxes = max_points(P)
     nmax = len(maxes)
     nonmax = [p for p in range(P.n) if p not in maxes]
@@ -632,7 +634,7 @@ def _finite_specs_suite(P: FinitePoset) -> SpecsSuiteReport:
         SuitePart(
             "zariski-alexandroff-coincide",
             True,
-            set(tG.elements) == set(tH.elements),
+            coincide,
             f"{len(tG.elements)} closed sets on both routes",
         )
     )
@@ -858,13 +860,9 @@ def _fan_specs_suite(
             note.append(f"w={w} skipped ({len(masks)} closed sets)")
             continue
         rmap = _restrict_to_max(wp, masks)
-        lattice = rmap.source
         rep = check_armendariz(rmap)
         window_ok = window_ok and rep.is_armendariz
-        wG = zero_divisor_graph(lattice)
-        from .graphs import diameter as graph_diameter
-
-        window_ok = window_ok and (wG.n == 0 or graph_diameter(wG) <= 3)
+        window_ok = window_ok and diameter(zero_divisor_graph(rmap.source)) <= 3
         for _ in range(samples // 4):
             x = random_fan_descriptor(fan, rng, spec_mode=False, max_index=w)
             y = random_fan_descriptor(fan, rng, spec_mode=False, max_index=w)

@@ -26,6 +26,7 @@ from .graphs import (
     COUNTABLY_INFINITE,
     InvariantBundle,
     invariant_bundle,
+    members,
     zero_divisor_graph,
 )
 from .semigroups import (
@@ -503,7 +504,7 @@ def char_check_irr_conn(L: SubsetLattice) -> CharEquivalenceReport:
 
     adj = G.adj
     pairs_2path = all(adj[a] & adj[b] for a in range(G.n) for b in range(a + 1, G.n))
-    edges_3cycle = all(adj[i] & adj[j] for i, j in G.edges)
+    edges_3cycle = all(adj[i] & adj[j] for i, row in enumerate(adj) for j in members(row))
 
     irr = lattice_is_irreducible(L)
     conn = lattice_is_connected(L)

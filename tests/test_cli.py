@@ -186,6 +186,13 @@ def test_guard_exceeded_is_input_error(capsys, monkeypatch):
     assert "guard exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("check", ["armendariz", "gaussian", "clique-stab"])
+def test_every_polynomial_check_names_its_count_at_the_guard(check, capsys):
+    assert main(["analyze", "--ring", "Zn:6", "--check", check, "--degree", "1",
+                 "--max-polys", "10"]) == 1
+    assert "36 polynomials exceed guard 10" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,message", [
     (["analyze", "--lattice", "powerset:14", "--tasks", "t1"], "over guard 10 points"),
     (["verify", "pearled", "--max-points", "7"], "over guard 6 points"),

@@ -45,10 +45,12 @@ EMPTY = graph(0, [])
 
 
 def test_no_self_loops_or_bad_edges():
-    with pytest.raises(ValueError):
-        SimpleGraph(("a",), frozenset({(0, 0)}))
-    with pytest.raises(ValueError):
-        SimpleGraph(("a",), frozenset({(0, 1)}))
+    with pytest.raises(ValueError, match="self-loop at 0"):
+        SimpleGraph.from_edges(("a",), [(0, 0)])
+    with pytest.raises(ValueError, match=r"bad edge \(0, 1\)"):
+        SimpleGraph.from_edges(("a",), [(1, 0)])
+    with pytest.raises(ValueError, match=r"bad edge \(-1, 0\)"):
+        SimpleGraph.from_edges(("a",), [(0, -1)])
 
 
 def test_diameter():
@@ -206,17 +208,54 @@ def test_girth4_pattern_flags():
     assert rep.source_invariants.girth == 4
 
 
+
+def test_girth4_patterns_match_an_edge_set_reference():
+    from collections import Counter
+
+    from zdgraph.corpus import armendariz_map_corpus
+    from zdgraph.semigroups import zero_divisors
+
+    seen = Counter()
+    for _, g in armendariz_map_corpus():
+        rep = armendariz_invariant_suite(g)
+        vt = sorted(zero_divisors(g.target))
+        fibre = Counter(g.assignment[s] for s in zero_divisors(g.source))
+        GT = zero_divisor_graph(g.target)
+        degree = Counter(v for e in GT.edges for v in e)
+        edge = any(fibre[vt[i]] > 1 and fibre[vt[j]] > 1 for i, j in GT.edges)
+        vertex = any(fibre[t] > 1 and degree[i] >= 2 for i, t in enumerate(vt))
+        assert (rep.girth4_pattern_edge, rep.girth4_pattern_vertex) == (edge, vertex)
+        seen[edge, vertex] += 1
+    assert len(seen) >= 3, seen
+
 def test_adjacency_rows_are_neighbour_masks():
     assert SQUARE.adj == (0b1010, 0b0101, 0b1010, 0b0101)
     assert EMPTY.adj == () and graph(2, []).adj == (0, 0)
 
 
-def test_equality_and_hash_ignore_adjacency():
-    G = graph(3, [(0, 1), (1, 2)])
-    H = SimpleGraph(("0", "1", "2"), frozenset({(1, 2), (0, 1)}))
-    object.__setattr__(H, "adj", ())
+def test_edge_list_and_zero_product_builds_give_equal_graphs():
+    G = SimpleGraph.from_edges(("2", "3", "4"), [(2, 1), (0, 1), (1, 0)])
+    H = zero_divisor_graph(zn_mul(6))
     assert G == H and hash(G) == hash(H)
-    assert "adj" not in repr(G)
+    assert G.adj == H.adj == (0b010, 0b101, 0b010)
+    assert G.edges == H.edges == {(0, 1), (1, 2)}
+    assert repr(G) == "SimpleGraph(vertices=('2', '3', '4'), adj=(2, 5, 2))"
+    assert G != SimpleGraph.from_edges(("2", "3", "4"), [(0, 1)])
+    assert G != SimpleGraph.from_edges(("a", "b", "c"), [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("adj, message", [
+    ((0b001, 0, 0), "self-loop at 0"),
+    ((0b010, 0b001, 0b100), "self-loop at 2"),
+    ((0b1000, 0, 0), r"bad edge \(0, 3\)"),
+    ((0b010, 0, 0), r"bad edge \(0, 1\)"),
+    ((0, 0, 0b001), r"bad edge \(0, 2\)"),
+    ((0, 0, -1), "3 vertices need 3 nonnegative adjacency rows"),
+    ((0, 0), "3 vertices need 3 nonnegative adjacency rows"),
+])
+def test_bad_rows_raise(adj, message):
+    with pytest.raises(ValueError, match=message):
+        SimpleGraph(("a", "b", "c"), adj)
 
 
 def test_invariant_bundle_searches_for_a_clique_once(monkeypatch):

@@ -16,6 +16,7 @@ import random
 import pytest
 
 import relation_oracles
+import zdgraph.corpus as corpus
 import zdgraph.suites as suites
 from zdgraph.corpus import (
     _canonical_form,
@@ -84,6 +85,27 @@ def test_guards_trip_before_any_work(monkeypatch):
         suites.verify_specs(max_points=8)
     with pytest.raises(SizeGuardExceeded, match="over guard 6 points"):
         suites.verify_pearled(max_points=7)
+
+
+def test_each_level_is_built_once(monkeypatch):
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return _canonical_form(rows)
+
+    corpus._relation_classes.cache_clear()
+    monkeypatch.setattr(corpus, "_canonical_form", counting)
+    assert suites.verify_specs(max_points=5).passed
+    extensions = {ext for n in range(5)
+                  for rows, _ in corpus._relation_classes(n, preorders=False)
+                  for ext in corpus._extensions(rows, False)}
+    assert len(calls) == len(set(calls)) == len(extensions)
+    assert set(calls) == extensions
+    # the next enumeration of any level up to 5 canonicalises nothing
+    calls.clear()
+    assert [len(list(enumerate_posets(n))) for n in range(6)] == A000112[:6]
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

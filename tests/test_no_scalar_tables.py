@@ -12,6 +12,10 @@ Point sets of finite spaces and subset lattices are int bitmasks too: a
 ``frozenset(...)`` call in ``suites.py``, or in ``topology.py`` outside the
 symbolic ``CofiniteT1Lattice`` (whose ground set is infinite), is the
 frozenset form that was deleted.
+
+A graph is its adjacency rows: ``SimpleGraph(...)`` is called only in
+``graphs.py`` (elsewhere a graph comes from a builder or ``from_edges``),
+and ``graphs.py`` reads the derived ``.edges`` only in its export functions.
 """
 
 import ast
@@ -110,6 +114,31 @@ def frozenset_calls(tree, allowed_class=None):
     })
 
 
+def simple_graph_calls(tree):
+    """Line numbers of ``SimpleGraph(...)`` calls."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _name(node.func) == "SimpleGraph"
+    })
+
+
+GRAPH_EXPORTS = {"to_dot", "graph_to_json"}  # the functions of graphs.py that list edges
+
+
+def edge_reads(tree, allowed_functions=GRAPH_EXPORTS):
+    """Line numbers of ``X.edges`` reads outside the allowed functions."""
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in allowed_functions:
+            allowed |= {id(n) for n in ast.walk(node)}
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "edges" and id(node) not in allowed
+    })
+
+
 def _library_hits(lint):
     return [
         f"{path.name}:{line}"
@@ -135,6 +164,31 @@ def test_no_frozenset_point_sets_in_library():
         for line in frozenset_calls(ast.parse((SRC / name).read_text()), allowed_class)
     ]
     assert not found, f"frozenset point sets: {found}"
+
+
+def test_graphs_are_built_from_rows():
+    found = [hit for hit in _library_hits(simple_graph_calls)
+             if not hit.startswith("graphs.py:")]
+    found += [f"graphs.py:{line}"
+              for line in edge_reads(ast.parse((SRC / "graphs.py").read_text()))]
+    assert not found, f"graphs built or read as edge sets: {found}"
+
+
+def test_the_graph_lint_sees_each_pattern():
+    tree = ast.parse(
+        "G = SimpleGraph(labels, frozenset(pairs))\n"
+        "H = SimpleGraph.from_edges(labels, pairs)\n"
+        "def to_dot(G):\n"
+        "    return sorted(G.edges)\n"
+        "def girth(G):\n"
+        "    return sorted(G.edges)\n"
+        "k = len(H.edges)\n"
+        "def edges(self):\n"
+        "    return self.adj\n"
+    )
+    assert simple_graph_calls(tree) == [1]
+    assert edge_reads(tree) == [6, 7]
+    assert edge_reads(tree, allowed_functions=()) == [4, 6, 7]
 
 
 def test_the_point_set_lint_sees_each_pattern():

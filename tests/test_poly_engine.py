@@ -111,7 +111,7 @@ def oracle_truncated_graph(R, d):
     verts = [i for i in range(len(polys)) if any(kill[i])]
     edges = {(a, b) for a in range(len(verts)) for b in range(a + 1, len(verts))
              if kill[verts[a]][verts[b]]}
-    return SimpleGraph(tuple(polys[i].label() for i in verts), frozenset(edges))
+    return SimpleGraph.from_edges([polys[i].label() for i in verts], edges)
 
 
 # ---------------------------------------------------------------------------

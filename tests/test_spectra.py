@@ -241,3 +241,42 @@ def test_specs_suite_enumerates_upsets_once_per_poset(monkeypatch):
     calls.clear()
     assert specs_theorem_suite(fan_disjoint(2), samples=20, windows=(2, 3)).passed
     assert len(calls) == 2  # one per window
+
+
+def test_specs_suite_builds_one_graph_per_finite_poset(monkeypatch):
+    import zdgraph.spectra as spectra
+    from relation_oracles import enumerate_posets
+
+    built = []
+
+    def counting(S):
+        built.append(S)
+        return zero_divisor_graph(S)
+
+    monkeypatch.setattr(spectra, "zero_divisor_graph", counting)
+    for P in (P for n in range(5) for P in enumerate_posets(n)):
+        built.clear()
+        report = specs_theorem_suite(P)
+        assert report.passed and report.spec_bundle == report.uspec_bundle
+        assert built == [sigma_spec(P)], P
+
+
+def test_coincidence_is_table_equality(monkeypatch):
+    import zdgraph.spectra as spectra
+    from zdgraph.semigroups import meet_table
+
+    P = FinitePoset(("a", "b", "c"), (0b001, 0b010, 0b111))
+    # the same closed sets, labels and all, listed in another order
+    reordered = meet_table(P.points, upset_masks(P.leq)[::-1])
+    assert set(reordered.elements) == set(sigma_spec(P).elements)
+    built = []
+
+    def counting(S):
+        built.append(S)
+        return zero_divisor_graph(S)
+
+    monkeypatch.setattr(spectra, "uspec_sigma", lambda P: reordered)
+    monkeypatch.setattr(spectra, "zero_divisor_graph", counting)
+    parts = {p.name: p for p in specs_theorem_suite(P).parts}
+    assert not parts["zariski-alexandroff-coincide"].passed
+    assert built == [sigma_spec(P), reordered]
