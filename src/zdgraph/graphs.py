@@ -69,6 +69,9 @@ class SimpleGraph:
         n, adj = len(self.vertices), self.adj
         if len(adj) != n or min(adj, default=0) < 0:
             raise ValueError(f"{n} vertices need {n} nonnegative adjacency rows")
+        if _rows_symmetric(adj):
+            return
+        # the first bad bit in row-major order is the witness
         for i, row in enumerate(adj):
             for j in members(row):
                 if i == j:
@@ -103,6 +106,20 @@ def members(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _rows_symmetric(adj: tuple[int, ...]) -> bool:
+    """No row has its diagonal bit, and bit j of row i is set iff bit i of
+    row j is.  Only the bits above the diagonal are looked up: once each has
+    its mirror, the rows hold twice as many bits only if they hold no other."""
+    n, upper = len(adj), 0
+    for i, row in enumerate(adj):
+        above = row >> i + 1
+        for j in members(above):
+            if i + 1 + j >= n or not adj[i + 1 + j] >> i & 1:
+                return False
+        upper += above.bit_count()
+    return 2 * upper == sum(row.bit_count() for row in adj)
 
 
 def row_union(rows, mask: int) -> int:
@@ -266,25 +283,32 @@ def _k_colouring(adj: tuple[int, ...], k: int, seed_clique: tuple[int, ...]) -> 
                 best_key, best_v = key, v
         return best_v
 
-    def rec(remaining: int, max_used: int) -> bool:
-        if remaining == 0:
-            return True
-        v = pick()
-        bit = 1 << v
-        for c in range(min(k - 1, max_used + 1) + 1):
-            if classes[c] & adj[v]:
-                continue
+    # An explicit stack of (v, c, max_used before v): vertex v holds colour
+    # c.  Each step colours the picked vertex with its least admissible
+    # colour from c on, or, with none left, uncolours the last vertex
+    # coloured and moves it on to its next colour.
+    stack: list[tuple[int, int, int]] = []
+    remaining, max_used = len(uncoloured), len(seed_clique) - 1
+    v, c = pick(), 0
+    while remaining:
+        top = min(k - 1, max_used + 1)
+        while c <= top and classes[c] & adj[v]:
+            c += 1
+        if c <= top:
             colours[v] = c
-            classes[c] |= bit
-            if rec(remaining - 1, max(max_used, c)):
-                return True
-            classes[c] ^= bit
+            classes[c] |= 1 << v
+            stack.append((v, c, max_used))
+            max_used, remaining = max(max_used, c), remaining - 1
+            v, c = pick(), 0
+        elif stack:
+            v, c, max_used = stack.pop()
+            classes[c] ^= 1 << v
             colours[v] = -1
-        return False
-
-    if rec(len(uncoloured), len(seed_clique) - 1):
-        return colours
-    return None
+            remaining += 1
+            c += 1
+        else:
+            return None
+    return colours
 
 
 def _check_chromatic_guard(n: int, max_vertices: int) -> None:

@@ -73,20 +73,6 @@ def make_poly(R: FiniteRing, coeffs) -> TruncPoly:
     return TruncPoly(R, tuple(cs))
 
 
-def poly_mul(f: TruncPoly, g: TruncPoly) -> TruncPoly:
-    """Exact convolution product."""
-    if f.ring is not g.ring:
-        raise ValueError("polynomials over different rings")
-    R = f.ring
-    if f.is_zero or g.is_zero:
-        return make_poly(R, ())
-    terms = R.mul[np.ix_(f.coeffs, g.coeffs)]  # terms[i, j] is a term of X^(i+j)
-    out = np.full(len(f.coeffs) + len(g.coeffs) - 1, R.zero)
-    for i, row in enumerate(terms):
-        out[i : i + len(row)] = R.add[out[i : i + len(row)], row]
-    return make_poly(R, out.tolist())
-
-
 def content(f: TruncPoly) -> Ideal:
     """The ideal generated by the coefficients; content(0) = (0)."""
     T = ideal_index(f.ring)
@@ -129,6 +115,15 @@ class PairCheckReport:
 # once by table lookup; a law is a vectorised predicate on the block of
 # products, and the first failing pair in row-major order is the same
 # canonical witness an f-then-g double loop would report.
+#
+# Only class minima are scanned.  Write f = X^v*f0 with f0(0) != 0; the
+# class of f is every u*X^k*f0 of degree <= d, for u a unit and k >= 0.
+# Each law is symmetric in (f, g) and unchanged when f or g moves within
+# its class.  So if (f, g) is the first failing pair, f and g are class
+# minima, since (f*, g) and (f, g*) fail too for the minima f* <= f and
+# g* <= g, and f <= g, since (g, f) fails too.  Scanning the sorted minima
+# against themselves in row-major order finds that pair first, and its
+# position among all N^2 pairs is still f*N + g + 1.
 
 # Cap on the product coefficients held per block (rows x N x (2d+1));
 # larger blocks run no faster and raise peak memory.
@@ -210,21 +205,51 @@ def _check_poly_guard(R: FiniteRing, degree_bound: int, max_polys: int) -> None:
         raise SizeGuardExceeded(f"{count} polynomials exceed guard {max_polys}")
 
 
+def _class_minima(R: FiniteRing, F: np.ndarray) -> np.ndarray:
+    """``rep[r]``: the least row of the class of row r (see above).
+
+    The class minimum has no low zero coefficient, since shifting down
+    lowers the index, and scaling by a unit keeps which coefficients are
+    zero.  So each row is stripped of its low zeros, scaled by every unit,
+    and ranked in ``polys_up_to_degree`` order: a polynomial of degree e
+    with coefficients c_0..c_e has index n^e + L(n - 1) + c_e', where L is
+    c_0..c_(e-1) read as a base-n number and c_e' counts the nonzero
+    elements below c_e.
+    """
+    N, w = F.shape
+    n, zero = R.size, R.zero
+    nz = F != zero
+    low = nz.argmax(1)
+    deg = w - 1 - nz[:, ::-1].argmax(1) - low  # degree after stripping
+    pos = low[:, None] + np.arange(w)
+    G = np.where(pos < w, np.take_along_axis(F, np.minimum(pos, w - 1), 1), zero)
+    power = deg[:, None] - 1 - np.arange(w)  # the weight n^power of each lower coefficient
+    weight = np.where(power >= 0, n ** np.maximum(power, 0), 0)
+    rep = np.full(N, N)
+    for u in np.flatnonzero((R.mul == R.one).any(1)):
+        S = R.mul[u, G]
+        lead = S[np.arange(N), deg]
+        rep = np.minimum(rep, n ** deg + (S * weight).sum(1) * (n - 1) + lead - (lead > zero))
+    return np.where(nz.any(1), rep, 0)
+
+
 def _pair_check(kind, law, note, R, degree_bound, max_polys) -> PairCheckReport:
     """Run ``law`` over all ordered pairs; report the first failure, if any."""
     _check_poly_guard(R, degree_bound, max_polys)
     polys = list(polys_up_to_degree(R, degree_bound))
     F = _coefficient_rows(R, polys, degree_bound)
     N = len(polys)
+    reps = np.unique(_class_minima(R, F))
+    F = F[reps]
     fails = law(R, F)
     for r0, C in _product_blocks(R, F):
         bad = fails(r0, C)
         if bad.any():
-            flat = int(bad.argmax())
-            f, g = polys[r0 + flat // N], polys[flat % N]
+            b, c = divmod(int(bad.argmax()), len(reps))
+            f, g = int(reps[r0 + b]), int(reps[c])
             return PairCheckReport(
-                kind, R.tag, degree_bound, False, r0 * N + flat + 1,
-                (f.label(), g.label()), note,
+                kind, R.tag, degree_bound, False, f * N + g + 1,
+                (polys[f].label(), polys[g].label()), note,
             )
     return PairCheckReport(kind, R.tag, degree_bound, True, N * N)
 
@@ -266,13 +291,6 @@ def check_content_containment(
         "a coefficient of fg escapes content(f)content(g)",
         R, degree_bound, max_polys,
     )
-
-
-def contents_hit(R: FiniteRing, degree_bound: int) -> set[Ideal]:
-    """The set of ideals realized as contents of polynomials of degree <= d."""
-    T = ideal_index(R)
-    F = _coefficient_rows(R, list(polys_up_to_degree(R, degree_bound)), degree_bound)
-    return {T.ideals[k] for k in np.unique(T.content(F)).tolist()}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pathlib
 
 import numpy as np
 
-from zdgraph import rings
+from zdgraph import polynomials, rings
 from zdgraph.semigroups import SizeGuardExceeded
 
 BIG = "prod:Zn:4,Zn:9,Zn:5,Zn:7"
@@ -70,6 +70,11 @@ def content(f):
     for c in set(f.coeffs):
         acc = ideal_sum(f.ring, acc, principal_ideal(f.ring, c))
     return acc
+
+
+def contents_hit(R, degree_bound):
+    """The ideals realized as contents of polynomials of degree <= d."""
+    return {content(f) for f in polynomials.polys_up_to_degree(R, degree_bound)}
 
 
 def enumerate_ideals(R, max_ideals=10000):

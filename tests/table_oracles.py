@@ -4,11 +4,14 @@ Each routine reads its tables as lists of rows (``.tolist()``) and shares no
 code with the program, so tests can compare verdicts, first witnesses and
 messages of ``zdgraph.semigroups``, ``zdgraph.graphs``, ``zdgraph.corpus``,
 ``zdgraph.polynomials`` and ``zdgraph.rings._validate_ring`` (with its greedy
-additive generators) against them.
+additive generators) against them.  ``poly_mul``, the table-lookup product
+of two polynomials, has no caller left in the program; it lives here beside
+its cell-by-cell check ``poly_mul_coeffs``.
 """
 
 import numpy as np
 
+from zdgraph.polynomials import make_poly
 from zdgraph.semigroups import InvalidSemigroup
 
 
@@ -159,6 +162,21 @@ def poly_mul_coeffs(R, f, g):
     while out and out[-1] == R.zero:
         out.pop()
     return tuple(out)
+
+
+def poly_mul(f, g):
+    """The exact product of two ``TruncPoly`` values, one table lookup per
+    row of coefficient products."""
+    if f.ring is not g.ring:
+        raise ValueError("polynomials over different rings")
+    R = f.ring
+    if f.is_zero or g.is_zero:
+        return make_poly(R, ())
+    terms = R.mul[np.ix_(f.coeffs, g.coeffs)]  # terms[i, j] is a term of X^(i+j)
+    out = np.full(len(f.coeffs) + len(g.coeffs) - 1, R.zero)
+    for i, row in enumerate(terms):
+        out[i : i + len(row)] = R.add[out[i : i + len(row)], row]
+    return make_poly(R, out.tolist())
 
 
 def _first_bad(mask):

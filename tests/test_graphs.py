@@ -1,14 +1,17 @@
 import json
 import math
+import random
 
 import pytest
 
+from zdgraph import graphs
 from zdgraph.graphs import (
     SimpleGraph,
     SizeGuardExceeded,
     armendariz_invariant_suite,
     beck_graph,
     chromatic_number,
+    clique_and_chromatic,
     clique_number,
     diameter,
     girth,
@@ -17,6 +20,7 @@ from zdgraph.graphs import (
     invariant_bundle,
     is_connected,
     max_clique,
+    optimal_colouring,
     shortest_cycle,
     to_dot,
     zero_divisor_graph,
@@ -252,10 +256,106 @@ def test_edge_list_and_zero_product_builds_give_equal_graphs():
     ((0, 0, 0b001), r"bad edge \(0, 2\)"),
     ((0, 0, -1), "3 vertices need 3 nonnegative adjacency rows"),
     ((0, 0), "3 vertices need 3 nonnegative adjacency rows"),
+    # every bit above the diagonal has its mirror; the stray one is below
+    ((0b010, 0b001, 0b010), r"bad edge \(1, 2\)"),
 ])
 def test_bad_rows_raise(adj, message):
     with pytest.raises(ValueError, match=message):
         SimpleGraph(("a", "b", "c"), adj)
+
+
+def _full_row_scan(adj):
+    """The message of the first bad bit in row-major order, or None."""
+    n = len(adj)
+    for i, row in enumerate(adj):
+        for j in range(row.bit_length()):
+            if row >> j & 1:
+                if i == j:
+                    return f"self-loop at {i}"
+                if j >= n or not adj[j] >> i & 1:
+                    return f"bad edge ({min(i, j)}, {max(i, j)})"
+    return None
+
+
+def test_row_check_matches_a_full_scan():
+    # symmetric rows with up to three bits flipped, anywhere in 0..n
+    rng = random.Random(12)
+    for _ in range(600):
+        n = rng.randint(1, 9)
+        adj = [0] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.4:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+        for _ in range(rng.randint(0, 3)):
+            adj[rng.randrange(n)] ^= 1 << rng.randrange(n + 1)
+        want = _full_row_scan(adj)
+        if want is None:
+            assert SimpleGraph(tuple(map(str, range(n))), tuple(adj)).adj == tuple(adj)
+        else:
+            with pytest.raises(ValueError) as err:
+                SimpleGraph(tuple(map(str, range(n))), tuple(adj))
+            assert str(err.value) == want
+
+
+def _recursive_k_colouring(adj, k, seed_clique):
+    """The recursive backtracking search the explicit stack replaced."""
+    n = len(adj)
+    colours = [-1] * n
+    classes = [0] * k
+    for c, v in enumerate(seed_clique):
+        colours[v] = c
+        classes[c] |= 1 << v
+    degree = [a.bit_count() for a in adj]
+
+    def pick():
+        free = [v for v in range(n) if colours[v] == -1]
+        return max(free, key=lambda v: (sum(1 for cls in classes if cls & adj[v]), degree[v], -v))
+
+    def rec(remaining, max_used):
+        if remaining == 0:
+            return True
+        v = pick()
+        for c in range(min(k - 1, max_used + 1) + 1):
+            if classes[c] & adj[v]:
+                continue
+            colours[v] = c
+            classes[c] |= 1 << v
+            if rec(remaining - 1, max(max_used, c)):
+                return True
+            classes[c] ^= 1 << v
+            colours[v] = -1
+        return False
+
+    return colours if rec(colours.count(-1), len(seed_clique) - 1) else None
+
+
+def test_colouring_search_matches_the_recursive_search():
+    # every k from the clique size up to the first success, so the searches
+    # that fail and backtrack to the root are compared too
+    rng = random.Random(5)
+    failed = 0
+    for _ in range(300):
+        n = rng.randint(8, 20)
+        p = rng.uniform(0.2, 0.7)
+        G = graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        clique = max_clique(G)
+        for k in range(len(clique), n + 1):
+            got = graphs._k_colouring(G.adj, k, clique)
+            assert got == _recursive_k_colouring(G.adj, k, clique)
+            if got is not None:
+                break
+            failed += 1
+    assert failed > 50
+
+
+def test_colouring_search_is_not_bounded_by_recursion_depth():
+    # the star K_{1,1199}: one backtracking level per uncoloured vertex
+    G = graph(1200, [(0, j) for j in range(1, 1200)])
+    assert clique_and_chromatic(G, 10**5, 10**5) == (2, 2)
+    k, colours = optimal_colouring(G, 10**5)
+    assert k == 2 and all(colours[i] != colours[j] for i, j in G.edges)
 
 
 def test_invariant_bundle_searches_for_a_clique_once(monkeypatch):

@@ -1,12 +1,15 @@
-"""The batched pair-check engine against scalar reference loops.
+"""The batched pair-check engine against two references.
 
-The oracles below are the per-pair convolution loops the engine replaced:
-one Python product per ordered pair, in ``polys_up_to_degree`` order, with
-an early return on the first failing pair.  Every engine report must equal
-the oracle's field by field, so verdict, pair count and canonical witness
-are all pinned.
+The scalar oracles below are the per-pair convolution loops the engine
+replaced: one Python product per ordered pair, in ``polys_up_to_degree``
+order, with an early return on the first failing pair.  The full-scan
+oracle is the engine as it was before it scanned class minima only: the
+same laws and product blocks over every row against every row.  Every
+engine report must equal both field by field, so verdict, pair count and
+canonical witness are all pinned.
 """
 
+import collections
 import functools
 import itertools
 import time
@@ -105,6 +108,29 @@ def _oracle_check(kind, R, d):
     return PairCheckReport(kind, R.tag, d, True, pairs)
 
 
+LAWS = {
+    "armendariz": polynomials._armendariz_failures,
+    "gaussian": polynomials._gaussian_failures,
+    "content-containment": polynomials._containment_failures,
+}
+
+
+def full_scan(kind, law, R, d):
+    """The pair-check engine over all N rows against all N rows."""
+    polys = list(polys_up_to_degree(R, d))
+    F = polynomials._coefficient_rows(R, polys, d)
+    N = len(polys)
+    fails = law(R, F)
+    for r0, C in polynomials._product_blocks(R, F):
+        bad = fails(r0, C)
+        if bad.any():
+            flat = int(bad.argmax())
+            f, g = polys[r0 + flat // N], polys[flat % N]
+            return PairCheckReport(kind, R.tag, d, False, r0 * N + flat + 1,
+                                   (f.label(), g.label()), NOTES[kind])
+    return PairCheckReport(kind, R.tag, d, True, N * N)
+
+
 def oracle_truncated_graph(R, d):
     polys = [f for f in polys_up_to_degree(R, d) if not f.is_zero]
     kill = [[_zero_product(f, g) for g in polys] for f in polys]
@@ -153,6 +179,68 @@ def test_engine_matches_oracle(spec, d, kind, one_row_blocks, monkeypatch):
         # every f-row is its own block, so witnesses land on block boundaries
         monkeypatch.setattr(polynomials, "_BLOCK_CELLS", 1)
     assert ENGINE[kind](_ring(spec), d) == _oracle(kind, spec, d)
+
+
+@functools.cache
+def _full(kind, spec, d):
+    return full_scan(kind, LAWS[kind], _ring(spec), d)
+
+
+# the scalar oracle's one omission is cheap for the full scan (about 4 s)
+FULL_CASES = CASES + [(X2Y2, 2, "content-containment")]
+
+
+@pytest.mark.parametrize("one_row_blocks", [False, True], ids=["blocked", "one-row"])
+@pytest.mark.parametrize("spec,d,kind", FULL_CASES)
+def test_class_scan_matches_full_scan(spec, d, kind, one_row_blocks, monkeypatch):
+    want = _full(kind, spec, d)
+    if one_row_blocks:
+        monkeypatch.setattr(polynomials, "_BLOCK_CELLS", 1)
+    assert ENGINE[kind](_ring(spec), d) == want
+
+
+# ---------------------------------------------------------------------------
+# The class map
+
+
+def _classes(R, d):
+    polys = list(polys_up_to_degree(R, d))
+    return polys, polynomials._class_minima(R, polynomials._coefficient_rows(R, polys, d))
+
+
+@pytest.mark.parametrize("spec,d,count", [
+    ("gf:9", 2, 82), ("Zn:9", 2, 115), ("Zn:8", 2, 127), ("Zn:6", 2, 93),
+    ("gf:7", 2, 50), ("prod:gf:2,gf:2,gf:2", 2, 449), ("gf:4", 3, 65),
+])
+def test_class_counts(spec, d, count):
+    assert len(set(_classes(_ring(spec), d)[1].tolist())) == count
+
+
+def _orbit(R, f, d):
+    """Every u*X^k*f0 of degree <= d, by coefficient tuple."""
+    if f.is_zero:
+        return {()}
+    mul = _rows(R)[1]
+    units = [u for u in range(R.size) if R.one in mul[u]]
+    f0 = list(itertools.dropwhile(lambda c: c == R.zero, f.coeffs))
+    return {(R.zero,) * k + tuple(mul[u][c] for c in f0)
+            for u in units for k in range(d + 2 - len(f0))}
+
+
+@pytest.mark.parametrize("spec,d", [
+    ("Zn:8", 2), ("Zn:6", 2), ("gf:4", 2), ("prod:Zn:2,Zn:3", 2), ("Zn:9", 1), (X2Y2, 1),
+])
+def test_classes_are_unit_and_shift_orbits(spec, d):
+    R = _ring(spec)
+    polys, rep = _classes(R, d)
+    index = {f.coeffs: r for r, f in enumerate(polys)}
+    members = collections.defaultdict(set)
+    for r, m in enumerate(rep.tolist()):
+        members[m].add(r)
+    for m, cls in members.items():
+        assert m == min(cls)  # the representative is the least index
+    for r, f in enumerate(polys):
+        assert {index[g] for g in _orbit(R, f, d)} == members[int(rep[r])]
 
 
 @pytest.mark.parametrize("kind", ["armendariz", "gaussian"])
@@ -227,5 +315,4 @@ INDEX_CASES = (
 @pytest.mark.parametrize("spec,d", INDEX_CASES)
 def test_index_contents_match_old_tables(spec, d, kind):
     R = oracle.cached_ring(spec)
-    want = polynomials._pair_check(kind, OLD_LAWS[kind], NOTES[kind], R, d, 1 << 12)
-    assert ENGINE[kind](R, d) == want
+    assert ENGINE[kind](R, d) == full_scan(kind, OLD_LAWS[kind], R, d)

@@ -1,14 +1,14 @@
 import pytest
 
+from ideal_oracles import contents_hit
+from table_oracles import poly_mul
 from zdgraph.polynomials import (
     check_armendariz_ring,
     check_content_containment,
     check_gaussian,
     clique_stabilization,
     content,
-    contents_hit,
     make_poly,
-    poly_mul,
     polys_up_to_degree,
     truncated_zero_divisor_graph,
 )
