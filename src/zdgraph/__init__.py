@@ -1,7 +1,7 @@
 """Exact zero-divisor graphs of commutative semigroups with zero.
 
 Finite semigroups, rings, ideal semigroups, truncated polynomial content,
-finite topologies, subset lattices and spectral posets, with exact graph
+finite topologies and their T1 lattices, and spectral posets, with exact graph
 invariants and mechanical verification of the structure theorems tying
 them together through invariant-preserving (Armendariz) maps.
 """

@@ -34,8 +34,6 @@ from .spectra import FinitePoset, transitive_closure, upset_masks
 from .topology import (
     DEFAULT_MAX_POWERSET_GROUND,
     FiniteSpace,
-    SubsetLattice,
-    make_lattice,
     make_space,
 )
 
@@ -48,7 +46,8 @@ DEFAULT_MAX_TOPOLOGY_POINTS = 6
 _LETTERS = string.ascii_lowercase
 
 
-def _check_points(what: str, n: int, limit: int) -> None:
+def check_points(what: str, n: int, limit: int) -> None:
+    """Refuse an enumeration over more than ``limit`` points, before any work."""
     if n > limit:
         raise SizeGuardExceeded(f"{what} on {n} points, over guard {limit} points")
 
@@ -124,7 +123,7 @@ def enumerate_topologies(n: int) -> Iterator[tuple[FiniteSpace, int]]:
     """One topology per isomorphism class on n points, via preorders, each
     with its orbit: the number n!/|Aut| of labelled topologies isomorphic
     to it."""
-    _check_points("topologies", n, DEFAULT_MAX_TOPOLOGY_POINTS)
+    check_points("topologies", n, DEFAULT_MAX_TOPOLOGY_POINTS)
     for rows, orbit in _relation_classes(n, preorders=True):
         yield _space_from_preorder(rows), orbit
 
@@ -141,7 +140,7 @@ def random_space(rng: random.Random, n: int, density: float = 0.35) -> FiniteSpa
 def enumerate_posets(n: int) -> Iterator[tuple[FinitePoset, int]]:
     """One partial order per isomorphism class on n points, each with its
     orbit: the number n!/|Aut| of labelled posets isomorphic to it."""
-    _check_points("posets", n, DEFAULT_MAX_POSET_POINTS)
+    check_points("posets", n, DEFAULT_MAX_POSET_POINTS)
     labels = tuple(f"p{i}" for i in range(n))
     for rows, orbit in _relation_classes(n, preorders=False):
         yield FinitePoset(labels, rows), orbit
@@ -204,18 +203,19 @@ def _closed_families(n: int, required) -> Iterator[set[int]]:
         stack.append((family, k, excluded | {subsets[k]}))
 
 
-def enumerate_t1_sublattices(n: int) -> Iterator[SubsetLattice]:
+def enumerate_t1_sublattices(n: int) -> Iterator[FiniteSpace]:
     """All union/intersection-closed families on n points that contain the
-    empty set, the ground set, and every singleton.
+    empty set, the ground set, and every singleton, each as the T1 space
+    whose closed sets they are.
 
     The union closure of the singletons is the powerset, so the powerset
     guard applies and the search has nothing left to branch on.
     """
-    _check_points("T1 sublattices", n, DEFAULT_MAX_POWERSET_GROUND)
+    check_points("T1 sublattices", n, DEFAULT_MAX_POWERSET_GROUND)
     ground = tuple(_LETTERS[i] for i in range(n))
     required = {0, (1 << n) - 1} | {1 << i for i in range(n)}
     for family in _closed_families(n, required):
-        yield make_lattice(ground, family)
+        yield make_space(ground, family)
 
 
 # ---------------------------------------------------------------------------

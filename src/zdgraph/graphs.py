@@ -17,7 +17,7 @@ import json
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -27,7 +27,9 @@ from .semigroups import (
     SizeGuardExceeded,
     NotNilpotentFree,
     check_armendariz,
+    members,
     nilpotent_witness,
+    row_union,
     zero_divisors,
 )
 
@@ -100,14 +102,6 @@ class SimpleGraph:
         return SimpleGraph(vertices, tuple(adj))
 
 
-def members(mask: int) -> Iterator[int]:
-    """The positions of the set bits of a nonnegative mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _rows_symmetric(adj: tuple[int, ...]) -> bool:
     """No row has its diagonal bit, and bit j of row i is set iff bit i of
     row j is.  Only the bits above the diagonal are looked up: once each has
@@ -120,17 +114,6 @@ def _rows_symmetric(adj: tuple[int, ...]) -> bool:
                 return False
         upper += above.bit_count()
     return 2 * upper == sum(row.bit_count() for row in adj)
-
-
-def row_union(rows, mask: int) -> int:
-    """The union of the rows of the members of mask: for adjacency rows the
-    neighbourhood of a vertex set, for a relation the image of a set."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= rows[low.bit_length() - 1]
-        mask ^= low
-    return out
 
 
 def _eccentricity(G: SimpleGraph, v: int) -> Value:

@@ -137,6 +137,23 @@ def _coefficient_rows(R: FiniteRing, polys: list[TruncPoly], d: int) -> np.ndarr
     return F
 
 
+def _polynomial_rows(R: FiniteRing, d: int) -> np.ndarray:
+    """``_coefficient_rows`` of ``polys_up_to_degree(R, d)``, built without
+    the polynomials: in the block of degree e, row L*(n - 1) + j has lead
+    coefficient the j-th nonzero element and lower coefficients the base-n
+    digits of L, the coefficient of X^0 the most significant."""
+    n, zero = R.size, R.zero
+    nonzero = np.flatnonzero(np.arange(n) != zero)
+    blocks = [np.full((1, d + 1), zero, dtype=np.int64)]
+    for e in range(d + 1):
+        L = np.repeat(np.arange(n**e), len(nonzero))
+        B = np.full((len(L), d + 1), zero, dtype=np.int64)
+        B[:, :e] = L[:, None] // n ** np.arange(e - 1, -1, -1) % n
+        B[:, e] = np.tile(nonzero, n**e)
+        blocks.append(B)
+    return np.concatenate(blocks)
+
+
 def _product_blocks(R: FiniteRing, F: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Yield ``(r0, C)`` with ``C[b, g, k]`` the X^k coefficient of F[r0+b] * F[g]."""
     N, w = F.shape
@@ -199,7 +216,10 @@ def _containment_failures(R: FiniteRing, F: np.ndarray):
 
 
 def _check_poly_guard(R: FiniteRing, degree_bound: int, max_polys: int) -> None:
-    """Refuse more than max_polys polynomials of degree <= d, before any work."""
+    """Refuse a negative degree bound, or more than max_polys polynomials of
+    degree <= d, before any work."""
+    if degree_bound < 0:
+        raise ValueError(f"degree bound must be >= 0, not {degree_bound}")
     count = R.size ** (degree_bound + 1)
     if count > max_polys:
         raise SizeGuardExceeded(f"{count} polynomials exceed guard {max_polys}")
@@ -236,11 +256,10 @@ def _class_minima(R: FiniteRing, F: np.ndarray) -> np.ndarray:
 def _pair_check(kind, law, note, R, degree_bound, max_polys) -> PairCheckReport:
     """Run ``law`` over all ordered pairs; report the first failure, if any."""
     _check_poly_guard(R, degree_bound, max_polys)
-    polys = list(polys_up_to_degree(R, degree_bound))
-    F = _coefficient_rows(R, polys, degree_bound)
-    N = len(polys)
-    reps = np.unique(_class_minima(R, F))
-    F = F[reps]
+    rows = _polynomial_rows(R, degree_bound)
+    N = len(rows)
+    reps = np.unique(_class_minima(R, rows))
+    F = rows[reps]
     fails = law(R, F)
     for r0, C in _product_blocks(R, F):
         bad = fails(r0, C)
@@ -249,7 +268,7 @@ def _pair_check(kind, law, note, R, degree_bound, max_polys) -> PairCheckReport:
             f, g = int(reps[r0 + b]), int(reps[c])
             return PairCheckReport(
                 kind, R.tag, degree_bound, False, f * N + g + 1,
-                (polys[f].label(), polys[g].label()), note,
+                (make_poly(R, rows[f]).label(), make_poly(R, rows[g]).label()), note,
             )
     return PairCheckReport(kind, R.tag, degree_bound, True, N * N)
 
@@ -304,12 +323,11 @@ def truncated_zero_divisor_graph(R: FiniteRing, degree_bound: int) -> SimpleGrap
     degree <= d; edges join distinct pairs whose product is the zero
     polynomial.  At degree 0 this is exactly the ring's zero-divisor graph.
     """
-    polys = list(polys_up_to_degree(R, degree_bound))
-    F = _coefficient_rows(R, polys, degree_bound)
+    F = _polynomial_rows(R, degree_bound)
     kill = np.concatenate([(C == R.zero).all(-1) for _, C in _product_blocks(R, F)])
     kill = kill[1:, 1:]  # drop the zero polynomial
     verts = np.flatnonzero(kill.any(axis=1))
-    labels = tuple(polys[i + 1].label() for i in verts)
+    labels = tuple(make_poly(R, F[i + 1]).label() for i in verts)
     return _zero_product_graph(labels, kill[np.ix_(verts, verts)])
 
 

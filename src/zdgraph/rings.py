@@ -361,6 +361,7 @@ def make_multivariate_quot(
     _check_ring_order(p)  # before the primality test, which divides up to sqrt(p)
     if prime_power(p) != (p, 1):
         raise RingConstructionError(f"{p} is not prime")
+    _check_variables(variables)
     nv = len(variables)
     rels = [tuple(r) for r in relations]
     if any(len(r) != nv or any(e < 0 for e in r) or not any(r) for r in rels):
@@ -409,6 +410,16 @@ def _mono_spec(expo: Sequence[int], variables: Sequence[str]) -> str:
     return "".join(
         f"{v}{e}" if e != 1 else v for v, e in zip(variables, expo) if e
     )
+
+
+def _check_variables(variables: Sequence[str]) -> None:
+    """Refuse an empty or repeated variable name: no monomial over such names
+    reads back one way."""
+    for i, v in enumerate(variables):
+        if not v:
+            raise RingConstructionError(f"variable {i + 1} has an empty name")
+        if v in variables[:i]:
+            raise RingConstructionError(f"variable {v!r} is named twice")
 
 
 def _parse_monomial(token: str, variables: Sequence[str]) -> tuple[int, ...]:
@@ -461,6 +472,7 @@ def ring_from_spec(spec: str) -> FiniteRing:
     if spec.startswith("mvq:"):
         params = dict(kv.split("=", 1) for kv in spec[len("mvq:"):].split(";"))
         variables = [v.strip() for v in params["vars"].split(",")]
+        _check_variables(variables)  # before parsing: an empty name matches anywhere
         rels = [_parse_monomial(t.strip(), variables) for t in params["rel"].split(",")]
         return make_multivariate_quot(int(params["p"]), variables, rels)
     raise RingConstructionError(f"unknown ring spec {spec!r}")

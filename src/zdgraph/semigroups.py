@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -130,14 +130,29 @@ def check_table_size(count: int) -> None:
         raise SizeGuardExceeded(f"{count} closed sets, over table guard {DEFAULT_MAX_TABLE}")
 
 
-def mask_points(mask: int) -> list[int]:
-    """The points of a bitmask, ascending: bit p set means point p."""
-    return [p for p in range(mask.bit_length()) if mask >> p & 1]
+def members(mask: int) -> Iterator[int]:
+    """The positions of the set bits of a nonnegative mask, ascending: the
+    points of a point set, the neighbours in an adjacency row."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def row_union(rows, mask: int) -> int:
+    """The union of the rows of the members of mask: for adjacency rows the
+    neighbourhood of a vertex set, for a relation the image of a set."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def mask_labels(points: Sequence[str], masks: Sequence[int]) -> list[str]:
     """Set labels ``{a,b}``, listing each mask's points in index order."""
-    return ["{" + ",".join(points[p] for p in mask_points(m)) + "}" for m in masks]
+    return ["{" + ",".join(points[p] for p in members(m)) + "}" for m in masks]
 
 
 def is_irreducible_family(masks, whole: int) -> bool:

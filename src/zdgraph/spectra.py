@@ -34,8 +34,6 @@ from .graphs import (
     SuitePart,
     diameter,
     invariant_bundle,
-    members,
-    row_union,
     zero_divisor_graph,
 )
 from .semigroups import (
@@ -48,6 +46,8 @@ from .semigroups import (
     distinct_labels,
     is_irreducible_family,
     meet_table,
+    members,
+    row_union,
 )
 
 INF = float("inf")

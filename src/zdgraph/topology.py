@@ -1,17 +1,17 @@
-"""Finite topological spaces and subset lattices.
+"""Finite topological spaces and their closed-set lattices.
 
 Spaces are given by their closed-set families (the natural side for
-everything here); a converter from open sets is provided.  A closed set or
-lattice member is an int bitmask (bit p set when point p is a member), as in
-``spectra``; families are kept in (size, sorted point list) order, and a
-space over the table guard is refused before it is validated.  The module
-covers the separation-axiom suite (T0, T1, T 1/2, pearled, Noetherian), the
-subspace of closed points with its intersection map on closed-set lattices,
-the lazy nonnegative-integer counterexample space, and the two kinds of T1
-subset lattices: explicit finite families, and the symbolic lattice of all
-finite subsets of a countable ground set plus the whole set (the closed
-sets of the cofinite topology) for the irreducible case, which has no
-finite instance on three or more points.
+everything here); a converter from open sets is provided.  A closed set is
+an int bitmask (bit p set when point p is a member), as in ``spectra``;
+families are kept in (size, sorted point list) order, and a space over the
+table guard is refused before it is validated.  The module covers the
+separation-axiom suite (T0, T1, T 1/2, pearled, Noetherian), the subspace
+of closed points with its intersection map on closed-set lattices, the lazy
+nonnegative-integer counterexample space, and the two kinds of T1 lattices:
+a finite one is the ``FiniteSpace`` whose closed sets are its members, and
+the symbolic lattice of all finite subsets of a countable ground set plus
+the whole set (the closed sets of the cofinite topology) serves the
+irreducible case, which has no finite instance on three or more points.
 """
 
 from __future__ import annotations
@@ -22,13 +22,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .graphs import (
-    COUNTABLY_INFINITE,
-    InvariantBundle,
-    invariant_bundle,
-    members,
-    zero_divisor_graph,
-)
+from .graphs import COUNTABLY_INFINITE, InvariantBundle, invariant_bundle, zero_divisor_graph
 from .semigroups import (
     SemigroupMap,
     SemigroupTable,
@@ -36,8 +30,8 @@ from .semigroups import (
     check_table_size,
     distinct_labels,
     is_irreducible_family,
-    mask_points,
     meet_table,
+    members,
 )
 
 # 2^10 members are built and validated in under a second; each further
@@ -54,7 +48,7 @@ class NotPearled(ValueError):
 
 
 class InvalidLattice(ValueError):
-    pass
+    """A lattice that is not T1 was given where a T1 lattice is required."""
 
 
 class LatticeTheoremError(AssertionError):
@@ -81,7 +75,7 @@ class FiniteSpace:
         return json.dumps(
             {
                 "points": list(self.points),
-                "closed": sorted(mask_points(c) for c in self.closed_sets),
+                "closed": sorted(list(members(c)) for c in self.closed_sets),
             }
         )
 
@@ -101,13 +95,14 @@ def make_space(points, closed_sets) -> FiniteSpace:
     pts = tuple(points)
     family = set(closed_sets)
     check_table_size(len(family))
-    X = FiniteSpace(pts, _sorted_family(family))
-    validate_space(X)
-    return X
+    defect = closed_family_defect(family, len(pts))
+    if defect:
+        raise InvalidSpace(defect)
+    return FiniteSpace(pts, _sorted_family(family))
 
 
 def _sorted_family(family) -> tuple[int, ...]:
-    return tuple(sorted(family, key=lambda c: (c.bit_count(), mask_points(c))))
+    return tuple(sorted(family, key=lambda c: (c.bit_count(), list(members(c)))))
 
 
 def from_open_sets(points, open_sets) -> FiniteSpace:
@@ -125,26 +120,22 @@ def closed_family_defect(family, n: int) -> Optional[str]:
     pairs are scanned in (size, sorted point list) order, so the first
     witness does not depend on how the family was given.
     """
-    members = _sorted_family(set(family))
-    fam = set(members)
+    fam = set(family)
+    if min(fam, default=0) < 0:  # a negative mask has no finite point list
+        return f"member {min(fam)} is not a subset of the ground set"
+    ordered = _sorted_family(fam)
     full = (1 << n) - 1
     if 0 not in fam or full not in fam:
         return "the family must contain the empty set and the ground set"
-    for C in members:
+    for C in ordered:
         if C & ~full:
-            return f"member {mask_points(C)} is not a subset of the ground set"
-    for A, B in itertools.combinations(members, 2):
+            return f"member {list(members(C))} is not a subset of the ground set"
+    for A, B in itertools.combinations(ordered, 2):
         if A | B not in fam:
-            return f"union {mask_points(A)} | {mask_points(B)} is not a member"
+            return f"union {list(members(A))} | {list(members(B))} is not a member"
         if A & B not in fam:
-            return f"intersection {mask_points(A)} & {mask_points(B)} is not a member"
+            return f"intersection {list(members(A))} & {list(members(B))} is not a member"
     return None
-
-
-def validate_space(X: FiniteSpace) -> None:
-    defect = closed_family_defect(X.closed_sets, X.n)
-    if defect:
-        raise InvalidSpace(defect)
 
 
 def closure(X: FiniteSpace, A: int) -> int:
@@ -164,6 +155,11 @@ def is_open(X: FiniteSpace, A: int) -> bool:
 def closed_points(X: FiniteSpace) -> list[int]:
     family = set(X.closed_sets)
     return [p for p in range(X.n) if 1 << p in family]
+
+
+def is_t1(X: FiniteSpace) -> bool:
+    """T1: every singleton is closed."""
+    return len(closed_points(X)) == X.n
 
 
 @dataclass(frozen=True)
@@ -186,7 +182,7 @@ def axiom_suite(X: FiniteSpace) -> AxiomReport:
     """
     family = set(X.closed_sets)
     t0 = len({closure(X, 1 << p) for p in range(X.n)}) == X.n
-    t1 = all(1 << p in family for p in range(X.n))
+    t1 = is_t1(X)
     t_half = all(1 << p in family or is_open(X, 1 << p) for p in range(X.n))
     cpts = sum(1 << p for p in closed_points(X))
     pearled = all(not C or C & cpts for C in family)
@@ -217,7 +213,7 @@ def _prl(X: FiniteSpace) -> tuple[FiniteSpace, list[int]]:
         sum(1 << i for i, p in enumerate(ys) if C >> p & 1) for C in X.closed_sets
     ]
     Y = make_space(tuple(X.points[p] for p in ys), traces)
-    if not axiom_suite(Y).t1:
+    if not is_t1(Y):
         raise LatticeTheoremError("closed-point subspace is not T1")
     return Y, traces
 
@@ -291,59 +287,30 @@ def n0_space_window(n_max: int) -> N0WindowReport:
 
 
 # ---------------------------------------------------------------------------
-# Subset lattices
+# T1 lattices: a finite one is the space whose closed sets are its members
 
 
-@dataclass(frozen=True)
-class SubsetLattice:
-    """A union/intersection-closed family of subsets of a finite ground set,
-    each a bitmask over the ground indices, in (size, sorted point list)
-    order."""
-
-    ground: tuple[str, ...]
-    members: tuple[int, ...]
-
-    @property
-    def ground_size(self) -> int:
-        return len(self.ground)
-
-    @property
-    def whole(self) -> int:
-        return (1 << self.ground_size) - 1
-
-
-def make_lattice(ground, members) -> SubsetLattice:
-    g = tuple(ground)
-    fam = set(members)
-    defect = closed_family_defect(fam, len(g))
-    if defect:
-        raise InvalidLattice(defect)
-    return SubsetLattice(g, _sorted_family(fam))
-
-
-def powerset_lattice(ground) -> SubsetLattice:
-    """All 2^n subsets of an n-point ground set (an int n names the points y0..).
+def powerset_lattice(ground) -> FiniteSpace:
+    """All 2^n subsets of an n-point ground set (an int n names the points
+    y0..), as the closed sets of the discrete space.
 
     Building and validating the family costs O(4^n) set operations, so n is
     guarded before any work.
     """
     n = ground if isinstance(ground, int) else len(ground)
+    if n < 0:
+        raise ValueError(f"a powerset lattice needs a ground size >= 0, not {n}")
     if n > DEFAULT_MAX_POWERSET_GROUND:
         raise SizeGuardExceeded(
             f"powerset lattice on {n} points has 2^{n} members, "
             f"over guard {DEFAULT_MAX_POWERSET_GROUND} points"
         )
     g = tuple(f"y{i}" for i in range(n)) if isinstance(ground, int) else tuple(ground)
-    return make_lattice(g, range(1 << n))
+    return make_space(g, range(1 << n))
 
 
-def is_t1_lattice(L: SubsetLattice) -> bool:
-    fam = set(L.members)
-    return all(1 << i in fam for i in range(L.ground_size))
-
-
-def lattice_semigroup(L: SubsetLattice) -> SemigroupTable:
-    return meet_table(L.ground, L.members)
+def lattice_semigroup(L: FiniteSpace) -> SemigroupTable:
+    return closure_lattice(L)
 
 
 class _Whole:
@@ -417,7 +384,7 @@ class CofiniteT1Lattice:
         size = rng.randint(1, max_size)
         return frozenset(rng.sample(range(max_elem), size))
 
-    def window(self, w: int) -> SubsetLattice:
+    def window(self, w: int) -> FiniteSpace:
         """Restriction to {0..w-1}: every subset appears, giving 2^window."""
         return powerset_lattice([str(i) for i in range(w)])
 
@@ -429,7 +396,7 @@ class CofiniteT1Lattice:
 
 
 def lattice_is_irreducible(
-    L: Union[SubsetLattice, CofiniteT1Lattice],
+    L: Union[FiniteSpace, CofiniteT1Lattice],
     samples: int = 200,
     seed: int = 0,
 ) -> bool:
@@ -446,19 +413,19 @@ def lattice_is_irreducible(
             if L.join(a, b) is WHOLE:
                 raise LatticeTheoremError("finite join reported as the ground set")
         return True
-    return is_irreducible_family(L.members, L.whole)
+    return is_irreducible_family(L.closed_sets, (1 << L.n) - 1)
 
 
 def lattice_is_connected(
-    L: Union[SubsetLattice, CofiniteT1Lattice],
+    L: Union[FiniteSpace, CofiniteT1Lattice],
     samples: int = 200,
     seed: int = 0,
 ) -> bool:
     """No two disjoint members other than the ground set union to it."""
     if isinstance(L, CofiniteT1Lattice):
         return lattice_is_irreducible(L, samples, seed)
-    whole = L.whole
-    proper = [m for m in L.members if m != whole]
+    whole = (1 << L.n) - 1
+    proper = [m for m in L.closed_sets if m != whole]
     return all(
         A | B != whole for A in proper for B in proper if not (A & B)
     )
@@ -468,7 +435,7 @@ def lattice_is_connected(
 class CharEquivalenceReport:
     """Graph-theoretic characterizations of irreducible and connected.
 
-    For a T1 subset lattice: the vertices of the zero-divisor graph are
+    For a finite T1 lattice: the vertices of the zero-divisor graph are
     exactly the members other than the empty and ground sets; the lattice
     is irreducible iff every vertex pair admits a path of length 2, and
     connected iff every edge lies on a 3-cycle.
@@ -491,14 +458,14 @@ class CharEquivalenceReport:
         )
 
 
-def char_check_irr_conn(L: SubsetLattice) -> CharEquivalenceReport:
-    if not is_t1_lattice(L):
+def char_check_irr_conn(L: FiniteSpace) -> CharEquivalenceReport:
+    if not is_t1(L):
         raise InvalidLattice("characterization requires a T1 lattice")
     sg = lattice_semigroup(L)
     G = zero_divisor_graph(sg)
-    whole = L.whole
+    whole = (1 << L.n) - 1
     expected_vertices = {
-        label for m, label in zip(L.members, sg.elements) if m and m != whole
+        label for m, label in zip(L.closed_sets, sg.elements) if m and m != whole
     }
     vertex_set_matches = set(G.vertices) == expected_vertices
 
@@ -519,7 +486,7 @@ def char_check_irr_conn(L: SubsetLattice) -> CharEquivalenceReport:
     )
 
 
-def t1_invariants(L: Union[SubsetLattice, CofiniteT1Lattice]) -> InvariantBundle:
+def t1_invariants(L: Union[FiniteSpace, CofiniteT1Lattice]) -> InvariantBundle:
     """Invariants of the zero-divisor graph of a T1 lattice.
 
     Finite mode computes exactly and asserts the full case split: a finite
@@ -532,12 +499,12 @@ def t1_invariants(L: Union[SubsetLattice, CofiniteT1Lattice]) -> InvariantBundle
     """
     if isinstance(L, CofiniteT1Lattice):
         return InvariantBundle(2, 3, COUNTABLY_INFINITE, COUNTABLY_INFINITE)
-    if not is_t1_lattice(L):
+    if not is_t1(L):
         raise InvalidLattice("t1_invariants requires a T1 lattice")
-    k = L.ground_size
-    if len(L.members) != 2**k:
+    k = L.n
+    if len(L.closed_sets) != 2**k:
         raise LatticeTheoremError(
-            f"finite T1 lattice on {k} points has {len(L.members)} != 2^{k} members"
+            f"finite T1 lattice on {k} points has {len(L.closed_sets)} != 2^{k} members"
         )
     G = zero_divisor_graph(lattice_semigroup(L))
     # invariant_bundle runs the clique guard first, which bounds G.n, and

@@ -17,7 +17,7 @@ import itertools
 from zdgraph.corpus import _LETTERS, _space_from_preorder
 from zdgraph.semigroups import SizeGuardExceeded
 from zdgraph.spectra import FinitePoset, is_transitive as rows_transitive
-from zdgraph.topology import closed_family_defect, make_lattice
+from zdgraph.topology import closed_family_defect, make_space
 
 # 5 points are 2^20 candidate relations, seconds of work; 6 points are
 # 2^30, a thousand times more
@@ -126,4 +126,4 @@ def enumerate_t1_sublattices(n):
                 fam.add(m)
         masks = {sum(1 << p for p in C) for C in fam}
         if closed_family_defect(masks, n) is None:
-            yield make_lattice(ground, masks)
+            yield make_space(ground, masks)

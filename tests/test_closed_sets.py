@@ -29,16 +29,12 @@ from zdgraph.spectra import (
     uspec_sigma,
 )
 from zdgraph.topology import (
-    FiniteSpace,
-    InvalidLattice,
     InvalidSpace,
     closed_family_defect,
     closure_lattice,
     lattice_semigroup,
-    make_lattice,
     make_space,
     powerset_lattice,
-    validate_space,
 )
 
 # ---------------------------------------------------------------------------
@@ -149,7 +145,7 @@ def test_enumeration_order_is_pinned():
         for X in relation_oracles.enumerate_topologies(4)
     ) == "cc76054a9b09ea34"
     assert _digest(
-        repr(_frozensets(L.members)) for n in range(1, 5) for L in enumerate_t1_sublattices(n)
+        repr(_frozensets(L.closed_sets)) for n in range(1, 5) for L in enumerate_t1_sublattices(n)
     ) == "7da94b0a66301b84"
 
 
@@ -202,9 +198,7 @@ def test_closed_family_defect_names_each_defect():
         "union [0] | [1] is not a member"
     )
     with pytest.raises(InvalidSpace, match="union"):
-        validate_space(FiniteSpace(("a", "b", "c"), tuple(joins)))
-    with pytest.raises(InvalidLattice, match="union"):
-        make_lattice(("a", "b", "c"), joins)
+        make_space(("a", "b", "c"), joins)
 
 
 def test_space_guard_trips_before_validation(monkeypatch):
@@ -233,8 +227,8 @@ def test_lattice_tables_match_frozenset_oracle():
     lattices = [powerset_lattice(k) for k in range(5)]
     lattices += [L for n in range(1, 5) for L in enumerate_t1_sublattices(n)]
     for L in lattices:
-        sets = _frozensets(L.members)
-        labels = [_label(L.ground, m) for m in sets]
+        sets = _frozensets(L.closed_sets)
+        labels = [_label(L.points, m) for m in sets]
         assert lattice_semigroup(L) == oracle_meet_table(sets, labels)
 
 

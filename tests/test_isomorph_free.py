@@ -259,7 +259,7 @@ def test_closure_search_matches_the_filter(n, required):
 
 def test_t1_sublattices_match_the_filter():
     for n in range(1, 5):
-        got = [L.members for L in enumerate_t1_sublattices(n)]
-        assert got == [L.members for L in relation_oracles.enumerate_t1_sublattices(n)]
+        got = [L.closed_sets for L in enumerate_t1_sublattices(n)]
+        assert got == [L.closed_sets for L in relation_oracles.enumerate_t1_sublattices(n)]
     (L,) = enumerate_t1_sublattices(7)
-    assert len(L.members) == 2 ** 7 and math.comb(7, 3) == sum(m.bit_count() == 3 for m in L.members)
+    assert len(L.closed_sets) == 2 ** 7 and math.comb(7, 3) == sum(m.bit_count() == 3 for m in L.closed_sets)

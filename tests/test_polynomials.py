@@ -2,6 +2,7 @@ import pytest
 
 from ideal_oracles import contents_hit
 from table_oracles import poly_mul
+from zdgraph import polynomials
 from zdgraph.polynomials import (
     check_armendariz_ring,
     check_content_containment,
@@ -20,6 +21,7 @@ from zdgraph.rings import (
     make_zn,
     maximal_ideals,
     principal_ideal,
+    ring_from_spec,
 )
 from zdgraph.semigroups import SizeGuardExceeded
 
@@ -88,6 +90,24 @@ def test_enumeration_count_and_order():
 def test_enumeration_guard():
     with pytest.raises(SizeGuardExceeded):
         check_armendariz_ring(make_zn(6), 10)
+
+
+@pytest.mark.parametrize("check", [check_armendariz_ring, check_gaussian,
+                                   check_content_containment, clique_stabilization])
+def test_negative_degree_bound_is_refused(check):
+    with pytest.raises(ValueError, match="degree bound must be >= 0, not -1"):
+        check(make_zn(6), -1)
+
+
+@pytest.mark.parametrize("spec,d", [
+    ("Zn:1", 2), ("Zn:2", 3), ("Zn:6", 2), ("gf:4", 3), ("gf:9", 2),
+    ("prod:gf:2,gf:2", 2), ("mvq:p=2;vars=x,y;rel=x2,y2", 1), ("Zn:16", 0),
+])
+def test_polynomial_rows_follow_the_enumeration(spec, d):
+    R = ring_from_spec(spec)
+    want = polynomials._coefficient_rows(R, list(polys_up_to_degree(R, d)), d)
+    got = polynomials._polynomial_rows(R, d)
+    assert got.dtype == want.dtype and got.shape == want.shape and (got == want).all()
 
 
 def test_armendariz_check_reduced_rings_pass():

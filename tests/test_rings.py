@@ -66,6 +66,17 @@ def test_multivariate_rejects_infinite_quotient():
         make_multivariate_quot(2, ["x", "y"], [(1, 1)])  # no pure powers
 
 
+@pytest.mark.parametrize("variables,message", [
+    ([""], "variable 1 has an empty name"),
+    (["x", ""], "variable 2 has an empty name"),
+    (["x", "x"], "variable 'x' is named twice"),
+])
+def test_multivariate_rejects_empty_or_repeated_names(variables, message):
+    rels = [tuple(2 if j == i else 0 for j in range(len(variables))) for i in range(len(variables))]
+    with pytest.raises(RingConstructionError, match=message):
+        make_multivariate_quot(2, variables, rels)
+
+
 def test_polyquot_gf4():
     F4 = make_polyquot(2, [1, 1, 1])
     assert F4.size == 4

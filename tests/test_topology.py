@@ -17,11 +17,10 @@ from zdgraph.topology import (
     closure,
     closure_lattice,
     from_open_sets,
-    is_t1_lattice,
+    is_t1,
     lattice_is_connected,
     lattice_is_irreducible,
     lattice_semigroup,
-    make_lattice,
     make_space,
     n0_space_window,
     powerset_lattice,
@@ -138,8 +137,16 @@ def test_alpha_map_sierpinski_shape():
 
 
 def test_lattice_validation():
-    with pytest.raises(InvalidLattice):
-        make_lattice(["a", "b"], [0b00, 0b01])  # missing ground
+    with pytest.raises(InvalidSpace):
+        make_space(["a", "b"], [0b00, 0b01])  # missing ground
+
+
+def test_negative_masks_and_ground_sizes_are_refused():
+    # a negative mask has no finite point list to sort or report by
+    with pytest.raises(InvalidSpace, match="member -2 is not a subset"):
+        make_space(["a"], [0b0, 0b1, -2])
+    with pytest.raises(ValueError, match="ground size >= 0, not -1"):
+        powerset_lattice(-1)
 
 
 def test_irreducible_and_connected():
@@ -148,10 +155,10 @@ def test_irreducible_and_connected():
     assert not lattice_is_connected(L)
 
     # {0, A, B, Y} with A | B = Y a disconnection
-    L2 = make_lattice(["a", "b"], [0b00, 0b01, 0b10, 0b11])
+    L2 = make_space(["a", "b"], [0b00, 0b01, 0b10, 0b11])
     assert not lattice_is_connected(L2)
 
-    chain = make_lattice(["a", "b"], [0b00, 0b01, 0b11])
+    chain = make_space(["a", "b"], [0b00, 0b01, 0b11])
     assert lattice_is_irreducible(chain) and lattice_is_connected(chain)
 
     C = CofiniteT1Lattice()
@@ -168,7 +175,7 @@ def test_char_check_powerset():
 
 
 def test_char_check_requires_t1():
-    L = make_lattice(["a", "b"], [0b00, 0b11])
+    L = make_space(["a", "b"], [0b00, 0b11])
     with pytest.raises(InvalidLattice):
         char_check_irr_conn(L)
 
@@ -181,7 +188,7 @@ def test_t1_invariants_table():
 
 
 def test_t1_invariants_rejects_non_t1():
-    L = make_lattice(["a", "b"], [0b00, 0b11])
+    L = make_space(["a", "b"], [0b00, 0b11])
     with pytest.raises(InvalidLattice):
         t1_invariants(L)
 
@@ -207,7 +214,7 @@ def test_symbolic_window_agreement():
         assert bool(u & v) == bool(C.restrict(u, w) & C.restrict(v, w))
     assert C.restrict(WHOLE, 4) == frozenset(range(4))
     window = C.window(3)
-    assert is_t1_lattice(window) and len(window.members) == 8
+    assert is_t1(window) and len(window.closed_sets) == 8
 
 
 def test_lattice_semigroup_zero():
