@@ -86,25 +86,26 @@ def _bundle_dict(b):
     }
 
 
-def _pick_guard(flag, env, default):
-    if flag is not None:
-        return flag
-    return int(os.environ.get(env, default))
+# The guard flags of ``analyze``, each with its environment variable, its
+# library default and its help text; ``export`` has no guard flags and
+# reads the environment variables alone.
+GUARD_FLAGS = {
+    "--max-clique": ("ZDGRAPH_MAX_CLIQUE", DEFAULT_MAX_CLIQUE_VERTICES,
+                     "clique-solver vertex guard"),
+    "--max-chromatic": ("ZDGRAPH_MAX_CHROMATIC", DEFAULT_MAX_CHROMATIC_VERTICES,
+                        "chromatic-solver vertex guard"),
+    "--max-table": ("ZDGRAPH_MAX_TABLE", DEFAULT_MAX_TABLE, "semigroup-table size guard"),
+    "--max-ideals": ("ZDGRAPH_MAX_IDEALS", DEFAULT_MAX_IDEALS, "ideal-count guard"),
+    "--max-polys": ("ZDGRAPH_MAX_POLYS", DEFAULT_MAX_POLYS, "polynomial-enumeration guard"),
+}
 
 
-def _guard_kwargs(args):
-    return {
-        "max_clique_vertices": _pick_guard(
-            args.max_clique, "ZDGRAPH_MAX_CLIQUE", DEFAULT_MAX_CLIQUE_VERTICES
-        ),
-        "max_chromatic_vertices": _pick_guard(
-            args.max_chromatic, "ZDGRAPH_MAX_CHROMATIC", DEFAULT_MAX_CHROMATIC_VERTICES
-        ),
-    }
-
-
-def _ideal_guard(args):
-    return _pick_guard(getattr(args, "max_ideals", None), "ZDGRAPH_MAX_IDEALS", DEFAULT_MAX_IDEALS)
+def _limit(args, flag: str) -> int:
+    """A guard's limit: its flag if given, else its environment variable,
+    else the library default.  Each is read where its guard is used."""
+    env, default, _ = GUARD_FLAGS[flag]
+    value = getattr(args, flag[2:].replace("-", "_"), None)
+    return int(os.environ.get(env, default)) if value is None else value
 
 
 def _load_object(args):
@@ -123,10 +124,7 @@ def _load_object(args):
     if kind == "semigroup":
         with open(value) as fh:
             table = SemigroupTable.from_json(fh.read())
-        max_table = _pick_guard(
-            getattr(args, "max_table", None), "ZDGRAPH_MAX_TABLE", DEFAULT_MAX_TABLE
-        )
-        validate_semigroup(table, max_size=max_table).raise_if_invalid()
+        validate_semigroup(table, max_size=_limit(args, "--max-table")).raise_if_invalid()
         return kind, table
     if kind == "space":
         with open(value) as fh:
@@ -214,7 +212,10 @@ def _task_eq_quotient(kind, obj, guards):
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
     kind, obj = _load_object(args)
-    guards = _guard_kwargs(args)
+    guards = {
+        "max_clique_vertices": _limit(args, "--max-clique"),
+        "max_chromatic_vertices": _limit(args, "--max-chromatic"),
+    }
     tasks = [t.strip() for t in (args.tasks or "invariants").split(",") if t.strip()]
     results = {}
     failed = False
@@ -238,7 +239,7 @@ def cmd_analyze(args) -> int:
         elif task == "ideals":
             if kind != "ring":
                 raise ValueError("ideals task applies to rings")
-            results["ideals"] = json.loads(ideals_to_json(obj, _ideal_guard(args)))
+            results["ideals"] = json.loads(ideals_to_json(obj, _limit(args, "--max-ideals")))
         elif task == "axioms":
             if kind != "space":
                 raise ValueError("axioms task applies to spaces")
@@ -264,7 +265,7 @@ def cmd_analyze(args) -> int:
         elif task == "ag-check":
             if kind != "ring":
                 raise ValueError("ag-check applies to rings")
-            rep = ag_conjecture_check(obj, _ideal_guard(args))
+            rep = ag_conjecture_check(obj, _limit(args, "--max-ideals"))
             failed = failed or rep.passed is False
             results["ag-check"] = {
                 "reduced": rep.reduced,
@@ -286,7 +287,7 @@ def cmd_analyze(args) -> int:
         if kind != "ring":
             raise ValueError("--check applies to rings")
         d = args.degree
-        max_polys = _pick_guard(args.max_polys, "ZDGRAPH_MAX_POLYS", DEFAULT_MAX_POLYS)
+        max_polys = _limit(args, "--max-polys")
         if args.check == "armendariz":
             rep = check_armendariz_ring(obj, d, max_polys)
         elif args.check == "gaussian":
@@ -361,7 +362,7 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     kind, obj = _load_object(args)
-    G = _object_gamma(kind, obj, args.graph, _ideal_guard(args))
+    G = _object_gamma(kind, obj, args.graph, _limit(args, "--max-ideals"))
     text = to_dot(G) if args.format == "dot" else graph_to_json(G) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
@@ -432,16 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--check", choices=["armendariz", "gaussian", "clique-stab"],
                     help="content-map check for a ring")
     pa.add_argument("--degree", type=int, default=2, help="degree bound for --check")
-    pa.add_argument("--max-clique", type=int, default=None,
-                    help="clique-solver vertex guard (env ZDGRAPH_MAX_CLIQUE)")
-    pa.add_argument("--max-chromatic", type=int, default=None,
-                    help="chromatic-solver vertex guard (env ZDGRAPH_MAX_CHROMATIC)")
-    pa.add_argument("--max-table", type=int, default=None,
-                    help="semigroup-table size guard (env ZDGRAPH_MAX_TABLE)")
-    pa.add_argument("--max-ideals", type=int, default=None,
-                    help="ideal-count guard (env ZDGRAPH_MAX_IDEALS)")
-    pa.add_argument("--max-polys", type=int, default=None,
-                    help="polynomial-enumeration guard (env ZDGRAPH_MAX_POLYS)")
+    for flag, (env, _, text) in GUARD_FLAGS.items():
+        pa.add_argument(flag, type=int, default=None, help=f"{text} (env {env})")
     pa.add_argument("--json", action="store_true", help="JSON report")
     pa.set_defaults(func=cmd_analyze)
 

@@ -29,7 +29,7 @@ from typing import Iterator
 import numpy as np
 
 from .rings import FiniteRing, make_gf, make_product, make_zn, prime_power
-from .semigroups import SemigroupMap, SemigroupTable, SizeGuardExceeded
+from .semigroups import SemigroupMap, SemigroupTable, guard
 from .spectra import FinitePoset, transitive_closure, upset_masks
 from .topology import (
     DEFAULT_MAX_POWERSET_GROUND,
@@ -44,12 +44,6 @@ DEFAULT_MAX_POSET_POINTS = 7
 DEFAULT_MAX_TOPOLOGY_POINTS = 6
 
 _LETTERS = string.ascii_lowercase
-
-
-def check_points(what: str, n: int, limit: int) -> None:
-    """Refuse an enumeration over more than ``limit`` points, before any work."""
-    if n > limit:
-        raise SizeGuardExceeded(f"{what} on {n} points, over guard {limit} points")
 
 
 def _space_from_preorder(rows) -> FiniteSpace:
@@ -123,7 +117,7 @@ def enumerate_topologies(n: int) -> Iterator[tuple[FiniteSpace, int]]:
     """One topology per isomorphism class on n points, via preorders, each
     with its orbit: the number n!/|Aut| of labelled topologies isomorphic
     to it."""
-    check_points("topologies", n, DEFAULT_MAX_TOPOLOGY_POINTS)
+    guard("topology points", n, DEFAULT_MAX_TOPOLOGY_POINTS)
     for rows, orbit in _relation_classes(n, preorders=True):
         yield _space_from_preorder(rows), orbit
 
@@ -140,7 +134,7 @@ def random_space(rng: random.Random, n: int, density: float = 0.35) -> FiniteSpa
 def enumerate_posets(n: int) -> Iterator[tuple[FinitePoset, int]]:
     """One partial order per isomorphism class on n points, each with its
     orbit: the number n!/|Aut| of labelled posets isomorphic to it."""
-    check_points("posets", n, DEFAULT_MAX_POSET_POINTS)
+    guard("poset points", n, DEFAULT_MAX_POSET_POINTS)
     labels = tuple(f"p{i}" for i in range(n))
     for rows, orbit in _relation_classes(n, preorders=False):
         yield FinitePoset(labels, rows), orbit
@@ -211,7 +205,7 @@ def enumerate_t1_sublattices(n: int) -> Iterator[FiniteSpace]:
     The union closure of the singletons is the powerset, so the powerset
     guard applies and the search has nothing left to branch on.
     """
-    check_points("T1 sublattices", n, DEFAULT_MAX_POWERSET_GROUND)
+    guard("T1-sublattice points", n, DEFAULT_MAX_POWERSET_GROUND)
     ground = tuple(_LETTERS[i] for i in range(n))
     required = {0, (1 << n) - 1} | {1 << i for i in range(n)}
     for family in _closed_families(n, required):

@@ -24,9 +24,9 @@ import numpy as np
 from .semigroups import (
     SemigroupMap,
     SemigroupTable,
-    SizeGuardExceeded,
     NotNilpotentFree,
     check_armendariz,
+    guard,
     members,
     nilpotent_witness,
     row_union,
@@ -194,8 +194,7 @@ def max_clique(G: SimpleGraph, max_vertices: int = DEFAULT_MAX_CLIQUE_VERTICES) 
     the current clique plus the colour bound cannot beat the incumbent.
     """
     n = G.n
-    if n > max_vertices:
-        raise SizeGuardExceeded(f"clique guard: {n} > {max_vertices} vertices")
+    guard("clique-solver vertices", n, max_vertices)
     if n == 0:
         return ()
     adj = G.adj
@@ -294,11 +293,6 @@ def _k_colouring(adj: tuple[int, ...], k: int, seed_clique: tuple[int, ...]) -> 
     return colours
 
 
-def _check_chromatic_guard(n: int, max_vertices: int) -> None:
-    if n > max_vertices:
-        raise SizeGuardExceeded(f"chromatic guard: {n} > {max_vertices} vertices")
-
-
 def _colouring_from_clique(G: SimpleGraph, clique: tuple[int, ...]) -> tuple[int, list[int]]:
     """Exact chromatic number with a witness colouring, given a maximum clique."""
     if not any(G.adj):  # edgeless: one colour, or none for the empty graph
@@ -314,7 +308,7 @@ def optimal_colouring(
     G: SimpleGraph, max_vertices: int = DEFAULT_MAX_CHROMATIC_VERTICES
 ) -> tuple[int, list[int]]:
     """Exact chromatic number with a witness colouring."""
-    _check_chromatic_guard(G.n, max_vertices)
+    guard("chromatic-solver vertices", G.n, max_vertices)
     return _colouring_from_clique(G, max_clique(G, max_vertices=G.n))
 
 
@@ -350,7 +344,7 @@ def clique_and_chromatic(
     """Clique and chromatic numbers from one clique search, which also seeds
     the colouring; both guards are checked before the colouring starts."""
     clique = max_clique(G, max_clique_vertices)
-    _check_chromatic_guard(G.n, max_chromatic_vertices)
+    guard("chromatic-solver vertices", G.n, max_chromatic_vertices)
     return len(clique), _colouring_from_clique(G, clique)[0]
 
 
@@ -508,12 +502,4 @@ def to_dot(G: SimpleGraph, name: str = "zd") -> str:
 def graph_to_json(G: SimpleGraph) -> str:
     return json.dumps(
         {"vertices": list(G.vertices), "edges": sorted([i, j] for i, j in G.edges)}
-    )
-
-
-def graph_from_json(text: str) -> SimpleGraph:
-    data = json.loads(text)
-    return SimpleGraph.from_edges(
-        [str(v) for v in data["vertices"]],
-        [(int(i), int(j)) for i, j in data["edges"]],
     )

@@ -20,7 +20,7 @@ import numpy as np
 
 from .graphs import SimpleGraph, _zero_product_graph, clique_and_chromatic
 from .rings import FiniteRing, Ideal, IdealIndex, gamma_graph, ideal_index, is_reduced
-from .semigroups import SizeGuardExceeded
+from .semigroups import guard
 
 DEFAULT_MAX_POLYS = 4096
 
@@ -215,16 +215,6 @@ def _containment_failures(R: FiniteRing, F: np.ndarray):
     return fails
 
 
-def _check_poly_guard(R: FiniteRing, degree_bound: int, max_polys: int) -> None:
-    """Refuse a negative degree bound, or more than max_polys polynomials of
-    degree <= d, before any work."""
-    if degree_bound < 0:
-        raise ValueError(f"degree bound must be >= 0, not {degree_bound}")
-    count = R.size ** (degree_bound + 1)
-    if count > max_polys:
-        raise SizeGuardExceeded(f"{count} polynomials exceed guard {max_polys}")
-
-
 def _class_minima(R: FiniteRing, F: np.ndarray) -> np.ndarray:
     """``rep[r]``: the least row of the class of row r (see above).
 
@@ -255,7 +245,9 @@ def _class_minima(R: FiniteRing, F: np.ndarray) -> np.ndarray:
 
 def _pair_check(kind, law, note, R, degree_bound, max_polys) -> PairCheckReport:
     """Run ``law`` over all ordered pairs; report the first failure, if any."""
-    _check_poly_guard(R, degree_bound, max_polys)
+    if degree_bound < 0:
+        raise ValueError(f"degree bound must be >= 0, not {degree_bound}")
+    guard("polynomials", R.size ** (degree_bound + 1), max_polys)
     rows = _polynomial_rows(R, degree_bound)
     N = len(rows)
     reps = np.unique(_class_minima(R, rows))
@@ -349,7 +341,9 @@ def clique_stabilization(
     """
     if not is_reduced(R):
         raise ValueError("clique stabilization requires a reduced ring")
-    _check_poly_guard(R, degree_bound, max_polys)
+    if degree_bound < 0:
+        raise ValueError(f"degree bound must be >= 0, not {degree_bound}")
+    guard("polynomials", R.size ** (degree_bound + 1), max_polys)
     base_clq, base_chi = clique_and_chromatic(gamma_graph(R))
     rows = []
     ok = True

@@ -31,12 +31,15 @@ import numpy as np
 
 from .graphs import SimpleGraph, beck_graph, shortest_cycle, zero_divisor_graph
 from .semigroups import (
+    DEFAULT_MAX_TABLE,
     SemigroupTable,
-    SizeGuardExceeded,
     first_witness,
+    guard,
     is_nilpotent_free,
     nilpotent_mask,
     read_only_table,
+    spec_int,
+    spec_params,
     table_form_failure,
     table_law_failure,
     validate_semigroup,
@@ -84,18 +87,12 @@ _LAW_MESSAGES = {
 }
 
 
-def _check_ring_order(n: int) -> None:
-    """Refuse a ring of order n above the ring guard, before any table is built."""
-    if n > DEFAULT_MAX_RING:
-        raise SizeGuardExceeded(f"ring size {n} exceeds guard {DEFAULT_MAX_RING}")
-
-
 def _validate_ring(R: FiniteRing) -> None:
     """Raise unless R is a commutative ring with unity: the exact check on
     generators first, and the exhaustive scans only to name a failure."""
     if R.size == 0:
         raise RingConstructionError("empty carrier")
-    _check_ring_order(R.size)
+    guard("ring elements", R.size, DEFAULT_MAX_RING)
     if not _ring_laws_hold(R):
         _scan_ring_laws(R)
 
@@ -204,7 +201,7 @@ def make_zn(n: int) -> FiniteRing:
     """The ring of integers modulo n (n = 1 gives the zero ring)."""
     if n < 1:
         raise RingConstructionError("n must be >= 1")
-    _check_ring_order(n)
+    guard("ring elements", n, DEFAULT_MAX_RING)
     r = np.arange(n)
     return FiniteRing(tuple(str(i) for i in range(n)), np.add.outer(r, r) % n,
                       np.multiply.outer(r, r) % n, 0, 1 % n, tag=f"Zn:{n}")
@@ -221,7 +218,7 @@ def make_product(rings: Sequence[FiniteRing]) -> FiniteRing:
     if not rings:
         raise RingConstructionError("empty product")
     sizes = tuple(r.size for r in rings)
-    _check_ring_order(math.prod(sizes))
+    guard("ring elements", math.prod(sizes), DEFAULT_MAX_RING)
     strides = np.cumprod((1,) + sizes[:0:-1])[::-1]
     digits = np.unravel_index(np.arange(math.prod(sizes)), sizes)
 
@@ -276,7 +273,8 @@ def make_polyquot(p: int, modulus: Sequence[int], var: str = "x") -> FiniteRing:
     ``modulus`` lists coefficients in ascending degree; the quotient is a
     field exactly when the modulus is irreducible (not required).
     """
-    _check_ring_order(p)  # before the primality test, which divides up to sqrt(p)
+    # before the primality test, which divides up to sqrt(p)
+    guard("ring elements", p, DEFAULT_MAX_RING)
     if prime_power(p) != (p, 1):
         raise RingConstructionError(f"{p} is not prime")
     modulus = [c % p for c in modulus]
@@ -285,7 +283,7 @@ def make_polyquot(p: int, modulus: Sequence[int], var: str = "x") -> FiniteRing:
     if len(modulus) < 2:
         raise RingConstructionError("modulus must have degree >= 1")
     d = len(modulus) - 1
-    _check_ring_order(p**d)
+    guard("ring elements", p**d, DEFAULT_MAX_RING)
     structure = np.zeros((d, d, d), dtype=np.int64)  # x^i * x^j = x^(i+j) mod modulus
     for i, j in itertools.product(range(d), repeat=2):
         rem = _fp_poly_mod([0] * (i + j) + [1], modulus, p)
@@ -326,7 +324,7 @@ def _monic_irreducible(p: int, k: int) -> list[int]:
 
 def make_gf(q: int) -> FiniteRing:
     """The field with q elements, q a prime power."""
-    _check_ring_order(q)
+    guard("ring elements", q, DEFAULT_MAX_RING)
     pk = prime_power(q)
     if pk is None:
         raise RingConstructionError(f"{q} is not a prime power")
@@ -358,7 +356,8 @@ def make_multivariate_quot(
     exactly the set of monomials not divisible by any relation.  The ring
     guard is checked as each basis monomial joins.
     """
-    _check_ring_order(p)  # before the primality test, which divides up to sqrt(p)
+    # before the primality test, which divides up to sqrt(p)
+    guard("ring elements", p, DEFAULT_MAX_RING)
     if prime_power(p) != (p, 1):
         raise RingConstructionError(f"{p} is not prime")
     _check_variables(variables)
@@ -384,7 +383,7 @@ def make_multivariate_quot(
             continue
         seen.add(m)
         basis.append(m)
-        _check_ring_order(p ** len(basis))
+        guard("ring elements", p ** len(basis), DEFAULT_MAX_RING)
         for i in range(nv):
             queue.append(tuple(e + (1 if j == i else 0) for j, e in enumerate(m)))
     basis.sort(key=lambda m: (sum(m), m))
@@ -451,13 +450,15 @@ def ring_from_spec(spec: str) -> FiniteRing:
     """
     spec = spec.strip()
     if spec.startswith("Zn:"):
-        return make_zn(int(spec[3:]))
+        return make_zn(spec_int(spec, "order", spec[3:], RingConstructionError))
     if spec.startswith("gf:"):
-        return make_gf(int(spec[3:]))
+        return make_gf(spec_int(spec, "order", spec[3:], RingConstructionError))
     if spec.startswith("prod:"):
         parts = []
         for chunk in spec[5:].split(","):
             chunk = chunk.strip()
+            if not chunk:
+                raise RingConstructionError(f"spec {spec!r} has an empty factor")
             if parts and ":" not in chunk:
                 # continuation of a comma-separated parameter list
                 parts[-1] += "," + chunk
@@ -465,16 +466,19 @@ def ring_from_spec(spec: str) -> FiniteRing:
                 parts.append(chunk)
         return make_product([ring_from_spec(s) for s in parts])
     if spec.startswith("polyquot:"):
-        params = dict(kv.split("=", 1) for kv in spec[len("polyquot:"):].split(";"))
+        params = spec_params(spec, spec[len("polyquot:"):], ("p", "mod"), RingConstructionError)
         return make_polyquot(
-            int(params["p"]), [int(c) for c in params["mod"].split(",")]
+            spec_int(spec, "p", params["p"], RingConstructionError),
+            [spec_int(spec, "mod coefficient", c, RingConstructionError)
+             for c in params["mod"].split(",")],
         )
     if spec.startswith("mvq:"):
-        params = dict(kv.split("=", 1) for kv in spec[len("mvq:"):].split(";"))
+        params = spec_params(spec, spec[len("mvq:"):], ("p", "vars", "rel"), RingConstructionError)
         variables = [v.strip() for v in params["vars"].split(",")]
         _check_variables(variables)  # before parsing: an empty name matches anywhere
         rels = [_parse_monomial(t.strip(), variables) for t in params["rel"].split(",")]
-        return make_multivariate_quot(int(params["p"]), variables, rels)
+        return make_multivariate_quot(
+            spec_int(spec, "p", params["p"], RingConstructionError), variables, rels)
     raise RingConstructionError(f"unknown ring spec {spec!r}")
 
 
@@ -605,17 +609,15 @@ class IdealIndex:
         """Every ideal index in ``(len, sorted)`` order, once every row is filled.
 
         The guard is checked first against a lower bound on the number of
-        ideals, then against each ideal the index holds.
+        ideals, then against the ideals the index holds, which bound it too.
         """
-        if self.lower_bound > max_ideals:
-            raise SizeGuardExceeded(f"more than {max_ideals} ideals")
+        guard("ideals", self.lower_bound, max_ideals)
         k = 0
         while k < len(self.ideals) <= max_ideals:
             if self._join[k, 0] < 0:
                 self._fill(k)
             k += 1
-        if len(self.ideals) > max_ideals:
-            raise SizeGuardExceeded(f"more than {max_ideals} ideals")
+        guard("ideals", len(self.ideals), max_ideals)
         return sorted(range(k), key=lambda k: (len(self.ideals[k]), sorted(self.ideals[k])))
 
     def label(self, k: int) -> str:
@@ -676,26 +678,6 @@ def _ideal_count_lower_bound(R: FiniteRing) -> int:
             prev, count, i = count, 2 * count + (q**i - 1) * prev, i + 1
         bound *= count
     return bound
-
-
-def principal_ideal(R: FiniteRing, a: int) -> Ideal:
-    index = ideal_index(R)
-    return index.ideals[index.principal[a]]
-
-
-def _combine(R: FiniteRing, I: Ideal, J: Ideal, operation: str) -> Ideal:
-    index = ideal_index(R)
-    ks = np.array([index.index_of(I), index.index_of(J)])
-    return index.ideals[index.table(ks, operation)[0, 1]]
-
-
-def ideal_sum(R: FiniteRing, I: Ideal, J: Ideal) -> Ideal:
-    return _combine(R, I, J, "add")
-
-
-def ideal_product(R: FiniteRing, I: Ideal, J: Ideal) -> Ideal:
-    """The ideal generated by pairwise products of members."""
-    return _combine(R, I, J, "mult")
 
 
 def enumerate_ideals(R: FiniteRing, max_ideals: int = DEFAULT_MAX_IDEALS) -> list[Ideal]:
@@ -778,7 +760,14 @@ def ideal_semigroup(
     if operation not in ("mult", "add"):
         raise ValueError("operation must be 'mult' or 'add'")
     index = ideal_index(R)
+    # validate_semigroup's table guard, checked against the lower bound before
+    # the ideals are enumerated and against their count before any label or
+    # table is built; close's own first check comes first, so a ring over
+    # both guards trips the ideal guard, as it did when close came first
+    guard("ideals", index.lower_bound, max_ideals)
+    guard("table elements", index.lower_bound, DEFAULT_MAX_TABLE)
     ks = np.array(index.close(max_ideals))
+    guard("table elements", len(ks), DEFAULT_MAX_TABLE)
     pos = np.empty(len(index.ideals), dtype=np.int64)
     pos[ks] = np.arange(len(ks))
     zero_elt = index.principal[R.zero if operation == "mult" else R.one]
@@ -817,10 +806,11 @@ def ag_conjecture_check(R: FiniteRing, max_ideals: int = DEFAULT_MAX_IDEALS) -> 
     Returns a 3-cycle of ideals as the witness; for other rings the girth
     is still computed and reported with passed = None.
     """
+    # the graph first: its ideal semigroup checks both guards before any work
+    graph = annihilating_ideal_graph(R, max_ideals)
     ideals = enumerate_ideals(R, max_ideals)
     reduced = is_reduced(R)
     nmin = len(minimal_primes(R, ideals))
-    graph = annihilating_ideal_graph(R, max_ideals)
     g, cycle = shortest_cycle(graph)
     witness = tuple(graph.vertices[v] for v in cycle) if cycle else None
     applies = reduced and nmin > 2

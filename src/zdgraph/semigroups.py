@@ -28,6 +28,15 @@ class SizeGuardExceeded(RuntimeError):
     """An exhaustive operation refused to run above its size guard."""
 
 
+def guard(what: str, count: int, limit: int) -> None:
+    """Refuse work on ``count`` items of ``what`` above ``limit``, before it
+    starts: the one place a size guard trips, with the one message form
+    ``N <what> exceed guard M``.  ``count`` may be a proven lower bound on
+    the size the work would reach."""
+    if count > limit:
+        raise SizeGuardExceeded(f"{count} {what} exceed guard {limit}")
+
+
 class NotNilpotentFree(ValueError):
     """Raised when an operation requires a nilpotent-free semigroup."""
 
@@ -91,26 +100,70 @@ class SemigroupTable:
     @staticmethod
     def from_json(text: str) -> "SemigroupTable":
         """The table in a JSON object; any other content is a ValueError."""
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValueError("a semigroup file holds a JSON object")
-        elements, rows = data["elements"], data["product"]
-        if not isinstance(elements, list):
-            raise ValueError("the elements of a semigroup file are a JSON list")
+        data = json_object(text, "semigroup")
+        elements, rows = json_list(data["elements"], "elements", "semigroup"), data["product"]
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             ValidationResult(False, "table-shape", ()).raise_if_invalid()
         return SemigroupTable(
             elements=distinct_labels(str(e) for e in elements),
-            zero=_int64(data["zero"]),
-            product=[[_int64(x) for x in row] for row in rows],
+            zero=json_int(data["zero"], "semigroup"),
+            product=[[json_int(x, "semigroup") for x in row] for row in rows],
         )
 
 
-def _int64(x) -> int:
+# The readers of semigroup, space and poset files: each names the file kind
+# ``what`` and the first entry of the wrong JSON type.
+
+
+def json_object(text: str, what: str) -> dict:
+    """The JSON object a ``what`` file holds; any other content is a ValueError."""
+    data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError(f"a {what} file holds a JSON object")
+    return data
+
+
+def json_list(x, name: str, what: str) -> list:
+    """``x`` if it is a JSON list, else a ValueError naming the entry ``name``."""
+    if not isinstance(x, list):
+        raise ValueError(f"the {name} of a {what} file are a JSON list")
+    return x
+
+
+def json_int(x, what: str) -> int:
     """``x`` if it is an integer that fits int64, else a ValueError."""
     if isinstance(x, bool) or not isinstance(x, int) or not -(2**63) <= x < 2**63:
-        raise ValueError(f"{x!r} in a semigroup file is not a 64-bit integer")
+        raise ValueError(f"{x!r} in a {what} file is not a 64-bit integer")
     return x
+
+
+# The readers of spec strings, such as ``polyquot:p=2;mod=1,1,1``: each
+# error names the spec and the part that is missing, empty or malformed.
+
+
+def spec_params(spec: str, body: str, required, error) -> dict[str, str]:
+    """The ``name=value`` parts of ``body``, which are split at ``;``; a part
+    without ``=``, or a missing name of ``required``, raises ``error``."""
+    params = {}
+    for part in body.split(";"):
+        name, eq, value = part.partition("=")
+        if not eq:
+            raise error(f"spec {spec!r} has a part {part!r} with no '='")
+        params[name] = value
+    for name in required:
+        if name not in params:
+            raise error(f"spec {spec!r} has no {name!r} part")
+    return params
+
+
+def spec_int(spec: str, name: str, text: str, error) -> int:
+    """The integer ``text`` that is part ``name`` of ``spec``, else ``error``."""
+    if not text.strip():
+        raise error(f"spec {spec!r} has an empty {name}")
+    try:
+        return int(text)
+    except ValueError:
+        raise error(f"spec {spec!r} has {name} {text!r}, not an integer") from None
 
 
 def distinct_labels(labels) -> tuple[str, ...]:
@@ -122,12 +175,6 @@ def distinct_labels(labels) -> tuple[str, ...]:
             raise ValueError(f"duplicate label {x!r}")
         seen.add(x)
     return out
-
-
-def check_table_size(count: int) -> None:
-    """Refuse a closed-set family too large for a meet table, before any work on it."""
-    if count > DEFAULT_MAX_TABLE:
-        raise SizeGuardExceeded(f"{count} closed sets, over table guard {DEFAULT_MAX_TABLE}")
 
 
 def members(mask: int) -> Iterator[int]:
@@ -238,8 +285,7 @@ def validate_semigroup(
     n = table.size
     if n == 0:
         return ValidationResult(False, "nonempty", ())
-    if n > max_size:
-        raise SizeGuardExceeded(f"table size {n} exceeds guard {max_size}")
+    guard("table elements", n, max_size)
     if not (0 <= table.zero < n):
         return ValidationResult(False, "zero-index", (table.zero,))
     failure = table_law_failure(table.product, n)
@@ -308,17 +354,6 @@ class SemigroupMap:
 
     def __call__(self, s: int) -> int:
         return self.assignment[s]
-
-
-def identity_map(table: SemigroupTable) -> SemigroupMap:
-    return SemigroupMap(table, table, tuple(range(table.size)))
-
-
-def compose(g: SemigroupMap, f: SemigroupMap) -> SemigroupMap:
-    """g after f."""
-    if f.target is not g.source and f.target != g.source:
-        raise ValueError("maps are not composable")
-    return SemigroupMap(f.source, g.target, tuple(g.assignment[t] for t in f.assignment))
 
 
 @dataclass(frozen=True)

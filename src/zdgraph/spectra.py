@@ -37,17 +37,21 @@ from .graphs import (
     zero_divisor_graph,
 )
 from .semigroups import (
+    DEFAULT_MAX_TABLE,
     SemigroupMap,
     SemigroupTable,
-    SizeGuardExceeded,
     check_armendariz,
     check_homomorphism,
-    check_table_size,
     distinct_labels,
+    guard,
     is_irreducible_family,
+    json_int,
+    json_list,
+    json_object,
     meet_table,
     members,
-    row_union,
+    spec_int,
+    spec_params,
 )
 
 INF = float("inf")
@@ -101,12 +105,14 @@ class FinitePoset:
 
     @staticmethod
     def from_json(text: str) -> "FinitePoset":
-        data = json.loads(text)
-        points = distinct_labels(str(p) for p in data["points"])
+        data = json_object(text, "poset")
+        points = distinct_labels(str(p) for p in json_list(data["points"], "points", "poset"))
         n = len(points)
         rows = [1 << i for i in range(n)]
-        for i, j in data["leq"]:
-            i, j = int(i), int(j)
+        for pair in json_list(data["leq"], "relation pairs", "poset"):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise InvalidPoset(f"relation pair {pair!r} is not two point indices")
+            i, j = (json_int(x, "poset") for x in pair)
             if not (0 <= i < n and 0 <= j < n):
                 raise InvalidPoset(f"relation pair ({i}, {j}) outside points 0..{n - 1}")
             rows[i] |= 1 << j
@@ -131,20 +137,13 @@ def transitive_closure(rows) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def is_transitive(rows) -> bool:
-    """Whether a rel b and b rel c imply a rel c: every row holds the rows
-    of its members."""
-    return all(row_union(rows, row) & ~row == 0 for row in rows)
-
-
 def upset_masks(rows) -> list[int]:
     """The up-sets of a reflexive relation, as bitmasks sorted by (size, mask).
 
     A set A is an up-set when the union of the rows of its points is A itself.
     """
     n = len(rows)
-    if n > MAX_UPSET_POINTS:
-        raise SizeGuardExceeded(f"poset has {n} > {MAX_UPSET_POINTS} points")
+    guard("relation points", n, MAX_UPSET_POINTS)
     reach = [0] * (1 << n)
     for mask in range(1, 1 << n):
         low = mask & -mask
@@ -171,7 +170,7 @@ def _max_mask(P: FinitePoset) -> int:
 def sigma_spec(P: FinitePoset) -> SemigroupTable:
     """Closed-set lattice under intersection: all up-sets, absorbing empty."""
     masks = upset_masks(P.leq)
-    check_table_size(len(masks))
+    guard("closed sets", len(masks), DEFAULT_MAX_TABLE)
     return meet_table(P.points, masks)
 
 
@@ -183,7 +182,7 @@ def uspec_sigma(P: FinitePoset) -> SemigroupTable:
     closed = {0}
     for row in P.leq:
         closed |= {c | row for c in closed}
-        check_table_size(len(closed))
+        guard("closed sets", len(closed), DEFAULT_MAX_TABLE)
     return meet_table(P.points, sorted(closed, key=_by_size))
 
 
@@ -193,7 +192,7 @@ def restrict_to_max(P: FinitePoset) -> SemigroupMap:
 
 
 def _restrict_to_max(P: FinitePoset, masks: list[int]) -> SemigroupMap:
-    check_table_size(len(masks))
+    guard("closed sets", len(masks), DEFAULT_MAX_TABLE)
     maxmask = _max_mask(P)
     targets = sorted({m & maxmask for m in masks}, key=_by_size)
     tpos = {m: i for i, m in enumerate(targets)}
@@ -204,16 +203,12 @@ def _restrict_to_max(P: FinitePoset, masks: list[int]) -> SemigroupMap:
     )
 
 
-def is_max_irreducible(P: FinitePoset) -> bool:
+def _is_max_irreducible(P: FinitePoset, masks: list[int]) -> bool:
     """Irreducibility of the maximal-point subspace lattice.
 
     This is the poset-level surrogate for primality of the Jacobson
     radical (the maximal spectrum is irreducible iff the radical is prime).
     """
-    return _is_max_irreducible(P, upset_masks(P.leq))
-
-
-def _is_max_irreducible(P: FinitePoset, masks: list[int]) -> bool:
     maxmask = _max_mask(P)
     return is_irreducible_family({m & maxmask for m in masks}, maxmask)
 
@@ -264,12 +259,12 @@ def fan_from_spec(spec: str) -> FanPoset:
     """Parse ``fan:generics=1;sharing=all`` or ``fan:disjoint=2``."""
     if not spec.startswith("fan:"):
         raise InvalidPoset(f"not a fan spec: {spec!r}")
-    params = dict(kv.split("=", 1) for kv in spec[4:].split(";"))
+    params = spec_params(spec, spec[4:], (), InvalidPoset)
     if "disjoint" in params:
-        return fan_disjoint(int(params["disjoint"]))
+        return fan_disjoint(spec_int(spec, "disjoint", params["disjoint"], InvalidPoset))
     if params.get("sharing", "all") != "all":
         raise InvalidPoset("only sharing=all is supported")
-    return fan_shared(int(params.get("generics", "1")))
+    return fan_shared(spec_int(spec, "generics", params.get("generics", "1"), InvalidPoset))
 
 
 FIN = "fin"
@@ -311,16 +306,6 @@ class FanClosedSet:
                 bits.append("{" + ",".join(f"m{j}.{i}" for i in sorted(data)) + "}")
         bits.extend(f"g{g}" for g in sorted(self.generics))
         return " u ".join(bits) if bits else "{}"
-
-
-def fan_empty(fan: FanPoset) -> FanClosedSet:
-    return FanClosedSet(fan, (EMPTY_PART,) * fan.families, frozenset())
-
-
-def fan_whole(fan: FanPoset) -> FanClosedSet:
-    return FanClosedSet(
-        fan, (FULL_PART,) * fan.families, frozenset(range(len(fan.generics)))
-    )
 
 
 def fan_v_max(fan: FanPoset, family: int, index: int) -> FanClosedSet:

@@ -19,7 +19,6 @@ from .corpus import (
     DEFAULT_MAX_POSET_POINTS,
     DEFAULT_MAX_TOPOLOGY_POINTS,
     armendariz_map_corpus,
-    check_points,
     enumerate_posets,
     enumerate_t1_sublattices,
     enumerate_topologies,
@@ -53,7 +52,7 @@ from .rings import (
     ring_from_spec,
     spec_poset,
 )
-from .semigroups import eq_quotient
+from .semigroups import eq_quotient, guard
 from .spectra import (
     fan_disjoint,
     fan_shared,
@@ -306,7 +305,7 @@ def verify_specs(
     runs once per class; the count is the number of labelled posets, the
     sum of the orbits, up to and including the first class that fails.
     """
-    check_points("posets", max_points, DEFAULT_MAX_POSET_POINTS)
+    guard("poset points", max_points, DEFAULT_MAX_POSET_POINTS)
     rep = SuiteReport("specs", seed=seed)
     for n in range(max_points + 1):
         count = 0
@@ -423,7 +422,7 @@ def verify_comaximal() -> SuiteReport:
 @_timed
 def verify_pearled(max_points: int = 4) -> SuiteReport:
     """The separation-axiom counterexamples and the implication arrows."""
-    check_points("topologies", max_points, DEFAULT_MAX_TOPOLOGY_POINTS)
+    guard("topology points", max_points, DEFAULT_MAX_TOPOLOGY_POINTS)
     rep = SuiteReport("pearled")
 
     sierpinski = make_space(["a", "b"], [0b00, 0b10, 0b11])

@@ -1,10 +1,10 @@
 """Finite topological spaces and their closed-set lattices.
 
 Spaces are given by their closed-set families (the natural side for
-everything here); a converter from open sets is provided.  A closed set is
-an int bitmask (bit p set when point p is a member), as in ``spectra``;
-families are kept in (size, sorted point list) order, and a space over the
-table guard is refused before it is validated.  The module covers the
+everything here).  A closed set is an int bitmask (bit p set when point
+p is a member), as in ``spectra``; families are kept in (size, sorted
+point list) order, and a space over the table guard is refused before it
+is validated.  The module covers the
 separation-axiom suite (T0, T1, T 1/2, pearled, Noetherian), the subspace
 of closed points with its intersection map on closed-set lattices, the lazy
 nonnegative-integer counterexample space, and the two kinds of T1 lattices:
@@ -24,12 +24,15 @@ from typing import Optional, Union
 
 from .graphs import COUNTABLY_INFINITE, InvariantBundle, invariant_bundle, zero_divisor_graph
 from .semigroups import (
+    DEFAULT_MAX_TABLE,
     SemigroupMap,
     SemigroupTable,
-    SizeGuardExceeded,
-    check_table_size,
     distinct_labels,
+    guard,
     is_irreducible_family,
+    json_int,
+    json_list,
+    json_object,
     meet_table,
     members,
 )
@@ -81,9 +84,12 @@ class FiniteSpace:
 
     @staticmethod
     def from_json(text: str) -> "FiniteSpace":
-        data = json.loads(text)
-        points = distinct_labels(str(p) for p in data["points"])
-        closed = [{int(i) for i in c} for c in data["closed"]]
+        data = json_object(text, "space")
+        points = distinct_labels(str(p) for p in json_list(data["points"], "points", "space"))
+        closed = [
+            {json_int(i, "space") for i in json_list(c, "members of a closed set", "space")}
+            for c in json_list(data["closed"], "closed sets", "space")
+        ]
         for c in closed:  # checked before a negative index reaches a shift
             if not c <= set(range(len(points))):
                 raise InvalidSpace(f"member {sorted(c)} is not a subset of the ground set")
@@ -94,7 +100,7 @@ def make_space(points, closed_sets) -> FiniteSpace:
     """Build and validate a finite space from its closed sets (bitmasks)."""
     pts = tuple(points)
     family = set(closed_sets)
-    check_table_size(len(family))
+    guard("closed sets", len(family), DEFAULT_MAX_TABLE)
     defect = closed_family_defect(family, len(pts))
     if defect:
         raise InvalidSpace(defect)
@@ -103,12 +109,6 @@ def make_space(points, closed_sets) -> FiniteSpace:
 
 def _sorted_family(family) -> tuple[int, ...]:
     return tuple(sorted(family, key=lambda c: (c.bit_count(), list(members(c)))))
-
-
-def from_open_sets(points, open_sets) -> FiniteSpace:
-    """Convert an open-set description (bitmasks) to the closed-set form."""
-    full = (1 << len(points)) - 1
-    return make_space(points, [full & ~u for u in open_sets])
 
 
 def closed_family_defect(family, n: int) -> Optional[str]:
@@ -300,11 +300,7 @@ def powerset_lattice(ground) -> FiniteSpace:
     n = ground if isinstance(ground, int) else len(ground)
     if n < 0:
         raise ValueError(f"a powerset lattice needs a ground size >= 0, not {n}")
-    if n > DEFAULT_MAX_POWERSET_GROUND:
-        raise SizeGuardExceeded(
-            f"powerset lattice on {n} points has 2^{n} members, "
-            f"over guard {DEFAULT_MAX_POWERSET_GROUND} points"
-        )
+    guard("powerset points", n, DEFAULT_MAX_POWERSET_GROUND)
     g = tuple(f"y{i}" for i in range(n)) if isinstance(ground, int) else tuple(ground)
     return make_space(g, range(1 << n))
 

@@ -3,6 +3,7 @@
 Each routine recomputes its answer from the ring tables alone, sharing no
 state with the program, so tests can compare ``zdgraph.rings.IdealIndex``,
 the polynomial content checks and ``make_product`` against them.  The
+``index_*`` helpers are the exception: they read the program's index.  The
 module also lists the ring-analyze benchmark presentations and keeps one
 ring object per spec for the test modules.
 """
@@ -37,6 +38,29 @@ def cached_ring(spec):
 
 def principal_ideal(R, a):
     return frozenset(np.unique(R.mul[:, a]).tolist())
+
+
+# Ra, I + J and IJ read from the ring's ideal index, for tests of the index;
+# the program itself reads the index's tables whole
+
+
+def index_principal(R, a):
+    index = rings.ideal_index(R)
+    return index.ideals[index.principal[a]]
+
+
+def _index_combine(R, I, J, operation):
+    index = rings.ideal_index(R)
+    ks = np.array([index.index_of(I), index.index_of(J)])
+    return index.ideals[index.table(ks, operation)[0, 1]]
+
+
+def index_sum(R, I, J):
+    return _index_combine(R, I, J, "add")
+
+
+def index_product(R, I, J):
+    return _index_combine(R, I, J, "mult")
 
 
 def ideal_sum(R, I, J):

@@ -6,6 +6,10 @@ the form ``FinitePoset.leq`` had before it became bitmask rows.  The bool
 routines share no code with the program, so tests can compare verdicts,
 closures and ``InvalidPoset`` messages of ``zdgraph.spectra`` against them.
 
+``rows_transitive``, the fan helpers ``fan_empty`` and ``fan_whole``,
+``is_max_irreducible`` and ``from_open_sets`` have no caller in the program
+and live here for the tests that use them.
+
 The labelled enumerators filter every candidate relation (3^C(n,2) for
 posets, 2^(n(n-1)) for preorders) and every candidate family of T1
 sublattice members, in the order the program once used, and build the
@@ -15,8 +19,15 @@ program's objects from what passes.
 import itertools
 
 from zdgraph.corpus import _LETTERS, _space_from_preorder
-from zdgraph.semigroups import SizeGuardExceeded
-from zdgraph.spectra import FinitePoset, is_transitive as rows_transitive
+from zdgraph.semigroups import SizeGuardExceeded, row_union
+from zdgraph.spectra import (
+    EMPTY_PART,
+    FULL_PART,
+    FanClosedSet,
+    FinitePoset,
+    _is_max_irreducible,
+    upset_masks,
+)
 from zdgraph.topology import closed_family_defect, make_space
 
 # 5 points are 2^20 candidate relations, seconds of work; 6 points are
@@ -59,6 +70,31 @@ def is_transitive(rel):
         for c, x in enumerate(row_b)
         if x
     )
+
+
+def rows_transitive(rows):
+    """Whether a rel b and b rel c imply a rel c: every row holds the rows
+    of its members."""
+    return all(row_union(rows, row) & ~row == 0 for row in rows)
+
+
+def is_max_irreducible(P):
+    """Irreducibility of the maximal-point subspace lattice of a finite poset."""
+    return _is_max_irreducible(P, upset_masks(P.leq))
+
+
+def fan_empty(fan):
+    return FanClosedSet(fan, (EMPTY_PART,) * fan.families, frozenset())
+
+
+def fan_whole(fan):
+    return FanClosedSet(fan, (FULL_PART,) * fan.families, frozenset(range(len(fan.generics))))
+
+
+def from_open_sets(points, open_sets):
+    """A space from its open sets (bitmasks): the closed sets are their complements."""
+    full = (1 << len(points)) - 1
+    return make_space(points, [full & ~u for u in open_sets])
 
 
 def transitive_closure(rel):

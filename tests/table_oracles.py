@@ -6,13 +6,36 @@ messages of ``zdgraph.semigroups``, ``zdgraph.graphs``, ``zdgraph.corpus``,
 ``zdgraph.polynomials`` and ``zdgraph.rings._validate_ring`` (with its greedy
 additive generators) against them.  ``poly_mul``, the table-lookup product
 of two polynomials, has no caller left in the program; it lives here beside
-its cell-by-cell check ``poly_mul_coeffs``.
+its cell-by-cell check ``poly_mul_coeffs``.  So do the map helpers
+``identity_map`` and ``compose`` and the graph reader ``graph_from_json``.
 """
+
+import json
 
 import numpy as np
 
+from zdgraph.graphs import SimpleGraph
 from zdgraph.polynomials import make_poly
-from zdgraph.semigroups import InvalidSemigroup
+from zdgraph.semigroups import InvalidSemigroup, SemigroupMap
+
+
+def identity_map(table):
+    return SemigroupMap(table, table, tuple(range(table.size)))
+
+
+def compose(g, f):
+    """g after f."""
+    if f.target is not g.source and f.target != g.source:
+        raise ValueError("maps are not composable")
+    return SemigroupMap(f.source, g.target, tuple(g.assignment[t] for t in f.assignment))
+
+
+def graph_from_json(text):
+    data = json.loads(text)
+    return SimpleGraph.from_edges(
+        [str(v) for v in data["vertices"]],
+        [(int(i), int(j)) for i, j in data["edges"]],
+    )
 
 
 def rows(S):

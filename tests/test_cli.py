@@ -167,16 +167,34 @@ def test_validate_task(tmp_path, capsys):
 def test_cli_guard_defaults_are_the_library_defaults(monkeypatch):
     from zdgraph import cli
     from zdgraph.graphs import DEFAULT_MAX_CHROMATIC_VERTICES, DEFAULT_MAX_CLIQUE_VERTICES
+    from zdgraph.polynomials import DEFAULT_MAX_POLYS
     from zdgraph.rings import DEFAULT_MAX_IDEALS
+    from zdgraph.semigroups import DEFAULT_MAX_TABLE
 
-    for env in ("ZDGRAPH_MAX_CLIQUE", "ZDGRAPH_MAX_CHROMATIC", "ZDGRAPH_MAX_IDEALS"):
+    for env, _, _ in cli.GUARD_FLAGS.values():
         monkeypatch.delenv(env, raising=False)
-    args = argparse.Namespace(max_clique=None, max_chromatic=None, max_ideals=None)
-    assert cli._guard_kwargs(args) == {
-        "max_clique_vertices": DEFAULT_MAX_CLIQUE_VERTICES,
-        "max_chromatic_vertices": DEFAULT_MAX_CHROMATIC_VERTICES,
+    args = argparse.Namespace(max_clique=None, max_chromatic=None, max_table=None,
+                              max_ideals=None, max_polys=None)
+    assert {flag: cli._limit(args, flag) for flag in cli.GUARD_FLAGS} == {
+        "--max-clique": DEFAULT_MAX_CLIQUE_VERTICES,
+        "--max-chromatic": DEFAULT_MAX_CHROMATIC_VERTICES,
+        "--max-table": DEFAULT_MAX_TABLE,
+        "--max-ideals": DEFAULT_MAX_IDEALS,
+        "--max-polys": DEFAULT_MAX_POLYS,
     }
-    assert cli._ideal_guard(args) == DEFAULT_MAX_IDEALS
+
+
+def test_cli_guard_limit_is_the_flag_then_the_environment(monkeypatch):
+    from zdgraph import cli
+
+    for env, _, _ in cli.GUARD_FLAGS.values():
+        monkeypatch.setenv(env, "7")
+    given = argparse.Namespace(max_clique=3, max_chromatic=3, max_table=3,
+                               max_ideals=3, max_polys=3)
+    for flag in cli.GUARD_FLAGS:
+        assert cli._limit(given, flag) == 3
+        # export has no guard flags: the environment alone sets its limits
+        assert cli._limit(argparse.Namespace(), flag) == 7
 
 
 def test_guard_exceeded_is_input_error(capsys, monkeypatch):
@@ -194,11 +212,13 @@ def test_every_polynomial_check_names_its_count_at_the_guard(check, capsys):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["analyze", "--lattice", "powerset:14", "--tasks", "t1"], "over guard 10 points"),
-    (["verify", "pearled", "--max-points", "7"], "over guard 6 points"),
+    (["analyze", "--lattice", "powerset:14", "--tasks", "t1"],
+     "14 powerset points exceed guard 10"),
+    (["verify", "pearled", "--max-points", "7"], "7 topology points exceed guard 6"),
     # the clique guard trips before any BFS for diameter or girth runs
-    (["analyze", "--lattice", "powerset:9", "--tasks", "t1"], "clique guard: 510 > 200"),
-    (["verify", "specs", "--max-points", "8"], "over guard 7 points"),
+    (["analyze", "--lattice", "powerset:9", "--tasks", "t1"],
+     "510 clique-solver vertices exceed guard 200"),
+    (["verify", "specs", "--max-points", "8"], "8 poset points exceed guard 7"),
 ])
 def test_unbounded_requests_fail_fast(argv, message, capsys):
     t0 = time.perf_counter()
@@ -217,7 +237,7 @@ def test_space_file_over_the_table_guard_fails_fast(tmp_path, capsys):
     assert main(["analyze", "--space", str(path), "--tasks", "axioms"]) == 1
     assert time.perf_counter() - t0 < 1.0
     err = capsys.readouterr().err
-    assert "8192 closed sets, over table guard 4096" in err and "Traceback" not in err
+    assert "8192 closed sets exceed guard 4096" in err and "Traceback" not in err
 
 
 def test_reports_deterministic_for_fixed_seed(capsys):
@@ -306,7 +326,7 @@ def test_ring_guard_trips_before_any_table_is_built(spec, size, capsys):
     assert main(["analyze", "--ring", spec, "--tasks", "validate"]) == 1
     assert time.perf_counter() - t0 < 1.0
     err = capsys.readouterr().err
-    assert f"ring size {size} exceeds guard 4096" in err and "Traceback" not in err
+    assert f"{size} ring elements exceed guard 4096" in err and "Traceback" not in err
 
 
 def test_validate_task_on_a_ring_of_order_2048(capsys):
@@ -343,7 +363,7 @@ def test_specs_suite_on_a_large_antichain_fails_before_any_table(tmp_path, capsy
     assert main(["analyze", "--poset", str(path), "--tasks", "specs-suite"]) == 1
     assert time.perf_counter() - t0 < 5.0
     err = capsys.readouterr().err
-    assert "8192 closed sets, over table guard 4096" in err and "Traceback" not in err
+    assert "8192 closed sets exceed guard 4096" in err and "Traceback" not in err
 
 
 def test_charirrconn_on_five_points_finishes(capsys):

@@ -1,13 +1,18 @@
-"""The CLI on malformed and boundary spec strings, called in process.
+"""The CLI on malformed and boundary spec strings and JSON files, called in
+process.
 
 Every request must end with exit status 0, 1 or 2, raise nothing out of
 ``main`` (the CLI's traceback), and finish within ``ALARM_S`` seconds.
-Orders stay at most about 64 so the cases run in milliseconds.
+Orders stay at most about 64, and files at a few points, so the cases run
+in milliseconds.
 """
 
 import contextlib
 import io
+import json
+import os
 import signal
+import tempfile
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -149,3 +154,163 @@ def test_negative_degree_bounds_are_input_errors(argv, bad):
 def test_negative_powerset_ground_is_an_input_error():
     assert run(["analyze", "--lattice", "powerset:-1", "--tasks", "t1"]) == (
         1, "error: a powerset lattice needs a ground size >= 0, not -1\n")
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("mvq:p=2;vars=x", "spec 'mvq:p=2;vars=x' has no 'rel' part"),
+    ("polyquot:p=2", "spec 'polyquot:p=2' has no 'mod' part"),
+    ("prod:Zn:2,", "spec 'prod:Zn:2,' has an empty factor"),
+    ("Zn:", "spec 'Zn:' has an empty order"),
+    ("Zn:x", "spec 'Zn:x' has order 'x', not an integer"),
+    ("polyquot:p=2;mod=1,,1", "spec 'polyquot:p=2;mod=1,,1' has an empty mod coefficient"),
+])
+def test_malformed_ring_specs_name_the_spec(spec, message):
+    assert run(["analyze", "--ring", spec]) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("fan:disjoint", "spec 'fan:disjoint' has a part 'disjoint' with no '='"),
+    ("fan:disjoint=", "spec 'fan:disjoint=' has an empty disjoint"),
+])
+def test_malformed_fan_specs_name_the_spec(spec, message):
+    assert run(["analyze", "--poset", spec, "--tasks", "specs-suite"]) == (
+        1, f"error: {message}\n")
+
+
+# ---------------------------------------------------------------------------
+# JSON files
+
+
+def run_file(flag, payload, argv) -> tuple[int, str]:
+    """``run`` on ``argv`` with ``payload`` written to a JSON file for ``flag``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "w") as fh:
+            fh.write(payload if isinstance(payload, str) else json.dumps(payload))
+        return run([argv[0], flag, path] + argv[1:])
+
+
+scalars = st.one_of(st.none(), st.booleans(), st.integers(min_value=-2, max_value=5),
+                    st.floats(min_value=-1, max_value=5), st.text(max_size=2),
+                    st.just(2**70))
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                               max_size=2),
+    max_leaves=8,
+)
+indices = st.integers(min_value=-1, max_value=4)
+
+
+def maybe_any(inner):
+    """``inner``, or one time in eight any JSON value in its place."""
+    return st.integers(min_value=0, max_value=7).flatmap(
+        lambda k: json_values if k == 0 else inner)
+
+
+def _lattice(family):
+    """The union/intersection closure of a family of bitmasks."""
+    while True:
+        grown = family | {a | b for a in family for b in family} | {
+            a & b for a in family for b in family}
+        if grown == family:
+            return family
+        family = grown
+
+
+@st.composite
+def semigroup_files(draw):
+    """Z_n under multiplication, with a few entries changed."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    product = [[a * b % n for b in range(n)] for a in range(n)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        product[a][b] = draw(maybe_any(indices))
+    return {
+        "elements": draw(maybe_any(st.just([str(i) for i in range(n)]))),
+        "zero": draw(maybe_any(st.just(0) | indices)),
+        "product": draw(maybe_any(st.just(product))),
+    }
+
+
+@st.composite
+def space_files(draw):
+    """Closed families on up to four points, closed or not, with a few
+    members changed."""
+    k = draw(st.integers(min_value=0, max_value=4))
+    family = {0, (1 << k) - 1} | set(draw(st.lists(st.integers(0, (1 << k) - 1), max_size=3)))
+    if draw(st.booleans()):
+        family = _lattice(family)
+    closed = [draw(maybe_any(st.just([p for p in range(k) if m >> p & 1])))
+              for m in sorted(family)]
+    return {
+        "points": draw(maybe_any(st.just(list("abcd"[:k])))),
+        "closed": draw(maybe_any(st.just(closed))),
+    }
+
+
+@st.composite
+def poset_files(draw):
+    """Relation pairs on up to five points, acyclic or not, with a few pairs
+    changed."""
+    k = draw(st.integers(min_value=0, max_value=5))
+    point = st.integers(0, max(k - 1, 0))
+    pairs = draw(st.lists(st.tuples(point, point), max_size=5))
+    if draw(st.booleans()):
+        pairs = [sorted(pair) for pair in pairs]
+    return {
+        "points": draw(maybe_any(st.just([f"p{i}" for i in range(k)]))),
+        "leq": draw(maybe_any(st.just([draw(maybe_any(st.just(list(pair))))
+                                       for pair in pairs]))),
+    }
+
+
+file_requests = st.one_of(
+    st.tuples(st.just("--semigroup"), maybe_any(semigroup_files()), st.sampled_from([
+        ["analyze", "--tasks", "validate,invariants,eq-quotient"],
+        ["export", "--format", "json"],
+    ])),
+    st.tuples(st.just("--space"), maybe_any(space_files()), st.sampled_from([
+        ["analyze", "--tasks", "axioms,invariants"],
+        ["export", "--format", "dot"],
+    ])),
+    st.tuples(st.just("--poset"), maybe_any(poset_files()), st.sampled_from([
+        ["analyze", "--tasks", "specs-suite,invariants"],
+        ["export", "--format", "json"],
+    ])),
+    st.tuples(st.sampled_from(["--semigroup", "--space", "--poset"]),
+              st.text(alphabet='{}[]",:0123456789.-nul', max_size=12),
+              st.just(["analyze"])),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(file_requests)
+def test_cli_answers_every_file(request):
+    flag, payload, argv = request
+    code, err = run_file(flag, payload, argv)
+    assert code in (0, 1, 2), (request, code)
+    assert "Traceback" not in err
+
+
+# each escaped main as a TypeError, and [[], [0.5]] read 0.5 as point 0
+@pytest.mark.parametrize("flag,payload,message", [
+    ("--poset", {"points": 5, "leq": []}, "the points of a poset file are a JSON list"),
+    ("--space", {"points": 5, "closed": [[]]}, "the points of a space file are a JSON list"),
+    ("--poset", {"points": ["a"], "leq": None},
+     "the relation pairs of a poset file are a JSON list"),
+    ("--space", {"points": ["a"], "closed": None},
+     "the closed sets of a space file are a JSON list"),
+    ("--space", {"points": ["a"], "closed": [[], 5, [0]]},
+     "the members of a closed set of a space file are a JSON list"),
+    ("--poset", [1, 2], "a poset file holds a JSON object"),
+    ("--space", [1, 2], "a space file holds a JSON object"),
+    ("--space", {"points": ["a"], "closed": [[], [0.5]]},
+     "0.5 in a space file is not a 64-bit integer"),
+    ("--poset", {"points": ["a", "b"], "leq": [[0, 1.5]]},
+     "1.5 in a poset file is not a 64-bit integer"),
+    ("--poset", {"points": ["a", "b"], "leq": [5]}, "relation pair 5 is not two point indices"),
+])
+def test_malformed_files_are_input_errors(flag, payload, message):
+    assert run_file(flag, payload, ["analyze", "--tasks", "invariants"]) == (
+        1, f"error: {message}\n")

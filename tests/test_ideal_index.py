@@ -25,12 +25,9 @@ from zdgraph.rings import (
     enumerate_ideals,
     ideal_index,
     ideal_label,
-    ideal_product,
     ideal_semigroup,
-    ideal_sum,
     is_reduced,
     make_zn,
-    principal_ideal,
     ring_from_spec,
 )
 from zdgraph.semigroups import SizeGuardExceeded
@@ -108,9 +105,10 @@ def test_sums_and_products_of_any_ideals():
     R = ring("mvq:p=2;vars=x,y,z;rel=x2,y2,z2,xyz")
     ideals = oracle_ideals("mvq:p=2;vars=x,y,z;rel=x2,y2,z2,xyz")
     for I, J in itertools.product(ideals[::3], ideals[::4]):
-        assert ideal_sum(R, I, J) == oracle.ideal_sum(R, I, J)
-        assert ideal_product(R, I, J) == oracle.ideal_product(R, I, J)
-    assert all(principal_ideal(R, a) == oracle.principal_ideal(R, a) for a in range(R.size))
+        assert oracle.index_sum(R, I, J) == oracle.ideal_sum(R, I, J)
+        assert oracle.index_product(R, I, J) == oracle.ideal_product(R, I, J)
+    assert all(oracle.index_principal(R, a) == oracle.principal_ideal(R, a)
+               for a in range(R.size))
 
 
 def test_non_ideal_is_rejected():
@@ -158,12 +156,12 @@ def _fresh(R):
 
 def test_guard_counts_principal_ideals():
     Z720 = ring("Zn:720")
-    with pytest.raises(SizeGuardExceeded, match="more than 29 ideals"):
+    with pytest.raises(SizeGuardExceeded, match="30 ideals exceed guard 29"):
         enumerate_ideals(_fresh(Z720), max_ideals=29)  # all 30 are principal
     assert len(enumerate_ideals(_fresh(Z720), max_ideals=30)) == 30
     R = _fresh(Z720)
     assert len(enumerate_ideals(R)) == 30
-    with pytest.raises(SizeGuardExceeded, match="more than 29 ideals"):
+    with pytest.raises(SizeGuardExceeded, match="30 ideals exceed guard 29"):
         enumerate_ideals(R, max_ideals=29)  # also once the index is closed
 
 
@@ -175,7 +173,7 @@ def _no_traceback(capsys, message):
 def test_cli_ideals_guard_counts_principal_ideals(capsys):
     assert main(["analyze", "--ring", "Zn:12", "--tasks", "ideals", "--max-ideals", "5",
                  "--json"]) == 1
-    _no_traceback(capsys, "more than 5 ideals")
+    _no_traceback(capsys, "6 ideals exceed guard 5")
     assert main(["analyze", "--ring", "Zn:12", "--tasks", "ideals", "--max-ideals", "6",
                  "--json"]) == 0
 
@@ -186,14 +184,14 @@ def test_cli_ideals_guard_counts_principal_ideals(capsys):
 ])
 def test_cli_ag_check_honours_ideal_guard(argv, capsys):
     assert main(argv) == 1
-    _no_traceback(capsys, "more than 20 ideals")
+    _no_traceback(capsys, "24 ideals exceed guard 20")
 
 
 @pytest.mark.parametrize("graph", ["ag", "comaximal"])
 def test_cli_export_honours_ideal_guard_env(graph, capsys, monkeypatch):
     monkeypatch.setenv("ZDGRAPH_MAX_IDEALS", "20")
     assert main(["export", "--ring", X2Y2Z2, "--graph", graph, "--format", "json"]) == 1
-    _no_traceback(capsys, "more than 20 ideals")
+    _no_traceback(capsys, "24 ideals exceed guard 20")
     monkeypatch.setenv("ZDGRAPH_MAX_IDEALS", "47")
     assert main(["export", "--ring", X2Y2Z2, "--graph", graph, "--format", "json"]) == 0
 
@@ -211,12 +209,12 @@ SQ7 = square_zero_spec(7)  # 256 elements, 29,213 ideals
 def test_seven_variable_guard_trips_before_the_work(capsys):
     R = ring_from_spec(SQ7)
     t0 = time.perf_counter()
-    with pytest.raises(SizeGuardExceeded, match="more than 10000 ideals"):
+    with pytest.raises(SizeGuardExceeded, match="29212 ideals exceed guard 10000"):
         enumerate_ideals(R)
     assert time.perf_counter() - t0 < 1.0  # 20.9 s when it tripped after closing
     assert len(ideal_index(R).ideals) == 129  # only the principal ideals were made
     assert main(["analyze", "--ring", SQ7, "--tasks", "ideals", "--json"]) == 1
-    _no_traceback(capsys, "more than 10000 ideals")
+    _no_traceback(capsys, "29212 ideals exceed guard 10000")
 
 
 @pytest.mark.parametrize("n,count", [(1, 3), (2, 6), (3, 17), (4, 68), (5, 375)])
@@ -252,10 +250,47 @@ def test_non_local_guard_trips_before_any_join_row(monkeypatch):
     fills = []
     fill = IdealIndex._fill
     monkeypatch.setattr(IdealIndex, "_fill", lambda self, k: fills.append(k) or fill(self, k))
-    with pytest.raises(SizeGuardExceeded, match="more than 700 ideals"):
+    with pytest.raises(SizeGuardExceeded, match="748 ideals exceed guard 700"):
         enumerate_ideals(R, max_ideals=700)
     assert fills == []
     assert len(enumerate_ideals(R, max_ideals=750)) == 750
+
+
+def _no_label(self, k):
+    raise AssertionError("a label was built before the table guard")
+
+
+def test_ideal_semigroup_checks_the_table_guard_before_enumerating(monkeypatch):
+    R = ring_from_spec("prod:Zn:2," + square_zero_spec(6))  # 5,652 ideals, bound 5,650
+    fills = []
+    fill = IdealIndex._fill
+    monkeypatch.setattr(IdealIndex, "_fill", lambda self, k: fills.append(k) or fill(self, k))
+    monkeypatch.setattr(IdealIndex, "label", _no_label)
+    for operation in ("mult", "add"):
+        with pytest.raises(SizeGuardExceeded, match="5650 table elements exceed guard 4096"):
+            ideal_semigroup(R, operation)
+    assert fills == []
+
+
+def test_ideal_semigroup_checks_the_table_guard_before_any_label(monkeypatch):
+    # Z_8 has 4 ideals and the bound 2: the count trips a table guard of 3
+    monkeypatch.setattr(rings, "DEFAULT_MAX_TABLE", 3)
+    monkeypatch.setattr(IdealIndex, "label", _no_label)
+    with pytest.raises(SizeGuardExceeded, match="4 table elements exceed guard 3"):
+        ideal_semigroup(make_zn(8), "mult")
+
+
+@pytest.mark.parametrize("argv", [
+    ["export", "--graph", "ag"],
+    ["export", "--graph", "comaximal"],
+    ["analyze", "--tasks", "ag-check", "--max-ideals", "10000"],
+])
+def test_cli_ideal_semigroup_over_the_table_guard_fails_fast(argv, capsys):
+    spec = "prod:Zn:2," + square_zero_spec(6)
+    t0 = time.perf_counter()
+    assert main(argv[:1] + ["--ring", spec] + argv[1:]) == 1
+    assert time.perf_counter() - t0 < 1.0  # 33 s when validate_semigroup tripped
+    _no_traceback(capsys, "5650 table elements exceed guard 4096")
 
 
 @pytest.mark.parametrize("check", [check_gaussian, check_content_containment])

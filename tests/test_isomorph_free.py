@@ -71,9 +71,10 @@ def test_topology_classes_and_orbits_match_oeis():
 
 
 def test_guards_trip_before_any_work(monkeypatch):
-    for enumerate_, n in ((enumerate_posets, 8), (enumerate_topologies, 7),
-                          (enumerate_t1_sublattices, 11)):
-        with pytest.raises(SizeGuardExceeded, match=f"on {n} points, over guard {n - 1}"):
+    for enumerate_, what, n in ((enumerate_posets, "poset", 8),
+                                (enumerate_topologies, "topology", 7),
+                                (enumerate_t1_sublattices, "T1-sublattice", 11)):
+        with pytest.raises(SizeGuardExceeded, match=f"{n} {what} points exceed guard {n - 1}"):
             next(enumerate_(n))
 
     def no_work(n):
@@ -81,9 +82,9 @@ def test_guards_trip_before_any_work(monkeypatch):
 
     monkeypatch.setattr(suites, "enumerate_posets", no_work)
     monkeypatch.setattr(suites, "enumerate_topologies", no_work)
-    with pytest.raises(SizeGuardExceeded, match="over guard 7 points"):
+    with pytest.raises(SizeGuardExceeded, match="8 poset points exceed guard 7"):
         suites.verify_specs(max_points=8)
-    with pytest.raises(SizeGuardExceeded, match="over guard 6 points"):
+    with pytest.raises(SizeGuardExceeded, match="7 topology points exceed guard 6"):
         suites.verify_pearled(max_points=7)
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+import ideal_oracles as oracle
 from ideal_oracles import contents_hit
 from table_oracles import poly_mul
 from zdgraph import polynomials
@@ -20,7 +21,6 @@ from zdgraph.rings import (
     make_product,
     make_zn,
     maximal_ideals,
-    principal_ideal,
     ring_from_spec,
 )
 from zdgraph.semigroups import SizeGuardExceeded
@@ -74,9 +74,7 @@ def test_content_examples():
 
 
 def ideal_sum_of(R, a, b):
-    from zdgraph.rings import ideal_sum
-
-    return ideal_sum(R, principal_ideal(R, a), principal_ideal(R, b))
+    return oracle.ideal_sum(R, oracle.principal_ideal(R, a), oracle.principal_ideal(R, b))
 
 
 def test_enumeration_count_and_order():
@@ -212,8 +210,8 @@ def test_clique_stabilization_searches_one_clique_per_graph(monkeypatch, degree_
 
 
 @pytest.mark.parametrize("p,message", [
-    (67, "chromatic guard: 67 > 64 vertices"),
-    (211, "clique guard: 211 > 200 vertices"),
+    (67, "67 chromatic-solver vertices exceed guard 64"),
+    (211, "211 clique-solver vertices exceed guard 200"),
 ])
 def test_clique_stabilization_guards_the_base_graph(p, message):
     # Gamma(Z_2 x Z_p) has p vertices

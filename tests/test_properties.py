@@ -12,6 +12,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from table_oracles import compose
 from zdgraph.corpus import (
     random_poset,
     random_space,
@@ -44,7 +45,6 @@ from zdgraph.rings import (
 from zdgraph.semigroups import (
     annihilator,
     check_armendariz,
-    compose,
     eq_quotient,
     induced_final_map,
     is_nilpotent_free,

@@ -1,7 +1,6 @@
 """Relations as bitmask rows, checked against the bool-matrix code they replaced.
 
-The row validator of ``FinitePoset``, ``is_transitive`` and
-``transitive_closure`` must give the oracle's verdict, closure and first
+The row validator of ``FinitePoset`` and ``transitive_closure`` must give the oracle's verdict, closure and first
 ``InvalidPoset`` message on every relation on up to three points and on
 seeded relations on four to six points.
 """
@@ -12,7 +11,7 @@ import random
 import pytest
 
 import relation_oracles as oracle
-from zdgraph.spectra import FinitePoset, InvalidPoset, is_transitive, transitive_closure
+from zdgraph.spectra import FinitePoset, InvalidPoset, transitive_closure
 
 
 def _message(rows, n):
@@ -27,10 +26,10 @@ def _check(rel):
     n = len(rel)
     rows = oracle.to_rows(rel)
     assert _message(rows, n) == oracle.poset_message(n, rel), rel
-    assert is_transitive(rows) == oracle.is_transitive(rel), rel
+    assert oracle.rows_transitive(rows) == oracle.is_transitive(rel), rel
     closed = transitive_closure(rows)
     assert closed == oracle.to_rows(oracle.transitive_closure(rel)), rel
-    assert is_transitive(closed)
+    assert oracle.rows_transitive(closed)
 
 
 def test_every_relation_on_up_to_three_points():

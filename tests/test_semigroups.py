@@ -1,5 +1,6 @@
 import pytest
 
+from table_oracles import compose, identity_map
 from zdgraph.semigroups import (
     NotNilpotentFree,
     SemigroupMap,
@@ -7,9 +8,7 @@ from zdgraph.semigroups import (
     annihilator,
     check_armendariz,
     check_homomorphism,
-    compose,
     eq_quotient,
-    identity_map,
     induced_final_map,
     is_nilpotent_free,
     validate_semigroup,

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from relation_oracles import fan_empty, fan_whole, is_max_irreducible
 from zdgraph.graphs import zero_divisor_graph
 from zdgraph.rings import make_zn, spec_poset
 from zdgraph.semigroups import check_armendariz
@@ -14,7 +15,6 @@ from zdgraph.spectra import (
     fan_disjoint,
     fan_disjoint_q,
     fan_distance,
-    fan_empty,
     fan_fin,
     fan_from_spec,
     fan_intersect,
@@ -26,9 +26,7 @@ from zdgraph.spectra import (
     fan_union,
     fan_v_generic,
     fan_v_max,
-    fan_whole,
     fan_window_poset,
-    is_max_irreducible,
     is_spec_form,
     max_points,
     restrict_to_max,

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from relation_oracles import from_open_sets
 from zdgraph.graphs import COUNTABLY_INFINITE, invariant_bundle, zero_divisor_graph
 from zdgraph.semigroups import check_armendariz, check_homomorphism, is_nilpotent_free
 from zdgraph.topology import (
@@ -16,7 +17,6 @@ from zdgraph.topology import (
     char_check_irr_conn,
     closure,
     closure_lattice,
-    from_open_sets,
     is_t1,
     lattice_is_connected,
     lattice_is_irreducible,
