@@ -7,6 +7,7 @@ check assertion failed (the failure is reported with its witness).
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import os
@@ -141,7 +142,8 @@ def _load_object(args):
     raise ValueError(f"unknown lattice selector {value!r}")
 
 
-def _object_gamma(kind, obj, graph_name="gamma", max_ideals=DEFAULT_MAX_IDEALS) -> SimpleGraph:
+def _object_gamma(kind, obj, graph_name="gamma", max_ideals=DEFAULT_MAX_IDEALS,
+                  max_table=DEFAULT_MAX_TABLE) -> SimpleGraph:
     if kind == "ring":
         if graph_name == "gamma":
             return gamma_graph(obj)
@@ -153,9 +155,9 @@ def _object_gamma(kind, obj, graph_name="gamma", max_ideals=DEFAULT_MAX_IDEALS) 
         if graph_name == "beck":
             return beck_gamma0(obj)
         if graph_name == "ag":
-            return annihilating_ideal_graph(obj, max_ideals)
+            return annihilating_ideal_graph(obj, max_ideals, max_table)
         if graph_name == "comaximal":
-            return comaximal_ideal_graph(obj, max_ideals)
+            return comaximal_ideal_graph(obj, max_ideals, max_table)
         raise ValueError(f"unknown graph {graph_name!r} for a ring")
     if graph_name != "gamma":
         raise ValueError(f"graph {graph_name!r} only applies to rings")
@@ -265,7 +267,8 @@ def cmd_analyze(args) -> int:
         elif task == "ag-check":
             if kind != "ring":
                 raise ValueError("ag-check applies to rings")
-            rep = ag_conjecture_check(obj, _limit(args, "--max-ideals"))
+            rep = ag_conjecture_check(obj, _limit(args, "--max-ideals"),
+                                      _limit(args, "--max-table"))
             failed = failed or rep.passed is False
             results["ag-check"] = {
                 "reduced": rep.reduced,
@@ -362,7 +365,8 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     kind, obj = _load_object(args)
-    G = _object_gamma(kind, obj, args.graph, _limit(args, "--max-ideals"))
+    G = _object_gamma(kind, obj, args.graph, _limit(args, "--max-ideals"),
+                      _limit(args, "--max-table"))
     text = to_dot(G) if args.format == "dot" else graph_to_json(G) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
@@ -417,7 +421,10 @@ def _add_object_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lattice", help="symbolic-cofinite or powerset:N")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: nothing in it depends on the
+    request, and guard limits are read when a command runs."""
     parser = argparse.ArgumentParser(
         prog="zdgraph",
         description="exact zero-divisor graph computations and theorem suites",
@@ -436,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, (env, _, text) in GUARD_FLAGS.items():
         pa.add_argument(flag, type=int, default=None, help=f"{text} (env {env})")
     pa.add_argument("--json", action="store_true", help="JSON report")
-    pa.set_defaults(func=cmd_analyze)
 
     pv = sub.add_parser("verify", help="run a theorem-verification suite")
     pv.add_argument("suite", help=f"one of: {', '.join(SUITES)}, or all")
@@ -454,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--max-order", type=int, default=None,
                     help="ring order bound (content, ag-conjecture)")
     pv.add_argument("--json", action="store_true", help="JSON report")
-    pv.set_defaults(func=cmd_verify)
 
     pe = sub.add_parser("export", help="export a graph as DOT or JSON")
     _add_object_flags(pe)
@@ -462,15 +467,15 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["gamma", "gamma-e", "beck", "ag", "comaximal"])
     pe.add_argument("--format", default="dot", choices=["dot", "json"])
     pe.add_argument("-o", "--output", help="output file (default stdout)")
-    pe.set_defaults(func=cmd_export)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up at each call, so a rebound command function is the one run
+    command = {"analyze": cmd_analyze, "verify": cmd_verify, "export": cmd_export}
     try:
-        return args.func(args)
+        return command[args.command](args)
     except SizeGuardExceeded as exc:
         print(f"error: guard exceeded: {exc}", file=sys.stderr)
         return 1

@@ -9,6 +9,9 @@ Clique and chromatic numbers are computed exactly: branch and bound with a
 greedy-colouring upper bound for cliques, and iterative deepening seeded by
 the clique lower bound for colourings.  No heuristic value is ever reported
 as an answer.  Both solvers fail fast above a configurable vertex guard.
+``invariant_bundle`` and ``clique_and_chromatic`` check the guards on G and
+then solve on its false-twin quotient (``twin_quotient``), lifting the
+values back exactly.
 """
 
 from __future__ import annotations
@@ -336,16 +339,51 @@ class InvariantBundle:
         return (self.diameter, self.girth, self.clique, self.chromatic)
 
 
+def twin_quotient(G: SimpleGraph) -> tuple[SimpleGraph, int]:
+    """The false-twin quotient H of G, and the mask of G's vertices that
+    share their row with another vertex.
+
+    Vertices with equal rows are twins; they are never adjacent, as no row
+    holds its own bit.  H is the subgraph induced on the first vertex of
+    each class, in vertex order, so ω(H) = ω(G) and χ(H) = χ(G): a clique
+    meets a class at most once, and a colouring of H gives each twin its
+    representative's colour.  Without twins H is G itself.
+    """
+    first: dict[int, int] = {}
+    twinned = 0
+    for v, row in enumerate(G.adj):
+        u = first.setdefault(row, v)
+        if u != v:
+            twinned |= 1 << u | 1 << v
+    if not twinned:
+        return G, 0
+    kept = list(first.values())
+    index = {v: i for i, v in enumerate(kept)}
+    keep = sum(1 << v for v in kept)
+    adj = tuple(sum(1 << index[u] for u in members(G.adj[v] & keep)) for v in kept)
+    return SimpleGraph(tuple(G.vertices[v] for v in kept), adj), twinned
+
+
+def _quotient_clique_and_chromatic(
+    G: SimpleGraph, max_clique_vertices: int, max_chromatic_vertices: int
+) -> tuple[SimpleGraph, int, int, int]:
+    """Both guards on G's vertex count, then the twin quotient H, the mask of
+    G's twinned vertices, and the clique and chromatic numbers solved on H
+    from one clique search, which also seeds the colouring."""
+    guard("clique-solver vertices", G.n, max_clique_vertices)
+    guard("chromatic-solver vertices", G.n, max_chromatic_vertices)
+    H, twinned = twin_quotient(G)
+    clique = max_clique(H, max_clique_vertices)
+    return H, twinned, len(clique), _colouring_from_clique(H, clique)[0]
+
+
 def clique_and_chromatic(
     G: SimpleGraph,
     max_clique_vertices: int = DEFAULT_MAX_CLIQUE_VERTICES,
     max_chromatic_vertices: int = DEFAULT_MAX_CHROMATIC_VERTICES,
 ) -> tuple[int, int]:
-    """Clique and chromatic numbers from one clique search, which also seeds
-    the colouring; both guards are checked before the colouring starts."""
-    clique = max_clique(G, max_clique_vertices)
-    guard("chromatic-solver vertices", G.n, max_chromatic_vertices)
-    return len(clique), _colouring_from_clique(G, clique)[0]
+    """Clique and chromatic numbers of G, solved on its twin quotient."""
+    return _quotient_clique_and_chromatic(G, max_clique_vertices, max_chromatic_vertices)[2:]
 
 
 def invariant_bundle(
@@ -353,9 +391,25 @@ def invariant_bundle(
     max_clique_vertices: int = DEFAULT_MAX_CLIQUE_VERTICES,
     max_chromatic_vertices: int = DEFAULT_MAX_CHROMATIC_VERTICES,
 ) -> InvariantBundle:
-    # the guarded solvers run first, so an over-guard graph fails before BFS
-    clique, chromatic = clique_and_chromatic(G, max_clique_vertices, max_chromatic_vertices)
-    return InvariantBundle(diameter(G), girth(G), clique, chromatic)
+    """The four invariants of G, each solved on its twin quotient H.
+
+    Twins u, u' are at distance 2 through any common neighbour, and close a
+    4-cycle through any two; any other two vertices are as far apart as
+    their representatives in H, and no triangle holds two twins.  So
+    diam(G) is infinite if two isolated vertices exist, else
+    max(diam(H), 2) if G has twins and diam(H) if not; girth(G) is
+    min(girth(H), 4) if a twin has two neighbours, else girth(H).
+    """
+    # the guards count G and come first, so an over-guard graph fails before BFS
+    H, twinned, clique, chromatic = _quotient_clique_and_chromatic(
+        G, max_clique_vertices, max_chromatic_vertices)
+    diam, gir = diameter(H), girth(H)
+    degrees = [G.adj[v].bit_count() for v in members(twinned)]
+    if degrees:
+        diam = INFINITY if 0 in degrees else max(diam, 2)
+    if max(degrees, default=0) >= 2:
+        gir = min(gir, 4)
+    return InvariantBundle(diam, gir, clique, chromatic)
 
 
 # ---------------------------------------------------------------------------

@@ -755,7 +755,8 @@ def ideals_to_json(R: FiniteRing, max_ideals: int = DEFAULT_MAX_IDEALS) -> str:
 
 
 def ideal_semigroup(
-    R: FiniteRing, operation: str, max_ideals: int = DEFAULT_MAX_IDEALS
+    R: FiniteRing, operation: str, max_ideals: int = DEFAULT_MAX_IDEALS,
+    max_table: int = DEFAULT_MAX_TABLE,
 ) -> IdealSemigroup:
     if operation not in ("mult", "add"):
         raise ValueError("operation must be 'mult' or 'add'")
@@ -765,27 +766,29 @@ def ideal_semigroup(
     # table is built; close's own first check comes first, so a ring over
     # both guards trips the ideal guard, as it did when close came first
     guard("ideals", index.lower_bound, max_ideals)
-    guard("table elements", index.lower_bound, DEFAULT_MAX_TABLE)
+    guard("table elements", index.lower_bound, max_table)
     ks = np.array(index.close(max_ideals))
-    guard("table elements", len(ks), DEFAULT_MAX_TABLE)
+    guard("table elements", len(ks), max_table)
     pos = np.empty(len(index.ideals), dtype=np.int64)
     pos[ks] = np.arange(len(ks))
     zero_elt = index.principal[R.zero if operation == "mult" else R.one]
     labels = tuple(index.label(k) for k in ks.tolist())
     sg = SemigroupTable(elements=labels, zero=int(pos[zero_elt]),
                         product=pos[index.table(ks, operation)])
-    validate_semigroup(sg).raise_if_invalid()
+    validate_semigroup(sg, max_table).raise_if_invalid()
     return IdealSemigroup(tuple(index.ideals[k] for k in ks), operation, sg)
 
 
-def annihilating_ideal_graph(R: FiniteRing, max_ideals: int = DEFAULT_MAX_IDEALS) -> SimpleGraph:
+def annihilating_ideal_graph(R: FiniteRing, max_ideals: int = DEFAULT_MAX_IDEALS,
+                             max_table: int = DEFAULT_MAX_TABLE) -> SimpleGraph:
     """Zero-divisor graph of (Id R, *)."""
-    return zero_divisor_graph(ideal_semigroup(R, "mult", max_ideals).table)
+    return zero_divisor_graph(ideal_semigroup(R, "mult", max_ideals, max_table).table)
 
 
-def comaximal_ideal_graph(R: FiniteRing, max_ideals: int = DEFAULT_MAX_IDEALS) -> SimpleGraph:
+def comaximal_ideal_graph(R: FiniteRing, max_ideals: int = DEFAULT_MAX_IDEALS,
+                          max_table: int = DEFAULT_MAX_TABLE) -> SimpleGraph:
     """Zero-divisor graph of (Id R, +), whose absorbing element is R."""
-    return zero_divisor_graph(ideal_semigroup(R, "add", max_ideals).table)
+    return zero_divisor_graph(ideal_semigroup(R, "add", max_ideals, max_table).table)
 
 
 @dataclass(frozen=True)
@@ -800,14 +803,15 @@ class AGGirthReport:
     passed: Optional[bool]  # None when the hypothesis is not met
 
 
-def ag_conjecture_check(R: FiniteRing, max_ideals: int = DEFAULT_MAX_IDEALS) -> AGGirthReport:
+def ag_conjecture_check(R: FiniteRing, max_ideals: int = DEFAULT_MAX_IDEALS,
+                        max_table: int = DEFAULT_MAX_TABLE) -> AGGirthReport:
     """For reduced R with more than two minimal primes, assert girth 3.
 
     Returns a 3-cycle of ideals as the witness; for other rings the girth
     is still computed and reported with passed = None.
     """
     # the graph first: its ideal semigroup checks both guards before any work
-    graph = annihilating_ideal_graph(R, max_ideals)
+    graph = annihilating_ideal_graph(R, max_ideals, max_table)
     ideals = enumerate_ideals(R, max_ideals)
     reduced = is_reduced(R)
     nmin = len(minimal_primes(R, ideals))

@@ -8,12 +8,15 @@ additive generators) against them.  ``poly_mul``, the table-lookup product
 of two polynomials, has no caller left in the program; it lives here beside
 its cell-by-cell check ``poly_mul_coeffs``.  So do the map helpers
 ``identity_map`` and ``compose`` and the graph reader ``graph_from_json``.
+``bundle_on_g`` is the invariant bundle solved on G itself, as it was before
+the program solved it on the twin quotient.
 """
 
 import json
 
 import numpy as np
 
+from zdgraph import graphs
 from zdgraph.graphs import SimpleGraph
 from zdgraph.polynomials import make_poly
 from zdgraph.semigroups import InvalidSemigroup, SemigroupMap
@@ -36,6 +39,16 @@ def graph_from_json(text):
         [str(v) for v in data["vertices"]],
         [(int(i), int(j)) for i, j in data["edges"]],
     )
+
+
+def bundle_on_g(G, max_clique_vertices=graphs.DEFAULT_MAX_CLIQUE_VERTICES,
+                max_chromatic_vertices=graphs.DEFAULT_MAX_CHROMATIC_VERTICES):
+    """(diameter, girth, clique, chromatic) of G: BFS diameter, per-edge
+    girth, and the clique search seeding the colouring, all on G."""
+    clique = graphs.max_clique(G, max_clique_vertices)
+    graphs.guard("chromatic-solver vertices", G.n, max_chromatic_vertices)
+    chromatic = graphs._colouring_from_clique(G, clique)[0]
+    return graphs.diameter(G), graphs.girth(G), len(clique), chromatic
 
 
 def rows(S):

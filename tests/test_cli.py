@@ -372,3 +372,58 @@ def test_charirrconn_on_five_points_finishes(capsys):
     assert time.perf_counter() - t0 < 5.0
     data = json.loads(capsys.readouterr().out)
     assert data["passed"] and len(data["items"]) == 5
+
+
+def test_the_parser_is_built_once_and_reused(capsys):
+    from zdgraph import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    outputs = []
+    for _ in range(2):
+        assert main(["analyze", "--ring", "Zn:12", "--tasks", "invariants,ideals"]) == 0
+        assert main(["export", "--ring", "Zn:12", "--graph", "comaximal"]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
+    # a bad flag exits 2 from the parser and leaves nothing behind
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--ring", "Zn:12", "--no-such-flag"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["analyze", "--ring", "Zn:12", "--tasks", "invariants,ideals"]) == 0
+    assert main(["export", "--ring", "Zn:12", "--graph", "comaximal"]) == 0
+    assert capsys.readouterr() == outputs[0]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"], ["verify", "--help"],
+                                  ["export", "--help"]])
+def test_cached_parser_prints_the_help_of_a_fresh_one(argv, capsys):
+    from zdgraph import cli
+
+    texts = []
+    for parser in (cli.build_parser(), cli.build_parser.__wrapped__()):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and "usage: zdgraph" in texts[0]
+
+
+def test_main_runs_the_command_bound_at_call_time(monkeypatch, capsys):
+    # span tracers rebind cli.cmd_* after the parser is built and cached
+    from zdgraph import cli
+
+    main(["analyze", "--ring", "Zn:6"])
+    calls = []
+    monkeypatch.setattr(cli, "cmd_export", lambda args: calls.append(args.graph) or 0)
+    assert main(["export", "--ring", "Zn:6", "--graph", "beck"]) == 0
+    assert calls == ["beck"] and capsys.readouterr().out.count("object: Zn:6") == 1
+
+
+@pytest.mark.parametrize("spec, expected", [
+    ("Zn:1024", [2, 3, 31, 31]),  # 511 vertices, 35 in the twin quotient
+    ("prod:Zn:8,Zn:8,Zn:8", [3, 3, 10, 10]),  # 447 vertices, 62
+])
+def test_invariants_at_raised_guards(spec, expected, capsys):
+    assert main(["analyze", "--ring", spec, "--tasks", "invariants", "--max-clique", "100000",
+                 "--max-chromatic", "100000", "--json"]) == 0
+    gamma = json.loads(capsys.readouterr().out)["results"]["invariants"]["gamma"]
+    assert [gamma[k] for k in ("diameter", "girth", "clique", "chromatic")] == expected

@@ -3,8 +3,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from table_oracles import graph_from_json, identity_map
+from table_oracles import bundle_on_g, graph_from_json, identity_map
 from zdgraph import graphs
 from zdgraph.graphs import (
     SimpleGraph,
@@ -22,8 +23,10 @@ from zdgraph.graphs import (
     optimal_colouring,
     shortest_cycle,
     to_dot,
+    twin_quotient,
     zero_divisor_graph,
 )
+from zdgraph.rings import gamma_graph, ring_from_spec
 from zdgraph.semigroups import SemigroupTable, SizeGuardExceeded, eq_quotient
 
 INF = math.inf
@@ -356,18 +359,20 @@ def test_colouring_search_is_not_bounded_by_recursion_depth():
 
 
 def test_invariant_bundle_searches_for_a_clique_once(monkeypatch):
-    import zdgraph.graphs as graphs
+    # perfbench/spans.py times diameter, girth and max_clique by rebinding
+    # these module-level names: the bundle calls each once, on the quotient
+    calls = {name: [] for name in ("diameter", "girth", "max_clique")}
+    for name, seen in calls.items():
+        def counting(G, *args, _fn=getattr(graphs, name), _seen=seen):
+            _seen.append(G)
+            return _fn(G, *args)
 
-    calls = []
-
-    def counting(G, max_vertices=graphs.DEFAULT_MAX_CLIQUE_VERTICES):
-        calls.append(G)
-        return max_clique(G, max_vertices)
-
-    monkeypatch.setattr(graphs, "max_clique", counting)
+        monkeypatch.setattr(graphs, name, counting)
     G = zero_divisor_graph(zn_mul(30))
+    H = twin_quotient(G)[0]
+    assert H.n < G.n
     assert invariant_bundle(G).as_tuple() == (3, 3, 3, 3)
-    assert len(calls) == 1
+    assert calls == {"diameter": [H], "girth": [H], "max_clique": [H]}
 
 
 def test_invariant_bundle_guards_keep_their_order():
@@ -376,3 +381,99 @@ def test_invariant_bundle_guards_keep_their_order():
         invariant_bundle(big, max_clique_vertices=60, max_chromatic_vertices=50)
     with pytest.raises(SizeGuardExceeded, match="70 chromatic-solver vertices exceed guard 64"):
         invariant_bundle(big)
+
+
+# ---------------------------------------------------------------------------
+# The false-twin quotient
+
+
+def test_twin_quotient_keeps_the_first_vertex_of_each_class():
+    # 1 and 3 share the row {0}, 2 and 4 share {}: 0 -- 1, 0 -- 3, 5 -- 0
+    G = graph(6, [(0, 1), (0, 3), (0, 5)])
+    H, twinned = twin_quotient(G)
+    assert H.vertices == ("0", "1", "2")
+    assert H.adj == (0b010, 0b001, 0)
+    assert twinned == 0b111110
+    assert twin_quotient(TRIANGLE) == (TRIANGLE, 0)
+    assert twin_quotient(TRIANGLE)[0] is TRIANGLE
+    assert twin_quotient(EMPTY)[0] is EMPTY
+
+
+def blow_up(base, sizes, order):
+    """Each vertex i of ``base`` replaced by ``sizes[i]`` twins; the twins
+    are numbered by ``order``, a permutation of range(sum(sizes))."""
+    owner = [i for i, m in enumerate(sizes) for _ in range(m)]
+    owner = [owner[k] for k in order]
+    n = len(owner)
+    return graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                     if base.adj[owner[a]] >> owner[b] & 1])
+
+
+@st.composite
+def blow_ups(draw):
+    k = draw(st.integers(0, 7))
+    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    base = graph(k, [p for p in pairs if draw(st.booleans())])
+    sizes = draw(st.lists(st.integers(1, 3), min_size=k, max_size=k))
+    order = draw(st.permutations(range(sum(sizes))))
+    return blow_up(base, sizes, order)
+
+
+def _check_against_g(G):
+    H, _ = twin_quotient(G)
+    assert len(set(H.adj)) == H.n
+    assert twin_quotient(H)[0] is H
+    expected = bundle_on_g(G, G.n, G.n)
+    assert invariant_bundle(G, G.n, G.n).as_tuple() == expected
+    assert clique_and_chromatic(G, G.n, G.n) == expected[2:]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(blow_ups())
+def test_bundle_on_twin_blow_ups_matches_the_bundle_on_g(G):
+    _check_against_g(G)
+
+
+def _stars(n):
+    return graph(n + 1, [(0, j) for j in range(1, n + 1)])
+
+
+BLOWN_UP_CASES = {
+    "empty": EMPTY,
+    "one vertex": graph(1, []),
+    "two isolated twins": graph(2, []),
+    "three isolated twins": graph(3, []),
+    "isolated twins beside an edge": graph(4, [(1, 2)]),
+    "isolated twins beside a triangle": graph(5, [(0, 1), (1, 2), (0, 2)]),
+    **{f"K1,{n}": _stars(n) for n in range(1, 6)},
+    **{f"K2 blown up to K{a},{b}": blow_up(graph(2, [(0, 1)]), (a, b), range(a + b))
+       for a in range(1, 4) for b in range(1, 4)},
+    "leaf twins on a triangle": graph(5, [(0, 1), (1, 2), (0, 2), (0, 3), (0, 4)]),
+    "twins on a pentagon": blow_up(graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+                                   (2, 1, 1, 1, 1), range(6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOWN_UP_CASES))
+def test_bundle_on_small_cases_matches_the_bundle_on_g(name):
+    _check_against_g(BLOWN_UP_CASES[name])
+
+
+def test_lift_rules_on_pinned_cases():
+    assert invariant_bundle(graph(2, [])).as_tuple() == (INF, INF, 1, 1)
+    assert invariant_bundle(_stars(3)).as_tuple() == (2, INF, 2, 2)
+    K23 = BLOWN_UP_CASES["K2 blown up to K2,3"]
+    assert invariant_bundle(K23).as_tuple() == (2, 4, 2, 2)
+    assert invariant_bundle(BLOWN_UP_CASES["twins on a pentagon"]).as_tuple() == (2, 4, 2, 3)
+
+
+RING_SPECS = [f"Zn:{n}" for n in range(2, 65)] + [
+    "prod:Zn:2,Zn:2", "prod:Zn:2,Zn:3", "prod:Zn:4,Zn:2", "prod:Zn:2,Zn:2,Zn:2",
+    "prod:Zn:4,Zn:4", "prod:gf:4,Zn:3", "prod:Zn:2,Zn:2,Zn:3", "prod:Zn:3,Zn:3,Zn:2",
+    "prod:Zn:2,Zn:2,Zn:2,Zn:2", "prod:Zn:6,Zn:6", "prod:Zn:8,Zn:2", "prod:Zn:9,Zn:3",
+]
+
+
+@pytest.mark.parametrize("spec", RING_SPECS)
+def test_bundle_on_ring_graphs_matches_the_bundle_on_g(spec):
+    _check_against_g(gamma_graph(ring_from_spec(spec)))

@@ -44,6 +44,7 @@ BIG = oracle.BIG
 SQ5 = square_zero_spec(5)
 SPECS = oracle.ring_analyze_specs() + ["Zn:720", BIG, SQ5]
 X2Y2Z2 = "mvq:p=2;vars=x,y,z;rel=x2,y2,z2"  # 47 ideals
+X2Y2Z2_XYZ = "mvq:p=2;vars=x,y,z;rel=x2,y2,z2,xyz"  # 46 ideals
 
 
 ring = oracle.cached_ring
@@ -274,10 +275,28 @@ def test_ideal_semigroup_checks_the_table_guard_before_enumerating(monkeypatch):
 
 def test_ideal_semigroup_checks_the_table_guard_before_any_label(monkeypatch):
     # Z_8 has 4 ideals and the bound 2: the count trips a table guard of 3
-    monkeypatch.setattr(rings, "DEFAULT_MAX_TABLE", 3)
     monkeypatch.setattr(IdealIndex, "label", _no_label)
     with pytest.raises(SizeGuardExceeded, match="4 table elements exceed guard 3"):
-        ideal_semigroup(make_zn(8), "mult")
+        ideal_semigroup(make_zn(8), "mult", max_table=3)
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["analyze", "--tasks", "ag-check", "--max-table", "10"], "4096"),
+    (["export", "--graph", "ag"], "10"),
+    (["export", "--graph", "comaximal"], "10"),
+])
+def test_cli_ideal_semigroup_honours_the_table_guard(argv, env, capsys, monkeypatch):
+    # the flag beats the environment, which export reads alone
+    monkeypatch.setenv("ZDGRAPH_MAX_TABLE", env)
+    assert main(argv[:1] + ["--ring", X2Y2Z2_XYZ] + argv[1:]) == 1
+    _no_traceback(capsys, "16 table elements exceed guard 10")  # the lower bound
+
+
+def test_cli_ag_check_table_guard_counts_the_ideals(capsys):
+    argv = ["analyze", "--ring", X2Y2Z2_XYZ, "--tasks", "ag-check", "--max-table"]
+    assert main(argv + ["45"]) == 1
+    _no_traceback(capsys, "46 table elements exceed guard 45")
+    assert main(argv + ["46"]) == 0
 
 
 @pytest.mark.parametrize("argv", [
