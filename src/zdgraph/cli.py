@@ -48,6 +48,7 @@ from .semigroups import (
     SizeGuardExceeded,
     eq_quotient,
     is_nilpotent_free,
+    spec_int,
     validate_semigroup,
 )
 from .spectra import (
@@ -138,7 +139,8 @@ def _load_object(args):
     if value == "symbolic-cofinite":
         return kind, CofiniteT1Lattice()
     if value.startswith("powerset:"):
-        return kind, powerset_lattice(int(value.split(":", 1)[1]))
+        size = spec_int(value, "ground size", value[len("powerset:"):], ValueError)
+        return kind, powerset_lattice(size)
     raise ValueError(f"unknown lattice selector {value!r}")
 
 

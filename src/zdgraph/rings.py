@@ -535,8 +535,10 @@ class IdealIndex:
         P = np.zeros((R.size, R.size), dtype=bool)
         P[np.arange(R.size)[:, None], R.mul] = True  # row a: the members of Ra
         self.principal = np.array([self._add(P[a], (a,)) for a in range(R.size)])
+        self.unit = int(self.principal[R.one])
         self._pr, self._pc = np.nonzero(np.array(self.rows))
         self._join = np.full((2 * len(self.rows), len(self.rows)), -1)
+        self._label: dict[int, str] = {}
 
     def _add(self, row: np.ndarray, gens: tuple[int, ...]) -> int:
         key = np.packbits(row).tobytes()
@@ -605,6 +607,13 @@ class IdealIndex:
             c = self.join(c, self.principal[coeffs[..., k]])
         return c
 
+    def maximal(self, ks: np.ndarray) -> np.ndarray:
+        """Whether each ideal ks[i] is maximal: proper, and I + Ra is I or R
+        for every a, so that no ideal lies strictly between I and R."""
+        ks = np.asarray(ks, dtype=np.int64)
+        row = self.join(ks[:, None], np.arange(self._join.shape[1]))
+        return (ks != self.unit) & ((row == ks[:, None]) | (row == self.unit)).all(axis=1)
+
     def close(self, max_ideals: int = DEFAULT_MAX_IDEALS) -> list[int]:
         """Every ideal index in ``(len, sorted)`` order, once every row is filled.
 
@@ -621,13 +630,19 @@ class IdealIndex:
         return sorted(range(k), key=lambda k: (len(self.ideals[k]), sorted(self.ideals[k])))
 
     def label(self, k: int) -> str:
-        """A short generator-style label: "(g)", "(g,h)", ... if one exists.
+        """A short generator-style label: "(g)", "(g,h)", ... if one exists;
+        each ideal's label is found once and kept.
 
         Only least generators are tried: swapping a member for the least one
         with the same principal ideal keeps the sum and moves the sorted
         tuple earlier, so the first hit over least generators, in
         lexicographic order, is the first hit over all members.
         """
+        if k not in self._label:
+            self._label[k] = self._find_label(k)
+        return self._label[k]
+
+    def _find_label(self, k: int) -> str:
         names, members = self.labels, np.flatnonzero(self.rows[k])
         least = members[np.sort(np.unique(self.principal[members], return_index=True)[1])]
         c = self.principal[least]
@@ -705,21 +720,24 @@ def is_ideal_prime(R: FiniteRing, I: Ideal) -> bool:
 
 
 def maximal_ideals(R: FiniteRing, ideals: Optional[list[Ideal]] = None) -> list[Ideal]:
+    """The maximal ideals among ``ideals`` (default: every ideal), in their
+    order, read from the join rows of the ring's ideal index."""
     if ideals is None:
         ideals = enumerate_ideals(R)
-    proper = [I for I in ideals if len(I) < R.size]
-    return [I for I in proper if not any(I < J for J in proper)]
+    index = ideal_index(R)
+    keep = index.maximal(np.array([index.index_of(I) for I in ideals], dtype=np.int64))
+    return [I for I, m in zip(ideals, keep.tolist()) if m]
 
 
 def prime_ideals(R: FiniteRing, ideals: Optional[list[Ideal]] = None) -> list[Ideal]:
-    if ideals is None:
-        ideals = enumerate_ideals(R)
-    return [I for I in ideals if is_ideal_prime(R, I)]
+    """The prime ideals among ``ideals``: R/P is a finite domain, hence a
+    field, so in a finite ring the primes are the maximal ideals."""
+    return maximal_ideals(R, ideals)
 
 
 def minimal_primes(R: FiniteRing, ideals: Optional[list[Ideal]] = None) -> list[Ideal]:
-    primes = prime_ideals(R, ideals)
-    return [P for P in primes if not any(Q < P for Q in primes)]
+    """The primes, which are maximal and so form an antichain."""
+    return prime_ideals(R, ideals)
 
 
 def jacobson_radical(R: FiniteRing, ideals: Optional[list[Ideal]] = None) -> Ideal:

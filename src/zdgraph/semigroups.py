@@ -138,17 +138,23 @@ def json_int(x, what: str) -> int:
 
 
 # The readers of spec strings, such as ``polyquot:p=2;mod=1,1,1``: each
-# error names the spec and the part that is missing, empty or malformed.
+# error names the spec and the part that is missing, empty, unknown or
+# malformed.
 
 
-def spec_params(spec: str, body: str, required, error) -> dict[str, str]:
+def spec_params(spec: str, body: str, required, error, optional=()) -> dict[str, str]:
     """The ``name=value`` parts of ``body``, which are split at ``;``; a part
-    without ``=``, or a missing name of ``required``, raises ``error``."""
+    without ``=``, a name in neither ``required`` nor ``optional``, or a
+    missing name of ``required`` raises ``error``."""
+    known = tuple(required) + tuple(optional)
     params = {}
     for part in body.split(";"):
         name, eq, value = part.partition("=")
         if not eq:
             raise error(f"spec {spec!r} has a part {part!r} with no '='")
+        if name not in known:
+            raise error(f"spec {spec!r} has an unknown part {name!r}; "
+                        f"its parts are {', '.join(known)}")
         params[name] = value
     for name in required:
         if name not in params:
@@ -468,14 +474,15 @@ def eq_quotient(table: SemigroupTable, permissive: bool = False) -> EqQuotient:
                 "to build the quotient anyway"
             )
 
-    # a class is a distinct kill row (an annihilator); classes are ordered
-    # by their least element, and each lists its elements ascending
-    _, first, inverse = np.unique(
-        table.product == table.zero, axis=0, return_index=True, return_inverse=True
-    )
+    # a class is a distinct kill row (an annihilator), keyed by its packed
+    # bytes as one scalar; classes are ordered by their least element, and
+    # each lists its elements ascending
+    kill = np.packbits(table.product == table.zero, axis=1)
+    keys = kill.view(np.dtype((np.void, kill.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     rank = np.empty(len(first), dtype=np.int64)
     rank[np.argsort(first)] = np.arange(len(first))
-    class_of = rank[inverse.reshape(-1)]
+    class_of = rank[inverse]
     members = np.split(np.argsort(class_of, kind="stable"), np.cumsum(np.bincount(class_of))[:-1])
     classes = tuple(tuple(c.tolist()) for c in members)
 

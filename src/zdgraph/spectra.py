@@ -259,7 +259,8 @@ def fan_from_spec(spec: str) -> FanPoset:
     """Parse ``fan:generics=1;sharing=all`` or ``fan:disjoint=2``."""
     if not spec.startswith("fan:"):
         raise InvalidPoset(f"not a fan spec: {spec!r}")
-    params = spec_params(spec, spec[4:], (), InvalidPoset)
+    params = spec_params(spec, spec[4:], (), InvalidPoset,
+                         optional=("generics", "sharing", "disjoint"))
     if "disjoint" in params:
         return fan_disjoint(spec_int(spec, "disjoint", params["disjoint"], InvalidPoset))
     if params.get("sharing", "all") != "all":

@@ -4,14 +4,17 @@ Each routine recomputes its answer from the ring tables alone, sharing no
 state with the program, so tests can compare ``zdgraph.rings.IdealIndex``,
 the polynomial content checks and ``make_product`` against them.  The
 ``index_*`` helpers are the exception: they read the program's index.  The
-module also lists the ring-analyze benchmark presentations and keeps one
-ring object per spec for the test modules.
+prime, maximal and minimal-prime filters are the product-lookup and
+pairwise-inclusion routines that reading maximality off the join rows
+replaced.  The module also lists the benchmark's ring presentations and
+keeps one ring object per spec for the test modules.
 """
 
-import ast
 import functools
+import importlib.util
 import itertools
 import pathlib
+import sys
 
 import numpy as np
 
@@ -21,13 +24,25 @@ from zdgraph.semigroups import SizeGuardExceeded
 BIG = "prod:Zn:4,Zn:9,Zn:5,Zn:7"
 
 
+@functools.cache
+def _workloads():
+    """``perfbench/workloads.py``, imported from its file."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # its dataclass looks itself up there
+    return module
+
+
 def ring_analyze_specs():
     """The ring presentations of the ring-analyze benchmark workload."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    (slots,) = [node.value for node in ast.parse(path.read_text()).body
-                if isinstance(node, ast.Assign)
-                and getattr(node.targets[0], "id", None) == "RING_SLOTS"]
-    return [s for specs, _, _ in ast.literal_eval(slots) for s in specs]
+    return [s for specs, _, _ in _workloads().RING_SLOTS for s in specs]
+
+
+def workload_ring_specs():
+    """Every ring presentation of the ring-analyze and poly-checks workloads."""
+    poly = [s for specs, *_ in _workloads().POLY_SLOTS for s in specs]
+    return sorted(set(ring_analyze_specs() + poly))
 
 
 @functools.cache
@@ -150,6 +165,26 @@ def ideal_label(R, I):
         if ideal_sum(R, ideal_sum(R, gen[a], gen[b]), gen[c]) == I:
             return f"({R.labels[a]},{R.labels[b]},{R.labels[c]})"
     return "{" + ",".join(R.labels[a] for a in members) + "}"
+
+
+def prime_ideals(R, ideals):
+    """The ideals I that are proper with no product of two non-members in I."""
+    return [I for I in ideals if rings.is_ideal_prime(R, I)]
+
+
+def maximal_ideals(R, ideals):
+    """The proper ideals not strictly inside another proper one of the list."""
+    proper = [I for I in ideals if len(I) < R.size]
+    return [I for I in proper if not any(I < J for J in proper)]
+
+
+def minimal_primes(R, ideals):
+    primes = prime_ideals(R, ideals)
+    return [P for P in primes if not any(Q < P for Q in primes)]
+
+
+def jacobson_radical(R, ideals):
+    return frozenset(range(R.size)).intersection(*maximal_ideals(R, ideals))
 
 
 def product_tables(factors):

@@ -9,7 +9,9 @@ of two polynomials, has no caller left in the program; it lives here beside
 its cell-by-cell check ``poly_mul_coeffs``.  So do the map helpers
 ``identity_map`` and ``compose`` and the graph reader ``graph_from_json``.
 ``bundle_on_g`` is the invariant bundle solved on G itself, as it was before
-the program solved it on the twin quotient.
+the program solved it on the twin quotient, and ``unique_rows_quotient`` is
+``eq_quotient`` grouping kill rows with ``np.unique(axis=0)``, as it did
+before the rows were keyed by their packed bytes.
 """
 
 import json
@@ -19,7 +21,13 @@ import numpy as np
 from zdgraph import graphs
 from zdgraph.graphs import SimpleGraph
 from zdgraph.polynomials import make_poly
-from zdgraph.semigroups import InvalidSemigroup, SemigroupMap
+from zdgraph.semigroups import (
+    EqQuotient,
+    InvalidSemigroup,
+    SemigroupMap,
+    SemigroupTable,
+    first_witness,
+)
 
 
 def identity_map(table):
@@ -49,6 +57,33 @@ def bundle_on_g(G, max_clique_vertices=graphs.DEFAULT_MAX_CLIQUE_VERTICES,
     graphs.guard("chromatic-solver vertices", G.n, max_chromatic_vertices)
     chromatic = graphs._colouring_from_clique(G, clique)[0]
     return graphs.diameter(G), graphs.girth(G), len(clique), chromatic
+
+
+def unique_rows_quotient(table):
+    """The permissive ``eq_quotient``, with the classes found by a 2-D
+    ``np.unique`` over the kill rows."""
+    _, first, inverse = np.unique(
+        table.product == table.zero, axis=0, return_index=True, return_inverse=True
+    )
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
+    class_of = rank[inverse.reshape(-1)]
+    members = np.split(np.argsort(class_of, kind="stable"), np.cumsum(np.bincount(class_of))[:-1])
+    classes = tuple(tuple(c.tolist()) for c in members)
+    reps = np.sort(first)
+    qprod = class_of[table.product[np.ix_(reps, reps)]]
+    a, b = np.nonzero(class_of[table.product] != qprod[np.ix_(class_of, class_of)])
+    ill = np.zeros((len(reps), len(reps)), dtype=bool)
+    ill[class_of[a], class_of[b]] = True
+    w = first_witness(ill)
+    if w is not None:
+        raise InvalidSemigroup(
+            f"quotient product ill-defined on classes {classes[w[0]]} x {classes[w[1]]}"
+        )
+    labels = tuple(f"[{table.elements[cls[0]]}]" for cls in classes)
+    quotient = SemigroupTable(elements=labels, zero=int(class_of[table.zero]), product=qprod)
+    projection = SemigroupMap(table, quotient, tuple(class_of.tolist()))
+    return EqQuotient(table, classes, quotient, projection)
 
 
 def rows(S):

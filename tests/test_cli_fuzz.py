@@ -177,6 +177,28 @@ def test_malformed_fan_specs_name_the_spec(spec, message):
         1, f"error: {message}\n")
 
 
+# each was read as if the unknown part were absent: the fan as the shared
+# fan, the polyquot as F_4; the powerset specs printed int()'s message
+@pytest.mark.parametrize("argv,message", [
+    (["analyze", "--poset", "fan:disjont=2", "--tasks", "specs-suite"],
+     "spec 'fan:disjont=2' has an unknown part 'disjont'; "
+     "its parts are generics, sharing, disjoint"),
+    (["analyze", "--ring", "polyquot:p=2;mod=1,1,1;q=5"],
+     "spec 'polyquot:p=2;mod=1,1,1;q=5' has an unknown part 'q'; its parts are p, mod"),
+    (["analyze", "--ring", "mvq:p=2;vars=x;rel=x2;var=y"],
+     "spec 'mvq:p=2;vars=x;rel=x2;var=y' has an unknown part 'var'; "
+     "its parts are p, vars, rel"),
+    (["analyze", "--lattice", "powerset:x", "--tasks", "t1"],
+     "spec 'powerset:x' has ground size 'x', not an integer"),
+    (["analyze", "--lattice", "powerset:3;x=1", "--tasks", "t1"],
+     "spec 'powerset:3;x=1' has ground size '3;x=1', not an integer"),
+    (["analyze", "--lattice", "powerset:", "--tasks", "t1"],
+     "spec 'powerset:' has an empty ground size"),
+])
+def test_unknown_spec_parts_are_input_errors(argv, message):
+    assert run(argv) == (1, f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # JSON files
 

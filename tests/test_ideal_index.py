@@ -8,6 +8,7 @@ every quadratic monomial (375 ideals).
 
 import functools
 import itertools
+import random
 import time
 
 import numpy as np
@@ -27,8 +28,13 @@ from zdgraph.rings import (
     ideal_label,
     ideal_semigroup,
     is_reduced,
+    jacobson_radical,
     make_zn,
+    maximal_ideals,
+    minimal_primes,
+    prime_ideals,
     ring_from_spec,
+    spec_poset,
 )
 from zdgraph.semigroups import SizeGuardExceeded
 
@@ -128,6 +134,60 @@ def test_index_is_shared_and_principal_ideals_come_first():
         assert T.ideals[T.principal[a]] == oracle.principal_ideal(R, a)
     for k in range(p):  # a principal ideal's generator is its least one
         assert T.gens[k] == (min(a for a in range(R.size) if T.principal[a] == k),)
+
+
+def _same_primes_as_oracles(R, ideals):
+    assert prime_ideals(R, ideals) == oracle.prime_ideals(R, ideals)
+    assert maximal_ideals(R, ideals) == oracle.maximal_ideals(R, ideals)
+    assert minimal_primes(R, ideals) == oracle.minimal_primes(R, ideals)
+    assert jacobson_radical(R, ideals) == oracle.jacobson_radical(R, ideals)
+
+
+def test_primes_of_zn_match_oracles():
+    for n in range(1, 65):
+        R = make_zn(n)
+        _same_primes_as_oracles(R, enumerate_ideals(R))
+        assert prime_ideals(R) == oracle.prime_ideals(R, enumerate_ideals(R))
+
+
+@pytest.mark.parametrize("spec", oracle.ring_analyze_specs())
+def test_primes_of_the_catalog_match_oracles(spec):
+    R = ring(spec)
+    _same_primes_as_oracles(R, enumerate_ideals(R))
+    assert jacobson_radical(R) == oracle.jacobson_radical(R, enumerate_ideals(R))
+
+
+@pytest.mark.parametrize("spec", ["Zn:210", "prod:Zn:4,Zn:2,Zn:3", X2Y2Z2_XYZ, BIG])
+def test_primes_of_ideals_given_before_the_index_closes(spec):
+    # a fresh ring: its index has only the principal ideals when the list
+    # comes in, in an order of its own, and the answers keep that order
+    ideals = oracle.enumerate_ideals(ring(spec))
+    random.Random(spec).shuffle(ideals)
+    R = ring_from_spec(spec)
+    _same_primes_as_oracles(R, ideals)
+    part = ideals[::3]
+    assert prime_ideals(R, part) == maximal_ideals(R, part) == oracle.prime_ideals(R, part)
+
+
+def test_primes_never_test_products(monkeypatch):
+    def refuse(R, I):
+        raise AssertionError("is_ideal_prime called")
+
+    monkeypatch.setattr(rings, "is_ideal_prime", refuse)
+    for spec in ("Zn:210", "prod:gf:4,gf:5,gf:7", X2Y2Z2):
+        R = ring_from_spec(spec)
+        assert prime_ideals(R) == minimal_primes(R) == maximal_ideals(R)
+        assert len(spec_poset(R).points) == len(prime_ideals(R))
+        ag_conjecture_check(R)
+
+
+def test_each_ideal_is_labelled_once(monkeypatch, capsys):
+    found = []
+    find = IdealIndex._find_label
+    monkeypatch.setattr(IdealIndex, "_find_label",
+                        lambda self, k: found.append(k) or find(self, k))
+    assert main(["analyze", "--ring", X2Y2Z2, "--tasks", "ideals,ag-check", "--json"]) == 0
+    assert sorted(found) == list(range(47))  # the ideals task and the ideal semigroup
 
 
 def test_one_analyze_closes_the_lattice_once(monkeypatch, capsys):

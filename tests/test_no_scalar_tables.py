@@ -13,6 +13,11 @@ Point sets of finite spaces and subset lattices are int bitmasks too: a
 symbolic ``CofiniteT1Lattice`` (whose ground set is infinite), is the
 frozenset form that was deleted.
 
+Rows are grouped by keys: an ``np.unique(..., axis=...)`` call sorts whole
+rows through a structured view of each; on the 256 kill rows of Z_256 it
+takes about 11 ms, and a 1-D ``np.unique`` over their packed bytes 0.06 ms
+(one x86 Xeon core).
+
 A graph is its adjacency rows: ``SimpleGraph(...)`` is called only in
 ``graphs.py`` (elsewhere a graph comes from a builder or ``from_edges``),
 and ``graphs.py`` reads the derived ``.edges`` only in its export functions.
@@ -139,6 +144,16 @@ def edge_reads(tree, allowed_functions=GRAPH_EXPORTS):
     })
 
 
+def unique_axis_calls(tree):
+    """Line numbers of ``np.unique(...)`` calls with an ``axis=`` keyword."""
+    return sorted({
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _name(node.func) == "unique"
+        and any(k.arg == "axis" for k in node.keywords)
+    })
+
+
 def _library_hits(lint):
     return [
         f"{path.name}:{line}"
@@ -172,6 +187,21 @@ def test_graphs_are_built_from_rows():
     found += [f"graphs.py:{line}"
               for line in edge_reads(ast.parse((SRC / "graphs.py").read_text()))]
     assert not found, f"graphs built or read as edge sets: {found}"
+
+
+def test_no_row_uniques_in_library():
+    found = _library_hits(unique_axis_calls)
+    assert not found, f"np.unique over whole rows: {found}"
+
+
+def test_the_unique_lint_sees_each_pattern():
+    tree = ast.parse(
+        "a = np.unique(kill, axis=0)\n"
+        "b = np.unique(\n    rows, return_index=True, axis=1)\n"
+        "c = np.unique(keys, return_index=True, return_inverse=True)\n"
+        "d = np.sum(kill, axis=0)\n"
+    )
+    assert unique_axis_calls(tree) == [1, 2]
 
 
 def test_the_graph_lint_sees_each_pattern():

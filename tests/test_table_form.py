@@ -17,7 +17,13 @@ import ideal_oracles
 import table_oracles as oracle
 from zdgraph import rings
 from zdgraph.cli import main
-from zdgraph.corpus import armendariz_map_corpus, permuted_copy, random_poset, random_space
+from zdgraph.corpus import (
+    armendariz_map_corpus,
+    permuted_copy,
+    random_poset,
+    random_space,
+    reduced_rings_up_to,
+)
 from zdgraph.graphs import beck_graph, zero_divisor_graph
 from zdgraph.polynomials import make_poly, polys_up_to_degree
 from zdgraph.rings import (
@@ -162,6 +168,58 @@ def test_random_tables_validate_like_the_loops(args):
         _same_semigroup_answers(S)  # also the ill-defined quotient message
         # a map between tables that need not commute: only pairs a <= b count
         _same_map_answers(SemigroupMap(S, S, tuple(rows[0])))
+
+
+# ---------------------------------------------------------------------------
+# The annihilator classes, keyed by packed kill rows
+
+
+def _same_quotient_as_unique_rows(S):
+    got = oracle.raises_invalid(eq_quotient, S, True)
+    want = oracle.raises_invalid(oracle.unique_rows_quotient, S)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.classes == want.classes
+        assert got.quotient == want.quotient  # labels, zero and table bytes
+        assert got.projection.assignment == want.projection.assignment
+    return got
+
+
+def test_quotients_of_reduced_rings_match_unique_rows():
+    for R in reduced_rings_up_to(32):
+        S = multiplicative_semigroup(R)
+        assert _same_quotient_as_unique_rows(S) == eq_quotient(S)
+
+
+@pytest.mark.parametrize("spec", ideal_oracles.workload_ring_specs())
+def test_quotients_of_workload_rings_match_unique_rows(spec):
+    S = multiplicative_semigroup(ideal_oracles.cached_ring(spec))
+    _same_quotient_as_unique_rows(S)
+    _same_quotient_as_unique_rows(permuted_copy(S, random.Random(spec)).target)
+
+
+@st.composite
+def zero_heavy_tables(draw):
+    """A commutative table on up to 20 elements (kill rows of up to three
+    bytes) whose zero absorbs, with products drawn from a few values, so
+    that kill rows repeat; most are no semigroup, and some quotients are
+    ill-defined."""
+    n = draw(st.integers(1, 20))
+    zero = draw(st.integers(0, n - 1))
+    values = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3)) + [zero] * 2
+    rows = [[zero] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            if zero not in (a, b):
+                rows[a][b] = rows[b][a] = draw(st.sampled_from(values))
+    return _from_rows(rows, zero)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(zero_heavy_tables())
+def test_quotients_of_random_tables_match_unique_rows(S):
+    _same_quotient_as_unique_rows(S)
 
 
 # ---------------------------------------------------------------------------
