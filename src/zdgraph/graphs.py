@@ -30,6 +30,7 @@ from .semigroups import (
     NotNilpotentFree,
     check_armendariz,
     guard,
+    mask_row,
     members,
     nilpotent_witness,
     row_union,
@@ -426,7 +427,7 @@ def _zero_product_graph(labels: tuple[str, ...], zero: np.ndarray) -> SimpleGrap
 
 def zero_divisor_graph(S: SemigroupTable) -> SimpleGraph:
     """Vertices are nonzero zero-divisors; {s, t} is an edge iff s*t = 0."""
-    v = np.array(sorted(zero_divisors(S)), dtype=np.int64)
+    v = np.flatnonzero(mask_row(zero_divisors(S), S.size))
     labels = tuple(S.elements[i] for i in v.tolist())
     return _zero_product_graph(labels, S.product[v[:, None], v] == S.zero)
 
@@ -501,8 +502,8 @@ def armendariz_invariant_suite(
     # Fibre data over target vertices, for the two girth-4 witness patterns:
     # an edge whose endpoints both have non-singleton fibres, or a vertex
     # with a non-singleton fibre and at least two neighbours.
-    fibre = Counter(g.assignment[s] for s in zero_divisors(g.source))
-    vt = sorted(zero_divisors(g.target))
+    fibre = Counter(g.assignment[s] for s in members(zero_divisors(g.source)))
+    vt = list(members(zero_divisors(g.target)))
     multi = sum(1 << i for i, t in enumerate(vt) if fibre[t] > 1)
     pattern_edge = any(GT.adj[i] & multi for i in members(multi))
     pattern_vertex = any(GT.adj[i].bit_count() >= 2 for i in members(multi))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .graphs import SimpleGraph, _zero_product_graph, clique_and_chromatic
 from .rings import FiniteRing, Ideal, IdealIndex, gamma_graph, ideal_index, is_reduced
-from .semigroups import guard
+from .semigroups import guard, mask_row
 
 DEFAULT_MAX_POLYS = 4096
 
@@ -206,7 +206,7 @@ def _containment_failures(R: FiniteRing, F: np.ndarray):
     """Some coefficient of fg lies outside content(f)content(g)."""
     T = ideal_index(R)
     prod, key = _content_products(T, F)
-    member = np.array(T.rows)
+    member = np.array([mask_row(I, R.size) for I in T.ideals])
 
     def fails(r0: int, C: np.ndarray) -> np.ndarray:
         P = prod[key[r0 : r0 + len(C), None], key[None, :]]

@@ -36,8 +36,11 @@ from .semigroups import (
     first_witness,
     guard,
     is_nilpotent_free,
+    mask_row,
+    members,
     nilpotent_mask,
     read_only_table,
+    row_masks,
     spec_int,
     spec_params,
     table_form_failure,
@@ -48,7 +51,7 @@ from .semigroups import (
 DEFAULT_MAX_RING = 4096
 DEFAULT_MAX_IDEALS = 10000
 
-Ideal = frozenset  # member set of ring-element indices
+Ideal = int  # the mask of an ideal's members, over ring-element indices
 
 
 class RingConstructionError(ValueError):
@@ -512,9 +515,9 @@ def beck_gamma0(R: FiniteRing) -> SimpleGraph:
 class IdealIndex:
     """The ideals of one ring met so far, each stored once.
 
-    Ideal k is a member row ``rows[k]`` (a bool mask over the elements),
-    its frozenset ``ideals[k]`` and a tuple ``gens[k]`` of elements whose
-    principal ideals sum to it: its parent's tuple plus one generator.  The
+    Ideal k is the mask ``ideals[k]`` of its members, which is also its key,
+    and a tuple ``gens[k]`` of elements whose principal ideals sum to it:
+    its parent's tuple plus one generator.  The
     distinct principal ideals come first, in the order of their least
     generators, so ``principal[a]`` (the index of Ra) also numbers the
     columns of the join table, whose entry [k, principal[a]] indexes ideal
@@ -530,32 +533,31 @@ class IdealIndex:
         self.lower_bound = _ideal_count_lower_bound(R)
         self.ideals: list[Ideal] = []
         self.gens: list[tuple[int, ...]] = []
-        self.rows: list[np.ndarray] = []
-        self._key: dict[bytes, int] = {}
+        self._key: dict[Ideal, int] = {}
         P = np.zeros((R.size, R.size), dtype=bool)
         P[np.arange(R.size)[:, None], R.mul] = True  # row a: the members of Ra
-        self.principal = np.array([self._add(P[a], (a,)) for a in range(R.size)])
+        self.principal = np.array([self._add(I, (a,)) for a, I in enumerate(row_masks(P))])
         self.unit = int(self.principal[R.one])
-        self._pr, self._pc = np.nonzero(np.array(self.rows))
-        self._join = np.full((2 * len(self.rows), len(self.rows)), -1)
+        # the members of each distinct principal ideal, by its least generator
+        self._pr, self._pc = np.nonzero(P[[a for (a,) in self.gens]])
+        self._join = np.full((2 * len(self.ideals), len(self.ideals)), -1)
         self._label: dict[int, str] = {}
 
-    def _add(self, row: np.ndarray, gens: tuple[int, ...]) -> int:
-        key = np.packbits(row).tobytes()
-        if key not in self._key:
-            self._key[key] = len(self.ideals)
-            self.ideals.append(frozenset(np.flatnonzero(row).tolist()))
+    def _add(self, I: Ideal, gens: tuple[int, ...]) -> int:
+        if I not in self._key:
+            self._key[I] = len(self.ideals)
+            self.ideals.append(I)
             self.gens.append(gens)
-            self.rows.append(row.copy())
-        return self._key[key]
+        return self._key[I]
 
     def _fill(self, k: int) -> None:
         # the least member of x + I names the coset of x, and I + Ra is the
         # union of the cosets of Ra's members
-        coset = self._add_table[:, self.rows[k]].min(axis=1)
+        coset = self._add_table[:, mask_row(self.ideals[k], len(self.labels))].min(axis=1)
         hit = np.zeros((self._join.shape[1], len(self.labels)), dtype=bool)
         hit[self._pr, coset[self._pc]] = True
-        row = [self._add(s, self.gens[k] + self.gens[c]) for c, s in enumerate(hit[:, coset])]
+        row = [self._add(I, self.gens[k] + self.gens[c])
+               for c, I in enumerate(row_masks(hit[:, coset]))]
         if len(self.ideals) > len(self._join):  # a fill adds at most a row's worth of ideals
             self._join = np.vstack([self._join, np.full_like(self._join, -1)])
         self._join[k] = row
@@ -569,15 +571,13 @@ class IdealIndex:
 
     def index_of(self, I: Ideal) -> int:
         """The index of ideal I; one not met yet is found by adding in its members."""
-        row = np.zeros(len(self.labels), dtype=bool)
-        row[list(I)] = True
-        k = self._key.get(np.packbits(row).tobytes())
+        k = self._key.get(I)
         if k is None:
             k = self.principal[self.zero]
-            for a in sorted(I):
+            for a in members(I):
                 k = self.join(k, self.principal[a])
             if self.ideals[k] != I:
-                raise ValueError(f"not an ideal: {sorted(I)}")
+                raise ValueError(f"not an ideal: {list(members(I))}")
         return int(k)
 
     def table(self, ks: np.ndarray, operation: str) -> np.ndarray:
@@ -627,7 +627,12 @@ class IdealIndex:
                 self._fill(k)
             k += 1
         guard("ideals", len(self.ideals), max_ideals)
-        return sorted(range(k), key=lambda k: (len(self.ideals[k]), sorted(self.ideals[k])))
+        # equal-size ideals compare as their sorted member lists do: the one
+        # holding the least element of their difference comes first, which
+        # is the first 0 in the bit strings of the complements, read from bit 0
+        n, full = len(self.labels), (1 << len(self.labels)) - 1
+        return sorted(range(k), key=lambda k: (self.ideals[k].bit_count(),
+                                               f"{full ^ self.ideals[k]:0{n}b}"[::-1]))
 
     def label(self, k: int) -> str:
         """A short generator-style label: "(g)", "(g,h)", ... if one exists;
@@ -643,8 +648,8 @@ class IdealIndex:
         return self._label[k]
 
     def _find_label(self, k: int) -> str:
-        names, members = self.labels, np.flatnonzero(self.rows[k])
-        least = members[np.sort(np.unique(self.principal[members], return_index=True)[1])]
+        names, elts = self.labels, np.flatnonzero(mask_row(self.ideals[k], len(self.labels)))
+        least = elts[np.sort(np.unique(self.principal[elts], return_index=True)[1])]
         c = self.principal[least]
         # sums[i, j, ...] indexes Rc_i + Rc_j + ...; a tuple with a repeat
         # sums fewer generators, which missed already, and a hit's sorted
@@ -655,7 +660,7 @@ class IdealIndex:
             hits = np.argwhere(sums == k)
         if len(hits):
             return "(" + ",".join(names[least[i]] for i in hits[0]) + ")"
-        return "{" + ",".join(names[a] for a in members) + "}"
+        return "{" + ",".join(names[a] for a in elts) + "}"
 
 
 def ideal_index(R: FiniteRing) -> IdealIndex:
@@ -710,10 +715,9 @@ def ideal_label(R: FiniteRing, I: Ideal) -> str:
 def is_ideal_prime(R: FiniteRing, I: Ideal) -> bool:
     """I proper, and ab in I implies a in I or b in I."""
     n = R.size
-    if len(I) == n:
+    if I.bit_count() == n:
         return False
-    member = np.zeros(n, dtype=bool)
-    member[list(I)] = True
+    member = mask_row(I, n)
     outside = np.nonzero(~member)[0]
     prods = R.mul[np.ix_(outside, outside)]
     return not member[prods].any()
@@ -742,7 +746,10 @@ def minimal_primes(R: FiniteRing, ideals: Optional[list[Ideal]] = None) -> list[
 
 def jacobson_radical(R: FiniteRing, ideals: Optional[list[Ideal]] = None) -> Ideal:
     """Intersection of the maximal ideals (the whole ring if there are none)."""
-    return frozenset(range(R.size)).intersection(*maximal_ideals(R, ideals))
+    out = (1 << R.size) - 1
+    for M in maximal_ideals(R, ideals):
+        out &= M
+    return out
 
 
 @dataclass(frozen=True)
@@ -766,7 +773,7 @@ def ideals_to_json(R: FiniteRing, max_ideals: int = DEFAULT_MAX_IDEALS) -> str:
     return json.dumps(
         {
             "ring": R.tag,
-            "ideals": [sorted(I) for I in ideals],
+            "ideals": [np.flatnonzero(mask_row(I, R.size)).tolist() for I in ideals],
             "labels": [ideal_label(R, I) for I in ideals],
         }
     )
@@ -856,5 +863,5 @@ def spec_poset(R: FiniteRing):
 
     primes = prime_ideals(R)
     labels = tuple(ideal_label(R, P) for P in primes)
-    leq = tuple(sum(1 << j for j, Q in enumerate(primes) if P <= Q) for P in primes)
+    leq = tuple(sum(1 << j for j, Q in enumerate(primes) if not P & ~Q) for P in primes)
     return FinitePoset(points=labels, leq=leq)

@@ -144,8 +144,8 @@ def json_int(x, what: str) -> int:
 
 def spec_params(spec: str, body: str, required, error, optional=()) -> dict[str, str]:
     """The ``name=value`` parts of ``body``, which are split at ``;``; a part
-    without ``=``, a name in neither ``required`` nor ``optional``, or a
-    missing name of ``required`` raises ``error``."""
+    without ``=``, a name in neither ``required`` nor ``optional``, a name
+    given twice, or a missing name of ``required`` raises ``error``."""
     known = tuple(required) + tuple(optional)
     params = {}
     for part in body.split(";"):
@@ -155,6 +155,8 @@ def spec_params(spec: str, body: str, required, error, optional=()) -> dict[str,
         if name not in known:
             raise error(f"spec {spec!r} has an unknown part {name!r}; "
                         f"its parts are {', '.join(known)}")
+        if name in params:
+            raise error(f"spec {spec!r} has the part {name!r} twice")
         params[name] = value
     for name in required:
         if name not in params:
@@ -185,22 +187,47 @@ def distinct_labels(labels) -> tuple[str, ...]:
 
 def members(mask: int) -> Iterator[int]:
     """The positions of the set bits of a nonnegative mask, ascending: the
-    points of a point set, the neighbours in an adjacency row."""
+    points of a point set, the neighbours in an adjacency row.  A negative
+    mask is a cofinite set, which has no list of members."""
+    if mask < 0:
+        raise ValueError(f"mask {mask} is cofinite; its members cannot be listed")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
 
 
+def least_member(mask: int) -> int:
+    """The least member of a nonempty mask, finite or cofinite."""
+    return (mask & -mask).bit_length() - 1
+
+
 def row_union(rows, mask: int) -> int:
     """The union of the rows of the members of mask: for adjacency rows the
-    neighbourhood of a vertex set, for a relation the image of a set."""
+    neighbourhood of a vertex set, for a relation the image of a set.  A
+    negative mask is a cofinite set, which has no finite union of rows."""
+    if mask < 0:
+        raise ValueError(f"mask {mask} is cofinite; its rows cannot be joined")
     out = 0
     while mask:
         low = mask & -mask
         out |= rows[low.bit_length() - 1]
         mask ^= low
     return out
+
+
+def mask_row(mask: int, n: int) -> np.ndarray:
+    """The bool row of length ``n`` that is True at the members of ``mask``:
+    a point set in the form array code reads."""
+    packed = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(packed, count=n, bitorder="little").astype(bool)
+
+
+def row_masks(rows: np.ndarray) -> list[int]:
+    """The mask of the True entries of each row of a 2-D bool array;
+    ``mask_row`` inverted."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(p, "little") for p in packed]
 
 
 def mask_labels(points: Sequence[str], masks: Sequence[int]) -> list[str]:
@@ -327,19 +354,19 @@ def is_nilpotent_free(table: SemigroupTable) -> bool:
     return nilpotent_witness(table) is None
 
 
-def annihilator(table: SemigroupTable, s: int) -> frozenset[int]:
-    """The set of t with s*t = 0; always contains the zero element."""
+def annihilator(table: SemigroupTable, s: int) -> int:
+    """The mask of the t with s*t = 0; always contains the zero element."""
     if not (0 <= s < table.size):
         raise IndexError(f"element index {s} out of range")
-    return frozenset(np.flatnonzero(table.product[s] == table.zero).tolist())
+    return row_masks(table.product[[s]] == table.zero)[0]
 
 
-def zero_divisors(table: SemigroupTable) -> frozenset[int]:
-    """Nonzero s such that s*t = 0 for some nonzero t (t = s allowed)."""
+def zero_divisors(table: SemigroupTable) -> int:
+    """The mask of the nonzero s with s*t = 0 for some nonzero t (t = s allowed)."""
     kill = table.product == table.zero
     kill[:, table.zero] = False
     kill[table.zero] = False
-    return frozenset(np.flatnonzero(kill.any(axis=1)).tolist())
+    return row_masks(kill.any(axis=1)[None])[0]
 
 
 @dataclass(frozen=True)

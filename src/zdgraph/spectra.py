@@ -48,6 +48,7 @@ from .semigroups import (
     json_int,
     json_list,
     json_object,
+    least_member,
     meet_table,
     members,
     spec_int,
@@ -219,28 +220,30 @@ def _is_max_irreducible(P: FinitePoset, masks: list[int]) -> bool:
 
 @dataclass(frozen=True)
 class FanPoset:
-    """Symbolic poset: generic points under countably infinite maximal families."""
+    """Symbolic poset: generic points under countably infinite maximal families.
+
+    ``generics[g]`` is the mask of the families generic g lies below."""
 
     families: int
-    generics: tuple[frozenset[int], ...]
+    generics: tuple[int, ...]
     shape: str  # "shared" | "disjoint"
 
     def __post_init__(self):
         if self.families < 1 or not self.generics:
             raise InvalidPoset("fan needs at least one family and one generic")
-        covered = set()
+        covered = 0
         for fams in self.generics:
-            if not fams or not all(0 <= j < self.families for j in fams):
+            if fams <= 0 or fams >> self.families:
                 raise InvalidPoset("generic must sit below at least one family")
             covered |= fams
-        if covered != set(range(self.families)):
+        if covered != (1 << self.families) - 1:
             raise InvalidPoset("every family needs a generic below it")
         if self.shape == "shared":
             if self.families != 1:
                 raise InvalidPoset("shared fan has a single maximal family")
         elif self.shape == "disjoint":
             if len(self.generics) != self.families or any(
-                g != frozenset({i}) for i, g in enumerate(self.generics)
+                g != 1 << i for i, g in enumerate(self.generics)
             ):
                 raise InvalidPoset("disjoint fan pairs generic i with family i")
         else:
@@ -248,11 +251,11 @@ class FanPoset:
 
 
 def fan_shared(num_generics: int) -> FanPoset:
-    return FanPoset(1, tuple(frozenset({0}) for _ in range(num_generics)), "shared")
+    return FanPoset(1, (1,) * num_generics, "shared")
 
 
 def fan_disjoint(num_fans: int) -> FanPoset:
-    return FanPoset(num_fans, tuple(frozenset({i}) for i in range(num_fans)), "disjoint")
+    return FanPoset(num_fans, tuple(1 << i for i in range(num_fans)), "disjoint")
 
 
 def fan_from_spec(spec: str) -> FanPoset:
@@ -262,128 +265,96 @@ def fan_from_spec(spec: str) -> FanPoset:
     params = spec_params(spec, spec[4:], (), InvalidPoset,
                          optional=("generics", "sharing", "disjoint"))
     if "disjoint" in params:
+        for name in params:
+            if name != "disjoint":
+                raise InvalidPoset(f"spec {spec!r} has a part {name!r}, "
+                                   "which a disjoint fan does not take")
         return fan_disjoint(spec_int(spec, "disjoint", params["disjoint"], InvalidPoset))
     if params.get("sharing", "all") != "all":
         raise InvalidPoset("only sharing=all is supported")
     return fan_shared(spec_int(spec, "generics", params.get("generics", "1"), InvalidPoset))
 
 
-FIN = "fin"
-COF = "cof"
-EMPTY_PART = (FIN, frozenset())
-FULL_PART = (COF, frozenset())
-
-
 @dataclass(frozen=True)
 class FanClosedSet:
-    """A closed set of a fan: per-family finite or cofinite maximal subsets
-    plus generic flags; an included generic forces its families full."""
+    """A closed set of a fan: per family the mask of its maximal points,
+    finite (>= 0) or cofinite (``~excluded``, < 0), and the mask of its
+    generics; an included generic forces its families full (-1)."""
 
     fan: FanPoset
-    parts: tuple[tuple[str, frozenset[int]], ...]
-    generics: frozenset[int]
+    parts: tuple[int, ...]
+    generics: int
 
     def __post_init__(self):
         if len(self.parts) != self.fan.families:
             raise InvalidPoset("one part per family required")
-        for tag, _ in self.parts:
-            if tag not in (FIN, COF):
-                raise InvalidPoset(f"bad part tag {tag!r}")
-        for g in self.generics:
-            for j in self.fan.generics[g]:
-                if self.parts[j] != FULL_PART:
+        for g in members(self.generics):
+            for j in members(self.fan.generics[g]):
+                if self.parts[j] != -1:
                     raise InvalidPoset(
                         f"generic {g} requires family {j} fully included"
                     )
 
     def describe(self) -> str:
         bits = []
-        for j, (tag, data) in enumerate(self.parts):
-            if (tag, data) == FULL_PART:
+        for j, part in enumerate(self.parts):
+            if part == -1:
                 bits.append(f"M{j}")
-            elif tag == COF:
-                bits.append(f"M{j}-{{{','.join(f'm{j}.{i}' for i in sorted(data))}}}")
-            elif data:
-                bits.append("{" + ",".join(f"m{j}.{i}" for i in sorted(data)) + "}")
-        bits.extend(f"g{g}" for g in sorted(self.generics))
+            elif part < 0:
+                bits.append(f"M{j}-{{{','.join(f'm{j}.{i}' for i in members(~part))}}}")
+            elif part:
+                bits.append("{" + ",".join(f"m{j}.{i}" for i in members(part)) + "}")
+        bits.extend(f"g{g}" for g in members(self.generics))
         return " u ".join(bits) if bits else "{}"
 
 
 def fan_v_max(fan: FanPoset, family: int, index: int) -> FanClosedSet:
-    parts = [EMPTY_PART] * fan.families
-    parts[family] = (FIN, frozenset({index}))
-    return FanClosedSet(fan, tuple(parts), frozenset())
+    parts = [0] * fan.families
+    parts[family] = 1 << index
+    return FanClosedSet(fan, tuple(parts), 0)
 
 
-def fan_fin(fan: FanPoset, family: int, members) -> FanClosedSet:
-    parts = [EMPTY_PART] * fan.families
-    parts[family] = (FIN, frozenset(members))
-    return FanClosedSet(fan, tuple(parts), frozenset())
+def fan_fin(fan: FanPoset, family: int, indices) -> FanClosedSet:
+    """The finite set of the maximal points ``indices`` of one family."""
+    parts = [0] * fan.families
+    parts[family] = sum(1 << i for i in set(indices))
+    return FanClosedSet(fan, tuple(parts), 0)
 
 
 def fan_cofinite(fan: FanPoset, family: int, excluded, full_others: bool = True) -> FanClosedSet:
-    """A cofinite maximal subset in one family (an Alexandroff-only set
-    when the exclusion is nonempty); other families full by default."""
-    parts = [FULL_PART if full_others else EMPTY_PART] * fan.families
-    parts[family] = (COF, frozenset(excluded))
-    return FanClosedSet(fan, tuple(parts), frozenset())
+    """One family but the maximal points ``excluded`` (an Alexandroff-only
+    set when the exclusion is nonempty); other families full by default."""
+    parts = [-1 if full_others else 0] * fan.families
+    parts[family] = ~sum(1 << i for i in set(excluded))
+    return FanClosedSet(fan, tuple(parts), 0)
 
 
 def fan_v_generic(fan: FanPoset, g: int) -> FanClosedSet:
-    parts = [EMPTY_PART] * fan.families
-    for j in fan.generics[g]:
-        parts[j] = FULL_PART
-    return FanClosedSet(fan, tuple(parts), frozenset({g}))
-
-
-def _part_intersect(a, b):
-    (ta, da), (tb, db) = a, b
-    if ta == FIN and tb == FIN:
-        return (FIN, da & db)
-    if ta == FIN:
-        return (FIN, da - db)
-    if tb == FIN:
-        return (FIN, db - da)
-    return (COF, da | db)
-
-
-def _part_union(a, b):
-    (ta, da), (tb, db) = a, b
-    if ta == FIN and tb == FIN:
-        return (FIN, da | db)
-    if ta == FIN:
-        return (COF, db - da)
-    if tb == FIN:
-        return (COF, da - db)
-    return (COF, da & db)
+    fams = fan.generics[g]
+    parts = tuple(-(fams >> j & 1) for j in range(fan.families))
+    return FanClosedSet(fan, parts, 1 << g)
 
 
 def fan_intersect(a: FanClosedSet, b: FanClosedSet) -> FanClosedSet:
     return FanClosedSet(
-        a.fan,
-        tuple(_part_intersect(x, y) for x, y in zip(a.parts, b.parts)),
-        a.generics & b.generics,
+        a.fan, tuple(x & y for x, y in zip(a.parts, b.parts)), a.generics & b.generics
     )
 
 
 def fan_union(a: FanClosedSet, b: FanClosedSet) -> FanClosedSet:
     return FanClosedSet(
-        a.fan,
-        tuple(_part_union(x, y) for x, y in zip(a.parts, b.parts)),
-        a.generics | b.generics,
+        a.fan, tuple(x | y for x, y in zip(a.parts, b.parts)), a.generics | b.generics
     )
 
 
 def fan_is_empty(d: FanClosedSet) -> bool:
-    # cofinite parts are infinite, so emptiness means: no generics and
-    # every part is a finite empty set
-    return not d.generics and all(
-        tag == FIN and not data for tag, data in d.parts
-    )
+    # an included generic makes its families full, so emptiness means that
+    # every part is the empty finite set
+    return not any(d.parts)
 
 
 def fan_contains_all_max(d: FanClosedSet) -> bool:
-    return all(part == FULL_PART for part in d.parts)
+    return all(part == -1 for part in d.parts)
 
 
 def fan_is_zero_divisor(d: FanClosedSet) -> bool:
@@ -402,15 +373,9 @@ def fan_disjoint_q(a: FanClosedSet, b: FanClosedSet) -> bool:
 
 def fan_least_maximal(d: FanClosedSet) -> Optional[tuple[int, int]]:
     """Canonical (family, index) of the least maximal point of the set."""
-    for j, (tag, data) in enumerate(d.parts):
-        if tag == FIN:
-            if data:
-                return (j, min(data))
-        else:
-            i = 0
-            while i in data:
-                i += 1
-            return (j, i)
+    for j, part in enumerate(d.parts):
+        if part:
+            return (j, least_member(part))
     return None
 
 
@@ -423,14 +388,11 @@ def is_spec_form(d: FanClosedSet) -> bool:
     provides the family without any generic, so two or more generics also
     license it.
     """
-    full = set()
-    for j, (tag, data) in enumerate(d.parts):
-        if tag == COF:
-            if data:
-                return False
-            full.add(j)
+    if any(part < -1 for part in d.parts):
+        return False
+    full = sum(1 << j for j, part in enumerate(d.parts) if part == -1)
     if d.fan.shape == "disjoint":
-        return full == set(d.generics)
+        return full == d.generics  # generic i sits below family i alone
     # shared: one family
     if not full:
         return True
@@ -449,20 +411,13 @@ def fan_common_neighbor(
     """
     fan = a.fan
     for j in range(fan.families):
-        (ta, da), (tb, db) = a.parts[j], b.parts[j]
-        if ta == FIN and tb == FIN:
-            idx = max(da | db, default=-1) + 1
-            cand = fan_v_max(fan, j, idx)
+        both = a.parts[j] | b.parts[j]
+        if both >= 0:
+            cand = fan_v_max(fan, j, both.bit_length())  # past both finite parts
+        elif both != -1:
+            cand = fan_v_max(fan, j, least_member(~both))  # inside both exclusions
         else:
-            if ta == FIN:
-                pool = db - da  # inside b's exclusion, outside a's members
-            elif tb == FIN:
-                pool = da - db
-            else:
-                pool = da & db
-            if not pool:
-                continue
-            cand = fan_v_max(fan, j, min(pool))
+            continue
         if fan_disjoint_q(cand, a) and fan_disjoint_q(cand, b):
             return cand
     for g in range(len(fan.generics)):
@@ -492,6 +447,11 @@ def fan_distance(a: FanClosedSet, b: FanClosedSet, spec_mode: bool = True) -> in
     return 3
 
 
+# fan_max_irreducible runs over pairs of subsets of the generics: at 16 it
+# takes about 0.1 s, and each further generic at least doubles that
+MAX_FAN_GENERICS = 16
+
+
 def fan_max_irreducible(fan: FanPoset) -> tuple[bool, Optional[tuple]]:
     """Irreducibility of the maximal subspace in the Zariski restriction.
 
@@ -499,10 +459,11 @@ def fan_max_irreducible(fan: FanPoset) -> tuple[bool, Optional[tuple]]:
     must come from two generic-licensed unions of full families, each
     proper.  Returns a witness pair of generic sets when reducible.
     """
-    all_fams = set(range(fan.families))
+    guard("fan generics", len(fan.generics), MAX_FAN_GENERICS)
+    all_fams = (1 << fan.families) - 1
 
     def cover(gs):
-        out = set()
+        out = 0
         for g in gs:
             out |= fan.generics[g]
         return out
@@ -522,27 +483,29 @@ def fan_max_irreducible(fan: FanPoset) -> tuple[bool, Optional[tuple]]:
 
 
 def fan_window_poset(fan: FanPoset, per_family: int) -> FinitePoset:
-    """Finite truncation: the first per_family maximals of every family."""
+    """Finite truncation: the first per_family maximals of every family,
+    after the generics; point ng + j * per_family + i is maximal i of
+    family j."""
     labels = [f"g{i}" for i in range(len(fan.generics))]
     maxpts = [(j, i) for j in range(fan.families) for i in range(per_family)]
     labels += [f"m{j}.{i}" for j, i in maxpts]
     ng = len(fan.generics)
     leq = [
-        1 << g | sum(1 << (ng + k) for k, (j, _) in enumerate(maxpts) if j in fams)
+        1 << g | sum(1 << (ng + k) for k, (j, _) in enumerate(maxpts) if fams >> j & 1)
         for g, fams in enumerate(fan.generics)
     ]
     leq += [1 << (ng + k) for k in range(len(maxpts))]
     return FinitePoset(tuple(labels), tuple(leq))
 
 
-def fan_restrict_to_window(d: FanClosedSet, per_family: int) -> frozenset:
-    """The descriptor's trace on the window, as (kind, ...) point keys."""
-    out = set(("g", g) for g in d.generics)
-    for j, (tag, data) in enumerate(d.parts):
-        for i in range(per_family):
-            if (i in data) if tag == FIN else (i not in data):
-                out.add(("m", j, i))
-    return frozenset(out)
+def fan_restrict_to_window(d: FanClosedSet, per_family: int) -> int:
+    """The descriptor's trace on the window, as a mask over the points of
+    ``fan_window_poset(d.fan, per_family)``."""
+    ng, window = len(d.fan.generics), (1 << per_family) - 1
+    out = d.generics
+    for j, part in enumerate(d.parts):
+        out |= (part & window) << (ng + j * per_family)
+    return out
 
 
 def random_fan_descriptor(
@@ -553,24 +516,22 @@ def random_fan_descriptor(
 ) -> FanClosedSet:
     """A random valid descriptor; generics are included with their forced
     families, exclusions only appear in Alexandroff mode."""
-    gens = frozenset(
-        g for g in range(len(fan.generics)) if rng.random() < 0.25
-    )
-    forced = set()
-    for g in gens:
+    gens = sum(1 << g for g in range(len(fan.generics)) if rng.random() < 0.25)
+    forced = 0
+    for g in members(gens):
         forced |= fan.generics[g]
     parts = []
     for j in range(fan.families):
-        if j in forced:
-            parts.append(FULL_PART)
+        if forced >> j & 1:
+            parts.append(-1)
         elif not spec_mode and rng.random() < 0.3:
             k = rng.randint(0, min(3, max_index))
-            parts.append((COF, frozenset(rng.sample(range(max_index), k))))
+            parts.append(~sum(1 << i for i in rng.sample(range(max_index), k)))
         elif spec_mode and fan.shape == "shared" and len(fan.generics) >= 2 and rng.random() < 0.1:
-            parts.append(FULL_PART)
+            parts.append(-1)
         else:
             k = rng.randint(0, min(4, max_index))
-            parts.append((FIN, frozenset(rng.sample(range(max_index), k))))
+            parts.append(sum(1 << i for i in rng.sample(range(max_index), k)))
     d = FanClosedSet(fan, tuple(parts), gens)
     if spec_mode and not is_spec_form(d):
         raise AssertionError(f"generated closed set {d} is not in spec form")
@@ -748,10 +709,10 @@ def _fan_clique_part(fan: FanPoset, sizes, rng: random.Random, samples: int) -> 
 def _fan_specs_suite(
     fan: FanPoset, samples: int = 200, seed: int = 0, windows=(2, 3)
 ) -> SpecsSuiteReport:
+    # first, as it guards the generic count before any work
+    irred, red_witness = fan_max_irreducible(fan)
     rng = random.Random(seed)
     parts = [_fan_clique_part(fan, (2, 3, 5, 10, 25), rng, samples)]
-
-    irred, red_witness = fan_max_irreducible(fan)
 
     # girth 3 on both lattices: three pairwise-disjoint maximal singletons
     tri = [fan_v_max(fan, 0, i) for i in range(3)]

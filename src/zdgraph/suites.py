@@ -52,7 +52,7 @@ from .rings import (
     ring_from_spec,
     spec_poset,
 )
-from .semigroups import eq_quotient, guard
+from .semigroups import eq_quotient, guard, members
 from .spectra import (
     fan_disjoint,
     fan_shared,
@@ -247,7 +247,8 @@ def verify_symbolic_lattice(
     rep.add(
         "distance-2-pair",
         bool(a & bb) and not (a & mid) and not (bb & mid),
-        f"{sorted(a)} and {sorted(bb)} meet; both disjoint from {sorted(mid)}",
+        f"{list(members(a))} and {list(members(bb))} meet; "
+        f"both disjoint from {list(members(mid))}",
     )
     x, y, z = C.triangle_witness()
     rep.add("girth-3-triangle", not (x & y or x & z or y & z), "three disjoint singletons")
@@ -263,7 +264,7 @@ def verify_symbolic_lattice(
     for _ in range(colour_samples):
         u, v = C.random_member(rng), C.random_member(rng)
         cu, cv = C.choice_colour(u), C.choice_colour(v)
-        if cu not in u or cv not in v:
+        if not (u >> cu & 1 and v >> cv & 1):
             clashes += 1
         elif not (u & v) and u != v and cu == cv:
             clashes += 1
@@ -275,7 +276,7 @@ def verify_symbolic_lattice(
     window_ok = True
     for _ in range(200):
         u, v = C.random_member(rng), C.random_member(rng)
-        w = max(u | v) + 1
+        w = (u | v).bit_length()
         if bool(u & v) != bool(C.restrict(u, w) & C.restrict(v, w)):
             window_ok = False
             break
@@ -287,7 +288,7 @@ def _ring_side_closed_sets(R) -> set[int]:
     """Zariski closed sets from ideal data: V(I) as bitmasks over the primes."""
     primes = prime_ideals(R)
     return {
-        sum(1 << i for i, P in enumerate(primes) if I <= P)
+        sum(1 << i for i, P in enumerate(primes) if not I & ~P)
         for I in enumerate_ideals(R)
     }
 

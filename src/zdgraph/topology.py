@@ -33,6 +33,7 @@ from .semigroups import (
     json_int,
     json_list,
     json_object,
+    least_member,
     meet_table,
     members,
 )
@@ -309,86 +310,68 @@ def lattice_semigroup(L: FiniteSpace) -> SemigroupTable:
     return closure_lattice(L)
 
 
-class _Whole:
-    def __repr__(self):
-        return "whole-ground-set"
-
-
-WHOLE = _Whole()
-
-SymbolicMember = Union[frozenset, _Whole]
-
-
 class CofiniteT1Lattice:
     """All finite subsets of a countable ground set, plus the whole set.
 
     This is the closed-set lattice of the cofinite topology on the
     naturals: the canonical irreducible T1 lattice (an irreducible T1
-    lattice on three or more points is necessarily infinite).  Members are
-    frozensets of naturals, or the WHOLE sentinel.
+    lattice on three or more points is necessarily infinite).  A member is
+    an int mask: a finite set is nonnegative, and the whole set is -1, the
+    mask with every bit set, so meet and join are ``&`` and ``|``.
     """
 
     t1 = True
     irreducible = True
 
-    def meet(self, a: SymbolicMember, b: SymbolicMember) -> SymbolicMember:
-        if a is WHOLE:
-            return b
-        if b is WHOLE:
-            return a
+    def meet(self, a: int, b: int) -> int:
         return a & b
 
-    def join(self, a: SymbolicMember, b: SymbolicMember) -> SymbolicMember:
-        if a is WHOLE or b is WHOLE:
-            return WHOLE
+    def join(self, a: int, b: int) -> int:
         return a | b
 
     def is_member(self, x) -> bool:
-        return x is WHOLE or isinstance(x, frozenset)
+        return isinstance(x, int) and x >= -1
 
     # --- constructive witnesses -------------------------------------------
 
-    def triangle_witness(self) -> tuple[frozenset, frozenset, frozenset]:
+    def triangle_witness(self) -> tuple[int, int, int]:
         """Three pairwise-disjoint singletons: a 3-cycle, so girth 3."""
-        a, b, c = frozenset({0}), frozenset({1}), frozenset({2})
+        a, b, c = 0b1, 0b10, 0b100
         if a & b or a & c or b & c:
             raise AssertionError("triangle witness members intersect")
         return a, b, c
 
-    def distance2_witness(self) -> tuple[frozenset, frozenset, frozenset]:
+    def distance2_witness(self) -> tuple[int, int, int]:
         """A non-adjacent vertex pair with a common neighbour: distance 2."""
-        a, b, mid = frozenset({0}), frozenset({0, 1}), frozenset({2})
+        a, b, mid = 0b1, 0b11, 0b100
         if not a & b:
             raise AssertionError("the pair must not be an edge")
         if a & mid or b & mid:
             raise AssertionError("the middle vertex must be adjacent to both ends")
         return a, b, mid
 
-    def clique_witness(self, n: int) -> tuple[frozenset, ...]:
+    def clique_witness(self, n: int) -> tuple[int, ...]:
         """n pairwise-disjoint singletons: a clique of any requested size."""
-        sets = tuple(frozenset({i}) for i in range(n))
+        sets = tuple(1 << i for i in range(n))
         for A, B in itertools.combinations(sets, 2):
             if A & B:
                 raise AssertionError("clique witness members intersect")
         return sets
 
-    def choice_colour(self, member: frozenset) -> int:
+    def choice_colour(self, member: int) -> int:
         """Colour a vertex by its least element; proper on any edge."""
-        return min(member)
+        return least_member(member)
 
-    def random_member(self, rng: random.Random, max_elem: int = 50, max_size: int = 6) -> frozenset:
+    def random_member(self, rng: random.Random, max_elem: int = 50, max_size: int = 6) -> int:
         size = rng.randint(1, max_size)
-        return frozenset(rng.sample(range(max_elem), size))
+        return sum(1 << i for i in rng.sample(range(max_elem), size))
 
     def window(self, w: int) -> FiniteSpace:
         """Restriction to {0..w-1}: every subset appears, giving 2^window."""
         return powerset_lattice([str(i) for i in range(w)])
 
-    def restrict(self, member: SymbolicMember, w: int) -> frozenset:
-        window = frozenset(range(w))
-        if member is WHOLE:
-            return window
-        return member & window
+    def restrict(self, member: int, w: int) -> int:
+        return member & ((1 << w) - 1)
 
 
 def lattice_is_irreducible(
@@ -406,7 +389,7 @@ def lattice_is_irreducible(
         rng = random.Random(seed)
         for _ in range(samples):
             a, b = L.random_member(rng), L.random_member(rng)
-            if L.join(a, b) is WHOLE:
+            if L.join(a, b) == -1:
                 raise LatticeTheoremError("finite join reported as the ground set")
         return True
     return is_irreducible_family(L.closed_sets, (1 << L.n) - 1)

@@ -2,8 +2,11 @@
 
 Each routine recomputes its answer from the ring tables alone, sharing no
 state with the program, so tests can compare ``zdgraph.rings.IdealIndex``,
-the polynomial content checks and ``make_product`` against them.  The
-``index_*`` helpers are the exception: they read the program's index.  The
+the polynomial content checks and ``make_product`` against them.  An ideal
+is a frozenset of element indices here and an int mask in the program;
+``mask`` and ``ideal_set`` convert where the two are compared.  The
+``index_*`` helpers are the exception: they read the program's index and
+take and return masks.  The
 prime, maximal and minimal-prime filters are the product-lookup and
 pairwise-inclusion routines that reading maximality off the join rows
 replaced.  The module also lists the benchmark's ring presentations and
@@ -18,8 +21,9 @@ import sys
 
 import numpy as np
 
+from table_oracles import mask
 from zdgraph import polynomials, rings
-from zdgraph.semigroups import SizeGuardExceeded
+from zdgraph.semigroups import SizeGuardExceeded, members
 
 BIG = "prod:Zn:4,Zn:9,Zn:5,Zn:7"
 
@@ -49,6 +53,11 @@ def workload_ring_specs():
 def cached_ring(spec):
     """One ring object per spec, shared by the test modules."""
     return rings.ring_from_spec(spec)
+
+
+def ideal_set(I):
+    """The frozenset of the members of a program ideal mask."""
+    return frozenset(members(I))
 
 
 def principal_ideal(R, a):
@@ -169,7 +178,7 @@ def ideal_label(R, I):
 
 def prime_ideals(R, ideals):
     """The ideals I that are proper with no product of two non-members in I."""
-    return [I for I in ideals if rings.is_ideal_prime(R, I)]
+    return [I for I in ideals if rings.is_ideal_prime(R, mask(I))]
 
 
 def maximal_ideals(R, ideals):

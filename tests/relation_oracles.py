@@ -10,6 +10,12 @@ closures and ``InvalidPoset`` messages of ``zdgraph.spectra`` against them.
 ``is_max_irreducible`` and ``from_open_sets`` have no caller in the program
 and live here for the tests that use them.
 
+The fan descriptor algebra and the symbolic cofinite lattice are kept in the
+form they had before their point sets became int masks: a fan part is a
+(``"fin"``/``"cof"``, frozenset) pair, and a lattice member is a frozenset or
+the ``WHOLE`` sentinel.  ``set_descriptor``, ``window_mask`` and
+``member_mask`` translate between the two forms, so tests compare results.
+
 The labelled enumerators filter every candidate relation (3^C(n,2) for
 posets, 2^(n(n-1)) for preorders) and every candidate family of T1
 sublattice members, in the order the program once used, and build the
@@ -17,13 +23,13 @@ program's objects from what passes.
 """
 
 import itertools
+from dataclasses import dataclass
 
 from zdgraph.corpus import _LETTERS, _space_from_preorder
-from zdgraph.semigroups import SizeGuardExceeded, row_union
+from zdgraph.semigroups import SizeGuardExceeded, members, row_union
 from zdgraph.spectra import (
-    EMPTY_PART,
-    FULL_PART,
     FanClosedSet,
+    FanPoset,
     FinitePoset,
     _is_max_irreducible,
     upset_masks,
@@ -84,11 +90,282 @@ def is_max_irreducible(P):
 
 
 def fan_empty(fan):
-    return FanClosedSet(fan, (EMPTY_PART,) * fan.families, frozenset())
+    return FanClosedSet(fan, (0,) * fan.families, 0)
 
 
 def fan_whole(fan):
-    return FanClosedSet(fan, (FULL_PART,) * fan.families, frozenset(range(len(fan.generics))))
+    return FanClosedSet(fan, (-1,) * fan.families, (1 << len(fan.generics)) - 1)
+
+
+# ---------------------------------------------------------------------------
+# The fan algebra on (tag, frozenset) parts
+
+FIN = "fin"
+COF = "cof"
+EMPTY_PART = (FIN, frozenset())
+FULL_PART = (COF, frozenset())
+
+
+def families_of(fan, g):
+    """The families generic g lies below, as a frozenset."""
+    return frozenset(members(fan.generics[g]))
+
+
+@dataclass(frozen=True)
+class SetFanClosedSet:
+    """A fan closed set: per family a finite set of maximal points or the
+    excluded points of a cofinite one, and a frozenset of generics."""
+
+    fan: FanPoset
+    parts: tuple
+    generics: frozenset
+
+    def __post_init__(self):
+        for g in self.generics:
+            for j in families_of(self.fan, g):
+                if self.parts[j] != FULL_PART:
+                    raise ValueError(f"generic {g} requires family {j} fully included")
+
+    def describe(self):
+        bits = []
+        for j, (tag, data) in enumerate(self.parts):
+            if (tag, data) == FULL_PART:
+                bits.append(f"M{j}")
+            elif tag == COF:
+                bits.append(f"M{j}-{{{','.join(f'm{j}.{i}' for i in sorted(data))}}}")
+            elif data:
+                bits.append("{" + ",".join(f"m{j}.{i}" for i in sorted(data)) + "}")
+        bits.extend(f"g{g}" for g in sorted(self.generics))
+        return " u ".join(bits) if bits else "{}"
+
+
+def set_descriptor(d):
+    """The (tag, frozenset) form of a mask descriptor."""
+    parts = tuple((COF, frozenset(members(~p))) if p < 0 else (FIN, frozenset(members(p)))
+                  for p in d.parts)
+    return SetFanClosedSet(d.fan, parts, frozenset(members(d.generics)))
+
+
+def mask_descriptor(d):
+    """The mask form of a (tag, frozenset) descriptor."""
+    parts = tuple(~sum(1 << i for i in data) if tag == COF else sum(1 << i for i in data)
+                  for tag, data in d.parts)
+    return FanClosedSet(d.fan, parts, sum(1 << g for g in d.generics))
+
+
+def set_v_max(fan, family, index):
+    parts = [EMPTY_PART] * fan.families
+    parts[family] = (FIN, frozenset({index}))
+    return SetFanClosedSet(fan, tuple(parts), frozenset())
+
+
+def set_v_generic(fan, g):
+    parts = [EMPTY_PART] * fan.families
+    for j in families_of(fan, g):
+        parts[j] = FULL_PART
+    return SetFanClosedSet(fan, tuple(parts), frozenset({g}))
+
+
+def part_intersect(a, b):
+    (ta, da), (tb, db) = a, b
+    if ta == FIN and tb == FIN:
+        return (FIN, da & db)
+    if ta == FIN:
+        return (FIN, da - db)
+    if tb == FIN:
+        return (FIN, db - da)
+    return (COF, da | db)
+
+
+def part_union(a, b):
+    (ta, da), (tb, db) = a, b
+    if ta == FIN and tb == FIN:
+        return (FIN, da | db)
+    if ta == FIN:
+        return (COF, db - da)
+    if tb == FIN:
+        return (COF, da - db)
+    return (COF, da & db)
+
+
+def set_intersect(a, b):
+    return SetFanClosedSet(a.fan, tuple(part_intersect(x, y) for x, y in zip(a.parts, b.parts)),
+                           a.generics & b.generics)
+
+
+def set_union(a, b):
+    return SetFanClosedSet(a.fan, tuple(part_union(x, y) for x, y in zip(a.parts, b.parts)),
+                           a.generics | b.generics)
+
+
+def set_is_empty(d):
+    return not d.generics and all(tag == FIN and not data for tag, data in d.parts)
+
+
+def set_is_zero_divisor(d):
+    return not set_is_empty(d) and not all(part == FULL_PART for part in d.parts)
+
+
+def set_disjoint_q(a, b):
+    return set_is_empty(set_intersect(a, b))
+
+
+def set_least_maximal(d):
+    for j, (tag, data) in enumerate(d.parts):
+        if tag == FIN:
+            if data:
+                return (j, min(data))
+        else:
+            i = 0
+            while i in data:
+                i += 1
+            return (j, i)
+    return None
+
+
+def set_is_spec_form(d):
+    full = set()
+    for j, (tag, data) in enumerate(d.parts):
+        if tag == COF:
+            if data:
+                return False
+            full.add(j)
+    if d.fan.shape == "disjoint":
+        return full == set(d.generics)
+    if not full:
+        return True
+    return bool(d.generics) or len(d.fan.generics) >= 2
+
+
+def set_common_neighbor(a, b, spec_mode=True):
+    fan = a.fan
+    for j in range(fan.families):
+        (ta, da), (tb, db) = a.parts[j], b.parts[j]
+        if ta == FIN and tb == FIN:
+            cand = set_v_max(fan, j, max(da | db, default=-1) + 1)
+        else:
+            if ta == FIN:
+                pool = db - da
+            elif tb == FIN:
+                pool = da - db
+            else:
+                pool = da & db
+            if not pool:
+                continue
+            cand = set_v_max(fan, j, min(pool))
+        if set_disjoint_q(cand, a) and set_disjoint_q(cand, b):
+            return cand
+    for g in range(len(fan.generics)):
+        cand = set_v_generic(fan, g)
+        if spec_mode and not set_is_spec_form(cand):
+            continue
+        if set_disjoint_q(cand, a) and set_disjoint_q(cand, b):
+            return cand
+    return None
+
+
+def set_distance(a, b, spec_mode=True):
+    if not (set_is_zero_divisor(a) and set_is_zero_divisor(b)):
+        raise ValueError("distance is defined between zero-divisor vertices")
+    if a == b:
+        return 0
+    if set_disjoint_q(a, b):
+        return 1
+    if set_common_neighbor(a, b, spec_mode) is not None:
+        return 2
+    return 3
+
+
+def set_restrict_to_window(d, per_family):
+    """The trace on the window, as ("g", g) and ("m", j, i) point keys."""
+    out = set(("g", g) for g in d.generics)
+    for j, (tag, data) in enumerate(d.parts):
+        for i in range(per_family):
+            if (i in data) if tag == FIN else (i not in data):
+                out.add(("m", j, i))
+    return frozenset(out)
+
+
+def window_mask(keys, fan, per_family):
+    """The point keys as a mask over ``fan_window_poset(fan, per_family)``."""
+    ng = len(fan.generics)
+    return sum(1 << (k[1] if k[0] == "g" else ng + k[1] * per_family + k[2]) for k in keys)
+
+
+def random_set_descriptor(fan, rng, spec_mode, max_index=12):
+    """A random descriptor, drawing from ``rng`` in the order the program does."""
+    gens = frozenset(g for g in range(len(fan.generics)) if rng.random() < 0.25)
+    forced = set()
+    for g in gens:
+        forced |= families_of(fan, g)
+    parts = []
+    for j in range(fan.families):
+        if j in forced:
+            parts.append(FULL_PART)
+        elif not spec_mode and rng.random() < 0.3:
+            k = rng.randint(0, min(3, max_index))
+            parts.append((COF, frozenset(rng.sample(range(max_index), k))))
+        elif spec_mode and fan.shape == "shared" and len(fan.generics) >= 2 and rng.random() < 0.1:
+            parts.append(FULL_PART)
+        else:
+            k = rng.randint(0, min(4, max_index))
+            parts.append((FIN, frozenset(rng.sample(range(max_index), k))))
+    return SetFanClosedSet(fan, tuple(parts), gens)
+
+
+# ---------------------------------------------------------------------------
+# The symbolic cofinite lattice on frozensets and the WHOLE sentinel
+
+
+class _Whole:
+    def __repr__(self):
+        return "whole-ground-set"
+
+
+WHOLE = _Whole()
+
+
+def member_mask(x):
+    """The mask form of a frozenset member, or -1 for ``WHOLE``."""
+    return -1 if x is WHOLE else sum(1 << i for i in x)
+
+
+class SetCofiniteT1Lattice:
+    """All finite subsets of the naturals as frozensets, plus ``WHOLE``."""
+
+    def meet(self, a, b):
+        if a is WHOLE:
+            return b
+        if b is WHOLE:
+            return a
+        return a & b
+
+    def join(self, a, b):
+        if a is WHOLE or b is WHOLE:
+            return WHOLE
+        return a | b
+
+    def triangle_witness(self):
+        return frozenset({0}), frozenset({1}), frozenset({2})
+
+    def distance2_witness(self):
+        return frozenset({0}), frozenset({0, 1}), frozenset({2})
+
+    def clique_witness(self, n):
+        return tuple(frozenset({i}) for i in range(n))
+
+    def choice_colour(self, member):
+        return min(member)
+
+    def random_member(self, rng, max_elem=50, max_size=6):
+        size = rng.randint(1, max_size)
+        return frozenset(rng.sample(range(max_elem), size))
+
+    def restrict(self, member, w):
+        window = frozenset(range(w))
+        if member is WHOLE:
+            return window
+        return member & window
 
 
 def from_open_sets(points, open_sets):

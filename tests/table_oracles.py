@@ -11,7 +11,9 @@ its cell-by-cell check ``poly_mul_coeffs``.  So do the map helpers
 ``bundle_on_g`` is the invariant bundle solved on G itself, as it was before
 the program solved it on the twin quotient, and ``unique_rows_quotient`` is
 ``eq_quotient`` grouping kill rows with ``np.unique(axis=0)``, as it did
-before the rows were keyed by their packed bytes.
+before the rows were keyed by their packed bytes.  The routines return point
+sets as frozensets, the form the program used before its int masks;
+``mask`` turns one into the program's form where the two are compared.
 """
 
 import json
@@ -28,6 +30,11 @@ from zdgraph.semigroups import (
     SemigroupTable,
     first_witness,
 )
+
+
+def mask(points):
+    """The int mask of a set of indices: bit i set for each member i."""
+    return sum(1 << i for i in points)
 
 
 def identity_map(table):

@@ -199,6 +199,34 @@ def test_unknown_spec_parts_are_input_errors(argv, message):
     assert run(argv) == (1, f"error: {message}\n")
 
 
+# the repeated part kept its last value (F_4 over p = 2), and the disjoint
+# fan ignored the shared fan's parts and passed
+@pytest.mark.parametrize("argv,message", [
+    (["analyze", "--ring", "polyquot:p=3;p=2;mod=1,1,1", "--tasks", "validate"],
+     "spec 'polyquot:p=3;p=2;mod=1,1,1' has the part 'p' twice"),
+    (["analyze", "--poset", "fan:generics=2;generics=3", "--tasks", "invariants"],
+     "spec 'fan:generics=2;generics=3' has the part 'generics' twice"),
+    (["analyze", "--poset", "fan:disjoint=2;generics=3", "--tasks", "specs-suite"],
+     "spec 'fan:disjoint=2;generics=3' has a part 'generics', "
+     "which a disjoint fan does not take"),
+    (["analyze", "--poset", "fan:sharing=all;disjoint=2", "--tasks", "invariants"],
+     "spec 'fan:sharing=all;disjoint=2' has a part 'sharing', "
+     "which a disjoint fan does not take"),
+])
+def test_repeated_parts_and_mixed_fan_shapes_are_input_errors(argv, message):
+    assert run(argv) == (1, f"error: {message}\n")
+
+
+# the irreducibility search over pairs of generic subsets ran first, for
+# seconds at 20 generics and minutes at 30
+@pytest.mark.parametrize("spec", ["fan:disjoint=17", "fan:generics=17", "fan:disjoint=30"])
+@pytest.mark.parametrize("task", ["invariants", "specs-suite"])
+def test_fan_generics_are_guarded(spec, task):
+    count = spec.rpartition("=")[2]
+    assert run(["analyze", "--poset", spec, "--tasks", task]) == (
+        1, f"error: guard exceeded: {count} fan generics exceed guard 16\n")
+
+
 # ---------------------------------------------------------------------------
 # JSON files
 

@@ -8,10 +8,12 @@ fails on either.
 Relations are bitmask rows in the same way: a read like ``P.leq[i][j]`` or a
 nested tuple passed as ``leq`` is the bool-matrix form that was deleted.
 
-Point sets of finite spaces and subset lattices are int bitmasks too: a
-``frozenset(...)`` call in ``suites.py``, or in ``topology.py`` outside the
-symbolic ``CofiniteT1Lattice`` (whose ground set is infinite), is the
-frozenset form that was deleted.
+Every point set is an int mask too: closed sets, ideals, annihilators, fan
+parts and the members of the symbolic cofinite lattice, where a cofinite
+set is a negative int.  A ``frozenset`` anywhere in ``src/zdgraph``, as a
+call, an annotation or an ``isinstance`` type, is the form that was
+deleted, except in the two scopes of ``FROZENSET_EXEMPT``, which hold sets
+of other things.
 
 Rows are grouped by keys: an ``np.unique(..., axis=...)`` call sorts whole
 rows through a structured view of each; on the 256 kill rows of Z_256 it
@@ -101,22 +103,31 @@ def relation_bool_reads(tree):
     return sorted(set(found))
 
 
-# library files and the one class in each that may still build frozensets
-POINT_SET_FILES = {"suites.py": None, "topology.py": "CofiniteT1Lattice"}
+# the library scopes, by file and qualified name, that may use frozenset
+FROZENSET_EXEMPT = {
+    ("graphs.py", "SimpleGraph.edges"): "the edge set of a graph, pairs of vertices",
+    ("corpus.py", "_closed_families"): "the families a search branch left out, a set of masks",
+}
 
 
-def frozenset_calls(tree, allowed_class=None):
-    """Line numbers of ``frozenset(...)`` calls outside ``class allowed_class``."""
-    allowed = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == allowed_class:
-            allowed |= {id(n) for n in ast.walk(node)}
-    return sorted({
-        node.lineno
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Call) and _name(node.func) == "frozenset"
-        and id(node) not in allowed
-    })
+def frozenset_uses(tree, allowed=()):
+    """Line numbers of the name ``frozenset`` outside the scopes whose
+    qualified names (``Class.method``) are in ``allowed``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+                if inner not in allowed:
+                    visit(child, inner)
+                continue
+            if isinstance(child, ast.Name) and child.id == "frozenset":
+                found.append(child.lineno)
+            visit(child, scope)
+
+    visit(tree, "")
+    return sorted(set(found))
 
 
 def simple_graph_calls(tree):
@@ -174,11 +185,20 @@ def test_no_bool_matrix_relations_in_library():
 
 def test_no_frozenset_point_sets_in_library():
     found = [
-        f"{name}:{line}"
-        for name, allowed_class in POINT_SET_FILES.items()
-        for line in frozenset_calls(ast.parse((SRC / name).read_text()), allowed_class)
+        f"{path.name}:{line}"
+        for path in sorted(SRC.rglob("*.py"))
+        for line in frozenset_uses(
+            ast.parse(path.read_text(), filename=str(path)),
+            {scope for name, scope in FROZENSET_EXEMPT if name == path.name})
     ]
     assert not found, f"frozenset point sets: {found}"
+
+
+def test_each_frozenset_exemption_is_used():
+    # an exemption whose scope no longer uses frozenset would hide a new one
+    for name, scope in FROZENSET_EXEMPT:
+        tree = ast.parse((SRC / name).read_text())
+        assert frozenset_uses(tree, {scope}) != frozenset_uses(tree), (name, scope)
 
 
 def test_graphs_are_built_from_rows():
@@ -224,14 +244,18 @@ def test_the_graph_lint_sees_each_pattern():
 def test_the_point_set_lint_sees_each_pattern():
     tree = ast.parse(
         "a = frozenset({0})\n"
-        "class CofiniteT1Lattice:\n"
-        "    b = frozenset()\n"
-        "class Other:\n"
-        "    c = frozenset(range(3))\n"
+        "class Graph:\n"
+        "    def edges(self) -> frozenset:\n"
+        "        return frozenset()\n"
+        "    def rows(self):\n"
+        "        return frozenset(range(3))\n"
         "d = isinstance(a, frozenset)\n"
+        "def edges(x: frozenset[int]):\n"
+        "    return x\n"
     )
-    assert frozenset_calls(tree, "CofiniteT1Lattice") == [1, 5]
-    assert frozenset_calls(tree) == [1, 3, 5]
+    assert frozenset_uses(tree, {"Graph.edges"}) == [1, 6, 7, 8]
+    assert frozenset_uses(tree, {"edges"}) == [1, 3, 4, 6, 7]
+    assert frozenset_uses(tree) == [1, 3, 4, 6, 7, 8]
 
 
 def test_the_lint_sees_each_pattern():

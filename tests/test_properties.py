@@ -12,7 +12,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from table_oracles import compose
+from table_oracles import compose, mask
 from zdgraph.corpus import (
     random_poset,
     random_space,
@@ -48,6 +48,7 @@ from zdgraph.semigroups import (
     eq_quotient,
     induced_final_map,
     is_nilpotent_free,
+    members,
 )
 from zdgraph.spectra import restrict_to_max, sigma_spec, uspec_sigma
 from zdgraph.topology import CofiniteT1Lattice, alpha_map, axiom_suite
@@ -299,8 +300,9 @@ def test_comaximal_two_maximal_case_split():
 
     legs = {"diam1": 0, "diam2": 0, "gir4": 0, "girinf": 0}
     for R in _comaximal_ring_corpus():
-        ideals = enumerate_ideals(R)
-        maxes = maximal_ideals(R, ideals)
+        masks = enumerate_ideals(R)
+        ideals = [frozenset(members(I)) for I in masks]
+        maxes = [frozenset(members(M)) for M in maximal_ideals(R, masks)]
         if len(maxes) != 2:
             continue
         m1, m2 = maxes
@@ -338,7 +340,7 @@ def test_comaximal_counting_law():
        st.sets(st.integers(min_value=0, max_value=30), min_size=1, max_size=6))
 def test_symbolic_choice_colouring_proper(a, b):
     C = CofiniteT1Lattice()
-    u, v = frozenset(a), frozenset(b)
+    u, v = mask(a), mask(b)
     if u != v and not (u & v):
         assert C.choice_colour(u) != C.choice_colour(v)
 
@@ -348,8 +350,8 @@ def test_symbolic_choice_colouring_proper(a, b):
        st.sets(st.integers(min_value=0, max_value=20), min_size=1, max_size=5))
 def test_symbolic_meets_agree_with_windows(a, b):
     C = CofiniteT1Lattice()
-    u, v = frozenset(a), frozenset(b)
-    w = max(u | v) + 1
+    u, v = mask(a), mask(b)
+    w = max(a | b) + 1
     assert C.meet(u, v) == C.restrict(u, w) & C.restrict(v, w)
 
 

@@ -78,7 +78,7 @@ def test_polyquot_gf4():
     F4 = make_polyquot(2, [1, 1, 1])
     assert F4.size == 4
     assert is_reduced(F4)
-    assert enumerate_ideals(F4) == [frozenset({F4.zero}), frozenset(range(4))]
+    assert enumerate_ideals(F4) == [oracle.mask({F4.zero}), oracle.mask(range(4))]
 
 
 def oracle_fp_algebra(p, d, multiply):
@@ -200,7 +200,7 @@ def test_ideal_arithmetic():
     R = make_zn(12)
     two = oracle.index_principal(R, 2)
     three = oracle.index_principal(R, 3)
-    assert oracle.index_sum(R, two, three) == frozenset(range(12))  # gcd 1
+    assert oracle.index_sum(R, two, three) == oracle.mask(range(12))  # gcd 1
     assert oracle.index_product(R, two, three) == oracle.index_principal(R, 6)
 
 
@@ -244,7 +244,7 @@ def test_maximal_minimal_jacobson():
     R = make_zn(30)
     assert {ideal_label(R, M) for M in maximal_ideals(R)} == {"(2)", "(3)", "(5)"}
     jac = jacobson_radical(R)
-    assert jac == frozenset({0})
+    assert jac == oracle.mask({0})
     assert not is_ideal_prime(R, jac)
 
     R4 = make_zn(4)
@@ -329,7 +329,7 @@ def oracle_ideal_label(R, I):
 def test_ideal_label_matches_oracle(spec):
     R = ring_from_spec(spec)
     for I in enumerate_ideals(R):
-        assert ideal_label(R, I) == oracle_ideal_label(R, I)
+        assert ideal_label(R, I) == oracle_ideal_label(R, oracle.ideal_set(I))
 
 
 def test_ideal_labels_of_order_128_ring_are_fast():
@@ -363,4 +363,4 @@ def oracle_enumerate_ideals(R):
 ])
 def test_enumerate_ideals_matches_oracle(spec):
     R = ring_from_spec(spec)
-    assert enumerate_ideals(R) == oracle_enumerate_ideals(R)
+    assert enumerate_ideals(R) == [oracle.mask(I) for I in oracle_enumerate_ideals(R)]

@@ -1,6 +1,8 @@
 import pytest
 
-from table_oracles import compose, identity_map
+import numpy as np
+
+from table_oracles import compose, identity_map, mask
 from zdgraph.semigroups import (
     NotNilpotentFree,
     SemigroupMap,
@@ -11,6 +13,10 @@ from zdgraph.semigroups import (
     eq_quotient,
     induced_final_map,
     is_nilpotent_free,
+    mask_row,
+    members,
+    row_masks,
+    row_union,
     validate_semigroup,
     zero_divisors,
 )
@@ -69,17 +75,37 @@ def test_nilpotent_free():
 
 def test_annihilators():
     t = zn_mul(6)
-    assert annihilator(t, 2) == {0, 3}
-    assert annihilator(t, 5) == {0}
-    assert annihilator(t, 0) == set(range(6))
+    assert annihilator(t, 2) == mask({0, 3})
+    assert annihilator(t, 5) == mask({0})
+    assert annihilator(t, 0) == mask(set(range(6)))
     with pytest.raises(IndexError):
         annihilator(t, 7)
 
 
 def test_zero_divisors():
-    assert zero_divisors(zn_mul(6)) == {2, 3, 4}
-    assert zero_divisors(zn_mul(5)) == frozenset()
-    assert zero_divisors(zn_mul(4)) == {2}
+    assert zero_divisors(zn_mul(6)) == mask({2, 3, 4})
+    assert zero_divisors(zn_mul(5)) == mask(frozenset())
+    assert zero_divisors(zn_mul(4)) == mask({2})
+
+
+@pytest.mark.parametrize("cofinite", [-1, ~0b101, -(1 << 70)])
+def test_cofinite_masks_have_no_members_or_row_union(cofinite):
+    # a negative mask is a cofinite set: listing it would never end
+    with pytest.raises(ValueError, match="cofinite"):
+        list(members(cofinite))
+    with pytest.raises(ValueError, match="cofinite"):
+        row_union([1, 2, 4], cofinite)
+    assert list(members(0b101)) == [0, 2] and row_union([1, 2, 4], 0b101) == 5
+
+
+def test_mask_rows_round_trip():
+    cases = ((0, [0]), (1, [1, 0]), (8, [0b10000001, 0, 0xFF]), (9, [1 << 8, 0b1]),
+             (70, [(1 << 70) - 1, 0b1011 << 60, 1 << 69]))
+    for n, masks in cases:
+        rows = np.array([mask_row(m, n) for m in masks]).reshape(len(masks), n)
+        assert rows.dtype == bool
+        assert [np.flatnonzero(r).tolist() for r in rows] == [list(members(m)) for m in masks]
+        assert row_masks(rows) == masks
 
 
 def test_eq_quotient_z6():
@@ -95,7 +121,7 @@ def test_eq_quotient_singleton_partition_is_bijective_on_zero_divisors():
     # distinct annihilators everywhere: the quotient relabels injectively
     t = zn_mul(10)
     q = eq_quotient(t)
-    zd = zero_divisors(t)
+    zd = frozenset(members(zero_divisors(t)))
     images = {q.projection(s) for s in zd}
     classes_of_zd = [c for c in q.classes if set(c) & zd]
     assert len(images) == len(classes_of_zd)

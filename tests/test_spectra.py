@@ -1,12 +1,18 @@
 import math
+import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import relation_oracles as ro
+from zdgraph import spectra
 from relation_oracles import fan_empty, fan_whole, is_max_irreducible
+from table_oracles import mask
 from zdgraph.graphs import zero_divisor_graph
 from zdgraph.rings import make_zn, spec_poset
-from zdgraph.semigroups import check_armendariz
+from zdgraph.semigroups import SizeGuardExceeded, check_armendariz, members
 from zdgraph.spectra import (
+    MAX_FAN_GENERICS,
     FanPoset,
     FinitePoset,
     InvalidPoset,
@@ -20,6 +26,7 @@ from zdgraph.spectra import (
     fan_intersect,
     fan_is_empty,
     fan_is_zero_divisor,
+    fan_least_maximal,
     fan_max_irreducible,
     fan_restrict_to_window,
     fan_shared,
@@ -29,6 +36,7 @@ from zdgraph.spectra import (
     fan_window_poset,
     is_spec_form,
     max_points,
+    random_fan_descriptor,
     restrict_to_max,
     sigma_spec,
     specs_theorem_suite,
@@ -141,9 +149,9 @@ def test_fan_descriptor_algebra():
 def test_fan_generic_forces_families():
     fan = fan_disjoint(2)
     v0 = fan_v_generic(fan, 0)
-    assert v0.parts[0] == ("cof", frozenset()) and v0.parts[1] == ("fin", frozenset())
+    assert v0.parts[0] == ~mask(frozenset()) and v0.parts[1] == mask(frozenset())
     with pytest.raises(InvalidPoset):
-        FanPoset(2, (frozenset(), frozenset({1})), "disjoint")
+        FanPoset(2, (mask(frozenset()), mask({1})), "disjoint")
 
 
 def test_cofinite_is_uspec_only():
@@ -188,7 +196,107 @@ def test_fan_window_poset():
     assert len(max_points(P)) == 4
     d = fan_v_generic(fan, 0)
     trace = fan_restrict_to_window(d, 2)
-    assert trace == {("g", 0), ("m", 0, 0), ("m", 0, 1)}
+    assert trace == ro.window_mask({("g", 0), ("m", 0, 0), ("m", 0, 1)}, fan, 2)
+
+
+def test_fan_search_is_guarded_before_it_runs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the search ran")
+
+    over = MAX_FAN_GENERICS + 1
+    with monkeypatch.context() as m:
+        m.setattr(spectra, "itertools", type("NoSearch", (), {"combinations": refuse}))
+        for fan in (fan_shared(over), fan_disjoint(over)):
+            for run in (fan_max_irreducible, specs_theorem_suite):
+                with pytest.raises(SizeGuardExceeded, match=f"^{over} fan generics exceed guard 16$"):
+                    run(fan)
+    assert fan_max_irreducible(fan_shared(MAX_FAN_GENERICS)) == (True, None)
+    assert not fan_max_irreducible(fan_disjoint(MAX_FAN_GENERICS))[0]
+
+
+# ---------------------------------------------------------------------------
+# The mask fan algebra against the (tag, frozenset) algebra it replaced
+
+FANS = [fan_shared(k) for k in (1, 2, 3)] + [fan_disjoint(k) for k in (1, 2, 3)]
+
+
+@st.composite
+def set_descriptors(draw, fan, spec_mode):
+    """A valid (tag, frozenset) descriptor of ``fan``; in spec mode a Zariski
+    one: no exclusions, and every full family licensed."""
+    gens = draw(st.frozensets(st.integers(0, len(fan.generics) - 1), max_size=2))
+    forced = set().union(*(ro.families_of(fan, g) for g in gens))
+    points = st.frozensets(st.integers(0, 12), max_size=4)
+    parts = []
+    for j in range(fan.families):
+        kind = "full" if j in forced else draw(st.sampled_from(["fin", "cof", "full"]))
+        if kind == "full":
+            parts.append(ro.FULL_PART)
+        elif kind == "cof" and not spec_mode:
+            parts.append((ro.COF, draw(points)))
+        else:
+            parts.append((ro.FIN, draw(points)))
+    d = ro.SetFanClosedSet(fan, tuple(parts), gens)
+    assume(not spec_mode or ro.set_is_spec_form(d))
+    return d
+
+
+@st.composite
+def descriptor_pairs(draw):
+    fan = draw(st.sampled_from(FANS))
+    spec_mode = draw(st.booleans())
+    return (fan, spec_mode, draw(set_descriptors(fan, spec_mode)),
+            draw(set_descriptors(fan, spec_mode)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(descriptor_pairs())
+def test_mask_fan_algebra_matches_the_set_algebra(case):
+    fan, spec_mode, a, b = case
+    A, B = ro.mask_descriptor(a), ro.mask_descriptor(b)
+    for d, D in ((a, A), (b, B)):
+        assert ro.set_descriptor(D) == d
+        assert D.describe() == d.describe()
+        assert is_spec_form(D) == ro.set_is_spec_form(d)
+        assert fan_least_maximal(D) == ro.set_least_maximal(d)
+        assert fan_is_empty(D) == ro.set_is_empty(d)
+        assert fan_is_zero_divisor(D) == ro.set_is_zero_divisor(d)
+        for w in (1, 2, 3):
+            assert fan_restrict_to_window(D, w) == ro.window_mask(
+                ro.set_restrict_to_window(d, w), fan, w)
+    assert ro.set_descriptor(fan_intersect(A, B)) == ro.set_intersect(a, b)
+    assert ro.set_descriptor(fan_union(A, B)) == ro.set_union(a, b)
+    got = fan_common_neighbor(A, B, spec_mode)
+    assert (got and ro.set_descriptor(got)) == ro.set_common_neighbor(a, b, spec_mode)
+    if fan_is_zero_divisor(A) and fan_is_zero_divisor(B):
+        assert fan_distance(A, B, spec_mode) == ro.set_distance(a, b, spec_mode)
+
+
+@pytest.mark.parametrize("spec_mode", [True, False])
+def test_random_descriptors_draw_like_the_set_generator(spec_mode):
+    for fan in FANS:
+        for seed in range(20):
+            for max_index in (2, 3, 12):
+                rng, set_rng = random.Random(seed), random.Random(seed)
+                for _ in range(5):
+                    d = random_fan_descriptor(fan, rng, spec_mode, max_index)
+                    assert ro.set_descriptor(d) == ro.random_set_descriptor(
+                        fan, set_rng, spec_mode, max_index)
+
+
+def test_window_traces_are_closed_sets_of_the_window_poset():
+    for fan in FANS:
+        for w in (1, 2, 3):
+            P = fan_window_poset(fan, w)
+            closed = set(upset_masks(P.leq))
+            rng = random.Random(w)
+            for _ in range(20):
+                d = random_fan_descriptor(fan, rng, spec_mode=False, max_index=w + 1)
+                trace = fan_restrict_to_window(d, w)
+                keys = ro.set_restrict_to_window(ro.set_descriptor(d), w)
+                labels = {f"g{k[1]}" if k[0] == "g" else f"m{k[1]}.{k[2]}" for k in keys}
+                assert {P.points[p] for p in members(trace)} == labels
+                assert trace in closed
 
 
 def test_fan_suites_pass():

@@ -75,8 +75,8 @@ def _from_rows(rows, zero, labels=None):
 
 def _same_semigroup_answers(S):
     for s in range(S.size):
-        assert annihilator(S, s) == oracle.annihilator(S, s)
-    assert zero_divisors(S) == oracle.zero_divisors(S)
+        assert annihilator(S, s) == oracle.mask(oracle.annihilator(S, s))
+    assert zero_divisors(S) == oracle.mask(oracle.zero_divisors(S))
     for G, verts in ((zero_divisor_graph(S), sorted(oracle.zero_divisors(S))),
                      (beck_graph(S), list(range(S.size)))):
         assert (G.vertices, G.edges) == oracle.zero_product_graph(S, verts)

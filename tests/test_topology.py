@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from relation_oracles import from_open_sets
+from relation_oracles import WHOLE, SetCofiniteT1Lattice, from_open_sets, member_mask
+from table_oracles import mask
 from zdgraph.graphs import COUNTABLY_INFINITE, invariant_bundle, zero_divisor_graph
 from zdgraph.semigroups import check_armendariz, check_homomorphism, is_nilpotent_free
 from zdgraph.topology import (
@@ -11,7 +12,6 @@ from zdgraph.topology import (
     InvalidLattice,
     InvalidSpace,
     NotPearled,
-    WHOLE,
     alpha_map,
     axiom_suite,
     char_check_irr_conn,
@@ -197,8 +197,8 @@ def test_symbolic_lattice():
     C = CofiniteT1Lattice()
     b = t1_invariants(C)
     assert b.as_tuple() == (2, 3, COUNTABLY_INFINITE, COUNTABLY_INFINITE)
-    assert C.meet(WHOLE, frozenset({1})) == frozenset({1})
-    assert C.join(frozenset({1}), WHOLE) is WHOLE
+    assert C.meet(member_mask(WHOLE), mask({1})) == mask({1})
+    assert C.join(mask({1}), member_mask(WHOLE)) == member_mask(WHOLE)
     a, bb, mid = C.distance2_witness()
     assert a & bb and not (a & mid) and not (bb & mid)
     cl = C.clique_witness(100)
@@ -210,11 +210,33 @@ def test_symbolic_window_agreement():
     rng = random.Random(5)
     for _ in range(100):
         u, v = C.random_member(rng), C.random_member(rng)
-        w = max(u | v) + 1
+        w = (u | v).bit_length()
         assert bool(u & v) == bool(C.restrict(u, w) & C.restrict(v, w))
-    assert C.restrict(WHOLE, 4) == frozenset(range(4))
+    assert C.restrict(member_mask(WHOLE), 4) == mask(range(4))
     window = C.window(3)
     assert is_t1(window) and len(window.closed_sets) == 8
+
+
+def test_symbolic_lattice_matches_the_frozenset_lattice():
+    C, S = CofiniteT1Lattice(), SetCofiniteT1Lattice()
+    assert C.triangle_witness() == tuple(map(mask, S.triangle_witness()))
+    assert C.distance2_witness() == tuple(map(mask, S.distance2_witness()))
+    assert C.clique_witness(30) == tuple(map(mask, S.clique_witness(30)))
+    rng, set_rng = random.Random(11), random.Random(11)
+    for _ in range(300):
+        u, v = C.random_member(rng), C.random_member(rng)
+        su, sv = S.random_member(set_rng), S.random_member(set_rng)
+        assert (u, v) == (mask(su), mask(sv))
+        assert C.choice_colour(u) == S.choice_colour(su)
+        for a, b in ((su, sv), (su, WHOLE), (WHOLE, sv), (WHOLE, WHOLE)):
+            x, y = member_mask(a), member_mask(b)
+            assert C.meet(x, y) == member_mask(S.meet(a, b))
+            assert C.join(x, y) == member_mask(S.join(a, b))
+            assert C.is_member(C.meet(x, y)) and C.is_member(C.join(x, y))
+        for w in (0, 3, 50):
+            assert C.restrict(u, w) == mask(S.restrict(su, w))
+            assert C.restrict(-1, w) == mask(S.restrict(WHOLE, w))
+    assert not C.is_member(~0b1)  # cofinite but not the whole set
 
 
 def test_lattice_semigroup_zero():
