@@ -13,6 +13,7 @@ from .graphs import (
     InvariantBundle,
     SimpleGraph,
     armendariz_invariant_suite,
+    armendariz_invariant_suites,
     beck_graph,
     chromatic_number,
     clique_number,
@@ -56,6 +57,7 @@ __all__ = [
     "check_homomorphism",
     "induced_final_map",
     "armendariz_invariant_suite",
+    "armendariz_invariant_suites",
     "zero_divisor_graph",
     "beck_graph",
     "diameter",

@@ -293,10 +293,17 @@ def armendariz_map_corpus(
     rng = random.Random(seed)
     out: list[tuple[str, SemigroupMap]] = []
 
-    for R in reduced_rings_up_to(ring_order):
+    # one ring list serves the quotients (order <= ring_order) and the
+    # isomorphism bases (order <= 12): reduced_rings_up_to(n) is the
+    # order <= n part of any longer list, in the same order
+    semigroups = [(R, multiplicative_semigroup(R))
+                  for R in reduced_rings_up_to(max(ring_order, 12))]
+    for R, S in semigroups:
+        if R.size > ring_order:
+            continue
         if not is_reduced(R):
             raise AssertionError(f"{R.tag} from reduced_rings_up_to is not reduced")
-        q = eq_quotient(multiplicative_semigroup(R))
+        q = eq_quotient(S)
         out.append((f"eq-quotient {R.tag}", q.projection))
 
     made = 0
@@ -311,7 +318,7 @@ def armendariz_map_corpus(
         P = random_poset(rng, rng.randint(1, max_points))
         out.append((f"max restriction on {P.n}-point poset #{k}", restrict_to_max(P)))
 
-    bases = [multiplicative_semigroup(R) for R in reduced_rings_up_to(12)]
+    bases = [S for R, S in semigroups if R.size <= 12]
     for k in range(iso_count):
         S = bases[rng.randrange(len(bases))]
         out.append((f"random isomorphism #{k} of {S.size}-element semigroup",

@@ -20,7 +20,7 @@ import json
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -137,9 +137,45 @@ def is_connected(G: SimpleGraph) -> bool:
     return G.n == 0 or _eccentricity(G, 0) != INFINITY
 
 
+# Cap on the cells of one row block of the reachability product (rows x n);
+# larger blocks run no faster and raise peak memory.
+_BLOCK_CELLS = 1 << 18
+
+
+def _adjacency_matrix(G: SimpleGraph) -> np.ndarray:
+    """The n x n 0/1 uint8 adjacency matrix, unpacked from all rows at once."""
+    n, width = G.n, (G.n + 7) // 8
+    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in G.adj),
+                           dtype=np.uint8)
+    return np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little")
+
+
 def diameter(G: SimpleGraph) -> Value:
-    """Supremum of pairwise distances; 0 for the empty graph."""
-    return max((_eccentricity(G, v) for v in range(G.n)), default=0)
+    """Supremum of pairwise distances; 0 for the empty graph.
+
+    R, the pairs at distance at most k, starts as A + I at k = 1 and grows
+    by R <- min(RA + R, 1), a row block at a time, until it holds every
+    pair (the diameter is k) or a step adds none (G is disconnected).  The
+    float32 products are exact: their entries are counts of at most n < 2^24.
+    """
+    n = G.n
+    if n <= 1:
+        return 0
+    A = _adjacency_matrix(G)
+    R = A.astype(bool)
+    np.fill_diagonal(R, True)
+    A = A.astype(np.float32)
+    rows = max(1, _BLOCK_CELLS // n)
+    reached, k = np.count_nonzero(R), 1
+    while reached < n * n:
+        for r0 in range(0, n, rows):
+            block = R[r0 : r0 + rows]  # row i of the product reads row i of R only
+            block |= block.astype(np.float32) @ A > 0
+        now = np.count_nonzero(R)
+        if now == reached:
+            return INFINITY
+        reached, k = now, k + 1
+    return k
 
 
 def shortest_cycle(G: SimpleGraph) -> tuple[Value, Optional[tuple[int, ...]]]:
@@ -468,6 +504,82 @@ class InvariantSuiteReport:
         return all(p.passed for p in self.parts)
 
 
+def armendariz_invariant_suites(
+    maps: Iterable[SemigroupMap],
+    max_clique_vertices: int = DEFAULT_MAX_CLIQUE_VERTICES,
+    max_chromatic_vertices: int = DEFAULT_MAX_CHROMATIC_VERTICES,
+) -> Iterator[InvariantSuiteReport]:
+    """``armendariz_invariant_suite`` of each map in turn, sharing work on
+    equal tables and graphs within this one iteration.
+
+    Each distinct table is checked for nilpotents, and its zero divisors
+    and Γ found, once; each distinct Γ adjacency is solved once.  Every map
+    still runs its checks in the one-map order (source nilpotents, target
+    nilpotents, the Armendariz check, then both invariant bundles), so an
+    error or guard trip surfaces at the same map with the same message.
+    Both memos live only as long as the iteration.
+    """
+    sides: dict[tuple, tuple[int, SimpleGraph]] = {}  # table key -> (zero divisors, Γ)
+    bundles: dict[tuple[int, ...], InvariantBundle] = {}  # Γ's rows -> its invariants
+
+    def side(S: SemigroupTable, role: str) -> tuple[int, SimpleGraph]:
+        key = S._key()
+        if key not in sides:
+            w = nilpotent_witness(S)
+            if w is not None:
+                raise NotNilpotentFree(f"{role} has nonzero nilpotent {w}")
+            sides[key] = zero_divisors(S), zero_divisor_graph(S)
+        return sides[key]
+
+    def bundle(G: SimpleGraph) -> InvariantBundle:
+        if G.adj not in bundles:
+            bundles[G.adj] = invariant_bundle(G, max_clique_vertices, max_chromatic_vertices)
+        return bundles[G.adj]
+
+    for g in maps:
+        zs, GS = side(g.source, "source")
+        zt, GT = side(g.target, "target")
+        report = check_armendariz(g)
+        if not report.is_armendariz:
+            raise ValueError(f"map is not Armendariz: {report}")
+        bs, bt = bundle(GS), bundle(GT)
+        bijective = GS.n == GT.n
+
+        # Fibre data over target vertices, for the two girth-4 witness patterns:
+        # an edge whose endpoints both have non-singleton fibres, or a vertex
+        # with a non-singleton fibre and at least two neighbours.
+        fibre = Counter(g.assignment[s] for s in members(zs))
+        multi = sum(1 << i for i, t in enumerate(members(zt)) if fibre[t] > 1)
+        pattern_edge = any(GT.adj[i] & multi for i in members(multi))
+        pattern_vertex = any(GT.adj[i].bit_count() >= 2 for i in members(multi))
+
+        d1, acyclic = bt.diameter == 1, bt.girth == INFINITY
+        expected = 1 if bijective else 2
+        parts = (
+            SuitePart("diameter-transfer", not d1, d1 or bs.diameter == bt.diameter,
+                      f"diam source={bs.diameter} target={bt.diameter}"),
+            SuitePart("diameter-one-case", d1, (not d1) or bs.diameter == expected,
+                      f"diam source={bs.diameter} expected={expected} bijective={bijective}"),
+            SuitePart("girth-transfer", not acyclic, acyclic or bs.girth == bt.girth,
+                      f"girth source={bs.girth} target={bt.girth}"),
+            SuitePart("girth-acyclic-case", acyclic, (not acyclic) or bs.girth in (4, INFINITY),
+                      f"girth source={bs.girth}, "
+                      f"patterns edge={pattern_edge} vertex={pattern_vertex}"),
+            SuitePart("clique-equal", True, bs.clique == bt.clique,
+                      f"clique source={bs.clique} target={bt.clique}"),
+            SuitePart("chromatic-equal", True, bs.chromatic == bt.chromatic,
+                      f"chromatic source={bs.chromatic} target={bt.chromatic}"),
+        )
+        yield InvariantSuiteReport(
+            parts=parts,
+            source_invariants=bs,
+            target_invariants=bt,
+            induced_map_bijective=bijective,
+            girth4_pattern_edge=pattern_edge,
+            girth4_pattern_vertex=pattern_vertex,
+        )
+
+
 def armendariz_invariant_suite(
     g: SemigroupMap,
     max_clique_vertices: int = DEFAULT_MAX_CLIQUE_VERTICES,
@@ -482,56 +594,7 @@ def armendariz_invariant_suite(
     forces source girth in {4, inf}; (5) clique numbers agree; (6) chromatic
     numbers agree.  Each part carries its computed values as the witness.
     """
-    w = nilpotent_witness(g.source)
-    if w is not None:
-        raise NotNilpotentFree(f"source has nonzero nilpotent {w}")
-    w = nilpotent_witness(g.target)
-    if w is not None:
-        raise NotNilpotentFree(f"target has nonzero nilpotent {w}")
-    report = check_armendariz(g)
-    if not report.is_armendariz:
-        raise ValueError(f"map is not Armendariz: {report}")
-
-    GS = zero_divisor_graph(g.source)
-    GT = zero_divisor_graph(g.target)
-    bs = invariant_bundle(GS, max_clique_vertices, max_chromatic_vertices)
-    bt = invariant_bundle(GT, max_clique_vertices, max_chromatic_vertices)
-
-    bijective = GS.n == GT.n
-
-    # Fibre data over target vertices, for the two girth-4 witness patterns:
-    # an edge whose endpoints both have non-singleton fibres, or a vertex
-    # with a non-singleton fibre and at least two neighbours.
-    fibre = Counter(g.assignment[s] for s in members(zero_divisors(g.source)))
-    vt = list(members(zero_divisors(g.target)))
-    multi = sum(1 << i for i, t in enumerate(vt) if fibre[t] > 1)
-    pattern_edge = any(GT.adj[i] & multi for i in members(multi))
-    pattern_vertex = any(GT.adj[i].bit_count() >= 2 for i in members(multi))
-
-    d1, acyclic = bt.diameter == 1, bt.girth == INFINITY
-    expected = 1 if bijective else 2
-    parts = (
-        SuitePart("diameter-transfer", not d1, d1 or bs.diameter == bt.diameter,
-                  f"diam source={bs.diameter} target={bt.diameter}"),
-        SuitePart("diameter-one-case", d1, (not d1) or bs.diameter == expected,
-                  f"diam source={bs.diameter} expected={expected} bijective={bijective}"),
-        SuitePart("girth-transfer", not acyclic, acyclic or bs.girth == bt.girth,
-                  f"girth source={bs.girth} target={bt.girth}"),
-        SuitePart("girth-acyclic-case", acyclic, (not acyclic) or bs.girth in (4, INFINITY),
-                  f"girth source={bs.girth}, patterns edge={pattern_edge} vertex={pattern_vertex}"),
-        SuitePart("clique-equal", True, bs.clique == bt.clique,
-                  f"clique source={bs.clique} target={bt.clique}"),
-        SuitePart("chromatic-equal", True, bs.chromatic == bt.chromatic,
-                  f"chromatic source={bs.chromatic} target={bt.chromatic}"),
-    )
-    return InvariantSuiteReport(
-        parts=parts,
-        source_invariants=bs,
-        target_invariants=bt,
-        induced_map_bijective=bijective,
-        girth4_pattern_edge=pattern_edge,
-        girth4_pattern_vertex=pattern_vertex,
-    )
+    return next(armendariz_invariant_suites((g,), max_clique_vertices, max_chromatic_vertices))
 
 
 # ---------------------------------------------------------------------------

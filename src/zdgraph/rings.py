@@ -542,6 +542,7 @@ class IdealIndex:
         self._pr, self._pc = np.nonzero(P[[a for (a,) in self.gens]])
         self._join = np.full((2 * len(self.ideals), len(self.ideals)), -1)
         self._label: dict[int, str] = {}
+        self._order: Optional[list[int]] = None  # close's answer, once every row is filled
 
     def _add(self, I: Ideal, gens: tuple[int, ...]) -> int:
         if I not in self._key:
@@ -619,20 +620,24 @@ class IdealIndex:
 
         The guard is checked first against a lower bound on the number of
         ideals, then against the ideals the index holds, which bound it too.
+        Both checks run on every call; the rows are filled and the order is
+        found once, by the first call that passes them.
         """
         guard("ideals", self.lower_bound, max_ideals)
-        k = 0
+        k = 0 if self._order is None else len(self.ideals)
         while k < len(self.ideals) <= max_ideals:
             if self._join[k, 0] < 0:
                 self._fill(k)
             k += 1
         guard("ideals", len(self.ideals), max_ideals)
-        # equal-size ideals compare as their sorted member lists do: the one
-        # holding the least element of their difference comes first, which
-        # is the first 0 in the bit strings of the complements, read from bit 0
-        n, full = len(self.labels), (1 << len(self.labels)) - 1
-        return sorted(range(k), key=lambda k: (self.ideals[k].bit_count(),
-                                               f"{full ^ self.ideals[k]:0{n}b}"[::-1]))
+        if self._order is None:  # every row is filled, so no ideal is left to add
+            # equal-size ideals compare as their sorted member lists do: the one
+            # holding the least element of their difference comes first, which is
+            # the first 0 in the bit strings of the complements, read from bit 0
+            n, full = len(self.labels), (1 << len(self.labels)) - 1
+            self._order = sorted(range(k), key=lambda k: (self.ideals[k].bit_count(),
+                                                          f"{full ^ self.ideals[k]:0{n}b}"[::-1]))
+        return list(self._order)
 
     def label(self, k: int) -> str:
         """A short generator-style label: "(g)", "(g,h)", ... if one exists;

@@ -9,7 +9,9 @@ of two polynomials, has no caller left in the program; it lives here beside
 its cell-by-cell check ``poly_mul_coeffs``.  So do the map helpers
 ``identity_map`` and ``compose`` and the graph reader ``graph_from_json``.
 ``bundle_on_g`` is the invariant bundle solved on G itself, as it was before
-the program solved it on the twin quotient, and ``unique_rows_quotient`` is
+the program solved it on the twin quotient, with its diameter from
+``bfs_diameter``, the level-by-level mask BFS from every vertex that the
+reachability products replaced, and ``unique_rows_quotient`` is
 ``eq_quotient`` grouping kill rows with ``np.unique(axis=0)``, as it did
 before the rows were keyed by their packed bytes.  The routines return point
 sets as frozensets, the form the program used before its int masks;
@@ -17,6 +19,7 @@ sets as frozensets, the form the program used before its int masks;
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -56,6 +59,27 @@ def graph_from_json(text):
     )
 
 
+def bfs_diameter(G):
+    """The largest eccentricity, each from a BFS whose levels are masks;
+    0 for the empty graph, infinite if some vertex is unreachable."""
+    diam, everyone = 0, (1 << G.n) - 1
+    for v in range(G.n):
+        seen = front = 1 << v
+        depth = 0
+        while front:
+            nxt = 0
+            for u in range(G.n):
+                if front >> u & 1:
+                    nxt |= G.adj[u]
+            front = nxt & ~seen
+            seen |= front
+            depth += bool(front)
+        if seen != everyone:
+            return math.inf
+        diam = max(diam, depth)
+    return diam
+
+
 def bundle_on_g(G, max_clique_vertices=graphs.DEFAULT_MAX_CLIQUE_VERTICES,
                 max_chromatic_vertices=graphs.DEFAULT_MAX_CHROMATIC_VERTICES):
     """(diameter, girth, clique, chromatic) of G: BFS diameter, per-edge
@@ -63,7 +87,7 @@ def bundle_on_g(G, max_clique_vertices=graphs.DEFAULT_MAX_CLIQUE_VERTICES,
     clique = graphs.max_clique(G, max_clique_vertices)
     graphs.guard("chromatic-solver vertices", G.n, max_chromatic_vertices)
     chromatic = graphs._colouring_from_clique(G, clique)[0]
-    return graphs.diameter(G), graphs.girth(G), len(clique), chromatic
+    return bfs_diameter(G), graphs.girth(G), len(clique), chromatic
 
 
 def unique_rows_quotient(table):

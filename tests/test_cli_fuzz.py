@@ -227,6 +227,24 @@ def test_fan_generics_are_guarded(spec, task):
         1, f"error: guard exceeded: {count} fan generics exceed guard 16\n")
 
 
+# a window over 2,000 closed sets is skipped on its up-set count, read from
+# the fan's shape; the first two fans listed every up-set only to skip it,
+# and the last two exited 1 with "20 relation points exceed guard 16" and
+# "17 relation points exceed guard 16"
+@pytest.mark.parametrize("spec,counts", [
+    ("fan:generics=12", (4099, 4103)), ("fan:generics=13", (8195, 8199)),
+    ("fan:disjoint=5", (3125, 59049)), ("fan:generics=14", (16387, 16391)),
+])
+def test_fan_windows_over_the_skip_are_not_listed(spec, counts):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", "--poset", spec, "--tasks", "specs-suite", "--json"]) == 0
+    suite = json.loads(out.getvalue())["results"]["specs-suite"]
+    assert suite["passed"]
+    assert suite["parts"][-1]["details"].endswith(
+        f"(w=2 skipped ({counts[0]} closed sets), w=3 skipped ({counts[1]} closed sets))")
+
+
 # ---------------------------------------------------------------------------
 # JSON files
 

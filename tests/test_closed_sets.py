@@ -281,6 +281,50 @@ def test_random_corpora_are_pinned():
     ) == "7db9af8f85259382"
 
 
+def _corpus_with_two_ring_builds(ring_order, seed=7, count=20, max_points=6):
+    """The map corpus as built before one ring list served both uses: the
+    reduced rings of order <= 12 built a second time for the isomorphisms."""
+    from zdgraph.corpus import permuted_copy, reduced_rings_up_to
+    from zdgraph.rings import multiplicative_semigroup
+    from zdgraph.semigroups import eq_quotient
+    from zdgraph.topology import alpha_map, axiom_suite
+
+    rng = random.Random(seed)
+    out = [(f"eq-quotient {R.tag}", eq_quotient(multiplicative_semigroup(R)).projection)
+           for R in reduced_rings_up_to(ring_order)]
+    made = 0
+    while made < count:
+        X = random_space(rng, rng.randint(1, max_points))
+        if axiom_suite(X).pearled:
+            out.append((f"alpha map on {X.n}-point space", alpha_map(X)))
+            made += 1
+    for k in range(count):
+        P = random_poset(rng, rng.randint(1, max_points))
+        out.append((f"max restriction on {P.n}-point poset #{k}", restrict_to_max(P)))
+    bases = [multiplicative_semigroup(R) for R in reduced_rings_up_to(12)]
+    for k in range(count):
+        S = bases[rng.randrange(len(bases))]
+        out.append((f"random isomorphism #{k} of {S.size}-element semigroup",
+                    permuted_copy(S, rng)))
+    return out
+
+
+@pytest.mark.parametrize("ring_order", [6, 12, 20, 32])
+def test_map_corpus_builds_its_rings_once_and_is_unchanged(monkeypatch, ring_order):
+    from zdgraph import corpus
+
+    want = _corpus_with_two_ring_builds(ring_order)
+    built = []
+    rings = corpus.reduced_rings_up_to
+    monkeypatch.setattr(corpus, "reduced_rings_up_to", lambda n: built.append(n) or rings(n))
+    got = armendariz_map_corpus(ring_order=ring_order, space_count=20, poset_count=20,
+                                iso_count=20)
+    assert built == [max(ring_order, 12)]
+    assert [d for d, _ in got] == [d for d, _ in want]
+    for (_, g), (_, h) in zip(got, want):
+        assert (g.source, g.target, g.assignment) == (h.source, h.target, h.assignment)
+
+
 def _table_repr(S):
     """The repr a SemigroupTable had when the digest was taken: the table as
     a tuple of rows."""

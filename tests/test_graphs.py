@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from table_oracles import bundle_on_g, graph_from_json, identity_map
+from table_oracles import bfs_diameter, bundle_on_g, graph_from_json, identity_map
 from zdgraph import graphs
 from zdgraph.graphs import (
     SimpleGraph,
@@ -477,3 +477,119 @@ RING_SPECS = [f"Zn:{n}" for n in range(2, 65)] + [
 @pytest.mark.parametrize("spec", RING_SPECS)
 def test_bundle_on_ring_graphs_matches_the_bundle_on_g(spec):
     _check_against_g(gamma_graph(ring_from_spec(spec)))
+
+
+# ---------------------------------------------------------------------------
+# The diameter kernel against the BFS oracle
+
+
+def _path(n):
+    return graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+DIAMETER_CASES = {
+    "empty": EMPTY,
+    "one vertex": graph(1, []),
+    "two isolated vertices": graph(2, []),
+    "an edge beside an isolated vertex": graph(3, [(0, 1)]),
+    "two triangles": graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+    "a path beside a star": graph(70, [(i, i + 1) for i in range(39)]
+                                  + [(40, j) for j in range(41, 70)]),
+    **{f"P{n}": _path(n) for n in range(60, 71)},
+    "C65": graph(65, [(i, (i + 1) % 65) for i in range(65)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIAMETER_CASES))
+def test_diameter_matches_the_bfs_oracle_on_pinned_graphs(name):
+    G = DIAMETER_CASES[name]
+    assert diameter(G) == bfs_diameter(G)
+
+
+def test_diameter_of_paths_across_the_word_boundary():
+    assert [diameter(_path(n)) for n in range(60, 71)] == list(range(59, 70))
+    assert diameter(DIAMETER_CASES["a path beside a star"]) == INF
+
+
+@st.composite
+def random_graphs(draw):
+    n = draw(st.integers(0, 90))
+    p = draw(st.sampled_from([0.0, 0.01, 0.03, 0.05, 0.1, 0.3, 0.7, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(random_graphs())
+def test_diameter_matches_the_bfs_oracle_on_random_graphs(G):
+    assert diameter(G) == bfs_diameter(G)
+
+
+def _fan_window_graphs():
+    from zdgraph.spectra import (
+        fan_disjoint, fan_shared, fan_window_poset, fan_window_upset_count, restrict_to_max,
+    )
+
+    # every window the fan specs suite solves: at most 2,000 closed sets
+    for fan in [fan_shared(k) for k in range(1, 17)] + [fan_disjoint(k) for k in range(1, 17)]:
+        for w in (2, 3):
+            if fan_window_upset_count(fan, w) <= 2000:
+                yield zero_divisor_graph(restrict_to_max(fan_window_poset(fan, w)).source)
+
+
+def test_diameter_matches_the_bfs_oracle_on_fan_windows_and_z1024():
+    graphs_seen = list(_fan_window_graphs())
+    assert len(graphs_seen) == 27 and max(G.n for G in graphs_seen) == 720
+    for G in graphs_seen + [gamma_graph(ring_from_spec("Zn:1024"))]:
+        assert diameter(G) == bfs_diameter(G) <= 3
+
+
+# ---------------------------------------------------------------------------
+# One Armendariz run shares each table's graph and each graph's invariants
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    fn = getattr(graphs, name)
+    monkeypatch.setattr(graphs, name, lambda *a, **k: calls.append(a[0]) or fn(*a, **k))
+    return calls
+
+
+def test_verify_armendariz_solves_each_distinct_table_and_graph_once(monkeypatch):
+    from zdgraph.suites import verify_armendariz
+
+    built = _counting(monkeypatch, "zero_divisor_graph")
+    solved = _counting(monkeypatch, "invariant_bundle")
+    for _ in range(2):  # the second run counts the same: nothing outlives a run
+        built.clear()
+        solved.clear()
+        assert verify_armendariz().passed
+        assert len(built) == len({S._key() for S in built}) == 400
+        assert len(solved) == len({G.adj for G in solved}) == 114
+
+
+def test_the_shared_run_equals_the_one_map_suite_on_every_corpus_map():
+    from zdgraph.corpus import armendariz_map_corpus
+    from zdgraph.graphs import armendariz_invariant_suites
+
+    maps = [g for _, g in armendariz_map_corpus()]
+    shared = list(armendariz_invariant_suites(maps))
+    assert len(shared) == len(maps) == 561
+    assert shared == [armendariz_invariant_suite(g) for g in maps]
+
+
+def test_a_map_that_is_not_armendariz_fails_before_any_guard():
+    from zdgraph.graphs import armendariz_invariant_suites
+    from zdgraph.semigroups import SemigroupMap, meet_table
+
+    S = meet_table([str(i) for i in range(8)], range(256))  # Γ: 254 vertices, over the guard
+    swap = list(range(S.size))
+    swap[1], swap[3] = 3, 1  # {0} and {0,1} trade places: kill rows differ
+    bad = SemigroupMap(S, S, tuple(swap))
+    for run in (lambda: armendariz_invariant_suite(bad),
+                lambda: list(armendariz_invariant_suites([identity_map(zn_mul(6)), bad]))):
+        with pytest.raises(ValueError, match="^map is not Armendariz") as info:
+            run()
+        assert not isinstance(info.value, SizeGuardExceeded)
+    with pytest.raises(SizeGuardExceeded, match="254 clique-solver vertices exceed guard 200"):
+        armendariz_invariant_suite(identity_map(S))

@@ -212,6 +212,24 @@ def test_one_analyze_closes_the_lattice_once(monkeypatch, capsys):
     assert sorted(fills) == list(range(47))  # one join row per ideal, each filled once
 
 
+def test_close_sorts_once_and_checks_the_guard_on_every_call(monkeypatch):
+    index = IdealIndex(_fresh(ring(X2Y2Z2)))
+    order = index.close()
+    assert [index.ideals[k] for k in order] == _masks(oracle.enumerate_ideals(ring(X2Y2Z2)))
+    fills = []
+    fill = IdealIndex._fill
+    monkeypatch.setattr(IdealIndex, "_fill", lambda self, k: fills.append(k) or fill(self, k))
+    monkeypatch.setattr(rings, "sorted", lambda *a, **k: pytest.fail("sorted again"),
+                        raising=False)
+    order.reverse()  # the caller's list is its own
+    assert index.close() == index.close(47) == order[::-1]
+    with pytest.raises(SizeGuardExceeded, match="^47 ideals exceed guard 46$"):
+        index.close(max_ideals=46)
+    with pytest.raises(SizeGuardExceeded, match="^2 ideals exceed guard 1$"):
+        index.close(max_ideals=1)  # the lower bound, checked first
+    assert index.close() == order[::-1] and not fills
+
+
 def test_ideal_semigroups_of_375_ideal_ring_are_fast():
     R = ring_from_spec(SQ5)
     t0 = time.perf_counter()

@@ -349,6 +349,37 @@ def test_specs_suite_enumerates_upsets_once_per_poset(monkeypatch):
     assert len(calls) == 2  # one per window
 
 
+def _fans_with_small_windows():
+    """Every fan and window width w >= 1 with at most 16 window points."""
+    for k in range(1, 16):
+        for w in range(1, 17 - k):
+            yield fan_shared(k), w
+        for w in range(1, 16 // k):
+            yield fan_disjoint(k), w
+
+
+def test_window_upset_count_matches_the_enumeration():
+    cases = list(_fans_with_small_windows())
+    assert len(cases) == 120 + (15 + 7 + 4 + 3 + 2 + 1 + 1 + 1)
+    for fan, w in cases:
+        P = fan_window_poset(fan, w)
+        assert P.n <= 16
+        assert spectra.fan_window_upset_count(fan, w) == len(upset_masks(P.leq))
+
+
+@pytest.mark.parametrize("fan,counts", [
+    (fan_shared(12), (4099, 4103)), (fan_shared(16), (65539, 65543)),
+    (fan_disjoint(5), (3125, 59049)), (fan_disjoint(16), (5**16, 9**16)),
+])
+def test_windows_over_the_skip_are_never_enumerated(monkeypatch, fan, counts):
+    monkeypatch.setattr(spectra, "upset_masks", lambda rows: pytest.fail("enumerated"))
+    rep = specs_theorem_suite(fan, samples=20)
+    assert rep.passed
+    (window,) = [p for p in rep.parts if p.name == "window-oracle-agreement"]
+    assert window.details.endswith(
+        f"(w=2 skipped ({counts[0]} closed sets), w=3 skipped ({counts[1]} closed sets))")
+
+
 def test_specs_suite_builds_one_graph_per_finite_poset(monkeypatch):
     import zdgraph.spectra as spectra
     from relation_oracles import enumerate_posets
