@@ -2,6 +2,11 @@
 
 Exit codes: 0 all assertions pass, 1 usage or input error, 2 a theorem or
 check assertion failed (the failure is reported with its witness).
+
+Each object kind, task, check, export graph and verify flag is declared once,
+in a table that the parser, the dispatch and the errors read; a request is
+checked whole before its object is loaded.  Table entries look library
+functions up by name when they run, so a rebound name is the one called.
 """
 
 from __future__ import annotations
@@ -13,13 +18,14 @@ import json
 import os
 import sys
 import time
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .graphs import (
     COUNTABLY_INFINITE,
     DEFAULT_MAX_CHROMATIC_VERTICES,
     DEFAULT_MAX_CLIQUE_VERTICES,
-    SimpleGraph,
     graph_to_json,
     invariant_bundle,
     to_dot,
@@ -80,12 +86,8 @@ def _jsonable(x):
 
 
 def _bundle_dict(b):
-    return {
-        "diameter": _jsonable(b.diameter),
-        "girth": _jsonable(b.girth),
-        "clique": _jsonable(b.clique),
-        "chromatic": _jsonable(b.chromatic),
-    }
+    # an InvariantBundle's fields, in order: diameter, girth, clique, chromatic
+    return {name: _jsonable(value) for name, value in vars(b).items()}
 
 
 # The guard flags of ``analyze``, each with its environment variable, its
@@ -110,247 +112,243 @@ def _limit(args, flag: str) -> int:
     return int(os.environ.get(env, default)) if value is None else value
 
 
-def _load_object(args):
-    """Resolve the single object a request addresses."""
-    chosen = [
-        name
-        for name in ("ring", "semigroup", "space", "poset", "lattice")
-        if getattr(args, name) is not None
-    ]
-    if len(chosen) != 1:
-        raise ValueError("exactly one of --ring/--semigroup/--space/--poset/--lattice")
-    kind = chosen[0]
-    value = getattr(args, kind)
-    if kind == "ring":
-        return kind, ring_from_spec(value)
-    if kind == "semigroup":
-        with open(value) as fh:
-            table = SemigroupTable.from_json(fh.read())
-        validate_semigroup(table, max_size=_limit(args, "--max-table")).raise_if_invalid()
-        return kind, table
-    if kind == "space":
-        with open(value) as fh:
-            return kind, FiniteSpace.from_json(fh.read())
-    if kind == "poset":
-        if value.startswith("fan:"):
-            return kind, fan_from_spec(value)
-        with open(value) as fh:
-            return kind, FinitePoset.from_json(fh.read())
+def _bundle(G, args) -> dict:
+    return _bundle_dict(invariant_bundle(G, max_clique_vertices=_limit(args, "--max-clique"),
+                                         max_chromatic_vertices=_limit(args, "--max-chromatic")))
+
+
+# export --graph -> its builder (ring, args) -> graph
+RING_GRAPHS = {
+    "gamma": lambda R, args: gamma_graph(R),
+    # permissive only skips the nilpotent check; the quotient is the same
+    "gamma-e": lambda R, args: zero_divisor_graph(
+        eq_quotient(multiplicative_semigroup(R), permissive=True).quotient),
+    "beck": lambda R, args: beck_gamma0(R),
+    "ag": lambda R, args: annihilating_ideal_graph(
+        R, _limit(args, "--max-ideals"), _limit(args, "--max-table")),
+    "comaximal": lambda R, args: comaximal_ideal_graph(
+        R, _limit(args, "--max-ideals"), _limit(args, "--max-table")),
+}
+
+
+def _load_semigroup(path, args):
+    table = SemigroupTable.from_json(Path(path).read_text())
+    validate_semigroup(table, max_size=_limit(args, "--max-table")).raise_if_invalid()
+    return table
+
+
+def _load_lattice(value, args):
     if value == "symbolic-cofinite":
-        return kind, CofiniteT1Lattice()
+        return CofiniteT1Lattice()
     if value.startswith("powerset:"):
-        size = spec_int(value, "ground size", value[len("powerset:"):], ValueError)
-        return kind, powerset_lattice(size)
+        return powerset_lattice(spec_int(value, "ground size", value[len("powerset:"):],
+                                         ValueError))
     raise ValueError(f"unknown lattice selector {value!r}")
 
 
-def _object_gamma(kind, obj, graph_name="gamma", max_ideals=DEFAULT_MAX_IDEALS,
-                  max_table=DEFAULT_MAX_TABLE) -> SimpleGraph:
-    if kind == "ring":
-        if graph_name == "gamma":
-            return gamma_graph(obj)
-        if graph_name == "gamma-e":
-            S = multiplicative_semigroup(obj)
-            return zero_divisor_graph(
-                eq_quotient(S, permissive=not is_nilpotent_free(S)).quotient
-            )
-        if graph_name == "beck":
-            return beck_gamma0(obj)
-        if graph_name == "ag":
-            return annihilating_ideal_graph(obj, max_ideals, max_table)
-        if graph_name == "comaximal":
-            return comaximal_ideal_graph(obj, max_ideals, max_table)
-        raise ValueError(f"unknown graph {graph_name!r} for a ring")
-    if graph_name != "gamma":
-        raise ValueError(f"graph {graph_name!r} only applies to rings")
-    if kind == "semigroup":
-        return zero_divisor_graph(obj)
-    if kind == "space":
-        return zero_divisor_graph(closure_lattice(obj))
-    if kind == "poset":
-        if isinstance(obj, FanPoset):
-            raise ValueError("symbolic fans have no finite graph; use specs-suite")
-        return zero_divisor_graph(sigma_spec(obj))
-    if isinstance(obj, CofiniteT1Lattice):
+def _poset_gamma(P, args):
+    if isinstance(P, FanPoset):
+        raise ValueError("symbolic fans have no finite graph; use specs-suite")
+    return zero_divisor_graph(sigma_spec(P))
+
+
+def _lattice_gamma(L, args):
+    if isinstance(L, CofiniteT1Lattice):
         raise ValueError("the symbolic lattice has no finite graph; use t1 task")
-    return zero_divisor_graph(lattice_semigroup(obj))
+    return zero_divisor_graph(lattice_semigroup(L))
 
 
-def _task_invariants(kind, obj, guards):
+class ObjectKind(NamedTuple):
+    help: str
+    load: Callable    # (flag value, args) -> object
+    graphs: dict      # export --graph -> builder (object, args) -> graph
+
+
+# the object flags, in help order; the flag of kind k is --k
+OBJECTS = {
+    "ring": ObjectKind("ring spec, e.g. Zn:6, gf:4, prod:Zn:2,Zn:3, "
+                       "polyquot:p=2;mod=1,1,1, mvq:p=2;vars=x,y;rel=x2,xy,y2",
+                       lambda spec, args: ring_from_spec(spec), RING_GRAPHS),
+    "semigroup": ObjectKind("path to a semigroup-table JSON file", _load_semigroup,
+                            {"gamma": lambda S, args: zero_divisor_graph(S)}),
+    "space": ObjectKind("path to a finite-space JSON file",
+                        lambda path, args: FiniteSpace.from_json(Path(path).read_text()),
+                        {"gamma": lambda X, args: zero_divisor_graph(closure_lattice(X))}),
+    "poset": ObjectKind("path to a poset JSON file, or fan spec "
+                        "fan:generics=1;sharing=all / fan:disjoint=2",
+                        lambda v, args: fan_from_spec(v) if v.startswith("fan:")
+                        else FinitePoset.from_json(Path(v).read_text()), {"gamma": _poset_gamma}),
+    "lattice": ObjectKind("symbolic-cofinite or powerset:N", _load_lattice,
+                          {"gamma": _lattice_gamma}),
+}
+
+
+def _applies(what: str, kinds, kind: str) -> None:
+    """The one "applies to" error: ``what`` does not apply to ``kind``."""
+    if kind not in kinds:
+        raise ValueError(f"{what} applies to {'/'.join(f'--{k}' for k in kinds)}, not --{kind}")
+
+
+def _object_kind(args) -> str:
+    """The kind of the single object a request addresses."""
+    chosen = [kind for kind in OBJECTS if getattr(args, kind) is not None]
+    if len(chosen) != 1:
+        raise ValueError("exactly one of " + "/".join(f"--{k}" for k in OBJECTS))
+    return chosen[0]
+
+
+def _invariants(kind, obj, args):
     if kind == "lattice":
-        return {"t1_lattice": _bundle_dict(t1_invariants(obj))}
-    if kind == "poset" and isinstance(obj, FanPoset):
+        return {"t1_lattice": _bundle_dict(t1_invariants(obj))}, True
+    if isinstance(obj, FanPoset):
         irred, _ = fan_max_irreducible(obj)
-        bundle = {
-            "diameter": 2 if irred else 3,
-            "girth": 3,
-            "clique": "countably-infinite",
-            "chromatic": "countably-infinite",
-        }
-        return {"gamma_spec_lattice": bundle, "max_irreducible": irred}
-    G = _object_gamma(kind, obj)
+        bundle = {"diameter": 2 if irred else 3, "girth": 3,
+                  "clique": "countably-infinite", "chromatic": "countably-infinite"}
+        return {"gamma_spec_lattice": bundle, "max_irreducible": irred}, True
+    G = OBJECTS[kind].graphs["gamma"](obj, args)
     return {
         "vertices": list(G.vertices),
         "edges": sorted([G.vertices[i], G.vertices[j]] for i, j in G.edges),
-        "gamma": _bundle_dict(invariant_bundle(G, **guards)),
-    }
+        "gamma": _bundle(G, args),
+    }, True
 
 
-def _task_eq_quotient(kind, obj, guards):
-    if kind == "ring":
-        S = multiplicative_semigroup(obj)
-    elif kind == "semigroup":
-        S = obj
-    else:
-        raise ValueError("eq-quotient applies to rings and semigroups")
-    permissive = not is_nilpotent_free(S)
-    q = eq_quotient(S, permissive=permissive)
-    GE = zero_divisor_graph(q.quotient)
+def _eq_quotient(kind, obj, args):
+    S = obj if kind == "semigroup" else multiplicative_semigroup(obj)
+    q = eq_quotient(S, permissive=True)
     return {
-        "nilpotent_free": not permissive,
+        "nilpotent_free": is_nilpotent_free(S),
         "classes": [[S.elements[i] for i in cls] for cls in q.classes],
-        "gamma_e": _bundle_dict(invariant_bundle(GE, **guards)),
-    }
+        "gamma_e": _bundle(zero_divisor_graph(q.quotient), args),
+    }, True
+
+
+def _validate(kind, obj, args):
+    # the loader has already validated the table or the ring
+    S = obj if kind == "semigroup" else multiplicative_semigroup(obj)
+    return {"ok": True, "law": None, "witness": None, "nilpotent_free": is_nilpotent_free(S)}, True
+
+
+def _specs_suite(kind, P, args):
+    report = specs_theorem_suite(P)
+    parts = [{"name": p.name, "applies": p.applies, "passed": p.passed, "details": p.details}
+             for p in report.parts]
+    return ({"passed": report.passed, "max_irreducible": report.max_irreducible,
+             "parts": parts}, report.passed)
+
+
+def _ag_check(kind, R, args):
+    rep = ag_conjecture_check(R, _limit(args, "--max-ideals"), _limit(args, "--max-table"))
+    verdict = "pass" if rep.passed else "hypothesis not met" if rep.passed is None else "FAIL"
+    return ({"reduced": rep.reduced, "minimal_primes": rep.minimal_prime_count,
+             "applies": rep.applies, "girth": _jsonable(rep.girth), "witness": rep.witness,
+             "verdict": verdict}, rep.passed is not False)
+
+
+# analyze --tasks, in help order: task -> (the object kinds it applies to,
+# its runner (kind, object, args) -> (result, passed))
+TASKS = {
+    "invariants": (tuple(OBJECTS), _invariants),
+    "eq-quotient": (("ring", "semigroup"), _eq_quotient),
+    "validate": (("ring", "semigroup"), _validate),
+    "ideals": (("ring",), lambda kind, R, args: (
+        json.loads(ideals_to_json(R, _limit(args, "--max-ideals"))), True)),
+    # an AxiomReport's fields: t0, t1, t_half, pearled, noetherian
+    "axioms": (("space",), lambda kind, X, args: (dict(vars(axiom_suite(X))), True)),
+    "specs-suite": (("poset",), _specs_suite),
+    "ag-check": (("ring",), _ag_check),
+    "t1": (("lattice",), lambda kind, L, args: (_bundle_dict(t1_invariants(L)), True)),
+}
+
+
+def _pair_check(check, R, args):
+    rep = check(R, args.degree, _limit(args, "--max-polys"))
+    return ({"passed": rep.passed, "pairs_checked": rep.pairs_checked,
+             "witness": list(rep.witness) if rep.witness else None}, rep.passed)
+
+
+def _clique_stab(R, args):
+    st = clique_stabilization(R, args.degree, _limit(args, "--max-polys"))
+    return ({"passed": st.passed, "base": [st.base_clique, st.base_chromatic],
+             "per_degree": [list(r) for r in st.per_degree]}, st.passed)
+
+
+# analyze --check, for rings: check -> its runner (ring, args) -> (result, passed)
+CHECKS = {
+    "armendariz": lambda R, args: _pair_check(check_armendariz_ring, R, args),
+    "gaussian": lambda R, args: _pair_check(check_gaussian, R, args),
+    "clique-stab": _clique_stab,
+}
+
+
+def _task_list(text: str, kind: str) -> list[str]:
+    """The tasks ``text`` names, each known, named once and applying to ``kind``."""
+    tasks = [t.strip() for t in text.split(",") if t.strip()]
+    if not tasks:
+        raise ValueError(f"--tasks names no task; known: {', '.join(TASKS)}")
+    for i, task in enumerate(tasks):
+        if task not in TASKS:
+            raise ValueError(f"unknown task {task!r}; known: {', '.join(TASKS)}")
+        if task in tasks[:i]:
+            raise ValueError(f"task {task!r} is named twice")
+        _applies(f"task {task!r}", TASKS[task][0], kind)
+    return tasks
 
 
 def cmd_analyze(args) -> int:
     t0 = time.perf_counter()
-    kind, obj = _load_object(args)
-    guards = {
-        "max_clique_vertices": _limit(args, "--max-clique"),
-        "max_chromatic_vertices": _limit(args, "--max-chromatic"),
-    }
-    tasks = [t.strip() for t in (args.tasks or "invariants").split(",") if t.strip()]
-    results = {}
-    failed = False
-
-    for task in tasks:
-        if task == "invariants":
-            results["invariants"] = _task_invariants(kind, obj, guards)
-        elif task == "eq-quotient":
-            results["eq-quotient"] = _task_eq_quotient(kind, obj, guards)
-        elif task == "validate":
-            if kind not in ("semigroup", "ring"):
-                raise ValueError("validate task applies to semigroup files and rings")
-            # _load_object has already validated the table or the ring
-            table = obj if kind == "semigroup" else multiplicative_semigroup(obj)
-            results["validate"] = {
-                "ok": True,
-                "law": None,
-                "witness": None,
-                "nilpotent_free": is_nilpotent_free(table),
-            }
-        elif task == "ideals":
-            if kind != "ring":
-                raise ValueError("ideals task applies to rings")
-            results["ideals"] = json.loads(ideals_to_json(obj, _limit(args, "--max-ideals")))
-        elif task == "axioms":
-            if kind != "space":
-                raise ValueError("axioms task applies to spaces")
-            ax = axiom_suite(obj)
-            results["axioms"] = {
-                "t0": ax.t0, "t1": ax.t1, "t_half": ax.t_half,
-                "pearled": ax.pearled, "noetherian": ax.noetherian,
-            }
-        elif task == "specs-suite":
-            if kind != "poset":
-                raise ValueError("specs-suite applies to posets")
-            report = specs_theorem_suite(obj)
-            failed = failed or not report.passed
-            results["specs-suite"] = {
-                "passed": report.passed,
-                "max_irreducible": report.max_irreducible,
-                "parts": [
-                    {"name": p.name, "applies": p.applies,
-                     "passed": p.passed, "details": p.details}
-                    for p in report.parts
-                ],
-            }
-        elif task == "ag-check":
-            if kind != "ring":
-                raise ValueError("ag-check applies to rings")
-            rep = ag_conjecture_check(obj, _limit(args, "--max-ideals"),
-                                      _limit(args, "--max-table"))
-            failed = failed or rep.passed is False
-            results["ag-check"] = {
-                "reduced": rep.reduced,
-                "minimal_primes": rep.minimal_prime_count,
-                "applies": rep.applies,
-                "girth": _jsonable(rep.girth),
-                "witness": rep.witness,
-                "verdict": "pass" if rep.passed else (
-                    "hypothesis not met" if rep.passed is None else "FAIL"),
-            }
-        elif task == "t1":
-            if kind != "lattice":
-                raise ValueError("t1 task applies to lattices")
-            results["t1"] = _bundle_dict(t1_invariants(obj))
-        else:
-            raise ValueError(f"unknown task {task!r}")
-
+    kind = _object_kind(args)
+    tasks = _task_list(args.tasks, kind)
     if args.check:
-        if kind != "ring":
-            raise ValueError("--check applies to rings")
-        d = args.degree
-        max_polys = _limit(args, "--max-polys")
-        if args.check == "armendariz":
-            rep = check_armendariz_ring(obj, d, max_polys)
-        elif args.check == "gaussian":
-            rep = check_gaussian(obj, d, max_polys)
-        else:
-            st = clique_stabilization(obj, d, max_polys)
-            failed = failed or not st.passed
-            results["clique-stab"] = {
-                "passed": st.passed,
-                "base": [st.base_clique, st.base_chromatic],
-                "per_degree": [list(r) for r in st.per_degree],
-            }
-            rep = None
-        if rep is not None:
-            failed = failed or not rep.passed
-            results[args.check] = {
-                "passed": rep.passed,
-                "pairs_checked": rep.pairs_checked,
-                "witness": list(rep.witness) if rep.witness else None,
-            }
+        _applies("--check", ("ring",), kind)
+    obj = OBJECTS[kind].load(getattr(args, kind), args)
+    results, passed = {}, True
+    for task in tasks:
+        results[task], ok = TASKS[task][1](kind, obj, args)
+        passed = passed and ok
+    if args.check:
+        results[args.check], ok = CHECKS[args.check](obj, args)
+        passed = passed and ok
+    _emit({"object": getattr(obj, "tag", None) or kind, "version": __version__,
+           "elapsed_s": round(time.perf_counter() - t0, 3), "results": results}, args.json)
+    return 0 if passed else 2
 
-    report = {
-        "object": getattr(obj, "tag", None) or f"{kind}",
-        "version": __version__,
-        "elapsed_s": round(time.perf_counter() - t0, 3),
-        "results": results,
-    }
-    _emit(report, args.json)
-    return 2 if failed else 0
+
+# verify flag -> (suite keyword, value conversion, help); a suite takes a
+# flag when its signature has the keyword
+VERIFY_FLAGS = {
+    "--seed": ("seed", int, "corpus seed"),
+    "--max-fields": ("factor_counts", lambda n: tuple(range(3, n + 1)),
+                     "largest number of field factors (ag-conjecture)"),
+    "--max-ground": ("max_ground", int, "largest ground set (t1-lattice, charirrconn)"),
+    "--max-points": ("max_points", int, "largest poset/space size (specs, pearled)"),
+    "--min-pairs": ("min_pairs", int, "required corpus size (armendariz)"),
+    "--degree": ("degree", int, "degree bound (content)"),
+    "--max-order": ("max_order", int, "ring order bound (content, ag-conjecture)"),
+}
 
 
 def cmd_verify(args) -> int:
-    names = list(SUITES) if args.suite == "all" else [args.suite]
-    bad = [n for n in names if n not in SUITES]
-    if bad:
-        raise ValueError(f"unknown suite {bad[0]!r}; known: {', '.join(SUITES)}")
-    kwargs = {}
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.max_ground is not None:
-        kwargs["max_ground"] = args.max_ground
-    if args.max_points is not None:
-        kwargs["max_points"] = args.max_points
-    if args.max_fields is not None:
-        kwargs["factor_counts"] = tuple(range(3, args.max_fields + 1))
-    if args.min_pairs is not None:
-        kwargs["min_pairs"] = args.min_pairs
-    if args.degree is not None:
-        kwargs["degree"] = args.degree
-    if args.max_order is not None:
-        kwargs["max_order"] = args.max_order
-    overall = True
-    reports = []
-    for name in names:
-        fn = SUITES[name]
-        accepted = inspect.signature(fn).parameters
-        passed_kwargs = {k: v for k, v in kwargs.items() if k in accepted}
-        report = fn(**passed_kwargs)
+    if args.suite not in SUITES and args.suite != "all":
+        raise ValueError(f"unknown suite {args.suite!r}; known: {', '.join(SUITES)}")
+    given = {flag: (keyword, convert(value))
+             for flag, (keyword, convert, _) in VERIFY_FLAGS.items()
+             if (value := getattr(args, flag[2:].replace("-", "_"))) is not None}
+    runs = []
+    for name in list(SUITES) if args.suite == "all" else [args.suite]:
+        accepted = inspect.signature(SUITES[name]).parameters
+        takes = [flag for flag, (keyword, _, _) in VERIFY_FLAGS.items() if keyword in accepted]
+        # verify all gives each flag to the suites that take it
+        refused = [flag for flag in given if flag not in takes]
+        if refused and args.suite != "all":
+            raise ValueError(f"suite {name!r} takes {', '.join(takes) or 'no flags'}, "
+                             f"not {refused[0]}")
+        runs.append((name, {given[f][0]: given[f][1] for f in given if f in takes}))
+    overall, reports = True, []
+    for name, kwargs in runs:
+        report = SUITES[name](**kwargs)
+        if not report.items:
+            raise ValueError(f"suite {name!r} checked nothing at these parameters")
         overall = overall and report.passed
         reports.append(report)
         if not args.json:
@@ -366,9 +364,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_export(args) -> int:
-    kind, obj = _load_object(args)
-    G = _object_gamma(kind, obj, args.graph, _limit(args, "--max-ideals"),
-                      _limit(args, "--max-table"))
+    kind = _object_kind(args)
+    _applies(f"graph {args.graph!r}", [k for k, o in OBJECTS.items() if args.graph in o.graphs],
+             kind)
+    obj = OBJECTS[kind].load(getattr(args, kind), args)
+    G = OBJECTS[kind].graphs[args.graph](obj, args)
     text = to_dot(G) if args.format == "dot" else graph_to_json(G) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
@@ -408,19 +408,12 @@ def _print_tree(data, indent=0) -> None:
 
 
 def _is_flat(v) -> bool:
-    if isinstance(v, list):
-        return all(not isinstance(x, (dict, list)) for x in v)
-    return False
+    return isinstance(v, list) and all(not isinstance(x, (dict, list)) for x in v)
 
 
 def _add_object_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ring", help="ring spec, e.g. Zn:6, gf:4, prod:Zn:2,Zn:3, "
-                                  "polyquot:p=2;mod=1,1,1, mvq:p=2;vars=x,y;rel=x2,xy,y2")
-    p.add_argument("--semigroup", help="path to a semigroup-table JSON file")
-    p.add_argument("--space", help="path to a finite-space JSON file")
-    p.add_argument("--poset", help="path to a poset JSON file, or fan spec "
-                                   "fan:generics=1;sharing=all / fan:disjoint=2")
-    p.add_argument("--lattice", help="symbolic-cofinite or powerset:N")
+    for kind, obj in OBJECTS.items():
+        p.add_argument(f"--{kind}", help=obj.help)
 
 
 @functools.cache
@@ -436,11 +429,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="compute invariants and run checks on one object")
     _add_object_flags(pa)
-    pa.add_argument("--tasks", help="comma list: invariants, eq-quotient, validate, "
-                                    "ideals, axioms, specs-suite, ag-check, t1 "
-                                    "(default: invariants)")
-    pa.add_argument("--check", choices=["armendariz", "gaussian", "clique-stab"],
-                    help="content-map check for a ring")
+    pa.add_argument("--tasks", default="invariants",
+                    help=f"comma list: {', '.join(TASKS)} (default: %(default)s)")
+    pa.add_argument("--check", choices=list(CHECKS), help="content-map check for a ring")
     pa.add_argument("--degree", type=int, default=2, help="degree bound for --check")
     for flag, (env, _, text) in GUARD_FLAGS.items():
         pa.add_argument(flag, type=int, default=None, help=f"{text} (env {env})")
@@ -448,25 +439,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a theorem-verification suite")
     pv.add_argument("suite", help=f"one of: {', '.join(SUITES)}, or all")
-    pv.add_argument("--seed", type=int, default=None, help="corpus seed")
-    pv.add_argument("--max-fields", type=int, default=None,
-                    help="largest number of field factors (ag-conjecture)")
-    pv.add_argument("--max-ground", type=int, default=None,
-                    help="largest ground set (t1-lattice, charirrconn)")
-    pv.add_argument("--max-points", type=int, default=None,
-                    help="largest poset/space size (specs, pearled)")
-    pv.add_argument("--min-pairs", type=int, default=None,
-                    help="required corpus size (armendariz)")
-    pv.add_argument("--degree", type=int, default=None,
-                    help="degree bound (content)")
-    pv.add_argument("--max-order", type=int, default=None,
-                    help="ring order bound (content, ag-conjecture)")
+    for flag, (_, _, text) in VERIFY_FLAGS.items():
+        pv.add_argument(flag, type=int, default=None, help=text)
     pv.add_argument("--json", action="store_true", help="JSON report")
 
     pe = sub.add_parser("export", help="export a graph as DOT or JSON")
     _add_object_flags(pe)
-    pe.add_argument("--graph", default="gamma",
-                    choices=["gamma", "gamma-e", "beck", "ag", "comaximal"])
+    pe.add_argument("--graph", default="gamma", choices=list(RING_GRAPHS))
     pe.add_argument("--format", default="dot", choices=["dot", "json"])
     pe.add_argument("-o", "--output", help="output file (default stdout)")
     return parser

@@ -86,7 +86,8 @@ class SuiteReport:
 
     @property
     def passed(self) -> bool:
-        return all(i.passed for i in self.items)
+        """True when every item passed; a report that checked nothing fails."""
+        return bool(self.items) and all(i.passed for i in self.items)
 
     def add(self, name: str, passed: bool, details: str = "") -> None:
         self.items.append(SuiteItem(name, bool(passed), details))

@@ -1,5 +1,6 @@
 import argparse
 import json
+import pathlib
 import re
 import time
 
@@ -427,3 +428,136 @@ def test_invariants_at_raised_guards(spec, expected, capsys):
                  "--max-chromatic", "100000", "--json"]) == 0
     gamma = json.loads(capsys.readouterr().out)["results"]["invariants"]["gamma"]
     assert [gamma[k] for k in ("diameter", "girth", "clique", "chromatic")] == expected
+
+
+# ---------------------------------------------------------------------------
+# The request tables
+
+
+def _refuse_to_load(value, args):
+    raise AssertionError(f"object {value!r} loaded for a request that does not apply")
+
+
+def _patch_loaders(monkeypatch):
+    from zdgraph import cli
+
+    for kind, obj in cli.OBJECTS.items():
+        monkeypatch.setitem(cli.OBJECTS, kind, obj._replace(load=_refuse_to_load))
+
+
+def test_every_task_outside_its_kinds_exits_before_the_object_loads(monkeypatch, capsys):
+    from zdgraph import cli
+
+    _patch_loaders(monkeypatch)
+    pairs = [(task, kinds, kind) for task, (kinds, _) in cli.TASKS.items()
+             for kind in cli.OBJECTS if kind not in kinds]
+    assert len(pairs) == 26
+    for task, kinds, kind in pairs:
+        assert main(["analyze", f"--{kind}", "x", "--tasks", task]) == 1
+        flags = "/".join(f"--{k}" for k in kinds)
+        assert capsys.readouterr().err == (
+            f"error: task '{task}' applies to {flags}, not --{kind}\n")
+
+
+def test_checks_and_ring_graphs_outside_rings_exit_before_the_object_loads(monkeypatch,
+                                                                           capsys):
+    from zdgraph import cli
+
+    _patch_loaders(monkeypatch)
+    for kind in cli.OBJECTS:
+        if kind == "ring":
+            continue
+        for check in cli.CHECKS:
+            assert main(["analyze", f"--{kind}", "x", "--check", check]) == 1
+            assert capsys.readouterr().err == f"error: --check applies to --ring, not --{kind}\n"
+        for graph in cli.RING_GRAPHS:
+            if graph == "gamma":
+                continue
+            assert main(["export", f"--{kind}", "x", "--graph", graph]) == 1
+            assert capsys.readouterr().err == (
+                f"error: graph '{graph}' applies to --ring, not --{kind}\n")
+
+
+def _subparser(name):
+    from zdgraph import cli
+
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[name]
+
+
+def _option(parser, flag):
+    (action,) = [a for a in parser._actions if flag in a.option_strings]
+    return action
+
+
+def test_the_parser_reads_the_tables():
+    from zdgraph import cli
+
+    export, analyze, verify = _subparser("export"), _subparser("analyze"), _subparser("verify")
+    assert list(cli.RING_GRAPHS) == _option(export, "--graph").choices
+    assert list(cli.CHECKS) == _option(analyze, "--check").choices
+    assert f"comma list: {', '.join(cli.TASKS)} (default:" in _option(analyze, "--tasks").help
+    for parser in (analyze, export):
+        for kind in cli.OBJECTS:
+            assert _option(parser, f"--{kind}").help == cli.OBJECTS[kind].help
+    for flag, (_, _, text) in cli.VERIFY_FLAGS.items():
+        assert _option(verify, flag).help == text
+    # every object kind has its zero-divisor graph, and a ring every export graph
+    assert all("gamma" in obj.graphs for obj in cli.OBJECTS.values())
+    assert cli.OBJECTS["ring"].graphs is cli.RING_GRAPHS
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+# the four help texts at 80 columns, as captured before the parser read the tables
+@pytest.mark.parametrize("argv,name", [(["--help"], "zdgraph"), (["analyze", "--help"], "analyze"),
+                                       (["verify", "--help"], "verify"),
+                                       (["export", "--help"], "export")])
+def test_help_texts_match_their_golden_files(argv, name, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == (GOLDEN / f"help_{name}.txt").read_text()
+
+
+def test_verify_all_gives_each_flag_to_the_suites_that_take_it(monkeypatch, capsys):
+    from zdgraph import cli
+    from zdgraph.suites import SuiteReport
+
+    calls = []
+
+    def called(name, **kwargs):
+        calls.append((name, kwargs))
+        report = SuiteReport(name)
+        report.add("item", True)
+        return report
+
+    def plain():
+        return called("plain")
+
+    def ground(max_ground=4):
+        return called("ground", max_ground=max_ground)
+
+    def fields(factor_counts=(3, 4), seed=0):
+        return called("fields", factor_counts=factor_counts, seed=seed)
+
+    monkeypatch.setattr(cli, "SUITES", {"plain": plain, "ground": ground, "fields": fields})
+    assert main(["verify", "all", "--max-ground", "2", "--max-fields", "5", "--json"]) == 0
+    assert calls == [("plain", {}), ("ground", {"max_ground": 2}),
+                     ("fields", {"factor_counts": (3, 4, 5), "seed": 0})]
+    assert main(["verify", "fields", "--max-ground", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: suite 'fields' takes --seed, --max-fields, not --max-ground\n")
+    assert len(calls) == 3
+
+
+def test_a_report_with_no_items_does_not_pass():
+    from zdgraph.suites import SuiteReport
+
+    report = SuiteReport("empty")
+    assert not report.passed and report.to_dict()["passed"] is False
+    report.add("one", True)
+    assert report.passed

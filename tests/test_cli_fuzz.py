@@ -8,11 +8,13 @@ in milliseconds.
 """
 
 import contextlib
+import functools
 import io
 import json
 import os
 import signal
 import tempfile
+import time
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -126,6 +128,53 @@ requests = st.one_of(
 @given(requests)
 def test_cli_answers_every_request(argv):
     check(argv)
+
+
+def _misspellings(word):
+    """``word`` with one letter dropped or two neighbours swapped."""
+    drops = {word[:i] + word[i + 1:] for i in range(len(word))}
+    swaps = {word[:i] + word[i + 1] + word[i] + word[i + 2:] for i in range(len(word) - 1)}
+    return sorted((drops | swaps) - {word})
+
+
+# well-formed specs of each kind, with the parts their kind takes
+SPECS_BY_PART = [
+    ("--ring", "polyquot:p=2;mod=1,1,1", ("p", "mod")),
+    ("--ring", "mvq:p=2;vars=x,y;rel=x2,xy,y2", ("p", "vars", "rel")),
+    ("--poset", "fan:generics=1;sharing=all", ("generics", "sharing", "disjoint")),
+    ("--poset", "fan:disjoint=2", ("generics", "sharing", "disjoint")),
+]
+misspelt_specs = st.sampled_from([
+    (flag, spec.replace(f"{part}=", f"{bad}=", 1))
+    for flag, spec, parts in SPECS_BY_PART
+    for part in parts if f"{part}=" in spec
+    for bad in _misspellings(part) if bad not in parts
+])
+RING_TASKS = ["invariants", "eq-quotient", "validate", "ideals", "ag-check"]
+KNOWN_TASKS = ("invariants, eq-quotient, validate, ideals, axioms, specs-suite, ag-check, t1")
+misspelt_tasks = st.sampled_from([
+    bad for task in KNOWN_TASKS.split(", ") for bad in _misspellings(task)
+    if bad not in KNOWN_TASKS.split(", ")
+])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(misspelt_specs, st.sampled_from(["invariants", "specs-suite"]))
+def test_misspelt_spec_parts_name_the_spec(request, task):
+    flag, spec = request
+    if flag == "--ring":
+        task = "invariants"
+    code, err = run(["analyze", flag, spec, "--tasks", task])
+    assert code == 1 and err.startswith(f"error: spec {spec!r} "), (spec, err)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(RING_TASKS), max_size=3, unique=True), misspelt_tasks,
+       st.integers(min_value=0, max_value=3))
+def test_misspelt_tasks_name_the_task(tasks, bad, at):
+    tasks.insert(min(at, len(tasks)), bad)
+    assert run(["analyze", "--ring", "Zn:6", "--tasks", ",".join(tasks)]) == (
+        1, f"error: unknown task {bad!r}; known: {KNOWN_TASKS}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -382,3 +431,78 @@ def test_cli_answers_every_file(request):
 def test_malformed_files_are_input_errors(flag, payload, message):
     assert run_file(flag, payload, ["analyze", "--tasks", "invariants"]) == (
         1, f"error: {message}\n")
+
+
+# ---------------------------------------------------------------------------
+# Whole requests, checked before any object is loaded or suite runs
+
+
+GUARDS = ["--max-clique", "100000", "--max-chromatic", "100000", "--max-ideals", "100000"]
+
+
+# each came only after the earlier work: Zn:4096 was built and validated
+# (4.3 s, 559 MB), invariants of Zn:2048 ran first, the fan's specs-suite ran
+# first; the empty list exited 0 and the repeated task ran twice
+@pytest.mark.parametrize("argv,message", [
+    (["analyze", "--ring", "Zn:4096", "--tasks", "t1"],
+     "task 't1' applies to --lattice, not --ring"),
+    (["analyze", "--ring", "Zn:2048", "--tasks", "invariants,bogus", *GUARDS],
+     f"unknown task 'bogus'; known: {KNOWN_TASKS}"),
+    (["analyze", "--poset", "fan:generics=1", "--tasks", "specs-suite", "--check", "gaussian"],
+     "--check applies to --ring, not --poset"),
+    (["analyze", "--ring", "Zn:4096", "--tasks", ","],
+     f"--tasks names no task; known: {KNOWN_TASKS}"),
+    (["analyze", "--ring", "Zn:4096", "--tasks", ""],
+     f"--tasks names no task; known: {KNOWN_TASKS}"),
+    (["analyze", "--ring", "Zn:4096", "--tasks", "ideals,ideals"], "task 'ideals' is named twice"),
+    (["analyze", "--semigroup", "x.json", "--tasks", "validate,axioms"],
+     "task 'axioms' applies to --space, not --semigroup"),
+    (["analyze", "--space", "x.json", "--tasks", "validate"],
+     "task 'validate' applies to --ring/--semigroup, not --space"),
+    (["export", "--lattice", "powerset:3", "--graph", "comaximal"],
+     "graph 'comaximal' applies to --ring, not --lattice"),
+])
+def test_requests_are_checked_whole_before_any_work(argv, message, monkeypatch):
+    from zdgraph import cli
+
+    def no_object(value, args):
+        raise AssertionError(f"{value!r} was loaded")
+
+    for kind, obj in cli.OBJECTS.items():
+        monkeypatch.setitem(cli.OBJECTS, kind, obj._replace(load=no_object))
+    t0 = time.perf_counter()
+    assert run(argv) == (1, f"error: {message}\n")
+    assert time.perf_counter() - t0 < 0.5
+
+
+# each printed PASS (0 items) and exited 0
+@pytest.mark.parametrize("argv", [
+    ["verify", "ag-conjecture", "--max-fields", "2"],
+    ["verify", "ag-conjecture", "--max-order", "7"],
+    ["verify", "t1-lattice", "--max-ground", "0"],
+    ["verify", "charirrconn", "--max-ground", "0"],
+])
+def test_a_suite_that_checked_nothing_is_an_input_error(argv):
+    assert run(argv) == (1, f"error: suite '{argv[1]}' checked nothing at these parameters\n")
+
+
+# the flag a suite does not take was dropped without a word
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "armendariz", "--max-ground", "3"],
+     "suite 'armendariz' takes --seed, --min-pairs, not --max-ground"),
+    (["verify", "triangle-point", "--seed", "1"],
+     "suite 'triangle-point' takes no flags, not --seed"),
+    (["verify", "content", "--max-order", "4", "--max-points", "3"],
+     "suite 'content' takes --degree, --max-order, not --max-points"),
+])
+def test_a_flag_the_suite_does_not_take_is_an_input_error(argv, message, monkeypatch):
+    from zdgraph import cli
+
+    def refuse(fn):
+        @functools.wraps(fn)  # the signature the flags are read from
+        def wrapper(**kwargs):
+            raise AssertionError(f"{fn.__name__} ran")
+        return wrapper
+
+    monkeypatch.setattr(cli, "SUITES", {name: refuse(fn) for name, fn in cli.SUITES.items()})
+    assert run(argv) == (1, f"error: {message}\n")
