@@ -34,6 +34,7 @@ from .graphs import (
 from .polynomials import (
     DEFAULT_MAX_POLYS,
     check_armendariz_ring,
+    check_degree,
     check_gaussian,
     clique_stabilization,
 )
@@ -301,6 +302,7 @@ def cmd_analyze(args) -> int:
     tasks = _task_list(args.tasks, kind)
     if args.check:
         _applies("--check", ("ring",), kind)
+        check_degree(args.degree)
     obj = OBJECTS[kind].load(getattr(args, kind), args)
     results, passed = {}, True
     for task in tasks:

@@ -112,9 +112,10 @@ class PairCheckReport:
 # Polynomials are rows of an (N, d+1) array of coefficient indices, in
 # ``polys_up_to_degree`` order (row 0 is the zero polynomial), padded with
 # the ring's zero.  A block of f-rows is multiplied against every g-row at
-# once by table lookup; a law is a vectorised predicate on the block of
-# products, and the first failing pair in row-major order is the same
-# canonical witness an f-then-g double loop would report.
+# once by table lookup, into an array of product coefficients indexed
+# (k, f, g); a law is a vectorised predicate on the block of products, and
+# the first failing pair in row-major order is the same canonical witness an
+# f-then-g double loop would report.
 #
 # Only class minima are scanned.  Write f = X^v*f0 with f0(0) != 0; the
 # class of f is every u*X^k*f0 of degree <= d, for u a unit and k >= 0.
@@ -130,18 +131,12 @@ class PairCheckReport:
 _BLOCK_CELLS = 1 << 15
 
 
-def _coefficient_rows(R: FiniteRing, polys: list[TruncPoly], d: int) -> np.ndarray:
-    F = np.full((len(polys), d + 1), R.zero, dtype=np.int64)
-    for r, f in enumerate(polys):
-        F[r, : len(f.coeffs)] = f.coeffs
-    return F
-
-
 def _polynomial_rows(R: FiniteRing, d: int) -> np.ndarray:
-    """``_coefficient_rows`` of ``polys_up_to_degree(R, d)``, built without
-    the polynomials: in the block of degree e, row L*(n - 1) + j has lead
-    coefficient the j-th nonzero element and lower coefficients the base-n
-    digits of L, the coefficient of X^0 the most significant."""
+    """The coefficient rows of ``polys_up_to_degree(R, d)``, padded with the
+    ring's zero and built without the polynomials: in the block of degree e,
+    row L*(n - 1) + j has lead coefficient the j-th nonzero element and lower
+    coefficients the base-n digits of L, the coefficient of X^0 the most
+    significant."""
     n, zero = R.size, R.zero
     nonzero = np.flatnonzero(np.arange(n) != zero)
     blocks = [np.full((1, d + 1), zero, dtype=np.int64)]
@@ -155,16 +150,25 @@ def _polynomial_rows(R: FiniteRing, d: int) -> np.ndarray:
 
 
 def _product_blocks(R: FiniteRing, F: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(r0, C)`` with ``C[b, g, k]`` the X^k coefficient of F[r0+b] * F[g]."""
+    """Yield ``(r0, C)`` with ``C[k, b, g]`` the X^k coefficient of F[r0+b] * F[g].
+
+    Each block takes the mul-table rows of its i-th coefficients once and
+    reads the products with every g's j-th coefficient as columns of them.
+    The term of (i, j) is added to ``C[i + j]`` through the flat add table,
+    except the first term of each coefficient (i = 0 or j = w - 1), which
+    is stored as it is.
+    """
     N, w = F.shape
-    A, M = R.add, R.mul
+    n, A, M = R.size, R.add.ravel(), R.mul
     rows = max(1, _BLOCK_CELLS // (N * (2 * w - 1)))
     for r0 in range(0, N, rows):
         Ff = F[r0 : r0 + rows]
-        C = np.full((len(Ff), N, 2 * w - 1), R.zero, dtype=np.int64)
+        C = np.empty((2 * w - 1, len(Ff), N), dtype=np.int64)
         for i in range(w):
+            Mi = M[Ff[:, i]]
             for j in range(w):
-                C[:, :, i + j] = A[C[:, :, i + j], M[Ff[:, i, None], F[None, :, j]]]
+                T = Mi.take(F[:, j], axis=1)
+                C[i + j] = T if i == 0 or j == w - 1 else A[C[i + j] * n + T]
         yield r0, C
 
 
@@ -174,8 +178,8 @@ def _armendariz_failures(R: FiniteRing, F: np.ndarray):
 
     def fails(r0: int, C: np.ndarray) -> np.ndarray:
         # ann[b, x]: x kills every coefficient of f = F[r0+b]
-        ann = (M[F[r0 : r0 + len(C)]] == zero).all(axis=1)
-        return (C == zero).all(-1) != ann[:, F].all(-1)
+        ann = (M[F[r0 : r0 + C.shape[1]]] == zero).all(axis=1)
+        return (C == zero).all(0) != ann[:, F].all(-1)
 
     return fails
 
@@ -197,7 +201,8 @@ def _gaussian_failures(R: FiniteRing, F: np.ndarray):
     prod, key = _content_products(T, F)
 
     def fails(r0: int, C: np.ndarray) -> np.ndarray:
-        return T.content(C) != prod[key[r0 : r0 + len(C), None], key[None, :]]
+        got = T.content(np.moveaxis(C, 0, -1))
+        return got != prod[key[r0 : r0 + C.shape[1], None], key[None, :]]
 
     return fails
 
@@ -209,8 +214,8 @@ def _containment_failures(R: FiniteRing, F: np.ndarray):
     member = np.array([mask_row(I, R.size) for I in T.ideals])
 
     def fails(r0: int, C: np.ndarray) -> np.ndarray:
-        P = prod[key[r0 : r0 + len(C), None], key[None, :]]
-        return ~member[P[..., None], C].all(-1)
+        P = prod[key[r0 : r0 + C.shape[1], None], key[None, :]]
+        return ~member[P, C].all(0)
 
     return fails
 
@@ -243,10 +248,15 @@ def _class_minima(R: FiniteRing, F: np.ndarray) -> np.ndarray:
     return np.where(nz.any(1), rep, 0)
 
 
-def _pair_check(kind, law, note, R, degree_bound, max_polys) -> PairCheckReport:
-    """Run ``law`` over all ordered pairs; report the first failure, if any."""
+def check_degree(degree_bound: int) -> None:
+    """Refuse a negative degree bound."""
     if degree_bound < 0:
         raise ValueError(f"degree bound must be >= 0, not {degree_bound}")
+
+
+def _pair_check(kind, law, note, R, degree_bound, max_polys) -> PairCheckReport:
+    """Run ``law`` over all ordered pairs; report the first failure, if any."""
+    check_degree(degree_bound)
     guard("polynomials", R.size ** (degree_bound + 1), max_polys)
     rows = _polynomial_rows(R, degree_bound)
     N = len(rows)
@@ -316,7 +326,7 @@ def truncated_zero_divisor_graph(R: FiniteRing, degree_bound: int) -> SimpleGrap
     polynomial.  At degree 0 this is exactly the ring's zero-divisor graph.
     """
     F = _polynomial_rows(R, degree_bound)
-    kill = np.concatenate([(C == R.zero).all(-1) for _, C in _product_blocks(R, F)])
+    kill = np.concatenate([(C == R.zero).all(0) for _, C in _product_blocks(R, F)])
     kill = kill[1:, 1:]  # drop the zero polynomial
     verts = np.flatnonzero(kill.any(axis=1))
     labels = tuple(make_poly(R, F[i + 1]).label() for i in verts)
@@ -341,8 +351,7 @@ def clique_stabilization(
     """
     if not is_reduced(R):
         raise ValueError("clique stabilization requires a reduced ring")
-    if degree_bound < 0:
-        raise ValueError(f"degree bound must be >= 0, not {degree_bound}")
+    check_degree(degree_bound)
     guard("polynomials", R.size ** (degree_bound + 1), max_polys)
     base_clq, base_chi = clique_and_chromatic(gamma_graph(R))
     rows = []

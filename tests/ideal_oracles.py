@@ -276,8 +276,9 @@ def gaussian_failures(R, F):
     T = ContentTables(R)
     prod, key = T.products(T.content(F))
 
-    def fails(r0, C):
-        return T.content(C) != prod[key[r0 : r0 + len(C), None], key[None, :]]
+    def fails(r0, C):  # C[k, b, g], as the engine's product blocks are laid out
+        got = T.content(np.moveaxis(C, 0, -1))
+        return got != prod[key[r0 : r0 + C.shape[1], None], key[None, :]]
 
     return fails
 
@@ -288,7 +289,7 @@ def containment_failures(R, F):
     member = T.membership()
 
     def fails(r0, C):
-        P = prod[key[r0 : r0 + len(C), None], key[None, :]]
-        return ~member[P[..., None], C].all(-1)
+        P = prod[key[r0 : r0 + C.shape[1], None], key[None, :]]
+        return ~member[P, C].all(0)
 
     return fails

@@ -6,7 +6,11 @@ messages of ``zdgraph.semigroups``, ``zdgraph.graphs``, ``zdgraph.corpus``,
 ``zdgraph.polynomials`` and ``zdgraph.rings._validate_ring`` (with its greedy
 additive generators) against them.  ``poly_mul``, the table-lookup product
 of two polynomials, has no caller left in the program; it lives here beside
-its cell-by-cell check ``poly_mul_coeffs``.  So do the map helpers
+its cell-by-cell check ``poly_mul_coeffs``, with ``coefficient_rows``, the
+padded coefficient array of a list of polynomials, and
+``product_blocks_2d``, the pair-check product kernel as it was before it
+took each block's mul-table rows once: one broadcast 2-D lookup per
+coefficient pair, and an add for every term, the first included.  So do the map helpers
 ``identity_map`` and ``compose`` and the graph reader ``graph_from_json``.
 ``bundle_on_g`` is the invariant bundle solved on G itself, as it was before
 the program solved it on the twin quotient, with its diameter from
@@ -264,6 +268,30 @@ def poly_mul_coeffs(R, f, g):
     while out and out[-1] == R.zero:
         out.pop()
     return tuple(out)
+
+
+def coefficient_rows(R, polys, d):
+    """``F[r]``: the coefficients of ``polys[r]``, padded with zero to d + 1."""
+    F = np.full((len(polys), d + 1), R.zero, dtype=np.int64)
+    for r, f in enumerate(polys):
+        F[r, : len(f.coeffs)] = f.coeffs
+    return F
+
+
+def product_blocks_2d(R, F, block_cells):
+    """Yield ``(r0, C)`` with ``C[b, g, k]`` the X^k coefficient of F[r0+b] * F[g],
+    in blocks of as many rows as ``polynomials._product_blocks`` takes for
+    ``block_cells``."""
+    N, w = F.shape
+    A, M = R.add, R.mul
+    rows = max(1, block_cells // (N * (2 * w - 1)))
+    for r0 in range(0, N, rows):
+        Ff = F[r0 : r0 + rows]
+        C = np.full((len(Ff), N, 2 * w - 1), R.zero, dtype=np.int64)
+        for i in range(w):
+            for j in range(w):
+                C[:, :, i + j] = A[C[:, :, i + j], M[Ff[:, i, None], F[None, :, j]]]
+        yield r0, C
 
 
 def poly_mul(f, g):

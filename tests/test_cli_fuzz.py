@@ -461,6 +461,11 @@ GUARDS = ["--max-clique", "100000", "--max-chromatic", "100000", "--max-ideals",
      "task 'validate' applies to --ring/--semigroup, not --space"),
     (["export", "--lattice", "powerset:3", "--graph", "comaximal"],
      "graph 'comaximal' applies to --ring, not --lattice"),
+    # built and validated Zn:4096 first (3.5 s, 559 MB)
+    (["analyze", "--ring", "Zn:4096", "--tasks", "validate", "--check", "gaussian",
+      "--degree", "-1"], "degree bound must be >= 0, not -1"),
+    (["analyze", "--ring", "Zn:4096", "--tasks", "validate", "--check", "clique-stab",
+      "--degree", "-2"], "degree bound must be >= 0, not -2"),
 ])
 def test_requests_are_checked_whole_before_any_work(argv, message, monkeypatch):
     from zdgraph import cli

@@ -1,4 +1,5 @@
-"""The batched pair-check engine against two references.
+"""The batched pair-check engine against two references, and its product
+kernel against two more.
 
 The scalar oracles below are the per-pair convolution loops the engine
 replaced: one Python product per ordered pair, in ``polys_up_to_degree``
@@ -6,7 +7,9 @@ order, with an early return on the first failing pair.  The full-scan
 oracle is the engine as it was before it scanned class minima only: the
 same laws and product blocks over every row against every row.  Every
 engine report must equal both field by field, so verdict, pair count and
-canonical witness are all pinned.
+canonical witness are all pinned.  The product kernel's blocks must equal
+both the cell-by-cell products of ``table_oracles.poly_mul_coeffs`` and the
+blocks of ``table_oracles.product_blocks_2d``, the kernel it replaced.
 """
 
 import collections
@@ -14,9 +17,11 @@ import functools
 import itertools
 import time
 
+import numpy as np
 import pytest
 
 import ideal_oracles as oracle
+from table_oracles import coefficient_rows, poly_mul_coeffs, product_blocks_2d
 from zdgraph import polynomials
 from zdgraph.corpus import small_reduced_rings_for_content
 from zdgraph.graphs import SimpleGraph
@@ -118,7 +123,7 @@ LAWS = {
 def full_scan(kind, law, R, d):
     """The pair-check engine over all N rows against all N rows."""
     polys = list(polys_up_to_degree(R, d))
-    F = polynomials._coefficient_rows(R, polys, d)
+    F = coefficient_rows(R, polys, d)
     N = len(polys)
     fails = law(R, F)
     for r0, C in polynomials._product_blocks(R, F):
@@ -200,12 +205,70 @@ def test_class_scan_matches_full_scan(spec, d, kind, one_row_blocks, monkeypatch
 
 
 # ---------------------------------------------------------------------------
+# The product kernel == cell-by-cell products == the 2-D lookup kernel
+
+KERNEL_SPECS = ["Zn:4", "Zn:8", "gf:9", "mvq:p=2;vars=x,y;rel=x2,xy,y2", "prod:Zn:2,Zn:2"]
+# the kernels are compared wherever the block covers at most 2^21 pairs, and
+# the scalar products are taken wherever it covers at most 2^16; every row
+# of the 8- and 9-element rings at degree 3 (2^24 pairs and more) is left out
+KERNEL_PAIRS, SCALAR_PAIRS = 1 << 21, 1 << 16
+
+
+@functools.cache
+def _kernel_rows(spec, d, rows):
+    R = _ring(spec)
+    F = polynomials._polynomial_rows(R, d)
+    return F[np.unique(polynomials._class_minima(R, F))] if rows == "classes" else F
+
+
+KERNEL_CASES = [
+    (spec, d, rows) for spec in KERNEL_SPECS for d in range(4) for rows in ("classes", "all")
+    if len(_kernel_rows(spec, d, rows)) ** 2 <= KERNEL_PAIRS
+]
+
+
+@functools.cache
+def _scalar_products(spec, d, rows):
+    """``E[k, f, g]``: the X^k coefficient of F[f] * F[g], pair by pair."""
+    R, F = _ring(spec), _kernel_rows(spec, d, rows).tolist()
+    E = np.full((2 * d + 1, len(F), len(F)), R.zero, dtype=np.int64)
+    for f, a in enumerate(F):
+        for g, b in enumerate(F):
+            c = poly_mul_coeffs(R, a, b)
+            E[: len(c), f, g] = c
+    return E
+
+
+@pytest.mark.parametrize("blocks", ["default", "one-row", "ragged"])
+@pytest.mark.parametrize("spec,d,rows", KERNEL_CASES)
+def test_product_blocks_match_the_references(spec, d, rows, blocks, monkeypatch):
+    R, F = _ring(spec), _kernel_rows(spec, d, rows)
+    N, w = F.shape
+    if blocks == "one-row":
+        monkeypatch.setattr(polynomials, "_BLOCK_CELLS", 1)
+    elif blocks == "ragged":
+        # the fewest rows above one that leave a shorter last block
+        step = next(r for r in itertools.count(2) if N % r)
+        monkeypatch.setattr(polynomials, "_BLOCK_CELLS", step * N * (2 * w - 1))
+    got = list(polynomials._product_blocks(R, F))
+    old = list(product_blocks_2d(R, F, polynomials._BLOCK_CELLS))
+    assert [r0 for r0, _ in got] == [r0 for r0, _ in old]
+    for (r0, C), (_, C2) in zip(got, old):
+        assert C.dtype == np.int64 and C.shape == (2 * w - 1, C2.shape[0], N)
+        assert (C == np.moveaxis(C2, -1, 0)).all()
+    if N * N <= SCALAR_PAIRS:
+        E = _scalar_products(spec, d, rows)
+        for r0, C in got:
+            assert (C == E[:, r0 : r0 + C.shape[1]]).all()
+
+
+# ---------------------------------------------------------------------------
 # The class map
 
 
 def _classes(R, d):
     polys = list(polys_up_to_degree(R, d))
-    return polys, polynomials._class_minima(R, polynomials._coefficient_rows(R, polys, d))
+    return polys, polynomials._class_minima(R, coefficient_rows(R, polys, d))
 
 
 @pytest.mark.parametrize("spec,d,count", [
