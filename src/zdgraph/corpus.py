@@ -283,7 +283,10 @@ def armendariz_map_corpus(
 
     Quotient projections of multiplicative semigroups of reduced rings,
     closed-point intersection maps of random pearled spaces, restrictions
-    to maximal points of random posets, and random isomorphisms.
+    to maximal points of random posets, and random isomorphisms.  A space
+    or poset drawn again gets the map built for it the first time, so
+    equal entries are one object; the draws, names and order do not depend
+    on it.
     """
     from .rings import is_reduced, multiplicative_semigroup
     from .semigroups import eq_quotient
@@ -292,6 +295,7 @@ def armendariz_map_corpus(
 
     rng = random.Random(seed)
     out: list[tuple[str, SemigroupMap]] = []
+    built: dict[FiniteSpace | FinitePoset, SemigroupMap] = {}  # drawn object -> its map
 
     # one ring list serves the quotients (order <= ring_order) and the
     # isomorphism bases (order <= 12): reduced_rings_up_to(n) is the
@@ -311,12 +315,16 @@ def armendariz_map_corpus(
         X = random_space(rng, rng.randint(1, max_points))
         if not axiom_suite(X).pearled:
             continue
-        out.append((f"alpha map on {X.n}-point space", alpha_map(X)))
+        if X not in built:
+            built[X] = alpha_map(X)
+        out.append((f"alpha map on {X.n}-point space", built[X]))
         made += 1
 
     for k in range(poset_count):
         P = random_poset(rng, rng.randint(1, max_points))
-        out.append((f"max restriction on {P.n}-point poset #{k}", restrict_to_max(P)))
+        if P not in built:
+            built[P] = restrict_to_max(P)
+        out.append((f"max restriction on {P.n}-point poset #{k}", built[P]))
 
     bases = [S for R, S in semigroups if R.size <= 12]
     for k in range(iso_count):

@@ -461,9 +461,15 @@ def _zero_product_graph(labels: tuple[str, ...], zero: np.ndarray) -> SimpleGrap
     return SimpleGraph.from_edges(labels, zip(a[upper].tolist(), b[upper].tolist()))
 
 
-def zero_divisor_graph(S: SemigroupTable) -> SimpleGraph:
-    """Vertices are nonzero zero-divisors; {s, t} is an edge iff s*t = 0."""
-    v = np.flatnonzero(mask_row(zero_divisors(S), S.size))
+def zero_divisor_graph(S: SemigroupTable, zd: Optional[int] = None) -> SimpleGraph:
+    """Vertices are nonzero zero-divisors; {s, t} is an edge iff s*t = 0.
+
+    ``zd``, if given, is ``zero_divisors(S)`` found already; the table is
+    not scanned again.
+    """
+    if zd is None:
+        zd = zero_divisors(S)
+    v = np.flatnonzero(mask_row(zd, S.size))
     labels = tuple(S.elements[i] for i in v.tolist())
     return _zero_product_graph(labels, S.product[v[:, None], v] == S.zero)
 
@@ -510,26 +516,30 @@ def armendariz_invariant_suites(
     max_chromatic_vertices: int = DEFAULT_MAX_CHROMATIC_VERTICES,
 ) -> Iterator[InvariantSuiteReport]:
     """``armendariz_invariant_suite`` of each map in turn, sharing work on
-    equal tables and graphs within this one iteration.
+    equal maps, tables and graphs within this one iteration.
 
-    Each distinct table is checked for nilpotents, and its zero divisors
-    and Γ found, once; each distinct Γ adjacency is solved once.  Every map
-    still runs its checks in the one-map order (source nilpotents, target
-    nilpotents, the Armendariz check, then both invariant bundles), so an
-    error or guard trip surfaces at the same map with the same message.
-    Both memos live only as long as the iteration.
+    A map equal to one already checked (the same source table, target table
+    and assignment) gets that map's report again.  Each distinct table is
+    checked for nilpotents, and its zero divisors found, once; Γ is built
+    from that one scan.  Each distinct Γ adjacency is solved once.  Every
+    new map still runs its checks in the one-map order (source nilpotents,
+    target nilpotents, the Armendariz check, then both invariant bundles),
+    so an error or guard trip surfaces at the same map with the same
+    message.  The memos live only as long as the iteration.
     """
     sides: dict[tuple, tuple[int, SimpleGraph]] = {}  # table key -> (zero divisors, Γ)
     bundles: dict[tuple[int, ...], InvariantBundle] = {}  # Γ's rows -> its invariants
+    reports: dict[tuple, InvariantSuiteReport] = {}  # (source, target, assignment) -> report
 
-    def side(S: SemigroupTable, role: str) -> tuple[int, SimpleGraph]:
+    def side(S: SemigroupTable, role: str) -> tuple[tuple, int, SimpleGraph]:
         key = S._key()
         if key not in sides:
             w = nilpotent_witness(S)
             if w is not None:
                 raise NotNilpotentFree(f"{role} has nonzero nilpotent {w}")
-            sides[key] = zero_divisors(S), zero_divisor_graph(S)
-        return sides[key]
+            zd = zero_divisors(S)
+            sides[key] = zd, zero_divisor_graph(S, zd)
+        return (key, *sides[key])
 
     def bundle(G: SimpleGraph) -> InvariantBundle:
         if G.adj not in bundles:
@@ -537,8 +547,12 @@ def armendariz_invariant_suites(
         return bundles[G.adj]
 
     for g in maps:
-        zs, GS = side(g.source, "source")
-        zt, GT = side(g.target, "target")
+        ks, zs, GS = side(g.source, "source")
+        kt, zt, GT = side(g.target, "target")
+        seen = (ks, kt, g.assignment)
+        if seen in reports:
+            yield reports[seen]
+            continue
         report = check_armendariz(g)
         if not report.is_armendariz:
             raise ValueError(f"map is not Armendariz: {report}")
@@ -570,7 +584,7 @@ def armendariz_invariant_suites(
             SuitePart("chromatic-equal", True, bs.chromatic == bt.chromatic,
                       f"chromatic source={bs.chromatic} target={bt.chromatic}"),
         )
-        yield InvariantSuiteReport(
+        reports[seen] = InvariantSuiteReport(
             parts=parts,
             source_invariants=bs,
             target_invariants=bt,
@@ -578,6 +592,7 @@ def armendariz_invariant_suites(
             girth4_pattern_edge=pattern_edge,
             girth4_pattern_vertex=pattern_vertex,
         )
+        yield reports[seen]
 
 
 def armendariz_invariant_suite(

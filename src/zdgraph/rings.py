@@ -216,18 +216,23 @@ def make_product(rings: Sequence[FiniteRing]) -> FiniteRing:
     Elements are ordered as ``itertools.product`` orders the factors'
     elements (the last factor fastest), so element e has digit
     ``e // stride_k % n_k`` in factor k, and each table is the mixed-radix
-    sum of the factor tables, ``sum_k T_k[x_k, y_k] * stride_k``.
+    sum of the factor tables, ``sum_k T_k[x_k, y_k] * stride_k``.  The
+    factors are folded in left to right: with T the k-element table of the
+    factors so far and F the next factor's m-element table, the new table
+    is ``T[x, y] * m + F[x', y']`` at row x*m + x', column y*m + y', one
+    broadcast add into a (k, m, k, m) array read as (k*m, k*m).
     """
     if not rings:
         raise RingConstructionError("empty product")
     sizes = tuple(r.size for r in rings)
     guard("ring elements", math.prod(sizes), DEFAULT_MAX_RING)
-    strides = np.cumprod((1,) + sizes[:0:-1])[::-1]
-    digits = np.unravel_index(np.arange(math.prod(sizes)), sizes)
 
     def table(name: str) -> np.ndarray:
-        parts = (getattr(r, name)[np.ix_(x, x)] * s for r, x, s in zip(rings, digits, strides))
-        return sum(parts)
+        T = getattr(rings[0], name)
+        for r in rings[1:]:
+            k, m = len(T), r.size
+            T = (T[:, None, :, None] * m + getattr(r, name)[None, :, None, :]).reshape(k * m, k * m)
+        return T
 
     labels = tuple(
         "(" + ",".join(e) + ")" for e in itertools.product(*(r.labels for r in rings))
@@ -646,13 +651,20 @@ class IdealIndex:
         Only least generators are tried: swapping a member for the least one
         with the same principal ideal keeps the sum and moves the sorted
         tuple earlier, so the first hit over least generators, in
-        lexicographic order, is the first hit over all members.
+        lexicographic order, is the first hit over all members.  A principal
+        ideal's one generator in ``gens`` is already its least, so only the
+        ideals with two or more generators are searched.
         """
         if k not in self._label:
             self._label[k] = self._find_label(k)
         return self._label[k]
 
     def _find_label(self, k: int) -> str:
+        if len(self.gens[k]) == 1:  # a principal ideal, held with its least generator
+            return "(" + self.labels[self.gens[k][0]] + ")"
+        return self._search_label(k)
+
+    def _search_label(self, k: int) -> str:
         names, elts = self.labels, np.flatnonzero(mask_row(self.ideals[k], len(self.labels)))
         least = elts[np.sort(np.unique(self.principal[elts], return_index=True)[1])]
         c = self.principal[least]

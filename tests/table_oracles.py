@@ -10,7 +10,11 @@ its cell-by-cell check ``poly_mul_coeffs``, with ``coefficient_rows``, the
 padded coefficient array of a list of polynomials, and
 ``product_blocks_2d``, the pair-check product kernel as it was before it
 took each block's mul-table rows once: one broadcast 2-D lookup per
-coefficient pair, and an add for every term, the first included.  So do the map helpers
+coefficient pair, and an add for every term, the first included.
+``product_tables_ix`` is ``make_product``'s tables as they were built before
+the factors were folded in by broadcasting.  ``record_calls`` is a test
+helper: it logs every call of one program function, under every name a
+``zdgraph`` module holds it by.  So do the map helpers
 ``identity_map`` and ``compose`` and the graph reader ``graph_from_json``.
 ``bundle_on_g`` is the invariant bundle solved on G itself, as it was before
 the program solved it on the twin quotient, with its diameter from
@@ -24,6 +28,7 @@ sets as frozensets, the form the program used before its int masks;
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -53,6 +58,24 @@ def compose(g, f):
     if f.target is not g.source and f.target != g.source:
         raise ValueError("maps are not composable")
     return SemigroupMap(f.source, g.target, tuple(g.assignment[t] for t in f.assignment))
+
+
+def record_calls(monkeypatch, module, name):
+    """A list that gets ``(args, result)`` for each call of ``module.name``
+    from anywhere in the package, for as long as ``monkeypatch`` holds."""
+    fn, calls = getattr(module, name), []
+
+    def logged(*args, **kwargs):
+        result = fn(*args, **kwargs)
+        calls.append((args, result))
+        return result
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "zdgraph" or mod_name.startswith("zdgraph."):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, logged)
+    return calls
 
 
 def graph_from_json(text):
@@ -292,6 +315,20 @@ def product_blocks_2d(R, F, block_cells):
             for j in range(w):
                 C[:, :, i + j] = A[C[:, :, i + j], M[Ff[:, i, None], F[None, :, j]]]
         yield r0, C
+
+
+def product_tables_ix(factors):
+    """``make_product``'s (add, mul) tables as it built them before folding
+    the factors in by broadcasting: each factor's table gathered at every
+    pair of its digits with ``np.ix_``, times the factor's stride, summed."""
+    sizes = tuple(r.size for r in factors)
+    strides = np.cumprod((1,) + sizes[:0:-1])[::-1]
+    digits = np.unravel_index(np.arange(math.prod(sizes)), sizes)
+
+    def table(name):
+        return sum(getattr(r, name)[np.ix_(x, x)] * s for r, x, s in zip(factors, digits, strides))
+
+    return table("add"), table("mul")
 
 
 def poly_mul(f, g):

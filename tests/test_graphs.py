@@ -1,11 +1,18 @@
 import json
 import math
+import os
+import pathlib
 import random
+import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from table_oracles import bfs_diameter, bundle_on_g, graph_from_json, identity_map
+from table_oracles import (
+    bfs_diameter, bundle_on_g, graph_from_json, identity_map, record_calls,
+)
 from zdgraph import graphs
 from zdgraph.graphs import (
     SimpleGraph,
@@ -576,6 +583,75 @@ def test_the_shared_run_equals_the_one_map_suite_on_every_corpus_map():
     shared = list(armendariz_invariant_suites(maps))
     assert len(shared) == len(maps) == 561
     assert shared == [armendariz_invariant_suite(g) for g in maps]
+
+
+def test_verify_armendariz_builds_each_corpus_map_and_scans_each_table_once(monkeypatch):
+    from zdgraph import semigroups, spectra, topology
+    from zdgraph.suites import verify_armendariz
+
+    counted = {name: record_calls(monkeypatch, module, name) for module, name in (
+        (topology, "alpha_map"), (spectra, "restrict_to_max"),
+        (semigroups, "check_armendariz"), (semigroups, "zero_divisors"))}
+    for _ in range(2):  # the memos live for one run only
+        for calls in counted.values():
+            calls.clear()
+        assert verify_armendariz().passed
+        assert {name: len(calls) for name, calls in counted.items()} == {
+            "alpha_map": 81, "restrict_to_max": 129, "check_armendariz": 328,
+            "zero_divisors": 400}
+        scanned = [args[0]._key() for args, _ in counted["zero_divisors"]]
+        assert len(set(scanned)) == len(scanned)
+
+
+def test_a_map_on_the_same_tables_with_another_assignment_is_checked_again():
+    from zdgraph.graphs import armendariz_invariant_suites
+    from zdgraph.semigroups import SemigroupMap
+
+    S = zn_mul(6)
+    swap = SemigroupMap(S, S, (0, 2, 1, 3, 4, 5))  # 2*3 = 0, but 1*3 = 3
+    with pytest.raises(ValueError, match="^map is not Armendariz"):
+        list(armendariz_invariant_suites([identity_map(S), swap]))
+
+
+class _Redrawn:
+    """A drawn object that equals only itself, so the corpus's memo never
+    finds it again and every draw gets a map of its own."""
+    __hash__ = object.__hash__
+
+    def __eq__(self, other):
+        return self is other
+
+
+def _redrawn(X):
+    cls = type(X)
+    return type("Redrawn" + cls.__name__, (_Redrawn, cls), {})(*vars(X).values())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_corpus_memo_changes_no_map(monkeypatch, seed):
+    from zdgraph import corpus
+
+    memoized = corpus.armendariz_map_corpus(seed=seed)
+    for name in ("random_space", "random_poset"):
+        draw = getattr(corpus, name)
+        monkeypatch.setattr(corpus, name, lambda *a, draw=draw: _redrawn(draw(*a)))
+    fresh = corpus.armendariz_map_corpus(seed=seed)
+    assert [name for name, _ in fresh] == [name for name, _ in memoized]
+    for (_, f), (_, m) in zip(fresh, memoized):
+        assert f.source == m.source and f.target == m.target and f.assignment == m.assignment
+    assert len({id(g) for _, g in fresh}) == len(fresh) > len({id(g) for _, g in memoized})
+
+
+def test_verify_armendariz_json_does_not_depend_on_the_hash_seed():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-m", "zdgraph.cli", "verify", "armendariz", "--json"],
+                             capture_output=True, env=env, check=True)
+        outs.append(re.sub(rb'"elapsed_s": [0-9.e-]+', b'"elapsed_s": _', run.stdout))
+    assert outs[0] == outs[1] and b'"561 maps, 0 failures"' in outs[0]
 
 
 def test_a_map_that_is_not_armendariz_fails_before_any_guard():

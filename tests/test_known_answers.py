@@ -7,14 +7,36 @@ clique number, and both count its minimal primes.  Beck's graph has every
 element as a vertex and 0 joined to all of them; the zero-divisor graph
 Gamma drops 0, so a product of k >= 2 finite fields has
 omega(Gamma) = chi(Gamma) = k, and a field's Gamma is empty.
+
+DeMeyer, McKenzie & Schneider, "The zero-divisor graph of a commutative
+semigroup", Semigroup Forum 65 (2002), 206-214: the zero-divisor graph of
+a commutative semigroup with zero is connected, has diameter at most 3,
+and has girth 3, 4 or infinity.
 """
+
+import contextlib
+import io
+import math
 
 import pytest
 
-from zdgraph.corpus import small_reduced_rings_for_content
+from table_oracles import record_calls
+from zdgraph import graphs
+from zdgraph.cli import main
+from zdgraph.corpus import reduced_rings_up_to, small_reduced_rings_for_content
+from zdgraph.graphs import (
+    chromatic_number,
+    clique_and_chromatic,
+    clique_number,
+    diameter,
+    girth,
+    is_connected,
+)
 from zdgraph.polynomials import clique_stabilization
+from zdgraph.rings import gamma_graph
 
 REDUCED = {R.tag: R for R in small_reduced_rings_for_content(9)}
+ARMENDARIZ_RINGS = {R.tag: R for R in reduced_rings_up_to(32)}  # the map corpus's rings
 
 
 def _field_count(R):
@@ -36,3 +58,30 @@ def test_truncated_graphs_of_field_products_have_k_cliques_and_colours(tag):
     assert (st.base_clique, st.base_chromatic) == want
     assert st.per_degree == ((0, *want), (1, *want))
     assert st.passed
+
+
+@pytest.mark.parametrize("tag", list(ARMENDARIZ_RINGS))
+def test_gamma_of_a_reduced_ring_has_k_cliques_and_colours(tag):
+    R = ARMENDARIZ_RINGS[tag]
+    k = _field_count(R)
+    # Beck (1988): omega = chi = k for a product of k >= 2 fields, and a
+    # field's Gamma is empty
+    want = (k, k) if k >= 2 else (0, 0)
+    G = gamma_graph(R)
+    assert clique_and_chromatic(G) == want
+    assert (clique_number(G), chromatic_number(G)) == want
+
+
+def test_every_semigroup_gamma_the_suites_build_obeys_the_semigroup_bounds(monkeypatch):
+    built = record_calls(monkeypatch, graphs, "zero_divisor_graph")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "all", "--json"]) == 0
+    # truncated polynomial graphs come from their own builder and are not here
+    distinct = {G.adj: G for _, G in built}
+    assert len(built) >= 500 and len(distinct) >= 100
+    for G in distinct.values():
+        # DeMeyer, McKenzie & Schneider (2002): connected, diameter <= 3,
+        # girth 3, 4 or infinity
+        assert is_connected(G)
+        assert diameter(G) <= 3
+        assert girth(G) in (3, 4, math.inf)
