@@ -26,12 +26,12 @@ import itertools
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
-
-import numpy as np
 
 from .graphs import (
     COUNTABLY_INFINITE,
+    DEFAULT_MAX_CLIQUE_VERTICES,
     InvariantBundle,
     SuitePart,
     diameter,
@@ -191,11 +191,12 @@ def uspec_sigma(P: FinitePoset) -> SemigroupTable:
 
 def restrict_to_max(P: FinitePoset) -> SemigroupMap:
     """The map C -> C intersect Max on closed-set lattices."""
-    return _restrict_to_max(P, upset_masks(P.leq))
+    masks = upset_masks(P.leq)
+    guard("closed sets", len(masks), DEFAULT_MAX_TABLE)
+    return _restrict_to_max(P, masks)
 
 
 def _restrict_to_max(P: FinitePoset, masks: list[int]) -> SemigroupMap:
-    guard("closed sets", len(masks), DEFAULT_MAX_TABLE)
     maxmask = _max_mask(P)
     targets = sorted({m & maxmask for m in masks}, key=_by_size)
     tpos = {m: i for i, m in enumerate(targets)}
@@ -204,6 +205,14 @@ def _restrict_to_max(P: FinitePoset, masks: list[int]) -> SemigroupMap:
         meet_table(P.points, targets),
         tuple(tpos[m & maxmask] for m in masks),
     )
+
+
+def _zero_divisor_count(P: FinitePoset, masks: list[int]) -> int:
+    """The vertex count of the Zariski lattice's zero-divisor graph, read
+    from its up-sets before any table: a nonempty up-set is a zero divisor
+    iff it misses some maximal point."""
+    maxmask = _max_mask(P)
+    return sum(0 < m and m & maxmask != maxmask for m in masks)
 
 
 def _is_max_irreducible(P: FinitePoset, masks: list[int]) -> bool:
@@ -224,40 +233,37 @@ def _is_max_irreducible(P: FinitePoset, masks: list[int]) -> bool:
 class FanPoset:
     """Symbolic poset: generic points under countably infinite maximal families.
 
-    ``generics[g]`` is the mask of the families generic g lies below."""
+    A "shared" fan has ``size`` generics below one family; a "disjoint" fan
+    has ``size`` families, with generic i below family i alone.  Either way
+    it has ``size`` generics."""
 
-    families: int
-    generics: tuple[int, ...]
     shape: str  # "shared" | "disjoint"
+    size: int
 
     def __post_init__(self):
-        if self.families < 1 or not self.generics:
-            raise InvalidPoset("fan needs at least one family and one generic")
-        covered = 0
-        for fams in self.generics:
-            if fams <= 0 or fams >> self.families:
-                raise InvalidPoset("generic must sit below at least one family")
-            covered |= fams
-        if covered != (1 << self.families) - 1:
-            raise InvalidPoset("every family needs a generic below it")
-        if self.shape == "shared":
-            if self.families != 1:
-                raise InvalidPoset("shared fan has a single maximal family")
-        elif self.shape == "disjoint":
-            if len(self.generics) != self.families or any(
-                g != 1 << i for i, g in enumerate(self.generics)
-            ):
-                raise InvalidPoset("disjoint fan pairs generic i with family i")
-        else:
+        if self.shape not in ("shared", "disjoint"):
             raise InvalidPoset(f"unknown fan shape {self.shape!r}")
+        if self.size < 1:
+            raise InvalidPoset("fan needs at least one family and one generic")
+
+    @cached_property
+    def families(self) -> int:
+        return self.size if self.shape == "disjoint" else 1
+
+    @cached_property
+    def generics(self) -> tuple[int, ...]:
+        """``generics[g]`` is the mask of the families generic g lies below."""
+        if self.shape == "disjoint":
+            return tuple(1 << g for g in range(self.size))
+        return (1,) * self.size
 
 
 def fan_shared(num_generics: int) -> FanPoset:
-    return FanPoset(1, (1,) * num_generics, "shared")
+    return FanPoset("shared", num_generics)
 
 
 def fan_disjoint(num_fans: int) -> FanPoset:
-    return FanPoset(num_fans, tuple(1 << i for i in range(num_fans)), "disjoint")
+    return FanPoset("disjoint", num_fans)
 
 
 def fan_from_spec(spec: str) -> FanPoset:
@@ -398,7 +404,7 @@ def is_spec_form(d: FanClosedSet) -> bool:
     # shared: one family
     if not full:
         return True
-    return bool(d.generics) or len(d.fan.generics) >= 2
+    return bool(d.generics) or d.fan.size >= 2
 
 
 def fan_common_neighbor(
@@ -422,7 +428,7 @@ def fan_common_neighbor(
             continue
         if fan_disjoint_q(cand, a) and fan_disjoint_q(cand, b):
             return cand
-    for g in range(len(fan.generics)):
+    for g in range(fan.size):
         cand = fan_v_generic(fan, g)
         if spec_mode and not is_spec_form(cand):
             continue
@@ -449,8 +455,8 @@ def fan_distance(a: FanClosedSet, b: FanClosedSet, spec_mode: bool = True) -> in
     return 3
 
 
-# fan_max_irreducible runs over pairs of subsets of the generics: at 16 it
-# takes about 0.1 s, and each further generic at least doubles that
+# the fan suite's sampled descriptor checks grow with the generics, about
+# quadratically on a disjoint fan: 0.05 s at 16 generics, 2.5 s at 256
 MAX_FAN_GENERICS = 16
 
 
@@ -459,39 +465,24 @@ def fan_max_irreducible(fan: FanPoset) -> tuple[bool, Optional[tuple]]:
 
     Finite parts can never cover an infinite family, so a reducible cover
     must come from two generic-licensed unions of full families, each
-    proper.  Returns a witness pair of generic sets when reducible.
+    proper.  A fan of one family has no proper union to cover it; the
+    families of a disjoint fan of k >= 2 are covered by those of generic 0
+    and of generics 1..k-1, the witness pair of generic sets returned.
     """
-    guard("fan generics", len(fan.generics), MAX_FAN_GENERICS)
-    all_fams = (1 << fan.families) - 1
-
-    def cover(gs):
-        out = 0
-        for g in gs:
-            out |= fan.generics[g]
-        return out
-
-    gen_ids = range(len(fan.generics))
-    for r1 in range(1, len(fan.generics) + 1):
-        for g1 in itertools.combinations(gen_ids, r1):
-            c1 = cover(g1)
-            if c1 == all_fams:
-                continue
-            for r2 in range(1, len(fan.generics) + 1):
-                for g2 in itertools.combinations(gen_ids, r2):
-                    c2 = cover(g2)
-                    if c2 != all_fams and c1 | c2 == all_fams:
-                        return False, (tuple(g1), tuple(g2))
-    return True, None
+    guard("fan generics", fan.size, MAX_FAN_GENERICS)
+    if fan.families == 1:
+        return True, None
+    return False, ((0,), tuple(range(1, fan.size)))
 
 
 def fan_window_poset(fan: FanPoset, per_family: int) -> FinitePoset:
     """Finite truncation: the first per_family maximals of every family,
     after the generics; point ng + j * per_family + i is maximal i of
     family j."""
-    labels = [f"g{i}" for i in range(len(fan.generics))]
+    labels = [f"g{i}" for i in range(fan.size)]
     maxpts = [(j, i) for j in range(fan.families) for i in range(per_family)]
     labels += [f"m{j}.{i}" for j, i in maxpts]
-    ng = len(fan.generics)
+    ng = fan.size
     leq = [
         1 << g | sum(1 << (ng + k) for k, (j, _) in enumerate(maxpts) if fams >> j & 1)
         for g, fams in enumerate(fan.generics)
@@ -504,23 +495,21 @@ def fan_window_upset_count(fan: FanPoset, per_family: int) -> int:
     """The number of up-sets of ``fan_window_poset(fan, per_family)``, read
     from the fan's shape without listing them.
 
-    An up-set holds all window maximals of the families in some set T and
-    a proper subset of each other family's, and may hold a generic exactly
-    when the generic's families lie in T.
+    An up-set that holds a generic holds all window maximals of its
+    family.  So a shared fan's up-sets are the 2^w sets of window maximals,
+    and the whole window with each nonempty set of generics; in a disjoint
+    fan each family holds one of its 2^w sets of window maximals, or all of
+    them and its generic.
     """
-    T = np.arange(1 << fan.families)
-    partial = fan.families - np.bitwise_count(T).astype(np.int64)  # families not in T
-    free = sum((fams & ~T) == 0 for fams in fan.generics)  # generics T admits
-    width = len(fan.generics) + 1
-    proper = (1 << per_family) - 1
-    return sum(c * proper ** (k // width) * 2 ** (k % width)
-               for k, c in enumerate(np.bincount(partial * width + free).tolist()))
+    if fan.shape == "shared":
+        return 2**per_family + 2**fan.size - 1
+    return (2**per_family + 1) ** fan.size
 
 
 def fan_restrict_to_window(d: FanClosedSet, per_family: int) -> int:
     """The descriptor's trace on the window, as a mask over the points of
     ``fan_window_poset(d.fan, per_family)``."""
-    ng, window = len(d.fan.generics), (1 << per_family) - 1
+    ng, window = d.fan.size, (1 << per_family) - 1
     out = d.generics
     for j, part in enumerate(d.parts):
         out |= (part & window) << (ng + j * per_family)
@@ -535,7 +524,7 @@ def random_fan_descriptor(
 ) -> FanClosedSet:
     """A random valid descriptor; generics are included with their forced
     families, exclusions only appear in Alexandroff mode."""
-    gens = sum(1 << g for g in range(len(fan.generics)) if rng.random() < 0.25)
+    gens = sum(1 << g for g in range(fan.size) if rng.random() < 0.25)
     forced = 0
     for g in members(gens):
         forced |= fan.generics[g]
@@ -546,7 +535,7 @@ def random_fan_descriptor(
         elif not spec_mode and rng.random() < 0.3:
             k = rng.randint(0, min(3, max_index))
             parts.append(~sum(1 << i for i in rng.sample(range(max_index), k)))
-        elif spec_mode and fan.shape == "shared" and len(fan.generics) >= 2 and rng.random() < 0.1:
+        elif spec_mode and fan.shape == "shared" and fan.size >= 2 and rng.random() < 0.1:
             parts.append(-1)
         else:
             k = rng.randint(0, min(4, max_index))
@@ -579,13 +568,15 @@ def _finite_specs_suite(P: FinitePoset) -> SpecsSuiteReport:
     # one up-set enumeration serves the sigma table, the restriction to Max
     # and the irreducibility test; the union-closure route stays separate
     masks = upset_masks(P.leq)
+    guard("closed sets", len(masks), DEFAULT_MAX_TABLE)
+    guard("clique-solver vertices", _zero_divisor_count(P, masks), DEFAULT_MAX_CLIQUE_VERTICES)
     rmap = _restrict_to_max(P, masks)
     tG = rmap.source
     tH = uspec_sigma(P)
     coincide = tG == tH
     G = zero_divisor_graph(tG)
-    # invariant_bundle runs the clique guard first, which bounds G.n, and
-    # seeds the colouring with that clique
+    # the clique guard above bounds G.n, and invariant_bundle seeds the
+    # colouring with its clique
     bg = invariant_bundle(G, max_chromatic_vertices=G.n)
     # equal tables give equal graphs, so H is built only when they differ
     H = G if coincide else zero_divisor_graph(tH)
@@ -791,7 +782,7 @@ def _fan_specs_suite(
     else:
         a = fan_v_generic(fan, 0)
         c = fan_v_max(fan, 0, 0)
-        for g in range(1, len(fan.generics)):
+        for g in range(1, fan.size):
             c = fan_union(c, fan_v_generic(fan, g))
         dist_ac = fan_distance(a, c, spec_mode=True)
         p1 = fan_v_max(fan, 1, 0)

@@ -8,7 +8,10 @@ closures and ``InvalidPoset`` messages of ``zdgraph.spectra`` against them.
 
 ``rows_transitive``, the fan helpers ``fan_empty`` and ``fan_whole``,
 ``is_max_irreducible`` and ``from_open_sets`` have no caller in the program
-and live here for the tests that use them.
+and live here for the tests that use them.  ``fan_irreducible_by_search``
+and ``fan_window_upset_tally`` are the fan's irreducibility search over
+pairs of generic sets and its tally of window up-sets over every set of
+families, which the closed forms in the fan's shape replaced.
 
 The fan descriptor algebra and the symbolic cofinite lattice are kept in the
 form they had before their point sets became int masks: a fan part is a
@@ -24,6 +27,8 @@ program's objects from what passes.
 
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from zdgraph.corpus import _LETTERS, _space_from_preorder
 from zdgraph.semigroups import SizeGuardExceeded, members, row_union
@@ -95,6 +100,44 @@ def fan_empty(fan):
 
 def fan_whole(fan):
     return FanClosedSet(fan, (-1,) * fan.families, (1 << len(fan.generics)) - 1)
+
+
+def fan_irreducible_by_search(fan):
+    """(irreducible, witness) of the maximal subspace: the first pair of
+    generic sets, in (size, lexicographic) order, whose families are each
+    proper and together cover every family."""
+    all_fams, generics = (1 << fan.families) - 1, fan.generics
+
+    def cover(gs):
+        out = 0
+        for g in gs:
+            out |= generics[g]
+        return out
+
+    subsets = [gs for r in range(1, len(generics) + 1)
+               for gs in itertools.combinations(range(len(generics)), r)]
+    for g1 in subsets:
+        c1 = cover(g1)
+        if c1 == all_fams:
+            continue
+        for g2 in subsets:
+            c2 = cover(g2)
+            if c2 != all_fams and c1 | c2 == all_fams:
+                return False, (g1, g2)
+    return True, None
+
+
+def fan_window_upset_tally(fan, per_family):
+    """The up-sets of ``fan_window_poset(fan, per_family)``, counted per set
+    T of families whose window maximals an up-set holds in full: a proper
+    subset of each other family's, and any generic whose families lie in T."""
+    T = np.arange(1 << fan.families)
+    partial = fan.families - np.array([t.bit_count() for t in range(1 << fan.families)])
+    free = sum((fams & ~T) == 0 for fams in fan.generics)
+    width = len(fan.generics) + 1
+    proper = (1 << per_family) - 1
+    return sum(c * proper ** (k // width) * 2 ** (k % width)
+               for k, c in enumerate(np.bincount(partial * width + free).tolist()))
 
 
 # ---------------------------------------------------------------------------

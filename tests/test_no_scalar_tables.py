@@ -20,6 +20,10 @@ rows through a structured view of each; on the 256 kill rows of Z_256 it
 takes about 11 ms, and a 1-D ``np.unique`` over their packed bytes 0.06 ms
 (one x86 Xeon core).
 
+The library asks for ``numpy>=1.24`` (pyproject.toml), so it names only
+NumPy attributes of ``NUMPY_1_24``, each present in NumPy 1.24; a new name
+is checked against that release before it joins the set.
+
 A graph is its adjacency rows: ``SimpleGraph(...)`` is called only in
 ``graphs.py`` (elsewhere a graph comes from a builder or ``from_edges``),
 and ``graphs.py`` reads the derived ``.edges`` only in its export functions.
@@ -165,6 +169,33 @@ def unique_axis_calls(tree):
     })
 
 
+# the NumPy names the library uses, every one of them in NumPy 1.24
+NUMPY_1_24 = {
+    "add", "arange", "argsort", "argwhere", "array", "array_equal", "asarray", "bincount",
+    "concatenate", "count_nonzero", "cumsum", "dtype", "empty", "empty_like", "fill_diagonal",
+    "flatnonzero", "float32", "frombuffer", "full", "full_like", "int64", "ix_", "maximum",
+    "minimum", "moveaxis", "multiply", "ndarray", "nonzero", "packbits", "ravel_multi_index",
+    "repeat", "searchsorted", "sort", "split", "take_along_axis", "tensordot", "tile", "uint8",
+    "unique", "unpackbits", "unravel_index", "void", "vstack", "where", "zeros",
+}
+
+
+def numpy_names_outside(tree, allowed=NUMPY_1_24):
+    """Line numbers of ``np.<name>`` for a name not in ``allowed``, and of
+    any import of numpy other than ``import numpy as np``."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "np" and node.attr not in allowed):
+            found.append(node.lineno)
+        if isinstance(node, ast.Import):
+            found += [node.lineno for a in node.names
+                      if a.name.split(".")[0] == "numpy" and (a.name, a.asname) != ("numpy", "np")]
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
 def _library_hits(lint):
     return [
         f"{path.name}:{line}"
@@ -212,6 +243,24 @@ def test_graphs_are_built_from_rows():
 def test_no_row_uniques_in_library():
     found = _library_hits(unique_axis_calls)
     assert not found, f"np.unique over whole rows: {found}"
+
+
+def test_library_numpy_names_exist_in_numpy_1_24():
+    found = _library_hits(numpy_names_outside)
+    assert not found, f"NumPy names outside the 1.24 set, or numpy imported otherwise: {found}"
+
+
+def test_the_numpy_lint_sees_each_pattern():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "a = np.bitwise_count(T)\n"
+        "b = np.zeros(3, dtype=np.int64)\n"
+        "import numpy\n"
+        "from numpy import bitwise_count\n"
+        "import numpy.linalg as la\n"
+        "c = np.linalg.norm(x)\n"
+    )
+    assert numpy_names_outside(tree) == [2, 4, 5, 6, 7]
 
 
 def test_the_unique_lint_sees_each_pattern():

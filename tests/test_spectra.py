@@ -150,8 +150,18 @@ def test_fan_generic_forces_families():
     fan = fan_disjoint(2)
     v0 = fan_v_generic(fan, 0)
     assert v0.parts[0] == ~mask(frozenset()) and v0.parts[1] == mask(frozenset())
-    with pytest.raises(InvalidPoset):
-        FanPoset(2, (mask(frozenset()), mask({1})), "disjoint")
+
+
+def test_a_fan_is_its_shape_and_size():
+    assert fan_shared(3) == FanPoset("shared", 3)
+    assert (fan_shared(3).families, fan_shared(3).generics) == (1, (1, 1, 1))
+    assert (fan_disjoint(3).families, fan_disjoint(3).generics) == (3, (1, 2, 4))
+    with pytest.raises(InvalidPoset, match="^unknown fan shape 'mixed'$"):
+        FanPoset("mixed", 2)
+    for shape in ("shared", "disjoint"):
+        for size in (0, -1):
+            with pytest.raises(InvalidPoset, match="^fan needs at least one family and one generic$"):
+                FanPoset(shape, size)
 
 
 def test_cofinite_is_uspec_only():
@@ -212,6 +222,19 @@ def test_fan_search_is_guarded_before_it_runs(monkeypatch):
                     run(fan)
     assert fan_max_irreducible(fan_shared(MAX_FAN_GENERICS)) == (True, None)
     assert not fan_max_irreducible(fan_disjoint(MAX_FAN_GENERICS))[0]
+
+
+@pytest.mark.parametrize("k", range(1, MAX_FAN_GENERICS + 1))
+def test_fan_irreducibility_matches_the_search(k):
+    for fan in (fan_shared(k), fan_disjoint(k)):
+        assert fan_max_irreducible(fan) == ro.fan_irreducible_by_search(fan)
+
+
+def test_window_upset_count_matches_the_tally():
+    for k in range(1, MAX_FAN_GENERICS + 1):
+        for fan in (fan_shared(k), fan_disjoint(k)):
+            for w in range(9):
+                assert spectra.fan_window_upset_count(fan, w) == ro.fan_window_upset_tally(fan, w)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +419,27 @@ def test_specs_suite_builds_one_graph_per_finite_poset(monkeypatch):
         report = specs_theorem_suite(P)
         assert report.passed and report.spec_bundle == report.uspec_bundle
         assert built == [sigma_spec(P)], P
+
+
+def test_zero_divisor_count_is_the_order_of_gamma():
+    from zdgraph.corpus import enumerate_posets
+
+    posets = [P for n in range(7) for P, _ in enumerate_posets(n)]
+    assert len(posets) == 1 + 1 + 2 + 5 + 16 + 63 + 318
+    for P in posets:
+        count = spectra._zero_divisor_count(P, upset_masks(P.leq))
+        assert count == zero_divisor_graph(sigma_spec(P)).n, P
+
+
+def test_specs_suite_trips_the_clique_guard_before_any_table(monkeypatch):
+    # 7 incomparable points give 2^7 - 2 = 126 vertices, under the guard
+    assert specs_theorem_suite(antichain(7)).spec_bundle.clique == 7
+    monkeypatch.setattr(spectra, "meet_table", lambda *a: pytest.fail("built a meet table"))
+    # every up-set but the empty set and the whole set is a vertex
+    for n in (8, 12):
+        with pytest.raises(SizeGuardExceeded,
+                           match=f"^{2**n - 2} clique-solver vertices exceed guard 200$"):
+            specs_theorem_suite(antichain(n))
 
 
 def test_coincidence_is_table_equality(monkeypatch):
