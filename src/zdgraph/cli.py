@@ -231,7 +231,7 @@ def _validate(kind, obj, args):
 
 
 def _specs_suite(kind, P, args):
-    report = specs_theorem_suite(P)
+    report = specs_theorem_suite(P, max_clique_vertices=_limit(args, "--max-clique"))
     parts = [{"name": p.name, "applies": p.applies, "passed": p.passed, "details": p.details}
              for p in report.parts]
     return ({"passed": report.passed, "max_irreducible": report.max_irreducible,

@@ -122,13 +122,19 @@ def enumerate_topologies(n: int) -> Iterator[tuple[FiniteSpace, int]]:
         yield _space_from_preorder(rows), orbit
 
 
-def random_space(rng: random.Random, n: int, density: float = 0.35) -> FiniteSpace:
+def random_preorder(rng: random.Random, n: int, density: float = 0.35) -> tuple[int, ...]:
+    """The rows of a random preorder: each pair i != j related with
+    probability ``density``, then closed transitively."""
     rows = [1 << i for i in range(n)]
     for i in range(n):
         for j in range(n):
             if i != j and rng.random() < density:
                 rows[i] |= 1 << j
-    return _space_from_preorder(transitive_closure(rows))
+    return transitive_closure(rows)
+
+
+def random_space(rng: random.Random, n: int, density: float = 0.35) -> FiniteSpace:
+    return _space_from_preorder(random_preorder(rng, n, density))
 
 
 def enumerate_posets(n: int) -> Iterator[tuple[FinitePoset, int]]:
@@ -285,8 +291,9 @@ def armendariz_map_corpus(
     closed-point intersection maps of random pearled spaces, restrictions
     to maximal points of random posets, and random isomorphisms.  A space
     or poset drawn again gets the map built for it the first time, so
-    equal entries are one object; the draws, names and order do not depend
-    on it.
+    equal entries are one object, and a space is built and tested for
+    pearls once per distinct preorder drawn; the draws, names and order do
+    not depend on it.
     """
     from .rings import is_reduced, multiplicative_semigroup
     from .semigroups import eq_quotient
@@ -295,7 +302,9 @@ def armendariz_map_corpus(
 
     rng = random.Random(seed)
     out: list[tuple[str, SemigroupMap]] = []
-    built: dict[FiniteSpace | FinitePoset, SemigroupMap] = {}  # drawn object -> its map
+    # drawn preorder rows -> the alpha map of their space, None if not pearled
+    alphas: dict[tuple[int, ...], SemigroupMap | None] = {}
+    built: dict[FinitePoset, SemigroupMap] = {}  # drawn poset -> its map
 
     # one ring list serves the quotients (order <= ring_order) and the
     # isomorphism bases (order <= 12): reduced_rings_up_to(n) is the
@@ -312,12 +321,13 @@ def armendariz_map_corpus(
 
     made = 0
     while made < space_count:
-        X = random_space(rng, rng.randint(1, max_points))
-        if not axiom_suite(X).pearled:
+        rows = random_preorder(rng, rng.randint(1, max_points))
+        if rows not in alphas:
+            X = _space_from_preorder(rows)
+            alphas[rows] = alpha_map(X) if axiom_suite(X).pearled else None
+        if alphas[rows] is None:
             continue
-        if X not in built:
-            built[X] = alpha_map(X)
-        out.append((f"alpha map on {X.n}-point space", built[X]))
+        out.append((f"alpha map on {len(rows)}-point space", alphas[rows]))
         made += 1
 
     for k in range(poset_count):

@@ -2,14 +2,15 @@
 
 Rings are explicit addition/multiplication tables over element indices,
 whatever constructor produced them (Z_n, direct products, univariate or
-multivariate quotients over F_p, raw tables).  Every ring axiom is checked
-exactly at construction, in O(n^2) per generator of (R, +): Light's test
-for associativity, and distributivity and multiplicative associativity on
-the generators, imply each law for all elements.  Only tables that fail are
-scanned exhaustively, so each error names the first witness in a fixed
-order.  Each constructor checks the ring guard before it builds a table.
-The structured tag is kept for display and for the CLI spec-string round
-trip.
+multivariate quotients over F_p, raw tables); the F_p-algebras fill their
+tables one digit level at a time.  Every ring axiom is checked exactly at
+construction, in O(n^2) per nonzero generator of (R, +), of which there
+are at most log2 n: Light's test for associativity, and distributivity and
+multiplicative associativity on the generators, imply each law for all
+elements.  Only tables that fail are scanned exhaustively, so each error
+names the first witness in a fixed order.  Each constructor checks the
+ring guard before it builds a table.  The structured tag is kept for
+display and for the CLI spec-string round trip.
 
 Every ideal of a finite ring is a finite sum of principal ideals.  Each
 ring has one ``IdealIndex``: it stores every ideal once, fills a row of
@@ -100,19 +101,20 @@ def _validate_ring(R: FiniteRing) -> None:
         _scan_ring_laws(R)
 
 
-def _additive_generators(A: np.ndarray) -> list[int]:
-    """Greedy generators of (R, +) in index order: an element joins when it
-    is not in the closure of the earlier ones under ``A``.
+def _additive_generators(A: np.ndarray, zero: int) -> list[int]:
+    """Greedy nonzero generators of (R, +) in index order: an element joins
+    when it is not in the closure of zero and the earlier ones under ``A``.
 
     The closure grows by X -> X ∪ (X + X) until nothing new appears, which
     is the closure under any table, and takes k steps to reach every sum
     of up to 2^k members of X when + is associative.  In a group each
-    generator after the first at least doubles the subgroup reached, so
-    there are at most floor(log2 n) + 1 of them.
+    generator at least doubles the subgroup reached, which starts as {0},
+    so there are at most floor(log2 n) of them.
     """
     n = len(A)
     reached = np.zeros(n, dtype=bool)
-    gens, size = [], 0
+    reached[zero] = True
+    gens, size = [], 1
     while size < n:
         g = int(reached.argmin())  # the first element not reached yet
         gens.append(g)
@@ -130,28 +132,33 @@ def _additive_generators(A: np.ndarray) -> list[int]:
 
 def _ring_laws_hold(R: FiniteRing) -> bool:
     """Whether the tables satisfy every ring law, in O(n^2 |G|) for the
-    additive generators G.
+    nonzero additive generators G.
 
     Light's test (Clifford & Preston, The Algebraic Theory of Semigroups I,
     §1.2): the elements g with (g + x) + y = x + (g + y) for all x, y are
-    closed under +, so + is associative if every generator passes.  Then
-    the g with (g + b)a = ba + ga for all a, b are closed under + too, so
-    distributivity on the generators gives it everywhere.  Both (ab)c and
+    closed under +, so + is associative if every generator passes; zero,
+    the additive identity, passes by itself.  Then the g with
+    (g + b)a = ba + ga for all a, b are closed under + too, so
+    distributivity on the generators gives it everywhere: in the finite
+    group (R, +) the sums of G already hold 0 = g + (-g).  Both (ab)c and
     a(bc) are then additive in each argument, so they agree everywhere if
-    they agree on generator triples.
+    they agree on generator triples.  The zero ring has no generators and
+    no law left to check.
     """
     n, A, M = R.size, R.add, R.mul
     if table_form_failure(A, n) or table_form_failure(M, n):
         return False
-    G = np.array(_additive_generators(A))
+    ident = np.arange(n)
+    if not (np.array_equal(A[R.zero], ident) and (A == R.zero).any(axis=1).all()
+            and np.array_equal(M[R.one], ident)):
+        return False
+    if n == 1:
+        return True
+    G = np.array(_additive_generators(A, R.zero))
     k = max(1, 2**16 // (n * n))  # generators per batch: about 2^16 cells
     batches = [G[i : i + k] for i in range(0, len(G), k)]
     # with + commutative, B[g, x, y] = (g + x) + y and B[g, y, x] = x + (g + y)
     if not all(np.array_equal(B, B.swapaxes(1, 2)) for B in (A[A[g]] for g in batches)):
-        return False
-    ident = np.arange(n)
-    if not (np.array_equal(A[R.zero], ident) and (A == R.zero).any(axis=1).all()
-            and np.array_equal(M[R.one], ident)):
         return False
     # [g, b, a]: (g + b)a = ba + ga
     if not all(np.array_equal(M[A[g]], A[M, M[g][:, None]]) for g in batches):
@@ -206,7 +213,9 @@ def make_zn(n: int) -> FiniteRing:
         raise RingConstructionError("n must be >= 1")
     guard("ring elements", n, DEFAULT_MAX_RING)
     r = np.arange(n)
-    return FiniteRing(tuple(str(i) for i in range(n)), np.add.outer(r, r) % n,
+    add = r[:, None] + r
+    add[add >= n] -= n  # each sum is below 2n
+    return FiniteRing(tuple(str(i) for i in range(n)), add,
                       np.multiply.outer(r, r) % n, 0, 1 % n, tag=f"Zn:{n}")
 
 
@@ -308,14 +317,31 @@ def _fp_algebra(p: int, structure: np.ndarray, labels, tag: str) -> FiniteRing:
     basis vectors i and j to ``structure[i, j]``; basis vector 0 is the one.
 
     Elements are coefficient vectors in ``itertools.product`` order, so
-    vector u has index sum_k u_k p^(d-1-k).
+    vector u has index sum_k u_k p^(d-1-k).  The tables are filled one digit
+    level at a time, from row 0 (x + y = y, 0y = 0): once the rows x < m of
+    the basis vector e_k of weight m are known, row c·m + x holds
+    (c e_k + x) + y = t[x + y] and (c e_k + x)y = u[y] + xy, for each
+    scalar c, where t and u are the vectors y -> c e_k + y and y -> c e_k y.
+    Every add row is filled before the mul rows, which read all of them.
     """
     d = len(structure)
-    U = np.array(list(itertools.product(range(p), repeat=d))).reshape(-1, d)
+    n = p**d
     weights = p ** np.arange(d - 1, -1, -1)
-    B = np.tensordot(U, structure, axes=1)  # v @ B[a] is the vector of u_a * v
-    add = np.array([(U[a] + U) % p @ weights for a in range(len(U))])
-    mul = np.array([U @ B[a] % p @ weights for a in range(len(U))])
+    r = np.arange(n)
+    U = r[:, None] // weights % p  # row y: the coefficient vector of y
+    add = np.empty((n, n), dtype=np.int64)
+    mul = np.empty((n, n), dtype=np.int64)
+    add[0], mul[0] = r, 0
+    levels = [(k, int(weights[k])) for k in range(d - 1, -1, -1)]  # weights 1, p, ...
+    for k, m in levels:
+        for c in range(1, p):
+            t = r + ((U[:, k] + c) % p - U[:, k]) * m
+            add[c * m : (c + 1) * m] = t[add[:m]]
+    for k, m in levels:
+        E = U @ structure[k]  # row y: the vector of e_k y, before reduction mod p
+        for c in range(1, p):
+            u = c * E % p @ weights
+            mul[c * m : (c + 1) * m] = add[u, mul[:m]]
     return FiniteRing(labels, add, mul, 0, int(weights[0]), tag=tag)
 
 

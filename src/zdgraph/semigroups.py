@@ -280,13 +280,14 @@ def first_witness(mask: np.ndarray) -> Optional[tuple[int, ...]]:
 
 def table_form_failure(P: np.ndarray, n: int) -> Optional[tuple[str, tuple[int, ...]]]:
     """The first of the O(n^2) laws of ``table_law_failure`` that ``P`` breaks,
-    with its witness: "table-shape", "index-bounds" or "commutative"."""
+    with its witness: "table-shape", "index-bounds" or "commutative".  A law
+    is tested by a reduction, and its witness is searched only if it fails."""
     if P.shape != (n, n):
         return "table-shape", ()
-    if (w := first_witness((P < 0) | (P >= n))) is not None:
-        return "index-bounds", w
-    if (w := first_witness(P != P.T)) is not None:
-        return "commutative", w
+    if P.size and (P.min() < 0 or P.max() >= n):
+        return "index-bounds", first_witness((P < 0) | (P >= n))
+    if not np.array_equal(P, P.T):
+        return "commutative", first_witness(P != P.T)
     return None
 
 

@@ -564,12 +564,12 @@ class SpecsSuiteReport:
         return all(p.passed for p in self.parts)
 
 
-def _finite_specs_suite(P: FinitePoset) -> SpecsSuiteReport:
+def _finite_specs_suite(P: FinitePoset, max_clique_vertices: int) -> SpecsSuiteReport:
     # one up-set enumeration serves the sigma table, the restriction to Max
     # and the irreducibility test; the union-closure route stays separate
     masks = upset_masks(P.leq)
     guard("closed sets", len(masks), DEFAULT_MAX_TABLE)
-    guard("clique-solver vertices", _zero_divisor_count(P, masks), DEFAULT_MAX_CLIQUE_VERTICES)
+    guard("clique-solver vertices", _zero_divisor_count(P, masks), max_clique_vertices)
     rmap = _restrict_to_max(P, masks)
     tG = rmap.source
     tH = uspec_sigma(P)
@@ -577,10 +577,10 @@ def _finite_specs_suite(P: FinitePoset) -> SpecsSuiteReport:
     G = zero_divisor_graph(tG)
     # the clique guard above bounds G.n, and invariant_bundle seeds the
     # colouring with its clique
-    bg = invariant_bundle(G, max_chromatic_vertices=G.n)
+    bg = invariant_bundle(G, max_clique_vertices, max_chromatic_vertices=G.n)
     # equal tables give equal graphs, so H is built only when they differ
     H = G if coincide else zero_divisor_graph(tH)
-    bh = bg if coincide else invariant_bundle(H, max_chromatic_vertices=H.n)
+    bh = bg if coincide else invariant_bundle(H, max_clique_vertices, max_chromatic_vertices=H.n)
     maxes = max_points(P)
     nmax = len(maxes)
     nonmax = [p for p in range(P.n) if p not in maxes]
@@ -849,14 +849,16 @@ def _fan_specs_suite(
 
 
 def specs_theorem_suite(
-    P: Union[FinitePoset, FanPoset], samples: int = 200, seed: int = 0, windows=(2, 3)
+    P: Union[FinitePoset, FanPoset], samples: int = 200, seed: int = 0, windows=(2, 3),
+    max_clique_vertices: int = DEFAULT_MAX_CLIQUE_VERTICES,
 ) -> SpecsSuiteReport:
     """Run the applicable spectral-graph theorem checks for the poset.
 
     Finite posets are checked by exact computation of both closed-set
-    lattices; fans by constructive witnesses, descriptor-level certificates
-    and windowed comparisons.
+    lattices, with ``max_clique_vertices`` guarding the clique solver on
+    their graphs; fans by constructive witnesses, descriptor-level
+    certificates and windowed comparisons.
     """
     if isinstance(P, FanPoset):
         return _fan_specs_suite(P, samples=samples, seed=seed, windows=windows)
-    return _finite_specs_suite(P)
+    return _finite_specs_suite(P, max_clique_vertices)

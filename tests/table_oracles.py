@@ -12,7 +12,9 @@ padded coefficient array of a list of polynomials, and
 took each block's mul-table rows once: one broadcast 2-D lookup per
 coefficient pair, and an add for every term, the first included.
 ``product_tables_ix`` is ``make_product``'s tables as they were built before
-the factors were folded in by broadcasting.  ``record_calls`` is a test
+the factors were folded in by broadcasting, and ``fp_algebra_rows`` the
+F_p-algebra tables as they were built before they were filled by digit
+levels: two array expressions for each row.  ``record_calls`` is a test
 helper: it logs every call of one program function, under every name a
 ``zdgraph`` module holds it by.  So do the map helpers
 ``identity_map`` and ``compose`` and the graph reader ``graph_from_json``.
@@ -26,6 +28,7 @@ sets as frozensets, the form the program used before its int masks;
 ``mask`` turns one into the program's form where the two are compared.
 """
 
+import itertools
 import json
 import math
 import sys
@@ -396,15 +399,29 @@ def additive_closure(add, gens):
     return closed
 
 
-def additive_generators(add):
-    """Greedy generators in index order: each element not in the closure of
-    the earlier generators joins them."""
-    gens, closed = [], set()
+def additive_generators(add, zero):
+    """Greedy nonzero generators in index order: each element not in the
+    closure of zero and the earlier generators joins them."""
+    gens, closed = [], {zero}
     for e in range(len(add)):
         if e not in closed:
             gens.append(e)
-            closed = additive_closure(add, gens)
+            closed = additive_closure(add, [zero] + gens)
     return gens
+
+
+def fp_algebra_rows(p, structure):
+    """The F_p-algebra tables built one row at a time, two array expressions
+    per row: ``(add, mul, one)`` for the algebra on F_p^d whose basis vectors
+    i and j multiply to ``structure[i, j]``, elements in ``itertools.product``
+    order."""
+    d = len(structure)
+    U = np.array(list(itertools.product(range(p), repeat=d))).reshape(-1, d)
+    weights = p ** np.arange(d - 1, -1, -1)
+    B = np.tensordot(U, structure, axes=1)  # v @ B[a] is the vector of u_a * v
+    add = np.array([(U[a] + U) % p @ weights for a in range(len(U))])
+    mul = np.array([U @ B[a] % p @ weights for a in range(len(U))])
+    return add, mul, int(weights[0])
 
 
 def raises_invalid(fn, *args):

@@ -367,6 +367,25 @@ def test_specs_suite_on_a_large_antichain_fails_before_any_table(tmp_path, capsy
     assert "8192 closed sets exceed guard 4096" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags,env,code", [
+    ([], {}, 1),
+    (["--max-clique", "300"], {}, 0),
+    ([], {"ZDGRAPH_MAX_CLIQUE": "300"}, 0),
+])
+def test_specs_suite_reads_the_clique_guard(flags, env, code, tmp_path, capsys, monkeypatch):
+    # 8 incomparable points: Γ has 2^8 - 2 = 254 vertices, over the default 200
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    path = tmp_path / "antichain.json"
+    path.write_text(json.dumps({"points": [f"q{i}" for i in range(8)], "leq": []}))
+    assert main(["analyze", "--poset", str(path), "--tasks", "specs-suite", "--json"] + flags) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert "254 clique-solver vertices exceed guard 200" in err and "Traceback" not in err
+    else:
+        assert json.loads(out)["results"]["specs-suite"]["passed"]
+
+
 def test_charirrconn_on_five_points_finishes(capsys):
     t0 = time.perf_counter()
     assert main(["verify", "charirrconn", "--max-ground", "5", "--json"]) == 0

@@ -6,12 +6,13 @@ semigroups, on hypothesis tables, on seeded random maps and on seeded
 single-cell corruptions of ring and semigroup tables.
 """
 
+import itertools
 import json
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import ideal_oracles
 import table_oracles as oracle
@@ -357,21 +358,53 @@ def test_corpus_rings_pass_the_generator_check():
 
 def test_additive_generators_are_greedy_and_few():
     for spec in RING_SPECS + ANALYZE_SPECS:
-        add = ring_from_spec(spec).add.tolist()
+        R = ring_from_spec(spec)
+        add = R.add.tolist()
         n = len(add)
-        G = rings._additive_generators(np.array(add))
-        assert G == oracle.additive_generators(add)
-        assert oracle.additive_closure(add, G) == set(range(n))
-        assert len(G) <= n.bit_length()  # floor(log2 n) + 1
+        G = rings._additive_generators(np.array(add), R.zero)
+        assert G == oracle.additive_generators(add, R.zero)
+        assert oracle.additive_closure(add, [R.zero] + G) == set(range(n))
+        assert len(G) <= n.bit_length() - 1  # floor(log2 n)
 
 
 def test_generators_of_a_semilattice_are_every_element():
-    # x + y = max(x, y): every element is closed under +, so each one joins
+    # x + y = max(x, y): every element is closed under +, so each nonzero one joins
     n = 6
     add = [[max(a, b) for b in range(n)] for a in range(n)]
-    assert rings._additive_generators(np.array(add)) == list(range(n))
+    assert rings._additive_generators(np.array(add), 0) == list(range(1, n))
     mul = make_zn(n).mul.tolist()
     assert _ring_message(n, add, mul, 0, 1) == "element 1 has no additive inverse"
+
+
+def _relabelled(T, perm):
+    """The table T with element a renamed perm[a]."""
+    out = [[0] * len(T) for _ in T]
+    for a, row in enumerate(T):
+        for b, c in enumerate(row):
+            out[perm[a]][perm[b]] = perm[c]
+    return out
+
+
+def test_nonzero_generators_keep_the_verdict():
+    # the zero ring has no nonzero generator, and no law left to check
+    assert rings._additive_generators(np.array([[0]]), 0) == []
+    assert _ring_message(1, [[0]], [[0]], 0, 0) is None
+    # Z_6 with its zero at index 3: every corruption gets the scan's verdict
+    perm = [3, 0, 5, 1, 4, 2]
+    R = make_zn(6)
+    add, mul = _relabelled(R.add.tolist(), perm), _relabelled(R.mul.tolist(), perm)
+    G = rings._additive_generators(np.array(add), 3)
+    assert G == oracle.additive_generators(add, 3) == [0]  # 1 generates Z_6
+    assert _ring_message(6, add, mul, 3, 0) is None
+    for bad in _corruptions(add, 7, 10):
+        assert _ring_message(6, bad, mul, 3, 0) == oracle.validate_ring(6, bad, mul, 3, 0)
+    for bad in _corruptions(mul, 8, 10):
+        assert _ring_message(6, add, bad, 3, 0) == oracle.validate_ring(6, add, bad, 3, 0)
+    # x + y = max(x, y): the sums of the nonzero elements never reach zero
+    lattice = [[max(a, b) for b in range(6)] for a in range(6)]
+    assert 0 not in oracle.additive_closure(lattice, rings._additive_generators(np.array(lattice), 0))
+    got = _ring_message(6, lattice, R.mul.tolist(), 0, 1)
+    assert got is not None and got == oracle.validate_ring(6, lattice, R.mul.tolist(), 0, 1)
 
 
 @st.composite
@@ -408,7 +441,7 @@ def test_commutative_tables_check_like_the_scan(args):
     # most of these are no additive group, so the greedy generators may be
     # every element; the verdict and the message must still be the scan's
     n, add, mul = args
-    assert rings._additive_generators(np.array(add)) == oracle.additive_generators(add)
+    assert rings._additive_generators(np.array(add), 0) == oracle.additive_generators(add, 0)
     got = _ring_message(n, add, mul, 0, 1 % n)
     assert got == oracle.validate_ring(n, add, mul, 0, 1 % n)
 
@@ -442,7 +475,7 @@ def test_non_associative_algebra_fails_on_generator_triples():
     # elements with a repeat associates, so only distinct generators show it.
     add, mul = _f2_algebra([(1, 2, 4), (4, 3, 1)])
     basis = [1 << k for k in range(5)]
-    assert rings._additive_generators(np.array(add)) == [0] + basis
+    assert rings._additive_generators(np.array(add), 0) == basis
     for a in basis:
         for b in basis:
             assert mul[mul[a][a]][b] == mul[a][mul[a][b]]
@@ -450,6 +483,72 @@ def test_non_associative_algebra_fails_on_generator_triples():
     assert got.startswith("mul not associative at")
     assert got == oracle.validate_ring(32, add, mul, 0, 1)
     assert _ring_message(32, *_f2_algebra([(1, 2, 4)]), 0, 1) is None
+
+
+# ---------------------------------------------------------------------------
+# F_p-algebra tables, filled by digit levels
+
+
+def _fp_algebras_match_rows(monkeypatch, build):
+    """Build rings with ``build()`` and compare every F_p-algebra among them
+    with the row-by-row tables of the same structure constants."""
+    calls = oracle.record_calls(monkeypatch, rings, "_fp_algebra")
+    build()
+    for (p, structure, labels, _tag), R in calls:
+        add, mul, one = oracle.fp_algebra_rows(p, structure)
+        assert np.array_equal(R.add, add) and np.array_equal(R.mul, mul)
+        assert (R.zero, R.one, R.labels) == (0, one, tuple(labels))
+        assert labels[0] == "0" and labels[one] == "1" and len(set(labels)) == R.size
+    return len(calls)
+
+
+def test_fp_algebra_tables_match_the_row_builder(monkeypatch):
+    specs = [s for s in RING_SPECS + ANALYZE_SPECS if any(
+        kind in s for kind in ("gf:", "polyquot:", "mvq:"))]
+    built = _fp_algebras_match_rows(monkeypatch, lambda: [ring_from_spec(s) for s in specs])
+    assert built == 31
+
+
+@st.composite
+def polyquot_moduli(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    d = draw(st.integers(1, 4))
+    return p, draw(st.lists(st.integers(0, p - 1), min_size=d, max_size=d)) + [1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(polyquot_moduli())
+def test_polyquot_tables_match_the_row_builder(args):
+    p, modulus = args
+    with pytest.MonkeyPatch.context() as mp:
+        assert _fp_algebras_match_rows(mp, lambda: rings.make_polyquot(p, modulus)) == 1
+
+
+def _basis_size(bounds, rels):
+    return sum(not any(all(e >= r for e, r in zip(m, rel)) for rel in rels)
+               for m in itertools.product(*map(range, bounds)))
+
+
+@st.composite
+def monomial_quotients(draw):
+    """F_p modulo a pure power of each of 1-3 variables and some random
+    monomials, with at most 256 elements."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    bounds = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    pure = [tuple(e if j == i else 0 for j in range(len(bounds))) for i, e in enumerate(bounds)]
+    extra = draw(st.lists(st.tuples(*(st.integers(0, e) for e in bounds)), max_size=3))
+    rels = pure + [r for r in extra if any(r)]
+    assume(p ** _basis_size(bounds, rels) <= 256)
+    return p, "xyz"[: len(bounds)], rels
+
+
+@settings(max_examples=40, deadline=None)
+@given(monomial_quotients())
+def test_multivariate_tables_match_the_row_builder(args):
+    p, variables, rels = args
+    with pytest.MonkeyPatch.context() as mp:
+        assert _fp_algebras_match_rows(
+            mp, lambda: rings.make_multivariate_quot(p, variables, rels)) == 1
 
 
 # ---------------------------------------------------------------------------
