@@ -12,9 +12,9 @@ Level n + 1 extends each class on n points by a new maximal point over each
 of its down-sets and, for preorders, by a new point in each of its classes;
 the extensions are deduplicated by a canonical form.  The orbits sum to the
 labelled counts (OEIS A001035 for posets, A000798 for topologies), and the
-classes number A000112 and A001930.  T1 sublattices are found by a search
-that branches only on the members the union/intersection closure of the
-members taken so far does not already hold.
+classes number A000112 and A001930.  The T1 sublattice on n points is
+the union/intersection closure of the empty set, the ground set and the
+singletons, which is the whole powerset: no search is needed.
 """
 
 from __future__ import annotations
@@ -122,19 +122,19 @@ def enumerate_topologies(n: int) -> Iterator[tuple[FiniteSpace, int]]:
         yield _space_from_preorder(rows), orbit
 
 
-def random_preorder(rng: random.Random, n: int, density: float = 0.35) -> tuple[int, ...]:
+def random_preorder(rng: random.Random, n: int) -> tuple[int, ...]:
     """The rows of a random preorder: each pair i != j related with
-    probability ``density``, then closed transitively."""
+    probability 0.35, then closed transitively."""
     rows = [1 << i for i in range(n)]
     for i in range(n):
         for j in range(n):
-            if i != j and rng.random() < density:
+            if i != j and rng.random() < 0.35:
                 rows[i] |= 1 << j
     return transitive_closure(rows)
 
 
-def random_space(rng: random.Random, n: int, density: float = 0.35) -> FiniteSpace:
-    return _space_from_preorder(random_preorder(rng, n, density))
+def random_space(rng: random.Random, n: int) -> FiniteSpace:
+    return _space_from_preorder(random_preorder(rng, n))
 
 
 def enumerate_posets(n: int) -> Iterator[tuple[FinitePoset, int]]:
@@ -146,23 +146,23 @@ def enumerate_posets(n: int) -> Iterator[tuple[FinitePoset, int]]:
         yield FinitePoset(labels, rows), orbit
 
 
-def random_poset(rng: random.Random, n: int, density: float = 0.4) -> FinitePoset:
+def random_poset(rng: random.Random, n: int) -> FinitePoset:
+    """A random partial order: each pair of a shuffled point order related
+    upward with probability 0.4, then closed transitively."""
     order = list(range(n))
     rng.shuffle(order)
     rows = [1 << i for i in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
-            if rng.random() < density:
+            if rng.random() < 0.4:
                 rows[order[a]] |= 1 << order[b]
     return FinitePoset(tuple(f"p{i}" for i in range(n)), transitive_closure(rows))
 
 
-def _lattice_closure(closed, extra) -> set[int]:
-    """The union/intersection closure of a closed family of bitmasks with
-    the members of ``extra`` added."""
-    closed = set(closed)
-    work = [m for m in extra if m not in closed]
-    closed.update(work)
+def _lattice_closure(masks) -> set[int]:
+    """The union/intersection closure of a family of bitmasks."""
+    closed = set(masks)
+    work = list(closed)
     while work:
         a = work.pop()
         for b in list(closed):
@@ -173,49 +173,20 @@ def _lattice_closure(closed, extra) -> set[int]:
     return closed
 
 
-def _closed_families(n: int, required) -> Iterator[set[int]]:
-    """Every union/intersection-closed family of subsets of n points (as
-    bitmasks) that holds the ``required`` members.
-
-    The other members are decided from the largest (size, combination)
-    position to the smallest, leaving a member out before taking it in, so
-    the families come in ascending order of the bits that pick them.  A
-    branch starts from the closure of what it holds and is cut when taking
-    a member in forces one that was left out.
-    """
-    subsets = [
-        sum(1 << p for p in c)
-        for k in range(n + 1)
-        for c in itertools.combinations(range(n), k)
-    ]
-    stack = [(_lattice_closure((), required), len(subsets), frozenset())]
-    while stack:
-        family, k, excluded = stack.pop()
-        k -= 1
-        while k >= 0 and subsets[k] in family:
-            k -= 1
-        if k < 0:
-            yield family
-            continue
-        grown = _lattice_closure(family, (subsets[k],))
-        if not grown & excluded:
-            stack.append((grown, k, excluded))
-        stack.append((family, k, excluded | {subsets[k]}))
-
-
 def enumerate_t1_sublattices(n: int) -> Iterator[FiniteSpace]:
     """All union/intersection-closed families on n points that contain the
     empty set, the ground set, and every singleton, each as the T1 space
     whose closed sets they are.
 
-    The union closure of the singletons is the powerset, so the powerset
-    guard applies and the search has nothing left to branch on.
+    There is exactly one, the closure of those required members: every
+    such family holds them, so it contains their closure, and that closure
+    is already the whole powerset, since every subset is the empty set or
+    a union of singletons.  The powerset guard applies.
     """
     guard("T1-sublattice points", n, DEFAULT_MAX_POWERSET_GROUND)
     ground = tuple(_LETTERS[i] for i in range(n))
     required = {0, (1 << n) - 1} | {1 << i for i in range(n)}
-    for family in _closed_families(n, required):
-        yield make_space(ground, family)
+    yield make_space(ground, _lattice_closure(required))
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +215,17 @@ def _field_products(max_order: int, factor_counts) -> list[FiniteRing]:
     return rings
 
 
-def reduced_rings_up_to(max_order: int, max_factors: int = 4) -> list[FiniteRing]:
+def reduced_rings_up_to(max_order: int) -> list[FiniteRing]:
     """Reduced rings up to the order bound: squarefree Z_n, finite fields,
-    and products of fields (every finite reduced commutative ring is such a
-    product; the different constructions exercise different code paths)."""
+    and products of two to four fields (every finite reduced commutative
+    ring is such a product; the different constructions exercise different
+    code paths)."""
     rings = [
         make_zn(n)
         for n in range(2, max_order + 1)
         if _squarefree(n) and not prime_power(n)
     ]
-    return rings + _field_products(max_order, range(2, max_factors + 1))
+    return rings + _field_products(max_order, range(2, 5))
 
 
 def small_reduced_rings_for_content(max_order: int = 9) -> list[FiniteRing]:

@@ -40,6 +40,7 @@ from .semigroups import (
     mask_row,
     members,
     nilpotent_mask,
+    point_set_key,
     read_only_table,
     row_masks,
     spec_int,
@@ -97,6 +98,9 @@ def _validate_ring(R: FiniteRing) -> None:
     if R.size == 0:
         raise RingConstructionError("empty carrier")
     guard("ring elements", R.size, DEFAULT_MAX_RING)
+    for name, k in (("zero", R.zero), ("one", R.one)):
+        if not 0 <= k < R.size:  # a negative index would read from the end
+            raise RingConstructionError(f"{name} index {k} is not in 0..{R.size - 1}")
     if not _ring_laws_hold(R):
         _scan_ring_laws(R)
 
@@ -662,12 +666,8 @@ class IdealIndex:
             k += 1
         guard("ideals", len(self.ideals), max_ideals)
         if self._order is None:  # every row is filled, so no ideal is left to add
-            # equal-size ideals compare as their sorted member lists do: the one
-            # holding the least element of their difference comes first, which is
-            # the first 0 in the bit strings of the complements, read from bit 0
-            n, full = len(self.labels), (1 << len(self.labels)) - 1
-            self._order = sorted(range(k), key=lambda k: (self.ideals[k].bit_count(),
-                                                          f"{full ^ self.ideals[k]:0{n}b}"[::-1]))
+            key = point_set_key(self.ideals)
+            self._order = sorted(range(k), key=lambda k: key(self.ideals[k]))
         return list(self._order)
 
     def label(self, k: int) -> str:

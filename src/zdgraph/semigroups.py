@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -233,6 +233,21 @@ def row_masks(rows: np.ndarray) -> list[int]:
 def mask_labels(points: Sequence[str], masks: Sequence[int]) -> list[str]:
     """Set labels ``{a,b}``, listing each mask's points in index order."""
     return ["{" + ",".join(points[p] for p in members(m)) + "}" for m in masks]
+
+
+def point_set_key(masks: Collection[int]) -> Callable[[int], tuple[int, str]]:
+    """The sort key of the one order of point-set families, for nonnegative
+    ``masks``: by size, then as the sorted member lists compare.
+
+    Equal-size sets compare as their sorted member lists do: the one holding
+    the least element of their difference comes first, which is the first 0
+    in the bit strings of the complements, read from bit 0.  The strings are
+    as wide as the widest of ``masks``, so a mask with members beyond any
+    ground set still sorts as its member list does.
+    """
+    width = max(masks, default=0).bit_length()
+    full = (1 << width) - 1
+    return lambda m: (m.bit_count(), f"{full ^ m:0{width}b}"[::-1])
 
 
 def is_irreducible_family(masks, whole: int) -> bool:

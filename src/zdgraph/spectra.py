@@ -329,10 +329,10 @@ def fan_fin(fan: FanPoset, family: int, indices) -> FanClosedSet:
     return FanClosedSet(fan, tuple(parts), 0)
 
 
-def fan_cofinite(fan: FanPoset, family: int, excluded, full_others: bool = True) -> FanClosedSet:
+def fan_cofinite(fan: FanPoset, family: int, excluded) -> FanClosedSet:
     """One family but the maximal points ``excluded`` (an Alexandroff-only
-    set when the exclusion is nonempty); other families full by default."""
-    parts = [-1 if full_others else 0] * fan.families
+    set when the exclusion is nonempty), and every other family full."""
+    parts = [-1] * fan.families
     parts[family] = ~sum(1 << i for i in set(excluded))
     return FanClosedSet(fan, tuple(parts), 0)
 

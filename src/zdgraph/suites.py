@@ -217,8 +217,8 @@ def verify_t1_table(max_ground: int = 5) -> SuiteReport:
 @_timed
 def verify_charirrconn(max_ground: int = 4) -> SuiteReport:
     """Graph characterizations of irreducible/connected over every T1
-    sublattice of a small powerset (the enumeration itself confirms that
-    only the full powerset qualifies on a finite ground set)."""
+    sublattice of a small powerset: the full powerset is the only one on a
+    finite ground set (``enumerate_t1_sublattices`` gives the proof)."""
     rep = SuiteReport("charirrconn")
     for n in range(1, max_ground + 1):
         lattices = list(enumerate_t1_sublattices(n))

@@ -2,9 +2,12 @@
 
 Spaces are given by their closed-set families (the natural side for
 everything here).  A closed set is an int bitmask (bit p set when point
-p is a member), as in ``spectra``; families are kept in (size, sorted
-point list) order, and a space over the table guard is refused before it
-is validated.  The module covers the
+p is a member), as in ``spectra``; families are kept in the one order of
+point-set families (``semigroups.point_set_key``: by size, then by sorted
+point list), sorted once when a space is built, and a space over the table
+guard is refused before it is validated.  The closed points are read as one
+mask (``closed_points``), which the T1 test, the axiom suite and Prl X share,
+as they share the one pearled test.  The module covers the
 separation-axiom suite (T0, T1, T 1/2, pearled, Noetherian), the subspace
 of closed points with its intersection map on closed-set lattices, the lazy
 nonnegative-integer counterexample space, and the two kinds of T1 lattices:
@@ -16,8 +19,10 @@ irreducible case, which has no finite instance on three or more points.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 import random
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -36,6 +41,7 @@ from .semigroups import (
     least_member,
     meet_table,
     members,
+    point_set_key,
 )
 
 # 2^10 members are built and validated in under a second; each further
@@ -66,7 +72,7 @@ class LatticeTheoremError(AssertionError):
 @dataclass(frozen=True)
 class FiniteSpace:
     """A finite space as its family of closed sets, each a bitmask over the
-    point indices, in (size, sorted point list) order."""
+    point indices, in the order of ``point_set_key``."""
 
     points: tuple[str, ...]
     closed_sets: tuple[int, ...]
@@ -102,14 +108,11 @@ def make_space(points, closed_sets) -> FiniteSpace:
     pts = tuple(points)
     family = set(closed_sets)
     guard("closed sets", len(family), DEFAULT_MAX_TABLE)
-    defect = closed_family_defect(family, len(pts))
+    ordered = tuple(sorted(family, key=point_set_key(family)))
+    defect = _family_defect(ordered, family, len(pts))
     if defect:
         raise InvalidSpace(defect)
-    return FiniteSpace(pts, _sorted_family(family))
-
-
-def _sorted_family(family) -> tuple[int, ...]:
-    return tuple(sorted(family, key=lambda c: (c.bit_count(), list(members(c)))))
+    return FiniteSpace(pts, ordered)
 
 
 def closed_family_defect(family, n: int) -> Optional[str]:
@@ -118,13 +121,18 @@ def closed_family_defect(family, n: int) -> Optional[str]:
 
     A closed family holds the empty set and the ground set, lies inside the
     ground set, and is closed under union and intersection.  Members and
-    pairs are scanned in (size, sorted point list) order, so the first
+    pairs are scanned in the order of ``point_set_key``, so the first
     witness does not depend on how the family was given.
     """
     fam = set(family)
+    return _family_defect(sorted(fam, key=point_set_key(fam)), fam, n)
+
+
+def _family_defect(ordered, fam: set[int], n: int) -> Optional[str]:
+    """``closed_family_defect`` of the set ``fam``, listed in ``ordered``
+    in the order of ``point_set_key``."""
     if min(fam, default=0) < 0:  # a negative mask has no finite point list
         return f"member {min(fam)} is not a subset of the ground set"
-    ordered = _sorted_family(fam)
     full = (1 << n) - 1
     if 0 not in fam or full not in fam:
         return "the family must contain the empty set and the ground set"
@@ -149,18 +157,19 @@ def closure(X: FiniteSpace, A: int) -> int:
     return out
 
 
-def is_open(X: FiniteSpace, A: int) -> bool:
-    return (((1 << X.n) - 1) & ~A) in set(X.closed_sets)
-
-
-def closed_points(X: FiniteSpace) -> list[int]:
-    family = set(X.closed_sets)
-    return [p for p in range(X.n) if 1 << p in family]
+def closed_points(X: FiniteSpace) -> int:
+    """The mask of the closed points: p is closed when {p} is a closed set."""
+    return sum(C for C in X.closed_sets if C.bit_count() == 1)
 
 
 def is_t1(X: FiniteSpace) -> bool:
     """T1: every singleton is closed."""
-    return len(closed_points(X)) == X.n
+    return closed_points(X) == (1 << X.n) - 1
+
+
+def _is_pearled(X: FiniteSpace, cpts: int) -> bool:
+    """Pearled: every nonempty closed set meets ``cpts``, the closed points."""
+    return all(not C or C & cpts for C in X.closed_sets)
 
 
 @dataclass(frozen=True)
@@ -182,11 +191,13 @@ def axiom_suite(X: FiniteSpace) -> AxiomReport:
     on the result.
     """
     family = set(X.closed_sets)
+    full = (1 << X.n) - 1
+    cpts = closed_points(X)
     t0 = len({closure(X, 1 << p) for p in range(X.n)}) == X.n
-    t1 = is_t1(X)
-    t_half = all(1 << p in family or is_open(X, 1 << p) for p in range(X.n))
-    cpts = sum(1 << p for p in closed_points(X))
-    pearled = all(not C or C & cpts for C in family)
+    t1 = cpts == full
+    # {p} is open when its complement is closed
+    t_half = all(cpts >> p & 1 or full & ~(1 << p) in family for p in range(X.n))
+    pearled = _is_pearled(X, cpts)
     # a finite family has no infinite strictly descending chain of closed
     # sets, so every finite space is Noetherian
     report = AxiomReport(t0, t1, t_half, pearled, noetherian=True)
@@ -207,9 +218,10 @@ def prl(X: FiniteSpace) -> FiniteSpace:
 def _prl(X: FiniteSpace) -> tuple[FiniteSpace, list[int]]:
     """Prl X, and the trace of each closed set of X on the closed points,
     as a bitmask over the points of Prl X."""
-    if not axiom_suite(X).pearled:
+    cpts = closed_points(X)
+    if not _is_pearled(X, cpts):
         raise NotPearled("space has a nonempty closed set without closed points")
-    ys = closed_points(X)
+    ys = list(members(cpts))
     traces = [
         sum(1 << i for i, p in enumerate(ys) if C >> p & 1) for C in X.closed_sets
     ]
@@ -353,9 +365,10 @@ class CofiniteT1Lattice:
     def clique_witness(self, n: int) -> tuple[int, ...]:
         """n pairwise-disjoint singletons: a clique of any requested size."""
         sets = tuple(1 << i for i in range(n))
-        for A, B in itertools.combinations(sets, 2):
-            if A & B:
-                raise AssertionError("clique witness members intersect")
+        # pairwise disjoint iff the union counts every set's points once
+        union = functools.reduce(operator.or_, sets, 0)
+        if union.bit_count() != sum(A.bit_count() for A in sets):
+            raise AssertionError("clique witness members intersect")
         return sets
 
     def choice_colour(self, member: int) -> int:
@@ -374,35 +387,26 @@ class CofiniteT1Lattice:
         return member & ((1 << w) - 1)
 
 
-def lattice_is_irreducible(
-    L: Union[FiniteSpace, CofiniteT1Lattice],
-    samples: int = 200,
-    seed: int = 0,
-) -> bool:
+def lattice_is_irreducible(L: Union[FiniteSpace, CofiniteT1Lattice]) -> bool:
     """No two members other than the ground set have union the ground set.
 
-    For the symbolic lattice this is structural (a union of two finite sets
-    is finite, never the infinite ground set); a bounded random search is
-    run anyway and must find no counterexample.
+    For the symbolic lattice this is structural: a union of two finite sets
+    is finite, never the infinite ground set, so its verdict is
+    ``L.irreducible``.
     """
     if isinstance(L, CofiniteT1Lattice):
-        rng = random.Random(seed)
-        for _ in range(samples):
-            a, b = L.random_member(rng), L.random_member(rng)
-            if L.join(a, b) == -1:
-                raise LatticeTheoremError("finite join reported as the ground set")
-        return True
+        return L.irreducible
     return is_irreducible_family(L.closed_sets, (1 << L.n) - 1)
 
 
-def lattice_is_connected(
-    L: Union[FiniteSpace, CofiniteT1Lattice],
-    samples: int = 200,
-    seed: int = 0,
-) -> bool:
-    """No two disjoint members other than the ground set union to it."""
+def lattice_is_connected(L: Union[FiniteSpace, CofiniteT1Lattice]) -> bool:
+    """No two disjoint members other than the ground set union to it.
+
+    An irreducible lattice is connected, so the symbolic lattice's verdict
+    is ``L.irreducible``.
+    """
     if isinstance(L, CofiniteT1Lattice):
-        return lattice_is_irreducible(L, samples, seed)
+        return L.irreducible
     whole = (1 << L.n) - 1
     proper = [m for m in L.closed_sets if m != whole]
     return all(

@@ -7,6 +7,7 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import relation_oracles
 from relation_oracles import rows_transitive, to_bools, to_rows
@@ -16,7 +17,7 @@ from zdgraph.corpus import (
     random_poset,
     random_space,
 )
-from zdgraph.semigroups import SemigroupTable, SizeGuardExceeded
+from zdgraph.semigroups import SemigroupTable, SizeGuardExceeded, members, point_set_key
 from zdgraph import topology
 from zdgraph.spectra import (
     FinitePoset,
@@ -200,11 +201,23 @@ def test_closed_family_defect_names_each_defect():
         make_space(("a", "b", "c"), joins)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 70).flatmap(
+    lambda n: st.lists(st.integers(0, (1 << (n + 3)) - 1), max_size=40, unique=True)))
+def test_point_set_key_orders_by_size_then_member_list(family):
+    # masks up to 70 points, with members up to 3 points beyond a ground set
+    # of n, so the key's width comes from the widest mask
+    want = sorted(family, key=lambda m: (m.bit_count(), list(members(m))))
+    assert sorted(family, key=point_set_key(family)) == want
+
+
 def test_space_guard_trips_before_validation(monkeypatch):
-    def no_work(family, n):
+    def no_work(*args):
         raise AssertionError("validation started above the table guard")
 
-    monkeypatch.setattr(topology, "closed_family_defect", no_work)
+    # sorting the family is the first work after the guard
+    for name in ("point_set_key", "_family_defect"):
+        monkeypatch.setattr(topology, name, no_work)
     with pytest.raises(SizeGuardExceeded, match="4097 closed sets exceed guard 4096"):
         make_space([f"q{i}" for i in range(13)], range(4097))
 

@@ -590,16 +590,18 @@ def test_verify_armendariz_builds_each_corpus_map_and_scans_each_table_once(monk
     from zdgraph.suites import verify_armendariz
 
     counted = {name: record_calls(monkeypatch, module, name) for module, name in (
-        (topology, "make_space"), (topology, "alpha_map"), (spectra, "restrict_to_max"),
-        (semigroups, "check_armendariz"), (semigroups, "zero_divisors"))}
+        (topology, "make_space"), (topology, "alpha_map"), (topology, "axiom_suite"),
+        (spectra, "restrict_to_max"), (semigroups, "check_armendariz"),
+        (semigroups, "zero_divisors"))}
     for _ in range(2):  # the memos live for one run only
         for calls in counted.values():
             calls.clear()
         assert verify_armendariz().passed
         # 303 preorders are drawn, 123 of them distinct, each built into a
-        # space once; each of the 81 pearled spaces builds its closed points
+        # space and tested for pearls once; each of the 81 pearled spaces
+        # builds its closed points without testing the space again
         assert {name: len(calls) for name, calls in counted.items()} == {
-            "make_space": 204, "alpha_map": 81, "restrict_to_max": 129,
+            "make_space": 204, "alpha_map": 81, "axiom_suite": 123, "restrict_to_max": 129,
             "check_armendariz": 328, "zero_divisors": 400}
         scanned = [args[0]._key() for args, _ in counted["zero_divisors"]]
         assert len(set(scanned)) == len(scanned)

@@ -20,7 +20,6 @@ import zdgraph.corpus as corpus
 import zdgraph.suites as suites
 from zdgraph.corpus import (
     _canonical_form,
-    _closed_families,
     enumerate_posets,
     enumerate_t1_sublattices,
     enumerate_topologies,
@@ -30,7 +29,7 @@ from zdgraph.corpus import (
 from zdgraph.graphs import SuitePart
 from zdgraph.semigroups import SizeGuardExceeded
 from zdgraph.spectra import FinitePoset, max_points, specs_theorem_suite
-from zdgraph.topology import axiom_suite
+from zdgraph.topology import axiom_suite, powerset_lattice
 
 A000112 = [1, 1, 2, 5, 16, 63, 318, 2045]          # posets, unlabelled
 A001035 = [1, 1, 3, 19, 219, 4231, 130023, 6129859]  # posets, labelled
@@ -235,27 +234,13 @@ def test_pearled_counts_violations_by_orbit(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Closed families by closure search
+# T1 sublattices
 
 
-def _closed_families_by_filter(n, required):
-    """Every candidate family holding ``required``, in ascending order of
-    the bits that pick its other members, kept when closed under | and &."""
-    subsets = [sum(1 << p for p in c) for k in range(n + 1)
-               for c in itertools.combinations(range(n), k)]
-    optional = [m for m in subsets if m not in required]
-    for bits in range(1 << len(optional)):
-        fam = set(required) | {m for k, m in enumerate(optional) if bits >> k & 1}
-        if all(a | b in fam and a & b in fam for a in fam for b in fam):
-            yield fam
-
-
-@pytest.mark.parametrize("n,required", [
-    (0, set()), (1, set()), (2, set()), (3, set()), (3, {0, 7}), (3, {1, 6}),
-    (4, {0, 15, 1}), (4, {3, 12}),
-])
-def test_closure_search_matches_the_filter(n, required):
-    assert list(_closed_families(n, required)) == list(_closed_families_by_filter(n, required))
+@pytest.mark.parametrize("n", range(8))
+def test_the_t1_sublattice_is_the_powerset(n):
+    (L,) = enumerate_t1_sublattices(n)
+    assert L.closed_sets == powerset_lattice(n).closed_sets
 
 
 def test_t1_sublattices_match_the_filter():

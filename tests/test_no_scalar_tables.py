@@ -12,8 +12,8 @@ Every point set is an int mask too: closed sets, ideals, annihilators, fan
 parts and the members of the symbolic cofinite lattice, where a cofinite
 set is a negative int.  A ``frozenset`` anywhere in ``src/zdgraph``, as a
 call, an annotation or an ``isinstance`` type, is the form that was
-deleted, except in the two scopes of ``FROZENSET_EXEMPT``, which hold sets
-of other things.
+deleted, except in the scopes of ``FROZENSET_EXEMPT``, which hold sets of
+other things.
 
 Rows are grouped by keys: an ``np.unique(..., axis=...)`` call sorts whole
 rows through a structured view of each; on the 256 kill rows of Z_256 it
@@ -110,7 +110,6 @@ def relation_bool_reads(tree):
 # the library scopes, by file and qualified name, that may use frozenset
 FROZENSET_EXEMPT = {
     ("graphs.py", "SimpleGraph.edges"): "the edge set of a graph, pairs of vertices",
-    ("corpus.py", "_closed_families"): "the families a search branch left out, a set of masks",
 }
 
 

@@ -171,6 +171,18 @@ def test_bad_table_rejected():
         FiniteRing(("0", "1"), add, mul, 0, 1)
 
 
+@pytest.mark.parametrize("zero,one,message", [
+    (5, 1, "zero index 5 is not in 0..1"),
+    (0, 7, "one index 7 is not in 0..1"),
+    (0, -1, "one index -1 is not in 0..1"),
+])
+def test_zero_and_one_must_be_element_indices(zero, one, message):
+    add, mul = [[0, 1], [1, 0]], [[0, 0], [0, 1]]
+    with pytest.raises(RingConstructionError, match=message):
+        FiniteRing(("0", "1"), add, mul, zero, one)
+    assert FiniteRing(("0", "1"), add, mul, zero, one, validate=False).one == one
+
+
 def test_is_reduced():
     assert is_reduced(make_zn(6))
     assert not is_reduced(make_zn(4))

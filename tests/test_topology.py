@@ -73,6 +73,20 @@ def test_axioms_discrete():
     assert ax.t0 and ax.t1 and ax.t_half and ax.pearled and ax.noetherian
 
 
+def test_prl_tests_pearls_without_the_axiom_suite(monkeypatch):
+    from zdgraph import topology
+
+    def no_suite(X):
+        raise AssertionError("Prl X ran the axiom suite")
+
+    monkeypatch.setattr(topology, "axiom_suite", no_suite)
+    X = make_space(["a", "b"], [0b00, 0b11])  # {a, b} holds no closed point
+    for f in (prl, alpha_map):
+        with pytest.raises(NotPearled, match="^space has a nonempty closed set without closed points$"):
+            f(X)
+    assert prl(sierpinski()).points == ("b",)
+
+
 def test_closure():
     X = sierpinski()
     assert closure(X, 0b01) == 0b11
@@ -203,6 +217,17 @@ def test_symbolic_lattice():
     assert a & bb and not (a & mid) and not (bb & mid)
     cl = C.clique_witness(100)
     assert len(cl) == 100
+
+
+def test_clique_witness_refuses_overlapping_members(monkeypatch):
+    from zdgraph import topology
+
+    C = CofiniteT1Lattice()
+    assert all(len(C.clique_witness(n)) == n for n in range(101))
+    # a module-level range shadows the builtin: the witness becomes {0}, {0}, {1}
+    monkeypatch.setattr(topology, "range", lambda n: [0, 0, 1], raising=False)
+    with pytest.raises(AssertionError, match="^clique witness members intersect$"):
+        C.clique_witness(3)
 
 
 def test_symbolic_window_agreement():
