@@ -45,7 +45,7 @@ from .rings import (
     beck_gamma0,
     comaximal_ideal_graph,
     gamma_graph,
-    ideals_to_json,
+    ideals_report,
     multiplicative_semigroup,
     ring_from_spec,
 )
@@ -253,7 +253,7 @@ TASKS = {
     "eq-quotient": (("ring", "semigroup"), _eq_quotient),
     "validate": (("ring", "semigroup"), _validate),
     "ideals": (("ring",), lambda kind, R, args: (
-        json.loads(ideals_to_json(R, _limit(args, "--max-ideals"))), True)),
+        ideals_report(R, _limit(args, "--max-ideals")), True)),
     # an AxiomReport's fields: t0, t1, t_half, pearled, noetherian
     "axioms": (("space",), lambda kind, X, args: (dict(vars(axiom_suite(X))), True)),
     "specs-suite": (("poset",), _specs_suite),

@@ -125,6 +125,9 @@ class PairCheckReport:
 # g* <= g, and f <= g, since (g, f) fails too.  Scanning the sorted minima
 # against themselves in row-major order finds that pair first, and its
 # position among all N^2 pairs is still f*N + g + 1.
+#
+# Only rows whose two end coefficients are zero divisors can fail, so the
+# rest are dropped before the class map (``_zero_divisor_end_rows``).
 
 # Cap on the product coefficients held per block (rows x N x (2d+1));
 # larger blocks run no faster and raise peak memory.
@@ -220,8 +223,31 @@ def _containment_failures(R: FiniteRing, F: np.ndarray):
     return fails
 
 
+def _zero_divisor_end_rows(R: FiniteRing, F: np.ndarray) -> np.ndarray:
+    """The indices of the nonzero rows whose lowest and highest nonzero
+    coefficients are both non-units, in a finite ring the zero divisors.
+
+    Only these rows can fail a law or join the truncated graph.  Write f_lo
+    and f_hi for the end coefficients of f; those of fg are f_lo*g_lo and
+    f_hi*g_hi.  Armendariz: if fg = 0 while some f_i*g_j != 0, then f, g != 0
+    and f_lo*g_lo = f_hi*g_hi = 0, so every end is a zero divisor.  Gaussian:
+    if f_lo is a unit, the triangular system gives each g_j in c(fg), and
+    c(fg) <= c(f)c(g) = c(g) holds in any ring (likewise from the top for
+    f_hi).  Graph: a unit end makes f_lo*g_lo != 0 for every g != 0.  Unit
+    scaling and shifts keep both ends' kind, so the rule is constant on each
+    class.
+    """
+    nz = F != R.zero
+    at = np.arange(len(F))
+    lo = F[at, nz.argmax(1)]
+    hi = F[at, F.shape[1] - 1 - nz[:, ::-1].argmax(1)]
+    unit = (R.mul == R.one).any(1)
+    return np.flatnonzero(nz.any(1) & ~unit[lo] & ~unit[hi])
+
+
 def _class_minima(R: FiniteRing, F: np.ndarray) -> np.ndarray:
-    """``rep[r]``: the least row of the class of row r (see above).
+    """``rep[r]``: the index of the least member of the class of row r (see
+    above) among all the polynomials of degree < w, for any rows F of width w.
 
     The class minimum has no low zero coefficient, since shifting down
     lowers the index, and scaling by a unit keeps which coefficients are
@@ -240,7 +266,7 @@ def _class_minima(R: FiniteRing, F: np.ndarray) -> np.ndarray:
     G = np.where(pos < w, np.take_along_axis(F, np.minimum(pos, w - 1), 1), zero)
     power = deg[:, None] - 1 - np.arange(w)  # the weight n^power of each lower coefficient
     weight = np.where(power >= 0, n ** np.maximum(power, 0), 0)
-    rep = np.full(N, N)
+    rep = np.full(N, n**w)  # above every index, whichever rows F holds
     for u in np.flatnonzero((R.mul == R.one).any(1)):
         S = R.mul[u, G]
         lead = S[np.arange(N), deg]
@@ -254,13 +280,22 @@ def check_degree(degree_bound: int) -> None:
         raise ValueError(f"degree bound must be >= 0, not {degree_bound}")
 
 
-def _pair_check(kind, law, note, R, degree_bound, max_polys) -> PairCheckReport:
-    """Run ``law`` over all ordered pairs; report the first failure, if any."""
+def _pair_check(kind, law, note, R, degree_bound, max_polys, every_class=False) -> PairCheckReport:
+    """Run ``law`` over all ordered pairs; report the first failure, if any.
+
+    Only class minima are multiplied, and unless ``every_class`` only those
+    of the rows both of whose end coefficients are zero divisors: no other
+    row is in a failing pair of the Armendariz or Gaussian law.  With no such
+    row the check passes without building the law.
+    """
     check_degree(degree_bound)
     guard("polynomials", R.size ** (degree_bound + 1), max_polys)
     rows = _polynomial_rows(R, degree_bound)
     N = len(rows)
-    reps = np.unique(_class_minima(R, rows))
+    scan = rows if every_class else rows[_zero_divisor_end_rows(R, rows)]
+    if not len(scan):
+        return PairCheckReport(kind, R.tag, degree_bound, True, N * N)
+    reps = np.unique(_class_minima(R, scan))
     F = rows[reps]
     fails = law(R, F)
     for r0, C in _product_blocks(R, F):
@@ -306,11 +341,16 @@ def check_gaussian(
 def check_content_containment(
     R: FiniteRing, degree_bound: int, max_polys: int = DEFAULT_MAX_POLYS
 ) -> PairCheckReport:
-    """All pairs of degree <= d: content(fg) is contained in content(f)content(g)."""
+    """All pairs of degree <= d: content(fg) is contained in content(f)content(g).
+
+    This holds in every ring, as each coefficient of fg is a sum of products
+    f_i*g_j, so the check certifies the product kernel and the ideal index
+    rather than R, and it scans every class.
+    """
     return _pair_check(
         "content-containment", _containment_failures,
         "a coefficient of fg escapes content(f)content(g)",
-        R, degree_bound, max_polys,
+        R, degree_bound, max_polys, every_class=True,
     )
 
 
@@ -324,12 +364,17 @@ def truncated_zero_divisor_graph(R: FiniteRing, degree_bound: int) -> SimpleGrap
     Vertices are polynomials annihilated by some nonzero polynomial of
     degree <= d; edges join distinct pairs whose product is the zero
     polynomial.  At degree 0 this is exactly the ring's zero-divisor graph.
+    Only the rows both of whose end coefficients are zero divisors are
+    multiplied, every one against every one: a polynomial with a unit end
+    coefficient kills no nonzero polynomial.
     """
     F = _polynomial_rows(R, degree_bound)
+    F = F[_zero_divisor_end_rows(R, F)]
+    if not len(F):
+        return SimpleGraph.from_edges((), ())
     kill = np.concatenate([(C == R.zero).all(0) for _, C in _product_blocks(R, F)])
-    kill = kill[1:, 1:]  # drop the zero polynomial
     verts = np.flatnonzero(kill.any(axis=1))
-    labels = tuple(make_poly(R, F[i + 1]).label() for i in verts)
+    labels = tuple(make_poly(R, F[i]).label() for i in verts)
     return _zero_product_graph(labels, kill[np.ix_(verts, verts)])
 
 

@@ -808,18 +808,21 @@ class IdealSemigroup:
     table: SemigroupTable
 
 
-def ideals_to_json(R: FiniteRing, max_ideals: int = DEFAULT_MAX_IDEALS) -> str:
+def ideals_report(R: FiniteRing, max_ideals: int = DEFAULT_MAX_IDEALS) -> dict:
     """All ideals as sorted member-index lists, with their display labels."""
+    ideals = enumerate_ideals(R, max_ideals)
+    return {
+        "ring": R.tag,
+        "ideals": [np.flatnonzero(mask_row(I, R.size)).tolist() for I in ideals],
+        "labels": [ideal_label(R, I) for I in ideals],
+    }
+
+
+def ideals_to_json(R: FiniteRing, max_ideals: int = DEFAULT_MAX_IDEALS) -> str:
+    """``ideals_report`` as JSON."""
     import json
 
-    ideals = enumerate_ideals(R, max_ideals)
-    return json.dumps(
-        {
-            "ring": R.tag,
-            "ideals": [np.flatnonzero(mask_row(I, R.size)).tolist() for I in ideals],
-            "labels": [ideal_label(R, I) for I in ideals],
-        }
-    )
+    return json.dumps(ideals_report(R, max_ideals))
 
 
 def ideal_semigroup(

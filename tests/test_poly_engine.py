@@ -10,6 +10,9 @@ engine report must equal both field by field, so verdict, pair count and
 canonical witness are all pinned.  The product kernel's blocks must equal
 both the cell-by-cell products of ``table_oracles.poly_mul_coeffs`` and the
 blocks of ``table_oracles.product_blocks_2d``, the kernel it replaced.
+The end-coefficient rule is tested as a lemma: every failing pair and every
+zero product of the full scan lies among the rows it keeps, and calls of
+the product kernel and the ideal index are counted where it keeps none.
 """
 
 import collections
@@ -21,8 +24,8 @@ import numpy as np
 import pytest
 
 import ideal_oracles as oracle
-from table_oracles import coefficient_rows, poly_mul_coeffs, product_blocks_2d
-from zdgraph import polynomials
+from table_oracles import coefficient_rows, poly_mul_coeffs, product_blocks_2d, record_calls
+from zdgraph import polynomials, rings
 from zdgraph.corpus import small_reduced_rings_for_content
 from zdgraph.graphs import SimpleGraph
 from zdgraph.polynomials import (
@@ -191,8 +194,10 @@ def _full(kind, spec, d):
     return full_scan(kind, LAWS[kind], _ring(spec), d)
 
 
-# the scalar oracle's one omission is cheap for the full scan (about 4 s)
-FULL_CASES = CASES + [(X2Y2, 2, "content-containment")]
+# the scalar oracle's one omission is cheap for the full scan (about 4 s),
+# and so are the fields of order 3 and 4 at degree 3
+FULL_CASES = (CASES + [(X2Y2, 2, "content-containment")]
+              + [(spec, 3, kind) for spec in ("gf:3", "gf:4") for kind in KINDS])
 
 
 @pytest.mark.parametrize("one_row_blocks", [False, True], ids=["blocked", "one-row"])
@@ -304,18 +309,112 @@ def test_classes_are_unit_and_shift_orbits(spec, d):
         assert m == min(cls)  # the representative is the least index
     for r, f in enumerate(polys):
         assert {index[g] for g in _orbit(R, f, d)} == members[int(rep[r])]
+    # the end-coefficient rule keeps or drops whole classes
+    keep = _end_rule_mask(R, coefficient_rows(R, polys, d))
+    for cls in members.values():
+        assert len({bool(keep[r]) for r in cls}) == 1
+
+
+# ---------------------------------------------------------------------------
+# The end-coefficient rule: only rows whose lowest and highest nonzero
+# coefficients are both zero divisors can fail a law or join the graph
+
+
+def _end_rule_mask(R, F):
+    keep = np.zeros(len(F), dtype=bool)
+    keep[polynomials._zero_divisor_end_rows(R, F)] = True
+    return keep
+
+
+@functools.cache
+def _zero_divisors(R):
+    mul = _rows(R)[1]
+    return {a for a in range(R.size) if any(mul[a][b] == R.zero for b in range(R.size) if b != R.zero)}
+
+
+def _end_rule_oracle(R, coeffs):
+    """Both end coefficients of a nonzero polynomial are zero divisors."""
+    ends = [c for c in coeffs if c != R.zero]
+    return bool(ends) and ends[0] in _zero_divisors(R) and ends[-1] in _zero_divisors(R)
+
+
+LEMMA_CASES = sorted(
+    {(spec, d) for spec, d, _ in FULL_CASES}
+    | {(spec, d) for spec in ("Zn:6", "Zn:10", "prod:Zn:2,Zn:2", "gf:9") for d in range(3)}
+)
+
+
+@pytest.mark.parametrize("spec,d", LEMMA_CASES)
+def test_every_failing_pair_keeps_both_rows(spec, d):
+    R = _ring(spec)
+    F = polynomials._polynomial_rows(R, d)
+    keep = _end_rule_mask(R, F)
+    assert keep.tolist() == [_end_rule_oracle(R, row) for row in F.tolist()]
+    laws = [LAWS[kind](R, F) for kind in ("armendariz", "gaussian")]
+    for r0, C in polynomials._product_blocks(R, F):
+        for fails in laws:
+            b, g = np.nonzero(fails(r0, C))
+            assert keep[r0 + b].all() and keep[g].all()
+        # a dropped row kills no nonzero polynomial, so it is no vertex
+        f = r0 + np.nonzero((C == R.zero).all(0)[:, 1:])[0]
+        assert keep[f[f > 0]].all()
+
+
+@pytest.mark.parametrize("spec", sorted({spec for spec, _ in LEMMA_CASES}))
+def test_every_element_is_a_unit_or_a_zero_divisor(spec):
+    R = _ring(spec)
+    unit = (R.mul == R.one).any(1)
+    nonzero = np.arange(R.size) != R.zero
+    zero_divisor = (R.mul[:, nonzero] == R.zero).any(1)
+    assert (unit != zero_divisor).all()
+
+
+def _count_work(monkeypatch):
+    return (record_calls(monkeypatch, polynomials, "_product_blocks"),
+            record_calls(monkeypatch, rings, "ideal_index"))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_field_multiplies_nothing_but_the_certificate(kind, monkeypatch):
+    R = ring_from_spec("gf:9")
+    blocks, indexes = _count_work(monkeypatch)
+    rep = ENGINE[kind](R, 2)
+    assert rep.passed and rep.pairs_checked == 729 ** 2
+    # containment holds in every ring; it certifies the kernel and the ideal
+    # index, so it scans every class
+    if kind == "content-containment":
+        assert blocks and indexes
+    else:
+        assert blocks == [] and indexes == [] and R._ideal_index is None
+
+
+def test_a_field_has_an_empty_truncated_graph_without_products(monkeypatch):
+    R = ring_from_spec("gf:5")
+    blocks, indexes = _count_work(monkeypatch)
+    G = truncated_zero_divisor_graph(R, 2)
+    assert G.vertices == () and G.edges == set()
+    assert blocks == [] and indexes == []
 
 
 @pytest.mark.parametrize("kind", ["armendariz", "gaussian"])
-def test_x2y2_fails_at_canonical_pair(kind):
-    rep = ENGINE[kind](ring_from_spec(X2Y2), 1)
+def test_x2y2_fails_at_canonical_pair(kind, monkeypatch):
+    R = ring_from_spec(X2Y2)
+    blocks, _ = _count_work(monkeypatch)
+    rep = ENGINE[kind](R, 1)
     assert not rep.passed
     assert rep.pairs_checked == 12594
     assert rep.witness == ("y*X + x", "y*X + x")
+    # the blocks multiply the class minima of the kept rows, and no others
+    F = polynomials._polynomial_rows(R, 1)
+    minima = np.unique(polynomials._class_minima(R, F))
+    kept = minima[_end_rule_mask(R, F)[minima]]
+    assert len(blocks) == 1 and len(kept) < len(minima)
+    assert blocks[0][0][1].tolist() == F[kept].tolist()
 
 
-@pytest.mark.parametrize("d", [0, 1])
-@pytest.mark.parametrize("spec", ["Zn:6", "prod:Zn:2,Zn:2", "Zn:5"])
+@pytest.mark.parametrize("spec,d", [
+    (spec, d) for d in (0, 1) for spec in ("Zn:6", "prod:Zn:2,Zn:2", "Zn:5")
+] + [("gf:3", 3), ("gf:4", 3)])
 def test_truncated_graph_matches_oracle(spec, d):
     R = ring_from_spec(spec)
     G, want = truncated_zero_divisor_graph(R, d), oracle_truncated_graph(R, d)
