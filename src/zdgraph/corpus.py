@@ -12,9 +12,7 @@ Level n + 1 extends each class on n points by a new maximal point over each
 of its down-sets and, for preorders, by a new point in each of its classes;
 the extensions are deduplicated by a canonical form.  The orbits sum to the
 labelled counts (OEIS A001035 for posets, A000798 for topologies), and the
-classes number A000112 and A001930.  The T1 sublattice on n points is
-the union/intersection closure of the empty set, the ground set and the
-singletons, which is the whole powerset: no search is needed.
+classes number A000112 and A001930.
 """
 
 from __future__ import annotations
@@ -31,11 +29,7 @@ import numpy as np
 from .rings import FiniteRing, make_gf, make_product, make_zn, prime_power
 from .semigroups import SemigroupMap, SemigroupTable, guard
 from .spectra import FinitePoset, transitive_closure, upset_masks
-from .topology import (
-    DEFAULT_MAX_POWERSET_GROUND,
-    FiniteSpace,
-    make_space,
-)
+from .topology import FiniteSpace, make_space
 
 # 7 points are 2,045 poset classes, generated in under a second and checked
 # by the specs suite in seconds; 8 points are 16,999
@@ -157,36 +151,6 @@ def random_poset(rng: random.Random, n: int) -> FinitePoset:
             if rng.random() < 0.4:
                 rows[order[a]] |= 1 << order[b]
     return FinitePoset(tuple(f"p{i}" for i in range(n)), transitive_closure(rows))
-
-
-def _lattice_closure(masks) -> set[int]:
-    """The union/intersection closure of a family of bitmasks."""
-    closed = set(masks)
-    work = list(closed)
-    while work:
-        a = work.pop()
-        for b in list(closed):
-            for c in (a | b, a & b):
-                if c not in closed:
-                    closed.add(c)
-                    work.append(c)
-    return closed
-
-
-def enumerate_t1_sublattices(n: int) -> Iterator[FiniteSpace]:
-    """All union/intersection-closed families on n points that contain the
-    empty set, the ground set, and every singleton, each as the T1 space
-    whose closed sets they are.
-
-    There is exactly one, the closure of those required members: every
-    such family holds them, so it contains their closure, and that closure
-    is already the whole powerset, since every subset is the empty set or
-    a union of singletons.  The powerset guard applies.
-    """
-    guard("T1-sublattice points", n, DEFAULT_MAX_POWERSET_GROUND)
-    ground = tuple(_LETTERS[i] for i in range(n))
-    required = {0, (1 << n) - 1} | {1 << i for i in range(n)}
-    yield make_space(ground, _lattice_closure(required))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ machine-readable witnesses, deterministic for a fixed seed.  The CLI
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
+import math
+import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -20,12 +23,12 @@ from .corpus import (
     DEFAULT_MAX_TOPOLOGY_POINTS,
     armendariz_map_corpus,
     enumerate_posets,
-    enumerate_t1_sublattices,
     enumerate_topologies,
     small_reduced_rings_for_content,
 )
 from .graphs import (
     COUNTABLY_INFINITE,
+    DEFAULT_MAX_CLIQUE_VERTICES,
     armendariz_invariant_suites,
     invariant_bundle,
     zero_divisor_graph,
@@ -36,6 +39,7 @@ from .polynomials import (
     clique_stabilization,
 )
 from .rings import (
+    DEFAULT_MAX_RING,
     ag_conjecture_check,
     comaximal_ideal_graph,
     enumerate_ideals,
@@ -60,9 +64,11 @@ from .spectra import (
     specs_theorem_suite,
 )
 from .topology import (
+    DEFAULT_MAX_POWERSET_GROUND,
     CofiniteT1Lattice,
     axiom_suite,
     char_check_irr_conn,
+    lattice_is_irreducible,
     make_space,
     n0_space_window,
     powerset_lattice,
@@ -106,15 +112,34 @@ class SuiteReport:
         }
 
 
-def _timed(fn):
+def _timed(fn=None, *, check=lambda **_: None):
+    """Time a suite into its report.  ``check`` states the suite's refusals
+    once: given every parameter, defaults applied, it raises the guard or
+    input error they reach.  It runs before any work, in the suite and as
+    ``fn.check``, so ``verify all`` can refuse before any suite starts."""
+    if fn is None:
+        return functools.partial(_timed, check=check)
+    signature = inspect.signature(fn)
+
+    def refuse(*args, **kwargs) -> None:
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        check(**bound.arguments)
+
     @functools.wraps(fn)
     def wrapper(*args, **kwargs) -> SuiteReport:
         t0 = time.perf_counter()
+        refuse(*args, **kwargs)
         report = fn(*args, **kwargs)
         report.elapsed_s = time.perf_counter() - t0
         return report
 
+    wrapper.check = refuse
     return wrapper
+
+
+def _checked_nothing(suite: str) -> ValueError:
+    return ValueError(f"suite {suite!r} checked nothing at these parameters")
 
 
 @_timed
@@ -165,35 +190,61 @@ def verify_armendariz(seed: int = 7, min_pairs: int = 500) -> SuiteReport:
     return rep
 
 
-@_timed
+AG_FIELD_ORDERS = (2, 3, 4, 5)
+
+
+def _ag_combos(max_order: int, factor_counts) -> list[tuple[int, ...]]:
+    """The field orders of each product the suite checks, by arithmetic
+    alone: k factors of order at least 2 need an order of at least 2^k."""
+    return [
+        combo
+        for k in factor_counts
+        if k < max(max_order, 0).bit_length()
+        for combo in itertools.combinations_with_replacement(AG_FIELD_ORDERS, k)
+        if math.prod(combo) <= max_order
+    ]
+
+
+def _ag_refusals(max_order: int, factor_counts) -> None:
+    combos = _ag_combos(max_order, factor_counts)
+    if not combos:
+        raise _checked_nothing("ag-conjecture")
+    for combo in combos:
+        guard("ring elements", math.prod(combo), DEFAULT_MAX_RING)
+
+
+@_timed(check=_ag_refusals)
 def verify_ag_girth(max_order: int = 200, factor_counts=(3, 4)) -> SuiteReport:
     """Annihilating-ideal girth 3 for products of at least three fields."""
     rep = SuiteReport("ag-conjecture")
-    fields = {q: make_gf(q) for q in (2, 3, 4, 5)}
-    for k in factor_counts:
-        for combo in itertools.combinations_with_replacement(sorted(fields), k):
-            order = 1
-            for q in combo:
-                order *= q
-            if order > max_order:
-                continue
-            R = make_product([fields[q] for q in combo])
-            result = ag_conjecture_check(R)
-            rep.add(
-                f"girth {R.tag}",
-                result.applies and result.passed and result.witness is not None,
-                f"girth={result.girth} 3-cycle={result.witness}",
-            )
+    fields = {q: make_gf(q) for q in AG_FIELD_ORDERS}
+    for combo in _ag_combos(max_order, factor_counts):
+        R = make_product([fields[q] for q in combo])
+        result = ag_conjecture_check(R)
+        rep.add(
+            f"girth {R.tag}",
+            result.applies and result.passed and result.witness is not None,
+            f"girth={result.girth} 3-cycle={result.witness}",
+        )
     return rep
 
 
-@_timed
+def _t1_refusals(max_ground: int) -> None:
+    if max_ground < 1:
+        raise _checked_nothing("t1-lattice")
+    guard("powerset points", max_ground, DEFAULT_MAX_POWERSET_GROUND)
+    # Γ of the k-point powerset has 2^k - 2 vertices: every member but ∅ and the ground
+    guard("clique-solver vertices", 2**max_ground - 2, DEFAULT_MAX_CLIQUE_VERTICES)
+
+
+@_timed(check=_t1_refusals)
 def verify_t1_table(max_ground: int = 5) -> SuiteReport:
     """The T1 powerset-lattice invariant table over small ground sets.
 
     The graph is empty for one point (so clique and chromatic number are 0;
     the counting law starts at two points), a single edge for two, and has
-    diameter 3, girth 3, clique = chromatic = ground size from three up.
+    diameter 3, girth 3, clique = chromatic = ground size from three up,
+    where the lattice is reducible.
     """
     rep = SuiteReport("t1-lattice")
     inf = float("inf")
@@ -206,27 +257,36 @@ def verify_t1_table(max_ground: int = 5) -> SuiteReport:
             expected = (1, inf, 2, 2)
         else:
             expected = (3, 3, k, k)
+        irreducible = k >= 3 and lattice_is_irreducible(L)
         rep.add(
             f"ground-{k}",
-            b.as_tuple() == expected,
-            f"(diam, gir, clq, chi) = {b.as_tuple()}, expected {expected}",
+            b.as_tuple() == expected and not irreducible,
+            f"(diam, gir, clq, chi) = {b.as_tuple()}, expected {expected}"
+            + ("; irreducible, expected reducible" if irreducible else ""),
         )
     return rep
 
 
-@_timed
+def _charirrconn_refusals(max_ground: int) -> None:
+    if max_ground < 1:
+        raise _checked_nothing("charirrconn")
+    guard("powerset points", max_ground, DEFAULT_MAX_POWERSET_GROUND)
+
+
+@_timed(check=_charirrconn_refusals)
 def verify_charirrconn(max_ground: int = 4) -> SuiteReport:
-    """Graph characterizations of irreducible/connected over every T1
-    sublattice of a small powerset: the full powerset is the only one on a
-    finite ground set (``enumerate_t1_sublattices`` gives the proof)."""
+    """Graph characterizations of irreducible/connected on the powerset of
+    each small ground set, the only finite T1 lattice (every subset is a
+    finite union of closed singletons)."""
     rep = SuiteReport("charirrconn")
     for n in range(1, max_ground + 1):
-        lattices = list(enumerate_t1_sublattices(n))
-        all_pass = all(char_check_irr_conn(L).passed for L in lattices)
+        r = char_check_irr_conn(powerset_lattice(n))
         rep.add(
             f"ground-{n}",
-            all_pass and len(lattices) == 1,
-            f"{len(lattices)} T1 sublattice(s); equivalences hold on all",
+            r.passed,
+            f"irreducible {r.irreducible} <=> every pair on a 2-path {r.every_pair_has_2path}; "
+            f"connected {r.connected} <=> every edge on a 3-cycle {r.every_edge_in_3cycle}"
+            + ("" if r.vertex_set_matches else "; vertices are not the proper members"),
         )
     return rep
 
@@ -251,15 +311,19 @@ def verify_symbolic_lattice(
         f"{list(members(a))} and {list(members(bb))} meet; "
         f"both disjoint from {list(members(mid))}",
     )
-    x, y, z = C.triangle_witness()
-    rep.add("girth-3-triangle", not (x & y or x & z or y & z), "three disjoint singletons")
-    ok = True
+    triangle = C.triangle_witness()
+    ok = _pairwise_disjoint(triangle)
+    rep.add("girth-3-triangle", ok, "three disjoint singletons" if ok
+            else f"{[list(members(A)) for A in triangle]} are not pairwise disjoint")
+    bad = None
     for n in range(2, max_clique + 1):
         sets = C.clique_witness(n)
-        if len(sets) != n:
-            ok = False
+        if len(sets) != n or not _pairwise_disjoint(sets):
+            bad = (n, [list(members(A)) for A in sets])
             break
-    rep.add("clique-witnesses", ok, f"pairwise-disjoint cliques for n = 2..{max_clique}")
+    rep.add("clique-witnesses", bad is None,
+            f"pairwise-disjoint cliques for n = 2..{max_clique}"
+            + (f"; failure at n = {bad[0]}: {bad[1]}" if bad else ""))
     rng = random.Random(seed)
     clashes = 0
     for _ in range(colour_samples):
@@ -285,6 +349,12 @@ def verify_symbolic_lattice(
     return rep
 
 
+def _pairwise_disjoint(sets) -> bool:
+    """Nonempty, and disjoint iff the union counts every set's points once."""
+    union = functools.reduce(operator.or_, sets, 0)
+    return all(sets) and union.bit_count() == sum(A.bit_count() for A in sets)
+
+
 def _ring_side_closed_sets(R) -> set[int]:
     """Zariski closed sets from ideal data: V(I) as bitmasks over the primes."""
     primes = prime_ideals(R)
@@ -294,7 +364,8 @@ def _ring_side_closed_sets(R) -> set[int]:
     }
 
 
-@_timed
+@_timed(check=lambda max_points, **_: guard(
+    "poset points", max_points, DEFAULT_MAX_POSET_POINTS))
 def verify_specs(
     max_points: int = 5,
     seed: int = 0,
@@ -307,7 +378,6 @@ def verify_specs(
     runs once per class; the count is the number of labelled posets, the
     sum of the orbits, up to and including the first class that fails.
     """
-    guard("poset points", max_points, DEFAULT_MAX_POSET_POINTS)
     rep = SuiteReport("specs", seed=seed)
     for n in range(max_points + 1):
         count = 0
@@ -421,10 +491,19 @@ def verify_comaximal() -> SuiteReport:
     return rep
 
 
-@_timed
+# the implication arrows between the separation axioms, each with its test
+_ARROWS = (
+    ("T1 => T1/2", lambda ax: ax.t_half or not ax.t1),
+    ("T1/2 => T0", lambda ax: ax.t0 or not ax.t_half),
+    ("T1/2 => pearled", lambda ax: ax.pearled or not ax.t_half),
+    ("Noetherian T0 => pearled", lambda ax: ax.pearled or not (ax.noetherian and ax.t0)),
+)
+
+
+@_timed(check=lambda max_points: guard(
+    "topology points", max_points, DEFAULT_MAX_TOPOLOGY_POINTS))
 def verify_pearled(max_points: int = 4) -> SuiteReport:
     """The separation-axiom counterexamples and the implication arrows."""
-    guard("topology points", max_points, DEFAULT_MAX_TOPOLOGY_POINTS)
     rep = SuiteReport("pearled")
 
     sierpinski = make_space(["a", "b"], [0b00, 0b10, 0b11])
@@ -444,31 +523,32 @@ def verify_pearled(max_points: int = 4) -> SuiteReport:
     )
 
     window = n0_space_window(5)
+    # each step (n, m) says [m, inf) is a proper nonempty subset of [n, inf)
+    step = next(((n, m) for n, m in window.proper_chain if not n < m), None)
     rep.add(
         "naturals-window",
-        window.t0_on_window and not window.pearled,
-        window.certificate,
+        window.t0_on_window and not window.pearled and step is None,
+        window.certificate + (f"; chain step {step} is not proper" if step else ""),
     )
 
     # the axioms are invariant under relabelling: one check per class,
     # counted with its orbit
     violations = 0
     count = 0
+    first = None
     for n in range(1, max_points + 1):
         for X, orbit in enumerate_topologies(n):
             count += orbit
             ax = axiom_suite(X)
-            if (
-                (ax.t1 and not ax.t_half)
-                or (ax.t_half and not ax.t0)
-                or (ax.t_half and not ax.pearled)
-                or (ax.noetherian and ax.t0 and not ax.pearled)
-            ):
+            broken = next((arrow for arrow, holds in _ARROWS if not holds(ax)), None)
+            if broken:
                 violations += orbit
+                first = first or (X.to_json(), broken)
     rep.add(
         "implication-arrows",
         not violations,
-        f"{count} topologies on <= {max_points} points, {violations} violations",
+        f"{count} topologies on <= {max_points} points, {violations} violations"
+        + (f"; first: {first}" if first else ""),
     )
     return rep
 

@@ -491,6 +491,36 @@ def test_a_suite_that_checked_nothing_is_an_input_error(argv):
     assert run(argv) == (1, f"error: suite '{argv[1]}' checked nothing at these parameters\n")
 
 
+# each refused only after work: t1-lattice ran grounds 1-7 before the clique
+# guard (also at --max-ground 11), charirrconn built grounds 1-10 before its
+# guard, and verify all printed three or six suite reports first
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "t1-lattice", "--max-ground", "11"],
+     "guard exceeded: 11 powerset points exceed guard 10"),
+    (["verify", "t1-lattice", "--max-ground", "8"],
+     "guard exceeded: 254 clique-solver vertices exceed guard 200"),
+    (["verify", "charirrconn", "--max-ground", "11"],
+     "guard exceeded: 11 powerset points exceed guard 10"),
+    (["verify", "all", "--max-ground", "0"],
+     "suite 't1-lattice' checked nothing at these parameters"),
+    (["verify", "all", "--max-points", "8"], "guard exceeded: 8 poset points exceed guard 7"),
+    (["verify", "all", "--max-order", "5000", "--max-fields", "6"],
+     "guard exceeded: 5000 ring elements exceed guard 4096"),
+])
+def test_verify_refuses_before_any_suite_runs(argv, message, monkeypatch, capsys):
+    from zdgraph import cli
+
+    def refuse(fn):
+        @functools.wraps(fn)  # keeps the signature and the suite's check
+        def wrapper(**kwargs):
+            raise AssertionError(f"{fn.__name__} ran")
+        return wrapper
+
+    monkeypatch.setattr(cli, "SUITES", {name: refuse(fn) for name, fn in cli.SUITES.items()})
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 # the flag a suite does not take was dropped without a word
 @pytest.mark.parametrize("argv,message", [
     (["verify", "armendariz", "--max-ground", "3"],

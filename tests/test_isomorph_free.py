@@ -21,7 +21,6 @@ import zdgraph.suites as suites
 from zdgraph.corpus import (
     _canonical_form,
     enumerate_posets,
-    enumerate_t1_sublattices,
     enumerate_topologies,
     random_poset,
     random_space,
@@ -71,8 +70,7 @@ def test_topology_classes_and_orbits_match_oeis():
 
 def test_guards_trip_before_any_work(monkeypatch):
     for enumerate_, what, n in ((enumerate_posets, "poset", 8),
-                                (enumerate_topologies, "topology", 7),
-                                (enumerate_t1_sublattices, "T1-sublattice", 11)):
+                                (enumerate_topologies, "topology", 7)):
         with pytest.raises(SizeGuardExceeded, match=f"{n} {what} points exceed guard {n - 1}"):
             next(enumerate_(n))
 
@@ -81,10 +79,18 @@ def test_guards_trip_before_any_work(monkeypatch):
 
     monkeypatch.setattr(suites, "enumerate_posets", no_work)
     monkeypatch.setattr(suites, "enumerate_topologies", no_work)
-    with pytest.raises(SizeGuardExceeded, match="8 poset points exceed guard 7"):
-        suites.verify_specs(max_points=8)
-    with pytest.raises(SizeGuardExceeded, match="7 topology points exceed guard 6"):
-        suites.verify_pearled(max_points=7)
+    monkeypatch.setattr(suites, "powerset_lattice", no_work)
+    for suite, message in (
+        (lambda: suites.verify_specs(max_points=8), "8 poset points exceed guard 7"),
+        (lambda: suites.verify_pearled(max_points=7), "7 topology points exceed guard 6"),
+        (lambda: suites.verify_charirrconn(max_ground=11), "11 powerset points exceed guard 10"),
+        (lambda: suites.verify_t1_table(max_ground=11), "11 powerset points exceed guard 10"),
+        # Γ of the 8-point powerset has 2^8 - 2 vertices
+        (lambda: suites.verify_t1_table(max_ground=8),
+         "254 clique-solver vertices exceed guard 200"),
+    ):
+        with pytest.raises(SizeGuardExceeded, match=f"^{message}$"):
+            suite()
 
 
 def test_each_level_is_built_once(monkeypatch):
@@ -230,22 +236,24 @@ def test_pearled_counts_violations_by_orbit(monkeypatch):
     assert want > 0
     item = report.items[-1]
     assert not item.passed
-    assert item.details == f"389 topologies on <= 4 points, {want} violations"
+    first = next(X for X, _ in enumerate_topologies(3) if len(X.closed_sets) == 4)
+    assert item.details == (f"389 topologies on <= 4 points, {want} violations; "
+                            f"first: {(first.to_json(), 'T1 => T1/2')}")
 
 
 # ---------------------------------------------------------------------------
-# T1 sublattices
+# T1 sublattices: the filter oracle finds the powerset and nothing else
 
 
-@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("n", range(5))
 def test_the_t1_sublattice_is_the_powerset(n):
-    (L,) = enumerate_t1_sublattices(n)
+    (L,) = relation_oracles.enumerate_t1_sublattices(n)
     assert L.closed_sets == powerset_lattice(n).closed_sets
 
 
 def test_t1_sublattices_match_the_filter():
     for n in range(1, 5):
-        got = [L.closed_sets for L in enumerate_t1_sublattices(n)]
-        assert got == [L.closed_sets for L in relation_oracles.enumerate_t1_sublattices(n)]
-    (L,) = enumerate_t1_sublattices(7)
+        got = [L.closed_sets for L in relation_oracles.enumerate_t1_sublattices(n)]
+        assert got == [powerset_lattice(n).closed_sets]
+    L = powerset_lattice(7)
     assert len(L.closed_sets) == 2 ** 7 and math.comb(7, 3) == sum(m.bit_count() == 3 for m in L.closed_sets)

@@ -1,4 +1,9 @@
-"""Library code raises explicit exceptions: ``python -O`` strips asserts."""
+"""Library code raises explicit exceptions: ``python -O`` strips asserts.
+
+A theorem is judged once, as a suite item with its witness, so the theorem
+paths raise no ``AssertionError``: no library exception subclasses it, and
+neither ``topology`` nor ``suites`` raises it.
+"""
 
 import ast
 from pathlib import Path
@@ -8,11 +13,39 @@ import zdgraph
 SRC = Path(zdgraph.__file__).parent
 
 
+def _trees():
+    return [(path.name, ast.parse(path.read_text(), filename=str(path)))
+            for path in sorted(SRC.rglob("*.py"))]
+
+
+def _is_assertion_error(node) -> bool:
+    return isinstance(node, ast.Name) and node.id == "AssertionError"
+
+
 def test_no_assert_statements_in_library():
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        f"{name}:{node.lineno}"
+        for name, tree in _trees()
+        for node in ast.walk(tree)
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert statements in zdgraph: {found}"
+
+
+def test_theorem_paths_raise_no_assertion_error():
+    subclasses = [
+        f"{name}:{node.name}"
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and any(map(_is_assertion_error, node.bases))
+    ]
+    assert not subclasses, f"AssertionError subclasses in zdgraph: {subclasses}"
+    raised = [
+        f"{name}:{node.lineno}"
+        for name, tree in _trees()
+        if name in ("topology.py", "suites.py")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and _is_assertion_error(getattr(node.exc, "func", node.exc))
+    ]
+    assert not raised, f"raise AssertionError in a theorem path: {raised}"

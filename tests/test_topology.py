@@ -219,17 +219,6 @@ def test_symbolic_lattice():
     assert len(cl) == 100
 
 
-def test_clique_witness_refuses_overlapping_members(monkeypatch):
-    from zdgraph import topology
-
-    C = CofiniteT1Lattice()
-    assert all(len(C.clique_witness(n)) == n for n in range(101))
-    # a module-level range shadows the builtin: the witness becomes {0}, {0}, {1}
-    monkeypatch.setattr(topology, "range", lambda n: [0, 0, 1], raising=False)
-    with pytest.raises(AssertionError, match="^clique witness members intersect$"):
-        C.clique_witness(3)
-
-
 def test_symbolic_window_agreement():
     C = CofiniteT1Lattice()
     rng = random.Random(5)
