@@ -257,20 +257,34 @@ def is_irreducible_family(masks, whole: int) -> bool:
 
 
 def meet_table(points: Sequence[str], masks: Sequence[int]) -> SemigroupTable:
-    """An intersection-closed family of bitmasks over ``points``, in order,
-    under ``&``: ``product[i, j]`` is the position of ``masks[i] &
-    masks[j]``, the zero is the meet of all members, and the elements are
-    labelled by ``mask_labels``."""
+    """A family of distinct bitmasks over ``points``, closed under ``&``, in
+    order: ``product[i, j]`` is the position of ``masks[i] & masks[j]``, the
+    zero is the meet of all members, and the elements are labelled by
+    ``mask_labels``.
+
+    A meet's position is read from an array indexed by mask when that array
+    is no larger than the n² meets it answers, as on the up-sets of a poset
+    of at most five points or of a fan window; otherwise it is found by
+    bisection in the sorted masks.
+    """
+    width = max(masks).bit_length()
     # masks over more than 62 points stay Python ints, in an object array
-    M = np.array(masks, dtype=np.int64 if max(masks).bit_length() < 63 else object)
-    # the sorted masks are the lookup array: a meet is found by bisection
-    order = np.argsort(M)
+    M = np.array(masks, dtype=np.int64 if width < 63 else object)
     meets = M[:, None] & M
-    at = order[np.searchsorted(M[order], meets)]
-    if (M[at] != meets).any():
-        raise ValueError("family is not closed under intersection")
     # the meet of all members is a subset of each, so the least mask
-    return SemigroupTable(tuple(mask_labels(points, masks)), int(order[0]), at)
+    zero = int(np.argmin(M))
+    if M[zero] >= 0 and 1 << width <= len(M) ** 2:
+        position = np.full(1 << width, -1)
+        position[M] = np.arange(len(M))
+        at = position[meets]
+        closed = (at >= 0).all()
+    else:
+        order = np.argsort(M)
+        at = order[np.searchsorted(M[order], meets)]
+        closed = (M[at] == meets).all()
+    if not closed:
+        raise ValueError("family is not closed under intersection")
+    return SemigroupTable(tuple(mask_labels(points, masks)), zero, at)
 
 
 @dataclass(frozen=True)

@@ -542,6 +542,15 @@ def test_help_texts_match_their_golden_files(argv, name, monkeypatch, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"help_{name}.txt").read_text()
 
 
+# each suite whose meet tables or graphs the fast paths build, at its defaults
+@pytest.mark.parametrize("suite", ["specs", "armendariz", "pearled", "t1-lattice",
+                                   "charirrconn", "comaximal", "symbolic-lattice"])
+def test_verify_reports_match_their_golden_files(suite, capsys):
+    assert main(["verify", suite, "--json"]) == 0
+    out = re.sub(r'"elapsed_s": [0-9.]+', '"elapsed_s": null', capsys.readouterr().out, count=1)
+    assert out == (GOLDEN / f"verify_{suite}.json").read_text()
+
+
 def test_verify_all_gives_each_flag_to_the_suites_that_take_it(monkeypatch, capsys):
     from zdgraph import cli
     from zdgraph.suites import SuiteReport

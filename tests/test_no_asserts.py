@@ -2,7 +2,7 @@
 
 A theorem is judged once, as a suite item with its witness, so the theorem
 paths raise no ``AssertionError``: no library exception subclasses it, and
-neither ``topology`` nor ``suites`` raises it.
+none of ``topology``, ``spectra``, ``graphs`` and ``suites`` raises it.
 """
 
 import ast
@@ -43,7 +43,7 @@ def test_theorem_paths_raise_no_assertion_error():
     raised = [
         f"{name}:{node.lineno}"
         for name, tree in _trees()
-        if name in ("topology.py", "suites.py")
+        if name in ("topology.py", "spectra.py", "graphs.py", "suites.py")
         for node in ast.walk(tree)
         if isinstance(node, ast.Raise) and node.exc is not None
         and _is_assertion_error(getattr(node.exc, "func", node.exc))

@@ -170,12 +170,13 @@ def unique_axis_calls(tree):
 
 # the NumPy names the library uses, every one of them in NumPy 1.24
 NUMPY_1_24 = {
-    "add", "arange", "argsort", "argwhere", "array", "array_equal", "asarray", "bincount",
-    "concatenate", "count_nonzero", "cumsum", "dtype", "empty", "empty_like", "fill_diagonal",
-    "flatnonzero", "float32", "frombuffer", "full", "full_like", "int64", "ix_", "maximum",
-    "minimum", "moveaxis", "multiply", "ndarray", "nonzero", "packbits", "ravel_multi_index",
-    "repeat", "searchsorted", "sort", "split", "take_along_axis", "tensordot", "tile", "uint8",
-    "unique", "unpackbits", "unravel_index", "void", "vstack", "where", "zeros",
+    "add", "arange", "argmin", "argsort", "argwhere", "array", "array_equal", "asarray",
+    "bincount", "concatenate", "count_nonzero", "cumsum", "dtype", "empty", "empty_like",
+    "fill_diagonal", "flatnonzero", "float32", "frombuffer", "full", "full_like", "int64",
+    "ix_", "maximum", "minimum", "moveaxis", "multiply", "ndarray", "nonzero", "packbits",
+    "ravel_multi_index", "repeat", "searchsorted", "sort", "split", "take_along_axis",
+    "tensordot", "tile", "triu", "uint8", "unique", "unpackbits", "unravel_index", "void",
+    "vstack", "where", "zeros",
 }
 
 

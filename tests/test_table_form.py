@@ -6,6 +6,7 @@ semigroups, on hypothesis tables, on seeded random maps and on seeded
 single-cell corruptions of ring and semigroup tables.
 """
 
+import bisect
 import itertools
 import json
 import random
@@ -605,6 +606,63 @@ def test_meet_table_over_wide_masks():
     assert T.elements[1] == "{0,1,2,3,4,5,6,7,8,9}"
     with pytest.raises(ValueError, match="not closed under intersection"):
         meet_table(["a", "b", "c"], [0b11, 0b101, 0b111])
+
+
+def _intersection_closed(rng, points, generators, shift):
+    """Random masks over ``points`` bits, closed under intersection, shifted
+    left by ``shift`` and shuffled."""
+    family = {rng.getrandbits(points) for _ in range(generators)}
+    while True:
+        more = {a & b for a in family for b in family} - family
+        if not more:
+            break
+        family |= more
+    masks = [m << shift for m in family]
+    rng.shuffle(masks)
+    return masks
+
+
+def _bisection_positions(masks):
+    """The position of each meet, looked up in the sorted masks."""
+    order = sorted(range(len(masks)), key=masks.__getitem__)
+    ordered = [masks[k] for k in order]
+    at = [[order[bisect.bisect_left(ordered, a & b)] for b in masks] for a in masks]
+    if any(masks[k] != a & b for row, a in zip(at, masks) for k, b in zip(row, masks)):
+        raise ValueError("family is not closed under intersection")
+    return at
+
+
+@pytest.mark.parametrize("shift,lookup", [(0, True), (0, False), (40, False), (70, False)])
+def test_meet_positions_match_bisection(shift, lookup, monkeypatch):
+    # unshifted families over few points are read by lookup, over many by
+    # bisection; 40 and 70 bits up they are wide int64 and object masks
+    bisections = []
+    real = np.searchsorted
+    monkeypatch.setattr(np, "searchsorted", lambda *a: bisections.append(1) or real(*a))
+    rng = random.Random(shift + lookup)
+    seen = 0
+    for _ in range(80):
+        points = rng.randint(1, 6) if lookup else rng.randint(10, 14)
+        masks = _intersection_closed(rng, points, rng.randint(1, 12), shift)
+        width = max(masks).bit_length()
+        if (1 << width <= len(masks) ** 2) != lookup:
+            continue
+        seen += 1
+        labels = [str(p) for p in range(width)]
+        bisections.clear()
+        T = meet_table(labels, masks)
+        assert len(bisections) == (not lookup)
+        assert T.product.tolist() == _bisection_positions(masks)
+        assert T.zero == masks.index(min(masks))
+        # drop a meet that is not the least mask: the family is no longer closed
+        meets = {a & b for a in masks for b in masks if a & b != a and a & b != b}
+        if meets - {min(masks)}:
+            broken = [m for m in masks if m != max(meets - {min(masks)})]
+            with pytest.raises(ValueError, match="not closed under intersection"):
+                _bisection_positions(broken)
+            with pytest.raises(ValueError, match="not closed under intersection"):
+                meet_table(labels, broken)
+    assert seen >= 30
 
 
 @pytest.mark.parametrize("product", [

@@ -12,10 +12,13 @@ itself, so no defect can flip it: README names it a certificate.
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from zdgraph import cli, topology
+from zdgraph import cli, graphs, semigroups, spectra, topology
 from zdgraph.corpus import enumerate_topologies
+from zdgraph.graphs import SimpleGraph
+from zdgraph.semigroups import SemigroupTable
 from zdgraph.topology import CofiniteT1Lattice, NotPearled, is_t1, prl
 
 
@@ -109,6 +112,129 @@ def test_pearled_reports_a_broken_naturals_chain(monkeypatch, capsys):
     assert not items["naturals-window"]["passed"]
     assert items["naturals-window"]["details"].endswith("; chain step (3, 3) is not proper")
     assert items["implication-arrows"]["passed"]
+
+
+FANS = ("fan-shared-1", "fan-shared-2", "fan-disjoint-2", "fan-disjoint-3")
+
+
+def _fan_verdicts(items) -> dict[str, str]:
+    return {name: items[name]["details"] for name in FANS}
+
+
+def test_specs_reports_a_wrong_meet_position(monkeypatch, capsys):
+    real = spectra.meet_table
+
+    def top_meets_itself_in_zero(points, masks):
+        T = real(points, masks)
+        P = T.product.copy()
+        if len(masks) >= 3:
+            P[-1, -1] = T.zero
+        return SemigroupTable(T.elements, T.zero, P)
+
+    monkeypatch.setattr(spectra, "meet_table", top_meets_itself_in_zero)
+    items = verify(capsys, "specs")
+    assert items["posets-1"]["passed"] and not items["posets-2"]["passed"]
+    assert items["posets-2"]["details"] == (
+        """1 posets checked; failure: ('{"points": ["p0", "p1"], "leq": []}', """
+        "['two-maximal-cases'])")
+    assert all(d.endswith("window-oracle-agreement=FAIL") for d in _fan_verdicts(items).values())
+
+
+def test_specs_reports_a_flipped_disjointness_test(monkeypatch, capsys):
+    real = spectra.fan_disjoint_q
+    monkeypatch.setattr(spectra, "fan_disjoint_q", lambda a, b: not real(a, b))
+    items = verify(capsys, "specs")
+    assert items["posets-5"]["passed"]
+    for details in _fan_verdicts(items).values():
+        assert details.startswith("clique-chromatic-count=FAIL; three-plus-alexandroff=FAIL")
+
+
+def test_specs_checks_each_window_and_judges_each_size(monkeypatch, capsys):
+    # fan-disjoint-3 asks for w = 2 twice: each distinct window is built once
+    real, built = spectra._window_holds, []
+    monkeypatch.setattr(spectra, "_window_holds",
+                        lambda fan, w: built.append((fan.shape, fan.size, w)) or real(fan, w))
+    assert cli.main(["verify", "specs", "--json"]) == 0
+    capsys.readouterr()
+    assert built == [("shared", 1, 2), ("shared", 1, 8), ("shared", 2, 2), ("shared", 2, 8),
+                     ("disjoint", 2, 2), ("disjoint", 2, 4), ("disjoint", 3, 2)]
+    # a window that fails only past w = 2 fails the fans that check one;
+    # the verdict at w = 2 is not reused for it
+    monkeypatch.setattr(spectra, "_window_holds", lambda fan, w: w == 2)
+    items = verify(capsys, "specs")
+    verdicts = _fan_verdicts(items)
+    assert [d.endswith("window-oracle-agreement=FAIL") for d in verdicts.values()] == [
+        True, True, True, False]
+
+
+def test_specs_runs_both_sides_of_each_size_switch(monkeypatch, capsys):
+    # meet tables look meets up unless the lookup array would outgrow the
+    # table; graphs from 33 vertices on are packed, smaller ones listed
+    tables, bisections, built, listed = [], [], [], []
+    real_meets, real_search = semigroups.meet_table, np.searchsorted
+    real_build, real_list = graphs._zero_product_graph, SimpleGraph.from_edges
+    monkeypatch.setattr(spectra, "meet_table", lambda *a: tables.append(1) or real_meets(*a))
+    monkeypatch.setattr(np, "searchsorted", lambda *a: bisections.append(1) or real_search(*a))
+    monkeypatch.setattr(graphs, "_zero_product_graph",
+                        lambda labels, zero: built.append(len(labels)) or real_build(labels, zero))
+    monkeypatch.setattr(SimpleGraph, "from_edges",
+                        staticmethod(lambda v, e: listed.append(len(v)) or real_list(v, e)))
+    assert cli.main(["verify", "specs", "--json"]) == 0
+    capsys.readouterr()
+    assert 0 < len(bisections) < len(tables)
+    assert sorted(listed) == sorted(n for n in built if n < graphs._MATRIX_VERTICES)
+    assert max(built) >= graphs._MATRIX_VERTICES
+
+
+def test_specs_reports_chromatic_below_clique(monkeypatch, capsys):
+    real = spectra.invariant_bundle
+
+    def chi_minus_one(G, *args, **kwargs):
+        b = real(G, *args, **kwargs)
+        return dataclasses.replace(b, chromatic=b.chromatic - 1)
+
+    monkeypatch.setattr(spectra, "invariant_bundle", chi_minus_one)
+    items = verify(capsys, "specs")
+    assert not items["posets-0"]["passed"]
+    assert items["posets-2"]["details"] == (
+        """1 posets checked; failure: ('{"points": ["p0", "p1"], "leq": []}', """
+        "['clique-chromatic-count'])")
+
+
+def test_armendariz_reports_chromatic_below_clique(monkeypatch, capsys):
+    # χ - 1 on every graph keeps source and target equal: χ ≥ ω fails them
+    real = graphs.invariant_bundle
+
+    def chi_minus_one(G, *args, **kwargs):
+        b = real(G, *args, **kwargs)
+        return dataclasses.replace(b, chromatic=b.chromatic - 1)
+
+    monkeypatch.setattr(graphs, "invariant_bundle", chi_minus_one)
+    items = verify(capsys, "armendariz")
+    assert items["corpus-size"]["passed"] and not items["six-laws-hold"]["passed"]
+    assert items["six-laws-hold"]["details"] == (
+        "561 maps, 561 failures; first: ('eq-quotient Zn:6', "
+        "[('chromatic-equal', 'chromatic source=1 target=1; chromatic below clique')])")
+
+
+def test_specs_reports_a_drawn_descriptor_outside_spec_form(monkeypatch, capsys):
+    real = spectra.random_fan_descriptor
+
+    def excluding(fan, rng, spec_mode, max_index=12):
+        d = real(fan, rng, spec_mode, max_index)
+        # a cofinite part with an exclusion is Alexandroff-only
+        return spectra.FanClosedSet(fan, (~0b10,) + d.parts[1:], 0) if spec_mode else d
+
+    monkeypatch.setattr(spectra, "random_fan_descriptor", excluding)
+    items = verify(capsys, "specs")
+    verdicts = _fan_verdicts(items)
+    assert "jacobson-prime-diam2=FAIL" in verdicts["fan-shared-1"]
+    assert "jacobson-prime-diam2=ok" in verdicts["fan-disjoint-2"]  # reducible: no samples
+    part, = [p for p in spectra.specs_theorem_suite(spectra.fan_shared(1)).parts
+             if p.name == "jacobson-prime-diam2"]
+    assert not part.passed
+    assert part.details.endswith(
+        "sampled Zariski pairs within 2: False; drawn M0-{m0.1} is not in spec form")
 
 
 def test_the_closed_points_of_a_pearled_space_form_a_t1_space():
