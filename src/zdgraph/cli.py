@@ -15,6 +15,7 @@ import argparse
 import functools
 import inspect
 import json
+import math
 import os
 import sys
 import time
@@ -363,7 +364,7 @@ def cmd_verify(args) -> int:
                 print(f"  [{mark}] {item.name}: {item.details}")
     if args.json:
         payload = reports[0].to_dict() if len(reports) == 1 else [r.to_dict() for r in reports]
-        print(json.dumps(payload, indent=2))
+        print(json_text(payload))
     return 0 if overall else 2
 
 
@@ -382,9 +383,82 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# the JSON text of each scalar type, by exact type, as json.dumps writes it
+_SCALAR_TEXT = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
+
+
+def json_text(obj) -> str:
+    """``json.dumps(obj, indent=2)``, written in one pass of C-encoded
+    scalars.  A value of any other type, a subclass included, is left to
+    ``json.dumps``, which gives its text or raises its own error."""
+    out: list[str] = []
+    try:
+        _write_json(obj, out, "\n")
+    except (TypeError, KeyError, RecursionError):  # a cycle recurses without end
+        return json.dumps(obj, indent=2)
+    return "".join(out)
+
+
+def _write_json(x, out: list[str], pad: str) -> None:
+    # pad is the newline and indent of the line x starts on
+    scalar = _SCALAR_TEXT.get(type(x))
+    if scalar is not None:
+        out.append(scalar(x))
+        return
+    inner = pad + "  "
+    if type(x) is dict:
+        if not x:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for key, value in x.items():
+            if type(key) is not str:
+                key = _SCALAR_TEXT[type(key)](key)  # KeyError: no JSON key type
+            out.append(sep + _SCALAR_TEXT[str](key) + ": ")
+            _write_json(value, out, inner)
+            sep = "," + inner
+        out.append(pad + "}")
+    elif type(x) is list or type(x) is tuple:
+        if not x:
+            out.append("[]")
+            return
+        join, sep = ("," + inner + "  ").join, "[" + inner
+        for value in x:
+            out.append(sep)
+            sep = "," + inner
+            # an item that is a list of scalars, such as an edge, is one join
+            if value and (type(value) is list or type(value) is tuple):
+                try:
+                    out.append("[" + inner + "  " + join(
+                        [_SCALAR_TEXT[type(v)](v) for v in value]) + inner + "]")
+                    continue
+                except KeyError:  # not every item is a scalar
+                    pass
+            _write_json(value, out, inner)
+        out.append(pad + "]")
+    else:
+        raise TypeError(type(x).__name__)
+
+
 def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(payload, indent=2))
+        print(json_text(payload))
         return
     print(f"object: {payload['object']}")
     for task, data in payload["results"].items():

@@ -27,7 +27,7 @@ from typing import Iterator
 import numpy as np
 
 from .rings import FiniteRing, make_gf, make_product, make_zn, prime_power
-from .semigroups import SemigroupMap, SemigroupTable, guard
+from .semigroups import NotNilpotentFree, SemigroupMap, SemigroupTable, guard
 from .spectra import FinitePoset, transitive_closure, upset_masks
 from .topology import FiniteSpace, make_space
 
@@ -250,8 +250,8 @@ def armendariz_map_corpus(
     for R, S in semigroups:
         if R.size > ring_order:
             continue
-        if not is_reduced(R):
-            raise AssertionError(f"{R.tag} from reduced_rings_up_to is not reduced")
+        if not is_reduced(R):  # the suite reports it as a FAIL
+            raise NotNilpotentFree(f"{R.tag} from reduced_rings_up_to is not reduced")
         q = eq_quotient(S)
         out.append((f"eq-quotient {R.tag}", q.projection))
 

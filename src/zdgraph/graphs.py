@@ -302,48 +302,64 @@ def _k_colouring(adj: tuple[int, ...], k: int, seed_clique: tuple[int, ...]) -> 
     breaking), vertices are picked by saturation degree, and a fresh colour
     may only be introduced as the next unused one.  ``classes[c]`` is the
     mask of the vertices coloured c.
+
+    The pick is the first uncoloured vertex, in index order, of greatest
+    (saturation, degree).  ``seen[v][c]`` counts v's neighbours coloured c,
+    and ``score[v]`` is n * saturation + degree, less ``off`` while v is
+    coloured; both change with each vertex coloured or uncoloured, so a
+    pick is one scan of the scores.
     """
     n = len(adj)
     colours = [-1] * n
     classes = [0] * k
-    for c, v in enumerate(seed_clique):
+    neighbours = [list(members(a)) for a in adj]
+    seen = [[0] * k for _ in range(n)]
+    score = [len(u) for u in neighbours]  # a degree is below n
+    off = n * (k + 1)  # above every score: a coloured vertex scores below 0
+
+    def colour(v: int, c: int) -> None:
         colours[v] = c
         classes[c] |= 1 << v
-    uncoloured = [v for v in range(n) if colours[v] == -1]
-    degree = [a.bit_count() for a in adj]
+        score[v] -= off
+        for u in neighbours[v]:
+            seen[u][c] += 1
+            if seen[u][c] == 1:
+                score[u] += n
+
+    def uncolour(v: int, c: int) -> None:
+        colours[v] = -1
+        classes[c] ^= 1 << v
+        score[v] += off
+        for u in neighbours[v]:
+            seen[u][c] -= 1
+            if not seen[u][c]:
+                score[u] -= n
 
     def pick() -> int:
-        best_v, best_key = -1, (-1, -1)
-        for v in uncoloured:
-            if colours[v] != -1:
-                continue
-            sat = sum(1 for cls in classes if cls & adj[v])
-            key = (sat, degree[v])
-            if key > best_key:
-                best_key, best_v = key, v
-        return best_v
+        return score.index(max(score))
+
+    for c, v in enumerate(seed_clique):
+        colour(v, c)
 
     # An explicit stack of (v, c, max_used before v): vertex v holds colour
     # c.  Each step colours the picked vertex with its least admissible
     # colour from c on, or, with none left, uncolours the last vertex
     # coloured and moves it on to its next colour.
     stack: list[tuple[int, int, int]] = []
-    remaining, max_used = len(uncoloured), len(seed_clique) - 1
+    remaining, max_used = n - len(seed_clique), len(seed_clique) - 1
     v, c = pick(), 0
     while remaining:
         top = min(k - 1, max_used + 1)
         while c <= top and classes[c] & adj[v]:
             c += 1
         if c <= top:
-            colours[v] = c
-            classes[c] |= 1 << v
+            colour(v, c)
             stack.append((v, c, max_used))
             max_used, remaining = max(max_used, c), remaining - 1
             v, c = pick(), 0
         elif stack:
             v, c, max_used = stack.pop()
-            classes[c] ^= 1 << v
-            colours[v] = -1
+            uncolour(v, c)
             remaining += 1
             c += 1
         else:

@@ -34,6 +34,7 @@ from .graphs import SimpleGraph, beck_graph, shortest_cycle, zero_divisor_graph
 from .semigroups import (
     DEFAULT_MAX_TABLE,
     SemigroupTable,
+    block_size,
     first_witness,
     guard,
     is_nilpotent_free,
@@ -105,9 +106,12 @@ def _validate_ring(R: FiniteRing) -> None:
         _scan_ring_laws(R)
 
 
-def _additive_generators(A: np.ndarray, zero: int) -> list[int]:
-    """Greedy nonzero generators of (R, +) in index order: an element joins
-    when it is not in the closure of zero and the earlier ones under ``A``.
+def _additive_generators(A: np.ndarray, zero: int, first: Optional[int] = None) -> list[int]:
+    """Greedy nonzero generators of (R, +): ``first`` if given and nonzero,
+    then in index order each element not in the closure of zero and the
+    earlier generators under ``A``.  Seeded with R's one, whose multiples
+    are the prime subring, a product ring needs fewer generators than index
+    order gives it.
 
     The closure grows by X -> X ∪ (X + X) until nothing new appears, which
     is the closure under any table, and takes k steps to reach every sum
@@ -120,7 +124,8 @@ def _additive_generators(A: np.ndarray, zero: int) -> list[int]:
     reached[zero] = True
     gens, size = [], 1
     while size < n:
-        g = int(reached.argmin())  # the first element not reached yet
+        # the seed, else the first element not reached yet
+        g = first if first is not None and not reached[first] else int(reached.argmin())
         gens.append(g)
         reached[g] = True
         r = np.flatnonzero(reached)
@@ -158,8 +163,8 @@ def _ring_laws_hold(R: FiniteRing) -> bool:
         return False
     if n == 1:
         return True
-    G = np.array(_additive_generators(A, R.zero))
-    k = max(1, 2**16 // (n * n))  # generators per batch: about 2^16 cells
+    G = np.array(_additive_generators(A, R.zero, R.one))
+    k = block_size(n * n)  # generators per batch
     batches = [G[i : i + k] for i in range(0, len(G), k)]
     # with + commutative, B[g, x, y] = (g + x) + y and B[g, y, x] = x + (g + y)
     if not all(np.array_equal(B, B.swapaxes(1, 2)) for B in (A[A[g]] for g in batches)):
@@ -357,7 +362,7 @@ def _monic_irreducible(p: int, k: int) -> list[int]:
                     for dl in itertools.product(range(p), repeat=deg))
         if cand[0] and all(_fp_poly_mod(cand, den, p) for den in divisors):
             return cand
-    raise AssertionError("no irreducible found")  # cannot happen
+    raise RuntimeError(f"unreachable: F_{p}[x] has a monic irreducible of degree {k}")
 
 
 def make_gf(q: int) -> FiniteRing:
@@ -587,12 +592,15 @@ class IdealIndex:
         return self._key[I]
 
     def _fill(self, k: int) -> None:
-        # the least member of x + I names the coset of x, and I + Ra is the
-        # union of the cosets of Ra's members
-        coset = self._add_table[:, mask_row(self.ideals[k], len(self.labels))].min(axis=1)
+        # the least member of x + I names the coset of x, read down the rows
+        # of I's members as + commutes, and I + Ra is the union of the
+        # cosets of Ra's members
+        coset = self._add_table[mask_row(self.ideals[k], len(self.labels))].min(axis=0)
         hit = np.zeros((self._join.shape[1], len(self.labels)), dtype=bool)
         hit[self._pr, coset[self._pc]] = True
-        row = [self._add(I, self.gens[k] + self.gens[c])
+        key, gens = self._key, self.gens[k]
+        # a generator tuple is made only for an ideal not met before
+        row = [key[I] if I in key else self._add(I, gens + self.gens[c])
                for c, I in enumerate(row_masks(hit[:, coset]))]
         if len(self.ideals) > len(self._join):  # a fill adds at most a row's worth of ideals
             self._join = np.vstack([self._join, np.full_like(self._join, -1)])

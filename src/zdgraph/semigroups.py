@@ -227,7 +227,9 @@ def row_masks(rows: np.ndarray) -> list[int]:
     """The mask of the True entries of each row of a 2-D bool array;
     ``mask_row`` inverted."""
     packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(p, "little") for p in packed]
+    # slices of one buffer: a row of width 0 is the empty slice, mask 0
+    w, buf = packed.shape[1], packed.tobytes()
+    return [int.from_bytes(buf[i * w : i * w + w], "little") for i in range(len(packed))]
 
 
 def mask_labels(points: Sequence[str], masks: Sequence[int]) -> list[str]:
@@ -300,6 +302,12 @@ class ValidationResult:
             raise InvalidSemigroup(f"{self.law} law fails at {self.witness}")
 
 
+def block_size(cells: int) -> int:
+    """How many slices of ``cells`` cells each make a block of about 2^16
+    cells, the work array code does per step; at least one."""
+    return max(1, 2**16 // max(cells, 1))
+
+
 def first_witness(mask: np.ndarray) -> Optional[tuple[int, ...]]:
     """The index of the first True entry of ``mask`` in row-major order, or None."""
     if not mask.any():
@@ -329,10 +337,13 @@ def table_law_failure(P: np.ndarray, n: int) -> Optional[tuple[str, tuple[int, .
     """
     if (failure := table_form_failure(P, n)) is not None:
         return failure
-    # chunked over the first argument so memory stays O(n^2)
-    for a in range(n):
-        if (w := first_witness(P[P[a]] != P[a][P])) is not None:  # (ab)c != a(bc)
-            return "associative", (a,) + w
+    # in blocks of first arguments a, so memory stays O(n^2); the first
+    # witness of a block, in row-major order, is the first of the scan
+    step = block_size(n * n)
+    for a in range(0, n, step):
+        rows = P[a : a + step]
+        if (w := first_witness(P[rows] != rows[:, P])) is not None:  # (ab)c != a(bc)
+            return "associative", (a + w[0],) + w[1:]
     return None
 
 
@@ -442,7 +453,7 @@ class ArmendarizReport:
             ("product_zero_equiv", self.product_zero_equiv, self.product_witness),
         ):
             if ok != (witness is None):
-                raise AssertionError(f"{name}={ok} needs a witness exactly when False")
+                raise ValueError(f"{name}={ok} needs a witness exactly when False")
 
     @property
     def is_armendariz(self) -> bool:

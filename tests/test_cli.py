@@ -542,13 +542,51 @@ def test_help_texts_match_their_golden_files(argv, name, monkeypatch, capsys):
     assert capsys.readouterr().out == (GOLDEN / f"help_{name}.txt").read_text()
 
 
-# each suite whose meet tables or graphs the fast paths build, at its defaults
+# each suite at its defaults but verify all; the last three build rings and
+# ideal semigroups and no meet table
 @pytest.mark.parametrize("suite", ["specs", "armendariz", "pearled", "t1-lattice",
-                                   "charirrconn", "comaximal", "symbolic-lattice"])
+                                   "charirrconn", "comaximal", "symbolic-lattice",
+                                   "ag-conjecture", "content", "triangle-point"])
 def test_verify_reports_match_their_golden_files(suite, capsys):
     assert main(["verify", suite, "--json"]) == 0
     out = re.sub(r'"elapsed_s": [0-9.]+', '"elapsed_s": null', capsys.readouterr().out, count=1)
     assert out == (GOLDEN / f"verify_{suite}.json").read_text()
+
+
+# golden name -> ring spec, degree of its checks; a product of fields, a local
+# ring whose maximal ideal (x, y) is not principal, a ring with two local
+# factors, a field and a product of three local rings
+GOLDEN_RINGS = {
+    "prod-gf4-gf3": ("prod:gf:4,gf:3", 2),
+    "mvq-x2-y2": ("mvq:p=2;vars=x,y;rel=x2,y2", 2),
+    "zn12": ("Zn:12", 2),
+    "gf9": ("gf:9", 2),
+    "prod-zn4-zn2-zn3": ("prod:Zn:4,Zn:2,Zn:3", 1),  # degree 2 is over the polynomial guard
+}
+RING_TASKS = "invariants,eq-quotient,validate,ideals,ag-check"
+# (golden file, argv, exit code): every ring task, then each --check that
+# applies (clique stabilization needs a reduced ring), then the comaximal export
+RING_GOLDENS = [
+    request
+    for slug, (spec, d) in GOLDEN_RINGS.items()
+    for request in [
+        (f"analyze_{slug}", ["analyze", "--ring", spec, "--tasks", RING_TASKS, "--json"], 0),
+        *[(f"analyze_{slug}_{check}", ["analyze", "--ring", spec, "--tasks", RING_TASKS,
+                                       "--check", check, "--degree", str(d), "--json"],
+           2 if slug == "mvq-x2-y2" else 0)
+          for check in ("armendariz", "gaussian", "clique-stab")
+          if check != "clique-stab" or slug in ("prod-gf4-gf3", "gf9")],
+        (f"export_comaximal_{slug}",
+         ["export", "--ring", spec, "--graph", "comaximal", "--format", "json"], 0),
+    ]
+]
+
+
+@pytest.mark.parametrize("name,argv,code", RING_GOLDENS, ids=[r[0] for r in RING_GOLDENS])
+def test_ring_reports_match_their_golden_files(name, argv, code, capsys):
+    assert main(argv) == code
+    out = re.sub(r'"elapsed_s": [0-9.]+', '"elapsed_s": null', capsys.readouterr().out, count=1)
+    assert out == (GOLDEN / f"{name}.json").read_text()
 
 
 def test_verify_all_gives_each_flag_to_the_suites_that_take_it(monkeypatch, capsys):

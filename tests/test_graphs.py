@@ -398,6 +398,77 @@ def _recursive_k_colouring(adj, k, seed_clique):
     return colours if rec(colours.count(-1), len(seed_clique) - 1) else None
 
 
+def _recount_k_colouring(adj, k, seed_clique):
+    """The explicit-stack search whose pick recounts every uncoloured
+    vertex's saturation over all k colour classes."""
+    n = len(adj)
+    colours = [-1] * n
+    classes = [0] * k
+    for c, v in enumerate(seed_clique):
+        colours[v] = c
+        classes[c] |= 1 << v
+    uncoloured = [v for v in range(n) if colours[v] == -1]
+    degree = [a.bit_count() for a in adj]
+
+    def pick():
+        best_v, best_key = -1, (-1, -1)
+        for v in uncoloured:
+            if colours[v] != -1:
+                continue
+            key = (sum(1 for cls in classes if cls & adj[v]), degree[v])
+            if key > best_key:
+                best_key, best_v = key, v
+        return best_v
+
+    stack = []
+    remaining, max_used = len(uncoloured), len(seed_clique) - 1
+    v, c = pick(), 0
+    while remaining:
+        top = min(k - 1, max_used + 1)
+        while c <= top and classes[c] & adj[v]:
+            c += 1
+        if c <= top:
+            colours[v] = c
+            classes[c] |= 1 << v
+            stack.append((v, c, max_used))
+            max_used, remaining = max(max_used, c), remaining - 1
+            v, c = pick(), 0
+        elif stack:
+            v, c, max_used = stack.pop()
+            classes[c] ^= 1 << v
+            colours[v] = -1
+            remaining += 1
+            c += 1
+        else:
+            return None
+    return colours
+
+
+def test_kept_saturation_counts_pick_like_the_recount():
+    # every k from the clique size up to the first success, on random graphs
+    # of 1 to 40 vertices, so the searches that backtrack are compared too
+    rng = random.Random(11)
+    failed = 0
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        p = rng.uniform(0.1, 0.8)
+        G = graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        if not G.edges:
+            continue
+        clique = max_clique(G)
+        for k in range(len(clique), n + 1):
+            got = graphs._k_colouring(G.adj, k, clique)
+            assert got == _recount_k_colouring(G.adj, k, clique)
+            if got is not None:
+                break
+            failed += 1
+    assert failed > 50
+    # the star K_{1,1199}, beyond the recursive search's depth
+    star = graph(1200, [(0, j) for j in range(1, 1200)])
+    for k, clique in ((2, (0, 1)), (2, (5, 0))):
+        assert graphs._k_colouring(star.adj, k, clique) == _recount_k_colouring(star.adj, k, clique)
+
+
 def test_colouring_search_matches_the_recursive_search():
     # every k from the clique size up to the first success, so the searches
     # that fail and backtrack to the root are compared too

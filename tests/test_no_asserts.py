@@ -1,8 +1,8 @@
 """Library code raises explicit exceptions: ``python -O`` strips asserts.
 
-A theorem is judged once, as a suite item with its witness, so the theorem
-paths raise no ``AssertionError``: no library exception subclasses it, and
-none of ``topology``, ``spectra``, ``graphs`` and ``suites`` raises it.
+A theorem is judged once, as a suite item with its witness, and an
+invariant that cannot fail raises ``RuntimeError``, so no module of the
+library raises ``AssertionError`` and no library exception subclasses it.
 """
 
 import ast
@@ -32,7 +32,7 @@ def test_no_assert_statements_in_library():
     assert not found, f"assert statements in zdgraph: {found}"
 
 
-def test_theorem_paths_raise_no_assertion_error():
+def test_library_raises_no_assertion_error():
     subclasses = [
         f"{name}:{node.name}"
         for name, tree in _trees()
@@ -43,9 +43,8 @@ def test_theorem_paths_raise_no_assertion_error():
     raised = [
         f"{name}:{node.lineno}"
         for name, tree in _trees()
-        if name in ("topology.py", "spectra.py", "graphs.py", "suites.py")
         for node in ast.walk(tree)
         if isinstance(node, ast.Raise) and node.exc is not None
         and _is_assertion_error(getattr(node.exc, "func", node.exc))
     ]
-    assert not raised, f"raise AssertionError in a theorem path: {raised}"
+    assert not raised, f"raise AssertionError in zdgraph: {raised}"

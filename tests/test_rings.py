@@ -376,3 +376,12 @@ def oracle_enumerate_ideals(R):
 def test_enumerate_ideals_matches_oracle(spec):
     R = ring_from_spec(spec)
     assert enumerate_ideals(R) == [oracle.mask(I) for I in oracle_enumerate_ideals(R)]
+
+
+def test_the_irreducible_search_raises_runtime_error_when_nothing_is_irreducible(monkeypatch):
+    from zdgraph import rings
+
+    # every division leaves no remainder, so no candidate is irreducible
+    monkeypatch.setattr(rings, "_fp_poly_mod", lambda num, den, p: [])
+    with pytest.raises(RuntimeError, match="F_2\\[x\\] has a monic irreducible of degree 2"):
+        rings._monic_irreducible(2, 2)

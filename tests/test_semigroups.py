@@ -206,3 +206,13 @@ def test_map_totality_enforced():
         SemigroupMap(zn_mul(3), zn_mul(3), (0, 1))
     with pytest.raises(ValueError):
         SemigroupMap(zn_mul(3), zn_mul(3), (0, 1, 5))
+
+
+def test_an_armendariz_report_needs_a_witness_exactly_on_failure():
+    from zdgraph.semigroups import ArmendarizReport
+
+    with pytest.raises(ValueError, match="surjective=False needs a witness exactly when False"):
+        ArmendarizReport(False, True, True)
+    with pytest.raises(ValueError, match="product_zero_equiv=True needs a witness"):
+        ArmendarizReport(True, True, True, product_witness=(0, 1))
+    assert ArmendarizReport(False, True, True, surjective_witness=2).surjective_witness == 2

@@ -41,11 +41,15 @@ from zdgraph.semigroups import (
     SemigroupMap,
     SemigroupTable,
     annihilator,
+    block_size,
     check_armendariz,
     check_homomorphism,
     eq_quotient,
+    first_witness,
     meet_table,
     nilpotent_witness,
+    read_only_table,
+    table_law_failure,
     validate_semigroup,
     zero_divisors,
 )
@@ -693,3 +697,78 @@ def test_validate_task_validates_once(tmp_path, monkeypatch, capsys):
     out = json.loads(capsys.readouterr().out)["results"]["validate"]
     assert out == {"ok": True, "law": None, "witness": None, "nilpotent_free": True}
 
+
+
+def test_generators_seeded_with_the_unit_span_and_are_no_more(monkeypatch):
+    for spec in RING_SPECS + ANALYZE_SPECS:
+        R = ring_from_spec(spec)
+        add, n = R.add.tolist(), R.size
+        G = rings._additive_generators(R.add, R.zero, R.one)
+        assert G[:1] == ([R.one] if n > 1 else [])
+        assert oracle.additive_closure(add, [R.zero] + G) == set(range(n))
+        assert len(G) <= n.bit_length() - 1  # floor(log2 n)
+        assert len(G) <= len(rings._additive_generators(R.add, R.zero))
+    # the prime subring of a product is most of it
+    counts = {spec: len(rings._additive_generators(R.add, R.zero, R.one))
+              for spec in ("prod:gf:4,gf:5,gf:7", "prod:gf:8,gf:9", "prod:Zn:4,Zn:2,Zn:3")
+              for R in [ring_from_spec(spec)]}
+    assert counts == {"prod:gf:4,gf:5,gf:7": 2, "prod:gf:8,gf:9": 4, "prod:Zn:4,Zn:2,Zn:3": 2}
+    # and ring validation seeds them so
+    used, real = [], rings._additive_generators
+    monkeypatch.setattr(rings, "_additive_generators",
+                        lambda *args: used.append(real(*args)) or used[-1])
+    ring_from_spec("prod:gf:4,gf:5,gf:7")  # the factors first, then the product
+    assert [len(G) for G in used] == [2, 1, 1, 2]
+
+
+def test_corrupted_product_tables_fail_with_the_scans_message():
+    # products, whose seeded generators are fewer than index order gives
+    messages = set()
+    for k, spec in enumerate(["prod:Zn:4,Zn:2,Zn:3", "prod:gf:4,Zn:3", "prod:Zn:2,Zn:2,Zn:2"]):
+        R = ring_from_spec(spec)
+        add, mul = R.add.tolist(), R.mul.tolist()
+        for bad in _corruptions(mul, 200 + k, 15):
+            got = _ring_message(R.size, add, bad, R.zero, R.one)
+            assert got == oracle.validate_ring(R.size, add, bad, R.zero, R.one)
+            messages.add(got and got.split(" at ")[0])
+        for bad in _corruptions(add, 300 + k, 15):
+            got = _ring_message(R.size, bad, mul, R.zero, R.one)
+            assert got == oracle.validate_ring(R.size, bad, mul, R.zero, R.one)
+            messages.add(got and got.split(" at ")[0])
+        # x·y the earlier of x and y, with one last: a commutative monoid
+        # with zero absorbing, but not distributive
+        last = [R.size if x == R.one else x for x in range(R.size)]
+        meet = [[min(x, y, key=last.__getitem__) for y in range(R.size)] for x in range(R.size)]
+        got = _ring_message(R.size, add, meet, R.zero, R.one)
+        assert got == oracle.validate_ring(R.size, add, meet, R.zero, R.one)
+        messages.add(got and got.split(" at ")[0])
+    assert {"add not associative", "mul not associative", "distributivity fails"} <= messages
+
+
+def _per_row_law_failure(P, n):
+    """The associativity scan one first argument at a time."""
+    for a in range(n):
+        if (w := first_witness(P[P[a]] != P[a][P])) is not None:
+            return "associative", (a,) + w
+    return None
+
+
+@pytest.mark.parametrize("n", [39, 40, 41])  # n^3 below, near and above 2^16 cells
+def test_blocked_associativity_scan_names_the_per_row_witness(n):
+    rng = random.Random(n)
+    rows = block_size(n * n)
+    firsts = set()
+    null = np.zeros((n, n), dtype=np.int64)  # a·b = 0: associative
+    zn = np.multiply.outer(np.arange(n), np.arange(n)) % n
+    for base in (null, zn):
+        for _ in range(40):
+            P = base.copy()
+            a, b = rng.randrange(1, n), rng.randrange(1, n)
+            # in the null semigroup, a·b = a fails first at (min(a, b), ...)
+            P[a, b] = P[b, a] = a if base is null else rng.randrange(n)
+            got = table_law_failure(read_only_table(P), n)
+            assert got == _per_row_law_failure(P, n)
+            if got is not None:
+                firsts.add(got[1][0] // rows)
+    assert table_law_failure(read_only_table(zn), n) is None
+    assert firsts == ({0} if n <= 40 else {0, 1})  # every block of the scan names one

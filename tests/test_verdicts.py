@@ -15,7 +15,7 @@ import json
 import numpy as np
 import pytest
 
-from zdgraph import cli, graphs, semigroups, spectra, topology
+from zdgraph import cli, graphs, rings, semigroups, spectra, topology
 from zdgraph.corpus import enumerate_topologies
 from zdgraph.graphs import SimpleGraph
 from zdgraph.semigroups import SemigroupTable
@@ -215,6 +215,16 @@ def test_armendariz_reports_chromatic_below_clique(monkeypatch, capsys):
     assert items["six-laws-hold"]["details"] == (
         "561 maps, 561 failures; first: ('eq-quotient Zn:6', "
         "[('chromatic-equal', 'chromatic source=1 target=1; chromatic below clique')])")
+
+
+def test_armendariz_reports_a_quotient_ring_that_is_not_reduced(monkeypatch, capsys):
+    # the corpus reads is_reduced where rings defines it, at each call
+    real = rings.is_reduced
+    monkeypatch.setattr(rings, "is_reduced", lambda R: R.tag != "Zn:10" and real(R))
+    items = verify(capsys, "armendariz")
+    assert items == {"corpus-size": {
+        "name": "corpus-size", "passed": False,
+        "details": "no corpus: Zn:10 from reduced_rings_up_to is not reduced"}}
 
 
 def test_specs_reports_a_drawn_descriptor_outside_spec_form(monkeypatch, capsys):
