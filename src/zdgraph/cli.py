@@ -49,6 +49,7 @@ from .rings import (
     ideals_report,
     multiplicative_semigroup,
     ring_from_spec,
+    validate_ring,
 )
 from .semigroups import (
     DEFAULT_MAX_TABLE,
@@ -226,7 +227,9 @@ def _eq_quotient(kind, obj, args):
 
 
 def _validate(kind, obj, args):
-    # the loader has already validated the table or the ring
+    # a semigroup file is validated when it is loaded, a ring here
+    if kind == "ring":
+        validate_ring(obj)
     S = obj if kind == "semigroup" else multiplicative_semigroup(obj)
     return {"ok": True, "law": None, "witness": None, "nilpotent_free": is_nilpotent_free(S)}, True
 

@@ -3,14 +3,16 @@
 Rings are explicit addition/multiplication tables over element indices,
 whatever constructor produced them (Z_n, direct products, univariate or
 multivariate quotients over F_p, raw tables); the F_p-algebras fill their
-tables one digit level at a time.  Every ring axiom is checked exactly at
-construction, in O(n^2) per nonzero generator of (R, +), of which there
-are at most log2 n: Light's test for associativity, and distributivity and
-multiplicative associativity on the generators, imply each law for all
-elements.  Only tables that fail are scanned exhaustively, so each error
-names the first witness in a fixed order.  Each constructor checks the
-ring guard before it builds a table.  The structured tag is kept for
-display and for the CLI spec-string round trip.
+tables one digit level at a time.  Constructors build and ``validate_ring``
+checks: a constructor checks the ring guard before it builds a table, and
+its docstring names the theorem that makes the tables a ring.
+``validate_ring`` checks every ring axiom exactly, in O(n^2) per nonzero
+generator of (R, +), of which there are at most log2 n: Light's test for
+associativity, and distributivity and multiplicative associativity on the
+generators, imply each law for all elements.  Only tables that fail are
+scanned exhaustively, so each error names the first witness in a fixed
+order.  The structured tag is kept for display and for the CLI spec-string
+round trip.
 
 Every ideal of a finite ring is a finite sum of principal ideals.  Each
 ring has one ``IdealIndex``: it stores every ideal once, fills a row of
@@ -48,7 +50,6 @@ from .semigroups import (
     spec_params,
     table_form_failure,
     table_law_failure,
-    validate_semigroup,
 )
 
 DEFAULT_MAX_RING = 4096
@@ -65,10 +66,10 @@ class FiniteRing:
     """A finite commutative ring with unity, stored as explicit tables.
 
     ``add`` and ``mul`` are read-only int64 arrays: ``mul[a, b]`` is the
-    index of the product of elements a and b.
+    index of the product of elements a and b, stored unchecked.
     """
 
-    def __init__(self, labels, add, mul, zero, one, tag="raw", validate=True):
+    def __init__(self, labels, add, mul, zero, one, tag="raw"):
         self.labels: tuple[str, ...] = tuple(labels)
         self.add: np.ndarray = read_only_table(add)
         self.mul: np.ndarray = read_only_table(mul)
@@ -77,8 +78,6 @@ class FiniteRing:
         self.tag: str = tag
         self.size: int = len(self.labels)
         self._ideal_index: Optional[IdealIndex] = None  # made by ideal_index(R)
-        if validate:
-            _validate_ring(self)
 
     def __repr__(self):
         return f"FiniteRing({self.tag}, order={self.size})"
@@ -93,7 +92,7 @@ _LAW_MESSAGES = {
 }
 
 
-def _validate_ring(R: FiniteRing) -> None:
+def validate_ring(R: FiniteRing) -> None:
     """Raise unless R is a commutative ring with unity: the exact check on
     generators first, and the exhaustive scans only to name a failure."""
     if R.size == 0:
@@ -217,7 +216,7 @@ def _scan_ring_laws(R: FiniteRing) -> None:
 
 
 def make_zn(n: int) -> FiniteRing:
-    """The ring of integers modulo n (n = 1 gives the zero ring)."""
+    """Z/nZ, a quotient ring of Z, as the integers mod n (n = 1 gives the zero ring)."""
     if n < 1:
         raise RingConstructionError("n must be >= 1")
     guard("ring elements", n, DEFAULT_MAX_RING)
@@ -229,7 +228,7 @@ def make_zn(n: int) -> FiniteRing:
 
 
 def make_product(rings: Sequence[FiniteRing]) -> FiniteRing:
-    """Direct product with componentwise operations.
+    """Direct product, a ring as each law holds componentwise.
 
     Elements are ordered as ``itertools.product`` orders the factors'
     elements (the last factor fastest), so element e has digit
@@ -294,10 +293,12 @@ def _vector_label(coeffs: Sequence[int], names: Sequence[str]) -> str:
 
 
 def make_polyquot(p: int, modulus: Sequence[int], var: str = "x") -> FiniteRing:
-    """F_p[var] modulo a polynomial with unit leading coefficient.
+    """F_p[var]/(f), a quotient ring, for f with unit leading coefficient.
 
-    ``modulus`` lists coefficients in ascending degree; the quotient is a
-    field exactly when the modulus is irreducible (not required).
+    ``modulus`` lists f's coefficients in ascending degree.  The remainders
+    mod f, 1, x, ..., x^(d-1) for d = deg f, are a basis, and x^i x^j is the
+    remainder of x^(i+j).  The quotient is a field exactly when f is
+    irreducible (not required).
     """
     # before the primality test, which divides up to sqrt(p)
     guard("ring elements", p, DEFAULT_MAX_RING)
@@ -324,6 +325,7 @@ def make_polyquot(p: int, modulus: Sequence[int], var: str = "x") -> FiniteRing:
 def _fp_algebra(p: int, structure: np.ndarray, labels, tag: str) -> FiniteRing:
     """F_p^d with componentwise addition and the bilinear product that takes
     basis vectors i and j to ``structure[i, j]``; basis vector 0 is the one.
+    A ring when ``structure`` multiplies a basis of a commutative F_p-algebra.
 
     Elements are coefficient vectors in ``itertools.product`` order, so
     vector u has index sum_k u_k p^(d-1-k).  The tables are filled one digit
@@ -392,12 +394,15 @@ def make_multivariate_quot(
     variables: Sequence[str],
     relations: Sequence[Sequence[int]],
 ) -> FiniteRing:
-    """F_p[variables] modulo monomial relations (given as exponent tuples).
+    """F_p[variables] modulo the monomial ideal I of the relations (given as
+    exponent tuples), a quotient ring.
 
     The quotient is finite iff every variable has a pure-power relation;
-    this is checked before the monomial basis is closed, and the basis is
-    exactly the set of monomials not divisible by any relation.  The ring
-    guard is checked as each basis monomial joins.
+    this is checked before the monomial basis is closed.  I is spanned by
+    the monomials it holds, so the basis is exactly the set of monomials not
+    divisible by any relation, and two of them multiply to their product or,
+    if it lies in I, to 0.  The ring guard is checked as each basis monomial
+    joins.
     """
     # before the primality test, which divides up to sqrt(p)
     guard("ring elements", p, DEFAULT_MAX_RING)
@@ -807,8 +812,9 @@ def jacobson_radical(R: FiniteRing, ideals: Optional[list[Ideal]] = None) -> Ide
 class IdealSemigroup:
     """The semigroup of all ideals under multiplication or addition.
 
-    Multiplication absorbs into the zero ideal; addition absorbs into the
-    unit ideal R.
+    Both are associative and commutative in every commutative ring, so
+    ``ideal_semigroup`` checks no law.  Multiplication absorbs into the
+    zero ideal; addition absorbs into the unit ideal R.
     """
 
     ideals: tuple[Ideal, ...]
@@ -826,13 +832,6 @@ def ideals_report(R: FiniteRing, max_ideals: int = DEFAULT_MAX_IDEALS) -> dict:
     }
 
 
-def ideals_to_json(R: FiniteRing, max_ideals: int = DEFAULT_MAX_IDEALS) -> str:
-    """``ideals_report`` as JSON."""
-    import json
-
-    return json.dumps(ideals_report(R, max_ideals))
-
-
 def ideal_semigroup(
     R: FiniteRing, operation: str, max_ideals: int = DEFAULT_MAX_IDEALS,
     max_table: int = DEFAULT_MAX_TABLE,
@@ -840,10 +839,8 @@ def ideal_semigroup(
     if operation not in ("mult", "add"):
         raise ValueError("operation must be 'mult' or 'add'")
     index = ideal_index(R)
-    # validate_semigroup's table guard, checked against the lower bound before
-    # the ideals are enumerated and against their count before any label or
-    # table is built; close's own first check comes first, so a ring over
-    # both guards trips the ideal guard, as it did when close came first
+    # the ideal guard, then the table guard on the lower bound before the
+    # ideals are enumerated, and on their count before any label or table
     guard("ideals", index.lower_bound, max_ideals)
     guard("table elements", index.lower_bound, max_table)
     ks = np.array(index.close(max_ideals))
@@ -854,7 +851,6 @@ def ideal_semigroup(
     labels = tuple(index.label(k) for k in ks.tolist())
     sg = SemigroupTable(elements=labels, zero=int(pos[zero_elt]),
                         product=pos[index.table(ks, operation)])
-    validate_semigroup(sg, max_table).raise_if_invalid()
     return IdealSemigroup(tuple(index.ideals[k] for k in ks), operation, sg)
 
 

@@ -9,13 +9,15 @@ every quadratic monomial (375 ideals).
 import functools
 import itertools
 import random
+import re
 import time
 
 import numpy as np
 import pytest
 
 import ideal_oracles as oracle
-from zdgraph import rings
+from table_oracles import record_calls
+from zdgraph import rings, semigroups
 from zdgraph.cli import main
 from zdgraph.corpus import reduced_rings_up_to, small_reduced_rings_for_content
 from zdgraph.polynomials import check_content_containment, check_gaussian
@@ -77,8 +79,9 @@ def test_semigroup_tables_match_oracle(spec, operation):
     sg = ideal_semigroup(R, operation)
     ideals = oracle_ideals(spec)
     assert sg.ideals == tuple(oracle.mask(I) for I in ideals)
-    # both tables are commutative (validated in ideal_semigroup), so the
-    # 375-ideal ring is compared above the diagonal only, to save time
+    P = sg.table.product
+    assert np.array_equal(P, P.T)
+    # P is symmetric, so the 375-ideal ring is compared above the diagonal only
     upper = spec == SQ5
     want = oracle.semigroup_table(R, ideals, operation, upper_only=upper)
     got = [[x if j >= i or not upper else -1 for j, x in enumerate(row)]
@@ -212,6 +215,36 @@ def test_one_analyze_closes_the_lattice_once(monkeypatch, capsys):
     assert sorted(fills) == list(range(47))  # one join row per ideal, each filled once
 
 
+VALIDATE_ZN12 = """{
+  "object": "Zn:12",
+  "version": "0.1.0",
+  "elapsed_s": null,
+  "results": {
+    "validate": {
+      "ok": true,
+      "law": null,
+      "witness": null,
+      "nilpotent_free": false
+    }
+  }
+}
+"""
+
+
+def test_only_the_validate_task_checks_ring_laws(monkeypatch, capsys):
+    laws = record_calls(monkeypatch, rings, "_ring_laws_hold")
+    tables = record_calls(monkeypatch, semigroups, "validate_semigroup")
+    for spec in oracle.workload_ring_specs():
+        ring_from_spec(spec)
+    R = _fresh(ring(X2Y2Z2))
+    for operation in ("add", "mult"):
+        ideal_semigroup(R, operation)
+    assert not laws and not tables
+    assert main(["analyze", "--ring", "Zn:12", "--tasks", "validate", "--json"]) == 0
+    out = re.sub(r'"elapsed_s": [0-9.]+', '"elapsed_s": null', capsys.readouterr().out, count=1)
+    assert out == VALIDATE_ZN12 and len(laws) == 1
+
+
 def test_close_sorts_once_and_checks_the_guard_on_every_call(monkeypatch):
     index = IdealIndex(_fresh(ring(X2Y2Z2)))
     order = index.close()
@@ -244,7 +277,7 @@ def test_ideal_semigroups_of_375_ideal_ring_are_fast():
 
 def _fresh(R):
     """The same ring as a new object, so with no ideal index yet."""
-    return FiniteRing(R.labels, R.add, R.mul, R.zero, R.one, R.tag, validate=False)
+    return FiniteRing(R.labels, R.add, R.mul, R.zero, R.one, R.tag)
 
 
 def test_guard_counts_principal_ideals():

@@ -41,7 +41,7 @@ from zdgraph.graphs import (
     is_connected,
 )
 from zdgraph.polynomials import clique_stabilization
-from zdgraph.rings import FiniteRing, beck_gamma0, gamma_graph
+from zdgraph.rings import FiniteRing, beck_gamma0, gamma_graph, validate_ring
 
 REDUCED = {R.tag: R for R in small_reduced_rings_for_content(9)}
 ARMENDARIZ_RINGS = {R.tag: R for R in reduced_rings_up_to(32)}  # the map corpus's rings
@@ -114,8 +114,10 @@ def _anderson_naseer_ring():
         return [[index[op(x, y)] for y in elements] for x in elements]
 
     labels = [f"{a}+{b}X+{c}Y+{d}Z" for a, b, c, d in elements]
-    return FiniteRing(labels, table(add), table(mul), index[0, 0, 0, 0], index[1, 0, 0, 0],
-                      tag="anderson-naseer")
+    R = FiniteRing(labels, table(add), table(mul), index[0, 0, 0, 0], index[1, 0, 0, 0],
+                   tag="anderson-naseer")
+    validate_ring(R)
+    return R
 
 
 def test_becks_conjecture_fails_on_the_anderson_naseer_ring():

@@ -32,16 +32,19 @@ from zdgraph.rings import (
     prime_power,
     ring_from_spec,
     spec_poset,
+    validate_ring,
 )
 from zdgraph.semigroups import is_nilpotent_free, validate_semigroup
 
 INF = math.inf
 
 
-def test_make_zn():
-    R = make_zn(6)
-    assert R.size == 6 and R.labels[3] == "3"
-    assert make_zn(1).size == 1  # zero ring
+@pytest.mark.parametrize("n", [1, 2, 6, 12, 256])  # n = 1 is the zero ring
+def test_make_zn(n):
+    R = make_zn(n)
+    assert R.labels == tuple(str(a) for a in range(n)) and (R.zero, R.one) == (0, 1 % n)
+    assert np.array_equal(R.add, [[(a + b) % n for b in range(n)] for a in range(n)])
+    assert np.array_equal(R.mul, [[a * b % n for b in range(n)] for a in range(n)])
 
 
 def test_make_product_reduced_three_primes():
@@ -168,7 +171,7 @@ def test_bad_table_rejected():
     add = [[0, 1], [1, 0]]
     mul = [[0, 0], [0, 0]]  # no multiplicative identity
     with pytest.raises(RingConstructionError):
-        FiniteRing(("0", "1"), add, mul, 0, 1)
+        validate_ring(FiniteRing(("0", "1"), add, mul, 0, 1))
 
 
 @pytest.mark.parametrize("zero,one,message", [
@@ -178,9 +181,10 @@ def test_bad_table_rejected():
 ])
 def test_zero_and_one_must_be_element_indices(zero, one, message):
     add, mul = [[0, 1], [1, 0]], [[0, 0], [0, 1]]
+    R = FiniteRing(("0", "1"), add, mul, zero, one)  # stored as given
+    assert (R.zero, R.one) == (zero, one)
     with pytest.raises(RingConstructionError, match=message):
-        FiniteRing(("0", "1"), add, mul, zero, one)
-    assert FiniteRing(("0", "1"), add, mul, zero, one, validate=False).one == one
+        validate_ring(R)
 
 
 def test_is_reduced():

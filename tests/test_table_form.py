@@ -35,6 +35,7 @@ from zdgraph.rings import (
     make_zn,
     multiplicative_semigroup,
     ring_from_spec,
+    validate_ring,
 )
 from zdgraph.semigroups import (
     InvalidSemigroup,
@@ -54,6 +55,7 @@ from zdgraph.semigroups import (
     zero_divisors,
 )
 from zdgraph.spectra import sigma_spec
+from zdgraph.suites import SUITES
 from zdgraph.topology import closure_lattice, powerset_lattice, lattice_semigroup
 
 RING_SPECS = ["Zn:1", "Zn:2", "Zn:4", "Zn:6", "Zn:8", "Zn:9", "Zn:12", "Zn:16", "Zn:30",
@@ -304,13 +306,13 @@ def test_semigroup_corruptions_match_oracle():
 
 
 def _ring_message(n, add, mul, zero, one):
-    """The construction error message, after checking that the generator
+    """The validation error message, after checking that the generator
     check alone agrees with the oracle's verdict."""
     want = oracle.validate_ring(n, add, mul, zero, one)
-    tables = FiniteRing([str(i) for i in range(n)], add, mul, zero, one, validate=False)
-    assert rings._ring_laws_hold(tables) == (want is None)
+    R = FiniteRing([str(i) for i in range(n)], add, mul, zero, one)
+    assert rings._ring_laws_hold(R) == (want is None)
     try:
-        FiniteRing([str(i) for i in range(n)], add, mul, zero, one)
+        validate_ring(R)
     except RingConstructionError as exc:
         return str(exc)
     return None
@@ -352,13 +354,32 @@ def test_ring_shape_and_identity_messages_match_oracle():
 
 
 ANALYZE_SPECS = ideal_oracles.ring_analyze_specs()
+# one ring of order >= 1,024 from each constructor: Z/nZ, a direct product,
+# F_p[x]/(f) and a monomial quotient of F_p[x, y]
+LARGE_SPECS = ["Zn:1024", "prod:gf:4,gf:8,Zn:5,Zn:7", "polyquot:p=11;mod=1,0,1,1",
+               "mvq:p=2;vars=x,y;rel=x5,y2"]
 
 
-def test_corpus_rings_pass_the_generator_check():
-    for spec in RING_SPECS + ANALYZE_SPECS:
+def test_corpus_rings_pass_the_generator_check(monkeypatch):
+    # constructors check no ring law, so this is where a wrong table shows:
+    # every ring the benchmark workloads and the ring-building verify suites
+    # make, against the O(n^3) oracle, and the large rings by validate_ring
+    built = [oracle.record_calls(monkeypatch, rings, name)
+             for name in ("make_zn", "make_product", "_fp_algebra")]
+    for suite in ("ag-conjecture", "armendariz", "content"):
+        SUITES[suite]()
+    suite_rings = {R.tag: R for calls in built for _, R in calls}
+    monkeypatch.undo()
+    specs = RING_SPECS + ideal_oracles.workload_ring_specs()
+    small = {R.tag: R for R in map(ring_from_spec, specs)} | suite_rings
+    assert len(suite_rings) > 60 and max(R.size for R in small.values()) <= 256
+    for R in small.values():
+        assert oracle.validate_ring(R.size, R.add, R.mul, R.zero, R.one) is None, R.tag
+        assert rings._ring_laws_hold(R), R.tag
+    for spec in LARGE_SPECS:
         R = ring_from_spec(spec)
-        assert oracle.validate_ring(R.size, R.add, R.mul, R.zero, R.one) is None
-        assert rings._ring_laws_hold(R)
+        assert R.size >= 1024
+        validate_ring(R)
 
 
 def test_additive_generators_are_greedy_and_few():
@@ -717,8 +738,8 @@ def test_generators_seeded_with_the_unit_span_and_are_no_more(monkeypatch):
     used, real = [], rings._additive_generators
     monkeypatch.setattr(rings, "_additive_generators",
                         lambda *args: used.append(real(*args)) or used[-1])
-    ring_from_spec("prod:gf:4,gf:5,gf:7")  # the factors first, then the product
-    assert [len(G) for G in used] == [2, 1, 1, 2]
+    validate_ring(ring_from_spec("prod:gf:4,gf:5,gf:7"))  # index order gives 4
+    assert [len(G) for G in used] == [2]
 
 
 def test_corrupted_product_tables_fail_with_the_scans_message():
