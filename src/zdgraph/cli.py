@@ -327,8 +327,8 @@ VERIFY_FLAGS = {
     "--max-fields": ("factor_counts", lambda n: tuple(range(3, n + 1)),
                      "largest number of field factors (ag-conjecture)"),
     "--max-ground": ("max_ground", int, "largest ground set (t1-lattice, charirrconn)"),
-    "--max-points": ("max_points", int, "largest poset/space size (specs, pearled)"),
-    "--min-pairs": ("min_pairs", int, "required corpus size (armendariz)"),
+    "--max-points": ("max_points", int,
+                     "largest poset/space size (specs, pearled, armendariz)"),
     "--degree": ("degree", int, "degree bound (content)"),
     "--max-order": ("max_order", int, "ring order bound (content, ag-conjecture)"),
 }

@@ -1,9 +1,10 @@
-"""Deterministic corpora: enumerations and seeded random generators.
+"""Deterministic corpora: isomorph-free enumerations, reduced rings and the
+Armendariz map corpus.
 
 Relations are bitmask rows, as in ``spectra``: bit j of ``rows[i]`` means
 i relates to j.  Finite topologies are in bijection with preorders (closed
 sets are the down-sets of the specialization order, the complements of its
-up-sets), so spaces are enumerated and sampled through preorder rows.
+up-sets), so spaces are enumerated through preorder rows.
 
 Posets and preorders are enumerated one per isomorphism class, each with
 its orbit n!/|Aut|, the number of labelled relations isomorphic to it
@@ -20,15 +21,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 import string
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .rings import FiniteRing, make_gf, make_product, make_zn, prime_power
 from .semigroups import NotNilpotentFree, SemigroupMap, SemigroupTable, guard
-from .spectra import FinitePoset, transitive_closure, upset_masks
+from .spectra import FinitePoset, upset_masks
 from .topology import FiniteSpace, make_space
 
 # 7 points are 2,045 poset classes, generated in under a second and checked
@@ -116,21 +116,6 @@ def enumerate_topologies(n: int) -> Iterator[tuple[FiniteSpace, int]]:
         yield _space_from_preorder(rows), orbit
 
 
-def random_preorder(rng: random.Random, n: int) -> tuple[int, ...]:
-    """The rows of a random preorder: each pair i != j related with
-    probability 0.35, then closed transitively."""
-    rows = [1 << i for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and rng.random() < 0.35:
-                rows[i] |= 1 << j
-    return transitive_closure(rows)
-
-
-def random_space(rng: random.Random, n: int) -> FiniteSpace:
-    return _space_from_preorder(random_preorder(rng, n))
-
-
 def enumerate_posets(n: int) -> Iterator[tuple[FinitePoset, int]]:
     """One partial order per isomorphism class on n points, each with its
     orbit: the number n!/|Aut| of labelled posets isomorphic to it."""
@@ -138,19 +123,6 @@ def enumerate_posets(n: int) -> Iterator[tuple[FinitePoset, int]]:
     labels = tuple(f"p{i}" for i in range(n))
     for rows, orbit in _relation_classes(n, preorders=False):
         yield FinitePoset(labels, rows), orbit
-
-
-def random_poset(rng: random.Random, n: int) -> FinitePoset:
-    """A random partial order: each pair of a shuffled point order related
-    upward with probability 0.4, then closed transitively."""
-    order = list(range(n))
-    rng.shuffle(order)
-    rows = [1 << i for i in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            if rng.random() < 0.4:
-                rows[order[a]] |= 1 << order[b]
-    return FinitePoset(tuple(f"p{i}" for i in range(n)), transitive_closure(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -201,50 +173,47 @@ def small_reduced_rings_for_content(max_order: int = 9) -> list[FiniteRing]:
 # Armendariz map corpus
 
 
-def permuted_copy(S: SemigroupTable, rng: random.Random) -> SemigroupMap:
-    """A random isomorphism from S onto a relabelled copy of itself."""
-    perm = list(range(S.size))
-    rng.shuffle(perm)
+def permuted_copy(S: SemigroupTable, perm) -> SemigroupMap:
+    """The isomorphism a -> perm[a] from S onto its relabelled copy."""
     p = np.array(perm, dtype=np.int64)
     prod = np.empty_like(S.product)
     prod[np.ix_(p, p)] = p[S.product]
     labels = [S.elements[a] for a in np.argsort(p).tolist()]
-    target = SemigroupTable(tuple(labels), perm[S.zero], prod)
-    return SemigroupMap(S, target, tuple(perm))
+    target = SemigroupTable(tuple(labels), int(p[S.zero]), prod)
+    return SemigroupMap(S, target, tuple(p.tolist()))
 
 
-def armendariz_map_corpus(
-    seed: int = 7,
-    ring_order: int = 32,
-    space_count: int = 220,
-    poset_count: int = 220,
-    iso_count: int = 60,
-    max_points: int = 6,
-) -> list[tuple[str, SemigroupMap]]:
-    """Named (description, map) pairs for the invariant-preservation suite.
+class MapCorpus(NamedTuple):
+    """(name, map, orbit) entries, the orbit being the number of labelled
+    spaces or posets a class map stands for (1 for a quotient or a
+    relabelling), and the labelled topologies and posets walked, pearled
+    or not."""
 
-    Quotient projections of multiplicative semigroups of reduced rings,
-    closed-point intersection maps of random pearled spaces, restrictions
-    to maximal points of random posets, and random isomorphisms.  A space
-    or poset drawn again gets the map built for it the first time, so
-    equal entries are one object, and a space is built and tested for
-    pearls once per distinct preorder drawn; the draws, names and order do
-    not depend on it.
+    maps: list[tuple[str, SemigroupMap, int]]
+    topologies: int
+    posets: int
+
+
+def armendariz_map_corpus(max_points: int = 5, ring_order: int = 32) -> MapCorpus:
+    """The maps of the invariant-preservation suite, walked, not drawn.
+
+    The annihilator quotient of the multiplicative semigroup of every
+    reduced ring of order <= ring_order; for n = 1..max_points, the
+    closed-point intersection map of every pearled topology class and the
+    restriction to maximal points of every poset class, each named by its
+    representative's JSON; and one relabelling of each of those semigroups
+    of order <= 12, by the cyclic shift a -> a + 1, which is no involution,
+    so a confusion of a map with its inverse shows.
     """
     from .rings import is_reduced, multiplicative_semigroup
     from .semigroups import eq_quotient
     from .spectra import restrict_to_max
     from .topology import alpha_map, axiom_suite
 
-    rng = random.Random(seed)
-    out: list[tuple[str, SemigroupMap]] = []
-    # drawn preorder rows -> the alpha map of their space, None if not pearled
-    alphas: dict[tuple[int, ...], SemigroupMap | None] = {}
-    built: dict[FinitePoset, SemigroupMap] = {}  # drawn poset -> its map
-
+    maps: list[tuple[str, SemigroupMap, int]] = []
     # one ring list serves the quotients (order <= ring_order) and the
-    # isomorphism bases (order <= 12): reduced_rings_up_to(n) is the
-    # order <= n part of any longer list, in the same order
+    # relabellings (order <= 12): reduced_rings_up_to(n) is the order <= n
+    # part of any longer list, in the same order
     semigroups = [(R, multiplicative_semigroup(R))
                   for R in reduced_rings_up_to(max(ring_order, 12))]
     for R, S in semigroups:
@@ -252,29 +221,20 @@ def armendariz_map_corpus(
             continue
         if not is_reduced(R):  # the suite reports it as a FAIL
             raise NotNilpotentFree(f"{R.tag} from reduced_rings_up_to is not reduced")
-        q = eq_quotient(S)
-        out.append((f"eq-quotient {R.tag}", q.projection))
+        maps.append((f"eq-quotient {R.tag}", eq_quotient(S).projection, 1))
 
-    made = 0
-    while made < space_count:
-        rows = random_preorder(rng, rng.randint(1, max_points))
-        if rows not in alphas:
-            X = _space_from_preorder(rows)
-            alphas[rows] = alpha_map(X) if axiom_suite(X).pearled else None
-        if alphas[rows] is None:
-            continue
-        out.append((f"alpha map on {len(rows)}-point space", alphas[rows]))
-        made += 1
+    topologies = posets = 0
+    for n in range(1, max_points + 1):
+        for X, orbit in enumerate_topologies(n):
+            topologies += orbit
+            if axiom_suite(X).pearled:
+                maps.append((f"alpha map of {X.to_json()}", alpha_map(X), orbit))
+        for P, orbit in enumerate_posets(n):
+            posets += orbit
+            maps.append((f"max restriction of {P.to_json()}", restrict_to_max(P), orbit))
 
-    for k in range(poset_count):
-        P = random_poset(rng, rng.randint(1, max_points))
-        if P not in built:
-            built[P] = restrict_to_max(P)
-        out.append((f"max restriction on {P.n}-point poset #{k}", built[P]))
-
-    bases = [S for R, S in semigroups if R.size <= 12]
-    for k in range(iso_count):
-        S = bases[rng.randrange(len(bases))]
-        out.append((f"random isomorphism #{k} of {S.size}-element semigroup",
-                    permuted_copy(S, rng)))
-    return out
+    for R, S in semigroups:
+        if R.size <= 12:
+            shift = [(a + 1) % S.size for a in range(S.size)]
+            maps.append((f"relabelling of {R.tag}", permuted_copy(S, shift), 1))
+    return MapCorpus(maps, topologies, posets)

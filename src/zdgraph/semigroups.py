@@ -516,8 +516,8 @@ class EqQuotient:
     """The quotient of a semigroup by annihilator equality.
 
     Two elements share a class iff their annihilators coincide as sets;
-    the class product [s][t] = [st] is well-defined (checked exhaustively
-    at construction), and the projection s -> [s] is a homomorphism.
+    the class product [s][t] = [st] is well-defined, and the projection
+    s -> [s] is a homomorphism.
     """
 
     source: SemigroupTable
@@ -529,10 +529,17 @@ class EqQuotient:
 def eq_quotient(table: SemigroupTable, permissive: bool = False) -> EqQuotient:
     """Partition by annihilator equality and build the quotient semigroup.
 
+    ``table`` must be a commutative semigroup: a constructed ring or
+    lattice, or a table that passed ``validate_semigroup``.  There the class
+    product needs no check: if ann(s) = ann(s'), then x kills st iff tx
+    lies in ann(s) = ann(s') iff x kills s't, so [st] = [s't], and [ts] =
+    [ts'] by commutativity.  On any other table nothing checks that the
+    class product is well-defined.
+
     Strict mode (default) rejects semigroups with nonzero nilpotents, the
     setting where the projection is guaranteed to be an Armendariz map.
-    Permissive mode builds the quotient for any table (the class product is
-    always well-defined) but claims nothing about invariant preservation.
+    Permissive mode builds the quotient for any such semigroup but claims
+    nothing about invariant preservation.
     """
     if not permissive:
         w = nilpotent_witness(table)
@@ -554,19 +561,9 @@ def eq_quotient(table: SemigroupTable, permissive: bool = False) -> EqQuotient:
     members = np.split(np.argsort(class_of, kind="stable"), np.cumsum(np.bincount(class_of))[:-1])
     classes = tuple(tuple(c.tolist()) for c in members)
 
-    # Well-definedness of [s][t] = [st]: the class of a product may not
-    # depend on the chosen representatives.
+    # [s][t] = [st], read at the least member of each class
     reps = np.sort(first)
     qprod = class_of[table.product[np.ix_(reps, reps)]]
-    a, b = np.nonzero(class_of[table.product] != qprod[np.ix_(class_of, class_of)])
-    ill = np.zeros((len(reps), len(reps)), dtype=bool)
-    ill[class_of[a], class_of[b]] = True
-    w = first_witness(ill)
-    if w is not None:
-        raise InvalidSemigroup(
-            f"quotient product ill-defined on classes {classes[w[0]]} x {classes[w[1]]}"
-        )
-
     labels = tuple(f"[{table.elements[cls[0]]}]" for cls in classes)
     quotient = SemigroupTable(elements=labels, zero=int(class_of[table.zero]), product=qprod)
     projection = SemigroupMap(table, quotient, tuple(class_of.tolist()))

@@ -1,8 +1,9 @@
 """Theorem-verification suites: one callable per structural result.
 
 Each suite returns a report of named items with pass/fail verdicts and
-machine-readable witnesses, deterministic for a fixed seed.  The CLI
-`verify` command and the acceptance tests both drive these.
+machine-readable witnesses.  Every suite is deterministic; only `specs`
+draws, its fan samples, from a seed.  The CLI `verify` command and the
+acceptance tests both drive these.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import inspect
 import itertools
 import math
 import operator
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -27,7 +27,6 @@ from .corpus import (
     small_reduced_rings_for_content,
 )
 from .graphs import (
-    COUNTABLY_INFINITE,
     DEFAULT_MAX_CLIQUE_VERTICES,
     armendariz_invariant_suites,
     invariant_bundle,
@@ -164,32 +163,55 @@ def verify_triangle_vs_point() -> SuiteReport:
     return rep
 
 
-@_timed
-def verify_armendariz(seed: int = 7, min_pairs: int = 500) -> SuiteReport:
-    """All six invariant-preservation laws over the generated map corpus."""
-    rep = SuiteReport("armendariz", seed=seed)
+# labelled counts on n = 0, 1, ... points, up to the guards: OEIS A000798
+# (topologies) and A001035 (posets), the source the corpus walk is checked on
+A000798 = (1, 1, 4, 29, 355, 6942, 209527)
+A001035 = (1, 1, 3, 19, 219, 4231, 130023, 6129859)
+
+
+def _armendariz_refusals(max_points: int) -> None:
+    if max_points < 1:
+        raise _checked_nothing("armendariz")
+    guard("poset points", max_points, DEFAULT_MAX_POSET_POINTS)
+    guard("topology points", max_points, DEFAULT_MAX_TOPOLOGY_POINTS)
+
+
+@_timed(check=_armendariz_refusals)
+def verify_armendariz(max_points: int = 5) -> SuiteReport:
+    """All six invariant-preservation laws over the map corpus: every
+    quotient and relabelling, and one map per pearled topology class and
+    per poset class on 1..max_points points, counted with its orbit."""
+    rep = SuiteReport("armendariz")
     try:
-        corpus = armendariz_map_corpus(seed=seed)
+        corpus = armendariz_map_corpus(max_points)
     except NotNilpotentFree as exc:  # a quotient ring that is not reduced
         rep.add("corpus-size", False, f"no corpus: {exc}")
         return rep
+    topologies = sum(A000798[1:max_points + 1])
+    posets = sum(A001035[1:max_points + 1])
     rep.add(
         "corpus-size",
-        len(corpus) >= min_pairs,
-        f"{len(corpus)} maps generated (need >= {min_pairs})",
+        (corpus.topologies, corpus.posets) == (topologies, posets),
+        f"{corpus.topologies} labelled topologies and {corpus.posets} labelled posets "
+        f"on 1-{max_points} points (A000798: {topologies}, A001035: {posets})",
     )
-    failures = []
-    reports = armendariz_invariant_suites(g for _, g in corpus)
-    for (name, _), result in zip(corpus, reports):
+    count, failed, first = 0, 0, None
+    reports = armendariz_invariant_suites(g for _, g, _ in corpus.maps)
+    for name, _, orbit in corpus.maps:
+        count += orbit
+        try:
+            result = next(reports)
+        except ValueError as exc:  # not Armendariz, or nilpotent: the run ends
+            failed += orbit
+            first = first or (name, str(exc))
+            break
         if not result.passed:
-            failures.append(
-                (name, [(p.name, p.details) for p in result.parts if not p.passed])
-            )
+            failed += orbit
+            first = first or (name, [(p.name, p.details) for p in result.parts if not p.passed])
     rep.add(
         "six-laws-hold",
-        not failures,
-        f"{len(corpus)} maps, {len(failures)} failures"
-        + (f"; first: {failures[0]}" if failures else ""),
+        not failed,
+        f"{count} maps, {failed} failures" + (f"; first: {first}" if first else ""),
     )
     return rep
 
@@ -295,19 +317,16 @@ def verify_charirrconn(max_ground: int = 4) -> SuiteReport:
     return rep
 
 
+# the window of the symbolic lattice whose nonempty members are walked in
+# ordered pairs: the subsets of {0..5}
+SYMBOLIC_WINDOW = 6
+
+
 @_timed
-def verify_symbolic_lattice(
-    max_clique: int = 100, colour_samples: int = 1000, seed: int = 0
-) -> SuiteReport:
+def verify_symbolic_lattice(max_clique: int = 100) -> SuiteReport:
     """Constructive witnesses for the symbolic irreducible T1 lattice."""
-    rep = SuiteReport("symbolic-lattice", seed=seed)
+    rep = SuiteReport("symbolic-lattice")
     C = CofiniteT1Lattice()
-    b = t1_invariants(C)
-    rep.add(
-        "symbolic-bundle",
-        b.as_tuple() == (2, 3, COUNTABLY_INFINITE, COUNTABLY_INFINITE),
-        f"(diam, gir, clq, chi) = {b.as_tuple()}",
-    )
     a, bb, mid = C.distance2_witness()
     rep.add(
         "distance-2-pair",
@@ -328,28 +347,25 @@ def verify_symbolic_lattice(
     rep.add("clique-witnesses", bad is None,
             f"pairwise-disjoint cliques for n = 2..{max_clique}"
             + (f"; failure at n = {bad[0]}: {bad[1]}" if bad else ""))
-    rng = random.Random(seed)
+    pairs = list(itertools.product(range(1, 1 << SYMBOLIC_WINDOW), repeat=2))
+    walked = f"{len(pairs)} ordered pairs of nonempty members of {{0..{SYMBOLIC_WINDOW - 1}}}"
     clashes = 0
-    for _ in range(colour_samples):
-        u, v = C.random_member(rng), C.random_member(rng)
+    for u, v in pairs:
         cu, cv = C.choice_colour(u), C.choice_colour(v)
         if not (u >> cu & 1 and v >> cv & 1):
             clashes += 1
         elif not (u & v) and u != v and cu == cv:
             clashes += 1
-    rep.add(
-        "choice-colouring",
-        clashes == 0,
-        f"{colour_samples} random samples, {clashes} clashes",
-    )
-    window_ok = True
-    for _ in range(200):
-        u, v = C.random_member(rng), C.random_member(rng)
-        w = (u | v).bit_length()
+    rep.add("choice-colouring", clashes == 0, f"{walked}, {clashes} clashes")
+    apart = None
+    for u, v in pairs:
+        w = (u | v).bit_length()  # the least window covering both
         if bool(u & v) != bool(C.restrict(u, w) & C.restrict(v, w)):
-            window_ok = False
+            apart = (u, v)
             break
-    rep.add("window-adjacency", window_ok, "symbolic meets agree on covering windows")
+    rep.add("window-adjacency", apart is None,
+            f"{walked}: symbolic meets agree on covering windows"
+            + (f"; not on {[list(members(x)) for x in apart]}" if apart else ""))
     return rep
 
 

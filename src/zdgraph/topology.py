@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import random
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -345,10 +344,6 @@ class CofiniteT1Lattice:
     def choice_colour(self, member: int) -> int:
         """Colour a vertex by its least element; proper on any edge."""
         return least_member(member)
-
-    def random_member(self, rng: random.Random, max_elem: int = 50, max_size: int = 6) -> int:
-        size = rng.randint(1, max_size)
-        return sum(1 << i for i in rng.sample(range(max_elem), size))
 
     def window(self, w: int) -> FiniteSpace:
         """Restriction to {0..w-1}: every subset appears, giving 2^window."""

@@ -6,6 +6,10 @@ the form ``FinitePoset.leq`` had before it became bitmask rows.  The bool
 routines share no code with the program, so tests can compare verdicts,
 closures and ``InvalidPoset`` messages of ``zdgraph.spectra`` against them.
 
+``random_preorder``, ``random_space`` and ``random_poset`` are the seeded
+random relations the program's map corpus drew before it walked every
+class; the tests keep them as corpora, with the digests they had.
+
 ``rows_transitive``, the fan helpers ``fan_empty`` and ``fan_whole``,
 ``is_max_irreducible`` and ``from_open_sets`` have no caller in the program
 and live here for the tests that use them.  ``fan_irreducible_by_search``
@@ -37,6 +41,7 @@ from zdgraph.spectra import (
     FanPoset,
     FinitePoset,
     _is_max_irreducible,
+    transitive_closure as transitive_closure_rows,
     upset_masks,
 )
 from zdgraph.topology import closed_family_defect, make_space
@@ -427,6 +432,34 @@ def transitive_closure(rel):
                 for j in range(n):
                     leq[i][j] = leq[i][j] or leq[k][j]
     return tuple(tuple(row) for row in leq)
+
+
+def random_preorder(rng, n):
+    """The rows of a random preorder: each pair i != j related with
+    probability 0.35, then closed transitively."""
+    rows = [1 << i for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and rng.random() < 0.35:
+                rows[i] |= 1 << j
+    return transitive_closure_rows(rows)
+
+
+def random_space(rng, n):
+    return _space_from_preorder(random_preorder(rng, n))
+
+
+def random_poset(rng, n):
+    """A random partial order: each pair of a shuffled point order related
+    upward with probability 0.4, then closed transitively."""
+    order = list(range(n))
+    rng.shuffle(order)
+    rows = [1 << i for i in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < 0.4:
+                rows[order[a]] |= 1 << order[b]
+    return FinitePoset(tuple(f"p{i}" for i in range(n)), transitive_closure_rows(rows))
 
 
 def enumerate_topologies(n):

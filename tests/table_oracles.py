@@ -17,13 +17,16 @@ F_p-algebra tables as they were built before they were filled by digit
 levels: two array expressions for each row.  ``record_calls`` is a test
 helper: it logs every call of one program function, under every name a
 ``zdgraph`` module holds it by.  So do the map helpers
-``identity_map`` and ``compose`` and the graph reader ``graph_from_json``.
+``identity_map`` and ``compose``, the graph reader ``graph_from_json`` and
+``random_permutation``, the seeded shuffle given to ``permuted_copy``.
 ``bundle_on_g`` is the invariant bundle solved on G itself, as it was before
 the program solved it on the twin quotient, with its diameter from
 ``bfs_diameter``, the level-by-level mask BFS from every vertex that the
 reachability products replaced, and ``unique_rows_quotient`` is
 ``eq_quotient`` grouping kill rows with ``np.unique(axis=0)``, as it did
-before the rows were keyed by their packed bytes.  The routines return point
+before the rows were keyed by their packed bytes, and checking the class
+product on every pair, as it did before that check, which no commutative
+semigroup can fail, was dropped.  The routines return point
 sets as frozensets, the form the program used before its int masks;
 ``mask`` turns one into the program's form where the two are compared.
 """
@@ -264,11 +267,16 @@ def zero_product_graph(S, verts):
     return tuple(S.elements[v] for v in verts), frozenset(edges)
 
 
-def permuted_copy(S, rng):
-    """(labels, zero, product rows, assignment) of the relabelled copy."""
-    n = S.size
+def random_permutation(n, rng):
     perm = list(range(n))
     rng.shuffle(perm)
+    return perm
+
+
+def permuted_copy(S, perm):
+    """(labels, zero, product rows, assignment) of the copy relabelled by
+    a -> perm[a]."""
+    n = S.size
     product = rows(S)
     prod = [[0] * n for _ in range(n)]
     for a in range(n):
@@ -422,11 +430,3 @@ def fp_algebra_rows(p, structure):
     add = np.array([(U[a] + U) % p @ weights for a in range(len(U))])
     mul = np.array([U @ B[a] % p @ weights for a in range(len(U))])
     return add, mul, int(weights[0])
-
-
-def raises_invalid(fn, *args):
-    """The message of the InvalidSemigroup ``fn`` raises, or its result."""
-    try:
-        return fn(*args)
-    except InvalidSemigroup as exc:
-        return str(exc)

@@ -132,7 +132,7 @@ def test_verify_unknown_suite(capsys):
 
 
 def test_verify_seeded(capsys):
-    assert main(["verify", "symbolic-lattice", "--seed", "11", "--json"]) == 0
+    assert main(["verify", "specs", "--max-points", "2", "--seed", "11", "--json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["seed"] == 11
 
@@ -242,10 +242,10 @@ def test_space_file_over_the_table_guard_fails_fast(tmp_path, capsys):
 
 
 def test_reports_deterministic_for_fixed_seed(capsys):
-    from zdgraph.suites import verify_symbolic_lattice
+    from zdgraph.suites import verify_specs
 
-    a = verify_symbolic_lattice(seed=5).to_dict()
-    b = verify_symbolic_lattice(seed=5).to_dict()
+    a = verify_specs(max_points=2, seed=5).to_dict()
+    b = verify_specs(max_points=2, seed=5).to_dict()
     a.pop("elapsed_s"), b.pop("elapsed_s")
     assert a == b
 

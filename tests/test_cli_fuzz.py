@@ -486,6 +486,7 @@ def test_requests_are_checked_whole_before_any_work(argv, message, monkeypatch):
     ["verify", "ag-conjecture", "--max-order", "7"],
     ["verify", "t1-lattice", "--max-ground", "0"],
     ["verify", "charirrconn", "--max-ground", "0"],
+    ["verify", "armendariz", "--max-points", "0"],
 ])
 def test_a_suite_that_checked_nothing_is_an_input_error(argv):
     assert run(argv) == (1, f"error: suite '{argv[1]}' checked nothing at these parameters\n")
@@ -493,7 +494,8 @@ def test_a_suite_that_checked_nothing_is_an_input_error(argv):
 
 # each refused only after work: t1-lattice ran grounds 1-7 before the clique
 # guard (also at --max-ground 11), charirrconn built grounds 1-10 before its
-# guard, and verify all printed three or six suite reports first
+# guard, and verify all printed three or six suite reports first; armendariz
+# walks topologies, so it states the topology guard too
 @pytest.mark.parametrize("argv,message", [
     (["verify", "t1-lattice", "--max-ground", "11"],
      "guard exceeded: 11 powerset points exceed guard 10"),
@@ -504,6 +506,8 @@ def test_a_suite_that_checked_nothing_is_an_input_error(argv):
     (["verify", "all", "--max-ground", "0"],
      "suite 't1-lattice' checked nothing at these parameters"),
     (["verify", "all", "--max-points", "8"], "guard exceeded: 8 poset points exceed guard 7"),
+    (["verify", "armendariz", "--max-points", "7"],
+     "guard exceeded: 7 topology points exceed guard 6"),
     (["verify", "all", "--max-order", "5000", "--max-fields", "6"],
      "guard exceeded: 5000 ring elements exceed guard 4096"),
 ])
@@ -524,7 +528,7 @@ def test_verify_refuses_before_any_suite_runs(argv, message, monkeypatch, capsys
 # the flag a suite does not take was dropped without a word
 @pytest.mark.parametrize("argv,message", [
     (["verify", "armendariz", "--max-ground", "3"],
-     "suite 'armendariz' takes --seed, --min-pairs, not --max-ground"),
+     "suite 'armendariz' takes --max-points, not --max-ground"),
     (["verify", "triangle-point", "--seed", "1"],
      "suite 'triangle-point' takes no flags, not --seed"),
     (["verify", "content", "--max-order", "4", "--max-points", "3"],

@@ -10,12 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import relation_oracles
-from relation_oracles import rows_transitive, to_bools, to_rows
-from zdgraph.corpus import (
-    armendariz_map_corpus,
-    random_poset,
-    random_space,
-)
+from relation_oracles import random_poset, random_space, rows_transitive, to_bools, to_rows
+from zdgraph.corpus import armendariz_map_corpus
 from zdgraph.semigroups import SemigroupTable, SizeGuardExceeded, members, point_set_key
 from zdgraph import topology
 from zdgraph.spectra import (
@@ -286,38 +282,30 @@ def test_random_corpora_are_pinned():
     assert _digest(
         repr((P.points, to_bools(P.leq, P.n))) for P in posets
     ) == "e57e49a0af609d29"
-    maps = armendariz_map_corpus()
+
+
+def test_the_walked_map_corpus_is_pinned():
+    # the digest of the corpus as first walked, one map per class
+    corpus = armendariz_map_corpus()
     assert _digest(
-        f"({d!r}, {_table_repr(g.source)}, {_table_repr(g.target)}, {g.assignment!r})"
-        for d, g in maps
-    ) == "7db9af8f85259382"
+        f"({d!r}, {_table_repr(g.source)}, {_table_repr(g.target)}, {g.assignment!r}, {o})"
+        for d, g, o in corpus.maps
+    ) == "66ab1d58b0c7ae76"
 
 
-def _corpus_with_two_ring_builds(ring_order, seed=7, count=20, max_points=6):
-    """The map corpus as built before one ring list served both uses: the
-    reduced rings of order <= 12 built a second time for the isomorphisms."""
+def _rings_built_twice(ring_order):
+    """The quotients and relabellings of the map corpus, with the reduced
+    rings of order <= 12 built a second time for the relabellings."""
     from zdgraph.corpus import permuted_copy, reduced_rings_up_to
     from zdgraph.rings import multiplicative_semigroup
     from zdgraph.semigroups import eq_quotient
-    from zdgraph.topology import alpha_map, axiom_suite
 
-    rng = random.Random(seed)
     out = [(f"eq-quotient {R.tag}", eq_quotient(multiplicative_semigroup(R)).projection)
            for R in reduced_rings_up_to(ring_order)]
-    made = 0
-    while made < count:
-        X = random_space(rng, rng.randint(1, max_points))
-        if axiom_suite(X).pearled:
-            out.append((f"alpha map on {X.n}-point space", alpha_map(X)))
-            made += 1
-    for k in range(count):
-        P = random_poset(rng, rng.randint(1, max_points))
-        out.append((f"max restriction on {P.n}-point poset #{k}", restrict_to_max(P)))
-    bases = [multiplicative_semigroup(R) for R in reduced_rings_up_to(12)]
-    for k in range(count):
-        S = bases[rng.randrange(len(bases))]
-        out.append((f"random isomorphism #{k} of {S.size}-element semigroup",
-                    permuted_copy(S, rng)))
+    for R in reduced_rings_up_to(12):
+        S = multiplicative_semigroup(R)
+        shift = [(a + 1) % S.size for a in range(S.size)]
+        out.append((f"relabelling of {R.tag}", permuted_copy(S, shift)))
     return out
 
 
@@ -325,15 +313,14 @@ def _corpus_with_two_ring_builds(ring_order, seed=7, count=20, max_points=6):
 def test_map_corpus_builds_its_rings_once_and_is_unchanged(monkeypatch, ring_order):
     from zdgraph import corpus
 
-    want = _corpus_with_two_ring_builds(ring_order)
+    want = _rings_built_twice(ring_order)
     built = []
     rings = corpus.reduced_rings_up_to
     monkeypatch.setattr(corpus, "reduced_rings_up_to", lambda n: built.append(n) or rings(n))
-    got = armendariz_map_corpus(ring_order=ring_order, space_count=20, poset_count=20,
-                                iso_count=20)
+    got = armendariz_map_corpus(max_points=0, ring_order=ring_order).maps
     assert built == [max(ring_order, 12)]
-    assert [d for d, _ in got] == [d for d, _ in want]
-    for (_, g), (_, h) in zip(got, want):
+    assert [d for d, _, _ in got] == [d for d, _ in want]
+    for (_, g, _), (_, h) in zip(got, want):
         assert (g.source, g.target, g.assignment) == (h.source, h.target, h.assignment)
 
 

@@ -17,13 +17,12 @@ import pytest
 
 import relation_oracles
 import zdgraph.corpus as corpus
+from relation_oracles import random_poset, random_space
 import zdgraph.suites as suites
 from zdgraph.corpus import (
     _canonical_form,
     enumerate_posets,
     enumerate_topologies,
-    random_poset,
-    random_space,
 )
 from zdgraph.graphs import SuitePart
 from zdgraph.semigroups import SizeGuardExceeded

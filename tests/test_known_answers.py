@@ -84,6 +84,9 @@ def test_every_semigroup_gamma_the_suites_build_obeys_the_semigroup_bounds(monke
     built = record_calls(monkeypatch, graphs, "zero_divisor_graph")
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "all", "--json"]) == 0
+        # verify all walks the armendariz corpus on 1-5 points and builds 90
+        # distinct graphs; the walk on 1-6 points brings them to 228
+        assert main(["verify", "armendariz", "--max-points", "6", "--json"]) == 0
     # truncated polynomial graphs come from their own builder and are not here
     distinct = {G.adj: G for _, G in built}
     assert len(built) >= 500 and len(distinct) >= 100

@@ -12,12 +12,9 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from table_oracles import compose, mask
-from zdgraph.corpus import (
-    random_poset,
-    random_space,
-    reduced_rings_up_to,
-)
+from relation_oracles import random_poset, random_space
+from table_oracles import compose, mask, random_permutation
+from zdgraph.corpus import reduced_rings_up_to
 from zdgraph.graphs import (
     SimpleGraph,
     beck_graph,
@@ -217,7 +214,7 @@ def test_finality_factorization_over_corpus():
         if not is_nilpotent_free(S) or S.size > 40:
             continue
         q = eq_quotient(S)
-        for g in (q.projection, permuted_copy(S, rng)):
+        for g in (q.projection, permuted_copy(S, random_permutation(S.size, rng))):
             h = induced_final_map(g)
             assert compose(h, g).assignment == q.projection.assignment
         count += 1

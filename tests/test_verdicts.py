@@ -4,9 +4,6 @@ Each defect patches a library function where the library calls it (never
 the name a suite imported), so it reaches the suite through the real path.
 The item it breaks must then FAIL with the evidence in its details, and
 ``zdgraph verify`` must exit 2 with a report, not a traceback.
-
-``symbolic-lattice``'s ``symbolic-bundle`` item compares a constant with
-itself, so no defect can flip it: README names it a certificate.
 """
 
 import dataclasses
@@ -18,7 +15,7 @@ import pytest
 from zdgraph import cli, graphs, rings, semigroups, spectra, topology
 from zdgraph.corpus import enumerate_topologies
 from zdgraph.graphs import SimpleGraph
-from zdgraph.semigroups import SemigroupTable
+from zdgraph.semigroups import SemigroupMap, SemigroupTable
 from zdgraph.topology import CofiniteT1Lattice, NotPearled, is_t1, prl
 
 
@@ -99,6 +96,22 @@ def test_symbolic_lattice_reports_an_overlapping_clique(monkeypatch, capsys):
     assert not items["clique-witnesses"]["passed"]
     assert items["clique-witnesses"]["details"] == (
         "pairwise-disjoint cliques for n = 2..100; failure at n = 2: [[0], [0], [1]]")
+
+
+def test_symbolic_lattice_walks_every_pair_of_the_window(monkeypatch, capsys):
+    # colour 0 clashes on the 3969 - 32 * 32 ordered pairs of nonempty subsets
+    # of {0..5} that do not both hold 0; a window one point short loses the
+    # meet of {0} with itself
+    monkeypatch.setattr(CofiniteT1Lattice, "choice_colour", lambda self, member: 0)
+    monkeypatch.setattr(CofiniteT1Lattice, "restrict",
+                        lambda self, member, w: member & ((1 << w - 1) - 1))
+    items = verify(capsys, "symbolic-lattice")
+    assert items["choice-colouring"]["details"] == (
+        "3969 ordered pairs of nonempty members of {0..5}, 2945 clashes")
+    assert items["window-adjacency"]["details"] == (
+        "3969 ordered pairs of nonempty members of {0..5}: symbolic meets agree on "
+        "covering windows; not on [[0], [0]]")
+    assert not items["choice-colouring"]["passed"] and not items["window-adjacency"]["passed"]
 
 
 def test_pearled_reports_a_broken_naturals_chain(monkeypatch, capsys):
@@ -213,8 +226,27 @@ def test_armendariz_reports_chromatic_below_clique(monkeypatch, capsys):
     items = verify(capsys, "armendariz")
     assert items["corpus-size"]["passed"] and not items["six-laws-hold"]["passed"]
     assert items["six-laws-hold"]["details"] == (
-        "561 maps, 561 failures; first: ('eq-quotient Zn:6', "
+        "10436 maps, 10436 failures; first: ('eq-quotient Zn:6', "
         "[('chromatic-equal', 'chromatic source=1 target=1; chromatic below clique')])")
+
+
+def test_armendariz_reports_a_map_that_is_not_armendariz(monkeypatch, capsys):
+    # the corpus reads alpha_map where topology defines it, at each call
+    real = topology.alpha_map
+
+    def to_zero(X):
+        g = real(X)
+        return SemigroupMap(g.source, g.target, (g.target.zero,) * g.source.size)
+
+    monkeypatch.setattr(topology, "alpha_map", to_zero)
+    items = verify(capsys, "armendariz")
+    assert items["corpus-size"]["passed"] and not items["six-laws-hold"]["passed"]
+    # the 61 quotients pass; the run ends at the first alpha map, on one point
+    assert items["six-laws-hold"]["details"] == (
+        """62 maps, 1 failures; first: ('alpha map of {"points": ["a"], "closed": [[], [0]]}', """
+        "'map is not Armendariz: ArmendarizReport(surjective=False, "
+        "zero_preserving_reflecting=False, product_zero_equiv=False, surjective_witness=1, "
+        "zero_witness=1, product_witness=(1, 1))')")
 
 
 def test_armendariz_reports_a_quotient_ring_that_is_not_reduced(monkeypatch, capsys):
