@@ -323,7 +323,6 @@ def cmd_analyze(args) -> int:
 # verify flag -> (suite keyword, value conversion, help); a suite takes a
 # flag when its signature has the keyword
 VERIFY_FLAGS = {
-    "--seed": ("seed", int, "corpus seed"),
     "--max-fields": ("factor_counts", lambda n: tuple(range(3, n + 1)),
                      "largest number of field factors (ag-conjecture)"),
     "--max-ground": ("max_ground", int, "largest ground set (t1-lattice, charirrconn)"),

@@ -21,7 +21,8 @@ The fan descriptor algebra and the symbolic cofinite lattice are kept in the
 form they had before their point sets became int masks: a fan part is a
 (``"fin"``/``"cof"``, frozenset) pair, and a lattice member is a frozenset or
 the ``WHOLE`` sentinel.  ``set_descriptor``, ``window_mask`` and
-``member_mask`` translate between the two forms, so tests compare results.
+``member_mask`` translate between the two forms, so tests compare results,
+and ``window_set_descriptors`` walks every descriptor of a window.
 
 The labelled enumerators filter every candidate relation (3^C(n,2) for
 posets, 2^(n(n-1)) for preorders) and every candidate family of T1
@@ -340,25 +341,19 @@ def window_mask(keys, fan, per_family):
     return sum(1 << (k[1] if k[0] == "g" else ng + k[1] * per_family + k[2]) for k in keys)
 
 
-def random_set_descriptor(fan, rng, spec_mode, max_index=12):
-    """A random descriptor, drawing from ``rng`` in the order the program does."""
-    gens = frozenset(g for g in range(len(fan.generics)) if rng.random() < 0.25)
-    forced = set()
-    for g in gens:
-        forced |= families_of(fan, g)
-    parts = []
-    for j in range(fan.families):
-        if j in forced:
-            parts.append(FULL_PART)
-        elif not spec_mode and rng.random() < 0.3:
-            k = rng.randint(0, min(3, max_index))
-            parts.append((COF, frozenset(rng.sample(range(max_index), k))))
-        elif spec_mode and fan.shape == "shared" and len(fan.generics) >= 2 and rng.random() < 0.1:
-            parts.append(FULL_PART)
-        else:
-            k = rng.randint(0, min(4, max_index))
-            parts.append((FIN, frozenset(rng.sample(range(max_index), k))))
-    return SetFanClosedSet(fan, tuple(parts), gens)
+def window_set_descriptors(fan, window):
+    """Every descriptor of ``fan`` whose parts are subsets of range(window)
+    or their complements; a family a generic lies below is full."""
+    subsets = [frozenset(c) for r in range(window + 1)
+               for c in itertools.combinations(range(window), r)]
+    free = [(tag, s) for tag in (FIN, COF) for s in subsets]
+    ngen = len(fan.generics)
+    for gens in (frozenset(c) for r in range(ngen + 1)
+                 for c in itertools.combinations(range(ngen), r)):
+        forced = set().union(*(families_of(fan, g) for g in gens))
+        for parts in itertools.product(
+                *([FULL_PART] if j in forced else free for j in range(fan.families))):
+            yield SetFanClosedSet(fan, parts, gens)
 
 
 # ---------------------------------------------------------------------------

@@ -78,8 +78,7 @@ def test_criterion_06_symbolic_lattice():
 
 
 def test_criterion_07_specs_suite():
-    _run(7, "spectral-poset-suite", verify_specs, 60.0, max_points=5,
-         window_total_max=8)
+    _run(7, "spectral-poset-suite", verify_specs, 60.0, max_points=5)
 
 
 def test_criterion_08_content_checks():
@@ -96,8 +95,7 @@ def test_criterion_10_pearled_diagram():
 
 def test_criterion_07_specs_suite_on_seven_points():
     # every poset on up to 7 points, one check per isomorphism class
-    report = _run(7, "spectral-poset-suite-7", verify_specs, 60.0, max_points=7,
-                  window_total_max=8)
+    report = _run(7, "spectral-poset-suite-7", verify_specs, 60.0, max_points=7)
     assert report.items[7].details == "6129859 posets checked"
 
 

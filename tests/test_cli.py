@@ -131,12 +131,6 @@ def test_verify_unknown_suite(capsys):
     assert main(["verify", "nope"]) == 1
 
 
-def test_verify_seeded(capsys):
-    assert main(["verify", "specs", "--max-points", "2", "--seed", "11", "--json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    assert data["seed"] == 11
-
-
 def test_failed_check_exits_2(capsys):
     code = main(["analyze", "--ring", "mvq:p=2;vars=x,y;rel=x2,y2",
                  "--check", "armendariz", "--degree", "1", "--json"])
@@ -241,13 +235,13 @@ def test_space_file_over_the_table_guard_fails_fast(tmp_path, capsys):
     assert "8192 closed sets exceed guard 4096" in err and "Traceback" not in err
 
 
-def test_reports_deterministic_for_fixed_seed(capsys):
+def test_reports_are_deterministic(capsys):
     from zdgraph.suites import verify_specs
 
-    a = verify_specs(max_points=2, seed=5).to_dict()
-    b = verify_specs(max_points=2, seed=5).to_dict()
+    a = verify_specs(max_points=2).to_dict()
+    b = verify_specs(max_points=2).to_dict()
     a.pop("elapsed_s"), b.pop("elapsed_s")
-    assert a == b
+    assert a == b and "seed" not in a
 
 
 _DOT_ID = r'"((?:[^"\\]|\\.)*)"'  # a quoted DOT ID; backslash escapes one char
@@ -607,16 +601,16 @@ def test_verify_all_gives_each_flag_to_the_suites_that_take_it(monkeypatch, caps
     def ground(max_ground=4):
         return called("ground", max_ground=max_ground)
 
-    def fields(factor_counts=(3, 4), seed=0):
-        return called("fields", factor_counts=factor_counts, seed=seed)
+    def fields(factor_counts=(3, 4), max_order=60):
+        return called("fields", factor_counts=factor_counts, max_order=max_order)
 
     monkeypatch.setattr(cli, "SUITES", {"plain": plain, "ground": ground, "fields": fields})
     assert main(["verify", "all", "--max-ground", "2", "--max-fields", "5", "--json"]) == 0
     assert calls == [("plain", {}), ("ground", {"max_ground": 2}),
-                     ("fields", {"factor_counts": (3, 4, 5), "seed": 0})]
+                     ("fields", {"factor_counts": (3, 4, 5), "max_order": 60})]
     assert main(["verify", "fields", "--max-ground", "2"]) == 1
     assert capsys.readouterr().err == (
-        "error: suite 'fields' takes --seed, --max-fields, not --max-ground\n")
+        "error: suite 'fields' takes --max-fields, --max-order, not --max-ground\n")
     assert len(calls) == 3
 
 

@@ -529,8 +529,8 @@ def test_verify_refuses_before_any_suite_runs(argv, message, monkeypatch, capsys
 @pytest.mark.parametrize("argv,message", [
     (["verify", "armendariz", "--max-ground", "3"],
      "suite 'armendariz' takes --max-points, not --max-ground"),
-    (["verify", "triangle-point", "--seed", "1"],
-     "suite 'triangle-point' takes no flags, not --seed"),
+    (["verify", "triangle-point", "--degree", "1"],
+     "suite 'triangle-point' takes no flags, not --degree"),
     (["verify", "content", "--max-order", "4", "--max-points", "3"],
      "suite 'content' takes --degree, --max-order, not --max-points"),
 ])
@@ -545,3 +545,14 @@ def test_a_flag_the_suite_does_not_take_is_an_input_error(argv, message, monkeyp
 
     monkeypatch.setattr(cli, "SUITES", {name: refuse(fn) for name, fn in cli.SUITES.items()})
     assert run(argv) == (1, f"error: {message}\n")
+
+
+# argparse rejects a flag no suite takes, before any suite is looked up;
+# --seed left when no suite drew anything
+@pytest.mark.parametrize("argv", [
+    ["verify", "specs", "--seed", "1"],
+    ["verify", "triangle-point", "--seed", "1"],
+])
+def test_a_flag_no_suite_takes_is_rejected_by_the_parser(argv):
+    code, err = run(argv)
+    assert code == 2 and err.endswith("error: unrecognized arguments: --seed 1\n")

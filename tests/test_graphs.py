@@ -752,14 +752,16 @@ def test_a_map_on_the_same_tables_with_another_assignment_is_checked_again():
 
 def test_verify_armendariz_json_does_not_depend_on_the_hash_seed():
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    outs = []
-    for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
-        run = subprocess.run([sys.executable, "-m", "zdgraph.cli", "verify", "armendariz", "--json"],
-                             capture_output=True, env=env, check=True)
-        outs.append(re.sub(rb'"elapsed_s": [0-9.e-]+', b'"elapsed_s": _', run.stdout))
-    assert outs[0] == outs[1] and b'"10436 maps, 0 failures"' in outs[0]
+    for argv, marker in ((["armendariz"], b'"10436 maps, 0 failures"'),
+                         (["specs", "--max-points", "3"], b'"19 posets checked"')):
+        outs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+            run = subprocess.run([sys.executable, "-m", "zdgraph.cli", "verify", *argv, "--json"],
+                                 capture_output=True, env=env, check=True)
+            outs.append(re.sub(rb'"elapsed_s": [0-9.e-]+', b'"elapsed_s": _', run.stdout))
+        assert outs[0] == outs[1] and marker in outs[0]
 
 
 def test_a_map_that_is_not_armendariz_fails_before_any_guard():

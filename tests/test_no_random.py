@@ -1,9 +1,9 @@
 """The library draws nothing: every verified check walks a bounded class.
 
 A suite whose coverage depends on a seed says less than one that walks
-every class once, so no module of the library imports ``random``, except
-those allowed here.  ``spectra`` still draws the fan descriptors of its
-specs suite; its entry goes when the fan checks walk their windows.
+every class once, so no module of the library imports ``random``.  What a
+suite once drew to check a law no input can fail is a certificate: the
+tests walk it against an oracle instead.
 """
 
 import ast
@@ -12,7 +12,7 @@ from pathlib import Path
 import zdgraph
 
 SRC = Path(zdgraph.__file__).parent
-ALLOWED = {"spectra.py"}
+ALLOWED: set[str] = set()
 
 
 def _imports_random(tree) -> bool:

@@ -259,24 +259,22 @@ def test_armendariz_reports_a_quotient_ring_that_is_not_reduced(monkeypatch, cap
         "details": "no corpus: Zn:10 from reduced_rings_up_to is not reduced"}}
 
 
-def test_specs_reports_a_drawn_descriptor_outside_spec_form(monkeypatch, capsys):
-    real = spectra.random_fan_descriptor
-
-    def excluding(fan, rng, spec_mode, max_index=12):
-        d = real(fan, rng, spec_mode, max_index)
-        # a cofinite part with an exclusion is Alexandroff-only
-        return spectra.FanClosedSet(fan, (~0b10,) + d.parts[1:], 0) if spec_mode else d
-
-    monkeypatch.setattr(spectra, "random_fan_descriptor", excluding)
+def test_specs_reports_a_missing_common_neighbour(monkeypatch, capsys):
+    monkeypatch.setattr(spectra, "fan_common_neighbor", lambda a, b, spec_mode=True: None)
     items = verify(capsys, "specs")
     verdicts = _fan_verdicts(items)
-    assert "jacobson-prime-diam2=FAIL" in verdicts["fan-shared-1"]
-    assert "jacobson-prime-diam2=ok" in verdicts["fan-disjoint-2"]  # reducible: no samples
+    for name in ("fan-shared-1", "fan-shared-2"):
+        assert "jacobson-prime-diam2=FAIL" in verdicts[name]
+        assert not items[name]["passed"]
+    for name in ("fan-disjoint-2", "fan-disjoint-3"):  # reducible: no distance-2 witness
+        assert "FAIL" not in verdicts[name] and items[name]["passed"]
     part, = [p for p in spectra.specs_theorem_suite(spectra.fan_shared(1)).parts
              if p.name == "jacobson-prime-diam2"]
     assert not part.passed
-    assert part.details.endswith(
-        "sampled Zariski pairs within 2: False; drawn M0-{m0.1} is not in spec form")
+    assert part.details == (
+        "generic up-sets contain all maximals (non-vertices): True; "
+        "witness pair ({m0.0}, {m0.0,m0.1}) at distance 3; any two Zariski zero divisors "
+        "are finite, with the index past both as a common neighbour")
 
 
 def test_the_closed_points_of_a_pearled_space_form_a_t1_space():
