@@ -15,8 +15,7 @@ from .graphs import (
     armendariz_invariant_suite,
     armendariz_invariant_suites,
     beck_graph,
-    chromatic_number,
-    clique_number,
+    clique_and_chromatic,
     diameter,
     girth,
     invariant_bundle,
@@ -38,6 +37,7 @@ from .semigroups import (
     validate_semigroup,
     zero_divisors,
 )
+from .topology import prl
 
 __all__ = [
     "__version__",
@@ -62,9 +62,9 @@ __all__ = [
     "beck_graph",
     "diameter",
     "girth",
-    "clique_number",
-    "chromatic_number",
+    "clique_and_chromatic",
     "is_connected",
     "invariant_bundle",
     "to_dot",
+    "prl",
 ]

@@ -6,12 +6,17 @@ has diameter infinity (which cannot occur for zero-divisor graphs of valid
 semigroups and therefore surfaces malformed inputs loudly).
 
 Clique and chromatic numbers are computed exactly: branch and bound with a
-greedy-colouring upper bound for cliques, and iterative deepening seeded by
-the clique lower bound for colourings.  No heuristic value is ever reported
-as an answer.  Both solvers fail fast above a configurable vertex guard.
-``invariant_bundle`` and ``clique_and_chromatic`` check the guards on G and
-then solve on its false-twin quotient (``twin_quotient``), lifting the
-values back exactly.
+greedy-colouring upper bound for cliques, and for colourings one
+saturation-degree backtracking search seeded with a maximum clique, which
+allows one more colour each time it runs out.  No heuristic value is ever
+reported as an answer.  Both solvers fail fast above a configurable vertex
+guard.
+
+Values take one route: ``clique_and_chromatic`` and ``invariant_bundle``
+check both guards on G and then solve on its false-twin quotient
+(``twin_quotient``), lifting the values back exactly.  The witness solvers
+``max_clique``, ``optimal_colouring`` and ``shortest_cycle`` search G
+itself, because their witnesses are vertices of G.
 """
 
 from __future__ import annotations
@@ -291,31 +296,35 @@ def max_clique(G: SimpleGraph, max_vertices: int = DEFAULT_MAX_CLIQUE_VERTICES) 
     return tuple(members(best_mask))
 
 
-def clique_number(G: SimpleGraph, max_vertices: int = DEFAULT_MAX_CLIQUE_VERTICES) -> int:
-    return len(max_clique(G, max_vertices))
+def _colouring(adj: tuple[int, ...], clique: tuple[int, ...]) -> tuple[int, list[int]]:
+    """The chromatic number k and the first k-colouring found, by one
+    saturation-degree backtracking search (Brélaz, CACM 22, 1979) over k
+    from the size of the maximum clique ``clique`` up.
 
-
-def _k_colouring(adj: tuple[int, ...], k: int, seed_clique: tuple[int, ...]) -> Optional[list[int]]:
-    """Backtracking search for a proper k-colouring, or None.
-
-    A maximum clique is pre-coloured with distinct colours (sound symmetry
-    breaking), vertices are picked by saturation degree, and a fresh colour
-    may only be introduced as the next unused one.  ``classes[c]`` is the
-    mask of the vertices coloured c.
+    The clique is pre-coloured with distinct colours (sound symmetry
+    breaking), and a fresh colour may only be introduced as the next unused
+    one.  ``classes[c]`` is the mask of the vertices coloured c.
 
     The pick is the first uncoloured vertex, in index order, of greatest
     (saturation, degree).  ``seen[v][c]`` counts v's neighbours coloured c,
     and ``score[v]`` is n * saturation + degree, less ``off`` while v is
     coloured; both change with each vertex coloured or uncoloured, so a
     pick is one scan of the scores.
+
+    When the search at k runs out, the state is the seeded one again: each
+    ``seen`` row gains a zero column and the search restarts at k + 1, which
+    at k = n cannot fail.
     """
     n = len(adj)
+    if not any(adj):  # edgeless: one colour, or none for the empty graph
+        return min(n, 1), [0] * n
+    k = len(clique)
     colours = [-1] * n
     classes = [0] * k
     neighbours = [list(members(a)) for a in adj]
     seen = [[0] * k for _ in range(n)]
-    score = [len(u) for u in neighbours]  # a degree is below n
-    off = n * (k + 1)  # above every score: a coloured vertex scores below 0
+    score = [len(u) for u in neighbours]
+    off = n * n  # saturation and degree are below n: a coloured vertex scores below 0
 
     def colour(v: int, c: int) -> None:
         colours[v] = c
@@ -338,15 +347,16 @@ def _k_colouring(adj: tuple[int, ...], k: int, seed_clique: tuple[int, ...]) -> 
     def pick() -> int:
         return score.index(max(score))
 
-    for c, v in enumerate(seed_clique):
+    for c, v in enumerate(clique):
         colour(v, c)
 
     # An explicit stack of (v, c, max_used before v): vertex v holds colour
     # c.  Each step colours the picked vertex with its least admissible
     # colour from c on, or, with none left, uncolours the last vertex
-    # coloured and moves it on to its next colour.
+    # coloured and moves it on to its next colour, or, with none coloured
+    # past the clique, allows one more colour.
     stack: list[tuple[int, int, int]] = []
-    remaining, max_used = n - len(seed_clique), len(seed_clique) - 1
+    remaining, max_used = n - k, k - 1
     v, c = pick(), 0
     while remaining:
         top = min(k - 1, max_used + 1)
@@ -363,19 +373,12 @@ def _k_colouring(adj: tuple[int, ...], k: int, seed_clique: tuple[int, ...]) -> 
             remaining += 1
             c += 1
         else:
-            return None
-    return colours
-
-
-def _colouring_from_clique(G: SimpleGraph, clique: tuple[int, ...]) -> tuple[int, list[int]]:
-    """Exact chromatic number with a witness colouring, given a maximum clique."""
-    if not any(G.adj):  # edgeless: one colour, or none for the empty graph
-        return min(G.n, 1), [0] * G.n
-    for k in range(len(clique), G.n + 1):
-        colours = _k_colouring(G.adj, k, clique)
-        if colours is not None:
-            return k, colours
-    raise RuntimeError("unreachable: n colours always suffice")
+            k += 1
+            classes.append(0)
+            for row in seen:
+                row.append(0)
+            c = 0  # from the first pick, which the seeded state picks again
+    return k, colours
 
 
 def optimal_colouring(
@@ -383,11 +386,7 @@ def optimal_colouring(
 ) -> tuple[int, list[int]]:
     """Exact chromatic number with a witness colouring."""
     guard("chromatic-solver vertices", G.n, max_vertices)
-    return _colouring_from_clique(G, max_clique(G, max_vertices=G.n))
-
-
-def chromatic_number(G: SimpleGraph, max_vertices: int = DEFAULT_MAX_CHROMATIC_VERTICES) -> int:
-    return optimal_colouring(G, max_vertices)[0]
+    return _colouring(G.adj, max_clique(G, max_vertices=G.n))
 
 
 @dataclass(frozen=True)
@@ -445,7 +444,7 @@ def _quotient_clique_and_chromatic(
     guard("chromatic-solver vertices", G.n, max_chromatic_vertices)
     H, twinned = twin_quotient(G)
     clique = max_clique(H, max_clique_vertices)
-    return H, twinned, len(clique), _colouring_from_clique(H, clique)[0]
+    return H, twinned, len(clique), _colouring(H.adj, clique)[0]
 
 
 def clique_and_chromatic(

@@ -119,7 +119,7 @@ def bundle_on_g(G, max_clique_vertices=graphs.DEFAULT_MAX_CLIQUE_VERTICES,
     girth, and the clique search seeding the colouring, all on G."""
     clique = graphs.max_clique(G, max_clique_vertices)
     graphs.guard("chromatic-solver vertices", G.n, max_chromatic_vertices)
-    chromatic = graphs._colouring_from_clique(G, clique)[0]
+    chromatic = graphs._colouring(G.adj, clique)[0]
     return bfs_diameter(G), graphs.girth(G), len(clique), chromatic
 
 

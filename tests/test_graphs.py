@@ -19,9 +19,7 @@ from zdgraph.graphs import (
     SimpleGraph,
     armendariz_invariant_suite,
     beck_graph,
-    chromatic_number,
     clique_and_chromatic,
-    clique_number,
     diameter,
     girth,
     graph_to_json,
@@ -56,6 +54,11 @@ TRIANGLE = graph(3, [(0, 1), (1, 2), (0, 2)])
 PATH3 = graph(3, [(0, 1), (1, 2)])
 SQUARE = graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
 EMPTY = graph(0, [])
+# the Grötzsch graph: a 5-cycle u0..u4, a copy v_i of each u_i joined to
+# u_i's two cycle neighbours, and a hub joined to every v_i; ω = 2, χ = 4
+GROETZSCH = graph(11, [(i, (i + 1) % 5) for i in range(5)]
+                  + [(5 + i, (i + d) % 5) for i in range(5) for d in (1, 4)]
+                  + [(5 + i, 10) for i in range(5)])
 
 
 def test_no_self_loops_or_bad_edges():
@@ -90,29 +93,23 @@ def test_connected():
     assert is_connected(EMPTY)
 
 
-def test_clique_number():
-    assert clique_number(TRIANGLE) == 3
-    assert clique_number(EMPTY) == 0
-    assert clique_number(graph(4, [])) == 1
-    assert clique_number(SQUARE) == 2
+def test_clique_and_chromatic_numbers():
+    k5 = graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
+    cases = [(TRIANGLE, (3, 3)), (EMPTY, (0, 0)), (graph(4, []), (1, 1)),
+             (graph(3, []), (1, 1)), (SQUARE, (2, 2)), (k5, (5, 5)), (GROETZSCH, (2, 4))]
+    for G, want in cases:
+        assert clique_and_chromatic(G) == want
     witness = max_clique(TRIANGLE)
     assert set(witness) == {0, 1, 2}
 
 
-def test_chromatic_number():
-    assert chromatic_number(TRIANGLE) == 3
-    assert chromatic_number(EMPTY) == 0
-    assert chromatic_number(graph(3, [])) == 1
-    assert chromatic_number(SQUARE) == 2
-    assert chromatic_number(graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])) == 5
-
-
 def test_size_guards():
     big = graph(10, [])
-    with pytest.raises(SizeGuardExceeded):
-        clique_number(big, max_vertices=5)
-    with pytest.raises(SizeGuardExceeded):
-        chromatic_number(big, max_vertices=5)
+    # the messages the removed one-value solvers gave
+    with pytest.raises(SizeGuardExceeded, match="^10 clique-solver vertices exceed guard 5$"):
+        clique_and_chromatic(big, max_clique_vertices=5)
+    with pytest.raises(SizeGuardExceeded, match="^10 chromatic-solver vertices exceed guard 5$"):
+        clique_and_chromatic(big, max_chromatic_vertices=5)
 
 
 def test_zero_divisor_graph_z6():
@@ -132,7 +129,7 @@ def test_beck_graph_star_for_domain():
     # 0 is adjacent to everything, nothing else touches
     assert G.n == 5
     assert G.edges == {(0, i) for i in range(1, 5)}
-    assert clique_number(G) == 2 and chromatic_number(G) == 2
+    assert clique_and_chromatic(G) == (2, 2)
 
 
 def test_beck_graph_z2():
@@ -144,8 +141,8 @@ def test_beck_relations_z6():
     S = zn_mul(6)
     g0 = beck_graph(S)
     g = zero_divisor_graph(S)
-    assert clique_number(g0) == clique_number(g) + 1 == 3
-    assert chromatic_number(g0) == chromatic_number(g) + 1 == 3
+    assert clique_and_chromatic(g0) == (3, 3)
+    assert clique_and_chromatic(g) == (2, 2)
 
 
 def test_invariant_bundle_keeps_chromatic_below_clique():
@@ -444,48 +441,53 @@ def _recount_k_colouring(adj, k, seed_clique):
     return colours
 
 
-def test_kept_saturation_counts_pick_like_the_recount():
-    # every k from the clique size up to the first success, on random graphs
-    # of 1 to 40 vertices, so the searches that backtrack are compared too
-    rng = random.Random(11)
-    failed = 0
-    for _ in range(300):
-        n = rng.randint(1, 40)
-        p = rng.uniform(0.1, 0.8)
+def _least_k_colouring(k_colouring, adj, clique):
+    """The least k from the clique size up with a k-colouring, and the first
+    one ``k_colouring`` finds, one fresh search per k."""
+    for k in range(len(clique), len(adj) + 1):
+        colours = k_colouring(adj, k, clique)
+        if colours is not None:
+            return k, colours
+
+
+def _compare_with_per_k_searches(k_colouring, rng, count, sizes, densities):
+    """The one search against a loop of per-k searches on ``count`` random
+    graphs; the number of graphs on which χ > ω, so that the search had to
+    run out at some k and grow it in place."""
+    grown = 0
+    for _ in range(count):
+        n = rng.randint(*sizes)
+        p = rng.uniform(*densities)
         G = graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
-        if not G.edges:
-            continue
         clique = max_clique(G)
-        for k in range(len(clique), n + 1):
-            got = graphs._k_colouring(G.adj, k, clique)
-            assert got == _recount_k_colouring(G.adj, k, clique)
-            if got is not None:
-                break
-            failed += 1
-    assert failed > 50
+        got = graphs._colouring(G.adj, clique)
+        assert got == _least_k_colouring(k_colouring, G.adj, clique)
+        grown += got[0] > len(clique)
+    # the Grötzsch graph: k grows twice, from ω = 2 to χ = 4
+    clique = max_clique(GROETZSCH)
+    got = graphs._colouring(GROETZSCH.adj, clique)
+    assert got[0] == 4 and got == _least_k_colouring(k_colouring, GROETZSCH.adj, clique)
+    return grown
+
+
+def test_kept_saturation_counts_pick_like_the_recount():
+    # random graphs of 1 to 40 vertices, so the searches that backtrack and
+    # run out are compared too
+    grown = _compare_with_per_k_searches(_recount_k_colouring, random.Random(11), 300,
+                                         (1, 40), (0.1, 0.8))
+    assert grown > 50
     # the star K_{1,1199}, beyond the recursive search's depth
     star = graph(1200, [(0, j) for j in range(1, 1200)])
-    for k, clique in ((2, (0, 1)), (2, (5, 0))):
-        assert graphs._k_colouring(star.adj, k, clique) == _recount_k_colouring(star.adj, k, clique)
+    for clique in ((0, 1), (5, 0)):
+        assert graphs._colouring(star.adj, clique) == (
+            2, _recount_k_colouring(star.adj, 2, clique))
 
 
 def test_colouring_search_matches_the_recursive_search():
-    # every k from the clique size up to the first success, so the searches
-    # that fail and backtrack to the root are compared too
-    rng = random.Random(5)
-    failed = 0
-    for _ in range(300):
-        n = rng.randint(8, 20)
-        p = rng.uniform(0.2, 0.7)
-        G = graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
-        clique = max_clique(G)
-        for k in range(len(clique), n + 1):
-            got = graphs._k_colouring(G.adj, k, clique)
-            assert got == _recursive_k_colouring(G.adj, k, clique)
-            if got is not None:
-                break
-            failed += 1
-    assert failed > 50
+    # the searches that run out and backtrack to the root are compared too
+    grown = _compare_with_per_k_searches(_recursive_k_colouring, random.Random(5), 300,
+                                         (8, 20), (0.2, 0.7))
+    assert grown > 50
 
 
 def test_colouring_search_is_not_bounded_by_recursion_depth():
