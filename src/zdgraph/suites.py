@@ -34,7 +34,6 @@ from .graphs import (
 )
 from .polynomials import (
     check_armendariz_ring,
-    check_content_containment,
     clique_stabilization,
 )
 from .rings import (
@@ -456,12 +455,6 @@ def verify_content(degree: int = 2, max_order: int = 9) -> SuiteReport:
             f"armendariz {R.tag}",
             result.passed,
             f"{result.pairs_checked} pairs" + (f"; witness {result.witness}" if result.witness else ""),
-        )
-        contain = check_content_containment(R, degree)
-        rep.add(
-            f"containment {R.tag}",
-            contain.passed,
-            f"{contain.pairs_checked} pairs",
         )
     for spec in ("Zn:6", "prod:Zn:2,Zn:2"):
         R = ring_from_spec(spec)
