@@ -342,12 +342,6 @@ def fan_v_generic(fan: FanPoset, g: int) -> FanClosedSet:
     return FanClosedSet(fan, parts, 1 << g)
 
 
-def fan_intersect(a: FanClosedSet, b: FanClosedSet) -> FanClosedSet:
-    return FanClosedSet(
-        a.fan, tuple(x & y for x, y in zip(a.parts, b.parts)), a.generics & b.generics
-    )
-
-
 def fan_union(a: FanClosedSet, b: FanClosedSet) -> FanClosedSet:
     return FanClosedSet(
         a.fan, tuple(x | y for x, y in zip(a.parts, b.parts)), a.generics | b.generics
@@ -375,17 +369,10 @@ def fan_is_zero_divisor(d: FanClosedSet) -> bool:
 
 
 def fan_disjoint_q(a: FanClosedSet, b: FanClosedSet) -> bool:
-    """``fan_intersect(a, b)`` is empty: no family has a maximal point in
-    both parts (a generic in both forces its families full in both)."""
+    """The intersection of a and b (``fan_intersect`` in the tests'
+    ``relation_oracles``) is empty: no family has a maximal point in both
+    parts (a generic in both forces its families full in both)."""
     return not any(x & y for x, y in zip(a.parts, b.parts))
-
-
-def fan_least_maximal(d: FanClosedSet) -> Optional[tuple[int, int]]:
-    """Canonical (family, index) of the least maximal point of the set."""
-    for j, part in enumerate(d.parts):
-        if part:
-            return (j, least_member(part))
-    return None
 
 
 def is_spec_form(d: FanClosedSet) -> bool:
@@ -508,16 +495,6 @@ def fan_window_upset_count(fan: FanPoset, per_family: int) -> int:
     if fan.shape == "shared":
         return 2**per_family + 2**fan.size - 1
     return (2**per_family + 1) ** fan.size
-
-
-def fan_restrict_to_window(d: FanClosedSet, per_family: int) -> int:
-    """The descriptor's trace on the window, as a mask over the points of
-    ``fan_window_poset(d.fan, per_family)``."""
-    ng, window = d.fan.size, (1 << per_family) - 1
-    out = d.generics
-    for j, part in enumerate(d.parts):
-        out |= (part & window) << (ng + j * per_family)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -108,22 +108,15 @@ def make_space(points, closed_sets) -> FiniteSpace:
     return FiniteSpace(pts, ordered)
 
 
-def closed_family_defect(family, n: int) -> Optional[str]:
-    """Why ``family`` (bitmasks) is not a closed family on the points
+def _family_defect(ordered, fam: set[int], n: int) -> Optional[str]:
+    """Why the set ``fam`` (bitmasks) is not a closed family on the points
     0..n-1, or None.
 
     A closed family holds the empty set and the ground set, lies inside the
     ground set, and is closed under union and intersection.  Members and
-    pairs are scanned in the order of ``point_set_key``, so the first
-    witness does not depend on how the family was given.
+    pairs are scanned in ``ordered``, the order of ``point_set_key``, so the
+    first witness does not depend on how the family was given.
     """
-    fam = set(family)
-    return _family_defect(sorted(fam, key=point_set_key(fam)), fam, n)
-
-
-def _family_defect(ordered, fam: set[int], n: int) -> Optional[str]:
-    """``closed_family_defect`` of the set ``fam``, listed in ``ordered``
-    in the order of ``point_set_key``."""
     if min(fam, default=0) < 0:  # a negative mask has no finite point list
         return f"member {min(fam)} is not a subset of the ground set"
     full = (1 << n) - 1

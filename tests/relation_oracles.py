@@ -10,7 +10,8 @@ closures and ``InvalidPoset`` messages of ``zdgraph.spectra`` against them.
 random relations the program's map corpus drew before it walked every
 class; the tests keep them as corpora, with the digests they had.
 
-``rows_transitive``, the fan helpers ``fan_empty`` and ``fan_whole``,
+``rows_transitive``, the fan helpers ``fan_empty``, ``fan_whole``,
+``fan_intersect``, ``fan_least_maximal`` and ``fan_restrict_to_window``,
 ``is_max_irreducible`` and ``from_open_sets`` have no caller in the program
 and live here for the tests that use them.  ``fan_irreducible_by_search``
 and ``fan_window_upset_tally`` are the fan's irreducibility search over
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from zdgraph.corpus import _LETTERS, _space_from_preorder
-from zdgraph.semigroups import SizeGuardExceeded, members, row_union
+from zdgraph.semigroups import SizeGuardExceeded, least_member, members, row_union
 from zdgraph.spectra import (
     FanClosedSet,
     FanPoset,
@@ -45,7 +46,7 @@ from zdgraph.spectra import (
     transitive_closure as transitive_closure_rows,
     upset_masks,
 )
-from zdgraph.topology import closed_family_defect, make_space
+from zdgraph.topology import InvalidSpace, make_space
 
 # 5 points are 2^20 candidate relations, seconds of work; 6 points are
 # 2^30, a thousand times more
@@ -106,6 +107,31 @@ def fan_empty(fan):
 
 def fan_whole(fan):
     return FanClosedSet(fan, (-1,) * fan.families, (1 << len(fan.generics)) - 1)
+
+
+def fan_intersect(a, b):
+    return FanClosedSet(
+        a.fan, tuple(x & y for x, y in zip(a.parts, b.parts)), a.generics & b.generics
+    )
+
+
+def fan_least_maximal(d):
+    """Canonical (family, index) of the least maximal point of the set, or
+    None: the colour of d in the README's colouring of the fan's Γ."""
+    for j, part in enumerate(d.parts):
+        if part:
+            return (j, least_member(part))
+    return None
+
+
+def fan_restrict_to_window(d, per_family):
+    """The descriptor's trace on the window, as a mask over the points of
+    ``fan_window_poset(d.fan, per_family)``."""
+    ng, window = d.fan.size, (1 << per_family) - 1
+    out = d.generics
+    for j, part in enumerate(d.parts):
+        out |= (part & window) << (ng + j * per_family)
+    return out
 
 
 def fan_irreducible_by_search(fan):
@@ -508,6 +534,8 @@ def enumerate_t1_sublattices(n):
         for k, m in enumerate(optional):
             if bits >> k & 1:
                 fam.add(m)
-        masks = {sum(1 << p for p in C) for C in fam}
-        if closed_family_defect(masks, n) is None:
-            yield make_space(ground, masks)
+        try:
+            X = make_space(ground, {sum(1 << p for p in C) for C in fam})
+        except InvalidSpace:
+            continue
+        yield X

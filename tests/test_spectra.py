@@ -5,7 +5,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 import relation_oracles as ro
 from zdgraph import spectra
-from relation_oracles import fan_empty, fan_whole, is_max_irreducible
+from relation_oracles import (
+    fan_empty, fan_intersect, fan_least_maximal, fan_restrict_to_window, fan_whole,
+    is_max_irreducible,
+)
 from table_oracles import mask
 from zdgraph.graphs import zero_divisor_graph
 from zdgraph.rings import make_zn, spec_poset
@@ -22,12 +25,9 @@ from zdgraph.spectra import (
     fan_distance,
     fan_fin,
     fan_from_spec,
-    fan_intersect,
     fan_is_empty,
     fan_is_zero_divisor,
-    fan_least_maximal,
     fan_max_irreducible,
-    fan_restrict_to_window,
     fan_shared,
     fan_union,
     fan_v_generic,
