@@ -22,8 +22,9 @@ import json
 import os
 import re
 import shlex
-import sys
 from pathlib import Path
+
+from ideal_oracles import _workloads
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden" / "digests.json"
@@ -52,11 +53,7 @@ REFUSALS = [
 
 
 def _workload_requests() -> list[list[str]]:
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(ROOT / "perfbench"))
+    workloads = _workloads()
     return [list(r.argv) for name in workloads.WORKLOADS for seed in SEEDS
             for tiny in (False, True) for r in workloads.make_requests(name, seed, tiny)]
 
