@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 from .graphs import (
     COUNTABLY_INFINITE,
     InvariantBundle,
+    InvariantSuiteReport,
     SimpleGraph,
     armendariz_invariant_suite,
     armendariz_invariant_suites,
@@ -47,6 +48,7 @@ __all__ = [
     "EqQuotient",
     "SimpleGraph",
     "InvariantBundle",
+    "InvariantSuiteReport",
     "COUNTABLY_INFINITE",
     "validate_semigroup",
     "is_nilpotent_free",

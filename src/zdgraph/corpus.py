@@ -194,11 +194,17 @@ class MapCorpus(NamedTuple):
     posets: int
 
 
-def armendariz_map_corpus(max_points: int = 5, ring_order: int = 32) -> MapCorpus:
+# the order bound of the reduced rings whose annihilator quotients the map
+# corpus holds; at least 12, as the relabellings of the rings of order <= 12
+# read the same ring list
+MAP_CORPUS_RING_ORDER = 32
+
+
+def armendariz_map_corpus(max_points: int = 5) -> MapCorpus:
     """The maps of the invariant-preservation suite, walked, not drawn.
 
     The annihilator quotient of the multiplicative semigroup of every
-    reduced ring of order <= ring_order; for n = 1..max_points, the
+    reduced ring of order <= ``MAP_CORPUS_RING_ORDER``; for n = 1..max_points, the
     closed-point intersection map of every pearled topology class and the
     restriction to maximal points of every poset class, each named by its
     representative's JSON; and one relabelling of each of those semigroups
@@ -211,14 +217,10 @@ def armendariz_map_corpus(max_points: int = 5, ring_order: int = 32) -> MapCorpu
     from .topology import alpha_map, axiom_suite
 
     maps: list[tuple[str, SemigroupMap, int]] = []
-    # one ring list serves the quotients (order <= ring_order) and the
-    # relabellings (order <= 12): reduced_rings_up_to(n) is the order <= n
-    # part of any longer list, in the same order
+    # one ring list serves the quotients and the relabellings (order <= 12)
     semigroups = [(R, multiplicative_semigroup(R))
-                  for R in reduced_rings_up_to(max(ring_order, 12))]
+                  for R in reduced_rings_up_to(MAP_CORPUS_RING_ORDER)]
     for R, S in semigroups:
-        if R.size > ring_order:
-            continue
         if not is_reduced(R):  # the suite reports it as a FAIL
             raise NotNilpotentFree(f"{R.tag} from reduced_rings_up_to is not reduced")
         maps.append((f"eq-quotient {R.tag}", eq_quotient(S).projection, 1))

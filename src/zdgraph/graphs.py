@@ -554,22 +554,19 @@ def armendariz_invariant_suites(
     max_chromatic_vertices: int = DEFAULT_MAX_CHROMATIC_VERTICES,
 ) -> Iterator[InvariantSuiteReport]:
     """``armendariz_invariant_suite`` of each map in turn, sharing work on
-    equal maps, tables and graphs within this one iteration.
+    equal tables and graphs within this one iteration.
 
-    A map equal to one already checked (the same source table, target table
-    and assignment) gets that map's report again.  Each distinct table is
-    checked for nilpotents, and its zero divisors found, once; Γ is built
-    from that one scan.  Each distinct Γ adjacency is solved once.  Every
-    new map still runs its checks in the one-map order (source nilpotents,
-    target nilpotents, the Armendariz check, then both invariant bundles),
-    so an error or guard trip surfaces at the same map with the same
-    message.  The memos live only as long as the iteration.
+    Each distinct table is checked for nilpotents, and its zero divisors
+    found, once; Γ is built from that one scan.  Each distinct Γ adjacency
+    is solved once.  Every map still runs its checks in the one-map order
+    (source nilpotents, target nilpotents, the Armendariz check, then both
+    invariant bundles), so an error or guard trip surfaces at the same map
+    with the same message.  The memos live only as long as the iteration.
     """
     sides: dict[tuple, tuple[int, SimpleGraph]] = {}  # table key -> (zero divisors, Γ)
     bundles: dict[tuple[int, ...], InvariantBundle] = {}  # Γ's rows -> its invariants
-    reports: dict[tuple, InvariantSuiteReport] = {}  # (source, target, assignment) -> report
 
-    def side(S: SemigroupTable, role: str) -> tuple[tuple, int, SimpleGraph]:
+    def side(S: SemigroupTable, role: str) -> tuple[int, SimpleGraph]:
         key = S._key()
         if key not in sides:
             w = nilpotent_witness(S)
@@ -577,7 +574,7 @@ def armendariz_invariant_suites(
                 raise NotNilpotentFree(f"{role} has nonzero nilpotent {w}")
             zd = zero_divisors(S)
             sides[key] = zd, zero_divisor_graph(S, zd)
-        return (key, *sides[key])
+        return sides[key]
 
     def bundle(G: SimpleGraph) -> InvariantBundle:
         if G.adj not in bundles:
@@ -585,12 +582,8 @@ def armendariz_invariant_suites(
         return bundles[G.adj]
 
     for g in maps:
-        ks, zs, GS = side(g.source, "source")
-        kt, zt, GT = side(g.target, "target")
-        seen = (ks, kt, g.assignment)
-        if seen in reports:
-            yield reports[seen]
-            continue
+        zs, GS = side(g.source, "source")
+        zt, GT = side(g.target, "target")
         report = check_armendariz(g)
         if not report.is_armendariz:
             raise ValueError(f"map is not Armendariz: {report}")
@@ -625,7 +618,7 @@ def armendariz_invariant_suites(
                       f"chromatic source={bs.chromatic} target={bt.chromatic}"
                       + ("" if chi_omega else "; chromatic below clique")),
         )
-        reports[seen] = InvariantSuiteReport(
+        yield InvariantSuiteReport(
             parts=parts,
             source_invariants=bs,
             target_invariants=bt,
@@ -633,7 +626,6 @@ def armendariz_invariant_suites(
             girth4_pattern_edge=pattern_edge,
             girth4_pattern_vertex=pattern_vertex,
         )
-        yield reports[seen]
 
 
 def armendariz_invariant_suite(

@@ -40,14 +40,6 @@ class TruncPoly:
         if self.coeffs and self.coeffs[-1] == self.ring.zero:
             raise ValueError("coefficients not normalized")
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> Optional[int]:
-        return len(self.coeffs) - 1 if self.coeffs else None
-
     def label(self) -> str:
         if not self.coeffs:
             return "0"
@@ -97,13 +89,9 @@ def polys_up_to_degree(R: FiniteRing, d: int) -> Iterator[TruncPoly]:
 class PairCheckReport:
     """Verdict of an exhaustive all-pairs polynomial check."""
 
-    kind: str
-    ring_tag: str
-    degree: int
     passed: bool
     pairs_checked: int
     witness: Optional[tuple[str, str]] = None
-    witness_note: str = ""
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +268,7 @@ def check_degree(degree_bound: int) -> None:
         raise ValueError(f"degree bound must be >= 0, not {degree_bound}")
 
 
-def _pair_check(kind, law, note, R, degree_bound, max_polys, every_class=False) -> PairCheckReport:
+def _pair_check(law, R, degree_bound, max_polys, every_class=False) -> PairCheckReport:
     """Run ``law`` over all ordered pairs; report the first failure, if any.
 
     Only class minima are multiplied, and unless ``every_class`` only those
@@ -294,7 +282,7 @@ def _pair_check(kind, law, note, R, degree_bound, max_polys, every_class=False) 
     N = len(rows)
     scan = rows if every_class else rows[_zero_divisor_end_rows(R, rows)]
     if not len(scan):
-        return PairCheckReport(kind, R.tag, degree_bound, True, N * N)
+        return PairCheckReport(True, N * N)
     reps = np.unique(_class_minima(R, scan))
     F = rows[reps]
     fails = law(R, F)
@@ -304,10 +292,10 @@ def _pair_check(kind, law, note, R, degree_bound, max_polys, every_class=False) 
             b, c = divmod(int(bad.argmax()), len(reps))
             f, g = int(reps[r0 + b]), int(reps[c])
             return PairCheckReport(
-                kind, R.tag, degree_bound, False, f * N + g + 1,
-                (make_poly(R, rows[f]).label(), make_poly(R, rows[g]).label()), note,
+                False, f * N + g + 1,
+                (make_poly(R, rows[f]).label(), make_poly(R, rows[g]).label()),
             )
-    return PairCheckReport(kind, R.tag, degree_bound, True, N * N)
+    return PairCheckReport(True, N * N)
 
 
 def check_armendariz_ring(
@@ -320,22 +308,14 @@ def check_armendariz_ring(
     content(f)content(g) = (0) is tested as "every product of a coefficient
     of f with one of g vanishes": the product ideal is generated by them.
     """
-    return _pair_check(
-        "armendariz", _armendariz_failures,
-        "fg = 0 and content(f)content(g) = (0) disagree",
-        R, degree_bound, max_polys,
-    )
+    return _pair_check(_armendariz_failures, R, degree_bound, max_polys)
 
 
 def check_gaussian(
     R: FiniteRing, degree_bound: int, max_polys: int = DEFAULT_MAX_POLYS
 ) -> PairCheckReport:
     """All pairs of degree <= d: content(fg) = content(f)*content(g)."""
-    return _pair_check(
-        "gaussian", _gaussian_failures,
-        "content(fg) != content(f)content(g)",
-        R, degree_bound, max_polys,
-    )
+    return _pair_check(_gaussian_failures, R, degree_bound, max_polys)
 
 
 def check_content_containment(
@@ -347,11 +327,7 @@ def check_content_containment(
     f_i*g_j, so the check certifies the product kernel and the ideal index
     rather than R, and it scans every class.
     """
-    return _pair_check(
-        "content-containment", _containment_failures,
-        "a coefficient of fg escapes content(f)content(g)",
-        R, degree_bound, max_polys, every_class=True,
-    )
+    return _pair_check(_containment_failures, R, degree_bound, max_polys, every_class=True)
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +356,6 @@ def truncated_zero_divisor_graph(R: FiniteRing, degree_bound: int) -> SimpleGrap
 
 @dataclass(frozen=True)
 class StabilizationReport:
-    ring_tag: str
     base_clique: int
     base_chromatic: int
     per_degree: tuple[tuple[int, int, int], ...]  # (degree, clique, chromatic)
@@ -408,4 +383,4 @@ def clique_stabilization(
         clq, chi = clique_and_chromatic(G, max_chromatic_vertices=max_polys)
         rows.append((d, clq, chi))
         ok = ok and clq == base_clq and chi == base_chi
-    return StabilizationReport(R.tag, base_clq, base_chi, tuple(rows), ok)
+    return StabilizationReport(base_clq, base_chi, tuple(rows), ok)

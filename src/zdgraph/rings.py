@@ -292,8 +292,8 @@ def _vector_label(coeffs: Sequence[int], names: Sequence[str]) -> str:
     return "+".join(terms) if terms else "0"
 
 
-def make_polyquot(p: int, modulus: Sequence[int], var: str = "x") -> FiniteRing:
-    """F_p[var]/(f), a quotient ring, for f with unit leading coefficient.
+def make_polyquot(p: int, modulus: Sequence[int]) -> FiniteRing:
+    """F_p[x]/(f), a quotient ring, for f with unit leading coefficient.
 
     ``modulus`` lists f's coefficients in ascending degree.  The remainders
     mod f, 1, x, ..., x^(d-1) for d = deg f, are a basis, and x^i x^j is the
@@ -315,7 +315,7 @@ def make_polyquot(p: int, modulus: Sequence[int], var: str = "x") -> FiniteRing:
     for i, j in itertools.product(range(d), repeat=2):
         rem = _fp_poly_mod([0] * (i + j) + [1], modulus, p)
         structure[i, j, : len(rem)] = rem
-    names = [_monomial_label((i,), (var,)) for i in range(d)]
+    names = [_monomial_label((i,), ("x",)) for i in range(d)]
     labels = tuple(_vector_label(e[::-1], names[::-1])
                    for e in itertools.product(range(p), repeat=d))
     tag = f"polyquot:p={p};mod=" + ",".join(str(c) for c in modulus)
@@ -818,7 +818,6 @@ class IdealSemigroup:
     """
 
     ideals: tuple[Ideal, ...]
-    operation: str  # "mult" | "add"
     table: SemigroupTable
 
 
@@ -851,7 +850,7 @@ def ideal_semigroup(
     labels = tuple(index.label(k) for k in ks.tolist())
     sg = SemigroupTable(elements=labels, zero=int(pos[zero_elt]),
                         product=pos[index.table(ks, operation)])
-    return IdealSemigroup(tuple(index.ideals[k] for k in ks), operation, sg)
+    return IdealSemigroup(tuple(index.ideals[k] for k in ks), sg)
 
 
 def annihilating_ideal_graph(R: FiniteRing, max_ideals: int = DEFAULT_MAX_IDEALS,

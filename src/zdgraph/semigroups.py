@@ -100,7 +100,7 @@ class SemigroupTable:
     @staticmethod
     def from_json(text: str) -> "SemigroupTable":
         """The table in a JSON object; any other content is a ValueError."""
-        data = json_object(text, "semigroup")
+        data = json_object(text, "semigroup", ("elements", "zero", "product"))
         elements, rows = json_list(data["elements"], "elements", "semigroup"), data["product"]
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             ValidationResult(False, "table-shape", ()).raise_if_invalid()
@@ -115,11 +115,15 @@ class SemigroupTable:
 # ``what`` and the first entry of the wrong JSON type.
 
 
-def json_object(text: str, what: str) -> dict:
-    """The JSON object a ``what`` file holds; any other content is a ValueError."""
+def json_object(text: str, what: str, entries) -> dict:
+    """The JSON object a ``what`` file holds, with each of ``entries``; any
+    other content is a ValueError."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError(f"a {what} file holds a JSON object")
+    for name in entries:
+        if name not in data:
+            raise ValueError(f"a {what} file has no {name!r} entry")
     return data
 
 

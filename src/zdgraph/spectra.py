@@ -5,8 +5,7 @@ Finite mode: a poset of primes under inclusion, held as bitmask rows
 here: validation, transitive closure and up-set enumeration all work on
 rows.  Closed sets are the up-closed subsets (every up-set is a finite
 union of principal up-sets V(p), so the Zariski lattice and its Alexandroff
-refinement coincide on finite posets; both construction paths are still
-provided and compared).
+refinement coincide on finite posets, and one table serves both).
 
 Fan mode: symbolic posets with countably many maximal points, needed for
 the cases a finite poset cannot realize (three or more maximal points
@@ -29,9 +28,7 @@ from functools import cached_property
 from typing import Optional, Union
 
 from .graphs import (
-    COUNTABLY_INFINITE,
     DEFAULT_MAX_CLIQUE_VERTICES,
-    InvariantBundle,
     SuitePart,
     diameter,
     invariant_bundle,
@@ -107,7 +104,7 @@ class FinitePoset:
 
     @staticmethod
     def from_json(text: str) -> "FinitePoset":
-        data = json_object(text, "poset")
+        data = json_object(text, "poset", ("points", "leq"))
         points = distinct_labels(str(p) for p in json_list(data["points"], "points", "poset"))
         n = len(points)
         rows = [1 << i for i in range(n)]
@@ -179,8 +176,8 @@ def sigma_spec(P: FinitePoset) -> SemigroupTable:
 def uspec_sigma(P: FinitePoset) -> SemigroupTable:
     """Same lattice built along the Alexandroff route: union closure of the
     principal up-sets, added one at a time (O(|closed| * n) unions, guarded
-    after each).  On finite posets the two constructions coincide; both
-    paths are kept so the coincidence is checked, not assumed."""
+    after each).  On finite posets it equals ``sigma_spec``, as every up-set
+    is the union of the principal up-sets of its points."""
     closed = {0}
     for row in P.leq:
         closed |= {c | row for c in closed}
@@ -503,12 +500,8 @@ def fan_window_upset_count(fan: FanPoset, per_family: int) -> int:
 
 @dataclass(frozen=True)
 class SpecsSuiteReport:
-    mode: str  # "finite" | "fan"
-    max_count: Union[int, object]
     max_irreducible: bool
     parts: tuple[SuitePart, ...]
-    spec_bundle: Optional[InvariantBundle] = None
-    uspec_bundle: Optional[InvariantBundle] = None
 
     @property
     def passed(self) -> bool:
@@ -517,35 +510,21 @@ class SpecsSuiteReport:
 
 def _finite_specs_suite(P: FinitePoset, max_clique_vertices: int) -> SpecsSuiteReport:
     # one up-set enumeration serves the sigma table, the restriction to Max
-    # and the irreducibility test; the union-closure route stays separate
+    # and the irreducibility test; the table is the Alexandroff lattice too
     masks = upset_masks(P.leq)
     guard("closed sets", len(masks), DEFAULT_MAX_TABLE)
     guard("clique-solver vertices", _zero_divisor_count(P, masks), max_clique_vertices)
     rmap = _restrict_to_max(P, masks)
-    tG = rmap.source
-    tH = uspec_sigma(P)
-    coincide = tG == tH
-    G = zero_divisor_graph(tG)
+    G = zero_divisor_graph(rmap.source)
     # the clique guard above bounds G.n, and invariant_bundle seeds the
     # colouring with its clique
     bg = invariant_bundle(G, max_clique_vertices, max_chromatic_vertices=G.n)
-    # equal tables give equal graphs, so H is built only when they differ
-    H = G if coincide else zero_divisor_graph(tH)
-    bh = bg if coincide else invariant_bundle(H, max_clique_vertices, max_chromatic_vertices=H.n)
     maxes = max_points(P)
     nmax = len(maxes)
     nonmax = [p for p in range(P.n) if p not in maxes]
     irred = _is_max_irreducible(P, masks)
 
     parts = []
-    parts.append(
-        SuitePart(
-            "zariski-alexandroff-coincide",
-            True,
-            coincide,
-            f"{len(tG.elements)} closed sets on both routes",
-        )
-    )
     rep = check_armendariz(rmap)
     hom = check_homomorphism(rmap)
     parts.append(
@@ -561,24 +540,17 @@ def _finite_specs_suite(P: FinitePoset, max_clique_vertices: int) -> SpecsSuiteR
     # whole maximal space, not a vertex); the equality with |Max| is the
     # content of the theorem from two maximal points up.
     expected_count = nmax if nmax >= 2 else 0
-    ok1 = bg.chromatic == bg.clique == bh.chromatic == bh.clique == expected_count
     parts.append(
         SuitePart(
             "clique-chromatic-count",
             True,
-            ok1,
-            f"clq/chi spec={bg.clique}/{bg.chromatic} "
-            f"uspec={bh.clique}/{bh.chromatic} |Max|={nmax}",
+            bg.chromatic == bg.clique == expected_count,
+            f"clq/chi={bg.clique}/{bg.chromatic} |Max|={nmax}",
         )
     )
     applies = nmax == 1
     parts.append(
-        SuitePart(
-            "local-empty",
-            applies,
-            (not applies) or (G.n == 0 and H.n == 0),
-            f"vertices spec={G.n} uspec={H.n}",
-        )
+        SuitePart("local-empty", applies, (not applies) or G.n == 0, f"vertices={G.n}")
     )
     applies = nmax == 2
     if applies:
@@ -587,13 +559,10 @@ def _finite_specs_suite(P: FinitePoset, max_clique_vertices: int) -> SpecsSuiteR
         tops = {P.leq[p] & (m1 | m2) for p in nonmax}
         expected_diam = 1 if tops <= {m1 | m2} else 2
         expected_gir = 4 if {m1, m2} <= tops else INF
-        passed = (
-            bg.diameter == expected_diam == bh.diameter
-            and bg.girth == expected_gir == bh.girth
-        )
+        passed = bg.diameter == expected_diam and bg.girth == expected_gir
         detail = (
-            f"diam={bg.diameter}/{bh.diameter} expected {expected_diam}; "
-            f"girth={bg.girth}/{bh.girth} expected {expected_gir}"
+            f"diam={bg.diameter} expected {expected_diam}; "
+            f"girth={bg.girth} expected {expected_gir}"
         )
     else:
         passed, detail = True, "not a two-maximal poset"
@@ -603,8 +572,8 @@ def _finite_specs_suite(P: FinitePoset, max_clique_vertices: int) -> SpecsSuiteR
         SuitePart(
             "three-plus-alexandroff",
             applies,
-            (not applies) or (bh.diameter == 3 and bh.girth == 3 and bg.girth == 3),
-            f"diam(H)={bh.diameter} girth(H)={bh.girth} girth(G)={bg.girth}",
+            (not applies) or (bg.diameter == 3 and bg.girth == 3),
+            f"diam={bg.diameter} girth={bg.girth}",
         )
     )
     applies = nmax >= 3 and irred
@@ -627,17 +596,11 @@ def _finite_specs_suite(P: FinitePoset, max_clique_vertices: int) -> SpecsSuiteR
             f"diam(G)={bg.diameter}",
         )
     )
-    return SpecsSuiteReport(
-        mode="finite",
-        max_count=nmax,
-        max_irreducible=irred,
-        parts=tuple(parts),
-        spec_bundle=bg,
-        uspec_bundle=bh,
-    )
+    return SpecsSuiteReport(max_irreducible=irred, parts=tuple(parts))
 
 
-def _fan_clique_part(fan: FanPoset, sizes) -> SuitePart:
+def _fan_clique_part(fan: FanPoset) -> SuitePart:
+    sizes = (2, 3, 5, 10, 25)
     for n in sizes:
         singles = [fan_v_max(fan, 0, i) for i in range(n)]
         for A, B in itertools.combinations(singles, 2):
@@ -664,7 +627,7 @@ def _window_holds(fan: FanPoset, per_family: int) -> bool:
 def _fan_specs_suite(fan: FanPoset, windows=(2, 3)) -> SpecsSuiteReport:
     # first, as it guards the generic count before any work
     irred, red_witness = fan_max_irreducible(fan)
-    parts = [_fan_clique_part(fan, (2, 3, 5, 10, 25))]
+    parts = [_fan_clique_part(fan)]
 
     # girth 3 on both lattices: three pairwise-disjoint maximal singletons
     tri = [fan_v_max(fan, 0, i) for i in range(3)]
@@ -766,12 +729,7 @@ def _fan_specs_suite(fan: FanPoset, windows=(2, 3)) -> SpecsSuiteReport:
         )
     )
 
-    return SpecsSuiteReport(
-        mode="fan",
-        max_count=COUNTABLY_INFINITE,
-        max_irreducible=irred,
-        parts=tuple(parts),
-    )
+    return SpecsSuiteReport(max_irreducible=irred, parts=tuple(parts))
 
 
 def specs_theorem_suite(
@@ -780,8 +738,8 @@ def specs_theorem_suite(
 ) -> SpecsSuiteReport:
     """Run the applicable spectral-graph theorem checks for the poset.
 
-    Finite posets are checked by exact computation of both closed-set
-    lattices, with ``max_clique_vertices`` guarding the clique solver on
+    Finite posets are checked by exact computation of the closed-set
+    lattice, with ``max_clique_vertices`` guarding the clique solver on
     their graphs; fans by constructive witnesses and windowed comparisons,
     the descriptor-level laws being certificates (see README).
     """

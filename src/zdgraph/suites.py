@@ -34,6 +34,7 @@ from .graphs import (
 )
 from .polynomials import (
     check_armendariz_ring,
+    check_degree,
     clique_stabilization,
 )
 from .rings import (
@@ -317,10 +318,12 @@ def verify_charirrconn(max_ground: int = 4) -> SuiteReport:
 # the window of the symbolic lattice whose nonempty members are walked in
 # ordered pairs: the subsets of {0..5}
 SYMBOLIC_WINDOW = 6
+# the largest clique witness the symbolic-lattice suite builds
+SYMBOLIC_MAX_CLIQUE = 100
 
 
 @_timed
-def verify_symbolic_lattice(max_clique: int = 100) -> SuiteReport:
+def verify_symbolic_lattice() -> SuiteReport:
     """Constructive witnesses for the symbolic irreducible T1 lattice."""
     rep = SuiteReport("symbolic-lattice")
     C = CofiniteT1Lattice()
@@ -336,13 +339,13 @@ def verify_symbolic_lattice(max_clique: int = 100) -> SuiteReport:
     rep.add("girth-3-triangle", ok, "three disjoint singletons" if ok
             else f"{[list(members(A)) for A in triangle]} are not pairwise disjoint")
     bad = None
-    for n in range(2, max_clique + 1):
+    for n in range(2, SYMBOLIC_MAX_CLIQUE + 1):
         sets = C.clique_witness(n)
         if len(sets) != n or not _pairwise_disjoint(sets):
             bad = (n, [list(members(A)) for A in sets])
             break
     rep.add("clique-witnesses", bad is None,
-            f"pairwise-disjoint cliques for n = 2..{max_clique}"
+            f"pairwise-disjoint cliques for n = 2..{SYMBOLIC_MAX_CLIQUE}"
             + (f"; failure at n = {bad[0]}: {bad[1]}" if bad else ""))
     pairs = list(itertools.product(range(1, 1 << SYMBOLIC_WINDOW), repeat=2))
     walked = f"{len(pairs)} ordered pairs of nonempty members of {{0..{SYMBOLIC_WINDOW - 1}}}"
@@ -386,8 +389,13 @@ def _ring_side_closed_sets(R) -> set[int]:
 FAN_WINDOW_TOTAL_MAX = 8
 
 
-@_timed(check=lambda max_points, **_: guard(
-    "poset points", max_points, DEFAULT_MAX_POSET_POINTS))
+def _specs_refusals(max_points: int) -> None:
+    if max_points < 0:  # at 0 the empty poset is checked
+        raise _checked_nothing("specs")
+    guard("poset points", max_points, DEFAULT_MAX_POSET_POINTS)
+
+
+@_timed(check=_specs_refusals)
 def verify_specs(max_points: int = 5) -> SuiteReport:
     """The spectral-poset theorem across all small posets and both fans.
 
@@ -445,7 +453,13 @@ def verify_specs(max_points: int = 5) -> SuiteReport:
     return rep
 
 
-@_timed
+def _content_refusals(degree: int, max_order: int) -> None:
+    check_degree(degree)
+    if max_order < 2:  # no reduced ring is walked
+        raise _checked_nothing("content")
+
+
+@_timed(check=_content_refusals)
 def verify_content(degree: int = 2, max_order: int = 9) -> SuiteReport:
     """Content-map checks over every reduced ring of small order."""
     rep = SuiteReport("content")
@@ -509,8 +523,13 @@ _ARROWS = (
 )
 
 
-@_timed(check=lambda max_points: guard(
-    "topology points", max_points, DEFAULT_MAX_TOPOLOGY_POINTS))
+def _pearled_refusals(max_points: int) -> None:
+    if max_points < 1:
+        raise _checked_nothing("pearled")
+    guard("topology points", max_points, DEFAULT_MAX_TOPOLOGY_POINTS)
+
+
+@_timed(check=_pearled_refusals)
 def verify_pearled(max_points: int = 4) -> SuiteReport:
     """The separation-axiom counterexamples and the implication arrows."""
     rep = SuiteReport("pearled")

@@ -84,7 +84,7 @@ class FiniteSpace:
 
     @staticmethod
     def from_json(text: str) -> "FiniteSpace":
-        data = json_object(text, "space")
+        data = json_object(text, "space", ("points", "closed"))
         points = distinct_labels(str(p) for p in json_list(data["points"], "points", "space"))
         closed = [
             {json_int(i, "space") for i in json_list(c, "members of a closed set", "space")}
@@ -242,7 +242,6 @@ class N0WindowReport:
     no closed point) exists.
     """
 
-    n_max: int
     t0_on_window: bool
     pearled: bool
     proper_chain: tuple[tuple[int, int], ...]
@@ -263,7 +262,6 @@ def n0_space_window(n_max: int) -> N0WindowReport:
         for n in range(m + 1, n_max + 1)
     )
     return N0WindowReport(
-        n_max=n_max,
         t0_on_window=t0,
         pearled=False,
         # (n, m): [m, oo) is a proper nonempty subset of [n, oo)
@@ -310,15 +308,6 @@ class CofiniteT1Lattice:
 
     irreducible = True
 
-    def meet(self, a: int, b: int) -> int:
-        return a & b
-
-    def join(self, a: int, b: int) -> int:
-        return a | b
-
-    def is_member(self, x) -> bool:
-        return isinstance(x, int) and x >= -1
-
     # --- constructive witnesses -------------------------------------------
 
     def triangle_witness(self) -> tuple[int, int, int]:
@@ -337,10 +326,6 @@ class CofiniteT1Lattice:
     def choice_colour(self, member: int) -> int:
         """Colour a vertex by its least element; proper on any edge."""
         return least_member(member)
-
-    def window(self, w: int) -> FiniteSpace:
-        """Restriction to {0..w-1}: every subset appears, giving 2^window."""
-        return powerset_lattice([str(i) for i in range(w)])
 
     def restrict(self, member: int, w: int) -> int:
         return member & ((1 << w) - 1)

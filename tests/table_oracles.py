@@ -348,7 +348,7 @@ def poly_mul(f, g):
     if f.ring is not g.ring:
         raise ValueError("polynomials over different rings")
     R = f.ring
-    if f.is_zero or g.is_zero:
+    if not f.coeffs or not g.coeffs:
         return make_poly(R, ())
     terms = R.mul[np.ix_(f.coeffs, g.coeffs)]  # terms[i, j] is a term of X^(i+j)
     out = np.full(len(f.coeffs) + len(g.coeffs) - 1, R.zero)

@@ -74,7 +74,7 @@ def test_criterion_05_charirrconn():
 
 
 def test_criterion_06_symbolic_lattice():
-    _run(6, "symbolic-irreducible-lattice", verify_symbolic_lattice, 10.0, max_clique=100)
+    _run(6, "symbolic-irreducible-lattice", verify_symbolic_lattice, 10.0)
 
 
 def test_criterion_07_specs_suite():

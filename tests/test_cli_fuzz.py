@@ -427,6 +427,10 @@ def test_cli_answers_every_file(request):
     ("--poset", {"points": ["a", "b"], "leq": [[0, 1.5]]},
      "1.5 in a poset file is not a 64-bit integer"),
     ("--poset", {"points": ["a", "b"], "leq": [5]}, "relation pair 5 is not two point indices"),
+    # each printed the bare key, such as "error: 'closed'"
+    ("--semigroup", {"elements": ["0"], "product": [[0]]}, "a semigroup file has no 'zero' entry"),
+    ("--space", {"points": ["a"]}, "a space file has no 'closed' entry"),
+    ("--poset", {"leq": []}, "a poset file has no 'points' entry"),
 ])
 def test_malformed_files_are_input_errors(flag, payload, message):
     assert run_file(flag, payload, ["analyze", "--tasks", "invariants"]) == (
@@ -480,13 +484,18 @@ def test_requests_are_checked_whole_before_any_work(argv, message, monkeypatch):
     assert time.perf_counter() - t0 < 0.5
 
 
-# each printed PASS (0 items) and exited 0
+# each printed PASS and exited 0: with 0 items, with no posets-n item
+# (specs), with an empty walk of topologies (pearled), or on the two fixed
+# clique-stabilization items alone (content)
 @pytest.mark.parametrize("argv", [
     ["verify", "ag-conjecture", "--max-fields", "2"],
     ["verify", "ag-conjecture", "--max-order", "7"],
     ["verify", "t1-lattice", "--max-ground", "0"],
     ["verify", "charirrconn", "--max-ground", "0"],
     ["verify", "armendariz", "--max-points", "0"],
+    ["verify", "pearled", "--max-points", "0"],
+    ["verify", "specs", "--max-points", "-1"],
+    ["verify", "content", "--max-order", "1"],
 ])
 def test_a_suite_that_checked_nothing_is_an_input_error(argv):
     assert run(argv) == (1, f"error: suite '{argv[1]}' checked nothing at these parameters\n")
@@ -494,8 +503,8 @@ def test_a_suite_that_checked_nothing_is_an_input_error(argv):
 
 # each refused only after work: t1-lattice ran grounds 1-7 before the clique
 # guard (also at --max-ground 11), charirrconn built grounds 1-10 before its
-# guard, and verify all printed three or six suite reports first; armendariz
-# walks topologies, so it states the topology guard too
+# guard, and verify all printed three, six or nine suite reports first;
+# armendariz walks topologies, so it states the topology guard too
 @pytest.mark.parametrize("argv,message", [
     (["verify", "t1-lattice", "--max-ground", "11"],
      "guard exceeded: 11 powerset points exceed guard 10"),
@@ -510,6 +519,13 @@ def test_a_suite_that_checked_nothing_is_an_input_error(argv):
      "guard exceeded: 7 topology points exceed guard 6"),
     (["verify", "all", "--max-order", "5000", "--max-fields", "6"],
      "guard exceeded: 5000 ring elements exceed guard 4096"),
+    (["verify", "pearled", "--max-points", "0"],
+     "suite 'pearled' checked nothing at these parameters"),
+    (["verify", "specs", "--max-points", "-1"],
+     "suite 'specs' checked nothing at these parameters"),
+    (["verify", "content", "--max-order", "1"],
+     "suite 'content' checked nothing at these parameters"),
+    (["verify", "all", "--degree", "-1"], "degree bound must be >= 0, not -1"),
 ])
 def test_verify_refuses_before_any_suite_runs(argv, message, monkeypatch, capsys):
     from zdgraph import cli

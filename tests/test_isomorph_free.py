@@ -24,9 +24,9 @@ from zdgraph.corpus import (
     enumerate_posets,
     enumerate_topologies,
 )
-from zdgraph.graphs import SuitePart
+from zdgraph.graphs import SuitePart, invariant_bundle, zero_divisor_graph
 from zdgraph.semigroups import SizeGuardExceeded
-from zdgraph.spectra import FinitePoset, max_points, specs_theorem_suite
+from zdgraph.spectra import FinitePoset, max_points, sigma_spec, specs_theorem_suite
 from zdgraph.topology import axiom_suite, powerset_lattice
 
 A000112 = [1, 1, 2, 5, 16, 63, 318, 2045]          # posets, unlabelled
@@ -175,9 +175,9 @@ def test_canonical_form_is_labelling_free_and_counts_automorphisms():
 
 def _specs_summary(P):
     r = specs_theorem_suite(P)
-    return (r.passed, r.max_count, r.max_irreducible,
+    return (r.passed, len(max_points(P)), r.max_irreducible,
             [(p.name, p.applies, p.passed) for p in r.parts],
-            r.spec_bundle.as_tuple(), r.uspec_bundle.as_tuple())
+            invariant_bundle(zero_divisor_graph(sigma_spec(P))).as_tuple())
 
 
 def test_specs_verdicts_of_representatives_are_the_labelled_verdicts():

@@ -30,14 +30,14 @@ def test_poly_normalization():
     R = make_zn(6)
     f = make_poly(R, (2, 3, 0, 0))
     assert f.coeffs == (2, 3)
-    assert make_poly(R, (0, 0)).is_zero
-    assert make_poly(R, ()).degree is None
+    assert make_poly(R, (0, 0)).coeffs == ()
+    assert make_poly(R, ()).coeffs == ()
 
 
 def test_poly_mul_vanishing_square():
     R = make_zn(4)
     f = make_poly(R, (2, 2))  # 2X + 2
-    assert poly_mul(f, f).is_zero
+    assert not poly_mul(f, f).coeffs
 
 
 def test_poly_mul_identity():
@@ -81,7 +81,7 @@ def test_enumeration_count_and_order():
     R = make_zn(4)
     polys = list(polys_up_to_degree(R, 1))
     assert len(polys) == 16  # |R|^(d+1)
-    assert polys[0].is_zero
+    assert not polys[0].coeffs
     assert len(set(polys)) == 16  # each normalized poly exactly once
 
 

