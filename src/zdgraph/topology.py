@@ -277,19 +277,17 @@ def n0_space_window(n_max: int) -> N0WindowReport:
 # T1 lattices: a finite one is the space whose closed sets are its members
 
 
-def powerset_lattice(ground) -> FiniteSpace:
-    """All 2^n subsets of an n-point ground set (an int n names the points
-    y0..), as the closed sets of the discrete space.
+def powerset_lattice(n: int) -> FiniteSpace:
+    """All 2^n subsets of the ground set y0..y(n-1), as the closed sets of
+    the discrete space.
 
     Building and validating the family costs O(4^n) set operations, so n is
     guarded before any work.
     """
-    n = ground if isinstance(ground, int) else len(ground)
     if n < 0:
         raise ValueError(f"a powerset lattice needs a ground size >= 0, not {n}")
     guard("powerset points", n, DEFAULT_MAX_POWERSET_GROUND)
-    g = tuple(f"y{i}" for i in range(n)) if isinstance(ground, int) else tuple(ground)
-    return make_space(g, range(1 << n))
+    return make_space(tuple(f"y{i}" for i in range(n)), range(1 << n))
 
 
 def lattice_semigroup(L: FiniteSpace) -> SemigroupTable:

@@ -237,7 +237,7 @@ def test_space_tables_match_frozenset_oracle():
 
 def test_lattice_tables_match_frozenset_oracle():
     lattices = [powerset_lattice(k) for k in range(5)]
-    lattices += [powerset_lattice("abcd"[:n]) for n in range(1, 5)]
+    lattices += [make_space("abcd"[:n], range(1 << n)) for n in range(1, 5)]
     for L in lattices:
         sets = _frozensets(L.closed_sets)
         labels = [_label(L.points, m) for m in sets]
