@@ -209,9 +209,10 @@ def _invariants(kind, obj, args):
                   "clique": "countably-infinite", "chromatic": "countably-infinite"}
         return {"gamma_spec_lattice": bundle, "max_irreducible": irred}, True
     G = OBJECTS[kind].graphs["gamma"](obj, args)
+    vertices = list(G.vertices)  # each label read once
     return {
-        "vertices": list(G.vertices),
-        "edges": sorted([G.vertices[i], G.vertices[j]] for i, j in G.edges),
+        "vertices": vertices,
+        "edges": sorted([vertices[i], vertices[j]] for i, j in G.edges),
         "gamma": _bundle(G, args),
     }, True
 

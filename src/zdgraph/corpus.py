@@ -22,12 +22,12 @@ import functools
 import itertools
 import math
 import string
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Union
 
 import numpy as np
 
 from .rings import FiniteRing, make_gf, make_product, make_zn, prime_power
-from .semigroups import NotNilpotentFree, SemigroupMap, SemigroupTable, guard
+from .semigroups import NotNilpotentFree, SemigroupMap, SemigroupTable, guard, labels_at
 from .spectra import FinitePoset, upset_masks
 from .topology import FiniteSpace, make_space
 
@@ -178,9 +178,25 @@ def permuted_copy(S: SemigroupTable, perm) -> SemigroupMap:
     p = np.array(perm, dtype=np.int64)
     prod = np.empty_like(S.product)
     prod[np.ix_(p, p)] = p[S.product]
-    labels = [S.elements[a] for a in np.argsort(p).tolist()]
-    target = SemigroupTable(tuple(labels), int(p[S.zero]), prod)
+    target = SemigroupTable(labels_at(S.elements, np.argsort(p).tolist()), int(p[S.zero]), prod)
     return SemigroupMap(S, target, tuple(p.tolist()))
+
+
+class MapName:
+    """The name of a class map, ``prefix`` and then its representative's
+    JSON, formatted each time it is read as text: a name is read only when
+    its map fails."""
+
+    __slots__ = ("prefix", "representative")
+
+    def __init__(self, prefix: str, representative: Union[FiniteSpace, FinitePoset]):
+        self.prefix, self.representative = prefix, representative
+
+    def __str__(self) -> str:
+        return self.prefix + self.representative.to_json()
+
+    def __repr__(self) -> str:
+        return repr(str(self))
 
 
 class MapCorpus(NamedTuple):
@@ -189,7 +205,7 @@ class MapCorpus(NamedTuple):
     relabelling), and the labelled topologies and posets walked, pearled
     or not."""
 
-    maps: list[tuple[str, SemigroupMap, int]]
+    maps: list[tuple[Union[str, MapName], SemigroupMap, int]]
     topologies: int
     posets: int
 
@@ -207,16 +223,17 @@ def armendariz_map_corpus(max_points: int = 5) -> MapCorpus:
     reduced ring of order <= ``MAP_CORPUS_RING_ORDER``; for n = 1..max_points, the
     closed-point intersection map of every pearled topology class and the
     restriction to maximal points of every poset class, each named by its
-    representative's JSON; and one relabelling of each of those semigroups
-    of order <= 12, by the cyclic shift a -> a + 1, which is no involution,
-    so a confusion of a map with its inverse shows.
+    representative's JSON (a ``MapName``, formatted only when read); and
+    one relabelling of each of those semigroups of order <= 12, by the
+    cyclic shift a -> a + 1, which is no involution, so a confusion of a
+    map with its inverse shows.
     """
     from .rings import is_reduced, multiplicative_semigroup
     from .semigroups import eq_quotient
     from .spectra import restrict_to_max
     from .topology import alpha_map, axiom_suite
 
-    maps: list[tuple[str, SemigroupMap, int]] = []
+    maps: list[tuple[Union[str, MapName], SemigroupMap, int]] = []
     # one ring list serves the quotients and the relabellings (order <= 12)
     semigroups = [(R, multiplicative_semigroup(R))
                   for R in reduced_rings_up_to(MAP_CORPUS_RING_ORDER)]
@@ -230,10 +247,10 @@ def armendariz_map_corpus(max_points: int = 5) -> MapCorpus:
         for X, orbit in enumerate_topologies(n):
             topologies += orbit
             if axiom_suite(X).pearled:
-                maps.append((f"alpha map of {X.to_json()}", alpha_map(X), orbit))
+                maps.append((MapName("alpha map of ", X), alpha_map(X), orbit))
         for P, orbit in enumerate_posets(n):
             posets += orbit
-            maps.append((f"max restriction of {P.to_json()}", restrict_to_max(P), orbit))
+            maps.append((MapName("max restriction of ", P), restrict_to_max(P), orbit))
 
     for R, S in semigroups:
         if R.size <= 12:

@@ -25,16 +25,18 @@ import json
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .semigroups import (
+    Labels,
     SemigroupMap,
     SemigroupTable,
     NotNilpotentFree,
     check_armendariz,
     guard,
+    labels_at,
     mask_row,
     members,
     nilpotent_witness,
@@ -72,12 +74,16 @@ Cardinal = Union[int, CountablyInfinite]
 @dataclass(frozen=True)
 class SimpleGraph:
     """Undirected simple graph: labelled vertices and ``adj[v]``, the bitmask
-    of v's neighbours, which every invariant reads."""
+    of v's neighbours, which every invariant reads; no invariant reads a
+    label."""
 
-    vertices: tuple[str, ...]
+    vertices: Sequence[str]
     adj: tuple[int, ...]
 
     def __post_init__(self):
+        # ``Labels`` stay unread; any other labels are held as a tuple
+        if not isinstance(self.vertices, (tuple, Labels)):
+            object.__setattr__(self, "vertices", tuple(self.vertices))
         n, adj = len(self.vertices), self.adj
         if len(adj) != n or min(adj, default=0) < 0:
             raise ValueError(f"{n} vertices need {n} nonnegative adjacency rows")
@@ -93,7 +99,7 @@ class SimpleGraph:
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.adj)
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -101,8 +107,7 @@ class SimpleGraph:
         return frozenset((i, j) for i, row in enumerate(self.adj) for j in members(row >> i << i))
 
     @staticmethod
-    def from_edges(vertices: Iterable[str], edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
-        vertices = tuple(vertices)
+    def from_edges(vertices: Sequence[str], edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
         adj = [0] * len(vertices)
         for i, j in edges:
             if not (0 <= i < len(adj) and 0 <= j < len(adj)):
@@ -431,7 +436,7 @@ def twin_quotient(G: SimpleGraph) -> tuple[SimpleGraph, int]:
     index = {v: i for i, v in enumerate(kept)}
     keep = sum(1 << v for v in kept)
     adj = tuple(sum(1 << index[u] for u in members(G.adj[v] & keep)) for v in kept)
-    return SimpleGraph(tuple(G.vertices[v] for v in kept), adj), twinned
+    return SimpleGraph(labels_at(G.vertices, kept), adj), twinned
 
 
 def _quotient_clique_and_chromatic(
@@ -486,7 +491,7 @@ def invariant_bundle(
 # Graphs from semigroups
 
 
-def _zero_product_graph(labels: tuple[str, ...], zero: np.ndarray) -> SimpleGraph:
+def _zero_product_graph(labels: Sequence[str], zero: np.ndarray) -> SimpleGraph:
     """The graph on ``labels`` with {i, j} an edge iff ``zero[i, j]``, read
     from the upper triangle of the boolean zero-product matrix: on a large
     graph its rows are packed from the triangle and its mirror, on a small
@@ -503,13 +508,13 @@ def zero_divisor_graph(S: SemigroupTable, zd: Optional[int] = None) -> SimpleGra
     """Vertices are nonzero zero-divisors; {s, t} is an edge iff s*t = 0.
 
     ``zd``, if given, is ``zero_divisors(S)`` found already; the table is
-    not scanned again.
+    not scanned again.  The vertex labels are a view of S's labels.
     """
     if zd is None:
         zd = zero_divisors(S)
     v = np.flatnonzero(mask_row(zd, S.size))
-    labels = tuple(S.elements[i] for i in v.tolist())
-    return _zero_product_graph(labels, S.product[v[:, None], v] == S.zero)
+    return _zero_product_graph(labels_at(S.elements, v.tolist()),
+                               S.product[v[:, None], v] == S.zero)
 
 
 def beck_graph(S: SemigroupTable) -> SimpleGraph:
@@ -519,7 +524,7 @@ def beck_graph(S: SemigroupTable) -> SimpleGraph:
     all-elements graph: 0 is connected to everything and non-zero-divisors
     connect only to 0.
     """
-    return _zero_product_graph(tuple(S.elements), S.product == S.zero)
+    return _zero_product_graph(S.elements, S.product == S.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -554,20 +559,23 @@ def armendariz_invariant_suites(
     max_chromatic_vertices: int = DEFAULT_MAX_CHROMATIC_VERTICES,
 ) -> Iterator[InvariantSuiteReport]:
     """``armendariz_invariant_suite`` of each map in turn, sharing work on
-    equal tables and graphs within this one iteration.
+    tables, graphs and maps of equal structure within this one iteration.
 
+    Every check reads a table's zero and product only, never its labels, so
+    the memos are keyed by structure (``SemigroupTable.structure_key``).
     Each distinct table is checked for nilpotents, and its zero divisors
     found, once; Γ is built from that one scan.  Each distinct Γ adjacency
-    is solved once.  Every map still runs its checks in the one-map order
-    (source nilpotents, target nilpotents, the Armendariz check, then both
-    invariant bundles), so an error or guard trip surfaces at the same map
-    with the same message.  The memos live only as long as the iteration.
+    is solved once, and each distinct map (source, target and assignment)
+    is checked once.  A map not met before runs its checks in the one-map
+    order (source nilpotents, target nilpotents, the Armendariz check, then
+    both invariant bundles), so an error or guard trip surfaces at the same
+    map with the same message.  The memos live only as long as the iteration.
     """
-    sides: dict[tuple, tuple[int, SimpleGraph]] = {}  # table key -> (zero divisors, Γ)
+    sides: dict[tuple, tuple[int, SimpleGraph]] = {}  # table structure -> (zero divisors, Γ)
     bundles: dict[tuple[int, ...], InvariantBundle] = {}  # Γ's rows -> its invariants
+    reports: dict[tuple, InvariantSuiteReport] = {}  # map structure -> its report
 
-    def side(S: SemigroupTable, role: str) -> tuple[int, SimpleGraph]:
-        key = S._key()
+    def side(S: SemigroupTable, key: tuple, role: str) -> tuple[int, SimpleGraph]:
         if key not in sides:
             w = nilpotent_witness(S)
             if w is not None:
@@ -581,9 +589,9 @@ def armendariz_invariant_suites(
             bundles[G.adj] = invariant_bundle(G, max_clique_vertices, max_chromatic_vertices)
         return bundles[G.adj]
 
-    for g in maps:
-        zs, GS = side(g.source, "source")
-        zt, GT = side(g.target, "target")
+    def suite(g: SemigroupMap, ks: tuple, kt: tuple) -> InvariantSuiteReport:
+        zs, GS = side(g.source, ks, "source")
+        zt, GT = side(g.target, kt, "target")
         report = check_armendariz(g)
         if not report.is_armendariz:
             raise ValueError(f"map is not Armendariz: {report}")
@@ -618,7 +626,7 @@ def armendariz_invariant_suites(
                       f"chromatic source={bs.chromatic} target={bt.chromatic}"
                       + ("" if chi_omega else "; chromatic below clique")),
         )
-        yield InvariantSuiteReport(
+        return InvariantSuiteReport(
             parts=parts,
             source_invariants=bs,
             target_invariants=bt,
@@ -626,6 +634,13 @@ def armendariz_invariant_suites(
             girth4_pattern_edge=pattern_edge,
             girth4_pattern_vertex=pattern_vertex,
         )
+
+    for g in maps:
+        ks, kt = g.source.structure_key(), g.target.structure_key()
+        key = ks, kt, g.assignment
+        if key not in reports:
+            reports[key] = suite(g, ks, kt)
+        yield reports[key]
 
 
 def armendariz_invariant_suite(

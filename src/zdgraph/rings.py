@@ -35,6 +35,7 @@ import numpy as np
 from .graphs import SimpleGraph, beck_graph, shortest_cycle, zero_divisor_graph
 from .semigroups import (
     DEFAULT_MAX_TABLE,
+    Labels,
     SemigroupTable,
     block_size,
     first_witness,
@@ -839,7 +840,7 @@ def ideal_semigroup(
         raise ValueError("operation must be 'mult' or 'add'")
     index = ideal_index(R)
     # the ideal guard, then the table guard on the lower bound before the
-    # ideals are enumerated, and on their count before any label or table
+    # ideals are enumerated, and on their count before the table is built
     guard("ideals", index.lower_bound, max_ideals)
     guard("table elements", index.lower_bound, max_table)
     ks = np.array(index.close(max_ideals))
@@ -847,7 +848,8 @@ def ideal_semigroup(
     pos = np.empty(len(index.ideals), dtype=np.int64)
     pos[ks] = np.arange(len(ks))
     zero_elt = index.principal[R.zero if operation == "mult" else R.one]
-    labels = tuple(index.label(k) for k in ks.tolist())
+    held = ks.tolist()
+    labels = Labels(len(held), lambda i: index.label(held[i]))
     sg = SemigroupTable(elements=labels, zero=int(pos[zero_elt]),
                         product=pos[index.table(ks, operation)])
     return IdealSemigroup(tuple(index.ideals[k] for k in ks), sg)

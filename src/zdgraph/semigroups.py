@@ -3,7 +3,9 @@
 A semigroup lives entirely in its table: elements are indices into a label
 list, the absorbing element is a designated index, and the product is a
 total binary table, held as one read-only int64 array and read by array
-code only.  Labels are display-only; all semantics are by index.
+code only.  Labels are display-only; all semantics are by index: a table's
+size is the number of its rows, and a label is formatted when it is first
+read (``Labels``), which on most tables is never.
 
 The module provides validation (commutativity, associativity, absorbing law,
 each with a witness on failure; ``table_law_failure`` also checks ring
@@ -52,6 +54,54 @@ def read_only_table(table) -> np.ndarray:
     return P
 
 
+class Labels(Sequence[str]):
+    """``n`` display labels, label i being ``label(i)``, formatted when it is
+    first read and then kept.  It equals, hashes and prints as the tuple of
+    its labels, which reading it whole formats."""
+
+    __slots__ = ("_label", "_kept")
+
+    def __init__(self, n: int, label: Callable[[int], str]):
+        self._label = label
+        self._kept: list[Optional[str]] = [None] * n
+
+    def __len__(self) -> int:
+        return len(self._kept)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        text = self._kept[i]
+        if text is None:
+            i %= len(self._kept)
+            text = self._kept[i] = self._label(i)
+        return text
+
+    def __iter__(self) -> Iterator[str]:
+        kept, label = self._kept, self._label
+        for i, text in enumerate(kept):
+            if text is None:
+                text = kept[i] = label(i)
+            yield text
+
+    def __eq__(self, other):
+        if not isinstance(other, (Labels, tuple)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
+
+
+def labels_at(labels: Sequence[str], at: Sequence[int]) -> Labels:
+    """The view of ``labels`` at the indices ``at``: label i is ``labels[at[i]]``,
+    read only when label i is."""
+    return Labels(len(at), lambda i: labels[at[i]])
+
+
 @dataclass(frozen=True, eq=False)
 class SemigroupTable:
     """A finite commutative semigroup with an absorbing element.
@@ -59,10 +109,12 @@ class SemigroupTable:
     ``product[a, b]`` is the index of the product of elements ``a`` and
     ``b``; ``zero`` is the index of the absorbing element.  ``product`` is
     held as a read-only int64 array; a ragged table has no array form and
-    fails the table-shape law here.
+    fails the table-shape law here.  Two tables are equal, and hash alike,
+    when their labels, zero and product are; the checks compare
+    ``structure_key()`` and never read a label.
     """
 
-    elements: tuple[str, ...]
+    elements: Sequence[str]
     zero: int
     product: np.ndarray
 
@@ -73,8 +125,13 @@ class SemigroupTable:
             ValidationResult(False, "table-shape", ()).raise_if_invalid()
         object.__setattr__(self, "product", P)
 
+    def structure_key(self) -> tuple:
+        """The zero and the product table's shape and bytes: all that the
+        laws, the invariants and the map checks read, and no label."""
+        return self.zero, self.product.shape, self.product.tobytes()
+
     def _key(self):
-        return self.elements, self.zero, self.product.shape, self.product.tobytes()
+        return (self.elements, *self.structure_key())
 
     def __eq__(self, other):
         if not isinstance(other, SemigroupTable):
@@ -86,7 +143,8 @@ class SemigroupTable:
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        """The number of elements: the rows of the product table."""
+        return self.product.shape[0]
 
     def to_json(self) -> str:
         return json.dumps(
@@ -236,9 +294,9 @@ def row_masks(rows: np.ndarray) -> list[int]:
     return [int.from_bytes(buf[i * w : i * w + w], "little") for i in range(len(packed))]
 
 
-def mask_labels(points: Sequence[str], masks: Sequence[int]) -> list[str]:
-    """Set labels ``{a,b}``, listing each mask's points in index order."""
-    return ["{" + ",".join(points[p] for p in members(m)) + "}" for m in masks]
+def mask_label(points: Sequence[str], mask: int) -> str:
+    """The set label ``{a,b}``, listing the mask's points in index order."""
+    return "{" + ",".join(points[p] for p in members(mask)) + "}"
 
 
 def point_set_key(masks: Collection[int]) -> Callable[[int], tuple[int, str]]:
@@ -265,8 +323,8 @@ def is_irreducible_family(masks, whole: int) -> bool:
 def meet_table(points: Sequence[str], masks: Sequence[int]) -> SemigroupTable:
     """A family of distinct bitmasks over ``points``, closed under ``&``, in
     order: ``product[i, j]`` is the position of ``masks[i] & masks[j]``, the
-    zero is the meet of all members, and the elements are labelled by
-    ``mask_labels``.
+    zero is the meet of all members, and element i is labelled by
+    ``mask_label`` when its label is first read.
 
     A meet's position is read from an array indexed by mask when that array
     is no larger than the n² meets it answers, as on the up-sets of a poset
@@ -290,7 +348,8 @@ def meet_table(points: Sequence[str], masks: Sequence[int]) -> SemigroupTable:
         closed = (M[at] == meets).all()
     if not closed:
         raise ValueError("family is not closed under intersection")
-    return SemigroupTable(tuple(mask_labels(points, masks)), zero, at)
+    points, masks = tuple(points), tuple(masks)
+    return SemigroupTable(Labels(len(masks), lambda i: mask_label(points, masks[i])), zero, at)
 
 
 @dataclass(frozen=True)
@@ -360,7 +419,7 @@ def validate_semigroup(
     commutativity, ``(a, b, c)`` for associativity, ``(a,)`` for the
     absorbing law.
     """
-    n = table.size
+    n = len(table.elements)  # the labels' count, which the table's shape must match
     if n == 0:
         return ValidationResult(False, "nonempty", ())
     guard("table elements", n, max_size)
@@ -568,7 +627,8 @@ def eq_quotient(table: SemigroupTable, permissive: bool = False) -> EqQuotient:
     # [s][t] = [st], read at the least member of each class
     reps = np.sort(first)
     qprod = class_of[table.product[np.ix_(reps, reps)]]
-    labels = tuple(f"[{table.elements[cls[0]]}]" for cls in classes)
+    elements = table.elements
+    labels = Labels(len(classes), lambda c: f"[{elements[classes[c][0]]}]")
     quotient = SemigroupTable(elements=labels, zero=int(class_of[table.zero]), product=qprod)
     projection = SemigroupMap(table, quotient, tuple(class_of.tolist()))
     return EqQuotient(table, classes, quotient, projection)

@@ -201,11 +201,12 @@ def verify_armendariz(max_points: int = 5) -> SuiteReport:
             result = next(reports)
         except ValueError as exc:  # not Armendariz, or nilpotent: the run ends
             failed += orbit
-            first = first or (name, str(exc))
+            first = first or (str(name), str(exc))
             break
         if not result.passed:
             failed += orbit
-            first = first or (name, [(p.name, p.details) for p in result.parts if not p.passed])
+            first = first or (str(name),
+                              [(p.name, p.details) for p in result.parts if not p.passed])
     rep.add(
         "six-laws-hold",
         not failed,

@@ -26,8 +26,10 @@ reachability products replaced, and ``unique_rows_quotient`` is
 ``eq_quotient`` grouping kill rows with ``np.unique(axis=0)``, as it did
 before the rows were keyed by their packed bytes, and checking the class
 product on every pair, as it did before that check, which no commutative
-semigroup can fail, was dropped.  The routines return point
-sets as frozensets, the form the program used before its int masks;
+semigroup can fail, was dropped.  ``eager_mask_labels`` is the
+``{a,b}`` labels of a meet table, all formatted when the table was built, as
+they were before a label was formatted only when read.  The routines return
+point sets as frozensets, the form the program used before its int masks;
 ``mask`` turns one into the program's form where the two are compared.
 """
 
@@ -53,6 +55,12 @@ from zdgraph.semigroups import (
 def mask(points):
     """The int mask of a set of indices: bit i set for each member i."""
     return sum(1 << i for i in points)
+
+
+def eager_mask_labels(points, masks):
+    """Set labels ``{a,b}``, listing each mask's points in index order."""
+    return ["{" + ",".join(points[p] for p in range(len(points)) if m >> p & 1) + "}"
+            for m in masks]
 
 
 def identity_map(table):

@@ -349,6 +349,29 @@ def test_semigroup_file_that_is_no_table_is_an_input_error(text, message, tmp_pa
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("entry,message", [
+    (2**63, "9223372036854775808 in a semigroup file is not a 64-bit integer"),
+    (2**63 - 1, "index-bounds law fails at (1, 1)"),
+])
+def test_a_semigroup_entry_at_the_int64_edge(entry, message, tmp_path, capsys):
+    # 2^63 does not fit int64; 2^63 - 1 does, and is out of range as an index
+    path = tmp_path / "edge.json"
+    path.write_text(json.dumps({"elements": ["0", "1"], "zero": 0, "product": [[0, 0], [0, entry]]}))
+    assert main(["analyze", "--semigroup", str(path), "--tasks", "validate"]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+def test_verify_armendariz_on_one_point(capsys):
+    # the least --max-points the suite takes: one topology and one poset
+    assert main(["verify", "armendariz", "--max-points", "1", "--json"]) == 0
+    items = json.loads(capsys.readouterr().out)["items"]
+    assert [(i["name"], i["passed"], i["details"]) for i in items] == [
+        ("corpus-size", True, "1 labelled topologies and 1 labelled posets on 1-1 points "
+                              "(A000798: 1, A001035: 1)"),
+        ("six-laws-hold", True, "81 maps, 0 failures")]
+
+
 def test_specs_suite_on_a_large_antichain_fails_before_any_table(tmp_path, capsys):
     # 13 incomparable points have 2^13 up-sets, over the 4096 table guard;
     # the sigma table would have 2^26 cells

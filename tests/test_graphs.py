@@ -359,7 +359,7 @@ def test_the_small_graphs_of_verify_armendariz_list_their_edges(monkeypatch):
                         staticmethod(lambda v, e: listed.append(v) or real(v, e)))
     built = record_calls(monkeypatch, graphs, "_zero_product_graph")
     assert verify_armendariz().passed
-    assert len(listed) == len(built) == 345
+    assert len(listed) == len(built) == 204
     assert max(len(args[0]) for args, _ in built) == 30
 
 
@@ -704,7 +704,8 @@ def test_verify_armendariz_solves_each_distinct_table_and_graph_once(monkeypatch
         built.clear()
         solved.clear()
         assert verify_armendariz().passed
-        assert len(built) == len({S._key() for S in built}) == 345
+        # 586 tables with 345 distinct labelled keys have 204 structures
+        assert len(built) == len({S.structure_key() for S in built}) == 204
         assert len(solved) == len({G.adj for G in solved}) == 81
 
 
@@ -734,12 +735,15 @@ def test_verify_armendariz_builds_each_corpus_map_and_scans_each_table_once(monk
         # space and tested for pearls once; each of the 127 pearled classes
         # builds its closed points without testing the space again, and
         # each of the 87 poset classes is restricted once: 61 quotients and
-        # 18 relabellings make 293 maps, all distinct
+        # 18 relabellings make 293 maps, of 202 distinct structures (source
+        # and target tables and assignment), whose 586 tables have 204
         assert {name: len(calls) for name, calls in counted.items()} == {
             "make_space": 312, "alpha_map": 127, "axiom_suite": 185, "restrict_to_max": 87,
-            "check_armendariz": 293, "zero_divisors": 345}
-        scanned = [args[0]._key() for args, _ in counted["zero_divisors"]]
-        assert len(set(scanned)) == len(scanned)
+            "check_armendariz": 202, "zero_divisors": 204}
+        checked = [(g.source.structure_key(), g.target.structure_key(), g.assignment)
+                   for (g,), _ in counted["check_armendariz"]]
+        scanned = [args[0].structure_key() for args, _ in counted["zero_divisors"]]
+        assert len(set(checked)) == len(checked) and len(set(scanned)) == len(scanned)
 
 
 def test_a_map_on_the_same_tables_with_another_assignment_is_checked_again():
